@@ -240,7 +240,7 @@ pub struct RunMetrics {
     /// Mean-latency decomposition (transition / queue / service).
     pub breakdown: LatencyBreakdown,
     /// Telemetry headline numbers; `Some` only for traced runs (see
-    /// `ServerSim::with_telemetry`).
+    /// `SimBuilder::with_telemetry`).
     pub telemetry: Option<TelemetrySummary>,
     /// Per-request latency attribution (phase means, tail bucket, exit
     /// penalty by C-state); `Some` only for attributed runs (see

@@ -8,189 +8,151 @@
 //! point-in-time actions (wakes, snoops, governor decisions) as instant
 //! (`"i"`) events.
 
+use std::fmt::Write as _;
+
 use aw_types::Nanos;
 
 use crate::event::{EventKind, TraceEvent};
-use crate::json::JsonValue;
+use crate::json::{write_escaped, write_num, JsonValue};
 use crate::recorder::TelemetrySummary;
 use crate::registry::MetricsRegistry;
 
 const PID: u64 = 0;
 
-fn us(t: Nanos) -> JsonValue {
-    JsonValue::Num(t.as_micros())
+/// Output bytes reserved per trace event: slices and instants render to
+/// roughly 80–120 bytes, so one up-front reservation covers the document.
+const BYTES_PER_EVENT: usize = 128;
+
+/// The value of one instant-event argument.
+enum Arg<'a> {
+    Str(&'a str),
+    /// A duration, rendered in microseconds.
+    Us(Nanos),
+    UInt(u32),
+    Bool(bool),
 }
 
-fn slice(name: &str, cat: &str, core: u32, start: Nanos, dur: Nanos) -> JsonValue {
-    JsonValue::obj(vec![
-        ("ph", JsonValue::str("X")),
-        ("name", JsonValue::str(name)),
-        ("cat", JsonValue::str(cat)),
-        ("pid", JsonValue::UInt(PID)),
-        ("tid", JsonValue::UInt(u64::from(core))),
-        ("ts", us(start)),
-        ("dur", us(dur)),
-    ])
+/// Writes the fields slices and instants share, from `head` (the phase
+/// fields up to `"name":`) through `"ts"`, leaving the object open.
+fn open_event(out: &mut String, head: &str, name: &str, cat: &str, core: u32, ts: Nanos) {
+    out.push_str(head);
+    write_escaped(out, name);
+    out.push_str(",\"cat\":");
+    write_escaped(out, cat);
+    let _ = write!(out, ",\"pid\":{PID},\"tid\":{core},\"ts\":");
+    write_num(out, ts.as_micros());
 }
 
-fn instant(name: &str, cat: &str, core: u32, ts: Nanos, args: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::obj(vec![
-        ("ph", JsonValue::str("i")),
-        ("s", JsonValue::str("t")), // thread-scoped instant
-        ("name", JsonValue::str(name)),
-        ("cat", JsonValue::str(cat)),
-        ("pid", JsonValue::UInt(PID)),
-        ("tid", JsonValue::UInt(u64::from(core))),
-        ("ts", us(ts)),
-        ("args", JsonValue::obj(args)),
-    ])
+fn slice(out: &mut String, name: &str, cat: &str, core: u32, start: Nanos, dur: Nanos) {
+    open_event(out, "{\"ph\":\"X\",\"name\":", name, cat, core, start);
+    out.push_str(",\"dur\":");
+    write_num(out, dur.as_micros());
+    out.push_str("},");
 }
 
-fn metadata(name: &str, tid: u64, value: &str) -> JsonValue {
-    JsonValue::obj(vec![
-        ("ph", JsonValue::str("M")),
-        ("name", JsonValue::str(name)),
-        ("pid", JsonValue::UInt(PID)),
-        ("tid", JsonValue::UInt(tid)),
-        ("args", JsonValue::obj(vec![("name", JsonValue::str(value))])),
-    ])
+/// A thread-scoped (`"s":"t"`) instant named after the event's kind.
+fn instant(out: &mut String, e: &TraceEvent, cat: &str, args: &[(&str, Arg)]) {
+    let head = "{\"ph\":\"i\",\"s\":\"t\",\"name\":";
+    open_event(out, head, e.kind.label(), cat, e.core, e.time);
+    out.push_str(",\"args\":{");
+    for (i, (key, value)) in args.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, key);
+        out.push(':');
+        match *value {
+            Arg::Str(s) => write_escaped(out, s),
+            Arg::Us(t) => write_num(out, t.as_micros()),
+            Arg::UInt(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        }
+    }
+    out.push_str("}},");
+}
+
+fn metadata(out: &mut String, name: &str, tid: usize, value: &str) {
+    out.push_str("{\"ph\":\"M\",\"name\":");
+    write_escaped(out, name);
+    let _ = write!(out, ",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"name\":");
+    write_escaped(out, value);
+    out.push_str("}},");
 }
 
 /// Renders events as Chrome trace-event JSON with one track (`tid`) per
 /// core. `cores` controls how many thread-name metadata records are
 /// emitted; events referencing higher core ids still render.
+///
+/// Every event is written straight into one pre-sized buffer: no
+/// intermediate value tree, so a 200k-event window costs one allocation.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent], cores: usize) -> String {
-    let mut out: Vec<JsonValue> = Vec::with_capacity(events.len() + cores + 1);
-    out.push(metadata("process_name", 0, "agilewatts simulation"));
+    let mut out = String::with_capacity((events.len() + cores + 1) * BYTES_PER_EVENT);
+    out.push_str("{\"traceEvents\":[");
+    metadata(&mut out, "process_name", 0, "agilewatts simulation");
     for core in 0..cores {
-        let tid = u64::try_from(core).expect("core index fits u64");
-        out.push(metadata("thread_name", tid, &format!("core {core}")));
+        metadata(&mut out, "thread_name", core, &format!("core {core}"));
     }
 
-    for event in events {
-        let core = event.core;
-        let t = event.time;
-        match event.kind {
+    for e in events {
+        let out = &mut out;
+        match e.kind {
             // Slices are reconstructed from exit events, which carry the
             // exact residency: the slice spans [time − residency, time).
             EventKind::CStateExit { state, residency } => {
-                out.push(slice(state, "cstate", core, t - residency, residency));
+                slice(out, state, "cstate", e.core, e.time - residency, residency);
             }
             // Enter events duplicate the slice starts; skip them here.
             EventKind::CStateEnter { .. } => {}
             EventKind::FlowStep { step, duration } => {
-                out.push(slice(step, "pma", core, t, duration));
+                slice(out, step, "pma", e.core, e.time, duration)
             }
             EventKind::GovernorDecision { chosen, predicted } => {
-                out.push(instant(
-                    "governor-decision",
-                    "governor",
-                    core,
-                    t,
-                    vec![
-                        ("chosen", JsonValue::str(chosen)),
-                        ("predicted_us", JsonValue::Num(predicted.as_micros())),
-                    ],
-                ));
+                let args = [("chosen", Arg::Str(chosen)), ("predicted_us", Arg::Us(predicted))];
+                instant(out, e, "governor", &args);
             }
             EventKind::IdleOutcome { chosen, predicted, actual, premature } => {
-                out.push(instant(
-                    "idle-outcome",
-                    "governor",
-                    core,
-                    t,
-                    vec![
-                        ("chosen", JsonValue::str(chosen)),
-                        ("predicted_us", JsonValue::Num(predicted.as_micros())),
-                        ("actual_us", JsonValue::Num(actual.as_micros())),
-                        ("premature", JsonValue::Bool(premature)),
-                    ],
-                ));
+                let args = [
+                    ("chosen", Arg::Str(chosen)),
+                    ("predicted_us", Arg::Us(predicted)),
+                    ("actual_us", Arg::Us(actual)),
+                    ("premature", Arg::Bool(premature)),
+                ];
+                instant(out, e, "governor", &args);
             }
             EventKind::WakeInterrupt { reason } => {
-                out.push(instant(
-                    "wake",
-                    "wake",
-                    core,
-                    t,
-                    vec![("reason", JsonValue::str(reason))],
-                ));
+                instant(out, e, "wake", &[("reason", Arg::Str(reason))])
             }
             EventKind::SnoopService { state } => {
-                out.push(instant(
-                    "snoop",
-                    "snoop",
-                    core,
-                    t,
-                    vec![("state", JsonValue::str(state))],
-                ));
+                instant(out, e, "snoop", &[("state", Arg::Str(state))])
             }
-            EventKind::TurboEngage => {
-                out.push(instant("turbo", "turbo", core, t, vec![]));
-            }
-            EventKind::QueueEnqueue { depth } => {
-                out.push(instant(
-                    "enqueue",
-                    "queue",
-                    core,
-                    t,
-                    vec![("depth", JsonValue::UInt(u64::from(depth)))],
-                ));
-            }
-            EventKind::QueueDequeue { depth } => {
-                out.push(instant(
-                    "dequeue",
-                    "queue",
-                    core,
-                    t,
-                    vec![("depth", JsonValue::UInt(u64::from(depth)))],
-                ));
+            EventKind::TurboEngage => instant(out, e, "turbo", &[]),
+            EventKind::QueueEnqueue { depth } | EventKind::QueueDequeue { depth } => {
+                instant(out, e, "queue", &[("depth", Arg::UInt(depth))]);
             }
             EventKind::FaultInjected { kind } => {
-                out.push(instant("fault", "fault", core, t, vec![("kind", JsonValue::str(kind))]));
+                instant(out, e, "fault", &[("kind", Arg::Str(kind))])
             }
             EventKind::RequestShed { depth } => {
-                out.push(instant(
-                    "shed",
-                    "overload",
-                    core,
-                    t,
-                    vec![("depth", JsonValue::UInt(u64::from(depth)))],
-                ));
+                instant(out, e, "overload", &[("depth", Arg::UInt(depth))])
             }
             EventKind::RequestTimeout { waited } => {
-                out.push(instant(
-                    "timeout",
-                    "overload",
-                    core,
-                    t,
-                    vec![("waited_us", JsonValue::Num(waited.as_micros()))],
-                ));
+                instant(out, e, "overload", &[("waited_us", Arg::Us(waited))])
             }
             EventKind::RequestRetry { attempt } => {
-                out.push(instant(
-                    "retry",
-                    "overload",
-                    core,
-                    t,
-                    vec![("attempt", JsonValue::UInt(u64::from(attempt)))],
-                ));
+                instant(out, e, "overload", &[("attempt", Arg::UInt(attempt))])
             }
-            EventKind::BreakerTrip => {
-                out.push(instant("breaker-trip", "breaker", core, t, vec![]));
-            }
-            EventKind::BreakerRestore => {
-                out.push(instant("breaker-restore", "breaker", core, t, vec![]));
-            }
+            EventKind::BreakerTrip | EventKind::BreakerRestore => instant(out, e, "breaker", &[]),
         }
     }
 
-    JsonValue::obj(vec![
-        ("traceEvents", JsonValue::Array(out)),
-        ("displayTimeUnit", JsonValue::str("ns")),
-    ])
-    .render()
+    // Every record ends in a comma; the process metadata guarantees at
+    // least one, so the last one closes the array.
+    out.pop();
+    out.push_str("],\"displayTimeUnit\":\"ns\"}");
+    out
 }
 
 fn summary_json(summary: &TelemetrySummary) -> JsonValue {

@@ -2,9 +2,12 @@
 //!
 //! The workspace is offline (no `serde_json`), so the exporters build
 //! their documents from this tiny value enum and render them with a
-//! hand-rolled writer. Output is strict JSON: strings are escaped per
-//! RFC 8259, non-finite numbers render as `null`, and object keys keep
-//! insertion order so exports are byte-stable across runs.
+//! hand-rolled writer. Streaming writers that skip the tree (the Chrome
+//! trace exporter) call [`write_escaped`] and [`write_num`] directly, so
+//! every document shares one escaping and one number rule. Output is
+//! strict JSON: strings are escaped per RFC 8259, non-finite numbers
+//! render as `null`, and object keys keep insertion order so exports are
+//! byte-stable across runs.
 
 use std::fmt::Write as _;
 
@@ -52,15 +55,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(v) => {
-                if v.is_finite() {
-                    // Rust's `Display` for f64 is shortest-round-trip
-                    // decimal notation, which is always valid JSON.
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Num(v) => write_num(out, *v),
             JsonValue::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -91,21 +86,41 @@ impl JsonValue {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Appends `v` as a JSON number, or `null` if it is not finite.
+pub fn write_num(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // Rust's `Display` for f64 is shortest-round-trip decimal
+        // notation, which is always valid JSON.
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
     }
+}
+
+/// Appends `s` as a quoted JSON string, escaped per RFC 8259.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    // Copy unescaped runs whole (most strings are one run). Every byte
+    // that needs escaping is ASCII, so run bounds are char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -132,6 +147,29 @@ mod tests {
     fn strings_escape_control_and_quotes() {
         assert_eq!(JsonValue::str("a\"b\\c\n").render(), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(JsonValue::str("\u{01}").render(), "\"\\u0001\"");
+        assert_eq!(JsonValue::str("\r\t\u{1f}é").render(), "\"\\r\\t\\u001fé\"");
+    }
+
+    #[test]
+    fn escaping_matches_a_char_by_char_reference() {
+        let reference = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' | '\\' => out.extend(['\\', c]),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        };
+        for c in (0u32..0x80).chain([0xe9, 0x2028, 0x1f600]).filter_map(char::from_u32) {
+            let s = format!("{c}a{c}{c}é{c}");
+            assert_eq!(JsonValue::str(&s).render(), reference(&s), "{s:?}");
+        }
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! tracks per-core occupancy so C-state enter/exit events pair up with
 //! exact residencies, and scores every governor decision against the
 //! idle period that actually followed it.
+//!
+//! The built-in metrics live in fixed slots while the run is in flight,
+//! so the per-event hot path never looks up a metric by name; `finish`
+//! folds them into the registry once.
 
 use std::fmt;
 use std::time::Instant;
@@ -15,7 +19,7 @@ use serde::Serialize;
 
 use crate::event::{EventKind, TraceEvent};
 use crate::export;
-use crate::registry::MetricsRegistry;
+use crate::registry::{LogHistogram, MetricsRegistry, TimeWeightedGauge};
 use crate::sink::{RingBufferSink, TraceSink};
 
 /// Per-core governor bookkeeping.
@@ -27,6 +31,35 @@ struct GovernorScore {
     mispredicts: u64,
 }
 
+/// Declares the built-in counters: one slot per variant, and the name
+/// each slot is folded into the registry under.
+macro_rules! counters {
+    ($($slot:ident => $name:literal,)*) => {
+        #[derive(Clone, Copy)]
+        enum Counter { $($slot),* }
+        const COUNTER_NAMES: &[&str] = &[$($name),*];
+    };
+}
+
+counters! {
+    CStateTransitions => "cstate.transitions",
+    GovernorDecisions => "governor.decisions",
+    GovernorMispredicts => "governor.mispredicts",
+    Wakes => "wakes",
+    SnoopsServiced => "snoops.serviced",
+    TurboEngagements => "turbo.engagements",
+    RunQueueEnqueues => "runqueue.enqueues",
+    RunQueueDequeues => "runqueue.dequeues",
+    SimEvents => "sim.events",
+    PmaFlowSteps => "pma.flow_steps",
+    FaultsInjected => "faults.injected",
+    OverloadShed => "overload.shed",
+    OverloadTimeouts => "overload.timeouts",
+    OverloadRetries => "overload.retries",
+    BreakerTrips => "breaker.trips",
+    BreakerRestores => "breaker.restores",
+}
+
 /// Records trace events and metrics for one simulation run.
 ///
 /// Construct with the core count and a trace capacity, drive it from the
@@ -36,6 +69,16 @@ struct GovernorScore {
 pub struct TelemetryRecorder {
     sink: RingBufferSink,
     registry: MetricsRegistry,
+    /// Built-in counters, indexed by [`Counter`]; every bump adds one, so
+    /// a nonzero slot is exactly a touched counter.
+    counters: [u64; COUNTER_NAMES.len()],
+    /// `runqueue.depth` and `sim.queue_depth`, once first set.
+    run_queue_depth: Option<TimeWeightedGauge>,
+    event_queue_depth: Option<TimeWeightedGauge>,
+    /// `cstate.residency_ns` and `governor.residency_error_ns`, once
+    /// first recorded.
+    residency_ns: Option<LogHistogram>,
+    residency_error_ns: Option<LogHistogram>,
     /// Per core: the occupied state's name and when it was entered.
     occupancy: Vec<Option<(&'static str, Nanos)>>,
     governor: Vec<GovernorScore>,
@@ -56,6 +99,11 @@ impl TelemetryRecorder {
         TelemetryRecorder {
             sink: RingBufferSink::new(trace_limit),
             registry: MetricsRegistry::new(),
+            counters: [0; COUNTER_NAMES.len()],
+            run_queue_depth: None,
+            event_queue_depth: None,
+            residency_ns: None,
+            residency_error_ns: None,
             occupancy: vec![None; cores],
             governor: vec![GovernorScore::default(); cores],
             residency_error: OnlineStats::new(),
@@ -74,6 +122,10 @@ impl TelemetryRecorder {
         self.sink.record(TraceEvent { time, core, kind });
     }
 
+    fn bump(&mut self, counter: Counter) {
+        self.counters[counter as usize] += 1;
+    }
+
     /// The core moved to a new life-cycle state: emits the exit event for
     /// the previous state (with its exact residency) and the enter event
     /// for the new one.
@@ -82,11 +134,11 @@ impl TelemetryRecorder {
         if let Some((prev, since)) = self.occupancy[slot] {
             let residency = (now - since).clamp_non_negative();
             self.emit(now, core, EventKind::CStateExit { state: prev, residency });
-            self.registry.histogram_record("cstate.residency_ns", residency.as_nanos());
+            self.residency_ns.get_or_insert_with(LogHistogram::new).record(residency.as_nanos());
         }
         self.occupancy[slot] = Some((state, now));
         self.emit(now, core, EventKind::CStateEnter { state });
-        self.registry.inc("cstate.transitions", 1);
+        self.bump(Counter::CStateTransitions);
     }
 
     /// The governor picked `chosen`, predicting `predicted` of idleness.
@@ -100,7 +152,7 @@ impl TelemetryRecorder {
         let slot = usize::try_from(core).expect("core index fits usize");
         self.governor[slot].pending = Some((chosen, predicted));
         self.governor[slot].decisions += 1;
-        self.registry.inc("governor.decisions", 1);
+        self.bump(Counter::GovernorDecisions);
         self.emit(now, core, EventKind::GovernorDecision { chosen, predicted });
     }
 
@@ -115,105 +167,112 @@ impl TelemetryRecorder {
         let premature = actual < target_residency;
         if premature {
             self.governor[slot].mispredicts += 1;
-            self.registry.inc("governor.mispredicts", 1);
+            self.bump(Counter::GovernorMispredicts);
         }
         let error = (actual - predicted).as_nanos().abs();
         self.residency_error.record(error);
-        self.registry.histogram_record("governor.residency_error_ns", error);
+        self.residency_error_ns.get_or_insert_with(LogHistogram::new).record(error);
         self.emit(now, core, EventKind::IdleOutcome { chosen, predicted, actual, premature });
     }
 
     /// An interrupt woke the core.
     pub fn wake(&mut self, core: u32, now: Nanos, reason: &'static str) {
-        self.registry.inc("wakes", 1);
+        self.bump(Counter::Wakes);
         self.emit(now, core, EventKind::WakeInterrupt { reason });
     }
 
     /// An idle core serviced a snoop burst.
     pub fn snoop(&mut self, core: u32, now: Nanos, state: &'static str) {
-        self.registry.inc("snoops.serviced", 1);
+        self.bump(Counter::SnoopsServiced);
         self.emit(now, core, EventKind::SnoopService { state });
     }
 
     /// A service interval started at Turbo frequency.
     pub fn turbo_engage(&mut self, core: u32, now: Nanos) {
-        self.registry.inc("turbo.engagements", 1);
+        self.bump(Counter::TurboEngagements);
         self.emit(now, core, EventKind::TurboEngage);
     }
 
     /// A request joined the core's run queue (depth after the push).
     pub fn enqueue(&mut self, core: u32, now: Nanos, depth: u32) {
-        self.registry.inc("runqueue.enqueues", 1);
-        self.registry.gauge_set("runqueue.depth", now, f64::from(depth));
+        self.bump(Counter::RunQueueEnqueues);
+        self.run_queue_depth.get_or_insert_with(TimeWeightedGauge::new).set(now, f64::from(depth));
         self.emit(now, core, EventKind::QueueEnqueue { depth });
     }
 
     /// A request left the core's run queue (depth after the pop).
     pub fn dequeue(&mut self, core: u32, now: Nanos, depth: u32) {
-        self.registry.inc("runqueue.dequeues", 1);
-        self.registry.gauge_set("runqueue.depth", now, f64::from(depth));
+        self.bump(Counter::RunQueueDequeues);
+        self.run_queue_depth.get_or_insert_with(TimeWeightedGauge::new).set(now, f64::from(depth));
         self.emit(now, core, EventKind::QueueDequeue { depth });
     }
 
     /// One DES event was dispatched with `queue_depth` events still
     /// pending. Cheap: bumps a counter and a gauge, emits no trace event.
     pub fn sim_event(&mut self, now: Nanos, queue_depth: usize) {
-        self.registry.inc("sim.events", 1);
-        self.registry.gauge_set("sim.queue_depth", now, queue_depth as f64);
+        self.bump(Counter::SimEvents);
+        self.event_queue_depth
+            .get_or_insert_with(TimeWeightedGauge::new)
+            .set(now, queue_depth as f64);
     }
 
     /// Records one PMA flow step (see `aw-pma`'s `FlowTrace`).
     pub fn flow_step(&mut self, core: u32, time: Nanos, step: &'static str, duration: Nanos) {
-        self.registry.inc("pma.flow_steps", 1);
+        self.bump(Counter::PmaFlowSteps);
         self.emit(time, core, EventKind::FlowStep { step, duration });
     }
 
     /// Records an injected fault from the active fault plan.
     pub fn fault(&mut self, core: u32, time: Nanos, kind: &'static str) {
-        self.registry.inc("faults.injected", 1);
+        self.bump(Counter::FaultsInjected);
         self.emit(time, core, EventKind::FaultInjected { kind });
     }
 
     /// Records a request shed at a full bounded queue.
     pub fn shed(&mut self, core: u32, time: Nanos, depth: u32) {
-        self.registry.inc("overload.shed", 1);
+        self.bump(Counter::OverloadShed);
         self.emit(time, core, EventKind::RequestShed { depth });
     }
 
     /// Records a queued request abandoned after waiting `waited`.
     pub fn timeout(&mut self, core: u32, time: Nanos, waited: Nanos) {
-        self.registry.inc("overload.timeouts", 1);
+        self.bump(Counter::OverloadTimeouts);
         self.emit(time, core, EventKind::RequestTimeout { waited });
     }
 
     /// Records a client retry (re-submission after backoff).
     pub fn retry(&mut self, core: u32, time: Nanos, attempt: u32) {
-        self.registry.inc("overload.retries", 1);
+        self.bump(Counter::OverloadRetries);
         self.emit(time, core, EventKind::RequestRetry { attempt });
     }
 
     /// Records a circuit-breaker trip on `core`.
     pub fn breaker_trip(&mut self, core: u32, time: Nanos) {
-        self.registry.inc("breaker.trips", 1);
+        self.bump(Counter::BreakerTrips);
         self.emit(time, core, EventKind::BreakerTrip);
     }
 
     /// Records a circuit-breaker re-arm on `core`.
     pub fn breaker_restore(&mut self, core: u32, time: Nanos) {
-        self.registry.inc("breaker.restores", 1);
+        self.bump(Counter::BreakerRestores);
         self.emit(time, core, EventKind::BreakerRestore);
     }
 
     /// Direct access to the registry (for callers recording custom
     /// metrics alongside the built-in ones).
+    ///
+    /// The built-in metrics join the registry only at
+    /// [`TelemetryRecorder::finish`]: until then it holds just the custom
+    /// ones. At the fold, a custom counter that shares a built-in name is
+    /// added to; a gauge or histogram that does is replaced.
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.registry
     }
 
     /// Closes the run at simulation time `end`: emits final C-state exit
-    /// events, folds per-core governor scores into the registry, and
-    /// computes the summary. Idempotent — later calls return the first
-    /// summary.
+    /// events, folds the built-in metrics and per-core governor scores
+    /// into the registry, and computes the summary. Idempotent — later
+    /// calls return the first summary.
     pub fn finish(&mut self, end: Nanos) -> TelemetrySummary {
         if let Some(summary) = &self.finished {
             return summary.clone();
@@ -223,6 +282,29 @@ impl TelemetryRecorder {
                 let residency = (end - since).clamp_non_negative();
                 let core = u32::try_from(slot).expect("core index fits u32");
                 self.emit(end, core, EventKind::CStateExit { state, residency });
+            }
+        }
+        for (name, &count) in COUNTER_NAMES.iter().zip(&self.counters) {
+            if count > 0 {
+                self.registry.inc(name, count);
+            }
+        }
+        let gauges = [
+            ("runqueue.depth", &mut self.run_queue_depth),
+            ("sim.queue_depth", &mut self.event_queue_depth),
+        ];
+        for (name, gauge) in gauges {
+            if let Some(gauge) = gauge.take() {
+                self.registry.gauges.insert(name.to_string(), gauge);
+            }
+        }
+        let histograms = [
+            ("cstate.residency_ns", &mut self.residency_ns),
+            ("governor.residency_error_ns", &mut self.residency_error_ns),
+        ];
+        for (name, histogram) in histograms {
+            if let Some(histogram) = histogram.take() {
+                self.registry.histograms.insert(name.to_string(), histogram);
             }
         }
         self.registry.finish_gauges(end);

@@ -265,8 +265,8 @@ impl Default for LogHistogram {
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, TimeWeightedGauge>,
-    histograms: BTreeMap<String, LogHistogram>,
+    pub(crate) gauges: BTreeMap<String, TimeWeightedGauge>,
+    pub(crate) histograms: BTreeMap<String, LogHistogram>,
 }
 
 impl MetricsRegistry {

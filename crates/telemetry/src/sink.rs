@@ -125,6 +125,10 @@ impl TraceSink for RingBufferSink {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
+        } else if self.events.len() == self.events.capacity() {
+            // Grow straight to the cap, once: doubling would overshoot it
+            // (200k → 262,144 slots) and copy the ring at every step.
+            self.events.reserve_exact(self.capacity - self.events.len());
         }
         self.events.push_back(event);
         self.recorded += 1;
@@ -170,6 +174,19 @@ mod tests {
         let v = s.into_events();
         assert_eq!(v.len(), 2);
         assert!(v[0].time < v[1].time);
+    }
+
+    #[test]
+    fn large_ring_grows_to_exactly_its_capacity() {
+        let capacity = 100_000;
+        let mut s = RingBufferSink::new(capacity);
+        for i in 0..capacity + 10 {
+            s.record(ev(i as f64));
+        }
+        assert_eq!(s.events.capacity(), capacity);
+        assert_eq!(s.len(), capacity);
+        assert_eq!(s.dropped(), 10);
+        assert_eq!(s.events().next().unwrap().time, Nanos::new(10.0));
     }
 
     #[test]

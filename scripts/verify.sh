@@ -56,6 +56,23 @@ if [ "$serial" != "$parallel" ]; then
     exit 1
 fi
 
+echo "==> traced-output smoke (--trace-out/--metrics-out, --jobs 1 vs --jobs 2)"
+for jobs in 1 2; do
+    cargo run -q --release -p aw-cli -- fig 8 --quick --jobs "$jobs" \
+        --trace-out "target/verify_trace_j$jobs.json" \
+        --metrics-out "target/verify_metrics_j$jobs.json" >/dev/null
+done
+if ! cmp -s target/verify_trace_j1.json target/verify_trace_j2.json; then
+    echo "verify: Chrome trace differs between --jobs 1 and --jobs 2" >&2
+    exit 1
+fi
+# events_per_sec is wall-clock throughput; everything else is simulated.
+strip_rate() { sed -E 's/"events_per_sec":[^,}]*//' "$1"; }
+if ! diff <(strip_rate target/verify_metrics_j1.json) <(strip_rate target/verify_metrics_j2.json) >&2; then
+    echo "verify: metrics JSON differs between --jobs 1 and --jobs 2" >&2
+    exit 1
+fi
+
 echo "==> idle-skip equivalence smoke (--no-idle-skip vs default)"
 skip_on=$(cargo run -q --release -p aw-cli -- fig 8 --quick --jobs 1)
 skip_off=$(cargo run -q --release -p aw-cli -- fig 8 --quick --jobs 1 --no-idle-skip)

@@ -4,7 +4,11 @@
 
 use agilewatts::aw_cstates::NamedConfig;
 use agilewatts::aw_server::{ServerConfig, SimBuilder};
-use agilewatts::aw_telemetry::{EventKind, TelemetryRecorder, TelemetryReport};
+use agilewatts::aw_telemetry::export::metrics_json;
+use agilewatts::aw_telemetry::{
+    EventKind, LogHistogram, MetricsRegistry, TelemetryRecorder, TelemetryReport, TelemetrySummary,
+    TimeWeightedGauge,
+};
 use agilewatts::aw_types::Nanos;
 use agilewatts::aw_workloads::memcached_etc;
 use proptest::prelude::*;
@@ -188,24 +192,178 @@ fn pma_flow_traces_emit_into_sinks() {
     assert!(!null.is_enabled());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// The registry and summary the recorder must produce for a sequence of
+/// calls, folded here from plain string-keyed registry calls.
+#[derive(Default)]
+struct ReferenceFold {
+    registry: MetricsRegistry,
+    occupancy: [Option<Nanos>; 3],
+    pending: [Option<Nanos>; 3],
+    decisions: [u64; 3],
+    mispredicts: [u64; 3],
+    emitted: u64,
+}
 
-    /// The registry's aggregates equal a fold over the raw event stream,
-    /// for arbitrary interleavings of recorder calls.
+impl ReferenceFold {
+    /// One recorder call that emits one trace event and bumps `counter`.
+    fn event(&mut self, counter: &str) {
+        self.registry.inc(counter, 1);
+        self.emitted += 1;
+    }
+
+    fn state_change(&mut self, core: usize, now: Nanos) {
+        if let Some(since) = self.occupancy[core].replace(now) {
+            let residency = (now - since).clamp_non_negative();
+            self.registry.histogram_record("cstate.residency_ns", residency.as_nanos());
+            self.emitted += 1;
+        }
+        self.event("cstate.transitions");
+    }
+
+    fn governor_decision(&mut self, core: usize, predicted: Nanos) {
+        self.pending[core] = Some(predicted);
+        self.decisions[core] += 1;
+        self.event("governor.decisions");
+    }
+
+    fn idle_outcome(&mut self, core: usize, actual: Nanos, target: Nanos) {
+        let Some(predicted) = self.pending[core].take() else { return };
+        if actual < target {
+            self.mispredicts[core] += 1;
+            self.registry.inc("governor.mispredicts", 1);
+        }
+        let error = (actual - predicted).as_nanos().abs();
+        self.registry.histogram_record("governor.residency_error_ns", error);
+        self.emitted += 1;
+    }
+
+    fn finish(mut self, end: Nanos, events_per_sec: f64) -> (MetricsRegistry, TelemetrySummary) {
+        self.emitted += self.occupancy.iter().flatten().count() as u64;
+        let r = &mut self.registry;
+        r.finish_gauges(end);
+        r.inc("trace.recorded", self.emitted);
+        r.inc("trace.dropped", 0);
+        for core in 0..3 {
+            r.inc(&format!("governor.decisions.core{core}"), self.decisions[core]);
+            r.inc(&format!("governor.mispredicts.core{core}"), self.mispredicts[core]);
+        }
+        let rate = |m: u64, d: u64| if d > 0 { m as f64 / d as f64 } else { 0.0 };
+        let hwm = |name| r.gauge(name).map_or(0.0, TimeWeightedGauge::high_water_mark);
+        let (decisions, mispredicts) =
+            (r.counter("governor.decisions"), r.counter("governor.mispredicts"));
+        let summary = TelemetrySummary {
+            events_recorded: self.emitted,
+            events_dropped: 0,
+            sim_events: r.counter("sim.events"),
+            events_per_sec,
+            event_queue_depth_hwm: hwm("sim.queue_depth"),
+            run_queue_depth_hwm: hwm("runqueue.depth"),
+            governor_decisions: decisions,
+            governor_mispredicts: mispredicts,
+            mispredict_rate: rate(mispredicts, decisions),
+            mean_residency_error: Nanos::new(
+                r.histogram("governor.residency_error_ns").map_or(0.0, LogHistogram::mean),
+            ),
+            per_core_mispredict_rate: (0..3)
+                .map(|c| rate(self.mispredicts[c], self.decisions[c]))
+                .collect(),
+        };
+        (self.registry, summary)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every recorder entry point, in arbitrary interleavings: the
+    /// registry's counters equal a fold over the raw event stream, and the
+    /// whole metrics export equals one built from plain string-keyed
+    /// registry calls (wall-clock `events_per_sec` aside).
     #[test]
-    fn registry_aggregates_equal_event_fold(ops in prop::collection::vec((0u8..5, 0u32..3, 1.0f64..1e6), 1..200)) {
+    fn registry_aggregates_equal_event_fold(ops in prop::collection::vec((0u8..17, 0u32..3, 1.0f64..1e6), 1..300)) {
+        const STATES: [&str; 3] = ["C0", "C1", "C6A"];
         let mut rec = TelemetryRecorder::new(3, 10_000);
+        let mut reference = ReferenceFold::default();
         let mut clock = 0.0;
         for &(op, core, jitter) in &ops {
             clock += jitter;
             let now = Nanos::new(clock);
+            let slot = core as usize;
+            let depth = jitter as u32 % 8;
+            let span = Nanos::new(jitter);
             match op {
-                0 => rec.enqueue(core, now, 1),
-                1 => rec.dequeue(core, now, 0),
-                2 => rec.wake(core, now, "arrival"),
-                3 => rec.snoop(core, now, "C1"),
-                _ => rec.turbo_engage(core, now),
+                0 => {
+                    rec.enqueue(core, now, depth);
+                    reference.event("runqueue.enqueues");
+                    reference.registry.gauge_set("runqueue.depth", now, f64::from(depth));
+                }
+                1 => {
+                    rec.dequeue(core, now, depth);
+                    reference.event("runqueue.dequeues");
+                    reference.registry.gauge_set("runqueue.depth", now, f64::from(depth));
+                }
+                2 => {
+                    rec.wake(core, now, "arrival");
+                    reference.event("wakes");
+                }
+                3 => {
+                    rec.snoop(core, now, "C1");
+                    reference.event("snoops.serviced");
+                }
+                4 => {
+                    rec.turbo_engage(core, now);
+                    reference.event("turbo.engagements");
+                }
+                5 => {
+                    rec.state_change(core, now, STATES[depth as usize % 3]);
+                    reference.state_change(slot, now);
+                }
+                6 => {
+                    rec.governor_decision(core, now, "C6A", span);
+                    reference.governor_decision(slot, span);
+                }
+                7 => {
+                    let target = Nanos::from_micros(500.0);
+                    rec.idle_outcome(core, now, span, target);
+                    reference.idle_outcome(slot, span, target);
+                }
+                8 => {
+                    rec.sim_event(now, depth as usize);
+                    reference.registry.inc("sim.events", 1);
+                    reference.registry.gauge_set("sim.queue_depth", now, f64::from(depth));
+                }
+                9 => {
+                    rec.flow_step(core, now, "EntryClockGate", span);
+                    reference.event("pma.flow_steps");
+                }
+                10 => {
+                    rec.fault(core, now, "wake-fail");
+                    reference.event("faults.injected");
+                }
+                11 => {
+                    rec.shed(core, now, depth);
+                    reference.event("overload.shed");
+                }
+                12 => {
+                    rec.timeout(core, now, span);
+                    reference.event("overload.timeouts");
+                }
+                13 => {
+                    rec.retry(core, now, depth);
+                    reference.event("overload.retries");
+                }
+                14 => {
+                    rec.breaker_trip(core, now);
+                    reference.event("breaker.trips");
+                }
+                15 => {
+                    rec.breaker_restore(core, now);
+                    reference.event("breaker.restores");
+                }
+                _ => {
+                    rec.registry_mut().inc("custom.requests", depth.into());
+                    reference.registry.inc("custom.requests", depth.into());
+                }
             }
         }
         let report = rec.into_report(Nanos::new(clock));
@@ -223,6 +381,11 @@ proptest! {
         prop_assert_eq!(report.registry.counter("wakes"), wakes);
         prop_assert_eq!(report.registry.counter("snoops.serviced"), snoops);
         prop_assert_eq!(report.registry.counter("turbo.engagements"), turbos);
-        prop_assert_eq!(report.summary.events_recorded, ops.len() as u64);
+        prop_assert_eq!(report.summary.events_recorded, report.events.len() as u64);
+
+        let (registry, summary) =
+            reference.finish(Nanos::new(clock), report.summary.events_per_sec);
+        prop_assert_eq!(&report.summary, &summary);
+        prop_assert_eq!(report.metrics_json(), metrics_json(&registry, &summary));
     }
 }
