@@ -43,8 +43,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Runs the steady-state schedule/pop loop (the shape of the simulator's
 /// hot path) for 100k operations after a warm-up lap and asserts the
-/// allocator was effectively untouched. A tiny budget is left for the
-/// calendar's self-tuning rebucket, which is amortised but not zero.
+/// allocator was untouched: a pre-sized heap never reallocates.
 fn assert_steady_state_zero_alloc() {
     let mut rng = SimRng::seed(6);
     let mut q = EventQueue::with_capacity(64 * 4 + 16);
@@ -59,12 +58,12 @@ fn assert_steady_state_zero_alloc() {
             q.schedule(Nanos::new(t), e);
         }
     };
-    lap(&mut q, &mut rng); // warm: settle bucket widths and capacities
+    lap(&mut q, &mut rng); // warm: settle capacities
     let before = ALLOCS.load(Ordering::Relaxed);
     lap(&mut q, &mut rng);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert!(
-        allocs <= 8,
+        allocs == 0,
         "steady-state queue loop allocated {allocs} times in 100k ops — the \
          zero-allocation hot path regressed"
     );

@@ -259,7 +259,7 @@ pub struct ExecArgs {
     /// outputs never change.
     pub progress: bool,
     /// `--no-idle-skip`: disable the analytic idle-skip fast path,
-    /// forcing every simulation event through the calendar queue. The
+    /// forcing every simulation event through the event queue. The
     /// two engines are byte-identical by contract — this debug knob
     /// exists so the equivalence stays checkable end-to-end
     /// (`scripts/verify.sh` diffs a run against its `--no-idle-skip`

@@ -77,7 +77,7 @@ EXECUTION OPTIONS (any experiment subcommand):
                            ETA) on stderr; auto-enabled when stderr is a
                            terminal, off when piped
     --no-idle-skip         disable the analytic idle-skip fast path and
-                           step every event through the calendar queue;
+                           step every event through the event queue;
                            output is byte-identical either way (debug /
                            equivalence-checking knob)
 

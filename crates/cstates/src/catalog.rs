@@ -1,7 +1,5 @@
 //! The C-state parameter catalog (paper Table 1).
 
-use std::collections::BTreeMap;
-
 use aw_types::{MilliWatts, Nanos};
 use serde::{Deserialize, Serialize};
 
@@ -87,7 +85,8 @@ impl CStateParams {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CStateCatalog {
-    params: BTreeMap<CState, CStateParams>,
+    /// Rows indexed by [`CState::depth`]; `None` for an absent state.
+    params: [Option<CStateParams>; CState::ALL.len()],
 }
 
 impl CStateParams {
@@ -108,7 +107,7 @@ impl CStateCatalog {
     /// This is how hardware models (`aw-hw`) assemble their base menus.
     #[must_use]
     pub fn empty() -> Self {
-        CStateCatalog { params: BTreeMap::new() }
+        CStateCatalog { params: [None; CState::ALL.len()] }
     }
 
     /// The legacy Skylake server catalog: C0, C1, C1E, C6 (Table 1).
@@ -118,7 +117,7 @@ impl CStateCatalog {
     )]
     #[must_use]
     pub fn skylake_baseline() -> Self {
-        let mut params = BTreeMap::new();
+        let mut cat = Self::empty();
         for p in [
             CStateParams {
                 state: CState::C0,
@@ -161,9 +160,9 @@ impl CStateCatalog {
                 hw_exit: Nanos::from_micros(30.0),
             },
         ] {
-            params.insert(p.state, p);
+            cat.set_params(p);
         }
-        CStateCatalog { params }
+        cat
     }
 
     /// The AgileWatts catalog: the baseline plus C6A and C6AE (Table 1's
@@ -181,32 +180,26 @@ impl CStateCatalog {
     pub fn skylake_with_aw() -> Self {
         #[allow(deprecated)]
         let mut cat = Self::skylake_baseline();
-        cat.params.insert(
-            CState::C6A,
-            CStateParams {
-                state: CState::C6A,
-                transition_time: Nanos::from_micros(2.0),
-                entry_latency: Nanos::from_micros(1.0),
-                exit_latency: Nanos::from_micros(1.0) + Nanos::new(80.0),
-                target_residency: Nanos::from_micros(2.0),
-                power_p1: MilliWatts::new(302.5),
-                power_pn: MilliWatts::new(302.5),
-                hw_exit: Nanos::new(80.0),
-            },
-        );
-        cat.params.insert(
-            CState::C6AE,
-            CStateParams {
-                state: CState::C6AE,
-                transition_time: Nanos::from_micros(10.0),
-                entry_latency: Nanos::from_micros(5.0),
-                exit_latency: Nanos::from_micros(5.0) + Nanos::new(100.0),
-                target_residency: Nanos::from_micros(20.0),
-                power_p1: MilliWatts::new(235.0),
-                power_pn: MilliWatts::new(235.0),
-                hw_exit: Nanos::new(100.0),
-            },
-        );
+        cat.set_params(CStateParams {
+            state: CState::C6A,
+            transition_time: Nanos::from_micros(2.0),
+            entry_latency: Nanos::from_micros(1.0),
+            exit_latency: Nanos::from_micros(1.0) + Nanos::new(80.0),
+            target_residency: Nanos::from_micros(2.0),
+            power_p1: MilliWatts::new(302.5),
+            power_pn: MilliWatts::new(302.5),
+            hw_exit: Nanos::new(80.0),
+        });
+        cat.set_params(CStateParams {
+            state: CState::C6AE,
+            transition_time: Nanos::from_micros(10.0),
+            entry_latency: Nanos::from_micros(5.0),
+            exit_latency: Nanos::from_micros(5.0) + Nanos::new(100.0),
+            target_residency: Nanos::from_micros(20.0),
+            power_p1: MilliWatts::new(235.0),
+            power_pn: MilliWatts::new(235.0),
+            hw_exit: Nanos::new(100.0),
+        });
         cat
     }
 
@@ -218,19 +211,19 @@ impl CStateCatalog {
     /// absent from [`CStateCatalog::skylake_baseline`]).
     #[must_use]
     pub fn params(&self, state: CState) -> &CStateParams {
-        self.params.get(&state).unwrap_or_else(|| panic!("state {state} not present in catalog"))
+        self.get(state).unwrap_or_else(|| panic!("state {state} not present in catalog"))
     }
 
     /// Parameters for `state`, or `None` if not modeled by this catalog.
     #[must_use]
     pub fn get(&self, state: CState) -> Option<&CStateParams> {
-        self.params.get(&state)
+        self.params[state.depth() as usize].as_ref()
     }
 
     /// Replaces (or inserts) the parameters for one state, e.g. to inject
     /// C6A power computed by the PPA model.
     pub fn set_params(&mut self, params: CStateParams) {
-        self.params.insert(params.state, params);
+        self.params[params.state.depth() as usize] = Some(params);
     }
 
     /// Shorthand for the resident power of `state` at `level`.
@@ -246,9 +239,7 @@ impl CStateCatalog {
     /// States present in this catalog, shallowest first.
     #[must_use]
     pub fn states(&self) -> Vec<CState> {
-        let mut v: Vec<CState> = self.params.keys().copied().collect();
-        v.sort_by_key(|s| s.depth());
-        v
+        self.params.iter().flatten().map(|p| p.state).collect()
     }
 }
 
@@ -351,6 +342,47 @@ mod tests {
     fn missing_state_panics() {
         let cat = CStateCatalog::skylake_baseline();
         let _ = cat.params(CState::C6A);
+    }
+
+    #[test]
+    fn absent_rows_read_as_none() {
+        let cat = CStateCatalog::empty();
+        assert!(cat.states().is_empty());
+        for s in CState::ALL {
+            assert!(cat.get(s).is_none(), "{s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "state C6 not present in catalog")]
+    fn empty_catalog_params_panics() {
+        let _ = CStateCatalog::empty().params(CState::C6);
+    }
+
+    #[test]
+    fn set_params_replaces_and_states_stay_depth_ordered() {
+        let full = CStateCatalog::skylake_with_aw();
+        let mut cat = CStateCatalog::empty();
+        // Insert deepest-first; `states()` must still come back shallowest-first.
+        for s in CState::ALL.into_iter().rev() {
+            cat.set_params(*full.params(s));
+        }
+        assert_eq!(cat.states(), CState::ALL);
+        assert_eq!(cat, full);
+        let mut p = *cat.params(CState::C1E);
+        p.target_residency = Nanos::from_micros(25.0);
+        cat.set_params(p);
+        assert_eq!(cat.params(CState::C1E).target_residency, Nanos::from_micros(25.0));
+        assert_eq!(cat.states(), CState::ALL);
+    }
+
+    #[test]
+    fn equality_sees_presence_of_a_state() {
+        let base = CStateCatalog::skylake_baseline();
+        let mut with_c6a = base.clone();
+        with_c6a.set_params(*CStateCatalog::skylake_with_aw().params(CState::C6A));
+        assert_ne!(base, with_c6a);
+        assert_eq!(base, CStateCatalog::skylake_baseline());
     }
 
     #[test]

@@ -165,10 +165,11 @@ impl CStateConfig {
 
     /// Iterates the enabled idle states shallowest-first without
     /// allocating — the hot-path sibling of [`Self::enabled_states`],
-    /// used by governors that run once per idle entry. [`CState::ALL`]
-    /// is depth-ordered, so the order matches `enabled_states` exactly.
+    /// used by governors that run once per idle entry. `CState`'s
+    /// derived `Ord` is its depth order, so the set's own order is
+    /// shallowest-first.
     pub fn iter_enabled(&self) -> impl Iterator<Item = CState> + '_ {
-        CState::ALL.into_iter().filter(|s| self.enabled.contains(s))
+        self.enabled.iter().copied()
     }
 
     /// The deepest enabled idle state.
@@ -272,6 +273,25 @@ mod tests {
         assert!(cfg.is_enabled(CState::C6A));
         assert!(cfg.is_enabled(CState::C6AE));
         assert!(cfg.is_enabled(CState::C6));
+    }
+
+    #[test]
+    fn iter_enabled_is_depth_ordered_for_every_subset() {
+        for mask in 1u32..(1 << CState::IDLE.len()) {
+            let subset: Vec<CState> = CState::IDLE
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, s)| s)
+                .collect();
+            // Listed deepest-first, so the set has to do the ordering.
+            let cfg = CStateConfig::new(subset.iter().rev().copied(), false);
+            let mut by_depth = subset.clone();
+            by_depth.sort_by_key(|s| s.depth());
+            let iterated: Vec<CState> = cfg.iter_enabled().collect();
+            assert_eq!(iterated, by_depth, "mask {mask:#07b}");
+            assert_eq!(iterated, cfg.enabled_states(), "mask {mask:#07b}");
+        }
     }
 
     #[test]

@@ -165,6 +165,17 @@ mod tests {
     }
 
     #[test]
+    fn derived_ord_is_depth_order() {
+        // `CStateConfig::iter_enabled` walks its set in `Ord` order and
+        // promises shallowest-first, so the two orders must agree.
+        for a in CState::ALL {
+            for b in CState::ALL {
+                assert_eq!(a.cmp(&b), a.depth().cmp(&b.depth()), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
     fn idle_excludes_c0() {
         assert!(!CState::C0.is_idle());
         for s in CState::IDLE {

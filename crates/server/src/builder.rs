@@ -110,7 +110,7 @@ impl SimBuilder {
     }
 
     /// Disables the analytic idle-skip fast path, forcing every event
-    /// through the calendar queue (the classic stepped engine). The two
+    /// through the event queue (the classic stepped engine). The two
     /// modes are byte-identical by construction — this debug knob (the
     /// CLI's `--no-idle-skip`) exists so that equivalence stays
     /// checkable end-to-end; there is no reason to use it for results.

@@ -152,7 +152,7 @@ pub struct ServerSim {
     stream_slo: Option<Nanos>,
     /// `false` disables the analytic idle-skip fast path (the
     /// `--no-idle-skip` debug flag): every event then flows through the
-    /// calendar queue exactly as in the classic stepped engine. The two
+    /// event queue exactly as in the classic stepped engine. The two
     /// modes are byte-identical by construction (DESIGN §15); the flag
     /// exists so the equivalence stays checkable end-to-end.
     idle_skip: bool,
@@ -782,7 +782,7 @@ impl ServerSim {
     /// shortens service, so the bound is conservative. The strictness
     /// matters: on an exact tie the stepped engine would pop the
     /// earlier-scheduled event first, so ties fall back to stepping.
-    fn chain_eligible(&mut self, id: usize, state: CState, now: Nanos, service: Nanos) -> bool {
+    fn chain_eligible(&self, id: usize, state: CState, now: Nanos, service: Nanos) -> bool {
         if !self.idle_skip
             || self.faults.is_some()
             || self.telemetry.is_some()

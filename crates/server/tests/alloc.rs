@@ -1,6 +1,6 @@
 //! Pins the steady-state allocation behaviour of the single-run engine.
 //!
-//! Once the pre-sized structures (event-queue calendar, per-core run
+//! Once the pre-sized structures (event queue, per-core run
 //! queues, sample reservoirs) reach capacity, the hot loop performs no
 //! per-event heap allocation: every request flows through `Copy` queue
 //! slots, fixed-slot residency accumulators, and reservoirs sized off
@@ -64,7 +64,7 @@ fn steady_state_allocations_are_flat_in_run_length() {
     // The long run serves ~4x the requests. If the hot path allocated
     // even once per request, `long - short` would be ~3x the completed
     // delta; flat means the difference is set-up noise (a few doubling
-    // steps in growing structures, an occasional calendar re-tune).
+    // steps in growing structures).
     let extra_allocs = long_allocs.saturating_sub(short_allocs);
     assert!(
         extra_allocs < 256 && extra_allocs < extra_events / 64,

@@ -1,51 +1,51 @@
 //! Time-ordered event queue with stable FIFO tie-breaking.
 //!
-//! Implemented as a *calendar queue* (Brown 1988): pending events hash
-//! into an array of time buckets of fixed width, so at simulation scale
-//! (millions of events streaming through a small pending set) both
-//! `schedule` and `pop` are amortised O(1) instead of the binary heap's
-//! O(log n) sift with its cache-hostile swaps. The pop order is *exactly*
-//! the heap's — ascending `(time, seq)`, so simultaneous events stay
-//! FIFO — which the determinism pins (chaos golden bits, jobs-N byte
-//! identity) rely on; see `tests/proptests.rs` for the reference-model
-//! equivalence property.
+//! A binary min-heap on `(time, seq)` — the shape of desque's
+//! `EventQueue`. Simultaneous events pop in the order they were
+//! scheduled, which the determinism pins (chaos golden bits, jobs-N byte
+//! identity) rely on; see `tests/proptests.rs` for the property check
+//! against a sorted-`Vec` reference.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use aw_types::Nanos;
 
 /// A pending event: its firing time, a monotone sequence number for stable
-/// ordering of simultaneous events, its precomputed absolute bucket number
-/// (so min-scans never divide), and the payload.
+/// ordering of simultaneous events, and the payload.
 struct Entry<E> {
     at: Nanos,
     seq: u64,
-    /// `floor(at / width)` — a mathematical integer stored in f64, exact
-    /// for any simulation timescale. Recomputed on rebucket.
-    key: f64,
     event: E,
 }
 
-/// Smallest and largest bucket-array sizes (powers of two).
-const MIN_BUCKETS: usize = 16;
-const MAX_BUCKETS: usize = 1 << 16;
-/// A pop scan touching more entries than this signals a mis-tuned bucket
-/// width; the queue re-tunes itself (amortised over at least `len` pops).
-const SCAN_LIMIT: usize = 24;
-
-/// What a min-scan had to do to find the minimum — feedback for width
-/// self-tuning.
-struct ScanResult {
-    bucket: usize,
-    slot: usize,
-    /// Entries examined across all visited buckets.
-    touched: usize,
-    /// Buckets stepped over (mostly empty ones) before the hit.
-    steps: usize,
-    /// The in-lap walk found nothing and the scan fell back to examining
-    /// every pending entry.
-    fell_back: bool,
+impl<E> Ord for Entry<E> {
+    /// Reversed, so `BinaryHeap`'s max is the earliest `(time, seq)`.
+    /// Times are finite (asserted in [`EventQueue::schedule`]), so
+    /// `partial_cmp` never fails; it also makes `-0.0 == 0.0`, leaving
+    /// such ties to the sequence number like any other.
+    fn cmp(&self, other: &Self) -> Ordering {
+        match other.at.partial_cmp(&self.at) {
+            Some(Ordering::Equal) | None => other.seq.cmp(&self.seq),
+            Some(by_time) => by_time,
+        }
+    }
 }
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
 
 /// A discrete-event queue ordered by firing time.
 ///
@@ -57,13 +57,8 @@ struct ScanResult {
 ///
 /// `pop` always returns the pending event with the smallest `(time,
 /// sequence-number)` key, where the sequence number increments on every
-/// `schedule`. This total order is independent of the internal bucket
-/// layout: bucket placement and the pop scan both derive an event's
-/// absolute bucket number from the same `floor(time / width)` expression,
-/// so events in different calendar years never shadow one another, events
-/// within a bucket compare by `(time, seq)` directly, and equal times
-/// always share a bucket — the FIFO tiebreak can never be split across
-/// buckets.
+/// `schedule`. Times compare by value, so `-0.0` and `0.0` are the same
+/// instant and pop FIFO.
 ///
 /// # Examples
 ///
@@ -79,26 +74,8 @@ struct ScanResult {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Bucket width in nanoseconds (always finite and positive).
-    width: f64,
-    /// Reciprocal of `width`: the bucket function multiplies instead of
-    /// divides. Ordering only needs the function to be deterministic and
-    /// monotone, which `floor(t * inv_width)` is.
-    inv_width: f64,
-    /// Lower bound on every pending event's time: the last popped time,
-    /// lowered further if something is scheduled before it.
-    floor: f64,
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Pops since the last width re-tune; amortises tuning cost.
-    pops_since_tune: usize,
-    /// Cached location of the current minimum as `(time, seq, bucket,
-    /// slot)`. Set by a peek scan, kept fresh by `schedule` (an earlier
-    /// new event replaces it; pushes never move existing slots), and
-    /// invalidated by `pop` and `rebucket` — so a peek followed by a pop
-    /// costs one scan, not two.
-    cached_min: Option<(Nanos, u64, usize, usize)>,
 }
 
 impl<E> EventQueue<E> {
@@ -108,41 +85,11 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `capacity` pending events.
-    ///
-    /// A server simulation's steady-state pending set is small (one
-    /// in-flight deadline per core plus a handful of global timers), so
-    /// pre-sizing the bucket array off the expected depth keeps buckets
-    /// near one entry each — the calendar's O(1) operating point.
+    /// Creates an empty queue with room for `capacity` pending events
+    /// before it reallocates.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let n = capacity.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let mut buckets = Vec::with_capacity(n);
-        buckets.resize_with(n, Vec::new);
-        EventQueue {
-            buckets,
-            width: 1024.0,
-            inv_width: 1.0 / 1024.0,
-            floor: 0.0,
-            len: 0,
-            next_seq: 0,
-            pops_since_tune: 0,
-            cached_min: None,
-        }
-    }
-
-    /// The absolute bucket number of time `t` under the current width.
-    #[inline]
-    fn abs_bucket(&self, t: f64) -> f64 {
-        (t * self.inv_width).floor()
-    }
-
-    /// The bucket-array index for an absolute bucket number. The bucket
-    /// count is a power of two, so masking the two's-complement value is
-    /// the euclidean remainder even for negative keys.
-    #[inline]
-    fn index_of(&self, key: f64) -> usize {
-        ((key as i64) & (self.buckets.len() as i64 - 1)) as usize
+        EventQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0 }
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -155,195 +102,31 @@ impl<E> EventQueue<E> {
         assert!(at.is_finite(), "event scheduled at non-finite time");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let t = at.as_nanos();
-        if self.len == 0 || t < self.floor {
-            self.floor = t;
-        }
-        let key = self.abs_bucket(t);
-        let idx = self.index_of(key);
-        self.buckets[idx].push(Entry { at, seq, key, event });
-        self.len += 1;
-        if let Some((cat, cseq, _, _)) = self.cached_min {
-            if at < cat || (at == cat && seq < cseq) {
-                self.cached_min = Some((at, seq, idx, self.buckets[idx].len() - 1));
-            }
-        }
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebucket();
-        }
-    }
-
-    /// Locates the pending event with the smallest `(time, seq)` key.
-    ///
-    /// Walks buckets outward from the floor's bucket; within each visit
-    /// only entries whose absolute bucket number matches the visit (i.e.
-    /// events of the current calendar "year") are candidates, so the
-    /// first visit that yields a candidate holds the global minimum. If a
-    /// full lap finds nothing (every pending event lies beyond one
-    /// calendar year), falls back to a direct scan of all entries.
-    fn find_min(&self) -> Option<ScanResult> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        let start_abs = self.abs_bucket(self.floor);
-        let start_idx = self.index_of(start_abs);
-        let mut touched = 0usize;
-        for step in 0..n {
-            let idx = (start_idx + step) & (n - 1);
-            let bucket = &self.buckets[idx];
-            if bucket.is_empty() {
-                continue;
-            }
-            let visit_abs = start_abs + step as f64;
-            let mut best: Option<(usize, Nanos, u64)> = None;
-            touched += bucket.len();
-            for (slot, e) in bucket.iter().enumerate() {
-                if e.key > visit_abs {
-                    continue; // a later year of this residue class
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, at, seq)) => e.at < at || (e.at == at && e.seq < seq),
-                };
-                if better {
-                    best = Some((slot, e.at, e.seq));
-                }
-            }
-            if let Some((slot, _, _)) = best {
-                return Some(ScanResult {
-                    bucket: idx,
-                    slot,
-                    touched,
-                    steps: step,
-                    fell_back: false,
-                });
-            }
-        }
-        // Sparse tail: every pending event is more than a full calendar
-        // lap past the floor. Direct scan — still exact.
-        let mut best: Option<(usize, usize, Nanos, u64)> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            for (slot, e) in bucket.iter().enumerate() {
-                let better = match best {
-                    None => true,
-                    Some((_, _, at, seq)) => e.at < at || (e.at == at && e.seq < seq),
-                };
-                if better {
-                    best = Some((idx, slot, e.at, e.seq));
-                }
-            }
-        }
-        best.map(|(bucket, slot, _, _)| ScanResult {
-            bucket,
-            slot,
-            touched: self.len,
-            steps: n,
-            fell_back: true,
-        })
+        self.heap.push(Entry { at, seq, event });
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        if let Some((_, _, bucket, slot)) = self.cached_min.take() {
-            let entry = self.buckets[bucket].swap_remove(slot);
-            self.len -= 1;
-            self.floor = entry.at.as_nanos();
-            self.pops_since_tune += 1;
-            return Some((entry.at, entry.event));
-        }
-        let found = self.find_min()?;
-        let entry = self.buckets[found.bucket].swap_remove(found.slot);
-        self.len -= 1;
-        self.floor = entry.at.as_nanos();
-        self.pops_since_tune += 1;
-        // Self-tuning: a fallback scan, an expensive in-bucket scan, or a
-        // long walk over empty buckets all mean the bucket width no
-        // longer matches the event-time distribution; re-tune at most
-        // once per `max(len, 8)` pops so the O(len + buckets) rebucket
-        // amortises to O(1). Bucket-array shrinks ride the same path.
-        let mistuned = found.fell_back || found.touched > SCAN_LIMIT || found.steps > 8;
-        let oversized = self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS;
-        if (mistuned || oversized) && self.pops_since_tune > self.len.max(8) && self.len > 1 {
-            self.rebucket();
-        }
-        Some((entry.at, entry.event))
+        self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// The firing time of the earliest pending event. Caches the found
-    /// location so an immediately following `pop` skips its scan.
+    /// The firing time of the earliest pending event.
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        if let Some((at, _, _, _)) = self.cached_min {
-            return Some(at);
-        }
-        let f = self.find_min()?;
-        let e = &self.buckets[f.bucket][f.slot];
-        self.cached_min = Some((e.at, e.seq, f.bucket, f.slot));
-        Some(e.at)
-    }
-
-    /// The firing time of the earliest pending event, without touching
-    /// the min cache (for read-only contexts like `Debug`).
-    fn scan_peek(&self) -> Option<Nanos> {
-        if let Some((at, _, _, _)) = self.cached_min {
-            return Some(at);
-        }
-        self.find_min().map(|f| self.buckets[f.bucket][f.slot].at)
+    pub fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Re-tunes the calendar: picks a bucket count near the pending
-    /// count, re-estimates the width from the *median* inter-event gap
-    /// (robust against far-future outliers like end-of-run timers), and
-    /// re-buckets every pending event.
-    fn rebucket(&mut self) {
-        self.pops_since_tune = 0;
-        self.cached_min = None;
-        let entries: Vec<Entry<E>> = {
-            let mut all = Vec::with_capacity(self.len);
-            for bucket in &mut self.buckets {
-                all.append(bucket);
-            }
-            all
-        };
-        if entries.len() > 1 {
-            let mut times: Vec<f64> = entries.iter().map(|e| e.at.as_nanos()).collect();
-            times.sort_unstable_by(f64::total_cmp);
-            let mut gaps: Vec<f64> =
-                times.windows(2).map(|w| w[1] - w[0]).filter(|&g| g > 0.0).collect();
-            if !gaps.is_empty() {
-                let mid = (gaps.len() - 1) / 2;
-                gaps.select_nth_unstable_by(mid, f64::total_cmp);
-                // A few median gaps per bucket: adjacent events usually
-                // land a lap apart without piling into one bucket.
-                self.width = (gaps[mid] * 3.0).clamp(1.0, 1e15);
-                self.inv_width = 1.0 / self.width;
-            }
-        }
-        let n = (entries.len() * 2).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        self.buckets.clear();
-        self.buckets.resize_with(n, Vec::new);
-        for mut e in entries {
-            e.key = self.abs_bucket(e.at.as_nanos());
-            let idx = self.index_of(e.key);
-            self.buckets[idx].push(e);
-        }
-        // Re-inserting bucket by bucket can interleave seqs within a
-        // bucket, but the scan compares (at, seq) directly, so slot order
-        // never matters.
+        self.heap.is_empty()
     }
 }
 
@@ -356,8 +139,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
-            .field("next_time", &self.scan_peek())
+            .field("len", &self.len())
+            .field("next_time", &self.peek_time())
             .finish()
     }
 }
@@ -442,8 +225,7 @@ mod tests {
 
     #[test]
     fn schedules_before_last_pop_still_order() {
-        // The API permits scheduling earlier than the last popped time;
-        // the floor must drop back so the scan still finds the true min.
+        // The API permits scheduling earlier than the last popped time.
         let mut q = EventQueue::new();
         q.schedule(Nanos::new(100.0), "late");
         assert_eq!(q.pop().unwrap().1, "late");
@@ -455,8 +237,8 @@ mod tests {
 
     #[test]
     fn growth_and_retune_keep_order() {
-        // Push enough to trigger several rebuckets, interleaving pops so
-        // the self-tuning path runs too.
+        // Push well past the initial capacity so the heap grows several
+        // times, with many equal timestamps.
         let mut q = EventQueue::with_capacity(1);
         let mut expected = Vec::new();
         for i in 0..500u32 {
@@ -472,8 +254,7 @@ mod tests {
 
     #[test]
     fn far_future_events_pop_exactly() {
-        // Events far beyond one calendar lap exercise the sparse-tail
-        // fallback scan.
+        // Times spanning ten orders of magnitude order by value.
         let mut q = EventQueue::new();
         q.schedule(Nanos::from_secs(10.0), "future");
         q.schedule(Nanos::new(1.0), "soon");
@@ -485,9 +266,8 @@ mod tests {
 
     #[test]
     fn steady_state_stream_stays_monotone() {
-        // A long schedule/pop stream with drifting times: the traffic
-        // shape that exercises self-tuning without ever tripping the
-        // size thresholds.
+        // A long schedule/pop stream with drifting times at a fixed
+        // depth: the simulator's steady-state traffic shape.
         let mut q = EventQueue::with_capacity(64);
         let mut t = 0.0f64;
         for i in 0..64u64 {

@@ -30,42 +30,36 @@ proptest! {
         prop_assert_eq!(drained, expected);
     }
 
-    /// The calendar queue pops in exactly the same order as a retained
-    /// `BinaryHeap` reference model for arbitrary interleavings of
-    /// `schedule` and `pop` — including equal timestamps (FIFO by
-    /// sequence number) and pushes earlier than the last popped time.
+    /// The queue pops in exactly the same order as a sorted-`Vec`
+    /// reference model for arbitrary interleavings of `schedule` and
+    /// `pop` — including equal timestamps (FIFO in push order), `-0.0`
+    /// mixed with `0.0` (one instant, so also FIFO) and pushes earlier
+    /// than the last popped time.
     #[test]
-    fn queue_matches_binary_heap_reference(
-        ops in prop::collection::vec((0u64..2, 0.0f64..1000.0), 1..400),
-        quantize: bool,
+    fn queue_matches_sorted_vec_reference(
+        ops in prop::collection::vec((0u64..2, 0.0f64..1000.0, 0u64..2), 1..400),
+        quantum in prop::sample::select(vec![0.0, 50.0, 400.0]),
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let mut q = EventQueue::new();
-        // Reference model: min-heap on (time-bits, insertion seq). Times
-        // are non-negative, so the f64 bit pattern orders like the value.
-        let mut model: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut model = SortedVecModel::default();
         let mut seq = 0usize;
-        for (push, t) in ops {
-            // Half the runs quantize times so equal timestamps are common.
-            let t = if quantize { (t / 50.0).floor() * 50.0 } else { t };
+        for (push, t, negate_zero) in ops {
+            // Coarse quanta make equal timestamps (and zeros) common.
+            let t = if quantum > 0.0 { (t / quantum).floor() * quantum } else { t };
+            let t = if t == 0.0 && negate_zero == 1 { -0.0 } else { t };
             if push == 0 || model.is_empty() {
                 q.schedule(Nanos::new(t), seq);
-                model.push(Reverse((t.to_bits(), seq)));
+                model.push(t, seq);
                 seq += 1;
             } else {
-                let Reverse((bits, id)) = model.pop().unwrap();
-                let got = q.pop();
-                prop_assert_eq!(got, Some((Nanos::new(f64::from_bits(bits)), id)));
+                prop_assert_eq!(popped(&mut q), model.pop());
             }
         }
-        while let Some(Reverse((bits, id))) = model.pop() {
-            prop_assert_eq!(q.pop(), Some((Nanos::new(f64::from_bits(bits)), id)));
+        for next in model.into_sorted() {
+            prop_assert_eq!(popped(&mut q), Some(next));
         }
         prop_assert_eq!(q.pop(), None);
     }
-
     /// OnlineStats merge order doesn't matter (associativity within fp
     /// tolerance).
     #[test]
@@ -246,4 +240,75 @@ proptest! {
         let b: Vec<u64> = (0..8).map(|_| fork.next_u64()).collect();
         prop_assert_ne!(a, b);
     }
+}
+
+/// Reference model for the event queue: pending events in push order; a
+/// pop stably sorts them by time, so ties keep push order, and takes
+/// the front. Deliberately nothing like a heap.
+#[derive(Default)]
+struct SortedVecModel {
+    pending: Vec<(f64, usize)>,
+}
+
+impl SortedVecModel {
+    fn push(&mut self, t: f64, id: usize) {
+        self.pending.push((t, id));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    fn sort(&mut self) {
+        self.pending.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    }
+
+    /// The next `(time bits, id)`; the bits tell `-0.0` from `0.0`.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        self.sort();
+        (!self.pending.is_empty()).then(|| {
+            let (t, id) = self.pending.remove(0);
+            (t.to_bits(), id)
+        })
+    }
+
+    /// Every remaining event in pop order (one sort instead of a
+    /// quadratic drain).
+    fn into_sorted(mut self) -> Vec<(u64, usize)> {
+        self.sort();
+        self.pending.into_iter().map(|(t, id)| (t.to_bits(), id)).collect()
+    }
+}
+
+/// Pops `q` in the model's `(time bits, id)` shape.
+fn popped(q: &mut EventQueue<usize>) -> Option<(u64, usize)> {
+    q.pop().map(|(t, id)| (t.as_nanos().to_bits(), id))
+}
+
+/// A queue deeper than the server's retry-envelope cap (16,384 pending
+/// events in `ServerSim::new`) keeps the reference order through an
+/// interleaved stretch at full depth and a complete drain.
+#[test]
+fn deep_queue_matches_sorted_vec_reference() {
+    const DEPTH: usize = 20_000;
+    let mut rng = SimRng::seed(13);
+    let mut q = EventQueue::with_capacity(1024);
+    let mut model = SortedVecModel::default();
+    let time = |rng: &mut SimRng| (rng.uniform() * 5_000.0).floor() * 10.0;
+    for id in 0..DEPTH {
+        let t = time(&mut rng);
+        q.schedule(Nanos::new(t), id);
+        model.push(t, id);
+    }
+    for id in DEPTH..DEPTH + 500 {
+        assert_eq!(popped(&mut q), model.pop());
+        let t = time(&mut rng);
+        q.schedule(Nanos::new(t), id);
+        model.push(t, id);
+    }
+    assert_eq!(q.len(), DEPTH);
+    for next in model.into_sorted() {
+        assert_eq!(popped(&mut q), Some(next));
+    }
+    assert_eq!(q.pop(), None);
 }

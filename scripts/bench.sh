@@ -130,9 +130,12 @@ benches.append({
 })
 print(f"fleet_chaos: clean {t_clean:.3f}s, inert hook {t_chaos:.3f}s, overhead {overhead_pct}%")
 
+SINGLE_CORE = "jobs_1 and wall_s figures run one worker thread: single-core numbers"
+
 report = {
     "host_parallelism": cores,
     "jobs_n": jobs_n,
+    "single_core": SINGLE_CORE,
     "note": "speedup ~1.0 expected when host_parallelism == 1"
     if cores == 1
     else "speedup should approach min(jobs_n, points, host_parallelism)",
@@ -147,8 +150,8 @@ print("wrote BENCH_sweep.json")
 # Single-run engine throughput (BENCH_singlerun.json): raw simulation
 # events per second of wall-clock, not sweep points. Both commands print
 # an "engine: <N> simulation events" line; dividing by the measured wall
-# gives the metric the fast-path work (analytic idle-skip, calendar
-# queue, allocation-free hot loop) is judged by. The event count is
+# gives the metric the fast-path work (analytic idle-skip, event heap,
+# flat C-state tables, allocation-free hot loop) is judged by. The event count is
 # byte-deterministic — identical at any --jobs and with idle-skip on or
 # off — so the denominator is the only thing that moves PR over PR.
 
@@ -223,7 +226,8 @@ print(f"fig8_zen2: {ev_z} events in {wall_z:.3f}s = {ev_z / wall_z / 1e6:.2f} Me
       f"hw dispatch overhead {dispatch_pct}%")
 
 with open("BENCH_singlerun.json", "w") as f:
-    json.dump({"host_parallelism": cores, "jobs_n": jobs_n, "benches": single}, f, indent=2)
+    json.dump({"host_parallelism": cores, "jobs_n": jobs_n, "single_core": SINGLE_CORE,
+               "benches": single}, f, indent=2)
     f.write("\n")
 print("wrote BENCH_singlerun.json")
 EOF
