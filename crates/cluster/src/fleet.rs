@@ -677,7 +677,8 @@ impl FleetSim {
                                     role: ServerRole::Crashed,
                                     share_qps: plan.shares[server],
                                     power: pkg,
-                                    p99: epoch_p99(out),
+                                    p99: (out.metrics.server_latency.count > 0)
+                                        .then_some(out.metrics.server_latency.p99),
                                     c0_share: out.metrics.residency_of(CState::C0).as_percent()
                                         / 100.0,
                                     agile_share: (out
@@ -794,7 +795,8 @@ impl FleetSim {
                                     role: ServerRole::Loaded,
                                     share_qps: plan.shares[server],
                                     power: pkg,
-                                    p99: epoch_p99(out),
+                                    p99: (m.server_latency.count > 0)
+                                        .then_some(m.server_latency.p99),
                                     c0_share: m.residency_of(CState::C0).as_percent() / 100.0,
                                     agile_share: (m.residency_of(CState::C6A).as_percent()
                                         + m.residency_of(CState::C6AE).as_percent())
@@ -931,19 +933,6 @@ impl FleetSim {
             windows,
         }
     }
-}
-
-/// This server-epoch's own p99 — exact nearest-rank by selection (O(n),
-/// not a full sort). The rank formula matches `SampleSet::percentile`.
-fn epoch_p99(out: &RunOutput) -> Option<Nanos> {
-    out.latency_samples.as_ref().and_then(|lat| {
-        let mut own = lat.clone();
-        let rank = ((0.99 * own.len() as f64).ceil() as usize).clamp(1, own.len());
-        (!own.is_empty()).then(|| {
-            let (_, &mut p, _) = own.select_nth_unstable_by(rank - 1, f64::total_cmp);
-            Nanos::new(p)
-        })
-    })
 }
 
 #[cfg(test)]

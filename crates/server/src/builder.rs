@@ -388,6 +388,27 @@ mod tests {
         assert!(plain.latency_samples.is_none());
     }
 
+    /// The reported summary is exactly what the captured samples give: the
+    /// mean is their record-order sum (taken before the percentile
+    /// selection reorders the reservoir), and p50/p99/p99.9/max are the
+    /// nearest-rank entries of a sorted copy, bit for bit. A fleet
+    /// snapshot reads its server-epoch p99 from this summary.
+    #[test]
+    fn reported_latency_is_the_nearest_rank_of_the_samples() {
+        let out = builder(NamedConfig::Aw, 90_000.0, 11).with_latency_samples().run();
+        let mut sorted = out.latency_samples.expect("samples captured");
+        let n = sorted.len();
+        let mean = sorted.iter().sum::<f64>() / n as f64;
+        sorted.sort_by(f64::total_cmp);
+        let rank = |q: f64| (1..=n).find(|&r| r as f64 >= q * n as f64).expect("q <= 1");
+        let l = out.metrics.server_latency;
+        let bits = |x: Nanos| x.as_nanos().to_bits();
+        assert_eq!(bits(l.mean), mean.to_bits());
+        for (q, got) in [(0.5, l.p50), (0.99, l.p99), (0.999, l.p999), (1.0, l.max)] {
+            assert_eq!(bits(got), sorted[rank(q) - 1].to_bits(), "q = {q}");
+        }
+    }
+
     #[test]
     fn default_window_is_clamped() {
         assert_eq!(SimBuilder::default_window(Nanos::from_millis(400.0)), Nanos::from_millis(8.0));

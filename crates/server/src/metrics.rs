@@ -37,14 +37,23 @@ impl LatencyStats {
     /// [`LatencyStats::count`] of zero, which [`LatencyStats::is_empty`]
     /// and the `Display` impl surface explicitly — a run that completed
     /// nothing must not masquerade as one with zero-nanosecond latency.
+    ///
+    /// The percentiles come from one selection cascade
+    /// ([`SampleSet::quantiles`]), which **reorders `samples`**. The mean
+    /// is summed first, in record order, so its bits do not depend on the
+    /// selection; any other mean of the same set must likewise be taken
+    /// before this call. Samples rank by `total_cmp`, which puts a
+    /// positive NaN above `+inf`.
     #[must_use]
     pub fn from_samples(samples: &mut SampleSet) -> Self {
+        let mean = samples.mean().unwrap_or(0.0);
+        let [p50, p99, p999, max] = samples.quantiles([0.5, 0.99, 0.999, 1.0]).unwrap_or_default();
         LatencyStats {
-            mean: Nanos::new(samples.mean().unwrap_or(0.0)),
-            p50: Nanos::new(samples.median().unwrap_or(0.0)),
-            p99: Nanos::new(samples.p99().unwrap_or(0.0)),
-            p999: Nanos::new(samples.percentile(0.999).unwrap_or(0.0)),
-            max: Nanos::new(samples.percentile(1.0).unwrap_or(0.0)),
+            mean: Nanos::new(mean),
+            p50: Nanos::new(p50),
+            p99: Nanos::new(p99),
+            p999: Nanos::new(p999),
+            max: Nanos::new(max),
             count: samples.len() as u64,
         }
     }

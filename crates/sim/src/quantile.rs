@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::stats::nearest_rank;
+
 /// An online estimator of one quantile using the P² algorithm.
 ///
 /// # Examples
@@ -192,9 +194,7 @@ impl P2Quantile {
             if self.warmup.is_empty() {
                 return None;
             }
-            let rank =
-                ((self.q * self.warmup.len() as f64).ceil() as usize).clamp(1, self.warmup.len());
-            return Some(self.warmup[rank - 1]);
+            return Some(self.warmup[nearest_rank(self.q, self.warmup.len()) - 1]);
         }
         Some(self.heights[2])
     }

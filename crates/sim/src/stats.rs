@@ -110,11 +110,83 @@ impl OnlineStats {
     }
 }
 
+/// The 1-based nearest rank of the `q`-quantile among `n` values: the
+/// smallest rank `r` with `r >= q·n`, clamped to `[1, n]`. Every exact
+/// percentile in the workspace reads this rank from its ordered values.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use aw_sim::nearest_rank;
+///
+/// assert_eq!(nearest_rank(0.5, 10), 5);
+/// assert_eq!(nearest_rank(0.99, 10), 10);
+/// assert_eq!(nearest_rank(0.0, 10), 1);
+/// ```
+#[must_use]
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// The nearest-rank [`q`-quantiles](nearest_rank) of `values`, one per
+/// entry of `qs`, found by selection instead of a full sort.
+///
+/// The first rank is selected over the whole slice; each later rank is
+/// selected only in the part above the previous one, so the usual tail
+/// set (p50, p99, p99.9, max) costs about one and a half linear passes.
+/// Values are ordered by [`f64::total_cmp`], which ranks a NaN with a
+/// positive sign bit above `+inf`. The results are order statistics, so
+/// they are bit-identical to indexing a sorted copy.
+///
+/// The call **reorders `values`** (it partitions them in place). Take
+/// any mean or other order-dependent fold before calling it.
+///
+/// # Panics
+///
+/// Panics if `values` is empty, or if `qs` is not ascending or has an
+/// entry outside `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use aw_sim::select_quantiles;
+///
+/// let mut v: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+/// assert_eq!(select_quantiles(&mut v, [0.5, 0.99, 1.0]), [50.0, 99.0, 100.0]);
+/// ```
+pub fn select_quantiles<const K: usize>(values: &mut [f64], qs: [f64; K]) -> [f64; K] {
+    check_quantiles(&qs);
+    let n = values.len();
+    assert!(n > 0, "quantiles of an empty slice");
+    // `values[..start]` holds the ranks placed so far and nothing above them.
+    let mut start = 0;
+    qs.map(|q| {
+        let idx = nearest_rank(q, n) - 1;
+        // Ascending `qs` give ascending ranks: either the rank just placed
+        // (`idx == start - 1`) or one in the unplaced part above it.
+        if idx >= start {
+            values[start..].select_nth_unstable_by(idx - start, f64::total_cmp);
+            start = idx + 1;
+        }
+        values[idx]
+    })
+}
+
+fn check_quantiles(qs: &[f64]) {
+    assert!(qs.iter().all(|q| (0.0..=1.0).contains(q)), "quantile must be in [0, 1]");
+    assert!(qs.windows(2).all(|w| w[0] <= w[1]), "quantiles must be ascending");
+}
+
 /// A reservoir of raw samples supporting exact percentile queries.
 ///
 /// The evaluation reports p50/p99 ("tail") latencies over full runs, which
 /// fit comfortably in memory, so we keep exact samples rather than a sketch.
-/// Percentiles use the nearest-rank method.
+/// Percentiles use the nearest-rank method, by selection
+/// ([`select_quantiles`]).
 ///
 /// # NaN policy
 ///
@@ -137,20 +209,18 @@ impl OnlineStats {
 ///     s.record(f64::from(i));
 /// }
 /// assert_eq!(s.percentile(0.50), Some(50.0));
-/// assert_eq!(s.percentile(0.99), Some(99.0));
+/// assert_eq!(s.quantiles([0.5, 0.99]), Some([50.0, 99.0]));
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SampleSet {
     samples: Vec<f64>,
-    #[serde(skip)]
-    sorted: bool,
 }
 
 impl SampleSet {
     /// Creates an empty sample set.
     #[must_use]
     pub fn new() -> Self {
-        SampleSet { samples: Vec::new(), sorted: true }
+        SampleSet { samples: Vec::new() }
     }
 
     /// Creates an empty sample set with room for `capacity` samples.
@@ -160,7 +230,7 @@ impl SampleSet {
     /// reallocations of a growing reservoir.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        SampleSet { samples: Vec::with_capacity(capacity), sorted: true }
+        SampleSet { samples: Vec::with_capacity(capacity) }
     }
 
     /// Reserves room for at least `additional` further samples.
@@ -171,7 +241,6 @@ impl SampleSet {
     /// Records one sample.
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
-        self.sorted = false;
     }
 
     /// Number of samples recorded.
@@ -186,7 +255,9 @@ impl SampleSet {
         self.samples.is_empty()
     }
 
-    /// Arithmetic mean of the samples, or `None` if empty.
+    /// Arithmetic mean of the samples, or `None` if empty. The sum runs
+    /// in the samples' current order, which a percentile query changes:
+    /// take the mean first when its bits must repeat.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
         if self.samples.is_empty() {
@@ -198,25 +269,33 @@ impl SampleSet {
 
     /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`. `None` if empty.
     ///
+    /// One selection per call; use [`quantiles`](Self::quantiles) for
+    /// several. Reorders the samples (see [`select_quantiles`]), so take
+    /// any [`mean`](Self::mean) first; `total_cmp` ranks a positive NaN
+    /// above `+inf`.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn percentile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            // `total_cmp` is a total order, so there is no NaN panic
-            // path here, and `sort_unstable` skips the stable sort's
-            // scratch allocation; for the NaN-free data the simulators
-            // produce the resulting order is identical.
-            self.samples.sort_unstable_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        Some(self.samples[rank - 1])
+        self.quantiles([q]).map(|[v]| v)
+    }
+
+    /// The nearest-rank quantiles for ascending `qs`, in one selection
+    /// cascade ([`select_quantiles`]). `None` if empty.
+    ///
+    /// Reorders the samples, so take any [`mean`](Self::mean) first;
+    /// `total_cmp` ranks a positive NaN above `+inf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qs` is not ascending or has an entry outside `[0, 1]`,
+    /// whether or not the set is empty.
+    #[must_use]
+    pub fn quantiles<const K: usize>(&mut self, qs: [f64; K]) -> Option<[f64; K]> {
+        check_quantiles(&qs);
+        (!self.samples.is_empty()).then(|| select_quantiles(&mut self.samples, qs))
     }
 
     /// Convenience: the median (p50).
@@ -405,6 +484,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "quantiles must be ascending")]
+    fn descending_quantiles_panic() {
+        let mut v = [3.0, 1.0, 2.0];
+        let _ = select_quantiles(&mut v, [0.99, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantiles must be ascending")]
+    fn descending_quantiles_panic_on_an_empty_set() {
+        let _ = SampleSet::new().quantiles([1.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty slice")]
+    fn select_quantiles_rejects_an_empty_slice() {
+        let _ = select_quantiles(&mut [], [0.5]);
+    }
+
+    #[test]
     fn with_capacity_and_reserve_preallocate() {
         let mut s = SampleSet::with_capacity(64);
         assert!(s.is_empty());
@@ -437,6 +535,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), None);
         assert_eq!(s.percentile(0.5), None);
+        assert_eq!(s.quantiles([0.5, 1.0]), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation kernel's invariants.
 
 use aw_sim::{
-    Distribution, Empirical, EnergyMeter, EventQueue, Exponential, Histogram, LogNormal,
-    OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
+    select_quantiles, Distribution, Empirical, EnergyMeter, EventQueue, Exponential, Histogram,
+    LogNormal, OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
 };
 use aw_types::{MilliWatts, Nanos};
 use proptest::prelude::*;
@@ -93,6 +93,31 @@ proptest! {
             let v = s.percentile(q).unwrap();
             prop_assert!(v >= prev, "p{q} = {v} < {prev}");
             prev = v;
+        }
+    }
+
+    /// The selection cascade, `SampleSet::quantiles` and `percentile`
+    /// all return, bit for bit, what a stable sort of the same values
+    /// holds at the nearest rank — including duplicates, signed zeros,
+    /// `+inf` and NaN, and the end points `q = 0` and `q = 1`.
+    #[test]
+    fn exact_quantiles_match_a_sorted_reference(
+        xs in prop::collection::vec((0u8..40, -40i32..40).prop_map(messy_value), 1..500),
+        inner in (0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0),
+    ) {
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mut qs = [0.0, inner.0, inner.1, inner.2, 0.99, 1.0];
+        qs.sort_by(f64::total_cmp);
+        let expected = qs.map(|q| reference_quantile(&sorted, q).to_bits());
+
+        let mut values = xs.clone();
+        prop_assert_eq!(select_quantiles(&mut values, qs).map(f64::to_bits), expected);
+        let mut set = SampleSet::new();
+        for &x in &xs { set.record(x); }
+        prop_assert_eq!(set.quantiles(qs).map(|v| v.map(f64::to_bits)), Some(expected));
+        for (q, want) in qs.into_iter().zip(expected) {
+            prop_assert_eq!(set.percentile(q).map(f64::to_bits), Some(want), "q = {}", q);
         }
     }
 
@@ -311,4 +336,26 @@ fn deep_queue_matches_sorted_vec_reference() {
         assert_eq!(popped(&mut q), Some(next));
     }
     assert_eq!(q.pop(), None);
+}
+
+/// A test value from a `(selector, integer)` draw: mostly quarter-steps
+/// in `[-10, 10)` so duplicates are common, plus `-0.0`, `0.0`, `+inf`
+/// and, rarely, NaN.
+fn messy_value((selector, v): (u8, i32)) -> f64 {
+    match selector {
+        0 => f64::NAN,
+        1..=3 => -0.0,
+        4..=6 => 0.0,
+        7..=8 => f64::INFINITY,
+        _ => f64::from(v) / 4.0,
+    }
+}
+
+/// The nearest-rank `q`-quantile of an already sorted slice, written from
+/// the definition (the smallest 1-based rank `r` with `r >= q·n`) rather
+/// than from the formula under test.
+fn reference_quantile(sorted: &[f64], q: f64) -> f64 {
+    let n = sorted.len();
+    let rank = (1..=n).find(|&r| r as f64 >= q * n as f64).expect("q <= 1");
+    sorted[rank - 1]
 }

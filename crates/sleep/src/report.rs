@@ -6,6 +6,7 @@ use std::fmt;
 
 use aw_cstates::CState;
 use aw_server::IdleInterval;
+use aw_sim::select_quantiles;
 use aw_telemetry::LogHistogram;
 use aw_types::{Joules, Nanos};
 
@@ -29,7 +30,7 @@ pub struct IdleDistribution {
     pub max: Nanos,
     /// Mean interval length.
     pub mean: Nanos,
-    /// Exact median (from the sorted sample, not the histogram).
+    /// Exact nearest-rank median (from the raw sample, not the histogram).
     pub p50: Nanos,
     /// Exact 90th percentile.
     pub p90: Nanos,
@@ -38,9 +39,10 @@ pub struct IdleDistribution {
 }
 
 impl IdleDistribution {
-    /// Builds a distribution from raw durations (nanoseconds); the slice is
-    /// partitioned in place for the exact quantiles (selection, not a full
-    /// sort — the quantiles stay exact but the build is O(n)).
+    /// Builds a distribution from raw durations (nanoseconds). The sum is
+    /// folded first; then [`select_quantiles`] partitions the slice in
+    /// place for the exact quantiles (selection, not a full sort — the
+    /// quantiles stay exact but the build is O(n)).
     fn build(core: Option<usize>, durations: &mut [f64]) -> Self {
         let mut histogram = LogHistogram::new();
         let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
@@ -51,14 +53,10 @@ impl IdleDistribution {
             sum += d;
         }
         let count = durations.len() as u64;
-        let mut exact = |q: f64| -> Nanos {
-            if durations.is_empty() {
-                return Nanos::ZERO;
-            }
-            // Nearest-rank: the smallest value with at least q·n of the
-            // sample at or below it.
-            let idx = ((q * count as f64).ceil() as usize).clamp(1, durations.len()) - 1;
-            Nanos::new(*durations.select_nth_unstable_by(idx, f64::total_cmp).1)
+        let [p50, p90, p99] = if durations.is_empty() {
+            [0.0; 3]
+        } else {
+            select_quantiles(durations, [0.50, 0.90, 0.99])
         };
         Self {
             core,
@@ -67,9 +65,9 @@ impl IdleDistribution {
             min: if count == 0 { Nanos::ZERO } else { Nanos::new(min) },
             max: if count == 0 { Nanos::ZERO } else { Nanos::new(max) },
             mean: if count == 0 { Nanos::ZERO } else { Nanos::new(sum / count as f64) },
-            p50: exact(0.50),
-            p90: exact(0.90),
-            p99: exact(0.99),
+            p50: Nanos::new(p50),
+            p90: Nanos::new(p90),
+            p99: Nanos::new(p99),
         }
     }
 }

@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use aw_sim::select_quantiles;
 use aw_types::Nanos;
 use serde::Serialize;
 
@@ -381,12 +382,11 @@ fn summarize(spans: &[RequestSpan]) -> AttributionSummary {
 
     // Exact nearest-rank p99 over server latency — the tail threshold.
     let mut latencies: Vec<f64> = all.iter().map(|s| s.server_latency().as_nanos()).collect();
-    latencies.sort_unstable_by(f64::total_cmp);
     let tail_threshold = if latencies.is_empty() {
         Nanos::ZERO
     } else {
-        let rank = ((0.99 * n).ceil() as usize).clamp(1, latencies.len());
-        Nanos::new(latencies[rank - 1])
+        let [p99] = select_quantiles(&mut latencies, [0.99]);
+        Nanos::new(p99)
     };
 
     let tail: Vec<&RequestSpan> = all
