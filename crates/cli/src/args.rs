@@ -293,7 +293,7 @@ impl RobustnessArgs {
 
 /// The flag set every experiment subcommand shares — telemetry outputs,
 /// robustness knobs, and execution options — parsed in one place
-/// ([`CommonArgs::try_consume`]) and applied in one place
+/// (`CommonArgs::try_consume`) and applied in one place
 /// ([`CommonArgs::apply`]), so subcommands cannot drift apart.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommonArgs {

@@ -45,7 +45,7 @@ fn workload_by_name(name: &str, qps: f64, cores: usize) -> Result<WorkloadSpec, 
 ///
 /// A traced or fault-injected `sweep` instruments its own simulation;
 /// every other subcommand runs normally and then attaches one
-/// representative instrumented run (see [`run_traced_representative`]).
+/// representative instrumented run (see `run_traced_representative`).
 ///
 /// # Errors
 ///

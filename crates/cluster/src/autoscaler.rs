@@ -13,7 +13,7 @@
 use aw_types::{Joules, MilliWatts, Nanos};
 
 /// Autoscaler parameters.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AutoscalePolicy {
     /// Target per-server utilization the scaler sizes the active set
     /// for: `active = ceil(offered / (target_utilization × capacity))`.

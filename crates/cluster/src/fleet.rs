@@ -58,7 +58,7 @@ use crate::stream::{
 };
 
 /// How the fleet's aggregate offered load evolves over the run.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum LoadShape {
     /// Flat at `total_qps` for every epoch.
     Constant,

@@ -14,7 +14,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// How the front-end load balancer distributes requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingPolicy {
     /// Equal share to every unparked server — the classic connection-level
     /// round robin. Power-oblivious: every server stays busy enough to

@@ -7,7 +7,6 @@ use std::fmt;
 use aw_faults::FleetFailureArtifact;
 use aw_server::{DegradationStats, LatencyStats};
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
-use serde::Serialize;
 
 use crate::policy::RoutingPolicy;
 
@@ -15,7 +14,7 @@ use crate::policy::RoutingPolicy;
 /// recovery machinery did to (and for) the fleet, plus the per-server
 /// [`DegradationStats`] rolled up across every simulated server-epoch
 /// (which earlier fleet reports silently dropped).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetDegradation {
     /// Per-server degradation counters (sheds, timeouts, retries,
     /// breaker trips, …) summed over all simulated server-epochs.
@@ -73,7 +72,7 @@ impl FleetDegradation {
 
 /// One epoch of fleet history — the fleet analogue of the per-server
 /// attribution timeline window.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetWindow {
     /// Epoch index.
     pub epoch: usize,
@@ -158,7 +157,7 @@ impl FleetWindow {
 }
 
 /// Everything a fleet run produces.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// The routing policy that produced this report.
     pub policy: RoutingPolicy,
@@ -169,9 +168,7 @@ pub struct FleetReport {
     /// C-state menu name (e.g. `AW`, `Baseline`).
     pub config: String,
     /// Hardware model names cycled across server slots; empty for a
-    /// homogeneous fleet running the prototype configuration. Kept out
-    /// of serialized reports when empty so default runs are unchanged.
-    #[serde(skip_serializing_if = "Vec::is_empty")]
+    /// homogeneous fleet running the prototype configuration.
     pub hw: Vec<String>,
     /// Epoch duration.
     pub epoch: Nanos,

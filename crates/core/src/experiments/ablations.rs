@@ -9,12 +9,11 @@ use aw_power::PpaModel;
 use aw_server::{GovernorKind, ServerConfig, SimBuilder};
 use aw_types::{MegaHertz, MilliWatts, Nanos, Ratio};
 use aw_workloads::memcached_etc;
-use serde::Serialize;
 
 use super::SweepParams;
 
 /// One governor-ablation row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GovernorAblationRow {
     /// Governor name.
     pub governor: String,
@@ -53,7 +52,7 @@ pub fn governor_ablation(params: &SweepParams, qps: f64) -> Vec<GovernorAblation
 }
 
 /// One zone-count ablation row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ZoneAblationRow {
     /// Number of UFPG zones.
     pub zones: usize,
@@ -85,7 +84,7 @@ pub fn zone_count_ablation() -> Vec<ZoneAblationRow> {
 
 /// Cache sleep-mode ablation: C6A total power with the CCSM sleep
 /// transistors versus leaving the L1/L2 arrays at full leakage.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SleepModeAblation {
     /// C6A power with sleep mode (Table 3 midpoint).
     pub with_sleep_mode: MilliWatts,
@@ -115,7 +114,7 @@ pub fn sleep_mode_ablation() -> SleepModeAblation {
 /// Context-retention ablation: the C6A exit with AW's in-place retention
 /// versus a design that keeps the power gates but still saves/restores
 /// context through the external S/R SRAM (the C6 path).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RetentionAblation {
     /// Exit latency with in-place retention (measured from the PMA FSM).
     pub in_place_exit: Nanos,
@@ -151,7 +150,7 @@ pub fn retention_ablation() -> RetentionAblation {
 
 /// The C6A-only vs C6A+C6AE split: how much of AW's savings come from the
 /// enhanced (Pn) variant.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EnhancedSplit {
     /// Savings vs baseline with both C6A and C6AE (percent).
     pub with_c6ae_pct: f64,

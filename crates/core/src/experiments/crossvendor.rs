@@ -13,12 +13,11 @@
 use std::fmt;
 
 use aw_server::HardwareModel;
-use serde::Serialize;
 
 use super::{Fig8, Fig8Report, SweepParams};
 
 /// One hardware model's slice of the cross-vendor grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrossVendorEntry {
     /// Registry name (`skylake-sp`, `zen2`, …).
     pub model: String,
@@ -29,7 +28,7 @@ pub struct CrossVendorEntry {
 }
 
 /// The cross-vendor report: one Fig. 8 frontier per hardware model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrossVendorReport {
     /// Entries in registry order (or the order given to
     /// [`CrossVendor::with_models`]).

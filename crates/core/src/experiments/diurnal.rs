@@ -13,7 +13,6 @@ use aw_cstates::NamedConfig;
 use aw_server::{HardwareModel, RunMetrics, ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::{diurnal_memcached, memcached_etc};
-use serde::Serialize;
 
 /// The diurnal experiment.
 #[derive(Debug, Clone)]
@@ -49,7 +48,7 @@ impl Default for Diurnal {
 }
 
 /// Results of the diurnal experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DiurnalReport {
     /// AW savings under the stationary stream (percent).
     pub stationary_savings_pct: f64,

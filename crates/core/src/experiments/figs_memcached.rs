@@ -8,7 +8,6 @@ use aw_power::AwTransform;
 use aw_server::{HardwareModel, RunMetrics, ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
-use serde::Serialize;
 
 use crate::Series;
 
@@ -74,7 +73,7 @@ impl SweepParams {
 }
 
 /// One Fig. 8 sweep point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Offered load.
     pub qps: f64,
@@ -98,7 +97,7 @@ pub struct Fig8Row {
 }
 
 /// The Fig. 8 report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Report {
     /// Sweep rows.
     pub rows: Vec<Fig8Row>,
@@ -241,7 +240,7 @@ impl fmt::Display for Fig8Report {
 }
 
 /// One Fig. 9 row: a tuned configuration at one load point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Configuration name.
     pub config: String,
@@ -258,7 +257,7 @@ pub struct Fig9Row {
 }
 
 /// The Fig. 9 report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Report {
     /// Rows, grouped by configuration then QPS.
     pub rows: Vec<Fig9Row>,
@@ -344,7 +343,7 @@ impl fmt::Display for Fig9Report {
 }
 
 /// One Fig. 10 row: AW versus one tuned configuration at one load.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// The tuned configuration AW is compared against.
     pub config: String,
@@ -359,7 +358,7 @@ pub struct Fig10Row {
 }
 
 /// The Fig. 10 report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Report {
     /// Rows, grouped by configuration then QPS.
     pub rows: Vec<Fig10Row>,
@@ -442,7 +441,7 @@ impl fmt::Display for Fig10Report {
 }
 
 /// The Fig. 11 report: latency for the Turbo-interplay configurations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Report {
     /// `(config, qps, avg µs, p99 µs, turbo busy fraction)` rows.
     pub rows: Vec<(String, f64, f64, f64, f64)>,

@@ -7,10 +7,9 @@ use aw_exec::SweepExecutor;
 use aw_server::{HardwareModel, RunMetrics, ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::{kafka, mysql_oltp, KafkaRate, MysqlRate};
-use serde::Serialize;
 
 /// One Fig. 12 row: MySQL at one request rate.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Row {
     /// Rate label (low/mid/high).
     pub rate: String,
@@ -29,7 +28,7 @@ pub struct Fig12Row {
 }
 
 /// The Fig. 12 report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Report {
     /// One row per rate.
     pub rows: Vec<Fig12Row>,
@@ -157,7 +156,7 @@ impl fmt::Display for Fig12Report {
 }
 
 /// One Fig. 13 row: Kafka at one rate.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13Row {
     /// Rate label (low/high).
     pub rate: String,
@@ -174,7 +173,7 @@ pub struct Fig13Row {
 }
 
 /// The Fig. 13 report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13Report {
     /// One row per rate.
     pub rows: Vec<Fig13Row>,

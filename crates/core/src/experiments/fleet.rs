@@ -15,7 +15,6 @@ use aw_faults::{FaultSpec, FleetFaultSpec};
 use aw_server::{HardwareModel, ServerConfig};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
-use serde::Serialize;
 
 use crate::TextTable;
 
@@ -77,7 +76,7 @@ impl Default for Fleet {
 }
 
 /// One (policy, menu) cell of the fleet comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetRow {
     /// Routing policy.
     pub policy: RoutingPolicy,
@@ -120,7 +119,7 @@ impl FleetRow {
 
 /// Results of the fleet experiment: one row per policy × menu, plus the
 /// full per-run reports for downstream inspection.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetComparison {
     /// Summary rows, policy-major in [`RoutingPolicy::ALL`] order.
     pub rows: Vec<FleetRow>,

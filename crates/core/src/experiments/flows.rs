@@ -3,12 +3,11 @@
 use aw_cstates::{C1Flow, C6AFlow, C6Flow};
 use aw_pma::PmaFsm;
 use aw_types::{MegaHertz, Nanos, Ratio};
-use serde::Serialize;
 
 /// Every transition-latency figure the paper quotes, computed from the
 /// models: the analytical C1/C6 budgets (Fig. 3, Sec. 3) and both the
 /// analytical and cycle-simulated C6A budgets (Fig. 6, Sec. 5.2).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlowLatencies {
     /// C1 entry + exit (software-dominated ~2 µs).
     pub c1_round_trip: Nanos,

@@ -2,11 +2,10 @@
 
 use aw_cstates::CState;
 use aw_power::{motivation_savings, ResidencyVector};
-use serde::Serialize;
 
 /// One motivation data point: a workload's measured residencies and the
 /// Eq. 1 upper-bound savings from an ideal C1-latency/C6-power state.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MotivationRow {
     /// Workload / load-level label.
     pub label: String,

@@ -12,10 +12,9 @@ use aw_cstates::{CState, CStateConfig, NamedConfig};
 use aw_server::{HardwareModel, PackageCState, RunMetrics, ServerConfig, SimBuilder, WorkloadSpec};
 use aw_types::Nanos;
 use aw_workloads::{memcached_etc, mysql_oltp, MysqlRate};
-use serde::Serialize;
 
 /// One package-analysis row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PackageRow {
     /// Workload name.
     pub workload: String,

@@ -12,7 +12,6 @@ use aw_exec::SweepExecutor;
 use aw_server::{ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
-use serde::Serialize;
 
 use crate::Series;
 
@@ -41,7 +40,7 @@ impl Default for Proportionality {
 }
 
 /// The proportionality report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProportionalityReport {
     /// Baseline power vs. utilization (mW per core).
     pub baseline: Series,

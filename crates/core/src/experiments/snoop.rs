@@ -7,12 +7,11 @@
 
 use aw_cstates::{CState, FreqLevel};
 use aw_types::MilliWatts;
-use serde::Serialize;
 
 /// The upper-bound snoop analysis of Sec. 7.5: a 100%-idle core resident
 /// in C1 (baseline) or C6A (AW), with and without a continuous snoop
 /// stream.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SnoopImpact {
     /// C1 power without snoops.
     pub c1_quiet: MilliWatts,

@@ -15,10 +15,9 @@ use aw_power::average_power;
 use aw_server::{HardwareModel, ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::validation_suite;
-use serde::Serialize;
 
 /// One validation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationRow {
     /// Workload name (includes the utilization step).
     pub workload: String,
@@ -31,7 +30,7 @@ pub struct ValidationRow {
 }
 
 /// The validation report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// One row per workload × utilization.
     pub rows: Vec<ValidationRow>,

@@ -5,7 +5,6 @@ use std::fmt;
 use aw_server::DegradationStats;
 use aw_telemetry::{AttributionSummary, Phase, TelemetrySummary};
 use aw_types::Nanos;
-use serde::Serialize;
 
 /// A renderable text table (the form every "Table N" experiment emits).
 ///
@@ -20,7 +19,7 @@ use serde::Serialize;
 /// assert!(s.contains("C1"));
 /// assert!(s.contains("power"));
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TextTable {
     /// Table title.
     pub title: String,
@@ -263,7 +262,7 @@ pub fn degradation_table(stats: &DegradationStats) -> TextTable {
 }
 
 /// A named (x, y) series — the form every "Fig. N" experiment emits.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Series label (e.g. a configuration name).
     pub name: String,

@@ -1,7 +1,6 @@
 //! The C-state parameter catalog (paper Table 1).
 
 use aw_types::{MilliWatts, Nanos};
-use serde::{Deserialize, Serialize};
 
 use crate::{CState, FreqLevel};
 
@@ -12,7 +11,7 @@ use crate::{CState, FreqLevel};
 /// `exit_latency` split it into the phase before the core is fully idle and
 /// the phase between the wake interrupt and the first retired instruction
 /// (what a queued request actually waits for).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CStateParams {
     /// Which state these parameters describe.
     pub state: CState,
@@ -83,7 +82,7 @@ impl CStateParams {
 ///     / cat.params(CState::C6A).hw_exit_latency().as_nanos();
 /// assert!(hw > 300.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CStateCatalog {
     /// Rows indexed by [`CState::depth`]; `None` for an absent state.
     params: [Option<CStateParams>; CState::ALL.len()],
@@ -110,105 +109,12 @@ impl CStateCatalog {
         CStateCatalog { params: [None; CState::ALL.len()] }
     }
 
-    /// The legacy Skylake server catalog: C0, C1, C1E, C6 (Table 1).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `aw_hw::HardwareModel::by_name(\"skylake-sp\")` and its `base_catalog()`"
-    )]
-    #[must_use]
-    pub fn skylake_baseline() -> Self {
-        let mut cat = Self::empty();
-        for p in [
-            CStateParams {
-                state: CState::C0,
-                transition_time: Nanos::ZERO,
-                entry_latency: Nanos::ZERO,
-                exit_latency: Nanos::ZERO,
-                target_residency: Nanos::ZERO,
-                power_p1: MilliWatts::from_watts(4.0),
-                power_pn: MilliWatts::from_watts(1.0),
-                hw_exit: Nanos::ZERO,
-            },
-            CStateParams {
-                state: CState::C1,
-                transition_time: Nanos::from_micros(2.0),
-                entry_latency: Nanos::from_micros(1.0),
-                exit_latency: Nanos::from_micros(1.0),
-                target_residency: Nanos::from_micros(2.0),
-                power_p1: MilliWatts::from_watts(1.44),
-                power_pn: MilliWatts::from_watts(0.88),
-                hw_exit: Nanos::new(5.0),
-            },
-            CStateParams {
-                state: CState::C1E,
-                transition_time: Nanos::from_micros(10.0),
-                entry_latency: Nanos::from_micros(5.0),
-                exit_latency: Nanos::from_micros(5.0),
-                target_residency: Nanos::from_micros(20.0),
-                power_p1: MilliWatts::from_watts(0.88),
-                power_pn: MilliWatts::from_watts(0.88),
-                hw_exit: Nanos::new(5.0),
-            },
-            CStateParams {
-                state: CState::C6,
-                transition_time: Nanos::from_micros(133.0),
-                entry_latency: Nanos::from_micros(103.0),
-                exit_latency: Nanos::from_micros(30.0),
-                target_residency: Nanos::from_micros(600.0),
-                power_p1: MilliWatts::from_watts(0.1),
-                power_pn: MilliWatts::from_watts(0.1),
-                hw_exit: Nanos::from_micros(30.0),
-            },
-        ] {
-            cat.set_params(p);
-        }
-        cat
-    }
-
-    /// The AgileWatts catalog: the baseline plus C6A and C6AE (Table 1's
-    /// new rows).
-    ///
-    /// C6A/C6AE keep the *software* transition budget of the C1/C1E states
-    /// they replace — the hardware flow adds only ~100 ns (Sec. 5.2) — and
-    /// use the Table 1 headline powers (~0.3 W / ~0.23 W, i.e., the
-    /// midpoints of Table 3's 290–315 mW and 227–243 mW ranges).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `aw_hw::HardwareModel::by_name(\"skylake-sp\")` and its `catalog()`"
-    )]
-    #[must_use]
-    pub fn skylake_with_aw() -> Self {
-        #[allow(deprecated)]
-        let mut cat = Self::skylake_baseline();
-        cat.set_params(CStateParams {
-            state: CState::C6A,
-            transition_time: Nanos::from_micros(2.0),
-            entry_latency: Nanos::from_micros(1.0),
-            exit_latency: Nanos::from_micros(1.0) + Nanos::new(80.0),
-            target_residency: Nanos::from_micros(2.0),
-            power_p1: MilliWatts::new(302.5),
-            power_pn: MilliWatts::new(302.5),
-            hw_exit: Nanos::new(80.0),
-        });
-        cat.set_params(CStateParams {
-            state: CState::C6AE,
-            transition_time: Nanos::from_micros(10.0),
-            entry_latency: Nanos::from_micros(5.0),
-            exit_latency: Nanos::from_micros(5.0) + Nanos::new(100.0),
-            target_residency: Nanos::from_micros(20.0),
-            power_p1: MilliWatts::new(235.0),
-            power_pn: MilliWatts::new(235.0),
-            hw_exit: Nanos::new(100.0),
-        });
-        cat
-    }
-
     /// Parameters for `state`.
     ///
     /// # Panics
     ///
     /// Panics if the state is not present in this catalog (C6A/C6AE are
-    /// absent from [`CStateCatalog::skylake_baseline`]).
+    /// absent from a hardware model's base menu).
     #[must_use]
     pub fn params(&self, state: CState) -> &CStateParams {
         self.get(state).unwrap_or_else(|| panic!("state {state} not present in catalog"))
@@ -244,16 +150,13 @@ impl CStateCatalog {
 }
 
 #[cfg(test)]
-// The deprecated constructors stay pinned by these tests for their one
-// release as shims; `tests/shim_equivalence.rs` additionally pins them
-// byte-identical to the `aw-hw` skylake-sp model.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::skylake_sp_catalogs;
 
     #[test]
     fn baseline_matches_table1() {
-        let cat = CStateCatalog::skylake_baseline();
+        let cat = skylake_sp_catalogs().0;
         assert_eq!(cat.power(CState::C0, FreqLevel::P1), MilliWatts::from_watts(4.0));
         assert_eq!(cat.power(CState::C0, FreqLevel::Pn), MilliWatts::from_watts(1.0));
         assert_eq!(cat.power(CState::C1, FreqLevel::P1), MilliWatts::from_watts(1.44));
@@ -267,14 +170,14 @@ mod tests {
 
     #[test]
     fn baseline_lacks_aw_states() {
-        let cat = CStateCatalog::skylake_baseline();
+        let cat = skylake_sp_catalogs().0;
         assert!(cat.get(CState::C6A).is_none());
         assert!(cat.get(CState::C6AE).is_none());
     }
 
     #[test]
     fn aw_catalog_power_ordering() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         // Deeper states consume strictly less power at P1.
         let states = cat.states();
         for w in states.windows(2) {
@@ -289,7 +192,7 @@ mod tests {
 
     #[test]
     fn aw_states_keep_legacy_latency_budget() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         assert_eq!(cat.params(CState::C6A).transition_time, cat.params(CState::C1).transition_time);
         assert_eq!(
             cat.params(CState::C6AE).transition_time,
@@ -303,7 +206,7 @@ mod tests {
 
     #[test]
     fn c6a_power_is_about_7pct_of_c0() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         let frac = cat.power(CState::C6A, FreqLevel::P1) / cat.power(CState::C0, FreqLevel::P1);
         assert!((0.06..=0.08).contains(&frac), "C6A/C0 = {frac}");
         let frac_e = cat.power(CState::C6AE, FreqLevel::P1) / cat.power(CState::C0, FreqLevel::P1);
@@ -312,7 +215,7 @@ mod tests {
 
     #[test]
     fn hw_exit_speedup_vs_c6_is_hundreds() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         let speedup = cat.params(CState::C6).exit_latency.as_nanos()
             / cat.params(CState::C6A).hw_exit_latency().as_nanos();
         assert!(speedup >= 300.0, "speedup {speedup}");
@@ -320,7 +223,7 @@ mod tests {
 
     #[test]
     fn pinned_level_states_report_pn_power() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         // C1E is defined at Pn; asking for P1 power still yields Pn power.
         assert_eq!(
             cat.params(CState::C1E).power(FreqLevel::P1),
@@ -330,7 +233,7 @@ mod tests {
 
     #[test]
     fn set_params_overrides() {
-        let mut cat = CStateCatalog::skylake_with_aw();
+        let mut cat = skylake_sp_catalogs().1;
         let mut p = *cat.params(CState::C6A);
         p.power_p1 = MilliWatts::new(290.0);
         cat.set_params(p);
@@ -340,7 +243,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not present")]
     fn missing_state_panics() {
-        let cat = CStateCatalog::skylake_baseline();
+        let cat = skylake_sp_catalogs().0;
         let _ = cat.params(CState::C6A);
     }
 
@@ -361,7 +264,7 @@ mod tests {
 
     #[test]
     fn set_params_replaces_and_states_stay_depth_ordered() {
-        let full = CStateCatalog::skylake_with_aw();
+        let full = skylake_sp_catalogs().1;
         let mut cat = CStateCatalog::empty();
         // Insert deepest-first; `states()` must still come back shallowest-first.
         for s in CState::ALL.into_iter().rev() {
@@ -378,16 +281,16 @@ mod tests {
 
     #[test]
     fn equality_sees_presence_of_a_state() {
-        let base = CStateCatalog::skylake_baseline();
+        let base = skylake_sp_catalogs().0;
         let mut with_c6a = base.clone();
-        with_c6a.set_params(*CStateCatalog::skylake_with_aw().params(CState::C6A));
+        with_c6a.set_params(*skylake_sp_catalogs().1.params(CState::C6A));
         assert_ne!(base, with_c6a);
-        assert_eq!(base, CStateCatalog::skylake_baseline());
+        assert_eq!(base, skylake_sp_catalogs().0);
     }
 
     #[test]
     fn entry_plus_exit_close_to_transition() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         for s in cat.states() {
             let p = cat.params(s);
             let sum = p.entry_latency + p.exit_latency;

@@ -6,12 +6,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::CState;
 
 /// State of the core clock distribution network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClockState {
     /// Clocks toggling; the core executes.
     Running,
@@ -20,7 +18,7 @@ pub enum ClockState {
 }
 
 /// State of the all-digital phase-locked loop clock generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PllState {
     /// Powered and locked; re-enabling clocks takes 1–2 cycles.
     On,
@@ -29,7 +27,7 @@ pub enum PllState {
 }
 
 /// State of the private L1/L2 caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheState {
     /// Content retained and coherent; the core answers snoops.
     Coherent,
@@ -39,7 +37,7 @@ pub enum CacheState {
 }
 
 /// State of the core voltage domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VoltageState {
     /// Nominal operating voltage.
     Active,
@@ -55,7 +53,7 @@ pub enum VoltageState {
 }
 
 /// Where the microarchitectural context lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContextState {
     /// Live in the powered core.
     Maintained,
@@ -85,7 +83,7 @@ pub enum ContextState {
 /// assert_eq!(c6.caches, CacheState::Flushed);
 /// assert_eq!(c6.context, ContextState::SaveRestoreSram);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ComponentMatrix {
     /// Which C-state this row describes.
     pub state: CState,

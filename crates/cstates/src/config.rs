@@ -8,8 +8,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CState, CStateCatalog};
 
 /// The named configurations used throughout the evaluation.
@@ -17,7 +15,7 @@ use crate::{CState, CStateCatalog};
 /// Naming follows the paper: a `T_`/`NT_` prefix for Turbo enabled or
 /// disabled, then the list of disabled states. All configurations have
 /// P-states disabled (the paper's baseline choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamedConfig {
     /// Turbo on; C1, C1E, C6 enabled (the paper's main baseline).
     Baseline,
@@ -123,7 +121,7 @@ impl fmt::Display for NamedConfig {
 /// assert!(!cfg.turbo());
 /// assert_eq!(cfg.deepest(), Some(CState::C1E));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CStateConfig {
     enabled: BTreeSet<CState>,
     turbo: bool,
@@ -321,12 +319,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // see the note on `governor::tests`
     fn validate_against_catalog() {
-        let legacy = CStateCatalog::skylake_baseline();
+        let (legacy, aw) = crate::skylake_sp_catalogs();
         assert_eq!(NamedConfig::Aw.config().validate(&legacy), Err(CState::C6A));
         assert_eq!(NamedConfig::Baseline.config().validate(&legacy), Ok(()));
-        let aw = CStateCatalog::skylake_with_aw();
         assert_eq!(NamedConfig::Aw.config().validate(&aw), Ok(()));
     }
 

@@ -8,7 +8,6 @@
 //! (~10 µs hardware wake + ~20 µs state/microcode restore).
 
 use aw_types::{MegaHertz, Nanos, Ratio};
-use serde::{Deserialize, Serialize};
 
 /// The power-management-agent clock: modern SoC PM controllers run at
 /// several hundred MHz to handle nanosecond-scale events (paper fn. 7).
@@ -23,7 +22,7 @@ pub const SKYLAKE_CACHE_REFERENCE: CacheFlushReference = CacheFlushReference {
 };
 
 /// The calibration point for the cache flush model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheFlushReference {
     /// Measured flush time at the reference point.
     pub flush_time: Nanos,
@@ -34,7 +33,7 @@ pub struct CacheFlushReference {
 }
 
 /// Which half of a transition a step belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowPhase {
     /// From MWAIT to the idle power level.
     Entry,
@@ -45,7 +44,7 @@ pub enum FlowPhase {
 }
 
 /// One step of a C-state transition flow with its latency budget.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowStep {
     /// Entry, exit, or snoop side.
     pub phase: FlowPhase,
@@ -68,7 +67,7 @@ fn phase_total(steps: &[FlowStep], phase: FlowPhase) -> Nanos {
 /// The C1 flow (Fig. 3a): clock-gate on entry, clock-ungate on exit. The
 /// hardware latency is a few nanoseconds; the microsecond-scale budget in
 /// Table 1 is software overhead (MWAIT execution, interrupt delivery).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct C1Flow {
     steps: Vec<FlowStep>,
 }
@@ -132,7 +131,7 @@ impl Default for C1Flow {
 /// let exit = flow.exit_latency().as_micros();
 /// assert!((28.0..32.0).contains(&exit), "exit {exit} µs");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct C6Flow {
     steps: Vec<FlowStep>,
 }
@@ -214,7 +213,7 @@ impl C6Flow {
 /// assert!(flow.exit_latency().as_nanos() < 80.0);
 /// assert!(flow.round_trip().as_nanos() < 100.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct C6AFlow {
     steps: Vec<FlowStep>,
 }

@@ -396,17 +396,12 @@ impl CircuitBreaker {
 }
 
 #[cfg(test)]
-// Unit tests must use the deprecated in-crate constructors: linking
-// `aw-hw` here would pull in a second (non-test) build of this crate
-// whose types don't unify. `tests/shim_equivalence.rs` pins the shims
-// identical to the aw-hw model, so the coverage is the same.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::NamedConfig;
+    use crate::{skylake_sp_catalogs, NamedConfig};
 
     fn setup() -> (CStateConfig, CStateCatalog) {
-        (NamedConfig::Baseline.config(), CStateCatalog::skylake_with_aw())
+        (NamedConfig::Baseline.config(), skylake_sp_catalogs().1)
     }
 
     #[test]
@@ -450,7 +445,7 @@ mod tests {
 
     #[test]
     fn menu_respects_enable_mask() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         let cfg = NamedConfig::TC6aNoC6NoC1e.config();
         let mut g = MenuGovernor::new();
         for _ in 0..64 {
@@ -555,7 +550,7 @@ mod tests {
 
     #[test]
     fn governors_never_pick_disabled_states() {
-        let cat = CStateCatalog::skylake_with_aw();
+        let cat = skylake_sp_catalogs().1;
         let cfg = NamedConfig::NtNoC6NoC1e.config();
         let mut menu = MenuGovernor::new();
         let mut ladder = LadderGovernor::new();

@@ -50,3 +50,30 @@ pub use config::{CStateConfig, NamedConfig};
 pub use flows::{C1Flow, C6AFlow, C6Flow, FlowPhase, FlowStep, PMA_CLOCK, SKYLAKE_CACHE_REFERENCE};
 pub use governor::{CircuitBreaker, IdleGovernor, LadderGovernor, MenuGovernor, OracleGovernor};
 pub use state::{CState, FreqLevel};
+
+/// The `aw-hw` skylake-sp model's `(base_catalog(), catalog())`, the
+/// catalogs every run uses, rebuilt in this crate's own types: a unit
+/// test links `aw-hw` against a second, non-test build of this crate
+/// whose types do not unify with the ones under test.
+#[cfg(test)]
+fn skylake_sp_catalogs() -> (CStateCatalog, CStateCatalog) {
+    let model = aw_hw::HardwareModel::skylake_sp();
+    let [base, full] = [model.base_catalog(), model.catalog()].map(|model_cat| {
+        let mut cat = CStateCatalog::empty();
+        for s in model_cat.states() {
+            let p = model_cat.params(s);
+            cat.set_params(CStateParams {
+                state: CState::ALL[usize::from(s.depth())],
+                transition_time: p.transition_time,
+                entry_latency: p.entry_latency,
+                exit_latency: p.exit_latency,
+                target_residency: p.target_residency,
+                power_p1: p.power_p1,
+                power_pn: p.power_pn,
+                hw_exit: p.hw_exit,
+            });
+        }
+        cat
+    });
+    (base, full)
+}

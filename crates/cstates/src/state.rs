@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A CPU core idle power state (C-state).
 ///
 /// The four legacy Skylake states (C0, C1, C1E, C6) plus the two AgileWatts
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(CState::C6A.is_agile());
 /// assert!(!CState::C6.is_agile());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CState {
     /// Active: the core is executing instructions.
     C0,
@@ -136,7 +134,7 @@ impl fmt::Display for CState {
 /// (2.2 GHz on the modeled Xeon 4114) and the minimum level **Pn**
 /// (0.8 GHz) appear; Turbo is modeled separately as an opportunistic boost
 /// above P1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FreqLevel {
     /// Base frequency (guaranteed all-core frequency).
     P1,

@@ -14,10 +14,10 @@
 
 use std::fmt;
 
+use aw_telemetry::json::JsonValue;
 use aw_types::Nanos;
-use serde::Serialize;
 
-use crate::spec::FaultSpecError;
+use crate::spec::{parse_prob, FaultSpecError};
 
 /// Default seed of the fleet fault draws when a spec does not pin one.
 /// Distinct from [`DEFAULT_FAULT_SEED`](crate::DEFAULT_FAULT_SEED) so
@@ -39,7 +39,7 @@ pub const DEFAULT_FLEET_FAULT_SEED: u64 = 0x00F1_EE75;
 /// assert!(spec.is_active());
 /// assert!(!FleetFaultSpec::none().is_active());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultSpec {
     /// Seed of the fleet fault draws (independent of the workload seed).
     pub seed: u64,
@@ -98,15 +98,6 @@ impl Default for FleetFaultSpec {
             throttle_epochs: 2,
         }
     }
-}
-
-fn parse_prob(key: &str, v: &str) -> Result<f64, FaultSpecError> {
-    let p: f64 =
-        v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (probability)")))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(FaultSpecError(format!("{key} must be a probability in [0, 1], got {v}")));
-    }
-    Ok(p)
 }
 
 fn parse_epochs(key: &str, v: &str) -> Result<usize, FaultSpecError> {
@@ -397,7 +388,7 @@ impl FleetFaultPlan {
 }
 
 /// What happened to a server (or rack) at a fleet epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetFaultKind {
     /// The server crashed mid-epoch.
     Crash,
@@ -454,7 +445,7 @@ impl fmt::Display for FleetFaultKind {
 }
 
 /// One fleet fault event: what happened, where, and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetFaultRecord {
     /// Epoch index the event fired at.
     pub epoch: usize,
@@ -474,28 +465,13 @@ impl fmt::Display for FleetFaultRecord {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A replayable record of a chaotic fleet run: the fleet seed, the
 /// canonical fleet fault spec, and every fault event that fired.
 ///
 /// Unlike [`FailureArtifact`](crate::FailureArtifact) this does not mean
 /// something went *wrong* — it is the flight recorder of an intentional
 /// chaos run, carrying exactly the flags that reproduce it.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetFailureArtifact {
     /// The fleet simulation (workload) seed.
     pub seed: u64,
@@ -512,29 +488,26 @@ impl FleetFailureArtifact {
         FleetFailureArtifact { seed, fleet_spec: spec.to_string(), events }
     }
 
-    /// Hand-rolled JSON rendering (the vendored serde stand-in does not
-    /// provide a serializer), suitable for logs and replay tooling.
+    /// Compact JSON rendering, suitable for logs and replay tooling.
     #[must_use]
     pub fn to_json(&self) -> String {
         let events = self
             .events
             .iter()
             .map(|e| {
-                format!(
-                    "{{\"epoch\":{},\"server\":{},\"kind\":\"{}\"}}",
-                    e.epoch,
-                    e.server,
-                    e.kind.name()
-                )
+                JsonValue::obj(vec![
+                    ("epoch", JsonValue::UInt(e.epoch as u64)),
+                    ("server", JsonValue::UInt(e.server as u64)),
+                    ("kind", JsonValue::str(e.kind.name())),
+                ])
             })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"seed\":{},\"fleet_spec\":\"{}\",\"events\":[{}]}}",
-            self.seed,
-            escape_json(&self.fleet_spec),
-            events
-        )
+            .collect();
+        JsonValue::obj(vec![
+            ("seed", JsonValue::UInt(self.seed)),
+            ("fleet_spec", JsonValue::str(&self.fleet_spec)),
+            ("events", JsonValue::Array(events)),
+        ])
+        .render()
     }
 
     /// The CLI flags that replay this exact fleet run.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::Serialize;
+use aw_telemetry::json::JsonValue;
 
 /// Accumulates invariant violations during a run.
 ///
@@ -63,7 +63,7 @@ impl InvariantChecker {
 /// workload seed and the canonical fault-spec string (which embeds the
 /// fault seed). `to_json` produces a small self-contained record that
 /// can be pasted back into `--seed`/`--faults` flags.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureArtifact {
     /// The simulation (workload) seed.
     pub seed: u64,
@@ -72,21 +72,6 @@ pub struct FailureArtifact {
     pub fault_spec: String,
     /// Every invariant violation detected, in order.
     pub violations: Vec<String>,
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl FailureArtifact {
@@ -107,22 +92,15 @@ impl FailureArtifact {
         })
     }
 
-    /// Hand-rolled JSON rendering (the vendored serde stand-in does not
-    /// provide a serializer), suitable for logs and bug reports.
+    /// Compact JSON rendering, suitable for logs and bug reports.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", escape_json(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"seed\":{},\"fault_spec\":\"{}\",\"violations\":[{}]}}",
-            self.seed,
-            escape_json(&self.fault_spec),
-            violations
-        )
+        JsonValue::obj(vec![
+            ("seed", JsonValue::UInt(self.seed)),
+            ("fault_spec", JsonValue::str(&self.fault_spec)),
+            ("violations", JsonValue::Array(self.violations.iter().map(JsonValue::str).collect())),
+        ])
+        .render()
     }
 
     /// The CLI flags that replay this exact run.

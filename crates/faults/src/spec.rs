@@ -3,7 +3,6 @@
 use std::fmt;
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 /// Everything a deterministic fault plan needs: a seed for the fault
 /// RNG streams plus per-category probabilities, rates, and magnitudes.
@@ -20,7 +19,7 @@ use serde::Serialize;
 /// assert!(spec.is_active());
 /// assert!(!FaultSpec::none().is_active());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Seed of the fault RNG streams (independent of the workload seed).
     pub seed: u64,
@@ -98,7 +97,7 @@ impl fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
-fn parse_prob(key: &str, v: &str) -> Result<f64, FaultSpecError> {
+pub(crate) fn parse_prob(key: &str, v: &str) -> Result<f64, FaultSpecError> {
     let p: f64 =
         v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (probability)")))?;
     if !(0.0..=1.0).contains(&p) {

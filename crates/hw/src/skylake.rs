@@ -2,11 +2,10 @@
 //! *Energy Efficiency Features of the Intel Skylake-SP Processor*).
 //!
 //! Every constant here is pinned byte-identical to the values the
-//! workspace was originally calibrated with (the deprecated
-//! `CStateCatalog::skylake_baseline`/`skylake_with_aw` constructors);
-//! `tests/shim_equivalence.rs` in `aw-cstates` enforces the match, and
-//! the CLI golden tests pin the end-to-end output. Per-parameter
-//! sources are tabulated in DESIGN §16.
+//! workspace was originally calibrated with: the `aw-cstates` unit tests
+//! check these catalogs against paper Table 1, and the CLI golden tests
+//! pin the end-to-end output. Per-parameter sources are tabulated in
+//! DESIGN §16.
 
 use aw_cstates::{CState, CStateCatalog, CStateParams};
 use aw_types::{MegaHertz, MilliWatts, Nanos};

@@ -11,10 +11,9 @@
 //! run (`UncoreModel`) lives in `aw-server` next to the simulator.
 
 use aw_types::MilliWatts;
-use serde::Serialize;
 
 /// Package-level idle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PackageCState {
     /// At least one core is active or transitioning: uncore fully on.
     Pc0,
@@ -26,7 +25,7 @@ pub enum PackageCState {
 }
 
 /// Uncore power levels per package state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UncorePower {
     /// Uncore power with any core active.
     pub pc0: MilliWatts,
@@ -68,7 +67,7 @@ impl UncorePower {
 /// sleeping CCX while the package is otherwise in PC0/PC2 — and since
 /// AW's C6A keeps caches coherent, cores idling agilely hold their
 /// CCX's L3 awake, the core-complex analogue of C6A blocking PC6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcxSpec {
     /// Cores per CCX (4 on Zen 2).
     pub cores_per_ccx: usize,

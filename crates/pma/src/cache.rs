@@ -9,7 +9,6 @@
 //! nominal voltage so the array wake hides under the tag access.
 
 use aw_types::{Cycles, Nanos, Ratio};
-use serde::Serialize;
 
 use aw_cstates::PMA_CLOCK;
 
@@ -18,7 +17,7 @@ use aw_cstates::PMA_CLOCK;
 /// Higher settings drop the retention voltage further: more leakage
 /// savings, same 2-cycle wake (the data-array wake hides under the tag
 /// access).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SleepSetting(u8);
 
 impl SleepSetting {
@@ -63,7 +62,7 @@ impl Default for SleepSetting {
 }
 
 /// CCSM controller state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheSleepState {
     /// Nominal voltage, clock running (core active).
     Awake,
@@ -92,7 +91,7 @@ pub enum CacheSleepState {
 /// assert_eq!(ccsm.state(), CacheSleepState::Sleeping); // back asleep
 /// assert!(latency.as_nanos() < 100.0);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CacheSleepController {
     state: CacheSleepState,
     setting: SleepSetting,

@@ -18,14 +18,13 @@
 use aw_cstates::{FreqLevel, PMA_CLOCK};
 use aw_faults::{FlowFaultHook, NoFaults};
 use aw_types::{Cycles, Nanos};
-use serde::Serialize;
 
 use crate::cache::CacheSleepController;
 use crate::srpg::SrpgBank;
 use crate::ufpg::{Ufpg, WakePolicy};
 
 /// States of the Fig. 6 flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PmaState {
     /// C0: core active.
     Active,
@@ -101,7 +100,7 @@ impl std::fmt::Display for FlowError {
 impl std::error::Error for FlowError {}
 
 /// One traced step: the state occupied, when it began, how long it took.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStep {
     /// The flow state.
     pub state: PmaState,
@@ -112,7 +111,7 @@ pub struct TraceStep {
 }
 
 /// An ordered trace of one flow execution.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowTrace {
     steps: Vec<TraceStep>,
 }
@@ -217,7 +216,7 @@ pub struct ExitOutcome {
 /// assert_eq!(fsm.read_context(), Some(0x5EED)); // context survived
 /// # drop(snoop);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PmaFsm {
     state: PmaState,
     enhanced: bool,

@@ -8,10 +8,9 @@
 //! detects state loss if the protocol is violated.
 
 use aw_types::Cycles;
-use serde::Serialize;
 
 /// The two control signals of an SRPG bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetentionSignal {
     /// `Ret`: high copies/holds state in the shadow latch.
     Ret(bool),
@@ -37,7 +36,7 @@ pub enum RetentionSignal {
 /// assert_eq!(bank.read(), Some(0xDEAD_BEEF));
 /// assert!(save.count() + restore.count() <= 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrpgBank {
     context_bytes: usize,
     /// Live value in the main flops (None when the rail is down).

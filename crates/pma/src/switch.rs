@@ -8,7 +8,6 @@
 //! is the calibration point for the current model here.
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 /// The AVX power-gate wake time used as the in-rush calibration reference:
 /// Skylake staggers the AVX unit wake over ~15 ns (Sec. 3 / Sec. 5.3).
@@ -29,7 +28,7 @@ pub const AVX_REFERENCE_WAKE: Nanos = Nanos::new(15.0);
 /// // A unit-area chain woken over the AVX reference time peaks at ~1.0.
 /// assert!((profile.peak() - 1.0).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurrentProfile {
     /// `(start_time, current)` segments; each segment extends to the next
     /// segment's start, the last to `end`.
@@ -132,7 +131,7 @@ impl CurrentProfile {
 /// starts the first cell; each subsequent cell turns on after
 /// `wake_time / cells`, and the `ready` acknowledgement returns when the
 /// last cell conducts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DaisyChain {
     cells: u32,
     area: f64,

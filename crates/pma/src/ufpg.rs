@@ -8,7 +8,6 @@
 //! `SlpZone_i` signals (Fig. 2 chains per zone).
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 use crate::switch::{CurrentProfile, DaisyChain, AVX_REFERENCE_WAKE};
 
@@ -16,7 +15,7 @@ use crate::switch::{CurrentProfile, DaisyChain, AVX_REFERENCE_WAKE};
 pub const UFPG_RELATIVE_AREA: f64 = 4.5;
 
 /// One UFPG power-gate zone with its local controller and switch chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UfpgZone {
     /// Zone index (wake order).
     pub index: usize,
@@ -25,7 +24,7 @@ pub struct UfpgZone {
 }
 
 /// How the PMA sequences zone wake-ups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WakePolicy {
     /// Sequential `SlpZone_i` assertion: zone *i+1* starts when zone *i*'s
     /// `ready` returns (the paper's design).
@@ -40,7 +39,7 @@ pub enum WakePolicy {
 }
 
 /// The outcome of a UFPG wake: total latency and the in-rush profile.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WakeReport {
     /// Wake policy used.
     pub policy: WakePolicy,
@@ -83,7 +82,7 @@ impl WakeReport {
 /// let simultaneous = ufpg.wake(WakePolicy::Simultaneous);
 /// assert!(simultaneous.peak_current() > 4.0 * staggered.peak_current());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ufpg {
     zones: Vec<UfpgZone>,
     cell_switch_time: Nanos,

@@ -5,7 +5,6 @@ use std::fmt;
 
 use aw_cstates::{CState, CStateCatalog, FreqLevel};
 use aw_types::{MilliWatts, Nanos, Ratio};
-use serde::{Deserialize, Serialize};
 
 /// Per-C-state residency fractions `R_Ci` for one run, summing to ~1.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((r.get(CState::C1).as_percent() - 55.0).abs() < 1e-9);
 /// assert_eq!(r.get(CState::C1E).as_percent(), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResidencyVector {
     residencies: BTreeMap<CState, Ratio>,
 }
@@ -221,7 +220,7 @@ pub fn turbo_savings(
 /// let p1 = average_power(&aw, &catalog, FreqLevel::P1);
 /// assert!(p1 < p0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AwTransform {
     /// Workload frequency scalability: fractional performance change per
     /// fractional frequency change (Sec. 6.2, footnote 8). 0 = fully

@@ -6,12 +6,11 @@
 //! the C-state catalog's C6A/C6AE power entries.
 
 use aw_types::{MilliWatts, Ratio};
-use serde::{Deserialize, Serialize};
 
 use crate::regulator::Fivr;
 
 /// A `[low, high]` power bound in milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBound {
     /// Optimistic bound.
     pub low: MilliWatts,
@@ -51,7 +50,7 @@ impl PowerBound {
 }
 
 /// An area overhead bound, as a fraction of the referenced base area.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaBound {
     /// Optimistic bound.
     pub low: Ratio,
@@ -62,7 +61,7 @@ pub struct AreaBound {
 }
 
 /// The Table 3 component taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PpaComponent {
     /// UFPG unit power gates over ~70% of the core.
     UfpgGates,
@@ -84,7 +83,7 @@ pub enum PpaComponent {
 }
 
 /// One row of Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PpaRow {
     /// Which component.
     pub component: PpaComponent,
@@ -115,7 +114,7 @@ pub struct PpaRow {
 /// assert!((220.0..235.0).contains(&c6ae.low.as_milliwatts()));
 /// assert!((238.0..250.0).contains(&c6ae.high.as_milliwatts()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PpaModel {
     /// Core leakage proxy at P1: ≈ the C1 power (clock-gating removes
     /// dynamic power, leaving leakage), paper footnote 4.

@@ -2,7 +2,6 @@
 //! sleep-transistor linear regulator (Sec. 5.1.2 and 5.1.4).
 
 use aw_types::{MilliWatts, Ratio};
-use serde::{Deserialize, Serialize};
 
 /// The fully-integrated voltage regulator (FIVR) on a Skylake-class core.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((loss.as_milliwatts() - 38.5).abs() < 0.1);
 /// assert_eq!(fivr.static_loss(), MilliWatts::new(100.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fivr {
     static_loss: MilliWatts,
     light_load_efficiency: Ratio,
@@ -97,7 +96,7 @@ impl Fivr {
 /// let c6ae = SleepTransistorLvr::new(0.65, retention); // Pn-level rail
 /// assert!(c6ae.efficiency().get() > c6a.efficiency().get());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SleepTransistorLvr {
     v_in: f64,
     v_out: f64,

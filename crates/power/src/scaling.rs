@@ -7,10 +7,9 @@
 //! sleep-mode leakage to the 14 nm Skylake L1/L2.
 
 use aw_types::MilliWatts;
-use serde::{Deserialize, Serialize};
 
 /// A process technology node, for leakage-scaling calculations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechNode {
     /// 22 nm (e.g., the Xeon E5 L3 slice the CCSM power is derived from).
     Nm22,

@@ -5,7 +5,6 @@
 //! $0.125/kWh, 100 K servers, and two 10-core sockets per server.
 
 use aw_types::{Joules, MilliWatts, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// The Table 5 cost model.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// // 20 W × 8766 h × 100k servers × $0.125/kWh ≈ $2.19 M/yr.
 /// assert!((2.0e6..2.4e6).contains(&dollars), "{dollars}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcoModel {
     /// Electricity price in dollars per kilowatt-hour.
     pub dollars_per_kwh: f64,

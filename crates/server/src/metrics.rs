@@ -8,13 +8,12 @@ use aw_power::ResidencyVector;
 use aw_sim::SampleSet;
 use aw_telemetry::{AttributionSummary, TelemetrySummary};
 use aw_types::{MilliWatts, Nanos, Ratio};
-use serde::Serialize;
 
 use crate::uncore::PackageCState;
 
 /// Latency distribution summary: mean, median, p99 ("tail"), p99.9, and
 /// max.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Arithmetic mean.
     pub mean: Nanos,
@@ -120,7 +119,7 @@ impl fmt::Display for LatencyStats {
 /// execution time itself. This is the quantity behind the paper's
 /// Fig. 8(c) worst/expected analysis: AW shrinks the transition share to
 /// nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// Mean idle-exit latency absorbed per request.
     pub transition: Nanos,
@@ -153,7 +152,7 @@ impl LatencyBreakdown {
 /// degradation over the whole run (warm-up included: degradation events
 /// are accounting facts, not performance samples, so they are never
 /// reset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradationStats {
     /// Faults injected from the active fault plan.
     pub faults_injected: u64,
@@ -206,7 +205,7 @@ impl fmt::Display for DegradationStats {
 }
 
 /// Everything one simulation run measures.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunMetrics {
     /// Configuration name (e.g. `NT_No_C6`).
     pub config: String,

@@ -40,5 +40,5 @@ pub use dist::{Distribution, Empirical, Exponential, LogNormal, Pareto, Point, S
 pub use quantile::P2Quantile;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{nearest_rank, select_quantiles, Histogram, OnlineStats, SampleSet};
+pub use stats::{nearest_rank, select_quantiles, OnlineStats, SampleSet};
 pub use tracker::{EnergyMeter, ResidencyTracker};

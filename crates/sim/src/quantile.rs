@@ -7,8 +7,6 @@
 //! five markers updated per observation, converging to the true quantile
 //! without storing samples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::nearest_rank;
 
 /// An online estimator of one quantile using the P² algorithm.
@@ -26,7 +24,7 @@ use crate::stats::nearest_rank;
 /// let est = p99.estimate().unwrap();
 /// assert!((est - 0.99).abs() < 0.01, "{est}");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights (estimates of the 0, q/2, q, (1+q)/2, 1 quantiles).

@@ -1,8 +1,4 @@
-//! Online statistics: moments, percentiles, and histograms.
-
-use std::fmt;
-
-use serde::{Deserialize, Serialize};
+//! Online statistics: moments and percentiles.
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -18,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -211,7 +207,7 @@ fn check_quantiles(qs: &[f64]) {
 /// assert_eq!(s.percentile(0.50), Some(50.0));
 /// assert_eq!(s.quantiles([0.5, 0.99]), Some([50.0, 99.0]));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     samples: Vec<f64>,
 }
@@ -308,104 +304,6 @@ impl SampleSet {
     #[must_use]
     pub fn p99(&mut self) -> Option<f64> {
         self.percentile(0.99)
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-///
-/// # Examples
-///
-/// ```
-/// use aw_sim::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 100.0, 10);
-/// h.record(5.0);
-/// h.record(15.0);
-/// h.record(-3.0);   // underflow
-/// h.record(250.0);  // overflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 1);
-/// assert_eq!(h.underflow(), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `n == 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(lo < hi, "histogram bounds must be ordered");
-        assert!(n > 0, "histogram needs at least one bucket");
-        Histogram { lo, hi, buckets: vec![0; n], underflow: 0, overflow: 0 }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    #[must_use]
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Observations below the histogram range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the histogram range.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including out-of-range.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, count) in self.buckets.iter().enumerate() {
-            let lo = self.lo + width * i as f64;
-            writeln!(f, "[{:>10.1}, {:>10.1}): {count}", lo, lo + width)?;
-        }
-        Ok(())
     }
 }
 
@@ -536,23 +434,5 @@ mod tests {
         assert_eq!(s.mean(), None);
         assert_eq!(s.percentile(0.5), None);
         assert_eq!(s.quantiles([0.5, 1.0]), None);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.99] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(4), 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "ordered")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(5.0, 5.0, 3);
     }
 }

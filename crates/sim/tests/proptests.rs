@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation kernel's invariants.
 
 use aw_sim::{
-    select_quantiles, Distribution, Empirical, EnergyMeter, EventQueue, Exponential, Histogram,
-    LogNormal, OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
+    select_quantiles, Distribution, Empirical, EnergyMeter, EventQueue, Exponential, LogNormal,
+    OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
 };
 use aw_types::{MilliWatts, Nanos};
 use proptest::prelude::*;
@@ -141,16 +141,6 @@ proptest! {
         prop_assert!(est >= lo && est <= hi);
         let truth = exact.percentile(0.9).unwrap();
         prop_assert!((est - truth).abs() < 0.25 * (hi - lo) + 1e-9);
-    }
-
-    /// Histogram totals equal the number of recorded observations.
-    #[test]
-    fn histogram_conserves_counts(xs in prop::collection::vec(-50.0f64..150.0, 0..300)) {
-        let mut h = Histogram::new(0.0, 100.0, 7);
-        for &x in &xs { h.record(x); }
-        prop_assert_eq!(h.total(), xs.len() as u64);
-        let bucketed: u64 = (0..h.buckets()).map(|i| h.bucket_count(i)).sum();
-        prop_assert_eq!(bucketed + h.underflow() + h.overflow(), xs.len() as u64);
     }
 
     /// Residency tracker: total time equals the observation window and

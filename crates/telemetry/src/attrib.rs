@@ -15,7 +15,6 @@ use std::fmt;
 
 use aw_sim::select_quantiles;
 use aw_types::Nanos;
-use serde::Serialize;
 
 use crate::span::{Phase, RequestSpan};
 use crate::stream::{StreamWindow, WindowCounters, WindowObserver};
@@ -23,7 +22,7 @@ use crate::timeline::{Timeline, TimelineWindow};
 
 /// Mean per-request contribution of each phase over one bucket of
 /// requests.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseMeans {
     /// Mean [`Phase::QueueWait`].
     pub queue: Nanos,
@@ -75,7 +74,7 @@ impl PhaseMeans {
 }
 
 /// Exit penalty charged by one C-state over one bucket of requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExitShare {
     /// The C-state label (e.g. `"C6"`, `"C6A"`).
     pub state: &'static str,
@@ -86,7 +85,7 @@ pub struct ExitShare {
 }
 
 /// The reduced attribution of one run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionSummary {
     /// Completed (measured) requests.
     pub requests: u64,

@@ -7,10 +7,9 @@
 //! dependency graph (it never needs the C-state or PMA enums themselves).
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 /// One trace event: when, where, what.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Simulation time of the event.
     pub time: Nanos,
@@ -21,7 +20,7 @@ pub struct TraceEvent {
 }
 
 /// The typed payload of a [`TraceEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// The core entered a (life-cycle) C-state at [`TraceEvent::time`].
     CStateEnter {

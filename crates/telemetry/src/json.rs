@@ -1,6 +1,6 @@
 //! A minimal JSON value tree and writer.
 //!
-//! The workspace is offline (no `serde_json`), so the exporters build
+//! The workspace links no serializer crate, so the exporters build
 //! their documents from this tiny value enum and render them with a
 //! hand-rolled writer. Streaming writers that skip the tree (the Chrome
 //! trace exporter) call [`write_escaped`] and [`write_num`] directly, so

@@ -16,7 +16,7 @@
 //!    as Chrome trace-event JSON (loadable in `chrome://tracing` and
 //!    Perfetto, one track per core), and [`export::metrics_json`]
 //!    renders the registry as machine-readable JSON. Both use the
-//!    crate's own minimal [`json`] writer — no serde_json.
+//!    crate's own minimal [`json`] writer.
 //!
 //! 4. **Attribution** — [`RequestSpan`] decomposes one request's latency
 //!    into typed [`Phase`]s (queue wait, C-state exit penalty tagged

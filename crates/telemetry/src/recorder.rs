@@ -15,7 +15,6 @@ use std::time::Instant;
 
 use aw_sim::OnlineStats;
 use aw_types::Nanos;
-use serde::Serialize;
 
 use crate::event::{EventKind, TraceEvent};
 use crate::export;
@@ -375,7 +374,7 @@ impl TraceSink for TelemetryRecorder {
 }
 
 /// The headline numbers a traced run surfaces in `RunMetrics`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// Trace events emitted (held + dropped).
     pub events_recorded: u64,

@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 
 use aw_sim::OnlineStats;
 use aw_types::Nanos;
-use serde::Serialize;
 
 /// A gauge whose mean is weighted by how long each value was held.
 ///
@@ -31,7 +30,7 @@ use serde::Serialize;
 /// assert_eq!(g.mean(), 4.0);
 /// assert_eq!(g.high_water_mark(), 6.0);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimeWeightedGauge {
     last_value: f64,
     last_time: Option<Nanos>,
@@ -128,7 +127,7 @@ impl Default for TimeWeightedGauge {
 /// assert_eq!(h.bucket_bounds(2), (2.0, 4.0));
 /// assert!(h.quantile_upper_bound(0.5) >= 3.0);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     stats: OnlineStats,
@@ -262,7 +261,7 @@ impl Default for LogHistogram {
 /// assert_eq!(r.counter("requests"), 3);
 /// assert_eq!(r.counter("missing"), 0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     pub(crate) gauges: BTreeMap<String, TimeWeightedGauge>,

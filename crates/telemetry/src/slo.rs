@@ -11,7 +11,6 @@
 use std::fmt;
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 use crate::json::JsonValue;
 use crate::timeline::Timeline;
@@ -89,7 +88,7 @@ impl SloMonitor {
 }
 
 /// The outcome of evaluating an SLO target over a timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloReport {
     /// The p99 target evaluated.
     pub target_p99: Nanos,

@@ -11,7 +11,6 @@
 use std::fmt;
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 /// One typed cause of request latency.
 ///
@@ -20,7 +19,7 @@ use serde::Serialize;
 /// Service` equals the measured server latency (the sum-to-latency
 /// invariant, enforced by [`RequestSpan::residual`] in tests), and
 /// `NetworkRtt` extends it to end-to-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Time spent queued behind other requests on the same core.
     QueueWait,
@@ -97,7 +96,7 @@ impl fmt::Display for Phase {
 /// assert_eq!(span.phase_total(), Nanos::new(4_100.0));
 /// assert_eq!(span.residual(), Nanos::ZERO); // phases sum to latency
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSpan {
     /// When the request arrived at the server.
     pub arrival: Nanos,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MilliWatts, Nanos};
 
 /// Energy in joules.
@@ -23,7 +21,7 @@ use crate::{MilliWatts, Nanos};
 /// let avg: MilliWatts = energy / window;
 /// assert!((avg.as_watts() - 0.3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(f64);
 
 impl Joules {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Nanos;
 
 /// Clock frequency in megahertz.
@@ -24,7 +22,7 @@ use crate::Nanos;
 /// // One base-frequency cycle is ~0.4545 ns.
 /// assert!((base.period().as_nanos() - 0.4545).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MegaHertz(f64);
 
 impl MegaHertz {
@@ -130,9 +128,7 @@ impl fmt::Display for MegaHertz {
 /// let entry = Cycles::new(8);
 /// assert!(entry.at(MegaHertz::new(500.0)) < Nanos::new(20.0));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {

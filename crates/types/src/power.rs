@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Joules, Nanos, Ratio};
 
 /// Electrical power in milliwatts.
@@ -29,7 +27,7 @@ use crate::{Joules, Nanos, Ratio};
 /// let energy = saved * Nanos::from_secs(1.0);
 /// assert!((energy.as_joules() - 1.14).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MilliWatts(f64);
 
 impl MilliWatts {

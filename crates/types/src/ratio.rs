@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A dimensionless fraction, nominally in `[0, 1]`.
 ///
 /// Used throughout the workspace for C-state residencies (`R_Ci` in the
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((c1_residency + c0_residency).get(), 1.0);
 /// assert_eq!(c1_residency.as_percent(), 80.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Ratio(f64);
 
 impl Ratio {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration or instant measured in nanoseconds.
 ///
 /// `Nanos` doubles as the simulation timestamp type: an instant is a duration
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(c6_exit > c1_exit);
 /// assert_eq!((c6_exit - c1_exit).as_micros(), 28.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Nanos(f64);
 
 impl Nanos {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification gate: formatting, release build, full test suite
-# (unit + doc), a warning-free clippy pass, and an end-to-end smoke of
-# the latency-attribution example. CI and pre-commit both run exactly
-# this.
+# (unit + doc), warning-free clippy and rustdoc passes, and an end-to-end
+# smoke of the latency-attribution example. CI and pre-commit both run
+# exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +20,10 @@ cargo test -q --workspace --doc
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+# Fails on a dangling intra-doc link, e.g. one left behind by a deleted item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> latency_attribution example smoke"
 out=$(cargo run -q --release --example latency_attribution -- --quick)

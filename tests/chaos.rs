@@ -2,13 +2,23 @@
 //! and overload protection hold up under arbitrary fault plans — and the
 //! fault layer is bit-invisible when no faults fire.
 
+use std::collections::BTreeMap;
+
 use agilewatts::aw_cluster::{AutoscalePolicy, FleetConfig, FleetSim, LoadShape, RoutingPolicy};
 use agilewatts::aw_cstates::{CState, NamedConfig};
 use agilewatts::aw_exec::{set_default_jobs, SweepExecutor};
-use agilewatts::aw_faults::{FaultPlan, FaultSpec, FleetFaultSpec};
+use agilewatts::aw_faults::{
+    FailureArtifact, FaultPlan, FaultSpec, FleetFailureArtifact, FleetFaultKind, FleetFaultRecord,
+    FleetFaultSpec,
+};
 use agilewatts::aw_server::{RunMetrics, ServerConfig, SimBuilder, WorkloadSpec};
 use agilewatts::aw_sim::SimRng;
 use agilewatts::aw_types::Nanos;
+
+/// See `tests/common/json_reader.rs` — a reader independent of the
+/// `aw-telemetry` writer the artifacts render with.
+#[path = "common/json_reader.rs"]
+mod json;
 
 fn golden_workload() -> WorkloadSpec {
     WorkloadSpec::poisson("golden", 60_000.0, Nanos::from_micros(3.0), 0.8)
@@ -247,4 +257,67 @@ fn chaos_plans_terminate_with_invariants_intact() {
         assert_eq!(reg.counter("breaker.trips"), d.breaker_trips, "round {round} ({spec})");
         assert_eq!(reg.counter("breaker.restores"), d.breaker_restores, "round {round} ({spec})");
     });
+}
+
+/// Every character class the JSON escaper special-cases, plus non-ASCII.
+const HOSTILE: &str = "q\"uote b\\ack n\new r\ret t\tab \u{1} \u{1f} é ✓ 😀";
+
+fn parse(rendered: &str) -> json::Value {
+    json::parse(rendered).unwrap_or_else(|e| panic!("invalid JSON ({e}): {rendered}"))
+}
+
+fn fields(v: &json::Value) -> &BTreeMap<String, json::Value> {
+    match v {
+        json::Value::Object(fields) => fields,
+        other => panic!("not a JSON object: {other:?}"),
+    }
+}
+
+/// Both replay artifacts render strict JSON that an independent reader
+/// parses back to exactly the seed, spec string, and entries that went
+/// in, whatever characters the strings hold.
+#[test]
+fn failure_artifacts_round_trip_through_json() {
+    let violations = vec![HOSTILE.to_string(), format!("gap {HOSTILE} of 3ns"), String::new()];
+    let artifact = FailureArtifact {
+        seed: 123_456_789,
+        fault_spec: HOSTILE.into(),
+        violations: violations.clone(),
+    };
+    let rendered = artifact.to_json();
+    assert!(rendered.contains("r\\ret"), "\\r renders as a short escape: {rendered}");
+    let doc = parse(&rendered);
+    let f = fields(&doc);
+    assert_eq!(f.keys().collect::<Vec<_>>(), ["fault_spec", "seed", "violations"]);
+    assert_eq!(f["seed"].as_f64(), Some(123_456_789.0));
+    assert_eq!(f["fault_spec"].as_str(), Some(HOSTILE));
+    let parsed: Vec<_> = f["violations"]
+        .as_array()
+        .expect("violations array")
+        .iter()
+        .map(json::Value::as_str)
+        .collect();
+    assert_eq!(parsed, violations.iter().map(|v| Some(v.as_str())).collect::<Vec<_>>());
+
+    let events = vec![
+        FleetFaultRecord { epoch: 0, server: 3, kind: FleetFaultKind::Crash },
+        FleetFaultRecord { epoch: 2, server: 1, kind: FleetFaultKind::RackOutage },
+        FleetFaultRecord { epoch: 7, server: 12, kind: FleetFaultKind::ThrottleEnd },
+    ];
+    let fleet =
+        FleetFailureArtifact { seed: 42, fleet_spec: HOSTILE.into(), events: events.clone() };
+    let doc = parse(&fleet.to_json());
+    let f = fields(&doc);
+    assert_eq!(f.keys().collect::<Vec<_>>(), ["events", "fleet_spec", "seed"]);
+    assert_eq!(f["seed"].as_f64(), Some(42.0));
+    assert_eq!(f["fleet_spec"].as_str(), Some(HOSTILE));
+    let parsed = f["events"].as_array().expect("events array");
+    assert_eq!(parsed.len(), events.len());
+    for (got, want) in parsed.iter().zip(&events) {
+        let g = fields(got);
+        assert_eq!(g.keys().collect::<Vec<_>>(), ["epoch", "kind", "server"]);
+        assert_eq!(g["epoch"].as_f64(), Some(want.epoch as f64));
+        assert_eq!(g["server"].as_f64(), Some(want.server as f64));
+        assert_eq!(g["kind"].as_str(), Some(want.kind.name()));
+    }
 }
