@@ -441,11 +441,27 @@ fn named_config(name: &str) -> Result<NamedConfig, ParseError> {
         .ok_or_else(|| ParseError(format!("unknown config '{name}'")))
 }
 
+/// Largest accepted `--cores`: far above any real part, and low
+/// enough that per-core state is allocated without aborting.
+const MAX_CORES: usize = 4096;
+
+/// Largest accepted `--servers`, for the same reason per server.
+const MAX_SERVERS: usize = 1_000_000;
+
 /// Parses a strictly positive integer flag value.
 fn positive_usize(flag: &str, v: &str) -> Result<usize, ParseError> {
     let n: usize = v.parse().map_err(|_| ParseError(format!("bad {flag} value '{v}'")))?;
     if n == 0 {
         return Err(ParseError(format!("{flag} must be positive")));
+    }
+    Ok(n)
+}
+
+/// Parses a strictly positive integer flag value of at most `max`.
+fn bounded_usize(flag: &str, v: &str, max: usize) -> Result<usize, ParseError> {
+    let n = positive_usize(flag, v)?;
+    if n > max {
+        return Err(ParseError(format!("{flag} must be at most {max}")));
     }
     Ok(n)
 }
@@ -560,7 +576,7 @@ fn parse_sweep(rest: &[String]) -> Result<SweepArgs, ParseError> {
             "--workload" => args.workload = value("--workload")?,
             "--qps" => args.qps = positive_f64("--qps", &value("--qps")?, "requests/s")?,
             "--config" => args.config = named_config(&value("--config")?)?,
-            "--cores" => args.cores = positive_usize("--cores", &value("--cores")?)?,
+            "--cores" => args.cores = bounded_usize("--cores", &value("--cores")?, MAX_CORES)?,
             "--duration-ms" => {
                 args.duration_ms =
                     positive_f64("--duration-ms", &value("--duration-ms")?, "milliseconds")?;
@@ -585,7 +601,7 @@ fn parse_analyze(rest: &[String]) -> Result<AnalyzeArgs, ParseError> {
         match flag.as_str() {
             "--workload" => args.workload = value("--workload")?,
             "--qps" => args.qps = positive_f64("--qps", &value("--qps")?, "requests/s")?,
-            "--cores" => args.cores = positive_usize("--cores", &value("--cores")?)?,
+            "--cores" => args.cores = bounded_usize("--cores", &value("--cores")?, MAX_CORES)?,
             "--duration-ms" => {
                 args.duration_ms =
                     positive_f64("--duration-ms", &value("--duration-ms")?, "milliseconds")?;
@@ -611,8 +627,10 @@ fn consume_fleet_flag(
     let mut value =
         |name: &str| it.next().cloned().ok_or_else(|| ParseError(format!("{name} needs a value")));
     match flag {
-        "--servers" => args.servers = positive_usize("--servers", &value("--servers")?)?,
-        "--cores" => args.cores = positive_usize("--cores", &value("--cores")?)?,
+        "--servers" => {
+            args.servers = bounded_usize("--servers", &value("--servers")?, MAX_SERVERS)?;
+        }
+        "--cores" => args.cores = bounded_usize("--cores", &value("--cores")?, MAX_CORES)?,
         "--policy" => {
             let v = value("--policy")?;
             args.policy = v.parse().map_err(|e: String| ParseError(e))?;
@@ -854,6 +872,28 @@ mod tests {
         assert!(parse(&argv("fleet --diurnal 1.5")).is_err());
         assert!(parse(&argv("fleet --epoch-ms 0")).is_err());
         assert!(parse(&argv("fleet --frobnicate 3")).is_err());
+    }
+
+    /// Sizes that would abort in the allocator fail as usage errors
+    /// naming the limit, before anything is allocated.
+    #[test]
+    fn oversized_cores_and_servers_are_usage_errors() {
+        let cores = format!("--cores must be at most {MAX_CORES}");
+        let servers = format!("--servers must be at most {MAX_SERVERS}");
+        for (cmd, msg) in [
+            ("sweep --cores 100000000000 --duration-ms 1", &cores),
+            ("analyze --cores 4097", &cores),
+            ("fleet --servers 4 --cores 100000000000", &cores),
+            ("fleet --servers 4294967297", &servers),
+            ("watch --servers 1000001", &servers),
+        ] {
+            assert_eq!(parse(&argv(cmd)), Err(ParseError(msg.clone())), "{cmd}");
+        }
+        let Command::Fleet(f) = parse(&argv("fleet --servers 1000000 --cores 4096")).unwrap()
+        else {
+            panic!("expected fleet");
+        };
+        assert_eq!((f.servers, f.cores), (MAX_SERVERS, MAX_CORES));
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Streaming fleet observation: per-epoch events pushed while the
 //! fleet run is in flight.
 //!
-//! The fleet analogue of `aw_telemetry`'s window streaming. A
-//! [`FleetObserver`] receives one [`FleetEpochEvent`] per epoch as soon
-//! as that epoch's server-epoch simulations finish and aggregate — the
-//! event carries the exact [`FleetWindow`] the final report will
+//! A [`FleetObserver`] receives one [`FleetEpochEvent`] per epoch as
+//! soon as that epoch's server-epoch simulations finish and aggregate —
+//! the event carries the exact [`FleetWindow`] the final report will
 //! contain plus one [`ServerEpochSnapshot`] per server, which the batch
 //! path never materializes. [`fleet_stream`] provides the bounded
-//! (backpressured) channel for moving events to a consumer thread; the
-//! channel types are re-exported from `aw_telemetry` so a cockpit can
-//! drain server windows and fleet epochs with one polling idiom.
+//! (backpressured) channel for moving events to a consumer thread, built
+//! on `aw_telemetry::bounded_stream`.
 //!
 //! Determinism contract: observation is pure. The events are built from
 //! clones of values the aggregation loop computes anyway, in the same

@@ -2,9 +2,9 @@
 //!
 //! Every paper artifact in this workspace (Fig. 8–13, Tables 1–5, the
 //! ablations, the validation suite, the chaos harness) is a sweep of
-//! *independent* simulation points: each point builds its own
-//! [`ServerSim`](../aw_server) from an explicit `(config, workload, seed)`
-//! triple and shares no mutable state with its neighbours. That shape is
+//! *independent* simulation points: each point runs its own server
+//! simulation from an explicit `(config, workload, seed)` triple and
+//! shares no mutable state with its neighbours. That shape is
 //! embarrassingly parallel — and this crate is the one place that
 //! exploits it.
 //!

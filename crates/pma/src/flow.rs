@@ -147,25 +147,6 @@ impl FlowTrace {
             .windows(2)
             .all(|w| ((w[0].start + w[0].duration) - w[1].start).as_nanos().abs() < 1e-9)
     }
-
-    /// Emits the trace into a telemetry sink as one
-    /// [`aw_telemetry::EventKind::FlowStep`] per step, shifting the
-    /// flow-relative timestamps to absolute time `base`.
-    pub fn emit(&self, sink: &mut impl aw_telemetry::TraceSink, core: u32, base: Nanos) {
-        if !sink.is_enabled() {
-            return;
-        }
-        for step in &self.steps {
-            sink.record(aw_telemetry::TraceEvent {
-                time: base + step.start,
-                core,
-                kind: aw_telemetry::EventKind::FlowStep {
-                    step: step.state.name(),
-                    duration: step.duration,
-                },
-            });
-        }
-    }
 }
 
 /// What happened during a fault-aware exit flow.

@@ -1,14 +1,13 @@
-//! The unified simulation entry point: [`SimBuilder`] → [`RunOutput`].
+//! The simulation entry point: [`SimBuilder`] → [`RunOutput`].
 //!
-//! Historically [`ServerSim`] grew three overlapping run methods
-//! (`run`, `run_traced`, `run_full`, removed in 0.7) plus ad-hoc
-//! `with_*` toggles; that shape does not compose when a fleet simulator
-//! needs to stamp out N identically configured servers. [`SimBuilder`]
-//! collapses all of it into one declarative description of a run —
+//! A [`SimBuilder`] is one declarative description of a run —
 //! configuration, workload, seed, fault plan, telemetry, attribution,
 //! SLO target, and optional latency-sample or idle-interval capture —
-//! and one way to execute it: [`SimBuilder::run`], which always returns
-//! the full [`RunOutput`].
+//! with one way to execute it: [`SimBuilder::run`], which always
+//! returns the full [`RunOutput`]. The observation settings become one
+//! composed probe (see [`crate::probe`]), the engine's single
+//! observation path; each output field is `Some` exactly when its
+//! setting was made.
 //!
 //! The builder is [`Clone`], so a fleet (or any sweep) can hold one
 //! prototype and stamp out per-server instances, varying only the seed
@@ -39,11 +38,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use aw_faults::FaultPlan;
-use aw_telemetry::SloMonitor;
+use aw_telemetry::{SloMonitor, TelemetryRecorder};
 use aw_types::Nanos;
 
 use crate::config::ServerConfig;
-use crate::sim::{RunOutput, ServerSim};
+use crate::probe::{AttributionProbe, IdleLog, RunProbe};
+use crate::sim::{expected_samples, RunOutput, ServerSim};
 use crate::workload::WorkloadSpec;
 
 /// Process-wide override that disables the analytic idle-skip fast path
@@ -166,8 +166,8 @@ impl SimBuilder {
         self
     }
 
-    /// Captures every measured (post-warm-up, non-tick) request latency
-    /// in the output's `latency_samples`, in completion order. Pure
+    /// Copies every measured (post-warm-up, non-tick) request latency
+    /// into the output's `latency_samples`, in completion order. Pure
     /// observation: the run is bit-identical with or without it. This is
     /// what lets a fleet aggregator compute *exact* cross-server
     /// quantiles instead of averaging per-server percentiles.
@@ -237,54 +237,29 @@ impl SimBuilder {
     /// the panic-on-failure contract).
     #[must_use]
     pub fn run(self) -> RunOutput {
-        self.execute(None)
-    }
-
-    /// Executes the run while pushing every closed attribution window to
-    /// `observer` as it becomes final (see
-    /// [`aw_telemetry::WindowObserver`]). Implies attribution: if no
-    /// window was chosen with [`SimBuilder::with_attribution`], the
-    /// [`SimBuilder::default_window`] is used. Streaming is pure
-    /// observation — the returned [`RunOutput`] (and its timeline CSV)
-    /// is byte-identical to [`SimBuilder::run`]'s.
-    ///
-    /// Pair with [`aw_telemetry::window_stream`] to consume the windows
-    /// on another thread, or pass any collector (e.g.
-    /// [`aw_telemetry::TimelineCollector`]) to consume them in-process.
-    #[must_use]
-    pub fn run_streaming(self, observer: Box<dyn aw_telemetry::WindowObserver>) -> RunOutput {
-        self.execute(Some(observer))
-    }
-
-    /// The single execution path behind [`SimBuilder::run`] and
-    /// [`SimBuilder::run_streaming`].
-    fn execute(self, observer: Option<Box<dyn aw_telemetry::WindowObserver>>) -> RunOutput {
         let slo_target = self.slo_p99;
-        let attribution_window = self.attribution_window.or_else(|| {
-            (slo_target.is_some() || observer.is_some())
-                .then(|| Self::default_window(self.config.duration))
-        });
-        let mut sim = ServerSim::new(self.config, self.workload, self.seed);
+        let attribution_window = self
+            .attribution_window
+            .or_else(|| slo_target.map(|_| Self::default_window(self.config.duration)));
+        let (cores, measure_start) = (self.config.cores, self.config.warmup);
+        let expected = expected_samples(&self.config, &self.workload);
+        let probe: RunProbe = (
+            self.telemetry_limit.map(|limit| TelemetryRecorder::new(cores, limit)),
+            (
+                attribution_window
+                    .map(|window| AttributionProbe::new(window, cores, measure_start, expected)),
+                // A light-load core completes roughly one idle round trip
+                // per served request, so the sample estimate pre-sizes
+                // the log too.
+                self.idle_analysis.then(|| IdleLog::new(cores, measure_start, expected)),
+            ),
+        );
+        let mut sim = ServerSim::new(self.config, self.workload, self.seed, probe);
         sim.set_idle_skip(self.idle_skip);
         if let Some(plan) = self.faults {
             sim.set_faults(plan);
         }
-        if let Some(limit) = self.telemetry_limit {
-            sim.set_telemetry(limit);
-        }
-        if let Some(window) = attribution_window {
-            sim.set_attribution(window);
-        }
-        if self.latency_samples {
-            sim.set_latency_samples();
-        }
-        if self.idle_analysis {
-            sim.set_idle_analysis();
-        }
-        if let Some(obs) = observer {
-            sim.set_window_observer(obs, slo_target);
-        }
-        let mut out = sim.run_to_output();
+        let mut out = sim.run_to_output(self.latency_samples);
         if let (Some(target), Some(report)) = (slo_target, out.attribution.as_ref()) {
             out.slo = Some(SloMonitor::new(target).evaluate(&report.timeline));
         }
@@ -427,83 +402,6 @@ mod tests {
         assert_eq!(stamped.seed(), 99);
         assert!((stamped.workload().offered_qps() - 25_000.0).abs() < 1e-6);
         assert_eq!(proto.seed(), 1);
-    }
-
-    #[test]
-    fn streamed_windows_rebuild_the_batch_timeline_byte_for_byte() {
-        use aw_telemetry::{StreamWindow, TimelineCollector, WindowObserver};
-
-        let window = Nanos::from_millis(5.0);
-        let batch = builder(NamedConfig::Aw, 90_000.0, 13).with_attribution(window).run();
-        let batch_csv = batch.attribution.as_ref().expect("attribution on").timeline.to_csv();
-
-        /// Forwards to a [`TimelineCollector`] and checks the stream
-        /// contract on the way through: in-order, gap-free, finished
-        /// exactly once.
-        struct Checked {
-            collector: TimelineCollector,
-            next: usize,
-            finished: bool,
-        }
-        impl WindowObserver for Checked {
-            fn on_window(&mut self, w: &StreamWindow) {
-                assert_eq!(w.index, self.next, "stream skipped or repeated a window");
-                assert!(!self.finished, "window after finish");
-                self.next += 1;
-                self.collector.on_window(w);
-            }
-            fn on_finish(&mut self) {
-                self.finished = true;
-            }
-        }
-
-        let streamed = builder(NamedConfig::Aw, 90_000.0, 13)
-            .with_attribution(window)
-            .run_streaming(Box::new(Checked {
-                collector: TimelineCollector::new(window),
-                next: 0,
-                finished: false,
-            }));
-        // Streaming is pure observation: the batch output is unchanged.
-        assert_eq!(
-            format!("{:?}", batch.metrics),
-            format!("{:?}", streamed.metrics),
-            "streaming perturbed the run"
-        );
-        assert_eq!(
-            batch_csv,
-            streamed.attribution.as_ref().expect("attribution on").timeline.to_csv(),
-            "streaming changed the batch timeline itself"
-        );
-    }
-
-    #[test]
-    fn streaming_delivers_windows_before_the_run_ends() {
-        use aw_telemetry::window_stream;
-
-        let window = Nanos::from_millis(2.0);
-        let (tx, mut rx) = window_stream(256);
-        let handle = std::thread::spawn(move || {
-            builder(NamedConfig::Aw, 90_000.0, 17)
-                .with_attribution(window)
-                .with_slo(Nanos::from_micros(500.0))
-                .run_streaming(Box::new(tx))
-        });
-        let mut collector = aw_telemetry::TimelineCollector::new(window);
-        let mut seen = 0usize;
-        while let Some(w) = rx.recv() {
-            assert_eq!(w.index, seen);
-            assert_eq!(w.duration, window);
-            assert!(w.slo_violated.is_some(), "SLO target set, verdict missing");
-            aw_telemetry::WindowObserver::on_window(&mut collector, &w);
-            seen += 1;
-        }
-        let out = handle.join().expect("sim thread");
-        assert!(seen > 0, "no windows streamed");
-        assert_eq!(
-            collector.timeline().to_csv(),
-            out.attribution.as_ref().expect("attribution on").timeline.to_csv()
-        );
     }
 
     #[test]

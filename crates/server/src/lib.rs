@@ -41,6 +41,7 @@ mod config;
 mod core;
 mod idle;
 mod metrics;
+mod probe;
 mod sim;
 mod thermal;
 pub mod trace;
@@ -52,7 +53,7 @@ pub use config::{BreakerPolicy, Dispatch, GovernorKind, RetryPolicy, ServerConfi
 pub use core::{CoreState, SimCore};
 pub use idle::IdleInterval;
 pub use metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
-pub use sim::{RunOutput, ServerSim};
+pub use sim::RunOutput;
 pub use thermal::ThermalModel;
 pub use uncore::{PackageCState, UncoreModel, UncorePower};
 // The hardware-model surface, re-exported so simulator users don't need

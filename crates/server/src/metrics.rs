@@ -252,7 +252,7 @@ pub struct RunMetrics {
     pub telemetry: Option<TelemetrySummary>,
     /// Per-request latency attribution (phase means, tail bucket, exit
     /// penalty by C-state); `Some` only for attributed runs (see
-    /// `ServerSim::with_attribution`).
+    /// `SimBuilder::with_attribution`).
     pub attribution: Option<AttributionSummary>,
     /// Fault/overload/degradation counters (always present; all-zero for
     /// a clean run).

@@ -1,22 +1,19 @@
 //! The discrete-event server simulation loop.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use aw_cstates::{CState, CStateConfig, CircuitBreaker};
 use aw_faults::{FailureArtifact, FaultPlan, InvariantChecker, ServerFaultHook};
 use aw_power::ResidencyVector;
 use aw_sim::{EventQueue, SampleSet, SimRng};
-use aw_telemetry::{
-    Attribution, AttributionReport, RequestSpan, SloReport, TelemetryRecorder, TelemetryReport,
-    WindowCounters, WindowObserver,
-};
+use aw_telemetry::{AttributionReport, RequestSpan, SloReport, TelemetryReport};
 use aw_types::{MilliWatts, Nanos, Ratio};
 
 use crate::config::{Dispatch, GovernorKind, ServerConfig, SnoopTraffic};
 use crate::core::{CoreState, QueuedRequest, SimCore};
 use crate::idle::IdleInterval;
 use crate::metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
+use crate::probe::{Incident, Probe};
 use crate::trace;
 use crate::uncore::{PackageCState, UncoreModel};
 use crate::workload::WorkloadSpec;
@@ -60,10 +57,9 @@ enum Event {
 }
 
 /// The server simulator: drives a [`WorkloadSpec`] through a
-/// [`ServerConfig`] and produces [`RunMetrics`].
-///
-/// See the crate-level example for usage.
-pub struct ServerSim {
+/// [`ServerConfig`] and produces [`RunMetrics`], reporting to one
+/// [`Probe`] along the way. Runs are built by [`crate::SimBuilder`].
+pub(crate) struct ServerSim<P: Probe> {
     config: ServerConfig,
     workload: WorkloadSpec,
     rng: SimRng,
@@ -84,19 +80,8 @@ pub struct ServerSim {
     next_arrival: Nanos,
     end: Nanos,
     uncore: UncoreModel,
-    /// `Some` when tracing is enabled (see
-    /// [`crate::SimBuilder::with_telemetry`]); `None` keeps every
-    /// emission site a single branch on the fast path.
-    telemetry: Option<TelemetryRecorder>,
-    /// `Some` when latency attribution is enabled (see
-    /// [`crate::SimBuilder::with_attribution`]).
-    attrib: Option<Attribution>,
-    /// Per-core (accounting-state label, entered-at) marks backing the
-    /// attribution timeline's residency intervals.
-    attrib_marks: Vec<(&'static str, Nanos)>,
-    /// Start of the measured window (= warm-up end): attribution ignores
-    /// power/residency before it, matching the metric reset.
-    measure_start: Nanos,
+    /// The run's one observer (see [`crate::probe`]).
+    probe: P,
     /// The seed the simulator was built with, kept for replay artifacts.
     seed: u64,
     /// `Some` when fault injection is enabled (see
@@ -127,29 +112,6 @@ pub struct ServerSim {
     /// Non-tick completions over the whole run (warm-up included), for
     /// the request-conservation invariant.
     completed_all: u64,
-    /// `Some` when raw latency-sample capture is enabled (see
-    /// [`crate::SimBuilder::with_latency_samples`]): every measured
-    /// latency is appended here as well as to the `latencies` reservoir.
-    /// Pure observation — never read during the run.
-    latency_log: Option<Vec<f64>>,
-    /// `Some` when idle analysis is enabled (see
-    /// [`crate::SimBuilder::with_idle_analysis`]): every completed idle
-    /// round trip is recorded on the wake path. Pure observation —
-    /// never read during the run.
-    idle_log: Option<Vec<IdleInterval>>,
-    /// Per-core governor prediction stashed at the `begin_idle`
-    /// selection point, consumed by the matching wake-path record.
-    /// Only written while `idle_log` is attached.
-    idle_predictions: Vec<Option<Nanos>>,
-    /// `Some` when streaming observation is enabled (see
-    /// [`crate::SimBuilder::run_streaming`]): closed attribution windows
-    /// are pushed here as the event loop crosses their boundaries. Pure
-    /// observation — windows are cloned out of the timeline, never
-    /// flushed early, so the batch output is unchanged.
-    observer: Option<Box<dyn WindowObserver>>,
-    /// The p99 target stamped on each streamed window's SLO verdict
-    /// (`None` streams windows without a verdict).
-    stream_slo: Option<Nanos>,
     /// `false` disables the analytic idle-skip fast path (the
     /// `--no-idle-skip` debug flag): every event then flows through the
     /// event queue exactly as in the classic stepped engine. The two
@@ -221,9 +183,9 @@ pub struct RunOutput {
     /// through the event queue — a subset of `metrics.events`, always
     /// zero with idle-skip off. `chained / events` is the skip hit
     /// rate. Deliberately an engine diagnostic *outside*
-    /// [`RunMetrics`]: instrumented runs (fault plans, telemetry,
-    /// window observers) disable the fast path, and their metrics must
-    /// stay bit-identical to plain runs.
+    /// [`RunMetrics`]: instrumented runs (fault plans, telemetry)
+    /// disable the fast path, and their metrics must stay bit-identical
+    /// to plain runs.
     pub chained: u64,
 }
 
@@ -245,24 +207,33 @@ impl RunOutput {
     }
 }
 
-impl ServerSim {
-    /// Builds a simulator for one run.
-    #[must_use]
-    pub fn new(config: ServerConfig, workload: WorkloadSpec, seed: u64) -> Self {
+/// Expected measured completions of `workload` on `config`, used to
+/// pre-size the sample reservoirs: offered load times measured duration,
+/// bounded so a pathological parameterization cannot demand an absurd
+/// allocation.
+pub(crate) fn expected_samples(config: &ServerConfig, workload: &WorkloadSpec) -> usize {
+    let expected = workload.offered_qps() * config.duration.as_secs();
+    if expected.is_finite() && expected > 0.0 {
+        (expected.ceil() as usize).min(1 << 22)
+    } else {
+        0
+    }
+}
+
+impl<P: Probe> ServerSim<P> {
+    /// Builds a simulator for one run, observed by `probe`.
+    pub(crate) fn new(config: ServerConfig, workload: WorkloadSpec, seed: u64, probe: P) -> Self {
         let mut rng = SimRng::seed(seed);
         let cores: Vec<SimCore> =
             (0..config.cores).map(|id| SimCore::new(id, config.governor.build())).collect();
         let _ = rng.fork(0); // decorrelate from the seed's first draw
         let end = config.warmup + config.duration;
-        let measure_start = config.warmup;
-        let attrib_marks = vec![("C0", Nanos::ZERO); cores.len()];
         let uncore = UncoreModel::for_hw(config.hw, config.cores, Nanos::ZERO);
         let snoop_rng = SimRng::seed(seed ^ 0x534E_4F4F_505F_5247); // "SNOOP_RG"
         let retry_rng = SimRng::seed(seed ^ 0x5245_5452_595F_5247); // "RETRY_RG"
         let breakers = (0..config.cores)
             .map(|_| CircuitBreaker::new(config.breaker.threshold, config.breaker.cooldown))
             .collect();
-        let idle_predictions = vec![None; config.cores];
         let demoted_cstates = config.cstates.demote_agile();
         // Pending-event envelope, sized like the sample reservoirs from
         // the offered load rather than from the core count alone: one
@@ -302,10 +273,7 @@ impl ServerSim {
             next_arrival: Nanos::ZERO,
             end,
             uncore,
-            telemetry: None,
-            attrib: None,
-            attrib_marks,
-            measure_start,
+            probe,
             seed,
             faults: None,
             retry_rng,
@@ -316,11 +284,6 @@ impl ServerSim {
             slowdown_until: Nanos::ZERO,
             arrivals_total: 0,
             completed_all: 0,
-            latency_log: None,
-            idle_log: None,
-            idle_predictions,
-            observer: None,
-            stream_slo: None,
             idle_skip: true,
             chain_core: None,
             chain_next: None,
@@ -350,140 +313,17 @@ impl ServerSim {
         self.faults = Some(Box::new(plan));
     }
 
-    /// Enables telemetry (used by
-    /// [`crate::SimBuilder::with_telemetry`]): structured trace events
-    /// (bounded to `trace_limit`, oldest evicted first) plus the metrics
-    /// registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace_limit` is zero.
-    pub(crate) fn set_telemetry(&mut self, trace_limit: usize) {
-        self.telemetry = Some(TelemetryRecorder::new(self.cores.len(), trace_limit));
-    }
-
-    /// Enables per-request latency attribution over the measured window
-    /// (used by [`crate::SimBuilder::with_attribution`]): every
-    /// completed (non-tick) request becomes a [`RequestSpan`], and
-    /// power/residency intervals feed a timeline with `window`-sized
-    /// buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is not strictly positive.
-    pub(crate) fn set_attribution(&mut self, window: Nanos) {
-        // Pre-size the span reservoir for the expected completions so
-        // the per-request `RequestSpan` push reuses one allocation
-        // instead of growing through doubling reallocations mid-run.
-        self.attrib = Some(Attribution::with_capacity(window, self.expected_samples()));
-    }
-
-    /// Enables raw latency-sample capture (used by
-    /// [`crate::SimBuilder::with_latency_samples`]).
-    pub(crate) fn set_latency_samples(&mut self) {
-        self.latency_log = Some(Vec::with_capacity(self.expected_samples()));
-    }
-
-    /// Enables idle-interval capture (used by
-    /// [`crate::SimBuilder::with_idle_analysis`]). A light-load core
-    /// completes roughly one idle round trip per served request, so the
-    /// sample-reservoir estimate is a reasonable pre-size here too.
-    pub(crate) fn set_idle_analysis(&mut self) {
-        self.idle_log = Some(Vec::with_capacity(self.expected_samples()));
-    }
-
-    /// Attaches a streaming window observer (used by
-    /// [`crate::SimBuilder::run_streaming`]); requires attribution,
-    /// which owns the timeline the stream is cut from. `slo_p99` stamps
-    /// each streamed window with the per-window `p99 > target` verdict.
-    pub(crate) fn set_window_observer(
-        &mut self,
-        observer: Box<dyn WindowObserver>,
-        slo_p99: Option<Nanos>,
-    ) {
-        self.observer = Some(observer);
-        self.stream_slo = slo_p99;
-    }
-
-    /// The cumulative degradation counters in the telemetry-layer shape
-    /// stamped on each streamed window.
-    fn window_counters(d: &DegradationStats) -> WindowCounters {
-        WindowCounters {
-            faults_injected: d.faults_injected,
-            shed: d.shed,
-            timeouts: d.timeouts,
-            retries: d.retries,
-            breaker_trips: d.breaker_trips,
-            breaker_restores: d.breaker_restores,
-            fallback_exits: d.fallback_exits,
-        }
-    }
-
-    /// Streams every attribution window that closed at or before the
-    /// run's watermark — the earliest simulated time any *future*
-    /// power/residency deposit or span completion can touch.
-    ///
-    /// The watermark is computed read-only: each core's energy meter
-    /// position and open residency mark are *inspected*, never flushed
-    /// (flushing would bump core generations and invalidate pending
-    /// events, perturbing the run). Future power deposits start at the
-    /// depositing core's current meter position, residency deposits at
-    /// its open mark, and span completions at the current event time —
-    /// all at or past the minimum of those clocks — so every window
-    /// ending at or before it is final and safe to clone out.
-    fn maybe_stream(&mut self, now: Nanos) {
-        let Some(mut observer) = self.observer.take() else {
-            return;
-        };
-        if let Some(a) = self.attrib.as_mut() {
-            let wn = a.timeline().window_duration().as_nanos();
-            // Cheap pre-check: the watermark never leads `now`, so no
-            // window can close before `now` crosses its boundary.
-            if now.as_nanos() >= (a.stream_cursor() + 1) as f64 * wn {
-                let mut wm = f64::INFINITY;
-                for (i, core) in self.cores.iter().enumerate() {
-                    wm = wm.min(core.meter.now().as_nanos());
-                    wm = wm.min(self.attrib_marks[i].1.as_nanos());
-                }
-                // Deposits clamp their start to the measured window, so
-                // nothing earlier than `measure_start` is ever touched.
-                let watermark = Nanos::new(wm.max(self.measure_start.as_nanos()));
-                let counters = Self::window_counters(&self.degradation);
-                a.stream_closed(watermark, counters, self.stream_slo, observer.as_mut());
-            }
-        }
-        self.observer = Some(observer);
-    }
-
-    /// Expected measured completions, used to pre-size the sample
-    /// reservoirs: offered load times measured duration, bounded so a
-    /// pathological parameterization cannot demand an absurd allocation.
-    fn expected_samples(&self) -> usize {
-        let expected = self.workload.offered_qps() * self.config.duration.as_secs();
-        if expected.is_finite() && expected > 0.0 {
-            (expected.ceil() as usize).min(1 << 22)
-        } else {
-            0
-        }
-    }
-
-    /// Advances core `id`'s meters to `now`, feeding the elapsed
-    /// constant-power interval to the attribution timeline, then switches
-    /// the standing power.
+    /// Advances core `id`'s meters to `now`, reporting the elapsed
+    /// constant-power interval to the probe, then switches the standing
+    /// power.
     fn switch_core_power(&mut self, id: usize, now: Nanos, power: MilliWatts) {
-        if let Some(a) = self.attrib.as_mut() {
-            let core = &self.cores[id];
-            let start = core.meter.now().max(self.measure_start);
-            if now > start {
-                a.record_power(start, now, core.current_power);
-            }
-        }
+        let core = &self.cores[id];
+        self.probe.power(id, core.meter.now(), now, core.current_power);
         self.cores[id].switch_power(now, power);
     }
 
     /// Moves core `id` to a new life-cycle state, checking the transition
-    /// against the legal life-cycle arcs and closing the previous
-    /// accounting-state interval in the attribution timeline.
+    /// against the legal life-cycle arcs and reporting it to the probe.
     fn set_core_state(&mut self, id: usize, now: Nanos, state: CoreState) {
         let from = self.cores[id].state;
         let legal = match (from, state) {
@@ -498,14 +338,7 @@ impl ServerSim {
         self.invariants.check(legal, || {
             format!("core {id}: illegal life-cycle transition {from:?} -> {state:?} at {now}")
         });
-        if let Some(a) = self.attrib.as_mut() {
-            let (label, since) = self.attrib_marks[id];
-            let start = since.max(self.measure_start);
-            if now > start {
-                a.record_residency(label, start, now);
-            }
-            self.attrib_marks[id] = (trace::cstate_label(state.accounting_state()), now);
-        }
+        self.probe.state_change(id, now, from, state);
         if let CoreState::Idle { state: parked } = from {
             self.idle_cores -= 1;
             if parked == CState::C6 {
@@ -572,8 +405,9 @@ impl ServerSim {
 
     /// The single execution path behind [`crate::SimBuilder::run`]:
     /// drives the event loop to completion and assembles the
-    /// [`RunOutput`].
-    pub(crate) fn run_to_output(mut self) -> RunOutput {
+    /// [`RunOutput`], copying the measured latencies into
+    /// `latency_samples` when `latency_samples` is set.
+    pub(crate) fn run_to_output(mut self, latency_samples: bool) -> RunOutput {
         // Every core starts active with nothing to do: send each to idle
         // immediately so the fleet begins in a realistic parked state.
         for id in 0..self.cores.len() {
@@ -610,10 +444,7 @@ impl ServerSim {
                 break;
             }
             self.events += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                // Depth counts the popped event plus everything pending.
-                t.sim_event(now, self.queue.len() + 1);
-            }
+            self.probe.event(now, self.queue.len() + 1);
             match event {
                 Event::Arrival => self.on_arrival(now),
                 Event::ServiceDone { core, gen } => self.on_service_done(core, gen, now),
@@ -628,46 +459,18 @@ impl ServerSim {
                 Event::SlowdownStart => self.on_slowdown_start(now),
                 Event::Retry { service, attempt } => self.on_retry(now, service, attempt),
             }
-            if self.observer.is_some() {
-                self.maybe_stream(now);
-            }
         }
 
+        // Every core's standing power interval runs to the end of the
+        // run; `finalize` advances the meters over it.
         let end = self.end;
-        let report = self.telemetry.take().map(|t| t.into_report(end));
-        if self.attrib.is_some() {
-            // Flush the attribution timeline to the end of the run: the
-            // standing power interval and open residency mark of every
-            // core. `finalize` re-advances the meters to `end`, which is
-            // then a zero-length no-op.
-            for id in 0..self.cores.len() {
-                let p = self.cores[id].current_power;
-                self.switch_core_power(id, end, p);
-                let (label, since) = self.attrib_marks[id];
-                let start = since.max(self.measure_start);
-                if end > start {
-                    if let Some(a) = self.attrib.as_mut() {
-                        a.record_residency(label, start, end);
-                    }
-                }
-                self.attrib_marks[id] = (label, end);
-            }
+        for (id, core) in self.cores.iter().enumerate() {
+            self.probe.power(id, core.meter.now(), end, core.current_power);
         }
-        // With the timeline flushed to `end`, every remaining window is
-        // final: stream them and close the observer.
-        if let Some(mut observer) = self.observer.take() {
-            if let Some(a) = self.attrib.as_mut() {
-                let counters = Self::window_counters(&self.degradation);
-                a.stream_remaining(counters, self.stream_slo, observer.as_mut());
-            }
-            observer.on_finish();
-        }
-        let attribution = self.attrib.take().map(Attribution::finish);
-        let latency_samples = self.latency_log.take();
-        let idle_intervals = self.idle_log.take();
-        let mut metrics = self.finalize();
-        metrics.telemetry = report.as_ref().map(|r| r.summary.clone());
-        metrics.attribution = attribution.as_ref().map(|r| r.summary.clone());
+        // Completion order: the percentile selection reorders the
+        // reservoir.
+        let latency_samples = latency_samples.then(|| self.latencies.values().to_vec());
+        let metrics = self.finalize();
         let fault_spec =
             self.faults.as_ref().map_or_else(|| "none".to_string(), |f| f.spec().to_string());
         let failure = FailureArtifact::from_checker(
@@ -675,16 +478,18 @@ impl ServerSim {
             self.seed,
             fault_spec,
         );
-        RunOutput {
+        let mut out = RunOutput {
             metrics,
-            telemetry: report,
-            attribution,
+            telemetry: None,
+            attribution: None,
             slo: None,
             latency_samples,
-            idle_intervals,
+            idle_intervals: None,
             failure,
             chained: self.chained,
-        }
+        };
+        self.probe.finish(end, &mut out);
+        out
     }
 
     fn dispatch(&mut self) -> usize {
@@ -729,9 +534,7 @@ impl ServerSim {
         if let Some(cap) = self.config.queue_cap {
             if self.cores[id].queue.len() >= cap {
                 self.degradation.shed += 1;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.shed(id as u32, now, cap as u32);
-                }
+                self.probe.incident(id, now, Incident::Shed { cap });
                 self.schedule_retry(now, service, attempt);
                 return;
             }
@@ -744,9 +547,7 @@ impl ServerSim {
             is_tick: false,
             attempt,
         });
-        if let Some(t) = self.telemetry.as_mut() {
-            t.enqueue(id as u32, now, self.cores[id].queue.len() as u32);
-        }
+        self.probe.enqueue(id, now, self.cores[id].queue.len());
 
         if let CoreState::Idle { state } = self.cores[id].state {
             if let Some(delay) = self.faults.as_mut().and_then(|f| f.lost_wake()) {
@@ -781,12 +582,12 @@ impl ServerSim {
     /// entirely) and the largest possible service stretch; Turbo only
     /// shortens service, so the bound is conservative. The strictness
     /// matters: on an exact tie the stepped engine would pop the
-    /// earlier-scheduled event first, so ties fall back to stepping.
+    /// earlier-scheduled event first, so ties fall back to stepping. A
+    /// probe that must see every popped event also rules the chain out.
     fn chain_eligible(&self, id: usize, state: CState, now: Nanos, service: Nanos) -> bool {
         if !self.idle_skip
             || self.faults.is_some()
-            || self.telemetry.is_some()
-            || self.observer.is_some()
+            || self.probe.sees_every_event()
             || self.cores[id].queue.len() != 1
         {
             return false;
@@ -865,10 +666,7 @@ impl ServerSim {
         // The voltage/clock ramp means a transition burns roughly the
         // midpoint of the two endpoint powers, not full C0 power.
         let ramp = self.transition_power(from);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.wake(id as u32, now, reason);
-            t.state_change(id as u32, now, trace::exit_label(from));
-        }
+        self.probe.wake(id, now, reason);
         self.switch_core_power(id, now, ramp);
         self.set_core_state(id, now, CoreState::Waking { from });
         let gen = self.cores[id].generation;
@@ -903,9 +701,7 @@ impl ServerSim {
             extra += self.config.catalog.params(CState::C6).exit_latency;
             if self.breakers[id].record_failure(now) {
                 self.degradation.breaker_trips += 1;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.breaker_trip(id as u32, now);
-                }
+                self.probe.incident(id, now, Incident::BreakerTrip);
             }
         } else {
             self.breakers[id].record_success();
@@ -922,12 +718,10 @@ impl ServerSim {
     }
 
     /// Records one injected-fault occurrence: bumps the degradation
-    /// counter and emits the telemetry event when tracing is on.
+    /// counter and reports it to the probe.
     fn note_fault(&mut self, id: usize, now: Nanos, kind: &'static str) {
         self.degradation.faults_injected += 1;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.fault(id as u32, now, kind);
-        }
+        self.probe.incident(id, now, Incident::Fault(kind));
     }
 
     fn begin_idle(&mut self, id: usize, now: Nanos) {
@@ -943,9 +737,7 @@ impl ServerSim {
         let breaker_open = self.breakers[id].is_open(now);
         if self.breakers[id].restores() > restores_before {
             self.degradation.breaker_restores += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                t.breaker_restore(id as u32, now);
-            }
+            self.probe.incident(id, now, Incident::BreakerRestore);
         }
         let cstates = if breaker_open {
             self.degradation.demoted_selections += 1;
@@ -954,21 +746,10 @@ impl ServerSim {
             &self.config.cstates
         };
         let target = self.cores[id].governor.select(cstates, &self.config.catalog, hint);
-        if self.idle_log.is_some() {
-            // Stash the prediction the governor acted on for the
-            // wake-path interval record: the predictor's own estimate,
-            // falling back to the oracle hint (read-only — pure
-            // observation).
-            self.idle_predictions[id] = self.cores[id].governor.last_prediction().or(hint);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            // Predictive governors report their own estimate; for hinted
-            // (oracle) governors the hint *is* the prediction.
-            let predicted =
-                self.cores[id].governor.last_prediction().or(hint).unwrap_or(Nanos::ZERO);
-            t.governor_decision(id as u32, now, trace::cstate_label(target), predicted);
-            t.state_change(id as u32, now, trace::enter_label(target));
-        }
+        // Predictive governors report their own estimate; for hinted
+        // (oracle) governors the hint *is* the prediction.
+        let predicted = self.cores[id].governor.last_prediction().or(hint);
+        self.probe.park(id, now, target, predicted);
         let entry = self.config.catalog.params(target).entry_latency;
         let ramp = self.transition_power(target);
         self.cores[id].idle_since = now;
@@ -987,9 +768,6 @@ impl ServerSim {
         let CoreState::Entering { target } = self.cores[id].state else {
             return;
         };
-        if let Some(t) = self.telemetry.as_mut() {
-            t.state_change(id as u32, now, trace::cstate_label(target));
-        }
         let idle_power = self.config.catalog.power(target, aw_cstates::FreqLevel::P1);
         self.switch_core_power(id, now, idle_power);
         self.set_core_state(id, now, CoreState::Idle { state: target });
@@ -1016,24 +794,10 @@ impl ServerSim {
         let CoreState::Waking { from } = self.cores[id].state else {
             return;
         };
-        let idle_duration = now - self.cores[id].idle_since;
-        if let Some(log) = self.idle_log.as_mut() {
-            let start = self.cores[id].idle_since;
-            log.push(IdleInterval {
-                core: id,
-                start,
-                duration: idle_duration,
-                chosen: from,
-                predicted: self.idle_predictions[id],
-                measured: start >= self.measure_start,
-            });
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            let target = self.config.catalog.params(from).target_residency;
-            t.idle_outcome(id as u32, now, idle_duration, target);
-            t.state_change(id as u32, now, "C0");
-        }
-        self.cores[id].governor.observe_idle(idle_duration);
+        let start = self.cores[id].idle_since;
+        let target = self.config.catalog.params(from).target_residency;
+        self.probe.idle_done(id, start, now, from, target);
+        self.cores[id].governor.observe_idle(now - start);
         // One idle round trip completed: charge the hidden transition
         // energy (in-rush current, clock restart) that residency-based
         // models cannot attribute.
@@ -1048,9 +812,7 @@ impl ServerSim {
             self.begin_idle(id, now);
             return;
         };
-        if let Some(t) = self.telemetry.as_mut() {
-            t.dequeue(id as u32, now, self.cores[id].queue.len() as u32);
-        }
+        self.probe.dequeue(id, now, self.cores[id].queue.len());
         if let Some(timeout) = self.config.request_timeout {
             if !req.is_tick {
                 let waited = now - req.arrival;
@@ -1059,9 +821,7 @@ impl ServerSim {
                     // dispatch sheds the now-useless service time, and
                     // the client retries after backoff.
                     self.degradation.timeouts += 1;
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.timeout(id as u32, now, waited);
-                    }
+                    self.probe.incident(id, now, Incident::Timeout { waited });
                     self.schedule_retry(now, req.service, req.attempt);
                     self.start_service(id, now);
                     return;
@@ -1071,9 +831,7 @@ impl ServerSim {
 
         let turbo = self.config.cstates.turbo() && self.cores[id].thermal.turbo_available();
         if turbo && !self.cores[id].serving_at_turbo {
-            if let Some(t) = self.telemetry.as_mut() {
-                t.turbo_engage(id as u32, now);
-            }
+            self.probe.incident(id, now, Incident::Turbo);
         }
         let s = self.workload.frequency_scalability();
         let mut time_factor = if turbo {
@@ -1123,9 +881,6 @@ impl ServerSim {
         if self.warmed_up && !req.is_tick {
             let sojourn = now - req.arrival;
             self.latencies.record(sojourn.as_nanos());
-            if let Some(log) = self.latency_log.as_mut() {
-                log.push(sojourn.as_nanos());
-            }
             let service = now - core.serve_start;
             let transition = req.wake_penalty.min(sojourn - service);
             let queue = (sojourn - service - transition).clamp_non_negative();
@@ -1133,27 +888,26 @@ impl ServerSim {
             self.queue_waits.record(queue.as_nanos());
             self.service_times.record(service.as_nanos());
             self.completed += 1;
-            if let Some(a) = self.attrib.as_mut() {
-                // By construction queue + transition + service == sojourn
-                // (serve_start ≥ arrival), so the span satisfies the
-                // sum-to-latency invariant exactly. The current server
-                // model never stalls requests on snoops (snoops cost
-                // idle-core energy only), so that phase records zero.
-                a.record_span(RequestSpan {
-                    arrival: req.arrival,
-                    completion: now,
-                    queue_wait: queue,
-                    exit_penalty: transition,
-                    exit_state: if transition > Nanos::ZERO {
-                        req.wake_state.map(trace::cstate_label)
-                    } else {
-                        None
-                    },
-                    snoop_stall: Nanos::ZERO,
-                    service,
-                    network_rtt: self.workload.network_rtt(),
-                });
-            }
+            // By construction queue + transition + service == sojourn
+            // (serve_start ≥ arrival), so the span satisfies the
+            // sum-to-latency invariant exactly. The current server model
+            // never stalls requests on snoops (snoops cost idle-core
+            // energy only), so that phase records zero.
+            let span = RequestSpan {
+                arrival: req.arrival,
+                completion: now,
+                queue_wait: queue,
+                exit_penalty: transition,
+                exit_state: if transition > Nanos::ZERO {
+                    req.wake_state.map(trace::cstate_label)
+                } else {
+                    None
+                },
+                snoop_stall: Nanos::ZERO,
+                service,
+                network_rtt: self.workload.network_rtt(),
+            };
+            self.probe.request_done(id, span);
         }
         self.start_service(id, now);
     }
@@ -1170,9 +924,7 @@ impl ServerSim {
             is_tick: true,
             attempt: 1,
         });
-        if let Some(t) = self.telemetry.as_mut() {
-            t.enqueue(id as u32, now, self.cores[id].queue.len() as u32);
-        }
+        self.probe.enqueue(id, now, self.cores[id].queue.len());
         if let CoreState::Idle { state } = self.cores[id].state {
             self.begin_wake(id, state, now, "timer");
         }
@@ -1201,9 +953,7 @@ impl ServerSim {
                 let core = &mut self.cores[id];
                 core.snoop_energy += p * burst_duration;
                 core.snoops_served += 1;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.snoop(id as u32, now, trace::cstate_label(state));
-                }
+                self.probe.incident(id, now, Incident::Snoop(state));
             }
         }
     }
@@ -1227,9 +977,7 @@ impl ServerSim {
     fn on_retry(&mut self, now: Nanos, service: Nanos, attempt: u32) {
         self.degradation.retries += 1;
         let id = self.dispatch();
-        if let Some(t) = self.telemetry.as_mut() {
-            t.retry(id as u32, now, attempt);
-        }
+        self.probe.incident(id, now, Incident::Retry { attempt });
         self.admit(id, now, service, attempt);
     }
 
@@ -1286,9 +1034,7 @@ impl ServerSim {
                 let core = &mut self.cores[id];
                 core.snoop_energy += p * burst_duration * f64::from(size);
                 core.snoops_served += u64::from(size);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.snoop(id as u32, now, trace::cstate_label(state));
-                }
+                self.probe.incident(id, now, Incident::Snoop(state));
             }
         }
     }
@@ -1313,7 +1059,7 @@ impl ServerSim {
         self.uncore.reset_metrics(now);
         // Measurement starts here: swap in reservoirs pre-sized for the
         // expected completions so the record path never reallocates.
-        let expected = self.expected_samples();
+        let expected = expected_samples(&self.config, &self.workload);
         self.latencies = SampleSet::with_capacity(expected);
         self.transition_waits = SampleSet::with_capacity(expected);
         self.queue_waits = SampleSet::with_capacity(expected);
@@ -1443,16 +1189,6 @@ impl ServerSim {
             telemetry: None,
             attribution: None,
         }
-    }
-}
-
-impl fmt::Debug for ServerSim {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServerSim")
-            .field("config", &self.config.named.to_string())
-            .field("workload", &self.workload)
-            .field("cores", &self.cores.len())
-            .finish()
     }
 }
 

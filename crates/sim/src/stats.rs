@@ -245,6 +245,13 @@ impl SampleSet {
         self.samples.len()
     }
 
+    /// The samples, in record order until a quantile query reorders
+    /// them.
+    #[must_use]
+    pub fn values(&self) -> &[f64] {
+        &self.samples
+    }
+
     /// `true` if no samples were recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -17,8 +17,7 @@ use aw_sim::select_quantiles;
 use aw_types::Nanos;
 
 use crate::span::{Phase, RequestSpan};
-use crate::stream::{StreamWindow, WindowCounters, WindowObserver};
-use crate::timeline::{Timeline, TimelineWindow};
+use crate::timeline::Timeline;
 
 /// Mean per-request contribution of each phase over one bucket of
 /// requests.
@@ -200,9 +199,6 @@ impl fmt::Display for AttributionSummary {
 pub struct Attribution {
     spans: Vec<RequestSpan>,
     timeline: Timeline,
-    /// Next window index to hand to a streaming observer; windows below
-    /// this have already been emitted and may never change again.
-    stream_cursor: usize,
 }
 
 impl Attribution {
@@ -214,7 +210,7 @@ impl Attribution {
     /// Panics if `window` is not strictly positive.
     #[must_use]
     pub fn new(window: Nanos) -> Self {
-        Attribution { spans: Vec::new(), timeline: Timeline::new(window), stream_cursor: 0 }
+        Attribution { spans: Vec::new(), timeline: Timeline::new(window) }
     }
 
     /// Like [`new`](Self::new), with the span reservoir pre-sized for
@@ -227,11 +223,7 @@ impl Attribution {
     /// Panics if `window` is not strictly positive.
     #[must_use]
     pub fn with_capacity(window: Nanos, expected_spans: usize) -> Self {
-        Attribution {
-            spans: Vec::with_capacity(expected_spans),
-            timeline: Timeline::new(window),
-            stream_cursor: 0,
-        }
+        Attribution { spans: Vec::with_capacity(expected_spans), timeline: Timeline::new(window) }
     }
 
     /// Records one completed request.
@@ -260,73 +252,6 @@ impl Attribution {
     #[must_use]
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
-    }
-
-    /// Next window index the streaming path would emit (windows below
-    /// it are already closed and handed out). Lets a simulator pre-check
-    /// cheaply whether simulated time has even reached the next
-    /// boundary before computing its watermark.
-    #[must_use]
-    pub fn stream_cursor(&self) -> usize {
-        self.stream_cursor
-    }
-
-    /// Emits every window that closed below `watermark` to `observer`,
-    /// in index order.
-    ///
-    /// `watermark` is the caller's guarantee that *no future*
-    /// `record_*` call will touch simulated time earlier than it —
-    /// every window ending at or before the watermark is then final,
-    /// and the clone handed to the observer is bitwise what the batch
-    /// timeline will hold at end of run. Windows the timeline has not
-    /// materialised yet (idle gaps) are emitted as empty windows,
-    /// identical to the gap windows the batch path materialises later.
-    ///
-    /// `counters` is the cumulative fault/overload snapshot at close
-    /// time; `slo_p99` enables the per-window `p99 > target` verdict.
-    pub fn stream_closed(
-        &mut self,
-        watermark: Nanos,
-        counters: WindowCounters,
-        slo_p99: Option<Nanos>,
-        observer: &mut dyn WindowObserver,
-    ) {
-        let wn = self.timeline.window_duration().as_nanos();
-        while watermark.as_nanos() >= (self.stream_cursor + 1) as f64 * wn {
-            self.emit_window(self.stream_cursor, counters, slo_p99, observer);
-            self.stream_cursor += 1;
-        }
-    }
-
-    /// Emits every not-yet-streamed materialised window — the final
-    /// flush once the run has ended and the timeline is complete.
-    pub fn stream_remaining(
-        &mut self,
-        counters: WindowCounters,
-        slo_p99: Option<Nanos>,
-        observer: &mut dyn WindowObserver,
-    ) {
-        while self.stream_cursor < self.timeline.windows().len() {
-            self.emit_window(self.stream_cursor, counters, slo_p99, observer);
-            self.stream_cursor += 1;
-        }
-    }
-
-    fn emit_window(
-        &self,
-        index: usize,
-        counters: WindowCounters,
-        slo_p99: Option<Nanos>,
-        observer: &mut dyn WindowObserver,
-    ) {
-        let duration = self.timeline.window_duration();
-        let window =
-            self.timeline.windows().get(index).cloned().unwrap_or_else(|| {
-                TimelineWindow::new(Nanos::new(index as f64 * duration.as_nanos()))
-            });
-        let slo_violated =
-            slo_p99.map(|t| window.p99().is_some_and(|p| p.as_nanos() > t.as_nanos()));
-        observer.on_window(&StreamWindow { index, duration, window, counters, slo_violated });
     }
 
     /// Reduces the collected spans to a summary and hands back the
@@ -506,57 +431,6 @@ mod tests {
         assert!(text.contains("100 requests"), "{text}");
         assert!(text.contains("cstate_exit"), "{text}");
         assert!(text.contains("tail"), "{text}");
-    }
-
-    /// Collects `(index, completed, is_empty)` per streamed window.
-    struct Probe(Vec<(usize, u64, bool)>);
-    impl crate::stream::WindowObserver for Probe {
-        fn on_window(&mut self, w: &crate::stream::StreamWindow) {
-            self.0.push((w.index, w.window.completed(), w.window.is_empty()));
-        }
-    }
-
-    #[test]
-    fn streaming_emits_each_window_once_in_order_with_gap_windows() {
-        let mut attrib = Attribution::new(Nanos::new(1_000.0));
-        let mut probe = Probe(Vec::new());
-        let counters = WindowCounters::default();
-
-        attrib.record_span(span((0.0, 0.0, 500.0), None, 700.0));
-        // Watermark inside window 0: nothing closable yet.
-        attrib.stream_closed(Nanos::new(900.0), counters, None, &mut probe);
-        assert!(probe.0.is_empty());
-        // Watermark at the window-3 boundary closes 0..3 — windows 1
-        // and 2 are idle gaps the timeline never materialised, and
-        // stream as empty windows.
-        attrib.stream_closed(Nanos::new(3_000.0), counters, None, &mut probe);
-        assert_eq!(probe.0, [(0, 1, false), (1, 0, true), (2, 0, true)]);
-        // Re-checking the same watermark re-emits nothing.
-        attrib.stream_closed(Nanos::new(3_000.0), counters, None, &mut probe);
-        assert_eq!(probe.0.len(), 3);
-
-        // A later span materialises window 3; the final flush emits it.
-        attrib.record_span(span((0.0, 0.0, 500.0), None, 3_700.0));
-        attrib.stream_remaining(counters, None, &mut probe);
-        assert_eq!(probe.0.len(), 4);
-        assert_eq!(probe.0[3], (3, 1, false));
-    }
-
-    #[test]
-    fn streaming_slo_verdict_matches_per_window_check() {
-        let mut attrib = Attribution::new(Nanos::new(1_000.0));
-        struct Verdicts(Vec<Option<bool>>);
-        impl crate::stream::WindowObserver for Verdicts {
-            fn on_window(&mut self, w: &crate::stream::StreamWindow) {
-                self.0.push(w.slo_violated);
-            }
-        }
-        // Window 0: 400 ns latency; window 1: 60.5 µs (C6 wake).
-        attrib.record_span(span((0.0, 0.0, 400.0), None, 500.0));
-        attrib.record_span(span((500.0, 50_000.0, 10_000.0), Some("C6"), 1_700.0));
-        let mut probe = Verdicts(Vec::new());
-        attrib.stream_remaining(WindowCounters::default(), Some(Nanos::new(1_000.0)), &mut probe);
-        assert_eq!(probe.0, [Some(false), Some(true)]);
     }
 
     #[test]

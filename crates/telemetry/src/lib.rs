@@ -7,8 +7,7 @@
 //!    entries and exits, governor decisions and their outcomes, wake
 //!    interrupts, snoop services, turbo engagements, run-queue
 //!    enqueue/dequeue, and PMA flow steps. Events flow into a
-//!    [`TraceSink`]; the [`NullSink`] no-op implementation compiles away,
-//!    and [`RingBufferSink`] keeps a bounded window and counts drops.
+//!    [`RingBufferSink`], which keeps a bounded window and counts drops.
 //! 2. **Metrics** — [`MetricsRegistry`]: named counters, time-weighted
 //!    gauges ([`TimeWeightedGauge`]), and log₂-scaled histograms
 //!    ([`LogHistogram`], built on [`aw_sim::OnlineStats`]).
@@ -29,12 +28,9 @@
 //!    export). An [`SloMonitor`] evaluates a p99 target per window and
 //!    reports the burn rate.
 //!
-//! 5. **Streaming** — [`WindowObserver`]/[`StreamWindow`]: closed
-//!    timeline windows pushed incrementally while the run is in flight,
-//!    with [`window_stream`] providing a bounded (backpressured)
-//!    channel between a simulator thread and a live consumer, and
-//!    [`TimelineCollector`] rebuilding the batch [`Timeline`]
-//!    byte-identically from the stream.
+//! 5. **Streaming** — [`bounded_stream`]: a bounded (backpressured)
+//!    channel between a simulator thread and a live consumer, carrying
+//!    [`WindowCounters`] snapshots among its items.
 //!
 //! The [`TelemetryRecorder`] ties the layers together for a simulator:
 //! it pairs C-state enter/exit events with exact residencies, scores
@@ -81,11 +77,8 @@ pub use attrib::{Attribution, AttributionReport, AttributionSummary, ExitShare, 
 pub use event::{EventKind, TraceEvent};
 pub use recorder::{TelemetryRecorder, TelemetryReport, TelemetrySummary};
 pub use registry::{LogHistogram, MetricsRegistry, TimeWeightedGauge};
-pub use sink::{NullSink, RingBufferSink, TraceSink};
+pub use sink::RingBufferSink;
 pub use slo::{SloMonitor, SloReport};
 pub use span::{Phase, RequestSpan};
-pub use stream::{
-    bounded_stream, window_stream, StreamPoll, StreamReceiver, StreamSender, StreamWindow,
-    TimelineCollector, WindowCounters, WindowObserver,
-};
+pub use stream::{bounded_stream, StreamPoll, StreamReceiver, StreamSender, WindowCounters};
 pub use timeline::{Timeline, TimelineWindow};

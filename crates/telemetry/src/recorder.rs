@@ -19,7 +19,7 @@ use aw_types::Nanos;
 use crate::event::{EventKind, TraceEvent};
 use crate::export;
 use crate::registry::{LogHistogram, MetricsRegistry, TimeWeightedGauge};
-use crate::sink::{RingBufferSink, TraceSink};
+use crate::sink::RingBufferSink;
 
 /// Per-core governor bookkeeping.
 #[derive(Debug, Clone, Default)]
@@ -364,12 +364,6 @@ impl TelemetryRecorder {
             registry: self.registry,
             summary,
         }
-    }
-}
-
-impl TraceSink for TelemetryRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.sink.record(event);
     }
 }
 

@@ -1,39 +1,8 @@
-//! Trace sinks: where emitted events go.
-//!
-//! Emission sites are generic over [`TraceSink`], so a disabled build
-//! path using [`NullSink`] is a static no-op the optimizer deletes
-//! entirely — `is_enabled` is a constant `false` and `record` has an
-//! empty body.
+//! The trace ring buffer: where recorded events go.
 
 use std::collections::VecDeque;
 
 use crate::event::TraceEvent;
-
-/// A destination for trace events.
-pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-
-    /// `true` if recording actually stores events. Emission sites may
-    /// branch on this to skip building expensive payloads.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// A sink that drops everything; the disabled-tracing fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn record(&mut self, _event: TraceEvent) {}
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
 
 /// A bounded ring buffer of events.
 ///
@@ -44,7 +13,7 @@ impl TraceSink for NullSink {
 /// # Examples
 ///
 /// ```
-/// use aw_telemetry::{EventKind, RingBufferSink, TraceEvent, TraceSink};
+/// use aw_telemetry::{EventKind, RingBufferSink, TraceEvent};
 /// use aw_types::Nanos;
 ///
 /// let mut sink = RingBufferSink::new(2);
@@ -118,10 +87,9 @@ impl RingBufferSink {
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events.into()
     }
-}
 
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: TraceEvent) {
+    /// Records one event, evicting the oldest if the buffer is full.
+    pub fn record(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -143,13 +111,6 @@ mod tests {
 
     fn ev(t: f64) -> TraceEvent {
         TraceEvent { time: Nanos::new(t), core: 0, kind: EventKind::TurboEngage }
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let mut s = NullSink;
-        assert!(!s.is_enabled());
-        s.record(ev(1.0)); // no-op
     }
 
     #[test]

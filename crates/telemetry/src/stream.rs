@@ -1,39 +1,20 @@
-//! Streaming window observation: closed timeline windows pushed to a
-//! consumer while the run is still in flight.
+//! Bounded streams: values pushed from a running simulation to a
+//! consumer on another thread.
 //!
-//! Batch observability (the [`Timeline`]/`AttributionReport` exports)
-//! only materialises after a run ends. The streaming path inverts that:
-//! the simulator calls [`Attribution::stream_closed`] whenever its
-//! watermark — the earliest time any *future* deposit can touch — has
-//! advanced past a window boundary, and every window that can no longer
-//! change is handed to a [`WindowObserver`] as a [`StreamWindow`]: a
-//! clone of the batch window plus cumulative run counters and the
-//! per-window SLO verdict. The batch path is untouched — a closed
-//! window is cloned out, never split or flushed early — so end-of-run
-//! CSV/JSON output stays byte-identical whether or not anyone watches.
-//!
-//! [`window_stream`] provides the bounded-channel transport between a
-//! simulator thread and a consumer thread. The channel is *bounded*:
-//! when the consumer lags `capacity` items behind, the producer blocks
-//! in send — backpressure, not loss. Dropping the receiver permanently
-//! unblocks the producer (sends become no-ops), so a consumer can
-//! detach mid-run without wedging or perturbing the simulation.
-//!
-//! [`Attribution::stream_closed`]: crate::Attribution::stream_closed
+//! [`bounded_stream`] provides the transport between a simulator thread
+//! and a consumer thread (the fleet cockpit drains fleet epochs through
+//! it). The channel is *bounded*: when the consumer lags `capacity`
+//! items behind, the producer blocks in send — backpressure, not loss.
+//! Dropping the receiver permanently unblocks the producer (sends
+//! become no-ops), so a consumer can detach mid-run without wedging or
+//! perturbing the simulation. [`WindowCounters`] is the fault/overload
+//! snapshot a streamed item carries.
 
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::Duration;
 
-use aw_types::Nanos;
-
-use crate::timeline::{Timeline, TimelineWindow};
-
-/// Cumulative fault/overload counters snapshotted when a window closes.
-///
-/// The counts are totals since the start of the run, not per-window
-/// deltas: the simulator's event loop is single-threaded, so snapshots
-/// taken at window boundaries are deterministic, and consumers diff
-/// consecutive snapshots to recover per-window activity.
+/// Fault/overload counters of one simulation, as a streamed item
+/// carries them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowCounters {
     /// Faults injected by the active fault plan.
@@ -52,101 +33,13 @@ pub struct WindowCounters {
     pub fallback_exits: u64,
 }
 
-/// One closed aggregation window, as pushed to a [`WindowObserver`].
-#[derive(Debug, Clone)]
-pub struct StreamWindow {
-    /// Zero-based window index; `index * duration` is the window start.
-    pub index: usize,
-    /// The fixed window duration of the producing timeline.
-    pub duration: Nanos,
-    /// The closed window — a clone of what the batch timeline holds.
-    pub window: TimelineWindow,
-    /// Cumulative run counters at window close.
-    pub counters: WindowCounters,
-    /// Per-window SLO verdict (`None` when no target was configured,
-    /// `Some(false)` also when the window carried no traffic) — the
-    /// same `p99 > target` check [`SloMonitor`](crate::SloMonitor)
-    /// applies per window at end of run.
-    pub slo_violated: Option<bool>,
-}
-
-/// A consumer of closed windows.
-///
-/// Implementations must be `Send`: the producing simulator typically
-/// runs on a background thread while the consumer renders in the
-/// foreground. Observation is strictly read-only — an observer is
-/// handed each window exactly once, in index order, with no gaps.
-pub trait WindowObserver: Send {
-    /// Called once per closed window, in index order.
-    fn on_window(&mut self, window: &StreamWindow);
-
-    /// Called once after the final window, when the run is complete.
-    fn on_finish(&mut self) {}
-}
-
-/// Rebuilds a batch [`Timeline`] from streamed windows.
-///
-/// This is the equivalence witness for the streaming refactor: feeding
-/// every [`StreamWindow`] of a run into a collector yields a timeline
-/// whose [`Timeline::to_csv`] output is byte-identical to the batch
-/// timeline's (streamed windows are clones of the batch windows, and
-/// the exporters skip empty windows on both paths).
-///
-/// # Examples
-///
-/// ```
-/// use aw_telemetry::{Timeline, TimelineCollector, WindowObserver};
-/// use aw_types::Nanos;
-///
-/// let collector = TimelineCollector::new(Nanos::from_millis(1.0));
-/// assert_eq!(collector.timeline().windows().len(), 0);
-/// ```
-#[derive(Debug)]
-pub struct TimelineCollector {
-    timeline: Timeline,
-}
-
-impl TimelineCollector {
-    /// Creates a collector whose rebuilt timeline uses `window`-sized
-    /// intervals — pass the producing timeline's window duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is not strictly positive.
-    #[must_use]
-    pub fn new(window: Nanos) -> Self {
-        TimelineCollector { timeline: Timeline::new(window) }
-    }
-
-    /// The timeline rebuilt so far.
-    #[must_use]
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Consumes the collector into the rebuilt timeline.
-    #[must_use]
-    pub fn into_timeline(self) -> Timeline {
-        self.timeline
-    }
-}
-
-impl WindowObserver for TimelineCollector {
-    fn on_window(&mut self, window: &StreamWindow) {
-        self.timeline.push_window(window.window.clone());
-    }
-}
-
 /// Internal channel message: an item or the end-of-stream marker.
 enum StreamMsg<T> {
     Item(T),
     Finished,
 }
 
-/// The producing half of a bounded stream (see [`window_stream`]).
-///
-/// For `T = `[`StreamWindow`] the sender also implements
-/// [`WindowObserver`], so it plugs directly into a streaming run.
+/// The producing half of a bounded stream (see [`bounded_stream`]).
 #[derive(Debug)]
 pub struct StreamSender<T> {
     tx: SyncSender<StreamMsg<T>>,
@@ -166,16 +59,6 @@ impl<T> StreamSender<T> {
     }
 }
 
-impl WindowObserver for StreamSender<StreamWindow> {
-    fn on_window(&mut self, window: &StreamWindow) {
-        let _ = self.send(window.clone());
-    }
-
-    fn on_finish(&mut self) {
-        self.finish();
-    }
-}
-
 /// One non-blocking or timed receive outcome on a [`StreamReceiver`].
 #[derive(Debug)]
 pub enum StreamPoll<T> {
@@ -188,7 +71,7 @@ pub enum StreamPoll<T> {
     Closed,
 }
 
-/// The consuming half of a bounded stream (see [`window_stream`]).
+/// The consuming half of a bounded stream (see [`bounded_stream`]).
 #[derive(Debug)]
 pub struct StreamReceiver<T> {
     rx: Receiver<StreamMsg<T>>,
@@ -253,6 +136,17 @@ impl<T> StreamReceiver<T> {
 ///
 /// Panics if `capacity` is zero (a zero-capacity rendezvous channel
 /// would deadlock a producer with no consumer scheduled).
+///
+/// # Examples
+///
+/// ```
+/// use aw_telemetry::{bounded_stream, StreamPoll};
+///
+/// let (tx, mut rx) = bounded_stream::<u32>(8);
+/// tx.finish();
+/// assert!(matches!(rx.try_poll(), StreamPoll::Closed));
+/// assert!(rx.recv().is_none());
+/// ```
 #[must_use]
 pub fn bounded_stream<T>(capacity: usize) -> (StreamSender<T>, StreamReceiver<T>) {
     assert!(capacity > 0, "stream capacity must be positive");
@@ -260,62 +154,19 @@ pub fn bounded_stream<T>(capacity: usize) -> (StreamSender<T>, StreamReceiver<T>
     (StreamSender { tx }, StreamReceiver { rx, closed: false })
 }
 
-/// Creates a bounded stream of closed timeline windows — the transport
-/// between a streaming run and a live consumer.
-///
-/// # Examples
-///
-/// ```
-/// use aw_telemetry::{window_stream, StreamPoll};
-///
-/// let (tx, mut rx) = window_stream(8);
-/// tx.finish();
-/// assert!(matches!(rx.try_poll(), StreamPoll::Closed));
-/// assert!(rx.recv().is_none());
-/// ```
-#[must_use]
-pub fn window_stream(
-    capacity: usize,
-) -> (StreamSender<StreamWindow>, StreamReceiver<StreamWindow>) {
-    bounded_stream(capacity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::RequestSpan;
-
-    fn sample_window(index: usize, duration: f64) -> StreamWindow {
-        let mut tl = Timeline::new(Nanos::new(duration));
-        let at = index as f64 * duration + duration / 2.0;
-        tl.record_span(&RequestSpan {
-            arrival: Nanos::new(at - 100.0),
-            completion: Nanos::new(at),
-            queue_wait: Nanos::ZERO,
-            exit_penalty: Nanos::ZERO,
-            exit_state: None,
-            snoop_stall: Nanos::ZERO,
-            service: Nanos::new(100.0),
-            network_rtt: Nanos::ZERO,
-        });
-        StreamWindow {
-            index,
-            duration: Nanos::new(duration),
-            window: tl.windows()[index].clone(),
-            counters: WindowCounters::default(),
-            slo_violated: None,
-        }
-    }
 
     #[test]
     fn items_flow_in_order_until_finish() {
-        let (tx, mut rx) = window_stream(4);
+        let (tx, mut rx) = bounded_stream(4);
         for i in 0..3 {
-            assert!(tx.send(sample_window(i, 1_000.0)));
+            assert!(tx.send(i));
         }
         tx.finish();
         for i in 0..3 {
-            assert_eq!(rx.recv().expect("item").index, i);
+            assert_eq!(rx.recv(), Some(i));
         }
         assert!(rx.recv().is_none());
         assert!(matches!(rx.poll(Duration::from_millis(1)), StreamPoll::Closed));
@@ -323,16 +174,16 @@ mod tests {
 
     #[test]
     fn dropped_receiver_turns_sends_into_noops() {
-        let (tx, rx) = window_stream(1);
+        let (tx, rx) = bounded_stream(1);
         drop(rx);
-        assert!(!tx.send(sample_window(0, 1_000.0)));
+        assert!(!tx.send(0));
         tx.finish(); // must not panic
     }
 
     #[test]
     fn hung_up_sender_closes_the_stream() {
-        let (tx, mut rx) = window_stream(2);
-        assert!(tx.send(sample_window(0, 1_000.0)));
+        let (tx, mut rx) = bounded_stream(2);
+        assert!(tx.send(0));
         drop(tx);
         assert!(rx.recv().is_some());
         assert!(rx.recv().is_none());
@@ -341,23 +192,15 @@ mod tests {
 
     #[test]
     fn poll_reports_pending_while_producer_lives() {
-        let (tx, mut rx) = window_stream(2);
+        let (tx, mut rx) = bounded_stream::<u32>(2);
         assert!(matches!(rx.try_poll(), StreamPoll::Pending));
         assert!(matches!(rx.poll(Duration::from_millis(1)), StreamPoll::Pending));
         drop(tx);
     }
 
     #[test]
-    fn collector_rebuilds_the_windows_it_is_fed() {
-        let mut collector = TimelineCollector::new(Nanos::new(1_000.0));
-        collector.on_window(&sample_window(0, 1_000.0));
-        assert_eq!(collector.timeline().windows().len(), 1);
-        assert_eq!(collector.into_timeline().windows()[0].completed(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_capacity() {
-        let _ = window_stream(0);
+        let _ = bounded_stream::<u32>(0);
     }
 }

@@ -181,17 +181,6 @@ impl Timeline {
         &mut self.windows[idx]
     }
 
-    /// Appends one already-aggregated window, as received from the
-    /// streaming path (see [`crate::TimelineCollector`]).
-    ///
-    /// Streamed windows arrive in index order with no gaps, so the
-    /// appended window's start always continues the series; mixing
-    /// `push_window` with the `record_*` methods on one timeline is
-    /// unsupported.
-    pub fn push_window(&mut self, window: TimelineWindow) {
-        self.windows.push(window);
-    }
-
     /// Folds one completed request into the window of its completion
     /// time.
     pub fn record_span(&mut self, span: &RequestSpan) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification gate: formatting, release build, full test suite
-# (unit + doc), warning-free clippy and rustdoc passes, and an end-to-end
-# smoke of the latency-attribution example. CI and pre-commit both run
-# exactly this.
+# (unit + doc), warning-free clippy and rustdoc passes, the aw-benchmark
+# smoke test, and end-to-end smokes of the CLI and examples. CI and
+# pre-commit both run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +24,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings"
 # Fails on a dangling intra-doc link, e.g. one left behind by a deleted item.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "==> aw-benchmark smoke"
+# aw-benchmark is a workspace of its own, so nothing above builds it.
+# This builds it against the current crates, runs all four workloads at
+# --quick scale and checks their pinned seed-42 digests.
+cargo test --release --offline --manifest-path aw-benchmark/Cargo.toml
 
 echo "==> latency_attribution example smoke"
 out=$(cargo run -q --release --example latency_attribution -- --quick)

@@ -1,7 +1,6 @@
-//! Streaming-observation integration tests: the windows pushed over a
-//! live stream rebuild the batch artifacts byte-for-byte — for a single
-//! server (attribution timeline CSV) and for a fleet (per-epoch
-//! timeline CSV) — including across the bounded channel to a consumer
+//! Streaming-observation integration tests: the fleet epochs pushed
+//! over a live stream rebuild the batch per-epoch timeline CSV
+//! byte-for-byte, including across the bounded channel to a consumer
 //! thread and at any worker count.
 
 use agilewatts::aw_cluster::{
@@ -10,53 +9,8 @@ use agilewatts::aw_cluster::{
 };
 use agilewatts::aw_cstates::NamedConfig;
 use agilewatts::aw_exec::{set_default_jobs, SweepExecutor};
-use agilewatts::aw_server::{ServerConfig, SimBuilder, WorkloadSpec};
-use agilewatts::aw_telemetry::{window_stream, TimelineCollector, WindowObserver};
+use agilewatts::aw_server::{ServerConfig, WorkloadSpec};
 use agilewatts::aw_types::Nanos;
-
-fn server_sim() -> SimBuilder {
-    let config = ServerConfig::new(4, NamedConfig::Aw).with_duration(Nanos::from_millis(60.0));
-    let workload = WorkloadSpec::poisson("stream-test", 120_000.0, Nanos::from_micros(20.0), 0.7);
-    SimBuilder::new(config, workload, 42).with_attribution(Nanos::from_millis(5.0))
-}
-
-/// The streamed server windows, consumed on another thread through the
-/// bounded channel, rebuild the batch attribution timeline CSV exactly.
-#[test]
-fn streamed_server_windows_rebuild_the_batch_timeline_csv() {
-    let batch = server_sim().run();
-    let batch_csv = batch.attribution.as_ref().expect("attribution requested").timeline.to_csv();
-
-    // In-process collector: the simplest consumer.
-    let collector = TimelineCollector::new(Nanos::from_millis(5.0));
-    let streamed = server_sim().run_streaming(Box::new(collector));
-    let streamed_csv =
-        streamed.attribution.as_ref().expect("attribution requested").timeline.to_csv();
-    assert_eq!(streamed_csv, batch_csv, "streaming must not perturb the run");
-
-    // Cross-thread: windows travel the bounded channel to a consumer
-    // thread that rebuilds the timeline as they arrive, in order.
-    let (tx, mut rx) = window_stream(4);
-    let consumer = std::thread::spawn(move || {
-        let mut collector = TimelineCollector::new(Nanos::from_millis(5.0));
-        let mut last = None;
-        while let Some(w) = rx.recv() {
-            if let Some(prev) = last {
-                assert!(w.window.start() > prev, "windows arrived out of order");
-            }
-            last = Some(w.window.start());
-            collector.on_window(&w);
-        }
-        collector.into_timeline().to_csv()
-    });
-    let piped = server_sim().run_streaming(Box::new(tx));
-    let cross_csv = consumer.join().expect("consumer panicked");
-    assert_eq!(cross_csv, batch_csv, "cross-thread rebuild drifted");
-    assert_eq!(
-        piped.attribution.as_ref().expect("attribution requested").timeline.to_csv(),
-        batch_csv
-    );
-}
 
 /// A small fleet with every scheduling-sensitive feature enabled.
 fn fleet_config() -> FleetConfig {

@@ -171,25 +171,25 @@ fn metrics_export_is_valid_json_with_headline_numbers() {
 #[test]
 fn pma_flow_traces_emit_into_sinks() {
     use agilewatts::aw_pma::PmaFsm;
-    use agilewatts::aw_telemetry::{RingBufferSink, TraceSink};
 
     let mut fsm = PmaFsm::new_c6a();
-    let mut sink = RingBufferSink::new(64);
+    let mut rec = TelemetryRecorder::new(4, 64);
     let base = Nanos::from_micros(5.0);
     let entry = fsm.run_entry().expect("fresh FSM is active");
-    entry.emit(&mut sink, 3, base);
-    assert_eq!(sink.len(), entry.steps().len());
-    let events: Vec<_> = sink.events().collect();
-    // Steps land at base + their flow-relative start, in order.
-    assert_eq!(events[0].time, base);
-    for e in &events {
-        assert_eq!(e.core, 3);
-        assert!(matches!(e.kind, EventKind::FlowStep { .. }));
+    for step in entry.steps() {
+        rec.flow_step(3, base + step.start, step.state.name(), step.duration);
     }
-    // A disabled sink records nothing.
-    let mut null = agilewatts::aw_telemetry::NullSink;
-    entry.emit(&mut null, 0, Nanos::ZERO);
-    assert!(!null.is_enabled());
+    let report = rec.into_report(base + entry.total());
+    assert_eq!(report.events.len(), entry.steps().len());
+    // Steps land at base + their flow-relative start, in order.
+    assert_eq!(report.events[0].time, base);
+    for (e, step) in report.events.iter().zip(entry.steps()) {
+        assert_eq!(e.core, 3);
+        assert_eq!(e.time, base + step.start);
+        assert!(
+            matches!(e.kind, EventKind::FlowStep { step: name, .. } if name == step.state.name())
+        );
+    }
 }
 
 /// The registry and summary the recorder must produce for a sequence of
