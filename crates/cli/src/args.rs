@@ -1,6 +1,13 @@
-//! Hand-rolled argument parsing.
+//! Argument parsing from one flag table.
+//!
+//! Every flag is one row of [`FLAGS`]: its name, the subcommands that
+//! accept it, a setter that parses and validates its value, and where
+//! [`usage`] lists it. The parser, the help text and the check that
+//! shared flags come with a subcommand all read that table, so they
+//! cannot drift apart.
 
 use std::fmt;
+use std::str::FromStr;
 
 use agilewatts::aw_cluster::RoutingPolicy;
 use agilewatts::aw_cstates::NamedConfig;
@@ -292,9 +299,8 @@ impl RobustnessArgs {
 }
 
 /// The flag set every experiment subcommand shares — telemetry outputs,
-/// robustness knobs, and execution options — parsed in one place
-/// (`CommonArgs::try_consume`) and applied in one place
-/// ([`CommonArgs::apply`]), so subcommands cannot drift apart.
+/// robustness knobs, and execution options: the `Shared` rows of the
+/// flag table, applied in one place ([`CommonArgs::apply`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommonArgs {
     /// Telemetry outputs (`--trace-out`, `--metrics-out`, `--slo-p99`,
@@ -359,66 +365,6 @@ impl CommonArgs {
             agilewatts::aw_server::set_default_idle_skip(false);
         }
     }
-
-    /// Tries to consume `arg` (and its value from `it`) as one of the
-    /// shared flags. Returns `Ok(false)` when `arg` is not a shared flag,
-    /// leaving `it` untouched for the subcommand parser.
-    fn try_consume(
-        &mut self,
-        arg: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, ParseError> {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
-        match arg {
-            "--faults" => {
-                let v = value("--faults")?;
-                let spec = FaultSpec::parse(&v)
-                    .map_err(|e| ParseError(format!("bad --faults spec: {e}")))?;
-                self.robustness.faults = Some(spec);
-            }
-            "--queue-cap" => {
-                self.robustness.queue_cap =
-                    Some(positive_usize("--queue-cap", &value("--queue-cap")?)?);
-            }
-            "--request-timeout" => {
-                self.robustness.request_timeout_us = Some(positive_f64(
-                    "--request-timeout",
-                    &value("--request-timeout")?,
-                    "microseconds",
-                )?);
-            }
-            "--trace-out" => self.telemetry.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => self.telemetry.metrics_out = Some(value("--metrics-out")?),
-            "--trace-limit" => {
-                self.telemetry.trace_limit =
-                    Some(positive_usize("--trace-limit", &value("--trace-limit")?)?);
-            }
-            "--slo-p99" => {
-                self.telemetry.slo_p99 =
-                    Some(positive_f64("--slo-p99", &value("--slo-p99")?, "nanoseconds")?);
-            }
-            "--timeline-out" => self.telemetry.timeline_out = Some(value("--timeline-out")?),
-            "--attrib-out" => self.telemetry.attrib_out = Some(value("--attrib-out")?),
-            "--idle-out" => self.telemetry.idle_out = Some(value("--idle-out")?),
-            "--hw" => {
-                let v = value("--hw")?;
-                for name in v.split(',') {
-                    let hw = HardwareModel::by_name(name.trim())
-                        .map_err(|e| ParseError(e.to_string()))?;
-                    self.hw.push(hw.name.to_string());
-                }
-            }
-            "--jobs" => {
-                self.exec.jobs = Some(positive_usize("--jobs", &value("--jobs")?)?);
-            }
-            "--progress" => self.exec.progress = true,
-            "--no-idle-skip" => self.exec.no_idle_skip = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
 }
 
 /// Parse failures, with a human-readable message.
@@ -448,9 +394,21 @@ const MAX_CORES: usize = 4096;
 /// Largest accepted `--servers`, for the same reason per server.
 const MAX_SERVERS: usize = 1_000_000;
 
+/// Smallest accepted `--qps`: one request per 1e6 s. Near 1e-298
+/// requests/s the arrival gaps (1e9/qps ns) overflow and the run panics.
+const MIN_QPS: f64 = 1e-6;
+
+/// Smallest accepted `--utilization`, for the same reason per server.
+const MIN_UTILIZATION: f64 = 1e-9;
+
+/// Parses a flag value of any [`FromStr`] type.
+fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, ParseError> {
+    v.parse().map_err(|_| ParseError(format!("bad {flag} value '{v}'")))
+}
+
 /// Parses a strictly positive integer flag value.
 fn positive_usize(flag: &str, v: &str) -> Result<usize, ParseError> {
-    let n: usize = v.parse().map_err(|_| ParseError(format!("bad {flag} value '{v}'")))?;
+    let n: usize = number(flag, v)?;
     if n == 0 {
         return Err(ParseError(format!("{flag} must be positive")));
     }
@@ -468,249 +426,524 @@ fn bounded_usize(flag: &str, v: &str, max: usize) -> Result<usize, ParseError> {
 
 /// Parses a strictly positive, finite float flag value.
 fn positive_f64(flag: &str, v: &str, unit: &str) -> Result<f64, ParseError> {
-    let x: f64 = v.parse().map_err(|_| ParseError(format!("bad {flag} value '{v}'")))?;
+    let x: f64 = number(flag, v)?;
     if x <= 0.0 || !x.is_finite() {
         return Err(ParseError(format!("{flag} must be positive {unit}")));
     }
     Ok(x)
 }
 
-fn has_quick(rest: &[String]) -> Result<bool, ParseError> {
-    match rest {
-        [] => Ok(false),
-        [flag] if flag == "--quick" => Ok(true),
-        [other, ..] => Err(ParseError(format!("unexpected argument '{other}'"))),
+/// Parses a finite float flag value of at least `min` (> 0).
+fn floored_f64(flag: &str, v: &str, min: f64, unit: &str) -> Result<f64, ParseError> {
+    let x = positive_f64(flag, v, unit)?;
+    if x < min {
+        return Err(ParseError(format!("{flag} must be at least {min:e} {unit}")));
+    }
+    Ok(x)
+}
+
+/// Which subcommands accept a flag: `Shared` rows are taken out first,
+/// from anywhere on the line; `Quick` is every simple subcommand but
+/// `motivation`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    Shared,
+    Quick,
+    Motivation,
+    Sweep,
+    Analyze,
+    Fleet,
+    Watch,
+}
+
+impl Scope {
+    /// The error for an argument no row of this scope accepts.
+    fn unknown(self, arg: &str) -> ParseError {
+        let command = match self {
+            Sweep => "sweep",
+            Analyze => "analyze",
+            Fleet => "fleet",
+            Watch => "watch",
+            Shared | Quick | Motivation => {
+                return ParseError(format!("unexpected argument '{arg}'"))
+            }
+        };
+        ParseError(format!("unknown {command} option '{arg}'"))
     }
 }
 
-/// Parses an argument vector (without the program name), extracting the
-/// shared flags (telemetry, robustness, and execution options — see
-/// [`CommonArgs`]) first — they are accepted anywhere on the command
-/// line — and handing the rest to [`parse`].
+// The sections of [`usage`] that list flags, each named by its heading.
+const QUICK: &str = "OPTIONS (fig/package/diurnal/validate/ablations/cross-vendor/report):";
+const HARDWARE: &str = "HARDWARE OPTIONS (any experiment subcommand):";
+const EXECUTION: &str = "EXECUTION OPTIONS (any experiment subcommand):";
+const SWEEP: &str = "OPTIONS (sweep):";
+const ANALYZE: &str = "OPTIONS (analyze):";
+const FLEET: &str = "OPTIONS (fleet):";
+const WATCH: &str = "OPTIONS (watch):\n    all fleet options, plus:";
+const TELEMETRY: &str = "TELEMETRY OPTIONS (any experiment subcommand):";
+const ATTRIBUTION: &str = "ATTRIBUTION OPTIONS (any experiment subcommand):";
+const ROBUSTNESS: &str = "ROBUSTNESS OPTIONS (any experiment subcommand):";
+
+/// The sections in print order.
+const SECTIONS: [&str; 10] =
+    [QUICK, HARDWARE, EXECUTION, SWEEP, ANALYZE, FLEET, WATCH, TELEMETRY, ATTRIBUTION, ROBUSTNESS];
+
+/// One line [`usage`] lists a flag on: the section's heading, the line's
+/// position in it, the value metavar (empty for a switch) and the help
+/// lines.
+type Listing = (&'static str, u8, &'static str, &'static [&'static str]);
+
+/// How a flag stores what it was given.
+#[derive(Clone, Copy)]
+enum Set {
+    /// A switch: it takes no value.
+    Switch(fn(&mut Parsed)),
+    /// An output path, stored as given.
+    Path(fn(&mut Parsed) -> &mut Option<String>),
+    /// One value, parsed and validated under the flag's name.
+    Value(fn(&mut Parsed, &'static str, &str) -> Result<(), ParseError>),
+}
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    scope: &'static [Scope],
+    /// Where [`usage`] lists the flag: once, or under each subcommand
+    /// that takes it.
+    help: &'static [Listing],
+    set: Set,
+}
+
+use Scope::{Analyze, Fleet, Motivation, Quick, Shared, Sweep, Watch};
+use Set::{Path, Switch, Value};
+
+/// The flag table, in the order of each row's first listing in
+/// [`usage`]. The need-a-subcommand error names the `Shared` rows in
+/// this order.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    // The simple subcommands' switches store nothing: `Parsed::switch`
+    // reports whether the one argument was given.
+    Flag { name: "--quick", scope: &[Quick], set: Switch(|_| ()),
+        help: &[(QUICK, 0, "", &["reduced parameter set (seconds, not minutes)"])] },
+    Flag { name: "--simulated", scope: &[Motivation], set: Switch(|_| ()), help: &[] },
+    Flag { name: "--hw", scope: &[Shared], set: Value(set_hw),
+        help: &[(HARDWARE, 0, "<NAME[,NAME...]>", &[
+        "hardware model to simulate (default: skylake-sp;",
+        "see `analyze`/`fig` etc.). A comma list builds a",
+        "mixed fleet (fleet/watch, servers cycle through",
+        "the list) or restricts the cross-vendor grid;",
+        "other subcommands take exactly one model. An",
+        "unknown name errors, listing the known models.",
+        "Tables 2-4, flows, and motivation describe the",
+        "modeled Skylake-SP part and reject other models"])] },
+    Flag { name: "--jobs", scope: &[Shared], help: &[(EXECUTION, 0, "<N>", &[
+        "worker threads for sweep execution (default:",
+        "the AW_JOBS environment variable, then the",
+        "machine's available parallelism); reports are",
+        "byte-identical at any worker count"])],
+        set: Value(|p, f, v| positive_usize(f, v).map(|n| p.common.exec.jobs = Some(n))) },
+    Flag { name: "--progress", scope: &[Shared], help: &[(EXECUTION, 1, "", &[
+        "report sweep progress (done/total, points/s,",
+        "ETA) on stderr; auto-enabled when stderr is a",
+        "terminal, off when piped"])],
+        set: Switch(|p| p.common.exec.progress = true) },
+    Flag { name: "--no-idle-skip", scope: &[Shared], help: &[(EXECUTION, 2, "", &[
+        "disable the analytic idle-skip fast path and",
+        "step every event through the event queue;",
+        "output is byte-identical either way (debug /",
+        "equivalence-checking knob)"])],
+        set: Switch(|p| p.common.exec.no_idle_skip = true) },
+    Flag { name: "--workload", scope: &[Sweep, Analyze], help: &[
+        (SWEEP, 0, concat!("<memcached|kafka-low|kafka-high|mysql-low|mysql-mid|mysql-high|\n",
+            "                websearch-25|websearch-50>"), &[]),
+        (ANALYZE, 0, "<W>", &["as for sweep (default memcached)"])],
+        set: Value(|p, _, v| Ok((p.sweep.workload, p.analyze.workload) = (v.into(), v.into()))) },
+    Flag { name: "--qps", scope: &[Sweep, Analyze], help: &[
+        (SWEEP, 1, "<N>", &["offered load (memcached only; default 300000)"]),
+        (ANALYZE, 1, "<N>", &["offered load (memcached only; default 300000)"])],
+        set: Value(|p, f, v| floored_f64(f, v, MIN_QPS, "requests/s")
+            .map(|q| (p.sweep.qps, p.analyze.qps) = (q, q))) },
+    Flag { name: "--config", scope: &[Sweep, Fleet, Watch], help: &[
+        (SWEEP, 2, "<NAME>", &[
+            "Baseline | NT_Baseline | NT_No_C6 | NT_No_C6,No_C1E |",
+            "T_No_C6 | T_No_C6,No_C1E | AW | NT_AW |",
+            "T_C6A,No_C6,No_C1E | NT_C6A,No_C6,No_C1E"]),
+        (FLEET, 3, "<NAME>", &["C-state menu, as for sweep (default AW)"])],
+        set: Value(|p, _, v| named_config(v).map(|c| (p.sweep.config, p.fleet.config) = (c, c))) },
+    Flag { name: "--cores", scope: &[Sweep, Analyze, Fleet, Watch], help: &[
+        (SWEEP, 3, "<N>", &["core count (default 10)"]),
+        (ANALYZE, 2, "<N>", &["core count (default 10)"]),
+        (FLEET, 1, "<N>", &["cores per server (default 4)"])],
+        set: Value(|p, f, v| bounded_usize(f, v, MAX_CORES)
+            .map(|n| (p.sweep.cores, p.analyze.cores, p.fleet.cores) = (n, n, n))) },
+    Flag { name: "--duration-ms", scope: &[Sweep, Analyze], help: &[
+        (SWEEP, 4, "<N>", &["simulated milliseconds (default 400)"]),
+        (ANALYZE, 3, "<N>", &["simulated milliseconds (default 200)"])],
+        set: Value(|p, f, v| positive_f64(f, v, "milliseconds")
+            .map(|ms| (p.sweep.duration_ms, p.analyze.duration_ms) = (ms, ms))) },
+    Flag { name: "--seed", scope: &[Sweep, Analyze, Fleet, Watch], help: &[
+        (SWEEP, 5, "<N>", &["RNG seed (default 42)"]),
+        (ANALYZE, 4, "<N>", &[
+            "RNG seed (default 42; both configs share it)",
+            "(no --config: analyze always contrasts",
+            "Baseline against AW under identical load;",
+            "--idle-out writes the AW report to disk)"]),
+        (FLEET, 9, "<N>", &["fleet master seed (default 42)"])],
+        set: Value(|p, f, v| number(f, v)
+            .map(|s| (p.sweep.seed, p.analyze.seed, p.fleet.seed) = (s, s, s))) },
+    Flag { name: "--servers", scope: &[Fleet, Watch],
+        help: &[(FLEET, 0, "<N>", &["fleet size (default 8)"])],
+        set: Value(|p, f, v| bounded_usize(f, v, MAX_SERVERS).map(|n| p.fleet.servers = n)) },
+    Flag { name: "--policy", scope: &[Fleet, Watch], help: &[(FLEET, 2, "<P>", &[
+        "round-robin | least-outstanding | packing |",
+        "spreading (default packing)"])],
+        set: Value(|p, _, v| v.parse().map(|policy| p.fleet.policy = policy).map_err(ParseError)) },
+    Flag { name: "--utilization", scope: &[Fleet, Watch], help: &[(FLEET, 4, "<F>", &[
+        "aggregate load as a fraction of fleet",
+        "capacity (default 0.25)"])],
+        set: Value(|p, f, v| floored_f64(f, v, MIN_UTILIZATION, "(fraction of fleet capacity)")
+            .map(|u| p.fleet.utilization = u)) },
+    Flag { name: "--epochs", scope: &[Fleet, Watch],
+        help: &[(FLEET, 5, "<N>", &["balancer decision periods (default 6)"])],
+        set: Value(|p, f, v| positive_usize(f, v).map(|n| p.fleet.epochs = n)) },
+    Flag { name: "--epoch-ms", scope: &[Fleet, Watch],
+        help: &[(FLEET, 6, "<N>", &["epoch duration in milliseconds (default 25)"])],
+        set: Value(|p, f, v| positive_f64(f, v, "milliseconds").map(|ms| p.fleet.epoch_ms = ms)) },
+    Flag { name: "--autoscale", scope: &[Fleet, Watch], help: &[(FLEET, 7, "", &[
+        "park idle servers (modeled park/unpark",
+        "latency and boot energy)"])],
+        set: Switch(|p| p.fleet.autoscale = true) },
+    Flag { name: "--diurnal", scope: &[Fleet, Watch],
+        help: &[(FLEET, 8, "<A>", &["sinusoidal load swing of amplitude A in [0,1)"])],
+        set: Value(|p, f, v| match number(f, v)? {
+            amp if (0.0..1.0).contains(&amp) => {
+                p.fleet.diurnal = Some(amp);
+                Ok(())
+            }
+            _ => Err(ParseError(format!("{f} amplitude must be in [0, 1)"))),
+        }) },
+    Flag { name: "--fleet-faults", scope: &[Fleet, Watch], help: &[(FLEET, 10, "<SPEC>", &[
+        "inject fleet-level chaos; SPEC is comma-",
+        "separated key=value pairs, e.g.",
+        "crash=0.02,down-epochs=3,unpark-fail=0.1",
+        "(keys: seed, crash, crash-at, down-epochs,",
+        "unpark-fail, degrade, degrade-ns,",
+        "degrade-epochs, rack-size, rack-outage,",
+        "throttle, throttle-factor, throttle-epochs;",
+        "crash-at pins one crash as EPOCH:SERVER)",
+        "(--slo-p99 sets the fleet SLO target,",
+        "--timeline-out receives the per-epoch fleet",
+        "time series, and the robustness flags",
+        "--faults / --queue-cap / --request-timeout",
+        "apply to every simulated server-epoch)"])],
+        set: Value(|p, _, v| FleetFaultSpec::parse(v).map(|spec| p.fleet.fleet_faults = Some(spec))
+            .map_err(|e| ParseError(e.to_string()))) },
+    Flag { name: "--headless", scope: &[Watch], help: &[(WATCH, 0, "", &[
+        "print plain-text frames to stdout instead of",
+        "taking over the terminal (deterministic; for",
+        "scripts and tests)"])],
+        set: Switch(|p| p.watch.headless = true) },
+    Flag { name: "--frames", scope: &[Watch], help: &[(WATCH, 1, "<N>", &[
+        "emit at most N headless frames (default: one",
+        "per epoch)",
+        "interactive keys: 1-5 or Tab switch tabs,",
+        "q / Esc / Ctrl-C quit"])],
+        set: Value(|p, f, v| positive_usize(f, v).map(|n| p.watch.frames = Some(n))) },
+    Flag { name: "--trace-out", scope: &[Shared], help: &[(TELEMETRY, 0, "<FILE>", &[
+        "write a Chrome trace-event JSON file (open in",
+        "chrome://tracing or Perfetto; one track per core)"])],
+        set: Path(|p| &mut p.common.telemetry.trace_out) },
+    Flag { name: "--metrics-out", scope: &[Shared], help: &[(TELEMETRY, 1, "<FILE>", &[
+        "write a metrics-registry JSON file (counters,",
+        "gauges, histograms, governor mispredict rate)"])],
+        set: Path(|p| &mut p.common.telemetry.metrics_out) },
+    Flag { name: "--trace-limit", scope: &[Shared], help: &[(TELEMETRY, 2, "<N>", &[
+        "trace ring-buffer capacity (default 200000;",
+        "oldest events are dropped first)"])],
+        set: Value(|p, f, v| positive_usize(f, v)
+            .map(|n| p.common.telemetry.trace_limit = Some(n))) },
+    Flag { name: "--slo-p99", scope: &[Shared], help: &[(ATTRIBUTION, 0, "<NS>", &[
+        "per-window p99 latency SLO target in ns; prints",
+        "the burn rate (fraction of windows violated)"])],
+        set: Value(|p, f, v| positive_f64(f, v, "nanoseconds")
+            .map(|ns| p.common.telemetry.slo_p99 = Some(ns))) },
+    Flag { name: "--timeline-out", scope: &[Shared], help: &[(ATTRIBUTION, 1, "<FILE>", &[
+        "write the windowed time series (throughput,",
+        "per-phase latency, p50/p99/p99.9, power,",
+        "residency); .json suffix = JSON, else CSV"])],
+        set: Path(|p| &mut p.common.telemetry.timeline_out) },
+    Flag { name: "--attrib-out", scope: &[Shared], help: &[(ATTRIBUTION, 2, "<FILE>", &[
+        "write the per-phase latency attribution as",
+        "folded stacks (flamegraph.pl / speedscope)"])],
+        set: Path(|p| &mut p.common.telemetry.attrib_out) },
+    Flag { name: "--idle-out", scope: &[Shared], help: &[(ATTRIBUTION, 3, "<FILE>", &[
+        "capture per-core idle intervals and write the",
+        "idle-opportunity report (distributions,",
+        "governor audit, energy ledger); .json suffix",
+        "= JSON, .folded = folded stacks, else CSV"])],
+        set: Path(|p| &mut p.common.telemetry.idle_out) },
+    Flag { name: "--faults", scope: &[Shared], help: &[(ROBUSTNESS, 0, "<SPEC>", &[
+        "inject deterministic faults; SPEC is comma-",
+        "separated key=value pairs, e.g.",
+        "seed=7,wake-fail=0.1,relock=0.05,lost-wake=0.02",
+        "(keys: seed, wake-fail, wake-retries, relock,",
+        "relock-ns, drowsy, lost-wake, lost-ns,",
+        "spurious, storm, storm-size, slowdown,",
+        "slow-factor, slow-ms; rates in events/s,",
+        "probabilities in [0,1])"])],
+        set: Value(|p, f, v| FaultSpec::parse(v).map(|spec| p.common.robustness.faults = Some(spec))
+            .map_err(|e| ParseError(format!("bad {f} spec: {e}")))) },
+    Flag { name: "--queue-cap", scope: &[Shared], help: &[(ROBUSTNESS, 1, "<N>", &[
+        "bound each core's run queue at N requests;",
+        "excess arrivals are shed and retried by the",
+        "client with jittered exponential backoff"])],
+        set: Value(|p, f, v| positive_usize(f, v)
+            .map(|n| p.common.robustness.queue_cap = Some(n))) },
+    Flag { name: "--request-timeout", scope: &[Shared], help: &[(ROBUSTNESS, 2, "<US>", &[
+        "drop queued requests older than US microseconds",
+        "at dispatch; dropped work is retried"])],
+        set: Value(|p, f, v| positive_f64(f, v, "microseconds")
+            .map(|us| p.common.robustness.request_timeout_us = Some(us))) },
+];
+
+/// `--hw`: a comma list of registered model names, each validated.
+fn set_hw(p: &mut Parsed, _: &'static str, v: &str) -> Result<(), ParseError> {
+    for name in v.split(',') {
+        let hw = HardwareModel::by_name(name.trim()).map_err(|e| ParseError(e.to_string()))?;
+        p.common.hw.push(hw.name.to_string());
+    }
+    Ok(())
+}
+
+/// The row for `arg` among the flags `scope` accepts.
+fn flag(arg: &str, scope: Scope) -> Option<&'static Flag> {
+    FLAGS.iter().find(|f| f.name == arg && f.scope.contains(&scope))
+}
+
+/// What the flags of one command line set: the shared flags and every
+/// subcommand's options. The parsed subcommand keeps only its own part.
+#[derive(Default)]
+struct Parsed {
+    common: CommonArgs,
+    sweep: SweepArgs,
+    analyze: AnalyzeArgs,
+    fleet: FleetArgs,
+    /// The `watch`-only options; its `fleet` part is `Parsed::fleet`.
+    watch: WatchArgs,
+}
+
+impl Parsed {
+    /// Applies one flag, taking its value (if it has one) from `it`.
+    fn apply(
+        &mut self,
+        flag: &Flag,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<(), ParseError> {
+        let mut value =
+            || it.next().ok_or_else(|| ParseError(format!("{} needs a value", flag.name)));
+        match flag.set {
+            Switch(set) => set(self),
+            Path(slot) => *slot(self) = Some(value()?.clone()),
+            Value(set) => set(self, flag.name, value()?)?,
+        }
+        Ok(())
+    }
+
+    /// The one loop every subcommand's flags go through.
+    fn flags(&mut self, scope: Scope, args: &[String]) -> Result<(), ParseError> {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            self.apply(flag(arg, scope).ok_or_else(|| scope.unknown(arg))?, &mut it)?;
+        }
+        Ok(())
+    }
+
+    /// Parses the at most one switch of a simple subcommand; `true` when
+    /// it was given. Anything else is an error naming the first argument.
+    fn switch(&mut self, scope: Scope, args: &[String]) -> Result<bool, ParseError> {
+        if args.len() > 1 {
+            return Err(scope.unknown(&args[0]));
+        }
+        self.flags(scope, args)?;
+        Ok(!args.is_empty())
+    }
+
+    /// Parses a subcommand and its flags (the shared flags already taken
+    /// out).
+    fn command(mut self, args: &[String]) -> Result<(Command, CommonArgs), ParseError> {
+        let Some((cmd, rest)) = args.split_first() else {
+            return Ok((Command::Help, self.common));
+        };
+        let command = match cmd.as_str() {
+            "help" | "--help" | "-h" => Command::Help,
+            "table" => {
+                let [n] = rest else {
+                    return Err(ParseError("usage: table <1|2|3|4|5>".into()));
+                };
+                let n: u8 = n.parse().map_err(|_| ParseError(format!("bad table number '{n}'")))?;
+                if !(1..=5).contains(&n) {
+                    return Err(ParseError(format!("no table {n} in the paper (1–5)")));
+                }
+                Command::Table(n)
+            }
+            "fig" => {
+                let Some((n, flags)) = rest.split_first() else {
+                    return Err(ParseError("usage: fig <8|9|10|11|12|13> [--quick]".into()));
+                };
+                let number: u8 =
+                    n.parse().map_err(|_| ParseError(format!("bad figure number '{n}'")))?;
+                if !(8..=13).contains(&number) {
+                    return Err(ParseError(format!("no figure {number} experiment (8–13)")));
+                }
+                Command::Fig { number, quick: self.switch(Quick, flags)? }
+            }
+            "flows" => self.switch(Quick, rest).map(|_| Command::Flows)?,
+            "motivation" => Command::Motivation { simulated: self.switch(Motivation, rest)? },
+            "package" => Command::Package { quick: self.switch(Quick, rest)? },
+            "diurnal" => Command::Diurnal { quick: self.switch(Quick, rest)? },
+            "snoop" => self.switch(Quick, rest).map(|_| Command::Snoop)?,
+            "validate" => Command::Validate { quick: self.switch(Quick, rest)? },
+            "ablations" => Command::Ablations { quick: self.switch(Quick, rest)? },
+            "cross-vendor" => Command::CrossVendor { quick: self.switch(Quick, rest)? },
+            "report" => Command::Report { quick: self.switch(Quick, rest)? },
+            "sweep" => self.flags(Sweep, rest).map(|()| Command::Sweep(self.sweep))?,
+            "analyze" => self.flags(Analyze, rest).map(|()| Command::Analyze(self.analyze))?,
+            "fleet" => self.flags(Fleet, rest).map(|()| Command::Fleet(self.fleet))?,
+            "watch" => {
+                self.flags(Watch, rest)?;
+                if self.watch.frames.is_some() && !self.watch.headless {
+                    return Err(ParseError("--frames only applies to --headless".into()));
+                }
+                Command::Watch(WatchArgs { fleet: self.fleet, ..self.watch })
+            }
+            other => return Err(ParseError(format!("unknown command '{other}' (try 'help')"))),
+        };
+        Ok((command, self.common))
+    }
+}
+
+/// Parses an argument vector (without the program name). The shared
+/// flags (see [`CommonArgs`]) are taken out first, from anywhere on the
+/// line; the rest is the subcommand and its own flags. A run whose
+/// estimated work is beyond the limits is refused here, before anything
+/// is simulated or allocated.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first invalid argument.
+/// Returns a [`ParseError`] describing the first invalid argument, a
+/// shared flag given without a subcommand, or a refused run.
 pub fn parse_cli(args: &[String]) -> Result<(Command, CommonArgs), ParseError> {
-    let mut common = CommonArgs::default();
+    let mut parsed = Parsed::default();
     let mut rest = Vec::with_capacity(args.len());
+    let mut shared = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if !common.try_consume(arg.as_str(), &mut it)? {
-            rest.push(arg.clone());
+        match flag(arg, Shared) {
+            Some(row) => {
+                parsed.apply(row, &mut it)?;
+                shared = true;
+            }
+            None => rest.push(arg.clone()),
         }
     }
-    let command = parse(&rest)?;
-    if (common.is_active() || !common.hw.is_empty()) && matches!(command, Command::Help) {
-        return Err(ParseError(
-            "--trace-out/--metrics-out/--slo-p99/--timeline-out/--attrib-out/--idle-out/\
-             --faults/--queue-cap/--request-timeout/--hw need an experiment subcommand"
-                .into(),
-        ));
+    let (command, common) = parsed.command(&rest)?;
+    if shared && command == Command::Help {
+        let names: Vec<_> = FLAGS.iter().filter(|f| f.scope == [Shared]).map(|f| f.name).collect();
+        return Err(ParseError(format!("{} need an experiment subcommand", names.join("/"))));
     }
+    crate::run::check_work(&command, &common)?;
     Ok((command, common))
 }
 
-/// Parses an argument vector (without the program name).
+/// Parses an argument vector (without the program name) that carries no
+/// shared flags.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first invalid argument.
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some((cmd, rest)) = args.split_first() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "table" => {
-            let [n] = rest else {
-                return Err(ParseError("usage: table <1|2|3|4|5>".into()));
-            };
-            let n: u8 = n.parse().map_err(|_| ParseError(format!("bad table number '{n}'")))?;
-            if (1..=5).contains(&n) {
-                Ok(Command::Table(n))
-            } else {
-                Err(ParseError(format!("no table {n} in the paper (1–5)")))
-            }
-        }
-        "fig" => {
-            let Some((n, flags)) = rest.split_first() else {
-                return Err(ParseError("usage: fig <8|9|10|11|12|13> [--quick]".into()));
-            };
-            let number: u8 =
-                n.parse().map_err(|_| ParseError(format!("bad figure number '{n}'")))?;
-            if !(8..=13).contains(&number) {
-                return Err(ParseError(format!("no figure {number} experiment (8–13)")));
-            }
-            Ok(Command::Fig { number, quick: has_quick(flags)? })
-        }
-        "flows" => has_quick(rest).map(|_| Command::Flows),
-        "motivation" => match rest {
-            [] => Ok(Command::Motivation { simulated: false }),
-            [flag] if flag == "--simulated" => Ok(Command::Motivation { simulated: true }),
-            [other, ..] => Err(ParseError(format!("unexpected argument '{other}'"))),
-        },
-        "package" => Ok(Command::Package { quick: has_quick(rest)? }),
-        "diurnal" => Ok(Command::Diurnal { quick: has_quick(rest)? }),
-        "snoop" => has_quick(rest).map(|_| Command::Snoop),
-        "validate" => Ok(Command::Validate { quick: has_quick(rest)? }),
-        "ablations" => Ok(Command::Ablations { quick: has_quick(rest)? }),
-        "cross-vendor" => Ok(Command::CrossVendor { quick: has_quick(rest)? }),
-        "report" => Ok(Command::Report { quick: has_quick(rest)? }),
-        "sweep" => parse_sweep(rest).map(Command::Sweep),
-        "analyze" => parse_analyze(rest).map(Command::Analyze),
-        "fleet" => parse_fleet(rest).map(Command::Fleet),
-        "watch" => parse_watch(rest).map(Command::Watch),
-        other => Err(ParseError(format!("unknown command '{other}' (try 'help')"))),
-    }
+    Parsed::default().command(args).map(|(command, _)| command)
 }
 
-fn parse_sweep(rest: &[String]) -> Result<SweepArgs, ParseError> {
-    let mut args = SweepArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--workload" => args.workload = value("--workload")?,
-            "--qps" => args.qps = positive_f64("--qps", &value("--qps")?, "requests/s")?,
-            "--config" => args.config = named_config(&value("--config")?)?,
-            "--cores" => args.cores = bounded_usize("--cores", &value("--cores")?, MAX_CORES)?,
-            "--duration-ms" => {
-                args.duration_ms =
-                    positive_f64("--duration-ms", &value("--duration-ms")?, "milliseconds")?;
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                args.seed = v.parse().map_err(|_| ParseError(format!("bad --seed value '{v}'")))?;
-            }
-            other => return Err(ParseError(format!("unknown sweep option '{other}'"))),
-        }
-    }
-    Ok(args)
-}
+/// The part of [`usage`] above the flag sections.
+const COMMANDS: &str = "\
+agilewatts — reproduce the AgileWatts (MICRO 2022) evaluation
 
-fn parse_analyze(rest: &[String]) -> Result<AnalyzeArgs, ParseError> {
-    let mut args = AnalyzeArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--workload" => args.workload = value("--workload")?,
-            "--qps" => args.qps = positive_f64("--qps", &value("--qps")?, "requests/s")?,
-            "--cores" => args.cores = bounded_usize("--cores", &value("--cores")?, MAX_CORES)?,
-            "--duration-ms" => {
-                args.duration_ms =
-                    positive_f64("--duration-ms", &value("--duration-ms")?, "milliseconds")?;
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                args.seed = v.parse().map_err(|_| ParseError(format!("bad --seed value '{v}'")))?;
-            }
-            other => return Err(ParseError(format!("unknown analyze option '{other}'"))),
-        }
-    }
-    Ok(args)
-}
+USAGE:
+    agilewatts <COMMAND> [OPTIONS]
 
-/// Tries to consume `flag` (and its value from `it`) as one of the
-/// fleet-simulation flags shared by `fleet` and `watch`. Returns
-/// `Ok(false)` when `flag` is not a fleet flag.
-fn consume_fleet_flag(
-    args: &mut FleetArgs,
-    flag: &str,
-    it: &mut std::slice::Iter<'_, String>,
-) -> Result<bool, ParseError> {
-    let mut value =
-        |name: &str| it.next().cloned().ok_or_else(|| ParseError(format!("{name} needs a value")));
-    match flag {
-        "--servers" => {
-            args.servers = bounded_usize("--servers", &value("--servers")?, MAX_SERVERS)?;
-        }
-        "--cores" => args.cores = bounded_usize("--cores", &value("--cores")?, MAX_CORES)?,
-        "--policy" => {
-            let v = value("--policy")?;
-            args.policy = v.parse().map_err(|e: String| ParseError(e))?;
-        }
-        "--config" => args.config = named_config(&value("--config")?)?,
-        "--utilization" => {
-            args.utilization = positive_f64(
-                "--utilization",
-                &value("--utilization")?,
-                "(fraction of fleet capacity)",
-            )?;
-        }
-        "--epochs" => args.epochs = positive_usize("--epochs", &value("--epochs")?)?,
-        "--epoch-ms" => {
-            args.epoch_ms = positive_f64("--epoch-ms", &value("--epoch-ms")?, "milliseconds")?;
-        }
-        "--autoscale" => args.autoscale = true,
-        "--diurnal" => {
-            let v = value("--diurnal")?;
-            let amp: f64 =
-                v.parse().map_err(|_| ParseError(format!("bad --diurnal value '{v}'")))?;
-            if !(0.0..1.0).contains(&amp) {
-                return Err(ParseError("--diurnal amplitude must be in [0, 1)".into()));
-            }
-            args.diurnal = Some(amp);
-        }
-        "--seed" => {
-            let v = value("--seed")?;
-            args.seed = v.parse().map_err(|_| ParseError(format!("bad --seed value '{v}'")))?;
-        }
-        "--fleet-faults" => {
-            let v = value("--fleet-faults")?;
-            args.fleet_faults =
-                Some(FleetFaultSpec::parse(&v).map_err(|e| ParseError(e.to_string()))?);
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
+COMMANDS:
+    table <1|2|3|4|5>      regenerate one of the paper's tables
+    fig <8|9|10|11|12|13>  regenerate one of the paper's figures
+    flows                  transition-latency budget (Figs. 3/6, Sec. 5.2)
+    motivation             the Sec. 2 Eq. 1 savings bounds
+                           (--simulated derives the profiles in the DES)
+    package                the package-C-state (uncore) analysis
+    diurnal                AW savings under a day/night load swing
+    snoop                  the Sec. 7.5 snoop-impact bounds
+    validate               the Sec. 6.3 power-model validation
+    ablations              the design-choice ablation suite
+    sweep [OPTIONS]        one custom simulation run
+    analyze [OPTIONS]      idle-opportunity report: Baseline vs AW on one
+                           workload (idle-period distributions, governor
+                           audit, achievable-vs-achieved energy)
+    fleet [OPTIONS]        N servers behind a load balancer
+    watch [OPTIONS]        live fleet cockpit (streaming terminal UI)
+    cross-vendor           the Fig. 8 sweep on every hardware model
+    report                 every artifact in one run
+    help                   print this message
+";
 
-fn parse_fleet(rest: &[String]) -> Result<FleetArgs, ParseError> {
-    let mut args = FleetArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if !consume_fleet_flag(&mut args, flag.as_str(), &mut it)? {
-            return Err(ParseError(format!("unknown fleet option '{flag}'")));
-        }
-    }
-    Ok(args)
-}
-
-fn parse_watch(rest: &[String]) -> Result<WatchArgs, ParseError> {
-    let mut args = WatchArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--headless" => args.headless = true,
-            "--frames" => {
-                let v = it.next().ok_or_else(|| ParseError("--frames needs a value".into()))?;
-                args.frames = Some(positive_usize("--frames", v)?);
-            }
-            other => {
-                if !consume_fleet_flag(&mut args.fleet, other, &mut it)? {
-                    return Err(ParseError(format!("unknown watch option '{other}'")));
+/// The CLI usage text: the command list, then every section of the flag
+/// table.
+#[must_use]
+pub fn usage() -> String {
+    let mut out = COMMANDS.to_string();
+    for section in SECTIONS {
+        out += &format!("\n{section}\n");
+        let mut listed: Vec<_> = FLAGS
+            .iter()
+            .flat_map(|f| f.help.iter().filter(|l| l.0 == section).map(move |l| (f.name, l)))
+            .collect();
+        listed.sort_by_key(|(_, l)| l.1);
+        for (name, &(_, _, metavar, lines)) in listed {
+            let synopsis =
+                if metavar.is_empty() { name.to_string() } else { format!("{name} {metavar}") };
+            match lines.split_first() {
+                None => out += &format!("    {synopsis}\n"),
+                Some((first, more)) => {
+                    out += &format!("    {synopsis:<22} {first}\n");
+                    for line in more {
+                        out += &format!("{:27}{line}\n", "");
+                    }
                 }
             }
         }
     }
-    if args.frames.is_some() && !args.headless {
-        return Err(ParseError("--frames only applies to --headless".into()));
-    }
-    Ok(args)
+    out
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// The exact message `parse_cli` rejects `s` with.
+    fn err(s: &str) -> String {
+        parse_cli(&argv(s)).expect_err(s).0
+    }
+
+    /// Asserts each command line is rejected with exactly its message.
+    fn assert_errors(cases: &[(&str, &str)]) {
+        for &(cmd, msg) in cases {
+            assert_eq!(err(cmd), msg, "`{cmd}`");
+        }
     }
 
     #[test]
@@ -723,9 +956,12 @@ mod tests {
     #[test]
     fn tables_parse_and_validate() {
         assert_eq!(parse(&argv("table 3")).unwrap(), Command::Table(3));
-        assert!(parse(&argv("table 7")).is_err());
-        assert!(parse(&argv("table")).is_err());
-        assert!(parse(&argv("table x")).is_err());
+        assert_errors(&[
+            ("table 7", "no table 7 in the paper (1–5)"),
+            ("table", "usage: table <1|2|3|4|5>"),
+            ("table 1 2", "usage: table <1|2|3|4|5>"),
+            ("table x", "bad table number 'x'"),
+        ]);
     }
 
     #[test]
@@ -735,8 +971,13 @@ mod tests {
             parse(&argv("fig 12 --quick")).unwrap(),
             Command::Fig { number: 12, quick: true }
         );
-        assert!(parse(&argv("fig 7")).is_err());
-        assert!(parse(&argv("fig 8 --fast")).is_err());
+        assert_errors(&[
+            ("fig 7", "no figure 7 experiment (8–13)"),
+            ("fig", "usage: fig <8|9|10|11|12|13> [--quick]"),
+            ("fig x", "bad figure number 'x'"),
+            ("fig 8 --fast", "unexpected argument '--fast'"),
+            ("fig 8 --quick --quick", "unexpected argument '--quick'"),
+        ]);
     }
 
     #[test]
@@ -752,6 +993,17 @@ mod tests {
         assert_eq!(parse(&argv("snoop")).unwrap(), Command::Snoop);
         assert_eq!(parse(&argv("validate --quick")).unwrap(), Command::Validate { quick: true });
         assert_eq!(parse(&argv("report")).unwrap(), Command::Report { quick: false });
+        // A simple subcommand takes at most its one switch; the error
+        // names the first argument.
+        assert_errors(&[
+            ("package --quick --quick", "unexpected argument '--quick'"),
+            ("package --fast", "unexpected argument '--fast'"),
+            ("motivation --quick", "unexpected argument '--quick'"),
+            ("motivation --simulated --simulated", "unexpected argument '--simulated'"),
+            ("flows --x", "unexpected argument '--x'"),
+            ("snoop --simulated", "unexpected argument '--simulated'"),
+            ("report --quick x", "unexpected argument '--quick'"),
+        ]);
     }
 
     #[test]
@@ -787,11 +1039,28 @@ mod tests {
 
     #[test]
     fn sweep_rejects_bad_values() {
-        assert!(parse(&argv("sweep --qps -5")).is_err());
-        assert!(parse(&argv("sweep --cores 0")).is_err());
-        assert!(parse(&argv("sweep --config NoSuch")).is_err());
-        assert!(parse(&argv("sweep --qps")).is_err());
-        assert!(parse(&argv("sweep --frobnicate 3")).is_err());
+        assert_errors(&[
+            ("sweep --workload", "--workload needs a value"),
+            ("sweep --qps", "--qps needs a value"),
+            ("sweep --qps abc", "bad --qps value 'abc'"),
+            ("sweep --qps 0", "--qps must be positive requests/s"),
+            ("sweep --qps -5", "--qps must be positive requests/s"),
+            ("sweep --qps inf", "--qps must be positive requests/s"),
+            ("sweep --config", "--config needs a value"),
+            ("sweep --config NoSuch", "unknown config 'NoSuch'"),
+            ("sweep --cores", "--cores needs a value"),
+            ("sweep --cores abc", "bad --cores value 'abc'"),
+            ("sweep --cores 0", "--cores must be positive"),
+            ("sweep --duration-ms", "--duration-ms needs a value"),
+            ("sweep --duration-ms abc", "bad --duration-ms value 'abc'"),
+            ("sweep --duration-ms 0", "--duration-ms must be positive milliseconds"),
+            ("sweep --seed", "--seed needs a value"),
+            ("sweep --seed abc", "bad --seed value 'abc'"),
+            ("sweep --seed -1", "bad --seed value '-1'"),
+            ("sweep --frobnicate 3", "unknown sweep option '--frobnicate'"),
+            ("sweep --quick", "unknown sweep option '--quick'"),
+            ("sweep --servers 4", "unknown sweep option '--servers'"),
+        ]);
     }
 
     #[test]
@@ -816,9 +1085,20 @@ mod tests {
     #[test]
     fn analyze_rejects_config_and_bad_values() {
         // analyze always compares Baseline vs AW; --config is not a flag.
-        assert!(parse(&argv("analyze --config AW")).is_err());
-        assert!(parse(&argv("analyze --cores 0")).is_err());
-        assert!(parse(&argv("analyze --qps")).is_err());
+        assert_errors(&[
+            ("analyze --config AW", "unknown analyze option '--config'"),
+            ("analyze --frobnicate", "unknown analyze option '--frobnicate'"),
+            ("analyze --workload", "--workload needs a value"),
+            ("analyze --qps", "--qps needs a value"),
+            ("analyze --qps abc", "bad --qps value 'abc'"),
+            ("analyze --qps 0", "--qps must be positive requests/s"),
+            ("analyze --cores", "--cores needs a value"),
+            ("analyze --cores 0", "--cores must be positive"),
+            ("analyze --duration-ms", "--duration-ms needs a value"),
+            ("analyze --duration-ms -1", "--duration-ms must be positive milliseconds"),
+            ("analyze --seed", "--seed needs a value"),
+            ("analyze --seed x", "bad --seed value 'x'"),
+        ]);
     }
 
     #[test]
@@ -832,8 +1112,7 @@ mod tests {
         // Idle analysis alone requests neither tracing nor attribution.
         assert!(!c.telemetry.is_active());
         assert!(!c.telemetry.attrib_active());
-        assert!(parse_cli(&argv("--idle-out /tmp/i.csv")).is_err(), "needs a subcommand");
-        assert!(parse_cli(&argv("sweep --idle-out")).is_err(), "needs a value");
+        assert_eq!(err("sweep --idle-out"), "--idle-out needs a value");
     }
 
     #[test]
@@ -866,12 +1145,42 @@ mod tests {
 
     #[test]
     fn fleet_rejects_bad_values() {
-        assert!(parse(&argv("fleet --servers 0")).is_err());
-        assert!(parse(&argv("fleet --policy weighted")).is_err());
-        assert!(parse(&argv("fleet --utilization -0.2")).is_err());
-        assert!(parse(&argv("fleet --diurnal 1.5")).is_err());
-        assert!(parse(&argv("fleet --epoch-ms 0")).is_err());
-        assert!(parse(&argv("fleet --frobnicate 3")).is_err());
+        assert_errors(&[
+            ("fleet --servers", "--servers needs a value"),
+            ("fleet --servers abc", "bad --servers value 'abc'"),
+            ("fleet --servers 0", "--servers must be positive"),
+            ("fleet --cores", "--cores needs a value"),
+            ("fleet --cores 0", "--cores must be positive"),
+            ("fleet --policy", "--policy needs a value"),
+            (
+                "fleet --policy weighted",
+                "unknown policy 'weighted' (expected one of: round-robin, least-outstanding, \
+                 packing, spreading)",
+            ),
+            ("fleet --config", "--config needs a value"),
+            ("fleet --config NoSuch", "unknown config 'NoSuch'"),
+            ("fleet --utilization", "--utilization needs a value"),
+            ("fleet --utilization abc", "bad --utilization value 'abc'"),
+            (
+                "fleet --utilization -0.2",
+                "--utilization must be positive (fraction of fleet capacity)",
+            ),
+            ("fleet --epochs", "--epochs needs a value"),
+            ("fleet --epochs abc", "bad --epochs value 'abc'"),
+            ("fleet --epochs 0", "--epochs must be positive"),
+            ("fleet --epoch-ms", "--epoch-ms needs a value"),
+            ("fleet --epoch-ms abc", "bad --epoch-ms value 'abc'"),
+            ("fleet --epoch-ms 0", "--epoch-ms must be positive milliseconds"),
+            ("fleet --diurnal", "--diurnal needs a value"),
+            ("fleet --diurnal abc", "bad --diurnal value 'abc'"),
+            ("fleet --diurnal 1.5", "--diurnal amplitude must be in [0, 1)"),
+            ("fleet --diurnal -0.1", "--diurnal amplitude must be in [0, 1)"),
+            ("fleet --seed", "--seed needs a value"),
+            ("fleet --seed abc", "bad --seed value 'abc'"),
+            ("fleet --frobnicate 3", "unknown fleet option '--frobnicate'"),
+            ("fleet --headless", "unknown fleet option '--headless'"),
+            ("fleet --frames 2", "unknown fleet option '--frames'"),
+        ]);
     }
 
     /// Sizes that would abort in the allocator fail as usage errors
@@ -910,9 +1219,11 @@ mod tests {
         let Command::Watch(w) = cmd else { panic!("expected watch") };
         assert!(w.fleet.fleet_faults.is_some());
 
-        assert!(parse(&argv("fleet --fleet-faults")).is_err()); // needs a value
-        assert!(parse(&argv("fleet --fleet-faults crash=2.0")).is_err()); // bad probability
-        assert!(parse(&argv("fleet --fleet-faults no-such-key=1")).is_err());
+        assert_errors(&[
+            ("fleet --fleet-faults", "--fleet-faults needs a value"),
+            ("fleet --fleet-faults crash=2.0", "crash must be a probability in [0, 1], got 2.0"),
+            ("fleet --fleet-faults no-such-key=1", "unknown fleet fault key 'no-such-key'"),
+        ]);
     }
 
     #[test]
@@ -947,10 +1258,15 @@ mod tests {
 
     #[test]
     fn watch_rejects_bad_values() {
-        assert!(parse(&argv("watch --frames 0 --headless")).is_err());
-        assert!(parse(&argv("watch --frames 3")).is_err(), "--frames needs --headless");
-        assert!(parse(&argv("watch --servers 0")).is_err());
-        assert!(parse(&argv("watch --quick")).is_err());
+        assert_errors(&[
+            ("watch --frames", "--frames needs a value"),
+            ("watch --frames abc", "bad --frames value 'abc'"),
+            ("watch --frames 0 --headless", "--frames must be positive"),
+            ("watch --frames 3", "--frames only applies to --headless"),
+            ("watch --servers 0", "--servers must be positive"),
+            ("watch --epochs", "--epochs needs a value"),
+            ("watch --quick", "unknown watch option '--quick'"),
+        ]);
     }
 
     #[test]
@@ -982,7 +1298,10 @@ mod tests {
         let (_, c) = parse_cli(&argv("fleet --hw skylake-sp,zen2")).unwrap();
         assert_eq!(c.hw, vec!["skylake-sp".to_string(), "zen2".to_string()]);
         assert_eq!(c.hw_models().len(), 2);
-        assert!(c.single_hw().is_err(), "lists are fleet/watch/cross-vendor only");
+        assert_eq!(
+            c.single_hw().unwrap_err().0,
+            "--hw named 2 models; only fleet, watch, and cross-vendor accept a list"
+        );
 
         // No flag = the default Skylake-SP part.
         let (_, c) = parse_cli(&argv("fig 8 --quick")).unwrap();
@@ -992,14 +1311,17 @@ mod tests {
 
     #[test]
     fn unknown_hw_error_lists_known_models() {
-        let err = parse_cli(&argv("fig 8 --hw epyc-9999")).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("epyc-9999"), "{msg}");
-        assert!(msg.contains("skylake-sp"), "{msg}");
-        assert!(msg.contains("zen2"), "{msg}");
-        assert!(parse_cli(&argv("fleet --hw skylake-sp,nope")).is_err());
-        assert!(parse_cli(&argv("sweep --hw")).is_err(), "needs a value");
-        assert!(parse_cli(&argv("--hw zen2")).is_err(), "needs a subcommand");
+        assert_errors(&[
+            (
+                "fig 8 --hw epyc-9999",
+                "unknown hardware model `epyc-9999`; known models: skylake-sp, zen2",
+            ),
+            (
+                "fleet --hw skylake-sp,nope",
+                "unknown hardware model `nope`; known models: skylake-sp, zen2",
+            ),
+            ("sweep --hw", "--hw needs a value"),
+        ]);
     }
 
     #[test]
@@ -1009,13 +1331,12 @@ mod tests {
             Command::CrossVendor { quick: true }
         );
         assert_eq!(parse(&argv("cross-vendor")).unwrap(), Command::CrossVendor { quick: false });
-        assert!(parse(&argv("cross-vendor --fast")).is_err());
+        assert_eq!(err("cross-vendor --fast"), "unexpected argument '--fast'");
     }
 
     #[test]
     fn unknown_command_suggests_help() {
-        let err = parse(&argv("fgi 8")).unwrap_err();
-        assert!(err.to_string().contains("help"));
+        assert_eq!(err("fgi 8"), "unknown command 'fgi' (try 'help')");
     }
 
     #[test]
@@ -1034,9 +1355,15 @@ mod tests {
     fn trace_limit_parses_and_validates() {
         let (_, c) = parse_cli(&argv("sweep --trace-limit 5000 --trace-out x.json")).unwrap();
         assert_eq!(c.telemetry.limit(), 5000);
-        assert!(parse_cli(&argv("sweep --trace-limit 0")).is_err());
-        assert!(parse_cli(&argv("sweep --trace-limit abc")).is_err());
-        assert!(parse_cli(&argv("sweep --trace-out")).is_err());
+        assert_errors(&[
+            ("sweep --trace-limit", "--trace-limit needs a value"),
+            ("sweep --trace-limit 0", "--trace-limit must be positive"),
+            ("sweep --trace-limit abc", "bad --trace-limit value 'abc'"),
+            ("sweep --trace-out", "--trace-out needs a value"),
+            ("sweep --metrics-out", "--metrics-out needs a value"),
+            ("sweep --timeline-out", "--timeline-out needs a value"),
+            ("sweep --attrib-out", "--attrib-out needs a value"),
+        ]);
     }
 
     #[test]
@@ -1048,8 +1375,26 @@ mod tests {
 
     #[test]
     fn telemetry_without_subcommand_is_an_error() {
-        assert!(parse_cli(&argv("--trace-out /tmp/t.json")).is_err());
-        assert!(parse_cli(&argv("--slo-p99 500000")).is_err());
+        // Every shared flag, in table order.
+        let need = "--hw/--jobs/--progress/--no-idle-skip/--trace-out/--metrics-out/--trace-limit/\
+                    --slo-p99/--timeline-out/--attrib-out/--idle-out/--faults/--queue-cap/\
+                    --request-timeout need an experiment subcommand";
+        for cmd in [
+            "--trace-out /tmp/t.json",
+            "--slo-p99 500000",
+            "--idle-out /tmp/i.csv",
+            "--hw zen2",
+            "--faults wake-fail=0.1",
+            "--jobs 4",
+            "--trace-limit 5",
+            "--progress",
+            "--no-idle-skip",
+            "help --progress",
+        ] {
+            assert_eq!(err(cmd), need, "`{cmd}`");
+        }
+        // A shared flag's own error comes first.
+        assert_eq!(err("--faults x"), "bad --faults spec: expected key=value, got 'x'");
     }
 
     #[test]
@@ -1071,10 +1416,13 @@ mod tests {
 
     #[test]
     fn slo_p99_validates() {
-        assert!(parse_cli(&argv("sweep --slo-p99 0")).is_err());
-        assert!(parse_cli(&argv("sweep --slo-p99 -3")).is_err());
-        assert!(parse_cli(&argv("sweep --slo-p99 abc")).is_err());
-        assert!(parse_cli(&argv("sweep --slo-p99")).is_err());
+        assert_errors(&[
+            ("sweep --slo-p99 0", "--slo-p99 must be positive nanoseconds"),
+            ("sweep --slo-p99 -3", "--slo-p99 must be positive nanoseconds"),
+            ("sweep --slo-p99 nan", "--slo-p99 must be positive nanoseconds"),
+            ("sweep --slo-p99 abc", "bad --slo-p99 value 'abc'"),
+            ("sweep --slo-p99", "--slo-p99 needs a value"),
+        ]);
         let (_, c) = parse_cli(&argv("fig 8 --slo-p99 250000")).unwrap();
         assert_eq!(c.telemetry.slo_p99, Some(250_000.0));
         assert!(c.telemetry.attrib_active());
@@ -1110,9 +1458,12 @@ mod tests {
         assert_eq!(c.exec.jobs, Some(4));
         let (_, c) = parse_cli(&argv("report")).unwrap();
         assert_eq!(c.exec.jobs, None);
-        assert!(parse_cli(&argv("sweep --jobs 0")).is_err());
-        assert!(parse_cli(&argv("sweep --jobs abc")).is_err());
-        assert!(parse_cli(&argv("sweep --jobs")).is_err());
+        assert_errors(&[
+            ("sweep --jobs 0", "--jobs must be positive"),
+            ("sweep --jobs abc", "bad --jobs value 'abc'"),
+            ("sweep --jobs -1", "bad --jobs value '-1'"),
+            ("sweep --jobs", "--jobs needs a value"),
+        ]);
     }
 
     #[test]
@@ -1130,12 +1481,67 @@ mod tests {
 
     #[test]
     fn robustness_flags_validate() {
-        assert!(parse_cli(&argv("sweep --faults wake-fail=2.0")).is_err());
-        assert!(parse_cli(&argv("sweep --faults no-such-key=1")).is_err());
-        assert!(parse_cli(&argv("sweep --queue-cap 0")).is_err());
-        assert!(parse_cli(&argv("sweep --queue-cap abc")).is_err());
-        assert!(parse_cli(&argv("sweep --request-timeout -5")).is_err());
-        assert!(parse_cli(&argv("sweep --request-timeout")).is_err());
-        assert!(parse_cli(&argv("--faults wake-fail=0.1")).is_err()); // needs a subcommand
+        assert_errors(&[
+            ("sweep --faults", "--faults needs a value"),
+            ("sweep --faults bad", "bad --faults spec: expected key=value, got 'bad'"),
+            (
+                "sweep --faults wake-fail=2.0",
+                "bad --faults spec: wake-fail must be a probability in [0, 1], got 2.0",
+            ),
+            ("sweep --faults no-such-key=1", "bad --faults spec: unknown fault key 'no-such-key'"),
+            ("sweep --queue-cap", "--queue-cap needs a value"),
+            ("sweep --queue-cap 0", "--queue-cap must be positive"),
+            ("sweep --queue-cap abc", "bad --queue-cap value 'abc'"),
+            ("sweep --request-timeout abc", "bad --request-timeout value 'abc'"),
+            ("sweep --request-timeout -5", "--request-timeout must be positive microseconds"),
+            ("sweep --request-timeout inf", "--request-timeout must be positive microseconds"),
+            ("sweep --request-timeout", "--request-timeout needs a value"),
+        ]);
+    }
+
+    /// Found by fuzzing: offered loads so small that the arrival gaps
+    /// overflow used to panic (`exponential mean must be positive`, or a
+    /// non-finite event time) while parsing or running; they are usage
+    /// errors now, and the floors themselves are accepted.
+    #[test]
+    fn vanishing_load_is_a_usage_error() {
+        assert_errors(&[
+            ("sweep --qps 1e-300", "--qps must be at least 1e-6 requests/s"),
+            ("analyze --qps 5e-324", "--qps must be at least 1e-6 requests/s"),
+            (
+                "fleet --utilization 5e-324",
+                "--utilization must be at least 1e-9 (fraction of fleet capacity)",
+            ),
+        ]);
+        parse_cli(&argv("sweep --qps 0.000001")).unwrap();
+        parse_cli(&argv("watch --utilization 0.000000001")).unwrap();
+    }
+
+    /// Every token the argv fuzz draws from: each subcommand and flag,
+    /// hostile values (and the empty string), and fault-spec fragments.
+    fn fuzz_tokens() -> Vec<&'static str> {
+        let commands = "help table fig flows motivation package diurnal snoop validate \
+                        ablations sweep analyze fleet watch cross-vendor report";
+        let values = "0 1 8 -1 nan inf 1e300 1e-300 5e-324 18446744073709551615 4294967297 AW \
+                      zen2 websearch-50 crash=2 seed= =, crash-at=1:0 wake-fail=0.5 \
+                      storm=1e300,slowdown=1";
+        let words = commands.split_whitespace().chain(values.split_whitespace());
+        words.chain(FLAGS.iter().map(|f| f.name)).chain([""]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// No argv makes the parser panic, and every command it accepts
+        /// is within the work limits. Nothing is simulated.
+        #[test]
+        fn argv_fuzz_never_panics_and_bounds_work(
+            args in prop::collection::vec(prop::sample::select(fuzz_tokens()), 0..10)
+        ) {
+            let args: Vec<String> = args.into_iter().map(String::from).collect();
+            if let Ok((command, common)) = parse_cli(&args) {
+                prop_assert!(crate::run::check_work(&command, &common).is_ok(), "{args:?}");
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", aw_cli::USAGE);
+            eprintln!("error: {e}\n\n{}", aw_cli::usage());
             ExitCode::FAILURE
         }
     }

@@ -2,7 +2,7 @@
 
 use agilewatts::aw_cstates::NamedConfig;
 use agilewatts::aw_faults::FaultPlan;
-use agilewatts::aw_server::{HardwareModel, ServerConfig, SimBuilder, WorkloadSpec};
+use agilewatts::aw_server::{HardwareModel, RunOutput, ServerConfig, SimBuilder, WorkloadSpec};
 use agilewatts::aw_sleep::{BreakEven, IdleReport};
 use agilewatts::aw_telemetry::{AttributionReport, SloMonitor, TelemetryReport};
 use agilewatts::aw_types::Nanos;
@@ -17,9 +17,8 @@ use agilewatts::{attribution_table, degradation_table, telemetry_table};
 
 use crate::args::{
     AnalyzeArgs, Command, CommonArgs, FleetArgs, ParseError, RobustnessArgs, SweepArgs,
-    TelemetryArgs,
+    TelemetryArgs, WatchArgs,
 };
-use crate::USAGE;
 
 fn sweep_params(quick: bool, hw: &'static HardwareModel) -> SweepParams {
     if quick { SweepParams::quick() } else { SweepParams::default() }.with_hw(hw)
@@ -39,119 +38,105 @@ fn workload_by_name(name: &str, qps: f64, cores: usize) -> Result<WorkloadSpec, 
     }
 }
 
-/// Executes a command with telemetry and robustness options, writing its
-/// report to stdout and any requested trace/metrics JSON artifacts to
-/// disk.
+/// Most requests one command may offer: 400× the largest run any
+/// documented command, script or benchmark makes (`fleet_1k_diurnal` in
+/// `scripts/bench.sh`, about 2.5e7).
+const MAX_REQUESTS: f64 = 1e10;
+
+/// Most server-epochs one fleet run may plan: 200× `fleet_1k_diurnal`'s
+/// 24,000. Each holds its routing plan and report window in memory.
+const MAX_SERVER_EPOCHS: f64 = 5e6;
+
+/// Refuses a command whose estimated work is beyond [`MAX_REQUESTS`] or
+/// [`MAX_SERVER_EPOCHS`], so a run that could never finish, or would
+/// abort in the allocator, fails as a usage error instead. The estimate
+/// is the offered requests (offered load × simulated time, summed over
+/// epochs for a fleet) and, for a fleet, its servers × epochs. Nothing
+/// is simulated or allocated; an unknown workload passes and fails when
+/// the command runs.
+pub(crate) fn check_work(command: &Command, common: &CommonArgs) -> Result<(), ParseError> {
+    let offered = |workload: &str, qps, cores, duration_ms: f64| {
+        workload_by_name(workload, qps, cores).map_or(0.0, |w| w.offered_qps() * duration_ms / 1e3)
+    };
+    let (requests, server_epochs) = match command {
+        Command::Sweep(a) => (offered(&a.workload, a.qps, a.cores, a.duration_ms), 0.0),
+        Command::Analyze(a) => (offered(&a.workload, a.qps, a.cores, a.duration_ms), 0.0),
+        Command::Fleet(f) | Command::Watch(WatchArgs { fleet: f, .. }) => {
+            let fleet = fleet_experiment(f, &common.telemetry, &common.robustness, Vec::new())
+                .config(f.policy, f.config);
+            let epochs = fleet.epochs as f64;
+            (fleet.total_qps * epochs * fleet.epoch.as_secs(), fleet.servers as f64 * epochs)
+        }
+        _ => return Ok(()),
+    };
+    for (estimate, limit, what) in [
+        (requests, MAX_REQUESTS, "offered requests"),
+        (server_epochs, MAX_SERVER_EPOCHS, "server-epochs"),
+    ] {
+        if estimate > limit {
+            return Err(ParseError(format!(
+                "refusing a run of about {estimate:.3e} {what}: the limit is {limit:.0e}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Executes a command, writing its report to stdout and any requested
+/// artifacts to disk. The one dispatch path of the CLI.
 ///
-/// A traced or fault-injected `sweep` instruments its own simulation;
-/// every other subcommand runs normally and then attaches one
+/// `fleet` and `watch` own the shared flags at fleet level, and their
+/// `--hw` list builds a mixed fleet; `cross-vendor` runs every model (or
+/// the `--hw` list). Every other command runs on exactly one model. A
+/// `sweep` instruments its own simulation; any other command given a
+/// telemetry or robustness flag runs normally and then attaches one
 /// representative instrumented run (see `run_traced_representative`).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] for semantic errors detectable only at
-/// execution time (e.g., an unknown workload name or unwritable output
-/// path), or when a fault-injected run trips a runtime invariant.
-pub fn execute_with(command: &Command, common: &CommonArgs) -> Result<(), ParseError> {
-    let (telemetry, robustness) = (&common.telemetry, &common.robustness);
-    // A fleet run owns its shared flags (`--slo-p99`, `--timeline-out`)
-    // at the fleet level rather than attaching a representative
-    // single-server run, and its `--hw` list builds a mixed fleet. A
-    // watch run is a fleet run with a cockpit.
-    if let Command::Fleet(args) = command {
-        return run_fleet(args, telemetry, robustness, common.hw_models());
-    }
-    if let Command::Watch(args) = command {
-        return crate::watch::run_watch(args, telemetry, robustness, common.hw_models());
-    }
-    // `cross-vendor` sweeps every registered model unless `--hw`
-    // restricts the grid.
-    if let Command::CrossVendor { quick } = command {
-        return run_cross_vendor(*quick, common.hw_models());
-    }
-    // Everything else runs on exactly one hardware model.
-    let hw = common.single_hw()?;
-    // `analyze` always captures idle intervals; `--idle-out` only adds
-    // the artifact on disk.
-    if let Command::Analyze(args) = command {
-        return run_analyze(args, telemetry, hw);
-    }
-    if !common.is_active() {
-        return execute_on(command, hw);
-    }
-    if let Command::Sweep(args) = command {
-        return run_sweep_with(args, telemetry, robustness, hw);
-    }
-    execute_on(command, hw)?;
-    run_traced_representative(command, telemetry, robustness, hw)
-}
-
-/// Executes a command on the default Skylake-SP hardware model, writing
-/// its report to stdout.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] for semantic errors detectable only at
-/// execution time (e.g., an unknown workload name).
-pub fn execute(command: &Command) -> Result<(), ParseError> {
-    execute_on(command, HardwareModel::skylake_sp())
-}
-
-/// Executes a command on one hardware model, writing its report to
-/// stdout. Subcommands that describe the modeled Skylake-SP part itself
-/// (tables 2–4, `flows`, `motivation`) reject any other model instead of
+/// Commands that describe the modeled Skylake-SP part itself (tables
+/// 2–4, `flows`, `motivation`) reject any other model instead of
 /// silently answering for the wrong silicon.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] for semantic errors detectable only at
-/// execution time (e.g., an unknown workload name, or `--hw` on a
-/// Skylake-only subcommand).
-pub fn execute_on(command: &Command, hw: &'static HardwareModel) -> Result<(), ParseError> {
-    if hw.name != "skylake-sp"
-        && matches!(command, Command::Table(2..=4) | Command::Flows | Command::Motivation { .. })
-    {
-        return Err(ParseError(format!(
-            "this command describes the modeled Skylake-SP part (PMA/UFPG/PPA calibration); \
-             --hw {} does not apply",
-            hw.name
-        )));
-    }
+/// execution time (e.g., an unknown workload name, an unwritable output
+/// path, or `--hw` on a Skylake-only command), or when a fault-injected
+/// run trips a runtime invariant.
+pub fn execute_with(command: &Command, common: &CommonArgs) -> Result<(), ParseError> {
+    let (telemetry, robustness) = (&common.telemetry, &common.robustness);
+    let hw = || {
+        let hw = common.single_hw()?;
+        if hw.name != "skylake-sp"
+            && matches!(
+                command,
+                Command::Table(2..=4) | Command::Flows | Command::Motivation { .. }
+            )
+        {
+            return Err(ParseError(format!(
+                "this command describes the modeled Skylake-SP part (PMA/UFPG/PPA calibration); \
+                 --hw {} does not apply",
+                hw.name
+            )));
+        }
+        Ok(hw)
+    };
     match command {
-        Command::Help => println!("{USAGE}"),
-        Command::Table(1) => println!("{}", table1_for(hw)),
-        Command::Table(2) => println!("{}", table2()),
-        Command::Table(3) => println!("{}", table3()),
-        Command::Table(4) => println!("{}", table4()),
-        Command::Table(5) => println!("{}", table5(&Table5Params::default().with_hw(hw))),
-        Command::Table(n) => return Err(ParseError(format!("no table {n}"))),
-        Command::Fig { number, quick } => run_fig(*number, *quick, hw)?,
-        Command::Flows => {
-            let f = flow_latencies();
-            println!("C1 round trip:        {}", f.c1_round_trip);
-            println!("C6 entry / exit:      {} / {}", f.c6_entry, f.c6_exit);
-            println!(
-                "C6A entry / exit:     {} / {} (measured)",
-                f.c6a_entry_measured, f.c6a_exit_measured
-            );
-            println!("C6A speedup over C6:  {:.0}×", f.speedup_vs_c6);
+        Command::Fleet(args) => return run_fleet(args, telemetry, robustness, common.hw_models()),
+        Command::Watch(args) => {
+            return crate::watch::run_watch(args, telemetry, robustness, common.hw_models());
         }
-        Command::Motivation { simulated } => {
-            let rows = if *simulated { motivation_simulated(42) } else { motivation() };
-            for r in rows {
-                println!(
-                    "{:<40} C0/C1/C6 = {:>3.0}/{:>3.0}/{:>3.0}% → {:>5.1}% savings bound",
-                    r.label,
-                    r.residencies_pct.0,
-                    r.residencies_pct.1,
-                    r.residencies_pct.2,
-                    r.savings_pct
-                );
-            }
-        }
+        Command::CrossVendor { quick } => return run_cross_vendor(*quick, common.hw_models()),
+        Command::Sweep(args) => return run_sweep(args, telemetry, robustness, hw()?),
+        // `analyze` always captures idle intervals; `--idle-out` only
+        // adds the artifact on disk.
+        Command::Analyze(args) => return run_analyze(args, telemetry, hw()?),
+        Command::Help => println!("{}", crate::usage()),
+        Command::Table(n) => print_table(*n, hw()?),
+        Command::Fig { number, quick } => run_fig(*number, *quick, hw()?),
+        Command::Flows => hw().map(|_| print_flows())?,
+        Command::Motivation { simulated } => hw().map(|_| print_motivation(*simulated))?,
         Command::Package { quick } => {
             let pkg = if *quick { PackageAnalysis::quick() } else { PackageAnalysis::default() }
-                .with_hw(hw);
+                .with_hw(hw()?);
             for r in pkg.run() {
                 println!(
                     "{:<16} {:<9} PC0/PC2/PC6 = {:>5.1}/{:>5.1}/{:>5.1}%  uncore {:>7.1} mW  core {:>7.1} mW",
@@ -161,7 +146,7 @@ pub fn execute_on(command: &Command, hw: &'static HardwareModel) -> Result<(), P
             }
         }
         Command::Diurnal { quick } => {
-            let d = if *quick { Diurnal::quick() } else { Diurnal::default() }.with_hw(hw);
+            let d = if *quick { Diurnal::quick() } else { Diurnal::default() }.with_hw(hw()?);
             let r = d.run();
             println!(
                 "stationary savings {:.1}%, diurnal savings {:.1}% (baseline {:.0} mW → AW {:.0} mW, tail Δ {:+.1}%)",
@@ -172,38 +157,61 @@ pub fn execute_on(command: &Command, hw: &'static HardwareModel) -> Result<(), P
                 r.tail_delta_pct
             );
         }
-        Command::Snoop => {
-            let s = snoop_impact_on(hw);
-            println!(
-                "AW savings: {:.1}% quiet → {:.1}% snooping ({:.1} points lost)",
-                s.savings_quiet_pct, s.savings_snooping_pct, s.lost_pct
-            );
-        }
-        Command::Validate { quick } => {
-            let v = if *quick { Validation::quick() } else { Validation::default() }.with_hw(hw);
-            println!("{}", v.run());
-        }
-        Command::Ablations { quick } => run_ablations(*quick, hw),
-        Command::CrossVendor { quick } => run_cross_vendor(*quick, Vec::new())?,
-        Command::Sweep(args) => run_sweep(args, hw)?,
-        Command::Analyze(args) => run_analyze(args, &TelemetryArgs::default(), hw)?,
-        Command::Fleet(args) => {
-            run_fleet(args, &TelemetryArgs::default(), &RobustnessArgs::default(), Vec::new())?;
-        }
-        Command::Watch(args) => {
-            crate::watch::run_watch(
-                args,
-                &TelemetryArgs::default(),
-                &RobustnessArgs::default(),
-                Vec::new(),
-            )?;
-        }
-        Command::Report { quick } => run_report(*quick, hw)?,
+        Command::Snoop => print_snoop(hw()?),
+        Command::Validate { quick } => print_validation(*quick, hw()?),
+        Command::Ablations { quick } => run_ablations(*quick, hw()?),
+        Command::Report { quick } => run_report(*quick, hw()?),
+    }
+    if common.is_active() {
+        run_traced_representative(command, telemetry, robustness, hw()?)?;
     }
     Ok(())
 }
 
-fn run_fig(number: u8, quick: bool, hw: &'static HardwareModel) -> Result<(), ParseError> {
+/// Prints table `n`, 1–5 (the parser rejects other numbers).
+fn print_table(n: u8, hw: &'static HardwareModel) {
+    match n {
+        1 => println!("{}", table1_for(hw)),
+        2 => println!("{}", table2()),
+        3 => println!("{}", table3()),
+        4 => println!("{}", table4()),
+        _ => println!("{}", table5(&Table5Params::default().with_hw(hw))),
+    }
+}
+
+fn print_flows() {
+    let f = flow_latencies();
+    println!("C1 round trip:        {}", f.c1_round_trip);
+    println!("C6 entry / exit:      {} / {}", f.c6_entry, f.c6_exit);
+    println!("C6A entry / exit:     {} / {} (measured)", f.c6a_entry_measured, f.c6a_exit_measured);
+    println!("C6A speedup over C6:  {:.0}×", f.speedup_vs_c6);
+}
+
+fn print_motivation(simulated: bool) {
+    let rows = if simulated { motivation_simulated(42) } else { motivation() };
+    for r in rows {
+        println!(
+            "{:<40} C0/C1/C6 = {:>3.0}/{:>3.0}/{:>3.0}% → {:>5.1}% savings bound",
+            r.label, r.residencies_pct.0, r.residencies_pct.1, r.residencies_pct.2, r.savings_pct
+        );
+    }
+}
+
+fn print_snoop(hw: &'static HardwareModel) {
+    let s = snoop_impact_on(hw);
+    println!(
+        "AW savings: {:.1}% quiet → {:.1}% snooping ({:.1} points lost)",
+        s.savings_quiet_pct, s.savings_snooping_pct, s.lost_pct
+    );
+}
+
+fn print_validation(quick: bool, hw: &'static HardwareModel) {
+    let v = if quick { Validation::quick() } else { Validation::default() }.with_hw(hw);
+    println!("{}", v.run());
+}
+
+/// Prints figure `number`, 8–13 (the parser rejects other numbers).
+fn run_fig(number: u8, quick: bool, hw: &'static HardwareModel) {
     let params = sweep_params(quick, hw);
     match number {
         8 => println!("{}", Fig8::new(params).run()),
@@ -214,13 +222,11 @@ fn run_fig(number: u8, quick: bool, hw: &'static HardwareModel) -> Result<(), Pa
             let f = if quick { Fig12::quick() } else { Fig12::default() }.with_hw(hw);
             println!("{}", f.run_all());
         }
-        13 => {
+        _ => {
             let f = if quick { Fig13::quick() } else { Fig13::default() }.with_hw(hw);
             println!("{}", f.run_all());
         }
-        n => return Err(ParseError(format!("no figure {n}"))),
     }
-    Ok(())
 }
 
 /// Runs the cross-vendor grid: the Fig. 8 sweep per hardware model —
@@ -257,10 +263,6 @@ fn run_ablations(quick: bool, hw: &'static HardwareModel) {
     println!("Retention: exit {} in-place vs {} external", r.in_place_exit, r.external_exit);
     let e = enhanced_split(&params, qps);
     println!("C6AE split: {:.1}% with C6AE vs {:.1}% C6A-only", e.with_c6ae_pct, e.c6a_only_pct);
-}
-
-fn run_sweep(args: &SweepArgs, hw: &'static HardwareModel) -> Result<(), ParseError> {
-    run_sweep_with(args, &TelemetryArgs::default(), &RobustnessArgs::default(), hw)
 }
 
 /// Builds the [`Fleet`] experiment shared by `fleet` (batch) and `watch`
@@ -416,18 +418,17 @@ fn attrib_window(duration_ms: f64) -> Nanos {
     SimBuilder::default_window(Nanos::from_millis(duration_ms))
 }
 
-/// Builds the fully instrumented [`SimBuilder`] every instrumented CLI
-/// run uses: robustness knobs applied to the config, then faults,
-/// telemetry, and attribution per the shared flag set.
-fn instrumented_sim(
-    config: ServerConfig,
+/// Runs one instrumented simulation: robustness knobs applied to the
+/// config, then faults, telemetry, attribution and idle analysis per the
+/// shared flag set. A tripped runtime invariant is an error.
+fn run_instrumented(
+    config: &ServerConfig,
     workload: WorkloadSpec,
     seed: u64,
-    duration_ms: f64,
     telemetry: &TelemetryArgs,
     robustness: &RobustnessArgs,
-) -> SimBuilder {
-    let mut sim = SimBuilder::new(apply_robustness(config, robustness), workload, seed);
+) -> Result<RunOutput, ParseError> {
+    let mut sim = SimBuilder::new(apply_robustness(config.clone(), robustness), workload, seed);
     if let Some(spec) = &robustness.faults {
         sim = sim.with_faults(FaultPlan::new(spec.clone()));
     }
@@ -435,15 +436,52 @@ fn instrumented_sim(
         sim = sim.with_telemetry(telemetry.limit());
     }
     if telemetry.attrib_active() {
-        sim = sim.with_attribution(attrib_window(duration_ms));
+        sim = sim.with_attribution(SimBuilder::default_window(config.duration));
     }
     if telemetry.idle_active() {
         sim = sim.with_idle_analysis();
     }
-    sim
+    let output = sim.run();
+    match &output.failure {
+        Some(failure) => Err(ParseError(format!("{failure}"))),
+        None => Ok(output),
+    }
 }
 
-fn run_sweep_with(
+/// Prints what an instrumented run observed beyond its metrics (the
+/// degradation table, telemetry, attribution and the idle-opportunity
+/// report) and writes the requested artifacts. `config` is the run's
+/// configuration before the robustness knobs were applied.
+fn report_observations(
+    output: &RunOutput,
+    config: &ServerConfig,
+    telemetry: &TelemetryArgs,
+    robustness: &RobustnessArgs,
+) -> Result<(), ParseError> {
+    let degradation = &output.metrics.degradation;
+    if robustness.is_active() || !degradation.is_clean() {
+        println!("{}", degradation_table(degradation));
+    }
+    if let Some(report) = &output.telemetry {
+        println!("{}", telemetry_table(&report.summary));
+        write_telemetry(report, telemetry)?;
+    }
+    if let Some(report) = &output.attribution {
+        write_attribution(report, telemetry)?;
+    }
+    if let Some(intervals) = output.idle_intervals.as_deref() {
+        let window = SimBuilder::default_window(config.duration);
+        let report =
+            IdleReport::analyze(intervals, &BreakEven::from_server(config), config.cores, window);
+        println!("{report}");
+        if let Some(path) = &telemetry.idle_out {
+            write_idle_report(&report, path)?;
+        }
+    }
+    Ok(())
+}
+
+fn run_sweep(
     args: &SweepArgs,
     telemetry: &TelemetryArgs,
     robustness: &RobustnessArgs,
@@ -452,18 +490,7 @@ fn run_sweep_with(
     let workload = workload_by_name(&args.workload, args.qps, args.cores)?;
     let config = ServerConfig::for_hw(hw, args.cores, args.config)
         .with_duration(Nanos::from_millis(args.duration_ms));
-    let output = instrumented_sim(
-        config.clone(),
-        workload,
-        args.seed,
-        args.duration_ms,
-        telemetry,
-        robustness,
-    )
-    .run();
-    if let Some(failure) = &output.failure {
-        return Err(ParseError(format!("{failure}")));
-    }
+    let output = run_instrumented(&config, workload, args.seed, telemetry, robustness)?;
     let metrics = &output.metrics;
     println!("{metrics}");
     println!(
@@ -478,29 +505,7 @@ fn run_sweep_with(
     // identical with idle-skip on or off, so this line never perturbs
     // the `--no-idle-skip` equivalence smoke.
     println!("  engine:    {} simulation events", metrics.events);
-    if robustness.is_active() || !metrics.degradation.is_clean() {
-        println!("{}", degradation_table(&metrics.degradation));
-    }
-    if let Some(report) = &output.telemetry {
-        println!("{}", telemetry_table(&report.summary));
-        write_telemetry(report, telemetry)?;
-    }
-    if let Some(report) = &output.attribution {
-        write_attribution(report, telemetry)?;
-    }
-    if let Some(intervals) = output.idle_intervals.as_deref() {
-        let report = IdleReport::analyze(
-            intervals,
-            &BreakEven::from_server(&config),
-            args.cores,
-            attrib_window(args.duration_ms),
-        );
-        println!("{report}");
-        if let Some(path) = &telemetry.idle_out {
-            write_idle_report(&report, path)?;
-        }
-    }
-    Ok(())
+    report_observations(&output, &config, telemetry, robustness)
 }
 
 /// Writes the requested telemetry artifacts to disk, warning first when
@@ -581,65 +586,46 @@ fn run_traced_representative(
         Command::Fig { number: 13, .. } => kafka(KafkaRate::Low),
         _ => memcached_etc(200_000.0),
     };
-    let duration_ms = 100.0;
-    let config = ServerConfig::for_hw(hw, 10, NamedConfig::Aw)
-        .with_duration(Nanos::from_millis(duration_ms));
+    let config =
+        ServerConfig::for_hw(hw, 10, NamedConfig::Aw).with_duration(Nanos::from_millis(100.0));
     println!(
         "\nrepresentative instrumented run: {} / {} on 10 cores",
         NamedConfig::Aw,
         workload.name()
     );
-    let output =
-        instrumented_sim(config.clone(), workload, 42, duration_ms, telemetry, robustness).run();
-    if let Some(failure) = &output.failure {
-        return Err(ParseError(format!("{failure}")));
-    }
-    if robustness.is_active() || !output.metrics.degradation.is_clean() {
-        println!("{}", degradation_table(&output.metrics.degradation));
-    }
-    if let Some(report) = &output.telemetry {
-        println!("{}", telemetry_table(&report.summary));
-        write_telemetry(report, telemetry)?;
-    }
-    if let Some(report) = &output.attribution {
-        write_attribution(report, telemetry)?;
-    }
-    if let Some(intervals) = output.idle_intervals.as_deref() {
-        let report = IdleReport::analyze(
-            intervals,
-            &BreakEven::from_server(&config),
-            config.cores,
-            attrib_window(duration_ms),
-        );
-        println!("{report}");
-        if let Some(path) = &telemetry.idle_out {
-            write_idle_report(&report, path)?;
-        }
-    }
-    Ok(())
+    let output = run_instrumented(&config, workload, 42, telemetry, robustness)?;
+    report_observations(&output, &config, telemetry, robustness)
 }
 
-fn run_report(quick: bool, hw: &'static HardwareModel) -> Result<(), ParseError> {
+fn run_report(quick: bool, hw: &'static HardwareModel) {
     for n in 1..=5 {
         // Tables 2–4 describe the modeled Skylake-SP part; a report on
         // another model keeps them on their native silicon.
-        let table_hw = if (2..=4).contains(&n) { HardwareModel::skylake_sp() } else { hw };
-        execute_on(&Command::Table(n), table_hw)?;
+        print_table(n, if (2..=4).contains(&n) { HardwareModel::skylake_sp() } else { hw });
     }
-    execute(&Command::Motivation { simulated: false })?;
-    execute(&Command::Flows)?;
+    print_motivation(false);
+    print_flows();
     for number in 8..=13 {
-        run_fig(number, quick, hw)?;
+        run_fig(number, quick, hw);
     }
-    execute_on(&Command::Validate { quick }, hw)?;
-    execute_on(&Command::Snoop, hw)?;
+    print_validation(quick, hw);
+    print_snoop(hw);
     run_ablations(quick, hw);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `command` with no shared flags.
+    fn execute(command: &Command) -> Result<(), ParseError> {
+        execute_with(command, &CommonArgs::default())
+    }
+
+    /// Runs `command` with `--hw <hw>`.
+    fn execute_on(command: &Command, hw: &str) -> Result<(), ParseError> {
+        execute_with(command, &CommonArgs { hw: vec![hw.to_string()], ..CommonArgs::default() })
+    }
 
     #[test]
     fn tables_execute() {
@@ -647,7 +633,6 @@ mod tests {
             // Table 5 runs simulations; covered by the quick sweep below.
             execute(&Command::Table(n)).unwrap();
         }
-        assert!(execute(&Command::Table(6)).is_err());
     }
 
     #[test]
@@ -661,9 +646,9 @@ mod tests {
     #[test]
     fn quick_sweep_executes() {
         let args = SweepArgs { cores: 2, duration_ms: 20.0, qps: 50_000.0, ..SweepArgs::default() };
-        run_sweep(&args, HardwareModel::skylake_sp()).unwrap();
+        execute_on(&Command::Sweep(args.clone()), "skylake-sp").unwrap();
         // The same custom run retargets cleanly onto the other backend.
-        run_sweep(&args, HardwareModel::zen2()).unwrap();
+        execute_on(&Command::Sweep(args), "zen2").unwrap();
     }
 
     #[test]
@@ -827,19 +812,19 @@ mod tests {
     #[test]
     fn unknown_workload_errors() {
         let args = SweepArgs { workload: "redis".into(), ..SweepArgs::default() };
-        assert!(run_sweep(&args, HardwareModel::skylake_sp()).is_err());
+        assert_eq!(execute(&Command::Sweep(args)).unwrap_err().0, "unknown workload 'redis'");
     }
 
     #[test]
     fn skylake_only_commands_reject_other_models() {
         for cmd in [Command::Table(3), Command::Flows, Command::Motivation { simulated: false }] {
-            let err = execute_on(&cmd, HardwareModel::zen2()).unwrap_err();
+            let err = execute_on(&cmd, "zen2").unwrap_err();
             assert!(err.to_string().contains("Skylake-SP"), "{err}");
-            execute_on(&cmd, HardwareModel::skylake_sp()).unwrap();
+            execute_on(&cmd, "skylake-sp").unwrap();
         }
         // Simulation-driven commands run on either model.
-        execute_on(&Command::Table(1), HardwareModel::zen2()).unwrap();
-        execute_on(&Command::Snoop, HardwareModel::zen2()).unwrap();
+        execute_on(&Command::Table(1), "zen2").unwrap();
+        execute_on(&Command::Snoop, "zen2").unwrap();
     }
 
     #[test]
@@ -848,6 +833,38 @@ mod tests {
             FleetArgs { servers: 2, cores: 2, epochs: 2, epoch_ms: 10.0, ..FleetArgs::default() };
         let hw = vec![HardwareModel::skylake_sp(), HardwareModel::zen2()];
         run_fleet(&args, &TelemetryArgs::default(), &RobustnessArgs::default(), hw).unwrap();
+    }
+
+    /// Runs that could never finish, or would abort in the allocator,
+    /// are refused while parsing with the estimate and the limit; the
+    /// largest documented runs pass.
+    #[test]
+    fn work_beyond_the_limits_is_refused() {
+        let parse =
+            |s: &str| crate::parse_cli(&s.split_whitespace().map(String::from).collect::<Vec<_>>());
+        let requests =
+            |n: &str| format!("refusing a run of about {n} offered requests: the limit is 1e10");
+        for (cmd, msg) in [
+            ("sweep --qps 1e300 --duration-ms 1", requests("1.000e297")),
+            ("sweep --qps 1 --duration-ms 18446744073709551615", requests("1.845e16")),
+            ("analyze --qps 1e300 --duration-ms 1", requests("1.000e297")),
+            ("fleet --epochs 1000000000 --servers 1", requests("5.189e12")),
+            (
+                "watch --headless --epochs 100000000 --utilization 0.000001 --servers 1",
+                "refusing a run of about 1.000e8 server-epochs: the limit is 5e6".to_string(),
+            ),
+        ] {
+            assert_eq!(parse(cmd).unwrap_err().0, msg, "`{cmd}`");
+        }
+        for cmd in [
+            "fleet --servers 1000 --epochs 24 --epoch-ms 5 --policy packing --autoscale --diurnal 0.8",
+            "analyze --qps 30000 --duration-ms 10000",
+            "sweep --workload websearch-50 --cores 4096",
+            // An unknown workload fails when it runs, not here.
+            "sweep --workload redis --qps 1e300",
+        ] {
+            parse(cmd).unwrap();
+        }
     }
 
     #[test]

@@ -221,4 +221,25 @@ grep -q "known models" /tmp/aw_hw_err || {
     exit 1
 }
 
+echo "==> work-limit refusal smoke"
+# Runs that could never finish, or would abort in the allocator, are
+# refused while parsing: a usage error (exit 1), not a timeout (124) or
+# an abort (134).
+for cmd in \
+    "sweep --qps 1e300 --duration-ms 1" \
+    "sweep --qps 18446744073709551615 --duration-ms 1" \
+    "sweep --qps 1 --duration-ms 18446744073709551615" \
+    "analyze --qps 1e300 --duration-ms 1" \
+    "fleet --utilization 1e300 --servers 1 --epochs 1" \
+    "fleet --epochs 1000000000 --servers 1" \
+    "watch --headless --epochs 4294967297 --servers 1"; do
+    status=0
+    # shellcheck disable=SC2086 # $cmd is split into arguments on purpose
+    timeout 10 target/release/agilewatts $cmd >/dev/null 2>target/verify_refusal.txt || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "^USAGE:" target/verify_refusal.txt; then
+        echo "verify: 'agilewatts $cmd' exited $status, expected a usage error (1)" >&2
+        exit 1
+    fi
+done
+
 echo "verify: OK"
