@@ -51,21 +51,34 @@ const MAX_SERVER_EPOCHS: f64 = 5e6;
 /// [`MAX_SERVER_EPOCHS`], so a run that could never finish, or would
 /// abort in the allocator, fails as a usage error instead. The estimate
 /// is the offered requests (offered load × simulated time, summed over
-/// epochs for a fleet) and, for a fleet, its servers × epochs. Nothing
-/// is simulated or allocated; an unknown workload passes and fails when
-/// the command runs.
+/// epochs for a fleet), each `--faults` event counted as one more
+/// request (storms and spurious wakes fire per core, slowdown bursts per
+/// server, on every server-epoch of a fleet), and, for a fleet, its
+/// servers × epochs. Nothing is simulated or allocated; an unknown
+/// workload passes and fails when the command runs.
 pub(crate) fn check_work(command: &Command, common: &CommonArgs) -> Result<(), ParseError> {
     let offered = |workload: &str, qps, cores, duration_ms: f64| {
         workload_by_name(workload, qps, cores).map_or(0.0, |w| w.offered_qps() * duration_ms / 1e3)
     };
+    let fault_events = |cores: usize, secs: f64| {
+        common.robustness.faults.as_ref().map_or(0.0, |f| {
+            ((f.storm_rate + f.spurious_rate) * cores as f64 + f.slowdown_rate) * secs
+        })
+    };
     let (requests, server_epochs) = match command {
-        Command::Sweep(a) => (offered(&a.workload, a.qps, a.cores, a.duration_ms), 0.0),
+        Command::Sweep(a) => (
+            offered(&a.workload, a.qps, a.cores, a.duration_ms)
+                + fault_events(a.cores, a.duration_ms / 1e3),
+            0.0,
+        ),
         Command::Analyze(a) => (offered(&a.workload, a.qps, a.cores, a.duration_ms), 0.0),
         Command::Fleet(f) | Command::Watch(WatchArgs { fleet: f, .. }) => {
             let fleet = fleet_experiment(f, &common.telemetry, &common.robustness, Vec::new())
                 .config(f.policy, f.config);
             let epochs = fleet.epochs as f64;
-            (fleet.total_qps * epochs * fleet.epoch.as_secs(), fleet.servers as f64 * epochs)
+            let server_epochs = fleet.servers as f64 * epochs;
+            let faults = server_epochs * fault_events(fleet.server.cores, fleet.epoch.as_secs());
+            (fleet.total_qps * epochs * fleet.epoch.as_secs() + faults, server_epochs)
         }
         _ => return Ok(()),
     };
@@ -849,6 +862,8 @@ mod tests {
             ("sweep --qps 1 --duration-ms 18446744073709551615", requests("1.845e16")),
             ("analyze --qps 1e300 --duration-ms 1", requests("1.000e297")),
             ("fleet --epochs 1000000000 --servers 1", requests("5.189e12")),
+            ("sweep --qps 1 --duration-ms 100000000 --faults storm=1000000", requests("1.000e12")),
+            ("fleet --servers 1 --epochs 2000 --faults spurious=1e9", requests("2.000e11")),
             (
                 "watch --headless --epochs 100000000 --utilization 0.000001 --servers 1",
                 "refusing a run of about 1.000e8 server-epochs: the limit is 5e6".to_string(),
@@ -860,6 +875,7 @@ mod tests {
             "fleet --servers 1000 --epochs 24 --epoch-ms 5 --policy packing --autoscale --diurnal 0.8",
             "analyze --qps 30000 --duration-ms 10000",
             "sweep --workload websearch-50 --cores 4096",
+            "sweep --faults spurious=1e9,storm=1e9,slowdown=1e9 --duration-ms 400",
             // An unknown workload fails when it runs, not here.
             "sweep --workload redis --qps 1e300",
         ] {

@@ -43,7 +43,6 @@ use aw_faults::{
 use aw_server::{
     HardwareModel, LatencyStats, PackageCState, RunOutput, ServerConfig, SimBuilder, WorkloadSpec,
 };
-use aw_sim::SampleSet;
 use aw_sleep::{BreakEven, OpportunitySummary};
 use aw_telemetry::MetricsRegistry;
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
@@ -333,6 +332,16 @@ fn recovery(achieved: Joules, oracle: Joules) -> f64 {
     }
 }
 
+/// Summarizes one epoch, the tail of the run's latency buffer, after
+/// folding its samples into `run_sum` in record order. The selection
+/// reorders only this tail, and the run's quantiles, selected over the
+/// whole buffer at the end, are order statistics it cannot change.
+fn close_epoch(epoch: &mut [f64], run_sum: &mut f64) -> LatencyStats {
+    *run_sum = epoch.iter().fold(*run_sum, |acc, &x| acc + x);
+    let sum = epoch.iter().sum();
+    LatencyStats::from_slice(epoch, sum)
+}
+
 /// The fleet simulator. Build one from a [`FleetConfig`] and call
 /// [`FleetSim::run`].
 #[derive(Debug)]
@@ -532,7 +541,8 @@ impl FleetSim {
 
         let mut registry = MetricsRegistry::new();
         let mut windows = Vec::with_capacity(cfg.epochs);
-        let mut all_samples = SampleSet::new();
+        let mut latencies = Vec::new();
+        let mut latency_sum = -0.0;
         let mut total_energy = Joules::ZERO;
         let mut total_completed = 0u64;
         let mut total_events = 0u64;
@@ -597,7 +607,7 @@ impl FleetSim {
             let mut completed = 0u64;
             let mut epoch_achieved = Joules::ZERO;
             let mut epoch_oracle = Joules::ZERO;
-            let mut samples = SampleSet::new();
+            let epoch_start = latencies.len();
             let (mut active, mut idle_active, mut parked) = (0usize, 0usize, 0usize);
             let (mut crashed, mut ejected) = (0usize, 0usize);
             let mut snapshots: Vec<ServerEpochSnapshot> =
@@ -611,8 +621,7 @@ impl FleetSim {
             let absorb_sim = |out: &RunOutput,
                               be: &BreakEven,
                               phase: f64,
-                              samples: &mut SampleSet,
-                              all_samples: &mut SampleSet,
+                              latencies: &mut Vec<f64>,
                               completed: &mut u64,
                               epoch_achieved: &mut Joules,
                               epoch_oracle: &mut Joules,
@@ -636,14 +645,7 @@ impl FleetSim {
                     OpportunitySummary::compute(out.idle_intervals.as_deref().unwrap_or(&[]), be);
                 *epoch_achieved += opportunity.achieved_savings;
                 *epoch_oracle += opportunity.oracle_savings;
-                if let Some(lat) = &out.latency_samples {
-                    samples.reserve(lat.len());
-                    all_samples.reserve(lat.len());
-                    for &s in lat {
-                        samples.record(s);
-                        all_samples.record(s);
-                    }
-                }
+                latencies.extend_from_slice(out.latency_samples.as_deref().unwrap_or(&[]));
                 (pkg, opportunity)
             };
 
@@ -660,8 +662,7 @@ impl FleetSim {
                                 out,
                                 &breakevens[server],
                                 phase,
-                                &mut samples,
-                                &mut all_samples,
+                                &mut latencies,
                                 &mut completed,
                                 &mut epoch_achieved,
                                 &mut epoch_oracle,
@@ -766,8 +767,7 @@ impl FleetSim {
                                 out,
                                 &breakevens[server],
                                 1.0,
-                                &mut samples,
-                                &mut all_samples,
+                                &mut latencies,
                                 &mut completed,
                                 &mut epoch_achieved,
                                 &mut epoch_oracle,
@@ -810,7 +810,7 @@ impl FleetSim {
                 }
             }
 
-            let latency = LatencyStats::from_samples(&mut samples);
+            let latency = close_epoch(&mut latencies[epoch_start..], &mut latency_sum);
             let slo_violated = latency.count > 0 && latency.p99 > cfg.slo_p99;
             slo_violations += usize::from(slo_violated);
             total_energy += power * cfg.epoch;
@@ -910,7 +910,7 @@ impl FleetSim {
                 cfg.hw.iter().map(|h| h.name.to_string()).collect()
             },
             epoch: cfg.epoch,
-            latency: LatencyStats::from_samples(&mut all_samples),
+            latency: LatencyStats::from_slice(&mut latencies, latency_sum),
             avg_fleet_power: total_energy / run_span,
             energy: total_energy,
             completed: total_completed,
@@ -939,12 +939,67 @@ impl FleetSim {
 mod tests {
     use super::*;
     use aw_cstates::NamedConfig;
+    use aw_sim::SampleSet;
+    use proptest::prelude::*;
 
     fn fleet(servers: usize, named: NamedConfig, total_qps: f64) -> FleetConfig {
         // Short epochs keep the grid cheap: 4 × 20 ms per server-epoch.
         let workload = WorkloadSpec::poisson("synthetic", 1_000.0, Nanos::from_micros(250.0), 0.6);
         FleetConfig::new(servers, ServerConfig::new(4, named), workload, total_qps)
             .with_epochs(4, Nanos::from_millis(20.0))
+    }
+
+    /// A latency-like sample: mostly values spread over eleven decades,
+    /// whose sums round differently in different orders, plus `-0.0`,
+    /// `0.0` and, rarely, `+inf`.
+    fn messy_sample((selector, v): (u8, i32)) -> f64 {
+        match selector {
+            0 => f64::INFINITY,
+            1..=15 => -0.0,
+            16..=20 => 0.0,
+            _ => f64::from(v).powi(3) * 0.37,
+        }
+    }
+
+    fn bits(l: LatencyStats) -> ([u64; 5], u64) {
+        ([l.mean, l.p50, l.p99, l.p999, l.max].map(|x| x.as_nanos().to_bits()), l.count)
+    }
+
+    proptest! {
+        /// The run's one latency buffer summarizes, bit for bit, like a
+        /// fresh reservoir per epoch and one for the whole run, each
+        /// filled in record order: epochs (some empty, some with empty
+        /// server-epochs) are appended run by run and closed on their
+        /// tail, and the run is summarized over the reordered buffer.
+        #[test]
+        fn latency_buffer_matches_per_epoch_reservoirs(
+            epochs in prop::collection::vec(
+                prop::collection::vec(
+                    prop::collection::vec((0u8..200, 1i32..5000).prop_map(messy_sample), 0..40),
+                    0..4,
+                ),
+                0..6,
+            ),
+        ) {
+            let mut buffer = Vec::new();
+            let mut run_sum = -0.0;
+            let mut run = SampleSet::new();
+            for epoch in &epochs {
+                let start = buffer.len();
+                let mut fresh = SampleSet::new();
+                for lat in epoch {
+                    buffer.extend_from_slice(lat);
+                    for &x in lat {
+                        fresh.record(x);
+                        run.record(x);
+                    }
+                }
+                let got = close_epoch(&mut buffer[start..], &mut run_sum);
+                prop_assert_eq!(bits(got), bits(LatencyStats::from_samples(&mut fresh)));
+            }
+            let got = LatencyStats::from_slice(&mut buffer, run_sum);
+            prop_assert_eq!(bits(got), bits(LatencyStats::from_samples(&mut run)));
+        }
     }
 
     #[test]

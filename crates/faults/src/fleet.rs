@@ -17,7 +17,7 @@ use std::fmt;
 use aw_telemetry::json::JsonValue;
 use aw_types::Nanos;
 
-use crate::spec::{parse_prob, FaultSpecError};
+use crate::spec::{parse_prob, FaultSpecError, MAX_STRETCH};
 
 /// Default seed of the fleet fault draws when a spec does not pin one.
 /// Distinct from [`DEFAULT_FAULT_SEED`](crate::DEFAULT_FAULT_SEED) so
@@ -199,9 +199,10 @@ impl FleetFaultSpec {
                     let f: f64 = v
                         .parse()
                         .map_err(|_| FaultSpecError(format!("bad throttle-factor '{v}'")))?;
-                    if !f.is_finite() || f <= 0.0 || f > 1.0 {
+                    if !(1.0 / MAX_STRETCH..=1.0).contains(&f) {
                         return Err(FaultSpecError(format!(
-                            "throttle-factor must be in (0, 1], got {v}"
+                            "throttle-factor must be in [{:e}, 1], got {v}",
+                            1.0 / MAX_STRETCH
                         )));
                     }
                     spec.throttle_factor = f;
@@ -595,6 +596,17 @@ mod tests {
         assert!(FleetFaultSpec::parse("throttle-epochs=0").is_err());
         assert!(FleetFaultSpec::parse("frobnicate=1").is_err());
         assert!(FleetFaultSpec::parse("crash").is_err());
+    }
+
+    /// A throttle so deep that 1/factor overflows the stretched service
+    /// times used to panic the run; a thousandfold stretch still parses.
+    #[test]
+    fn rejects_a_throttle_that_overflows_service_times() {
+        assert_eq!(
+            FleetFaultSpec::parse("throttle-factor=5e-324,throttle=1").unwrap_err().0,
+            "throttle-factor must be in [1e-3, 1], got 5e-324"
+        );
+        assert_eq!(FleetFaultSpec::parse("throttle-factor=1e-3").unwrap().throttle_factor, 1e-3);
     }
 
     #[test]

@@ -106,10 +106,28 @@ pub(crate) fn parse_prob(key: &str, v: &str) -> Result<f64, FaultSpecError> {
     Ok(p)
 }
 
+/// Smallest non-zero fault event rate, per second: a rarer event fires
+/// less than once in eleven simulated days, and far below it the
+/// exponential gap between events overflows to an infinite event time.
+const MIN_RATE: f64 = 1e-6;
+
+/// Largest fault event rate, per second: one event per simulated
+/// nanosecond. Far above it the gaps fall below the resolution of the
+/// event clock, which then stops advancing, and the run never ends.
+const MAX_RATE: f64 = 1e9;
+
+/// Largest service-time stretch a fault may apply (`slow-factor`, and
+/// `1 / throttle-factor` for a fleet): a thousandfold stretch already
+/// stalls any modeled server, and far beyond it stretched service times
+/// overflow to infinity.
+pub(crate) const MAX_STRETCH: f64 = 1e3;
+
 fn parse_rate(key: &str, v: &str) -> Result<f64, FaultSpecError> {
     let r: f64 = v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (rate)")))?;
-    if !r.is_finite() || r < 0.0 {
-        return Err(FaultSpecError(format!("{key} must be a finite non-negative rate, got {v}")));
+    if r != 0.0 && !(MIN_RATE..=MAX_RATE).contains(&r) {
+        return Err(FaultSpecError(format!(
+            "{key} must be 0 or a rate in [{MIN_RATE:e}, {MAX_RATE:e}] per second, got {v}"
+        )));
     }
     Ok(r)
 }
@@ -197,8 +215,10 @@ impl FaultSpec {
                 "slow-factor" => {
                     let f: f64 =
                         v.parse().map_err(|_| FaultSpecError(format!("bad slow-factor '{v}'")))?;
-                    if !f.is_finite() || f < 1.0 {
-                        return Err(FaultSpecError(format!("slow-factor must be >= 1, got {v}")));
+                    if !(1.0..=MAX_STRETCH).contains(&f) {
+                        return Err(FaultSpecError(format!(
+                            "slow-factor must be in [1, {MAX_STRETCH:e}], got {v}"
+                        )));
                     }
                     spec.slowdown_factor = f;
                 }
@@ -327,6 +347,32 @@ mod tests {
         assert!(FaultSpec::parse("lost-ns=-3").is_err());
         assert!(FaultSpec::parse("frobnicate=1").is_err());
         assert!(FaultSpec::parse("wake-fail").is_err());
+    }
+
+    /// Values that made a run panic (an event gap or a stretched service
+    /// time overflowing to infinity) or hang (gaps below the event
+    /// clock's resolution) are parse errors; the bounds themselves parse.
+    #[test]
+    fn rejects_values_that_break_a_run() {
+        let rate = |key: &str, v: &str| {
+            format!("{key} must be 0 or a rate in [1e-6, 1e9] per second, got {v}")
+        };
+        for (text, msg) in [
+            ("storm=1e-300", rate("storm", "1e-300")),
+            ("storm=1e300", rate("storm", "1e300")),
+            ("spurious=5e-7", rate("spurious", "5e-7")),
+            ("slowdown=2e9", rate("slowdown", "2e9")),
+            ("slowdown=NaN", rate("slowdown", "NaN")),
+            (
+                "slow-factor=1.7e308,slowdown=1000",
+                "slow-factor must be in [1, 1e3], got 1.7e308".to_string(),
+            ),
+        ] {
+            assert_eq!(FaultSpec::parse(text).unwrap_err().0, msg, "{text}");
+        }
+        let edge = FaultSpec::parse("storm=1e-6,spurious=1e9,slowdown=0,slow-factor=1e3").unwrap();
+        assert_eq!((edge.storm_rate, edge.spurious_rate), (1e-6, 1e9));
+        assert_eq!(edge.slowdown_factor, 1e3);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use aw_cstates::CState;
 use aw_power::ResidencyVector;
-use aw_sim::SampleSet;
+use aw_sim::{select_quantiles, SampleSet};
 use aw_telemetry::{AttributionSummary, TelemetrySummary};
 use aw_types::{MilliWatts, Nanos, Ratio};
 
@@ -37,23 +37,36 @@ impl LatencyStats {
     /// and the `Display` impl surface explicitly — a run that completed
     /// nothing must not masquerade as one with zero-nanosecond latency.
     ///
-    /// The percentiles come from one selection cascade
-    /// ([`SampleSet::quantiles`]), which **reorders `samples`**. The mean
-    /// is summed first, in record order, so its bits do not depend on the
-    /// selection; any other mean of the same set must likewise be taken
-    /// before this call. Samples rank by `total_cmp`, which puts a
-    /// positive NaN above `+inf`.
+    /// The mean is summed first, in record order, so its bits do not
+    /// depend on the selection that then finds the percentiles
+    /// ([`LatencyStats::from_slice`]) and **reorders `samples`**; any
+    /// other mean of the same set must likewise be taken before this
+    /// call. Samples rank by `total_cmp`, which puts a positive NaN above
+    /// `+inf`.
     #[must_use]
     pub fn from_samples(samples: &mut SampleSet) -> Self {
-        let mean = samples.mean().unwrap_or(0.0);
-        let [p50, p99, p999, max] = samples.quantiles([0.5, 0.99, 0.999, 1.0]).unwrap_or_default();
+        let sum = samples.values().iter().sum();
+        Self::from_slice(samples.values_mut(), sum)
+    }
+
+    /// Summarizes raw samples in place, given `sum`, their sum in record
+    /// order from `-0.0` (the fold `<f64 as Sum>` makes): the mean is
+    /// `sum` over the count, and the percentiles come from one selection
+    /// cascade ([`select_quantiles`]), which **reorders `samples`**. The
+    /// percentiles are order statistics, so the order a selection leaves
+    /// behind cannot change a later one over the same values.
+    #[must_use]
+    pub fn from_slice(samples: &mut [f64], sum: f64) -> Self {
+        let n = samples.len();
+        let [p50, p99, p999, max] =
+            if n == 0 { [0.0; 4] } else { select_quantiles(samples, [0.5, 0.99, 0.999, 1.0]) };
         LatencyStats {
-            mean: Nanos::new(mean),
+            mean: Nanos::new(if n == 0 { 0.0 } else { sum / n as f64 }),
             p50: Nanos::new(p50),
             p99: Nanos::new(p99),
             p999: Nanos::new(p999),
             max: Nanos::new(max),
-            count: samples.len() as u64,
+            count: n as u64,
         }
     }
 

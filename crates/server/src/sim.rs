@@ -71,11 +71,13 @@ pub(crate) struct ServerSim<P: Probe> {
     queue: EventQueue<Event>,
     cores: Vec<SimCore>,
     rr_next: usize,
+    /// Measured sojourn times in completion order: the run's one latency
+    /// reservoir, whose length is the measured completion count.
     latencies: SampleSet,
-    transition_waits: SampleSet,
-    queue_waits: SampleSet,
-    service_times: SampleSet,
-    completed: u64,
+    /// Running sums of the measured transition, queue and service phases,
+    /// added in completion order from `-0.0`, the neutral element
+    /// `<f64 as Sum>` folds from: their means have a reservoir mean's bits.
+    phase_sums: [f64; 3],
     warmed_up: bool,
     next_arrival: Nanos,
     end: Nanos,
@@ -208,7 +210,7 @@ impl RunOutput {
 }
 
 /// Expected measured completions of `workload` on `config`, used to
-/// pre-size the sample reservoirs: offered load times measured duration,
+/// pre-size the latency reservoir: offered load times measured duration,
 /// bounded so a pathological parameterization cannot demand an absurd
 /// allocation.
 pub(crate) fn expected_samples(config: &ServerConfig, workload: &WorkloadSpec) -> usize {
@@ -235,7 +237,7 @@ impl<P: Probe> ServerSim<P> {
             .map(|_| CircuitBreaker::new(config.breaker.threshold, config.breaker.cooldown))
             .collect();
         let demoted_cstates = config.cstates.demote_agile();
-        // Pending-event envelope, sized like the sample reservoirs from
+        // Pending-event envelope, sized like the latency reservoir from
         // the offered load rather than from the core count alone: one
         // service/entry/wake deadline per core, per-core timer ticks, a
         // handful of global timers (arrival, snoop, warmup, fault
@@ -265,10 +267,7 @@ impl<P: Probe> ServerSim<P> {
             cores,
             rr_next: 0,
             latencies: SampleSet::new(),
-            transition_waits: SampleSet::new(),
-            queue_waits: SampleSet::new(),
-            service_times: SampleSet::new(),
-            completed: 0,
+            phase_sums: [-0.0; 3],
             warmed_up: false,
             next_arrival: Nanos::ZERO,
             end,
@@ -884,10 +883,9 @@ impl<P: Probe> ServerSim<P> {
             let service = now - core.serve_start;
             let transition = req.wake_penalty.min(sojourn - service);
             let queue = (sojourn - service - transition).clamp_non_negative();
-            self.transition_waits.record(transition.as_nanos());
-            self.queue_waits.record(queue.as_nanos());
-            self.service_times.record(service.as_nanos());
-            self.completed += 1;
+            for (sum, phase) in self.phase_sums.iter_mut().zip([transition, queue, service]) {
+                *sum += phase.as_nanos();
+            }
             // By construction queue + transition + service == sojourn
             // (serve_start ≥ arrival), so the span satisfies the
             // sum-to-latency invariant exactly. The current server model
@@ -1057,14 +1055,10 @@ impl<P: Probe> ServerSim<P> {
             core.reset_metrics(now);
         }
         self.uncore.reset_metrics(now);
-        // Measurement starts here: swap in reservoirs pre-sized for the
+        // Measurement starts here: swap in a reservoir pre-sized for the
         // expected completions so the record path never reallocates.
-        let expected = expected_samples(&self.config, &self.workload);
-        self.latencies = SampleSet::with_capacity(expected);
-        self.transition_waits = SampleSet::with_capacity(expected);
-        self.queue_waits = SampleSet::with_capacity(expected);
-        self.service_times = SampleSet::with_capacity(expected);
-        self.completed = 0;
+        self.latencies = SampleSet::with_capacity(expected_samples(&self.config, &self.workload));
+        self.phase_sums = [-0.0; 3];
         self.warmed_up = true;
     }
 
@@ -1124,11 +1118,11 @@ impl<P: Probe> ServerSim<P> {
         ];
         let server_latency = LatencyStats::from_samples(&mut self.latencies);
         let end_to_end_latency = server_latency.offset_by(self.workload.network_rtt());
-        let breakdown = LatencyBreakdown {
-            transition: Nanos::new(self.transition_waits.mean().unwrap_or(0.0)),
-            queue: Nanos::new(self.queue_waits.mean().unwrap_or(0.0)),
-            service: Nanos::new(self.service_times.mean().unwrap_or(0.0)),
-        };
+        let completed = server_latency.count;
+        let n = completed as f64;
+        let [transition, queue, service] =
+            self.phase_sums.map(|sum| Nanos::new(if n > 0.0 { sum / n } else { 0.0 }));
+        let breakdown = LatencyBreakdown { transition, queue, service };
         let turbo_fraction = if total_busy > Nanos::ZERO {
             Ratio::new(turbo_busy / total_busy)
         } else {
@@ -1170,13 +1164,9 @@ impl<P: Probe> ServerSim<P> {
             avg_core_power,
             server_latency,
             end_to_end_latency,
-            completed: self.completed,
+            completed,
             offered_qps: self.workload.offered_qps(),
-            achieved_qps: if duration > Nanos::ZERO {
-                self.completed as f64 / duration.as_secs()
-            } else {
-                0.0
-            },
+            achieved_qps: if duration > Nanos::ZERO { n / duration.as_secs() } else { 0.0 },
             transitions,
             snoops_served: snoops,
             events: self.events,
@@ -1321,8 +1311,17 @@ mod tests {
         // One span per measured request.
         assert_eq!(report.spans.len() as u64, out.metrics.completed);
         assert_eq!(report.summary.requests, out.metrics.completed);
-        // Phase means agree with the independent LatencyBreakdown path.
+        // Each breakdown phase is its span phase summed in completion
+        // order from -0.0, divided by the completions, bit for bit; the
+        // attribution summary's means agree.
         let b = out.metrics.breakdown;
+        let n = out.metrics.completed as f64;
+        let mean = |phase: fn(&RequestSpan) -> Nanos| {
+            report.spans.iter().fold(-0.0, |acc, span| acc + phase(span).as_nanos()) / n
+        };
+        assert_eq!(b.transition.as_nanos().to_bits(), mean(|s| s.exit_penalty).to_bits());
+        assert_eq!(b.queue.as_nanos().to_bits(), mean(|s| s.queue_wait).to_bits());
+        assert_eq!(b.service.as_nanos().to_bits(), mean(|s| s.service).to_bits());
         let m = &report.summary.mean;
         assert!((m.queue.as_nanos() - b.queue.as_nanos()).abs() < 1e-6);
         assert!((m.exit_penalty.as_nanos() - b.transition.as_nanos()).abs() < 1e-6);

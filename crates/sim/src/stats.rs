@@ -252,6 +252,12 @@ impl SampleSet {
         &self.samples
     }
 
+    /// The samples, mutable in place: for summaries that select on them
+    /// directly (which reorders them, as a quantile query does).
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.samples
+    }
+
     /// `true` if no samples were recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {

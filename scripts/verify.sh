@@ -242,4 +242,26 @@ for cmd in \
     fi
 done
 
+echo "==> fault-value refusal smoke"
+# Fault values that used to panic (an event time or a stretched service
+# time overflowing to infinity) or hang (event gaps below the resolution
+# of the event clock) are usage errors, and fault event rates count
+# toward the work limit. Each entry is "command|expected message".
+for entry in \
+    "sweep --duration-ms 1 --cores 2 --faults storm=1e-300|storm must be 0 or a rate in [1e-6, 1e9] per second, got 1e-300" \
+    "sweep --duration-ms 1 --cores 2 --faults storm=1e300|storm must be 0 or a rate in [1e-6, 1e9] per second, got 1e300" \
+    "sweep --duration-ms 1 --cores 2 --faults slow-factor=1.7e308,slowdown=1000|slow-factor must be in [1, 1e3], got 1.7e308" \
+    "fleet --fleet-faults throttle-factor=5e-324,throttle=1|throttle-factor must be in [1e-3, 1], got 5e-324" \
+    "sweep --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 1.000e12 offered requests: the limit is 1e10"; do
+    cmd=${entry%%|*}
+    msg=${entry#*|}
+    status=0
+    # shellcheck disable=SC2086 # $cmd is split into arguments on purpose
+    timeout 10 target/release/agilewatts $cmd >/dev/null 2>target/verify_refusal.txt || status=$?
+    if [ "$status" -ne 1 ] || ! grep -qF "$msg" target/verify_refusal.txt; then
+        echo "verify: 'agilewatts $cmd' exited $status, expected exit 1 with '$msg'" >&2
+        exit 1
+    fi
+done
+
 echo "verify: OK"
