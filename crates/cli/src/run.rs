@@ -71,7 +71,12 @@ pub(crate) fn check_work(command: &Command, common: &CommonArgs) -> Result<(), P
                 + fault_events(a.cores, a.duration_ms / 1e3),
             0.0,
         ),
-        Command::Analyze(a) => (offered(&a.workload, a.qps, a.cores, a.duration_ms), 0.0),
+        // Faults fire in both of the command's runs.
+        Command::Analyze(a) => (
+            offered(&a.workload, a.qps, a.cores, a.duration_ms)
+                + 2.0 * fault_events(a.cores, a.duration_ms / 1e3),
+            0.0,
+        ),
         Command::Fleet(f) | Command::Watch(WatchArgs { fleet: f, .. }) => {
             let fleet = fleet_experiment(f, &common.telemetry, &common.robustness, Vec::new())
                 .config(f.policy, f.config);
@@ -141,7 +146,7 @@ pub fn execute_with(command: &Command, common: &CommonArgs) -> Result<(), ParseE
         Command::Sweep(args) => return run_sweep(args, telemetry, robustness, hw()?),
         // `analyze` always captures idle intervals; `--idle-out` only
         // adds the artifact on disk.
-        Command::Analyze(args) => return run_analyze(args, telemetry, hw()?),
+        Command::Analyze(args) => return run_analyze(args, telemetry, robustness, hw()?),
         Command::Help => println!("{}", crate::usage()),
         Command::Table(n) => print_table(*n, hw()?),
         Command::Fig { number, quick } => run_fig(*number, *quick, hw()?),
@@ -337,11 +342,14 @@ fn run_fleet(
 /// Runs the same workload under the Baseline and AW C-state menus with
 /// common random numbers, prints both idle-opportunity reports, and
 /// compares how much of the deep-sleep (C6-family) opportunity each
-/// recovered. `--idle-out` additionally writes the AW run's report to
-/// disk (`.json` = JSON, `.folded` = folded stack, else windowed CSV).
+/// recovered. Both runs take the robustness flags (`--faults`,
+/// `--queue-cap`, `--request-timeout`); a tripped invariant is an error.
+/// `--idle-out` additionally writes the AW run's report to disk (`.json`
+/// = JSON, `.folded` = folded stack, else windowed CSV).
 fn run_analyze(
     args: &AnalyzeArgs,
     telemetry: &TelemetryArgs,
+    robustness: &RobustnessArgs,
     hw: &'static HardwareModel,
 ) -> Result<(), ParseError> {
     let workload = workload_by_name(&args.workload, args.qps, args.cores)?;
@@ -358,8 +366,9 @@ fn run_analyze(
     for named in [NamedConfig::Baseline, NamedConfig::Aw] {
         let config = ServerConfig::for_hw(hw, args.cores, named)
             .with_duration(Nanos::from_millis(args.duration_ms));
-        let output =
-            SimBuilder::new(config.clone(), workload.clone(), args.seed).with_idle_analysis().run();
+        let output = checked(
+            robust_run(&config, workload.clone(), args.seed, robustness).with_idle_analysis(),
+        )?;
         let intervals = output.idle_intervals.as_deref().unwrap_or(&[]);
         let report =
             IdleReport::analyze(intervals, &BreakEven::from_server(&config), args.cores, window);
@@ -413,18 +422,6 @@ fn write_idle_report(report: &IdleReport, path: &str) -> Result<(), ParseError> 
     Ok(())
 }
 
-/// Applies `--queue-cap` and `--request-timeout` to a server config.
-fn apply_robustness(config: ServerConfig, robustness: &RobustnessArgs) -> ServerConfig {
-    let mut config = config;
-    if let Some(cap) = robustness.queue_cap {
-        config = config.with_queue_cap(cap);
-    }
-    if let Some(us) = robustness.request_timeout_us {
-        config = config.with_request_timeout(Nanos::from_micros(us));
-    }
-    config
-}
-
 /// The attribution timeline window for a run of `duration_ms` (see
 /// [`SimBuilder::default_window`]).
 fn attrib_window(duration_ms: f64) -> Nanos {
@@ -441,10 +438,7 @@ fn run_instrumented(
     telemetry: &TelemetryArgs,
     robustness: &RobustnessArgs,
 ) -> Result<RunOutput, ParseError> {
-    let mut sim = SimBuilder::new(apply_robustness(config.clone(), robustness), workload, seed);
-    if let Some(spec) = &robustness.faults {
-        sim = sim.with_faults(FaultPlan::new(spec.clone()));
-    }
+    let mut sim = robust_run(config, workload, seed, robustness);
     if telemetry.is_active() {
         sim = sim.with_telemetry(telemetry.limit());
     }
@@ -454,6 +448,33 @@ fn run_instrumented(
     if telemetry.idle_active() {
         sim = sim.with_idle_analysis();
     }
+    checked(sim)
+}
+
+/// A run of `config` under the robustness flags: `--queue-cap` and
+/// `--request-timeout` applied to the config, `--faults` as its plan.
+fn robust_run(
+    config: &ServerConfig,
+    workload: WorkloadSpec,
+    seed: u64,
+    robustness: &RobustnessArgs,
+) -> SimBuilder {
+    let mut config = config.clone();
+    if let Some(cap) = robustness.queue_cap {
+        config = config.with_queue_cap(cap);
+    }
+    if let Some(us) = robustness.request_timeout_us {
+        config = config.with_request_timeout(Nanos::from_micros(us));
+    }
+    let sim = SimBuilder::new(config, workload, seed);
+    match &robustness.faults {
+        Some(spec) => sim.with_faults(FaultPlan::new(spec.clone())),
+        None => sim,
+    }
+}
+
+/// Runs `sim`; a tripped runtime invariant is an error.
+fn checked(sim: SimBuilder) -> Result<RunOutput, ParseError> {
     let output = sim.run();
     match &output.failure {
         Some(failure) => Err(ParseError(format!("{failure}"))),
@@ -577,7 +598,7 @@ fn write_attribution(
             .map_err(|e| ParseError(format!("cannot write attribution to '{path}': {e}")))?;
         println!(
             "attribution: folded stacks over {} spans -> {path} (feed to flamegraph.pl or speedscope)",
-            report.spans.len()
+            report.summary.requests
         );
     }
     Ok(())
@@ -793,7 +814,8 @@ mod tests {
             idle_out: Some(idle.to_string_lossy().into_owned()),
             ..TelemetryArgs::default()
         };
-        run_analyze(&args, &telemetry, HardwareModel::skylake_sp()).unwrap();
+        run_analyze(&args, &telemetry, &RobustnessArgs::default(), HardwareModel::skylake_sp())
+            .unwrap();
         let csv = std::fs::read_to_string(&idle).unwrap();
         assert!(csv.starts_with("window,start_ms,intervals"), "{csv}");
         assert!(csv.lines().count() > 1, "at least one window row");
@@ -863,6 +885,10 @@ mod tests {
             ("analyze --qps 1e300 --duration-ms 1", requests("1.000e297")),
             ("fleet --epochs 1000000000 --servers 1", requests("5.189e12")),
             ("sweep --qps 1 --duration-ms 100000000 --faults storm=1000000", requests("1.000e12")),
+            (
+                "analyze --qps 1 --duration-ms 100000000 --faults storm=1000000",
+                requests("2.000e12"),
+            ),
             ("fleet --servers 1 --epochs 2000 --faults spurious=1e9", requests("2.000e11")),
             (
                 "watch --headless --epochs 100000000 --utilization 0.000001 --servers 1",

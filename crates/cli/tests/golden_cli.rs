@@ -125,3 +125,40 @@ fn cross_vendor_covers_registry() {
     let only = stdout_of(&["cross-vendor", "--quick", "--hw", "zen2", "--jobs", "1"]);
     assert!(only.contains("zen2") && !only.contains("skylake-sp"), "{only}");
 }
+
+/// `analyze` at a small core count scores the Baseline run's C1 choices
+/// against the AW menu, which does not enable C1 and whose cheapest
+/// state costs more: the report must still complete.
+#[test]
+fn analyze_runs_at_two_cores() {
+    let report = stdout_of(&["analyze", "--cores", "2", "--duration-ms", "20"]);
+    assert!(report.contains("deep-sleep recovery vs the AW menu"), "{report}");
+}
+
+/// `analyze` applies `--faults`, `--queue-cap` and `--request-timeout`
+/// to both of its runs, and counts the fault events of both against the
+/// work limit.
+#[test]
+fn analyze_applies_the_robustness_flags() {
+    let plain = stdout_of(&["analyze", "--duration-ms", "5"]);
+    let faulted = stdout_of(&[
+        "analyze",
+        "--duration-ms",
+        "5",
+        "--faults",
+        "storm=100000,spurious=100000,wake-fail=0.5",
+        "--queue-cap",
+        "1",
+        "--request-timeout",
+        "1",
+    ]);
+    assert_ne!(plain, faulted);
+    let storm =
+        run(&["analyze", "--qps", "1", "--duration-ms", "100000000", "--faults", "storm=1000000"]);
+    assert_eq!(storm.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&storm.stderr);
+    assert!(
+        err.contains("refusing a run of about 2.000e12 offered requests: the limit is 1e10"),
+        "{err}"
+    );
+}

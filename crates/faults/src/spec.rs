@@ -225,12 +225,13 @@ impl FaultSpec {
                 "slow-ms" => {
                     let ms: f64 =
                         v.parse().map_err(|_| FaultSpecError(format!("bad slow-ms '{v}'")))?;
-                    if !ms.is_finite() || ms <= 0.0 {
+                    let duration = Nanos::from_millis(ms);
+                    if !duration.is_finite() || ms <= 0.0 {
                         return Err(FaultSpecError(format!(
-                            "slow-ms must be positive milliseconds, got {v}"
+                            "slow-ms must be positive milliseconds, finite in nanoseconds, got {v}"
                         )));
                     }
-                    spec.slowdown_duration = Nanos::from_millis(ms);
+                    spec.slowdown_duration = duration;
                 }
                 other => return Err(FaultSpecError(format!("unknown fault key '{other}'"))),
             }
@@ -366,6 +367,11 @@ mod tests {
             (
                 "slow-factor=1.7e308,slowdown=1000",
                 "slow-factor must be in [1, 1e3], got 1.7e308".to_string(),
+            ),
+            (
+                "slow-ms=1e308,slowdown=1000",
+                "slow-ms must be positive milliseconds, finite in nanoseconds, got 1e308"
+                    .to_string(),
             ),
         ] {
             assert_eq!(FaultSpec::parse(text).unwrap_err().0, msg, "{text}");

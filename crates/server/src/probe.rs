@@ -337,7 +337,7 @@ impl Probe for IdleLog {
 mod tests {
     use super::*;
     use crate::sim::ServerSim;
-    use crate::{ServerConfig, WorkloadSpec};
+    use crate::{ServerConfig, SimBuilder, WorkloadSpec};
     use aw_cstates::NamedConfig;
 
     /// One hook call, as the recording probe saw it.
@@ -482,6 +482,76 @@ mod tests {
         for (state, ns) in measured {
             let share = out_on.metrics.residency_of(state).get();
             assert!((ns / total - share).abs() < 1e-9, "{state}: tiles {} vs {share}", ns / total);
+        }
+    }
+
+    /// Every span the engine emits (each `request_done` the recorder
+    /// sees) satisfies the sum-to-latency invariant, and each breakdown
+    /// phase is its span phase summed in completion order from -0.0 and
+    /// divided by the completions, bit for bit. The runs are the
+    /// attributed runs of `tests/attribution.rs` (busy AW) and
+    /// `sim::tests` (light Baseline); an attribution probe rides along,
+    /// and its summary must equal the builder's, so these are the spans
+    /// the builder's attribution reduced.
+    #[test]
+    fn every_emitted_span_sums_to_its_latency_and_folds_into_the_breakdown() {
+        let runs = [
+            (
+                NamedConfig::Aw,
+                WorkloadSpec::poisson("attr", 150_000.0, Nanos::from_micros(4.0), 0.8),
+                11,
+                2.0,
+            ),
+            (
+                NamedConfig::Baseline,
+                WorkloadSpec::poisson("test", 60_000.0, Nanos::from_micros(3.0), 0.8),
+                21,
+                10.0,
+            ),
+        ];
+        for (named, workload, seed, window_ms) in runs {
+            let config = ServerConfig::new(4, named).with_duration(Nanos::from_millis(80.0));
+            let window = Nanos::from_millis(window_ms);
+            let built = SimBuilder::new(config.clone(), workload.clone(), seed)
+                .with_attribution(window)
+                .run();
+            let mut hooks = Vec::new();
+            let attribution = AttributionProbe::new(window, config.cores, config.warmup, 0);
+            let probe = (Recorder(&mut hooks), Some(attribution));
+            let out = ServerSim::new(config, workload, seed, probe).run_to_output(false);
+            let spans: Vec<RequestSpan> = hooks
+                .iter()
+                .filter_map(|hook| match hook {
+                    Hook::Done(_, span) => Some(*span),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(out.metrics.attribution, built.metrics.attribution, "{named}");
+
+            // One span per measured request.
+            assert_eq!(spans.len() as u64, out.metrics.completed, "{named}");
+            assert!(spans.len() > 1_000, "{named}: expected a busy run");
+            for span in &spans {
+                let sum = span.queue_wait + span.exit_penalty + span.snoop_stall + span.service;
+                let measured = span.server_latency();
+                assert!(
+                    (sum.as_nanos() - measured.as_nanos()).abs() < 1e-6,
+                    "{named}: phases {sum} != measured {measured} for {span:?}"
+                );
+            }
+            let b = out.metrics.breakdown;
+            let n = out.metrics.completed as f64;
+            let mean = |phase: fn(&RequestSpan) -> Nanos| {
+                spans.iter().fold(-0.0, |acc, span| acc + phase(span).as_nanos()) / n
+            };
+            assert_eq!(b.transition.as_nanos().to_bits(), mean(|s| s.exit_penalty).to_bits());
+            assert_eq!(b.queue.as_nanos().to_bits(), mean(|s| s.queue_wait).to_bits());
+            assert_eq!(b.service.as_nanos().to_bits(), mean(|s| s.service).to_bits());
+            // The summary folds the same spans the same way.
+            let m = out.metrics.attribution.expect("attribution probe attached").mean;
+            assert_eq!(m.exit_penalty.as_nanos().to_bits(), b.transition.as_nanos().to_bits());
+            assert_eq!(m.queue.as_nanos().to_bits(), b.queue.as_nanos().to_bits());
+            assert_eq!(m.service.as_nanos().to_bits(), b.service.as_nanos().to_bits());
         }
     }
 }

@@ -161,7 +161,7 @@ pub struct RunOutput {
     /// Full telemetry report ([`crate::SimBuilder::with_telemetry`] runs
     /// only).
     pub telemetry: Option<TelemetryReport>,
-    /// Full attribution report — per-request spans, timeline, summary
+    /// Full attribution report — summary and timeline
     /// ([`crate::SimBuilder::with_attribution`] runs only).
     pub attribution: Option<AttributionReport>,
     /// SLO verdict over the attribution timeline
@@ -1308,29 +1308,16 @@ mod tests {
                 .with_attribution(Nanos::from_millis(10.0))
                 .run();
         let report = out.attribution.expect("attribution enabled");
-        // One span per measured request.
-        assert_eq!(report.spans.len() as u64, out.metrics.completed);
+        // One span per measured request; the per-span checks run on the
+        // spans the engine emits, in `probe::tests`.
         assert_eq!(report.summary.requests, out.metrics.completed);
-        // Each breakdown phase is its span phase summed in completion
-        // order from -0.0, divided by the completions, bit for bit; the
-        // attribution summary's means agree.
+        // The attribution summary's means agree with the breakdown.
         let b = out.metrics.breakdown;
-        let n = out.metrics.completed as f64;
-        let mean = |phase: fn(&RequestSpan) -> Nanos| {
-            report.spans.iter().fold(-0.0, |acc, span| acc + phase(span).as_nanos()) / n
-        };
-        assert_eq!(b.transition.as_nanos().to_bits(), mean(|s| s.exit_penalty).to_bits());
-        assert_eq!(b.queue.as_nanos().to_bits(), mean(|s| s.queue_wait).to_bits());
-        assert_eq!(b.service.as_nanos().to_bits(), mean(|s| s.service).to_bits());
         let m = &report.summary.mean;
         assert!((m.queue.as_nanos() - b.queue.as_nanos()).abs() < 1e-6);
         assert!((m.exit_penalty.as_nanos() - b.transition.as_nanos()).abs() < 1e-6);
         assert!((m.service.as_nanos() - b.service.as_nanos()).abs() < 1e-6);
         assert_eq!(out.metrics.attribution.as_ref(), Some(&report.summary));
-        // Every span satisfies the sum-to-latency invariant exactly.
-        for span in &report.spans {
-            assert!(span.residual().as_nanos().abs() < 1e-6, "{span:?}");
-        }
         // The timeline saw traffic, power, and residency.
         let tl = &report.timeline;
         assert!(tl.windows().iter().map(|w| w.completed()).sum::<u64>() > 0);

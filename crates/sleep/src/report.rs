@@ -136,8 +136,10 @@ pub struct OpportunityLedger {
     pub idle_time: Nanos,
     /// Residency actually banked: Σ max(len − budget(chosen), 0).
     pub achieved_residency: Nanos,
-    /// Best-case sleepable time: Σ (len − cheapest enabled budget).
-    /// ≥ `achieved_residency` by construction.
+    /// Best-case sleepable time: Σ max(len − min(cheapest enabled
+    /// budget, budget(chosen)), 0). The chosen state is a candidate even
+    /// when the model does not enable it, so this is ≥
+    /// `achieved_residency` by construction.
     pub achievable_residency: Nanos,
     /// Idle energy under the governor's actual choices.
     pub achieved_energy: Joules,
@@ -354,8 +356,12 @@ impl IdleReport {
             // --- ledger ---
             ledger.intervals += 1;
             ledger.idle_time += t;
-            ledger.achieved_residency += (t - model.budget(iv.chosen)).max(Nanos::ZERO);
-            ledger.achievable_residency += (t - min_budget).max(Nanos::ZERO);
+            // The chosen state counts as a candidate, as in `score`: a
+            // run under another menu may have chosen a state cheaper than
+            // any this model enables.
+            let budget = model.budget(iv.chosen);
+            ledger.achieved_residency += (t - budget).max(Nanos::ZERO);
+            ledger.achievable_residency += (t - min_budget.min(budget)).max(Nanos::ZERO);
             ledger.achieved_energy += achieved;
             ledger.oracle_energy += oracle;
             ledger.c0_energy += c0;
@@ -640,6 +646,23 @@ mod tests {
         for (i, w) in r.windows.iter().enumerate() {
             assert_eq!(w.index, i as u64);
         }
+    }
+
+    /// A run under another menu may choose a state this model does not
+    /// enable, and one cheaper than any it does: C1 intervals scored
+    /// against a C6-only model. The chosen state counts as a candidate,
+    /// so the achievable residency still covers the achieved one.
+    #[test]
+    fn chosen_state_outside_the_enabled_set_bounds_achievable_residency() {
+        let m = BreakEven::new(&HardwareModel::skylake_sp().base_catalog(), &[CState::C6]);
+        assert!(m.budget(CState::C1) < m.min_budget());
+        let t = m.min_budget() * 0.5;
+        let intervals: Vec<_> =
+            (0..10).map(|i| iv(0, f64::from(i) * 100.0, t.as_micros(), CState::C1)).collect();
+        let r = IdleReport::analyze(&intervals, &m, 1, Nanos::ZERO);
+        let banked = (t - m.budget(CState::C1)) * 10.0;
+        assert!((r.ledger.achieved_residency - banked).as_nanos().abs() < 1e-6);
+        assert!(r.ledger.achievable_residency >= r.ledger.achieved_residency);
     }
 
     #[test]

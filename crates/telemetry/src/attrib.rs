@@ -3,12 +3,14 @@
 //! [`Attribution`] accumulates every completed [`RequestSpan`] of a run
 //! (and the power/residency intervals for its embedded [`Timeline`]),
 //! then [`Attribution::finish`] reduces them to an
-//! [`AttributionSummary`]: per-phase mean contributions for all requests
-//! and for the p99 tail bucket, plus the exit penalty broken down by
-//! *which* C-state charged it. [`AttributionSummary::folded_stack`]
-//! renders both buckets in the flamegraph folded-stack format
-//! (`frame;frame count`), so `flamegraph.pl` or speedscope can draw the
-//! decomposition directly.
+//! [`AttributionSummary`] and frees them. The spans are kept until then
+//! because the tail bucket is defined by the run's exact p99, unknown
+//! until the last request completes. The summary holds per-phase mean
+//! contributions for all requests and for the p99 tail bucket, plus the
+//! exit penalty broken down by *which* C-state charged it.
+//! [`AttributionSummary::folded_stack`] renders both buckets in the
+//! flamegraph folded-stack format (`frame;frame count`), so
+//! `flamegraph.pl` or speedscope can draw the decomposition directly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,23 +38,6 @@ pub struct PhaseMeans {
 }
 
 impl PhaseMeans {
-    fn from_spans(spans: &[&RequestSpan]) -> PhaseMeans {
-        if spans.is_empty() {
-            return PhaseMeans::default();
-        }
-        let n = spans.len() as f64;
-        let sum = |f: fn(&RequestSpan) -> Nanos| {
-            Nanos::new(spans.iter().map(|s| f(s).as_nanos()).sum::<f64>() / n)
-        };
-        PhaseMeans {
-            queue: sum(|s| s.queue_wait),
-            exit_penalty: sum(|s| s.exit_penalty),
-            snoop: sum(|s| s.snoop_stall),
-            service: sum(|s| s.service),
-            network: sum(|s| s.network_rtt),
-        }
-    }
-
     /// The mean contribution of one phase.
     #[must_use]
     pub fn phase(&self, phase: Phase) -> Nanos {
@@ -63,12 +48,6 @@ impl PhaseMeans {
             Phase::Service => self.service,
             Phase::NetworkRtt => self.network,
         }
-    }
-
-    /// The mean server-side latency (sum of the server-side phases).
-    #[must_use]
-    pub fn server_total(&self) -> Nanos {
-        self.queue + self.exit_penalty + self.snoop + self.service
     }
 }
 
@@ -213,10 +192,8 @@ impl Attribution {
         Attribution { spans: Vec::new(), timeline: Timeline::new(window) }
     }
 
-    /// Like [`new`](Self::new), with the span reservoir pre-sized for
-    /// `expected_spans` requests so the per-request
-    /// [`record_span`](Self::record_span) push does not reallocate on
-    /// the hot path.
+    /// Like [`new`](Self::new), with room for `expected_spans` spans so
+    /// [`record_span`](Self::record_span) does not reallocate.
     ///
     /// # Panics
     ///
@@ -242,24 +219,11 @@ impl Attribution {
         self.timeline.record_residency(state, start, end);
     }
 
-    /// The spans collected so far.
-    #[must_use]
-    pub fn spans(&self) -> &[RequestSpan] {
-        &self.spans
-    }
-
-    /// The embedded timeline.
-    #[must_use]
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Reduces the collected spans to a summary and hands back the
-    /// timeline and raw spans.
+    /// Reduces the collected spans to a summary, frees them, and hands
+    /// back the summary and the timeline.
     #[must_use]
     pub fn finish(self) -> AttributionReport {
-        let summary = summarize(&self.spans);
-        AttributionReport { summary, timeline: self.timeline, spans: self.spans }
+        AttributionReport { summary: summarize(&self.spans), timeline: self.timeline }
     }
 }
 
@@ -270,79 +234,111 @@ pub struct AttributionReport {
     pub summary: AttributionSummary,
     /// The windowed time series.
     pub timeline: Timeline,
-    /// The raw per-request spans (completion order).
-    pub spans: Vec<RequestSpan>,
 }
 
-fn exit_shares(spans: &[&RequestSpan]) -> Vec<ExitShare> {
-    let mut by_state: BTreeMap<&'static str, (Nanos, u64)> = BTreeMap::new();
-    for span in spans {
+/// Running sums over one bucket of requests, folded in completion order
+/// from `-0.0` (the neutral element `<f64 as Sum>` folds from), so each
+/// mean has the bits of a `sum::<f64>() / n` over the bucket's spans.
+struct Bucket {
+    requests: u64,
+    /// Server latency, residual, then the five phases of a span.
+    sums: [Nanos; 7],
+    /// Per charging state: total penalty and the requests that paid it.
+    exits: BTreeMap<&'static str, (Nanos, u64)>,
+}
+
+impl Bucket {
+    fn new() -> Bucket {
+        Bucket { requests: 0, sums: [Nanos::new(-0.0); 7], exits: BTreeMap::new() }
+    }
+
+    fn add(&mut self, span: &RequestSpan) {
+        self.requests += 1;
+        let parts = [
+            span.server_latency(),
+            span.residual(),
+            span.queue_wait,
+            span.exit_penalty,
+            span.snoop_stall,
+            span.service,
+            span.network_rtt,
+        ];
+        for (sum, part) in self.sums.iter_mut().zip(parts) {
+            *sum += part;
+        }
         if let Some(state) = span.exit_state {
             if span.exit_penalty.as_nanos() > 0.0 {
-                let entry = by_state.entry(state).or_insert((Nanos::ZERO, 0));
+                let entry = self.exits.entry(state).or_insert((Nanos::ZERO, 0));
                 entry.0 += span.exit_penalty;
                 entry.1 += 1;
             }
         }
     }
-    let mut shares: Vec<ExitShare> = by_state
-        .into_iter()
-        .map(|(state, (total, count))| ExitShare { state, total, count })
-        .collect();
-    shares.sort_by(|a, b| b.total.as_nanos().total_cmp(&a.total.as_nanos()));
-    shares
+
+    /// The mean latency, mean residual and phase means; zeros for an
+    /// empty bucket.
+    fn means(&self) -> (Nanos, Nanos, PhaseMeans) {
+        let n = self.requests as f64;
+        let [latency, residual, queue, exit_penalty, snoop, service, network] =
+            self.sums.map(|sum| if self.requests == 0 { Nanos::ZERO } else { sum / n });
+        (latency, residual, PhaseMeans { queue, exit_penalty, snoop, service, network })
+    }
+
+    /// The exit penalty by charging state, sorted by descending total
+    /// (ties keep label order).
+    fn exit_shares(&self) -> Vec<ExitShare> {
+        let mut shares: Vec<ExitShare> = self
+            .exits
+            .iter()
+            .map(|(&state, &(total, count))| ExitShare { state, total, count })
+            .collect();
+        shares.sort_by(|a, b| b.total.as_nanos().total_cmp(&a.total.as_nanos()));
+        shares
+    }
 }
 
+/// Reduces the spans to a summary: one pass for the all-request sums and
+/// the latency buffer, a selection for the exact p99, and one filter pass
+/// for the tail bucket.
 fn summarize(spans: &[RequestSpan]) -> AttributionSummary {
-    let all: Vec<&RequestSpan> = spans.iter().collect();
-    let n = all.len() as f64;
-    let mean_of = |f: fn(&RequestSpan) -> Nanos| {
-        if all.is_empty() {
-            Nanos::ZERO
-        } else {
-            Nanos::new(all.iter().map(|s| f(s).as_nanos()).sum::<f64>() / n)
-        }
-    };
-
+    let mut all = Bucket::new();
+    let mut latencies = Vec::with_capacity(spans.len());
+    for span in spans {
+        all.add(span);
+        latencies.push(span.server_latency().as_nanos());
+    }
     // Exact nearest-rank p99 over server latency — the tail threshold.
-    let mut latencies: Vec<f64> = all.iter().map(|s| s.server_latency().as_nanos()).collect();
     let tail_threshold = if latencies.is_empty() {
         Nanos::ZERO
     } else {
         let [p99] = select_quantiles(&mut latencies, [0.99]);
         Nanos::new(p99)
     };
-
-    let tail: Vec<&RequestSpan> = all
-        .iter()
-        .filter(|s| s.server_latency().as_nanos() >= tail_threshold.as_nanos())
-        .copied()
-        .collect();
-    let tail_mean_latency = if tail.is_empty() {
-        Nanos::ZERO
-    } else {
-        Nanos::new(
-            tail.iter().map(|s| s.server_latency().as_nanos()).sum::<f64>() / tail.len() as f64,
-        )
-    };
-
+    let mut tail = Bucket::new();
+    for span in spans.iter().filter(|s| s.server_latency() >= tail_threshold) {
+        tail.add(span);
+    }
+    let (mean_latency, mean_residual, mean) = all.means();
+    let (tail_mean_latency, _, tail_mean) = tail.means();
     AttributionSummary {
-        requests: all.len() as u64,
-        mean_latency: mean_of(RequestSpan::server_latency),
-        mean: PhaseMeans::from_spans(&all),
-        mean_residual: mean_of(RequestSpan::residual),
-        exit_by_state: exit_shares(&all),
+        requests: all.requests,
+        mean_latency,
+        mean,
+        mean_residual,
+        exit_by_state: all.exit_shares(),
         tail_threshold,
-        tail_requests: tail.len() as u64,
+        tail_requests: tail.requests,
         tail_mean_latency,
-        tail_mean: PhaseMeans::from_spans(&tail),
-        tail_exit_by_state: exit_shares(&tail),
+        tail_mean,
+        tail_exit_by_state: tail.exit_shares(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn span(latency_parts: (f64, f64, f64), state: Option<&'static str>, at: f64) -> RequestSpan {
         let (queue, exit, service) = latency_parts;
@@ -439,10 +435,178 @@ mod tests {
         attrib.record_span(span((0.0, 0.0, 500.0), None, 700.0));
         attrib.record_power(Nanos::ZERO, Nanos::new(1_000.0), aw_types::MilliWatts::new(500.0));
         attrib.record_residency("C0", Nanos::ZERO, Nanos::new(1_000.0));
-        assert_eq!(attrib.spans().len(), 1);
         let report = attrib.finish();
+        assert_eq!(report.summary.requests, 1);
         assert_eq!(report.timeline.windows().len(), 1);
         assert_eq!(report.timeline.windows()[0].completed(), 1);
         assert!(report.timeline.windows()[0].residency_share().contains_key("C0"));
+    }
+
+    /// The seven-pass reduction the one-pass `summarize` replaced, kept
+    /// as its oracle: every mean a `sum::<f64>()` over a `Vec` of span
+    /// references, the tail a filtered copy of that `Vec`.
+    mod reference {
+        use super::*;
+
+        fn phase_means(spans: &[&RequestSpan]) -> PhaseMeans {
+            if spans.is_empty() {
+                return PhaseMeans::default();
+            }
+            let n = spans.len() as f64;
+            let sum = |f: fn(&RequestSpan) -> Nanos| {
+                Nanos::new(spans.iter().map(|s| f(s).as_nanos()).sum::<f64>() / n)
+            };
+            PhaseMeans {
+                queue: sum(|s| s.queue_wait),
+                exit_penalty: sum(|s| s.exit_penalty),
+                snoop: sum(|s| s.snoop_stall),
+                service: sum(|s| s.service),
+                network: sum(|s| s.network_rtt),
+            }
+        }
+
+        fn exit_shares(spans: &[&RequestSpan]) -> Vec<ExitShare> {
+            let mut by_state: BTreeMap<&'static str, (Nanos, u64)> = BTreeMap::new();
+            for span in spans {
+                if let Some(state) = span.exit_state {
+                    if span.exit_penalty.as_nanos() > 0.0 {
+                        let entry = by_state.entry(state).or_insert((Nanos::ZERO, 0));
+                        entry.0 += span.exit_penalty;
+                        entry.1 += 1;
+                    }
+                }
+            }
+            let mut shares: Vec<ExitShare> = by_state
+                .into_iter()
+                .map(|(state, (total, count))| ExitShare { state, total, count })
+                .collect();
+            shares.sort_by(|a, b| b.total.as_nanos().total_cmp(&a.total.as_nanos()));
+            shares
+        }
+
+        pub(super) fn summarize(spans: &[RequestSpan]) -> AttributionSummary {
+            let all: Vec<&RequestSpan> = spans.iter().collect();
+            let n = all.len() as f64;
+            let mean_of = |f: fn(&RequestSpan) -> Nanos| {
+                if all.is_empty() {
+                    Nanos::ZERO
+                } else {
+                    Nanos::new(all.iter().map(|s| f(s).as_nanos()).sum::<f64>() / n)
+                }
+            };
+            let mut latencies: Vec<f64> =
+                all.iter().map(|s| s.server_latency().as_nanos()).collect();
+            let tail_threshold = if latencies.is_empty() {
+                Nanos::ZERO
+            } else {
+                let [p99] = select_quantiles(&mut latencies, [0.99]);
+                Nanos::new(p99)
+            };
+            let tail: Vec<&RequestSpan> = all
+                .iter()
+                .filter(|s| s.server_latency().as_nanos() >= tail_threshold.as_nanos())
+                .copied()
+                .collect();
+            let tail_mean_latency = if tail.is_empty() {
+                Nanos::ZERO
+            } else {
+                Nanos::new(
+                    tail.iter().map(|s| s.server_latency().as_nanos()).sum::<f64>()
+                        / tail.len() as f64,
+                )
+            };
+            AttributionSummary {
+                requests: all.len() as u64,
+                mean_latency: mean_of(RequestSpan::server_latency),
+                mean: phase_means(&all),
+                mean_residual: mean_of(RequestSpan::residual),
+                exit_by_state: exit_shares(&all),
+                tail_threshold,
+                tail_requests: tail.len() as u64,
+                tail_mean_latency,
+                tail_mean: phase_means(&tail),
+                tail_exit_by_state: exit_shares(&tail),
+            }
+        }
+    }
+
+    /// Every field of a summary, floats as their bits, so two summaries
+    /// compare bit for bit (`PartialEq` would equate `0.0` and `-0.0`).
+    fn field_bits(s: &AttributionSummary) -> Vec<String> {
+        let mut out = vec![format!("requests={}", s.requests)];
+        let mut push =
+            |name: &str, v: Nanos| out.push(format!("{name}={:016x}", v.as_nanos().to_bits()));
+        push("mean_latency", s.mean_latency);
+        push("mean_residual", s.mean_residual);
+        push("tail_threshold", s.tail_threshold);
+        push("tail_mean_latency", s.tail_mean_latency);
+        for (bucket, means) in [("all", &s.mean), ("tail", &s.tail_mean)] {
+            for phase in Phase::ALL {
+                push(&format!("{bucket}.{}", phase.label()), means.phase(phase));
+            }
+        }
+        out.push(format!("tail_requests={}", s.tail_requests));
+        for (bucket, shares) in [("all", &s.exit_by_state), ("tail", &s.tail_exit_by_state)] {
+            for (i, share) in shares.iter().enumerate() {
+                out.push(format!(
+                    "{bucket}.exit[{i}]={}:{:016x}:{}",
+                    share.state,
+                    share.total.as_nanos().to_bits(),
+                    share.count
+                ));
+            }
+        }
+        out
+    }
+
+    /// Random spans built to hit the reduction's edges: latencies from a
+    /// short palette (ties at the p99), `-0.0` and `0.0` phases, and
+    /// exit states with and without a penalty. One case in six is empty.
+    fn random_spans(mut rng: TestRng) -> Vec<RequestSpan> {
+        const LATENCIES: [f64; 6] = [0.0, 1_000.0, 1_000.0, 2_500.5, 9_999.0, 51_000.25];
+        const PHASES: [f64; 5] = [-0.0, 0.0, 1.0, 333.3, 20_000.0];
+        const STATES: [Option<&str>; 4] = [None, Some("C1"), Some("C6"), Some("C6A")];
+        let n = if rng.below(6) == 0 { 0 } else { rng.below(400) as usize };
+        let pick = |palette: &[f64], rng: &mut TestRng| {
+            if rng.below(4) == 0 {
+                1e5 * rng.uniform()
+            } else {
+                palette[rng.below(palette.len() as u64) as usize]
+            }
+        };
+        (0..n)
+            .map(|_| {
+                let arrival = 1e6 * rng.uniform();
+                let latency = pick(&LATENCIES, &mut rng);
+                RequestSpan {
+                    arrival: Nanos::new(arrival),
+                    completion: Nanos::new(arrival + latency),
+                    queue_wait: Nanos::new(pick(&PHASES, &mut rng)),
+                    exit_penalty: Nanos::new(pick(&PHASES, &mut rng)),
+                    exit_state: STATES[rng.below(4) as usize],
+                    snoop_stall: Nanos::new(pick(&PHASES, &mut rng)),
+                    service: Nanos::new(pick(&PHASES, &mut rng)),
+                    network_rtt: Nanos::new(pick(&PHASES, &mut rng)),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_pass_summary_matches_the_seven_pass_reference(
+            spans in Just(()).prop_perturb(|(), rng| random_spans(rng))
+        ) {
+            let mut attrib = Attribution::new(Nanos::from_millis(1.0));
+            for span in &spans {
+                attrib.record_span(*span);
+            }
+            let summary = attrib.finish().summary;
+            let expected = reference::summarize(&spans);
+            prop_assert_eq!(field_bits(&summary), field_bits(&expected));
+            prop_assert_eq!(summary, expected);
+        }
     }
 }

@@ -33,8 +33,9 @@ pub struct TimelineWindow {
     p99: P2Quantile,
     p999: P2Quantile,
     energy: Joules,
-    /// Nanoseconds of core residency per accounting C-state.
-    residency_ns: BTreeMap<&'static str, f64>,
+    /// Nanoseconds of core residency per accounting C-state, one slot per
+    /// state in first-seen order (a window sees a handful of states).
+    residency_ns: Vec<(&'static str, f64)>,
 }
 
 impl TimelineWindow {
@@ -47,7 +48,7 @@ impl TimelineWindow {
             p99: P2Quantile::new(0.99),
             p999: P2Quantile::new(0.999),
             energy: Joules::ZERO,
-            residency_ns: BTreeMap::new(),
+            residency_ns: Vec::new(),
         }
     }
 
@@ -106,14 +107,16 @@ impl TimelineWindow {
 
     /// Per-C-state share of the residency recorded in this window
     /// (normalised to sum to 1 over the states observed, so partial
-    /// trailing windows stay comparable).
+    /// trailing windows stay comparable). The total is summed in label
+    /// order, whatever order the states were first seen in.
     #[must_use]
     pub fn residency_share(&self) -> BTreeMap<&'static str, f64> {
-        let total: f64 = self.residency_ns.values().sum();
+        let ns: BTreeMap<&'static str, f64> = self.residency_ns.iter().copied().collect();
+        let total: f64 = ns.values().sum();
         if total <= 0.0 {
             return BTreeMap::new();
         }
-        self.residency_ns.iter().map(|(s, ns)| (*s, ns / total)).collect()
+        ns.into_iter().map(|(s, ns)| (s, ns / total)).collect()
     }
 }
 
@@ -206,7 +209,10 @@ impl Timeline {
     /// `[start, end)`, pro-rated across the overlapping windows.
     pub fn record_residency(&mut self, state: &'static str, start: Nanos, end: Nanos) {
         self.for_each_overlap(start, end, |w, overlap| {
-            *w.residency_ns.entry(state).or_insert(0.0) += overlap.as_nanos();
+            match w.residency_ns.iter_mut().find(|(s, _)| *s == state) {
+                Some((_, ns)) => *ns += overlap.as_nanos(),
+                None => w.residency_ns.push((state, overlap.as_nanos())),
+            }
         });
     }
 
@@ -253,7 +259,7 @@ impl Timeline {
     #[must_use]
     pub fn residency_states(&self) -> Vec<&'static str> {
         let mut states: Vec<&'static str> =
-            self.windows.iter().flat_map(|w| w.residency_ns.keys().copied()).collect();
+            self.windows.iter().flat_map(|w| w.residency_ns.iter().map(|(s, _)| *s)).collect();
         states.sort_unstable();
         states.dedup();
         states
@@ -343,6 +349,8 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn span_at(completion: f64, service: f64, queue: f64, exit: f64) -> RequestSpan {
         RequestSpan {
@@ -449,5 +457,128 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_window() {
         let _ = Timeline::new(Nanos::ZERO);
+    }
+
+    /// Residency intervals `(state, start, end)` in ns: states from a
+    /// short list in random first-seen order, ends on and off the
+    /// 1000 ns window boundaries, and some empty or reversed intervals.
+    fn random_intervals(mut rng: TestRng) -> Vec<(&'static str, f64, f64)> {
+        const STATES: [&str; 5] = ["C6A", "C0", "C1E", "C6", "C1"];
+        let at = |rng: &mut TestRng| {
+            let t = 5_000.0 * rng.uniform();
+            if rng.below(3) == 0 {
+                (t / 1_000.0).round() * 1_000.0
+            } else {
+                t
+            }
+        };
+        let n = rng.below(40) as usize;
+        (0..n)
+            .map(|_| {
+                let state = STATES[rng.below(STATES.len() as u64) as usize];
+                let start = at(&mut rng);
+                let end = if rng.below(8) == 0 {
+                    start - 10.0 * rng.uniform()
+                } else {
+                    at(&mut rng).max(start) + 300.0 * rng.uniform()
+                };
+                (state, start, end)
+            })
+            .collect()
+    }
+
+    /// The fold the dense slots replaced: one `BTreeMap` per window,
+    /// pro-rated by the timeline's own overlap rule.
+    fn reference_fold(
+        window: f64,
+        intervals: &[(&'static str, f64, f64)],
+    ) -> Vec<BTreeMap<&'static str, f64>> {
+        let mut windows: Vec<BTreeMap<&'static str, f64>> = Vec::new();
+        for &(state, start, end) in intervals {
+            if end <= start {
+                continue;
+            }
+            let first = (start / window).max(0.0) as usize;
+            let last = ((end - f64::EPSILON * end).max(0.0) / window) as usize;
+            for idx in first..=last {
+                let lo = start.max(idx as f64 * window);
+                let hi = end.min((idx + 1) as f64 * window);
+                if hi > lo {
+                    let at = (lo / window).max(0.0) as usize;
+                    if windows.len() <= at {
+                        windows.resize_with(at + 1, BTreeMap::new);
+                    }
+                    *windows[at].entry(state).or_insert(0.0) += hi - lo;
+                }
+            }
+        }
+        windows
+    }
+
+    fn share_of(ns: &BTreeMap<&'static str, f64>) -> BTreeMap<&'static str, f64> {
+        let total: f64 = ns.values().sum();
+        if total <= 0.0 {
+            return BTreeMap::new();
+        }
+        ns.iter().map(|(s, v)| (*s, v / total)).collect()
+    }
+
+    fn bits(share: &BTreeMap<&'static str, f64>) -> Vec<(&'static str, u64)> {
+        share.iter().map(|(s, v)| (*s, v.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn residency_slots_match_a_btreemap_fold(
+            intervals in Just(()).prop_perturb(|(), rng| random_intervals(rng))
+        ) {
+            let window = 1_000.0;
+            let mut tl = Timeline::new(Nanos::new(window));
+            for &(state, start, end) in &intervals {
+                tl.record_residency(state, Nanos::new(start), Nanos::new(end));
+            }
+            let expected = reference_fold(window, &intervals);
+            prop_assert_eq!(tl.windows().len(), expected.len());
+            let shares: Vec<BTreeMap<&'static str, f64>> = expected.iter().map(share_of).collect();
+            for (w, share) in tl.windows().iter().zip(&shares) {
+                prop_assert_eq!(bits(&w.residency_share()), bits(share));
+            }
+            let mut states: Vec<&'static str> = expected.iter().flat_map(|w| w.keys().copied()).collect();
+            states.sort_unstable();
+            states.dedup();
+            prop_assert_eq!(tl.residency_states(), states.clone());
+
+            // The exports' residency columns and objects, window by
+            // window, are the reference shares.
+            let live: Vec<&BTreeMap<&'static str, f64>> =
+                expected.iter().zip(&shares).filter(|(ns, _)| !ns.is_empty()).map(|(_, s)| s).collect();
+            let csv = tl.to_csv();
+            let mut lines = csv.lines();
+            let header = lines.next().expect("header");
+            let columns: String = states.iter().map(|s| format!(",residency_{s}")).collect();
+            prop_assert!(header.ends_with(&format!("avg_power_mw{columns}")), "{header}");
+            let rows: Vec<&str> = lines.collect();
+            prop_assert_eq!(rows.len(), live.len());
+            for (row, share) in rows.iter().zip(&live) {
+                let cells: String = states.iter().map(|s| format!(",{:.6}", share.get(s).copied().unwrap_or(0.0))).collect();
+                prop_assert_eq!(row.split(',').count(), header.split(',').count());
+                prop_assert!(row.ends_with(&cells), "{row} vs {cells}");
+            }
+            let json = tl.to_json();
+            let objects: Vec<&str> = json
+                .split("\"residency\":")
+                .skip(1)
+                .map(|rest| &rest[..=rest.find('}').expect("object end")])
+                .collect();
+            let rendered: Vec<String> = live
+                .iter()
+                .map(|share| {
+                    JsonValue::Object(share.iter().map(|(s, v)| ((*s).to_string(), JsonValue::Num(*v))).collect()).render()
+                })
+                .collect();
+            prop_assert_eq!(objects, rendered.iter().map(String::as_str).collect::<Vec<_>>());
+        }
     }
 }

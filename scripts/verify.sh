@@ -252,7 +252,9 @@ for entry in \
     "sweep --duration-ms 1 --cores 2 --faults storm=1e300|storm must be 0 or a rate in [1e-6, 1e9] per second, got 1e300" \
     "sweep --duration-ms 1 --cores 2 --faults slow-factor=1.7e308,slowdown=1000|slow-factor must be in [1, 1e3], got 1.7e308" \
     "fleet --fleet-faults throttle-factor=5e-324,throttle=1|throttle-factor must be in [1e-3, 1], got 5e-324" \
-    "sweep --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 1.000e12 offered requests: the limit is 1e10"; do
+    "sweep --duration-ms 1 --cores 2 --faults slow-ms=1e308,slowdown=1000|slow-ms must be positive milliseconds, finite in nanoseconds, got 1e308" \
+    "sweep --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 1.000e12 offered requests: the limit is 1e10" \
+    "analyze --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 2.000e12 offered requests: the limit is 1e10"; do
     cmd=${entry%%|*}
     msg=${entry#*|}
     status=0
@@ -263,5 +265,21 @@ for entry in \
         exit 1
     fi
 done
+
+echo "==> analyze smoke"
+# A small core count scores the Baseline run's C1 choices against the
+# AW menu's costlier cheapest state; the ledger must still hold. The
+# robustness flags reach both runs, so a faulted report differs.
+timeout 60 target/release/agilewatts analyze --cores 2 --duration-ms 20 >/dev/null || {
+    echo "verify: 'agilewatts analyze --cores 2 --duration-ms 20' failed" >&2
+    exit 1
+}
+plain=$(target/release/agilewatts analyze --duration-ms 5)
+faulted=$(target/release/agilewatts analyze --duration-ms 5 \
+    --faults storm=100000,spurious=100000,wake-fail=0.5 --queue-cap 1 --request-timeout 1)
+if [ "$plain" = "$faulted" ]; then
+    echo "verify: analyze ignored --faults/--queue-cap/--request-timeout" >&2
+    exit 1
+fi
 
 echo "verify: OK"

@@ -27,21 +27,12 @@ fn attributed_run(named: NamedConfig, qps: f64, seed: u64) -> RunOutput {
 
 #[test]
 fn phases_sum_to_measured_latency_on_every_span() {
+    // The report keeps the summary only: the per-span check runs on the
+    // spans the engine emits, in `aw-server`'s `probe` tests.
     let output = attributed_run(NamedConfig::Aw, 150_000.0, 11);
     let report = output.attribution.expect("attribution enabled");
-    assert_eq!(report.spans.len() as u64, output.metrics.completed);
-    assert!(report.spans.len() > 1_000, "expected a busy run");
-    for span in &report.spans {
-        let sum = span.queue_wait + span.exit_penalty + span.snoop_stall + span.service;
-        let measured = span.server_latency();
-        assert!(
-            (sum.as_nanos() - measured.as_nanos()).abs() < 1e-6,
-            "phases {} != measured {} for span completing at {}",
-            sum,
-            measured,
-            span.completion
-        );
-    }
+    assert_eq!(report.summary.requests, output.metrics.completed);
+    assert!(report.summary.requests > 1_000, "expected a busy run");
     // The summary's residual agrees: ~0 when the invariant holds.
     assert!(report.summary.mean_residual.as_nanos().abs() < 1e-6);
 }
