@@ -51,7 +51,8 @@ const MAX_SERVER_EPOCHS: f64 = 5e6;
 /// [`MAX_SERVER_EPOCHS`], so a run that could never finish, or would
 /// abort in the allocator, fails as a usage error instead. The estimate
 /// is the offered requests (offered load × simulated time, summed over
-/// epochs for a fleet), each `--faults` event counted as one more
+/// epochs for a fleet and over both runs of `analyze`), each `--faults`
+/// event counted as one more
 /// request (storms and spurious wakes fire per core, slowdown bursts per
 /// server, on every server-epoch of a fleet), and, for a fleet, its
 /// servers × epochs. Nothing is simulated or allocated; an unknown
@@ -71,10 +72,11 @@ pub(crate) fn check_work(command: &Command, common: &CommonArgs) -> Result<(), P
                 + fault_events(a.cores, a.duration_ms / 1e3),
             0.0,
         ),
-        // Faults fire in both of the command's runs.
+        // The command simulates two runs (Baseline and AW) of the same
+        // load, faults included.
         Command::Analyze(a) => (
-            offered(&a.workload, a.qps, a.cores, a.duration_ms)
-                + 2.0 * fault_events(a.cores, a.duration_ms / 1e3),
+            2.0 * (offered(&a.workload, a.qps, a.cores, a.duration_ms)
+                + fault_events(a.cores, a.duration_ms / 1e3)),
             0.0,
         ),
         Command::Fleet(f) | Command::Watch(WatchArgs { fleet: f, .. }) => {
@@ -882,7 +884,8 @@ mod tests {
         for (cmd, msg) in [
             ("sweep --qps 1e300 --duration-ms 1", requests("1.000e297")),
             ("sweep --qps 1 --duration-ms 18446744073709551615", requests("1.845e16")),
-            ("analyze --qps 1e300 --duration-ms 1", requests("1.000e297")),
+            ("analyze --qps 1e300 --duration-ms 1", requests("2.000e297")),
+            ("analyze --qps 4e7 --duration-ms 200000", requests("1.600e10")),
             ("fleet --epochs 1000000000 --servers 1", requests("5.189e12")),
             ("sweep --qps 1 --duration-ms 100000000 --faults storm=1000000", requests("1.000e12")),
             (

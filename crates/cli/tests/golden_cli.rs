@@ -63,6 +63,37 @@ fn fleet_chaos_skylake_matches_seed_golden() {
     assert_eq!(stdout_of(&with_hw), expected);
 }
 
+/// The chaotic headless cockpit is pinned at two worker counts: its
+/// frames render crashed and ejected servers next to parked, idle and
+/// loaded ones, and its final report carries the chaos ledger.
+#[test]
+fn watch_chaos_skylake_matches_golden() {
+    let expected = golden("watch_chaos_skylake.txt");
+    for jobs in ["1", "8"] {
+        let out = stdout_of(&[
+            "watch",
+            "--headless",
+            "--frames",
+            "3",
+            "--seed",
+            "42",
+            "--servers",
+            "6",
+            "--epochs",
+            "8",
+            "--autoscale",
+            "--diurnal",
+            "0.5",
+            "--fleet-faults",
+            "crash-at=2:1,rack-outage=0.04,rack-size=2,degrade=0.1,throttle=0.1,\
+             unpark-fail=0.3,down-epochs=2",
+            "--jobs",
+            jobs,
+        ]);
+        assert_eq!(out, expected, "--jobs {jobs}");
+    }
+}
+
 /// The same Fig. 8 grid runs end to end on the Zen 2 backend, and its
 /// numbers genuinely differ from Skylake-SP's.
 #[test]

@@ -101,33 +101,19 @@ impl Autoscaler {
         Autoscaler { policy, fleet_size, active: vec![true; fleet_size] }
     }
 
-    /// Decides the epoch's active set for `offered_qps`. `force_all`
-    /// (the spreading policy) pins every server active regardless of the
-    /// scaling target.
-    pub fn decide(
-        &mut self,
-        offered_qps: f64,
-        capacity_qps: f64,
-        epoch: Nanos,
-        force_all: bool,
-    ) -> ScaleDecision {
-        let eligible = vec![true; self.fleet_size];
-        self.decide_faulty(offered_qps, capacity_qps, epoch, force_all, &eligible, |_| true)
-    }
-
-    /// [`Autoscaler::decide`] under faults: only `eligible` servers
-    /// (healthy and in the router's rotation) can be activated, and
-    /// every park→active transition must pass `unpark_ok` — a failed
+    /// Decides the epoch's active set for `offered_qps`: the first
+    /// `target` `eligible` servers (healthy and in the router's rotation)
+    /// in index order are active, and newly activated ones pay the
+    /// unpark latency. `force_all` (the spreading policy) pins every
+    /// eligible server active regardless of the scaling target.
+    ///
+    /// Every park→active transition must pass `unpark_ok`. A failed
     /// unpark leaves the slot dark for the epoch (counted in
     /// [`ScaleDecision::unpark_failures`]) and is retried at the next
     /// decision instead of being silently replaced, so unpark failures
-    /// cost real capacity under pressure.
-    ///
-    /// With every server eligible and `unpark_ok` always true this is
-    /// exactly [`Autoscaler::decide`]: the first `target` servers in
-    /// index order are active, newly activated ones pay the unpark
-    /// latency.
-    pub fn decide_faulty(
+    /// cost real capacity under pressure. A fault-free fleet passes an
+    /// all-`true` mask and an always-`true` `unpark_ok`.
+    pub fn decide(
         &mut self,
         offered_qps: f64,
         capacity_qps: f64,
@@ -216,10 +202,10 @@ mod tests {
     fn scale_up_marks_unparking_servers() {
         let mut s = Autoscaler::new(Some(policy()), 4);
         // Scale down to 1 first, then back up to 3.
-        let down = s.decide(100.0, 1000.0, Nanos::from_millis(50.0), false);
+        let down = s.decide(100.0, 1000.0, Nanos::from_millis(50.0), false, &[true; 4], |_| true);
         assert_eq!(down.availability, vec![1.0, 0.0, 0.0, 0.0]);
         assert_eq!(down.parks, 3);
-        let up = s.decide(1500.0, 1000.0, Nanos::from_millis(50.0), false);
+        let up = s.decide(1500.0, 1000.0, Nanos::from_millis(50.0), false, &[true; 4], |_| true);
         assert_eq!(up.unparks, 2);
         assert!((up.availability[0] - 1.0).abs() < 1e-9, "steady server is fully available");
         assert!((up.availability[1] - 0.9).abs() < 1e-9, "unparking server pays boot latency");
@@ -229,7 +215,7 @@ mod tests {
     #[test]
     fn disabled_scaler_keeps_everything_active() {
         let mut s = Autoscaler::new(None, 3);
-        let d = s.decide(1.0, 1000.0, Nanos::from_millis(50.0), false);
+        let d = s.decide(1.0, 1000.0, Nanos::from_millis(50.0), false, &[true; 3], |_| true);
         assert_eq!(d.availability, vec![1.0; 3]);
         assert_eq!(d.parks + d.unparks, 0);
     }
@@ -237,7 +223,7 @@ mod tests {
     #[test]
     fn force_all_overrides_the_target() {
         let mut s = Autoscaler::new(Some(policy()), 4);
-        let d = s.decide(100.0, 1000.0, Nanos::from_millis(50.0), true);
+        let d = s.decide(100.0, 1000.0, Nanos::from_millis(50.0), true, &[true; 4], |_| true);
         assert_eq!(d.availability, vec![1.0; 4], "spreading pins the fleet active");
     }
 }

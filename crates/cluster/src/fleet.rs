@@ -44,15 +44,14 @@ use aw_server::{
     HardwareModel, LatencyStats, PackageCState, RunOutput, ServerConfig, SimBuilder, WorkloadSpec,
 };
 use aw_sleep::{BreakEven, OpportunitySummary};
-use aw_telemetry::MetricsRegistry;
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
 
-use crate::autoscaler::{AutoscalePolicy, Autoscaler};
-use crate::health::HealthTracker;
+use crate::autoscaler::{AutoscalePolicy, Autoscaler, ScaleDecision};
+use crate::health::{HealthStep, HealthTracker};
 use crate::policy::RoutingPolicy;
-use crate::report::{FleetDegradation, FleetReport, FleetWindow};
+use crate::report::{fleet_counters, FleetDegradation, FleetReport, FleetWindow};
 use crate::stream::{
-    epoch_counters, FleetEpochEvent, FleetObserver, NullFleetObserver, ServerEpochSnapshot,
+    residency_shares, FleetEpochEvent, FleetObserver, NullFleetObserver, ServerEpochSnapshot,
     ServerRole,
 };
 
@@ -264,51 +263,31 @@ impl FleetConfig {
 #[derive(Debug)]
 struct EpochPlan {
     offered: f64,
-    availability: Vec<f64>,
     shares: Vec<f64>,
-    parks: u64,
-    unparks: u64,
-    unpark_failures: u64,
-    /// `Some(phase)` — the server crashes after serving `phase` of the
-    /// epoch.
-    crash_phase: Vec<Option<f64>>,
-    /// Crashed in an earlier epoch; 0 W, no traffic.
-    dark: Vec<bool>,
-    /// Up but out of the router's rotation.
-    ejected: Vec<bool>,
-    /// Extra per-request network latency on degraded links.
-    degrade_extra: Vec<Option<Nanos>>,
-    /// Remaining capacity fraction on throttled servers.
-    throttle: Vec<Option<f64>>,
-    degraded_server_epochs: u64,
-    throttled_server_epochs: u64,
-    /// Requests lost to mid-epoch crashes, re-offered in later epochs.
-    retried: u64,
-    /// Requests dropped at the balancer (empty rotation).
-    shed: u64,
-    events: Vec<FleetFaultRecord>,
-    crashes: u64,
-    rack_outages: u64,
-    restarts: u64,
-    restart_failures: u64,
-    ejections: u64,
-    probes: u64,
-    readmissions: u64,
+    /// The health pass; its `ledger` also carries the epoch's unpark
+    /// failures, retried requests (lost to mid-epoch crashes, re-offered
+    /// in later epochs) and shed requests (empty rotation).
+    health: HealthStep,
+    scale: ScaleDecision,
 }
 
-/// One simulated server-epoch in the flattened sweep grid.
-#[derive(Debug, Clone, Copy)]
-struct GridPoint {
-    epoch: usize,
-    server: usize,
-    share: f64,
-    /// Fraction of the epoch actually served (< 1.0 only when crashing
-    /// mid-epoch).
-    phase: f64,
-    /// Degraded-link latency added to every request.
-    extra_rtt: Option<Nanos>,
-    /// Capacity throttle factor (service times stretch by its inverse).
-    throttle: Option<f64>,
+impl EpochPlan {
+    /// What `server` did this epoch; `loaded` says whether it was
+    /// simulated.
+    fn role(&self, server: usize, loaded: bool) -> ServerRole {
+        let h = &self.health;
+        if h.crash_phase[server].is_some() || h.dark[server] {
+            ServerRole::Crashed
+        } else if h.ejected[server] {
+            ServerRole::Ejected
+        } else if self.scale.availability[server] <= 0.0 {
+            ServerRole::Parked
+        } else if loaded {
+            ServerRole::Loaded
+        } else {
+            ServerRole::Idle
+        }
+    }
 }
 
 /// splitmix64 finalizer — decorrelates the per-(server, epoch) seed
@@ -390,14 +369,13 @@ impl FleetSim {
 
                 // Autoscale over the healthy rotation; failed unparks
                 // leave their slot dark for the epoch.
-                let rotation = step.in_rotation.clone();
                 let mut failed_unparks = Vec::new();
-                let d = scaler.decide_faulty(
+                let d = scaler.decide(
                     offered,
                     capacity,
                     cfg.epoch,
                     cfg.policy.wants_all_active(),
-                    &rotation,
+                    &step.in_rotation,
                     |s| {
                         if fault_plan.unpark_fails(s, e) {
                             failed_unparks.push(s);
@@ -455,31 +433,10 @@ impl FleetSim {
                     }
                 }
 
-                EpochPlan {
-                    offered,
-                    availability: d.availability,
-                    shares,
-                    parks: d.parks,
-                    unparks: d.unparks,
-                    unpark_failures: d.unpark_failures,
-                    crash_phase: step.crash_phase,
-                    dark: step.dark,
-                    ejected: step.ejected,
-                    degrade_extra: step.degrade_extra,
-                    throttle: step.throttle,
-                    degraded_server_epochs: step.degraded_server_epochs,
-                    throttled_server_epochs: step.throttled_server_epochs,
-                    retried: (retried_qps * epoch_secs).round() as u64,
-                    shed: (shed_qps * epoch_secs).round() as u64,
-                    events: step.events,
-                    crashes: step.crashes,
-                    rack_outages: step.rack_outages,
-                    restarts: step.restarts,
-                    restart_failures: step.restart_failures,
-                    ejections: step.ejections,
-                    probes: step.probes,
-                    readmissions: step.readmissions,
-                }
+                step.ledger.unpark_failures = d.unpark_failures;
+                step.ledger.retried_requests = (retried_qps * epoch_secs).round() as u64;
+                step.ledger.shed_requests = (shed_qps * epoch_secs).round() as u64;
+                EpochPlan { offered, shares, health: step, scale: d }
             })
             .collect();
         // Retries whose backoff landed past the end of the run never
@@ -503,398 +460,117 @@ impl FleetSim {
     #[allow(clippy::too_many_lines)]
     pub fn run_observed(self, observer: &mut dyn FleetObserver) -> FleetReport {
         let cfg = self.config;
-        let capacity = cfg.capacity_qps();
-        let proto_qps = cfg.workload.offered_qps();
         let observe = observer.is_enabled();
-
-        // Phase 1: routing + scaling + fault decisions, serial and
-        // closed-form.
-        let (plans, leftover_shed) = Self::plan_epochs(&cfg, capacity);
-
-        // Phases 2+3, epoch by epoch: fan one epoch's loaded servers
-        // out on the executor, aggregate, stream, move on. Per-point
-        // outputs are independent of batching (each server-epoch owns
-        // its seed stream), so slicing the old flat grid into per-epoch
-        // fan-outs changes when results arrive, never what they are.
-        // Server slots may host different hardware models (mixed
-        // fleets), so every per-slot quantity — the config a simulation
-        // clones, the closed-form idle power, the break-even scoring
-        // model — is resolved per slot up front.
-        let per_server: Vec<ServerConfig> =
-            (0..cfg.servers).map(|s| cfg.server_config(s)).collect();
-        // An empty unparked server is closed-form:
-        // all cores in the menu's deepest state, uncore in PC6 when the
-        // menu includes C6 (else PC2 — all cores idle but not demotable
-        // to package sleep). `(has_c6, idle power)` per slot.
-        let idle: Vec<(bool, MilliWatts)> = per_server
-            .iter()
-            .map(|sc| {
-                let has_c6 = sc.cstates.is_enabled(CState::C6);
-                let core =
-                    sc.catalog.power(sc.cstates.deepest().unwrap_or(CState::C0), FreqLevel::P1);
-                let uncore =
-                    sc.hw.uncore.of(if has_c6 { PackageCState::Pc6 } else { PackageCState::Pc2 });
-                (has_c6, core * sc.cores as f64 + uncore)
-            })
-            .collect();
+        // Routing, scaling and fault decisions, serial and closed-form.
+        let (plans, leftover_shed) = Self::plan_epochs(&cfg, cfg.capacity_qps());
+        let slots: Vec<Slot> = (0..cfg.servers).map(|s| Slot::new(cfg.server_config(s))).collect();
         let park_power = cfg.autoscale.as_ref().map_or(MilliWatts::ZERO, |p| p.park_power);
 
-        let mut registry = MetricsRegistry::new();
+        // The latency sum starts at -0.0, the identity of `+`, as a
+        // fresh reservoir's does.
+        let mut tally = Tally { latency_sum: -0.0, ..Tally::default() };
         let mut windows = Vec::with_capacity(cfg.epochs);
-        let mut latencies = Vec::new();
-        let mut latency_sum = -0.0;
-        let mut total_energy = Joules::ZERO;
-        let mut total_completed = 0u64;
-        let mut total_events = 0u64;
-        let mut active_epochs = 0usize;
-        let mut sim_epochs = 0usize;
-        let mut unparked_epochs = 0usize;
-        let mut c0_sum = 0.0;
-        let mut agile_sum = 0.0;
-        let mut pc6_sum = 0.0;
-        let mut slo_violations = 0usize;
-        let mut degradation = FleetDegradation::default();
-        // Idle-opportunity scoring models: each slot's intervals are
-        // priced with the catalog and C-state menu its simulations ran
-        // with, so a zen2 slot is never audited with skylake costs.
-        let breakevens: Vec<BreakEven> = per_server.iter().map(BreakEven::from_server).collect();
-        let mut fleet_achieved = Joules::ZERO;
-        let mut fleet_oracle = Joules::ZERO;
-
+        let mut events = 0u64;
+        // Epoch by epoch: simulate the epoch's loaded servers, take the
+        // census, stream it, move on.
         for (e, plan) in plans.iter().enumerate() {
-            let points: Vec<GridPoint> = plan
-                .shares
-                .iter()
-                .enumerate()
-                .filter(|&(_, &share)| share > 0.0)
-                .map(|(server, &share)| GridPoint {
-                    epoch: e,
-                    server,
-                    share,
-                    phase: plan.crash_phase[server].unwrap_or(1.0),
-                    extra_rtt: plan.degrade_extra[server],
-                    throttle: plan.throttle[server],
-                })
-                .collect();
-            let outputs: Vec<RunOutput> = SweepExecutor::current().map(&points, |&p| {
-                let seed = mix_seed(cfg.seed, p.server as u64, p.epoch as u64);
-                let mut workload = cfg.workload.scaled_qps(p.share / proto_qps);
-                if let Some(extra) = p.extra_rtt {
-                    let rtt = workload.network_rtt() + extra;
-                    workload = workload.with_network_rtt(rtt);
-                }
-                if let Some(factor) = p.throttle {
-                    workload = workload.scaled_service(1.0 / factor);
-                }
-                let server = per_server[p.server].clone().with_duration(cfg.epoch * p.phase);
-                let mut builder = SimBuilder::new(server, workload, seed)
-                    .with_latency_samples()
-                    .with_idle_analysis();
-                if let Some(fs) = &cfg.server_faults {
-                    let mut spec = fs.clone();
-                    spec.seed = mix_seed(fs.seed, p.server as u64, p.epoch as u64);
-                    builder = builder.with_faults(FaultPlan::new(spec));
-                }
-                builder.run()
-            });
-            total_events += outputs.iter().map(|o| o.metrics.events).sum::<u64>();
-            let mut slots: Vec<Option<&RunOutput>> = vec![None; cfg.servers];
-            for (p, out) in points.iter().zip(&outputs) {
-                slots[p.server] = Some(out);
-            }
+            let (health, scale) = (&plan.health, &plan.scale);
+            let runs = simulate_epoch(&cfg, &slots, e, plan);
+            events += runs.iter().flatten().map(|o| o.metrics.events).sum::<u64>();
 
-            let mut power = MilliWatts::ZERO;
-            let mut completed = 0u64;
-            let mut epoch_achieved = Joules::ZERO;
-            let mut epoch_oracle = Joules::ZERO;
-            let epoch_start = latencies.len();
-            let (mut active, mut idle_active, mut parked) = (0usize, 0usize, 0usize);
-            let (mut crashed, mut ejected) = (0usize, 0usize);
-            let mut snapshots: Vec<ServerEpochSnapshot> =
-                Vec::with_capacity(if observe { cfg.servers } else { 0 });
-
-            // Pulls the sums/samples out of one simulated server-epoch;
-            // shared by the loaded and crashing arms. The slot's own
-            // break-even model comes in as an argument — every
-            // accumulator comes in by reference so the census arms can
-            // keep using them.
-            let absorb_sim = |out: &RunOutput,
-                              be: &BreakEven,
-                              phase: f64,
-                              latencies: &mut Vec<f64>,
-                              completed: &mut u64,
-                              epoch_achieved: &mut Joules,
-                              epoch_oracle: &mut Joules,
-                              c0_sum: &mut f64,
-                              agile_sum: &mut f64,
-                              pc6_sum: &mut f64,
-                              degradation: &mut FleetDegradation| {
-                let m = &out.metrics;
-                // A mid-epoch crash serves `phase` of the epoch at its
-                // simulated power and is dark (0 W) for the rest, so its
-                // epoch-average contribution scales by `phase`.
-                let pkg = m.package_power() * phase;
-                *completed += m.completed;
-                *c0_sum += m.residency_of(CState::C0).as_percent() / 100.0;
-                *agile_sum += (m.residency_of(CState::C6A).as_percent()
-                    + m.residency_of(CState::C6AE).as_percent())
-                    / 100.0;
-                *pc6_sum += m.package_residency[2].as_percent() / 100.0;
-                degradation.absorb_server(&m.degradation);
-                let opportunity =
-                    OpportunitySummary::compute(out.idle_intervals.as_deref().unwrap_or(&[]), be);
-                *epoch_achieved += opportunity.achieved_savings;
-                *epoch_oracle += opportunity.oracle_savings;
-                latencies.extend_from_slice(out.latency_samples.as_deref().unwrap_or(&[]));
-                (pkg, opportunity)
-            };
-
-            for (server, slot) in slots.iter().enumerate() {
-                let avail = plan.availability[server];
-                if let Some(phase) = plan.crash_phase[server] {
-                    // Crashed mid-epoch: served `phase` of it.
-                    crashed += 1;
-                    match *slot {
-                        Some(out) => {
-                            sim_epochs += 1;
-                            unparked_epochs += 1;
-                            let (pkg, opportunity) = absorb_sim(
-                                out,
-                                &breakevens[server],
-                                phase,
-                                &mut latencies,
-                                &mut completed,
-                                &mut epoch_achieved,
-                                &mut epoch_oracle,
-                                &mut c0_sum,
-                                &mut agile_sum,
-                                &mut pc6_sum,
-                                &mut degradation,
-                            );
-                            power += pkg;
-                            if observe {
-                                snapshots.push(ServerEpochSnapshot {
-                                    server,
-                                    role: ServerRole::Crashed,
-                                    share_qps: plan.shares[server],
-                                    power: pkg,
-                                    p99: (out.metrics.server_latency.count > 0)
-                                        .then_some(out.metrics.server_latency.p99),
-                                    c0_share: out.metrics.residency_of(CState::C0).as_percent()
-                                        / 100.0,
-                                    agile_share: (out
-                                        .metrics
-                                        .residency_of(CState::C6A)
-                                        .as_percent()
-                                        + out.metrics.residency_of(CState::C6AE).as_percent())
-                                        / 100.0,
-                                    counters: epoch_counters(&out.metrics.degradation),
-                                    opportunity,
-                                });
-                            }
-                        }
-                        None => {
-                            // Crashed while carrying no traffic: idle
-                            // (or parked) until the crash point, dark
-                            // after.
-                            let pre = if avail > 0.0 { idle[server].1 } else { park_power };
-                            power += pre * phase;
-                            if observe {
-                                snapshots.push(ServerEpochSnapshot::unsimulated(
-                                    server,
-                                    ServerRole::Crashed,
-                                    pre * phase,
-                                ));
-                            }
+            // The census: each server's role, power contribution and
+            // sums, in server order.
+            let mut snapshots = Vec::with_capacity(if observe { cfg.servers } else { 0 });
+            for (server, (slot, run)) in slots.iter().zip(&runs).enumerate() {
+                let role = plan.role(server, run.is_some());
+                let avail = scale.availability[server];
+                let crash = health.crash_phase[server];
+                let power = match (role, run) {
+                    // A mid-epoch crash serves `phase` of the epoch at
+                    // its simulated power and is dark (0 W) for the rest.
+                    (_, Some(out)) => {
+                        let pkg = out.metrics.package_power() * crash.unwrap_or(1.0);
+                        if role == ServerRole::Loaded && avail < 1.0 {
+                            // Unparking server: part of the epoch at park
+                            // power, plus the boot-energy burst.
+                            let p = cfg
+                                .autoscale
+                                .as_ref()
+                                .expect("partial availability implies an autoscaler");
+                            pkg * avail + p.park_power * (1.0 - avail) + p.unpark_energy / cfg.epoch
+                        } else {
+                            pkg
                         }
                     }
-                } else if plan.dark[server] {
-                    // Dark from an earlier crash: 0 W, no traffic.
-                    crashed += 1;
-                    if observe {
-                        snapshots.push(ServerEpochSnapshot::unsimulated(
-                            server,
-                            ServerRole::Crashed,
-                            MilliWatts::ZERO,
-                        ));
-                    }
-                } else if plan.ejected[server] {
-                    // Up but out of rotation: deep package idle while
-                    // the router re-probes it.
-                    ejected += 1;
-                    unparked_epochs += 1;
-                    pc6_sum += if idle[server].0 { 1.0 } else { 0.0 };
-                    power += idle[server].1;
-                    if observe {
-                        snapshots.push(ServerEpochSnapshot::unsimulated(
-                            server,
-                            ServerRole::Ejected,
-                            idle[server].1,
-                        ));
-                    }
-                } else {
-                    match (avail > 0.0, *slot) {
-                        (false, _) => {
-                            parked += 1;
-                            power += park_power;
-                            if observe {
-                                snapshots.push(ServerEpochSnapshot::unsimulated(
-                                    server,
-                                    ServerRole::Parked,
-                                    park_power,
-                                ));
-                            }
-                        }
-                        (true, None) => {
-                            active += 1;
-                            idle_active += 1;
-                            unparked_epochs += 1;
-                            pc6_sum += if idle[server].0 { 1.0 } else { 0.0 };
-                            power += idle[server].1;
-                            if observe {
-                                snapshots.push(ServerEpochSnapshot::unsimulated(
-                                    server,
-                                    ServerRole::Idle,
-                                    idle[server].1,
-                                ));
-                            }
-                        }
-                        (true, Some(out)) => {
-                            active += 1;
-                            unparked_epochs += 1;
-                            sim_epochs += 1;
-                            let (mut pkg, opportunity) = absorb_sim(
-                                out,
-                                &breakevens[server],
-                                1.0,
-                                &mut latencies,
-                                &mut completed,
-                                &mut epoch_achieved,
-                                &mut epoch_oracle,
-                                &mut c0_sum,
-                                &mut agile_sum,
-                                &mut pc6_sum,
-                                &mut degradation,
-                            );
-                            if avail < 1.0 {
-                                // Unparking server: part of the epoch at
-                                // park power, plus the boot-energy burst.
-                                let p = cfg
-                                    .autoscale
-                                    .as_ref()
-                                    .expect("partial availability implies an autoscaler");
-                                pkg = pkg * avail
-                                    + p.park_power * (1.0 - avail)
-                                    + p.unpark_energy / cfg.epoch;
-                            }
-                            power += pkg;
-                            if observe {
-                                let m = &out.metrics;
-                                snapshots.push(ServerEpochSnapshot {
-                                    server,
-                                    role: ServerRole::Loaded,
-                                    share_qps: plan.shares[server],
-                                    power: pkg,
-                                    p99: (m.server_latency.count > 0)
-                                        .then_some(m.server_latency.p99),
-                                    c0_share: m.residency_of(CState::C0).as_percent() / 100.0,
-                                    agile_share: (m.residency_of(CState::C6A).as_percent()
-                                        + m.residency_of(CState::C6AE).as_percent())
-                                        / 100.0,
-                                    counters: epoch_counters(&m.degradation),
-                                    opportunity,
-                                });
-                            }
-                        }
-                    }
+                    // Crashed while carrying no traffic: idle (or parked)
+                    // until the crash point, dark after; 0 W when still
+                    // dark from an earlier crash.
+                    (ServerRole::Crashed, None) => crash.map_or(MilliWatts::ZERO, |phase| {
+                        (if avail > 0.0 { slot.idle_power } else { park_power }) * phase
+                    }),
+                    (ServerRole::Parked, _) => park_power,
+                    // Idle, or ejected (up, out of rotation): deep
+                    // package idle.
+                    _ => slot.idle_power,
+                };
+                let sim = run.as_ref().map(|out| {
+                    let intervals = out.idle_intervals.as_deref().unwrap_or(&[]);
+                    (out, OpportunitySummary::compute(intervals, &slot.breakeven))
+                });
+                tally.count(role, power, sim, slot.idle_pc6);
+                if observe {
+                    let sim = sim.map(|(out, o)| (plan.shares[server], &out.metrics, o));
+                    snapshots.push(ServerEpochSnapshot::new(server, role, power, sim));
                 }
             }
 
-            let latency = close_epoch(&mut latencies[epoch_start..], &mut latency_sum);
+            let (epoch, latency) = tally.close_epoch();
+            tally.degradation.absorb(&health.ledger);
             let slo_violated = latency.count > 0 && latency.p99 > cfg.slo_p99;
-            slo_violations += usize::from(slo_violated);
-            total_energy += power * cfg.epoch;
-            total_completed += completed;
-            active_epochs += active;
-            fleet_achieved += epoch_achieved;
-            fleet_oracle += epoch_oracle;
-
-            degradation.crashes += plan.crashes;
-            degradation.rack_outages += plan.rack_outages;
-            degradation.restarts += plan.restarts;
-            degradation.restart_failures += plan.restart_failures;
-            degradation.ejections += plan.ejections;
-            degradation.probes += plan.probes;
-            degradation.readmissions += plan.readmissions;
-            degradation.unpark_failures += plan.unpark_failures;
-            degradation.degraded_server_epochs += plan.degraded_server_epochs;
-            degradation.throttled_server_epochs += plan.throttled_server_epochs;
-            degradation.retried_requests += plan.retried;
-            degradation.shed_requests += plan.shed;
-
-            registry.inc("fleet.epochs", 1);
-            registry.inc("fleet.requests_completed", completed);
-            registry.inc("fleet.parks", plan.parks);
-            registry.inc("fleet.unparks", plan.unparks);
-            registry.inc("fleet.server_epochs.loaded", (active - idle_active) as u64);
-            registry.inc("fleet.server_epochs.idle", idle_active as u64);
-            registry.inc("fleet.server_epochs.parked", parked as u64);
-            registry.inc("fleet.server_epochs.crashed", crashed as u64);
-            registry.inc("fleet.server_epochs.ejected", ejected as u64);
-            registry.inc("fleet.slo_violations", u64::from(slo_violated));
-            registry.inc("fleet.crashes", plan.crashes);
-            registry.inc("fleet.rack_outages", plan.rack_outages);
-            registry.inc("fleet.restarts", plan.restarts);
-            registry.inc("fleet.restart_failures", plan.restart_failures);
-            registry.inc("fleet.ejections", plan.ejections);
-            registry.inc("fleet.probes", plan.probes);
-            registry.inc("fleet.readmissions", plan.readmissions);
-            registry.inc("fleet.unpark_failures", plan.unpark_failures);
-            registry.inc("fleet.requests_retried", plan.retried);
-            registry.inc("fleet.requests_shed", plan.shed);
-
+            let role = |r: ServerRole| epoch.roles[r as usize];
             let window = FleetWindow {
                 epoch: e,
                 start: cfg.epoch * e as f64,
                 offered_qps: plan.offered,
-                completed,
-                active,
-                parked,
-                idle_active,
-                parks: plan.parks,
-                unparks: plan.unparks,
-                fleet_power: power,
+                completed: epoch.completed,
+                active: role(ServerRole::Loaded) + role(ServerRole::Idle),
+                parked: role(ServerRole::Parked),
+                idle_active: role(ServerRole::Idle),
+                parks: scale.parks,
+                unparks: scale.unparks,
+                fleet_power: epoch.power,
                 latency,
                 slo_violated,
-                recovery_ratio: recovery(epoch_achieved, epoch_oracle),
-                crashed,
-                ejected,
-                retried: plan.retried,
-                shed: plan.shed,
+                recovery_ratio: recovery(epoch.achieved, epoch.oracle),
+                crashed: role(ServerRole::Crashed),
+                ejected: role(ServerRole::Ejected),
+                retried: health.ledger.retried_requests,
+                shed: health.ledger.shed_requests,
             };
             if observe {
                 observer.on_epoch(&FleetEpochEvent {
                     window: window.clone(),
                     servers: snapshots,
-                    faults: plan.events.clone(),
+                    faults: health.events.clone(),
                 });
             }
             windows.push(window);
         }
         observer.on_finish();
 
+        let mut degradation = tally.degradation;
         degradation.shed_requests += leftover_shed;
-        registry.inc("fleet.requests_shed", leftover_shed);
-
         let failure = cfg.fleet_faults.as_ref().filter(|s| s.is_active()).map(|spec| {
             FleetFailureArtifact::new(
                 cfg.seed,
                 spec,
-                plans.iter().flat_map(|p| p.events.iter().copied()).collect(),
+                plans.iter().flat_map(|p| p.health.events.iter().copied()).collect(),
             )
         });
-
-        let run_span = cfg.epoch * cfg.epochs as f64;
+        let energy = windows.iter().fold(Joules::ZERO, |acc, w| acc + w.fleet_power * cfg.epoch);
+        let completed = windows.iter().map(|w| w.completed).sum::<u64>();
+        let active_epochs = windows.iter().map(|w| w.active).sum::<usize>();
+        let sim_epochs = tally.sim_epochs.max(1) as f64;
         FleetReport {
             policy: cfg.policy,
             servers: cfg.servers,
@@ -910,24 +586,24 @@ impl FleetSim {
                 cfg.hw.iter().map(|h| h.name.to_string()).collect()
             },
             epoch: cfg.epoch,
-            latency: LatencyStats::from_slice(&mut latencies, latency_sum),
-            avg_fleet_power: total_energy / run_span,
-            energy: total_energy,
-            completed: total_completed,
-            events: total_events,
-            energy_per_request: if total_completed == 0 {
+            latency: LatencyStats::from_slice(&mut tally.latencies, tally.latency_sum),
+            avg_fleet_power: energy / (cfg.epoch * cfg.epochs as f64),
+            energy,
+            completed,
+            events,
+            energy_per_request: if completed == 0 {
                 Joules::ZERO
             } else {
-                total_energy / total_completed as f64
+                energy / completed as f64
             },
             avg_active: active_epochs as f64 / cfg.epochs as f64,
-            c0_residency: Ratio::new(c0_sum / sim_epochs.max(1) as f64),
-            agile_residency: Ratio::new(agile_sum / sim_epochs.max(1) as f64),
-            pc6_fraction: Ratio::new(pc6_sum / unparked_epochs.max(1) as f64),
-            opportunity_recovery: Ratio::new(recovery(fleet_achieved, fleet_oracle)),
+            c0_residency: Ratio::new(tally.c0_sum / sim_epochs),
+            agile_residency: Ratio::new(tally.agile_sum / sim_epochs),
+            pc6_fraction: Ratio::new(tally.pc6_sum / tally.unparked_epochs.max(1) as f64),
+            opportunity_recovery: Ratio::new(recovery(tally.achieved, tally.oracle)),
             slo_p99: cfg.slo_p99,
-            slo_violations,
-            counters: registry.counters().map(|(k, v)| (k.to_string(), v)).collect(),
+            slo_violations: windows.iter().filter(|w| w.slo_violated).count(),
+            counters: fleet_counters(&windows, &degradation),
             degradation,
             failure,
             windows,
@@ -935,10 +611,168 @@ impl FleetSim {
     }
 }
 
+/// What one server slot's hardware model fixes for the whole run. Slots
+/// may host different models (mixed fleets).
+struct Slot {
+    /// The configuration its simulations clone.
+    config: ServerConfig,
+    /// Prices its idle intervals with the catalog and C-state menu its
+    /// simulations ran with, so a zen2 slot is never audited with
+    /// skylake costs.
+    breakeven: BreakEven,
+    /// Closed-form power of the slot unparked and empty: every core in
+    /// the menu's deepest state, the uncore in PC6 when the menu
+    /// includes C6 (else PC2: all cores idle but not demotable to
+    /// package sleep).
+    idle_power: MilliWatts,
+    /// Whether that empty package sits in PC6.
+    idle_pc6: bool,
+}
+
+impl Slot {
+    fn new(config: ServerConfig) -> Self {
+        let idle_pc6 = config.cstates.is_enabled(CState::C6);
+        let deepest = config.cstates.deepest().unwrap_or(CState::C0);
+        let core = config.catalog.power(deepest, FreqLevel::P1);
+        let uncore =
+            config.hw.uncore.of(if idle_pc6 { PackageCState::Pc6 } else { PackageCState::Pc2 });
+        Slot {
+            breakeven: BreakEven::from_server(&config),
+            idle_power: core * config.cores as f64 + uncore,
+            idle_pc6,
+            config,
+        }
+    }
+}
+
+/// Simulates epoch `e`'s loaded servers on the executor, and returns
+/// each server's run (`None` for a server routed no load). Each
+/// server-epoch owns its seed stream, so the runs are the same at any
+/// worker count.
+fn simulate_epoch(
+    cfg: &FleetConfig,
+    slots: &[Slot],
+    e: usize,
+    plan: &EpochPlan,
+) -> Vec<Option<RunOutput>> {
+    let proto_qps = cfg.workload.offered_qps();
+    let health = &plan.health;
+    let loaded: Vec<usize> = (0..cfg.servers).filter(|&s| plan.shares[s] > 0.0).collect();
+    let outputs = SweepExecutor::current().map(&loaded, |&server| {
+        let mut workload = cfg.workload.scaled_qps(plan.shares[server] / proto_qps);
+        // A degraded link adds latency to every request; a throttle
+        // stretches service times by its inverse.
+        if let Some(extra) = health.degrade_extra[server] {
+            let rtt = workload.network_rtt() + extra;
+            workload = workload.with_network_rtt(rtt);
+        }
+        if let Some(factor) = health.throttle[server] {
+            workload = workload.scaled_service(1.0 / factor);
+        }
+        // A server crashing mid-epoch serves only `phase` of it.
+        let phase = health.crash_phase[server].unwrap_or(1.0);
+        let config = slots[server].config.clone().with_duration(cfg.epoch * phase);
+        let seed = mix_seed(cfg.seed, server as u64, e as u64);
+        let mut builder =
+            SimBuilder::new(config, workload, seed).with_latency_samples().with_idle_analysis();
+        if let Some(fs) = &cfg.server_faults {
+            let mut spec = fs.clone();
+            spec.seed = mix_seed(fs.seed, server as u64, e as u64);
+            builder = builder.with_faults(FaultPlan::new(spec));
+        }
+        builder.run()
+    });
+    let mut runs: Vec<Option<RunOutput>> = (0..cfg.servers).map(|_| None).collect();
+    for (&server, out) in loaded.iter().zip(outputs) {
+        runs[server] = Some(out);
+    }
+    runs
+}
+
+/// One epoch's census sums, folded server by server in index order.
+#[derive(Default)]
+struct EpochTally {
+    power: MilliWatts,
+    completed: u64,
+    achieved: Joules,
+    oracle: Joules,
+    /// Servers per role, indexed by `ServerRole as usize`.
+    roles: [usize; 5],
+}
+
+/// The census sums: the open epoch's, and the run's. Every server adds
+/// to them in index order, each `f64` total one term per server, so they
+/// round the same way at any worker count.
+#[derive(Default)]
+struct Tally {
+    epoch: EpochTally,
+    /// The run's latency samples; each epoch's are the tail it appended
+    /// since `epoch_start`.
+    latencies: Vec<f64>,
+    epoch_start: usize,
+    /// The run's latency sum, in record order.
+    latency_sum: f64,
+    sim_epochs: usize,
+    unparked_epochs: usize,
+    c0_sum: f64,
+    agile_sum: f64,
+    pc6_sum: f64,
+    achieved: Joules,
+    oracle: Joules,
+    degradation: FleetDegradation,
+}
+
+impl Tally {
+    /// Counts one server's epoch. `sim` is its run and idle-opportunity
+    /// sums when it was simulated; `idle_pc6` says whether its
+    /// closed-form deep idle reaches package C6.
+    fn count(
+        &mut self,
+        role: ServerRole,
+        power: MilliWatts,
+        sim: Option<(&RunOutput, OpportunitySummary)>,
+        idle_pc6: bool,
+    ) {
+        self.epoch.power += power;
+        self.epoch.roles[role as usize] += 1;
+        if let Some((out, opportunity)) = sim {
+            let m = &out.metrics;
+            let (c0, agile) = residency_shares(m);
+            self.sim_epochs += 1;
+            self.unparked_epochs += 1;
+            self.epoch.completed += m.completed;
+            self.c0_sum += c0;
+            self.agile_sum += agile;
+            self.pc6_sum += m.package_residency[2].as_percent() / 100.0;
+            self.degradation.absorb_server(&m.degradation);
+            self.epoch.achieved += opportunity.achieved_savings;
+            self.epoch.oracle += opportunity.oracle_savings;
+            self.latencies.extend_from_slice(out.latency_samples.as_deref().unwrap_or(&[]));
+        } else if matches!(role, ServerRole::Ejected | ServerRole::Idle) {
+            self.unparked_epochs += 1;
+            self.pc6_sum += if idle_pc6 { 1.0 } else { 0.0 };
+        }
+    }
+
+    /// Ends the open epoch: adds its sums to the run's and hands back
+    /// its tally and latency summary.
+    fn close_epoch(&mut self) -> (EpochTally, LatencyStats) {
+        let epoch = std::mem::take(&mut self.epoch);
+        self.achieved += epoch.achieved;
+        self.oracle += epoch.oracle;
+        let latency = close_epoch(&mut self.latencies[self.epoch_start..], &mut self.latency_sum);
+        self.epoch_start = self.latencies.len();
+        (epoch, latency)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use aw_cstates::NamedConfig;
+    use aw_server::DegradationStats;
     use aw_sim::SampleSet;
     use proptest::prelude::*;
 
@@ -1073,30 +907,33 @@ mod tests {
         assert!((report.avg_active - 4.0).abs() < 1e-9);
     }
 
+    /// Keeps every streamed epoch, checking the delivery order.
+    #[derive(Default)]
+    struct Collector {
+        events: Vec<FleetEpochEvent>,
+        finished: bool,
+    }
+
+    impl FleetObserver for Collector {
+        fn on_epoch(&mut self, event: &FleetEpochEvent) {
+            assert!(!self.finished, "epoch delivered after finish");
+            assert_eq!(event.window.epoch, self.events.len(), "epochs out of order");
+            self.events.push(event.clone());
+        }
+        fn on_finish(&mut self) {
+            self.finished = true;
+        }
+    }
+
     #[test]
     fn streamed_epochs_rebuild_the_fleet_timeline_byte_for_byte() {
-        struct Collector {
-            events: Vec<FleetEpochEvent>,
-            finished: bool,
-        }
-        impl FleetObserver for Collector {
-            fn on_epoch(&mut self, event: &FleetEpochEvent) {
-                assert!(!self.finished, "epoch delivered after finish");
-                assert_eq!(event.window.epoch, self.events.len(), "epochs out of order");
-                self.events.push(event.clone());
-            }
-            fn on_finish(&mut self) {
-                self.finished = true;
-            }
-        }
-
         let config = fleet(3, NamedConfig::NtAw, 9_600.0)
             .with_policy(RoutingPolicy::Packing)
             .with_autoscale(AutoscalePolicy::default())
             .with_load(LoadShape::Diurnal { amplitude: 0.8 });
         let batch = FleetSim::new(config.clone()).run();
 
-        let mut collector = Collector { events: Vec::new(), finished: false };
+        let mut collector = Collector::default();
         let streamed = FleetSim::new(config.clone()).run_observed(&mut collector);
         assert!(collector.finished, "observer never finished");
         assert_eq!(
@@ -1128,6 +965,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The census oracle. A chaotic, autoscaled, diurnal fleet with
+    /// server faults, in which every `ServerRole` occurs: each epoch's
+    /// snapshots add up to its window, the windows to the run's energy,
+    /// and the roles, energy, counters and ledger equal the values of
+    /// the per-arm census this one replaced.
+    #[test]
+    fn census_adds_up_to_its_windows_and_the_pinned_run() {
+        let faults = "crash-at=2:1,rack-outage=0.04,rack-size=2,degrade=0.1,throttle=0.1,\
+                      unpark-fail=0.3,down-epochs=2";
+        let config = fleet(6, NamedConfig::NtAw, 28_800.0)
+            .with_epochs(8, Nanos::from_millis(20.0))
+            .with_policy(RoutingPolicy::Packing)
+            .with_autoscale(AutoscalePolicy::default())
+            .with_load(LoadShape::Diurnal { amplitude: 0.5 })
+            .with_fleet_faults(FleetFaultSpec::parse(faults).unwrap())
+            .with_server_faults(FaultSpec::parse("storm=500,wake-fail=0.01").unwrap());
+        let mut collector = Collector::default();
+        let report = FleetSim::new(config).run_observed(&mut collector);
+        let snapshots = || collector.events.iter().flat_map(|e| &e.servers);
+
+        // Not vacuous: every role occurs, a crashing server carried load,
+        // and an unparking server paid its boot burst.
+        use ServerRole::{Crashed, Ejected, Idle, Loaded, Parked};
+        for role in [Parked, Idle, Loaded, Crashed, Ejected] {
+            assert!(snapshots().any(|s| s.role == role), "no {role:?} server-epoch");
+        }
+        assert!(snapshots().any(|s| s.role == Crashed && s.share_qps > 0.0));
+        assert!(report.windows.iter().any(|w| w.unparks > 0));
+
+        let mut energy = Joules::ZERO;
+        for (event, w) in collector.events.iter().zip(&report.windows) {
+            let power = event.servers.iter().fold(MilliWatts::ZERO, |acc, s| acc + s.power);
+            let bits = |p: MilliWatts| p.as_milliwatts().to_bits();
+            assert_eq!(bits(power), bits(w.fleet_power), "epoch {} power", w.epoch);
+            let count = |role| event.servers.iter().filter(|s| s.role == role).count();
+            assert_eq!(
+                [count(Loaded), count(Idle), count(Parked), count(Crashed), count(Ejected)],
+                [w.active - w.idle_active, w.idle_active, w.parked, w.crashed, w.ejected],
+                "epoch {} roles",
+                w.epoch
+            );
+            energy += power * report.epoch;
+        }
+        assert_eq!(energy.as_joules().to_bits(), report.energy.as_joules().to_bits());
+
+        // The pinned run.
+        let roles: Vec<String> = collector
+            .events
+            .iter()
+            .map(|e| e.servers.iter().map(|s| s.role.glyph()).collect())
+            .collect();
+        let expected =
+            ["###PPP", "###.PP", "XX#EPP", "XX#P#P", "XX##XX", "###PXX", "##PPXX", "##PPPX"];
+        assert_eq!(roles, expected);
+        assert_eq!(report.energy.as_joules().to_bits(), 9.191_597_302_801_71_f64.to_bits());
+        let counters = [
+            ("fleet.crashes", 4),
+            ("fleet.ejections", 5),
+            ("fleet.epochs", 8),
+            ("fleet.parks", 5),
+            ("fleet.probes", 9),
+            ("fleet.rack_outages", 2),
+            ("fleet.readmissions", 4),
+            ("fleet.requests_completed", 3881),
+            ("fleet.requests_retried", 348),
+            ("fleet.requests_shed", 0),
+            ("fleet.restart_failures", 1),
+            ("fleet.restarts", 3),
+            ("fleet.server_epochs.crashed", 13),
+            ("fleet.server_epochs.ejected", 1),
+            ("fleet.server_epochs.idle", 1),
+            ("fleet.server_epochs.loaded", 18),
+            ("fleet.server_epochs.parked", 15),
+            ("fleet.slo_violations", 8),
+            ("fleet.unpark_failures", 6),
+            ("fleet.unparks", 5),
+        ];
+        let counters: BTreeMap<String, u64> =
+            counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(report.counters, counters);
+        let degradation = FleetDegradation {
+            servers: DegradationStats { faults_injected: 986, ..DegradationStats::default() },
+            crashes: 4,
+            rack_outages: 2,
+            restarts: 3,
+            restart_failures: 1,
+            ejections: 5,
+            probes: 9,
+            readmissions: 4,
+            unpark_failures: 6,
+            degraded_server_epochs: 2,
+            throttled_server_epochs: 6,
+            retried_requests: 348,
+            shed_requests: 0,
+        };
+        assert_eq!(report.degradation, degradation);
     }
 
     #[test]

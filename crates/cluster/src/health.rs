@@ -30,6 +30,8 @@
 use aw_faults::{FleetFaultKind, FleetFaultPlan, FleetFaultRecord, FleetFaultSpec};
 use aw_types::Nanos;
 
+use crate::report::FleetDegradation;
+
 /// Probe backoff ceiling, in epochs.
 const MAX_BACKOFF: usize = 8;
 
@@ -88,24 +90,11 @@ pub(crate) struct HealthStep {
     pub throttle: Vec<Option<f64>>,
     /// Fault events this boundary fired, in deterministic order.
     pub events: Vec<FleetFaultRecord>,
-    /// Counter deltas.
-    pub crashes: u64,
-    /// Rack-scoped correlated outages.
-    pub rack_outages: u64,
-    /// Successful restarts.
-    pub restarts: u64,
-    /// Failed restart attempts (retried next epoch).
-    pub restart_failures: u64,
-    /// Router ejections.
-    pub ejections: u64,
-    /// Re-probes of ejected servers.
-    pub probes: u64,
-    /// Readmissions after a healthy probe.
-    pub readmissions: u64,
-    /// Server-epochs spent degraded (and serving).
-    pub degraded_server_epochs: u64,
-    /// Server-epochs spent throttled (and serving).
-    pub throttled_server_epochs: u64,
+    /// The epoch's delta to the fleet ledger. The health pass counts
+    /// crashes, rack outages, restarts (and failed ones), ejections,
+    /// probes, readmissions and degraded/throttled server-epochs; fleet
+    /// planning adds the unpark failures, retries and sheds.
+    pub ledger: FleetDegradation,
 }
 
 /// Steps every server's health state one epoch at a time, consuming
@@ -168,11 +157,11 @@ impl HealthTracker {
         for (s, h) in self.servers.iter_mut().enumerate() {
             if h.restart_at.is_some_and(|at| epoch >= at) {
                 if plan.unpark_fails(s, epoch) {
-                    out.restart_failures += 1;
+                    out.ledger.restart_failures += 1;
                     h.restart_at = Some(epoch + 1);
                     event(&mut out.events, s, FleetFaultKind::RestartFailed);
                 } else {
-                    out.restarts += 1;
+                    out.ledger.restarts += 1;
                     h.up = true;
                     h.restart_at = None;
                     // A restarted server announces itself: probe at this
@@ -188,7 +177,7 @@ impl HealthTracker {
         let racks = n.div_ceil(self.rack_size);
         for rack in 0..racks {
             if plan.rack_outage_starts(rack, epoch) {
-                out.rack_outages += 1;
+                out.ledger.rack_outages += 1;
                 event(&mut out.events, rack, FleetFaultKind::RackOutage);
                 for s in rack * self.rack_size..((rack + 1) * self.rack_size).min(n) {
                     self.crash(s, epoch, plan, &mut out);
@@ -226,7 +215,7 @@ impl HealthTracker {
             let stale_crash = !h.up && out.crash_phase[s].is_none();
             let stale_degrade = h.up && h.degraded_until.is_some() && epoch > h.degraded_since;
             if stale_crash || stale_degrade {
-                out.ejections += 1;
+                out.ledger.ejections += 1;
                 h.in_rotation = false;
                 h.backoff = 1;
                 h.probe_at = epoch + 1;
@@ -239,10 +228,10 @@ impl HealthTracker {
             if h.in_rotation || epoch < h.probe_at || out.crash_phase[s].is_some() {
                 continue;
             }
-            out.probes += 1;
+            out.ledger.probes += 1;
             event(&mut out.events, s, FleetFaultKind::Probe);
             if h.up && h.degraded_until.is_none() {
-                out.readmissions += 1;
+                out.ledger.readmissions += 1;
                 h.in_rotation = true;
                 h.backoff = 1;
                 event(&mut out.events, s, FleetFaultKind::Readmit);
@@ -263,13 +252,13 @@ impl HealthTracker {
                 if h.degraded_until.is_some() {
                     out.degrade_extra[s] = Some(self.degrade_extra);
                     if h.in_rotation {
-                        out.degraded_server_epochs += 1;
+                        out.ledger.degraded_server_epochs += 1;
                     }
                 }
                 if h.throttled_until.is_some() {
                     out.throttle[s] = Some(self.throttle_factor);
                     if h.in_rotation {
-                        out.throttled_server_epochs += 1;
+                        out.ledger.throttled_server_epochs += 1;
                     }
                 }
             }
@@ -282,7 +271,7 @@ impl HealthTracker {
         if !h.up || out.crash_phase[s].is_some() {
             return;
         }
-        out.crashes += 1;
+        out.ledger.crashes += 1;
         out.crash_phase[s] = Some(plan.crash_phase(s, epoch));
         h.up = false;
         // Dark for `down_epochs` full epochs after the crash epoch, then
@@ -324,25 +313,25 @@ mod tests {
         let s2 = t.step(2, &p);
         assert!(s2.crash_phase[1].is_some());
         assert!(s2.in_rotation[1], "router cannot know about a mid-epoch crash");
-        assert_eq!(s2.crashes, 1);
+        assert_eq!(s2.ledger.crashes, 1);
         // Epoch 3: ejected and dark; the first probe comes an epoch
         // later.
         let s3 = t.step(3, &p);
         assert!(s3.dark[1] && !s3.in_rotation[1]);
-        assert_eq!(s3.ejections, 1);
+        assert_eq!(s3.ledger.ejections, 1);
         assert_eq!(kinds_at(&s3, 1), vec![FleetFaultKind::Eject]);
         // Epoch 4: still dark (down-epochs=2 covers epochs 3 and 4); the
         // probe finds it down.
         let s4 = t.step(4, &p);
         assert!(s4.dark[1]);
-        assert_eq!(s4.restarts, 0);
+        assert_eq!(s4.ledger.restarts, 0);
         assert_eq!(kinds_at(&s4, 1), vec![FleetFaultKind::Probe]);
         // Epoch 5: restart succeeds (no unpark-fail) and the announce
         // probe readmits it the same boundary.
         let s5 = t.step(5, &p);
-        assert_eq!(s5.restarts, 1);
+        assert_eq!(s5.ledger.restarts, 1);
         assert!(s5.in_rotation[1] && !s5.dark[1]);
-        assert_eq!(s5.readmissions, 1);
+        assert_eq!(s5.ledger.readmissions, 1);
         // Untouched servers never left the rotation.
         assert!(s5.in_rotation[0] && s5.in_rotation[2]);
     }
@@ -356,8 +345,8 @@ mod tests {
         // From epoch 2 on, every restart attempt fails (prob 1).
         for e in 2..5 {
             let s = t.step(e, &p);
-            assert_eq!(s.restart_failures, 1, "epoch {e}");
-            assert_eq!(s.restarts, 0);
+            assert_eq!(s.ledger.restart_failures, 1, "epoch {e}");
+            assert_eq!(s.ledger.restarts, 0);
             assert!(s.dark[0]);
         }
     }
@@ -371,7 +360,7 @@ mod tests {
         let mut probe_epochs = Vec::new();
         for e in 1..40 {
             let s = t.step(e, &p);
-            if s.probes > 0 {
+            if s.ledger.probes > 0 {
                 probe_epochs.push(e);
             }
         }
@@ -388,11 +377,11 @@ mod tests {
         let s0 = t.step(0, &p);
         assert!(s0.degrade_extra[0].is_some(), "degraded from epoch 0");
         assert!(s0.in_rotation[0], "detection lag: serves its first degraded epoch");
-        assert_eq!(s0.degraded_server_epochs, 1);
+        assert_eq!(s0.ledger.degraded_server_epochs, 1);
         let s1 = t.step(1, &p);
         assert!(!s1.in_rotation[0], "ejected once the degradation persists");
         assert!(s1.ejected[0]);
-        assert_eq!(s1.degraded_server_epochs, 0, "ejected server-epochs are not counted");
+        assert_eq!(s1.ledger.degraded_server_epochs, 0, "ejected server-epochs are not counted");
     }
 
     #[test]
@@ -401,8 +390,8 @@ mod tests {
         let mut t = HealthTracker::new(5, p.spec());
         let s = t.step(0, &p);
         // 3 racks (2+2+1), all out; every server crashes at once.
-        assert_eq!(s.rack_outages, 3);
-        assert_eq!(s.crashes, 5);
+        assert_eq!(s.ledger.rack_outages, 3);
+        assert_eq!(s.ledger.crashes, 5);
         assert!(s.crash_phase.iter().all(Option::is_some));
     }
 

@@ -55,6 +55,23 @@ impl FleetDegradation {
         *self == FleetDegradation::default()
     }
 
+    /// Field-wise accumulation of one epoch's ledger delta.
+    pub(crate) fn absorb(&mut self, d: &FleetDegradation) {
+        self.absorb_server(&d.servers);
+        self.crashes += d.crashes;
+        self.rack_outages += d.rack_outages;
+        self.restarts += d.restarts;
+        self.restart_failures += d.restart_failures;
+        self.ejections += d.ejections;
+        self.probes += d.probes;
+        self.readmissions += d.readmissions;
+        self.unpark_failures += d.unpark_failures;
+        self.degraded_server_epochs += d.degraded_server_epochs;
+        self.throttled_server_epochs += d.throttled_server_epochs;
+        self.retried_requests += d.retried_requests;
+        self.shed_requests += d.shed_requests;
+    }
+
     /// Field-wise accumulation of one simulated server-epoch's stats.
     pub(crate) fn absorb_server(&mut self, d: &DegradationStats) {
         let s = &mut self.servers;
@@ -207,8 +224,9 @@ pub struct FleetReport {
     pub slo_p99: Nanos,
     /// Windows whose fleet p99 violated the target.
     pub slo_violations: usize,
-    /// Fleet telemetry counters (`fleet.*`), exported from the internal
-    /// metrics registry.
+    /// Fleet telemetry counters (`fleet.*`): run totals of the windows'
+    /// census and transitions, and the ledger's fault and recovery
+    /// counts.
     pub counters: BTreeMap<String, u64>,
     /// Fleet-level degradation ledger: crashes, ejections, retries,
     /// sheds, and the rolled-up per-server [`DegradationStats`].
@@ -216,6 +234,40 @@ pub struct FleetReport {
     /// Replayable record of the fleet fault events; `Some` only when an
     /// active fleet fault spec was configured.
     pub failure: Option<FleetFailureArtifact>,
+}
+
+/// The fleet's telemetry counters: run totals of the windows' census
+/// and transitions, and the ledger's fault and recovery counts.
+pub(crate) fn fleet_counters(
+    windows: &[FleetWindow],
+    d: &FleetDegradation,
+) -> BTreeMap<String, u64> {
+    let sum = |f: fn(&FleetWindow) -> usize| windows.iter().map(f).sum::<usize>() as u64;
+    [
+        ("fleet.epochs", windows.len() as u64),
+        ("fleet.requests_completed", windows.iter().map(|w| w.completed).sum()),
+        ("fleet.parks", windows.iter().map(|w| w.parks).sum()),
+        ("fleet.unparks", windows.iter().map(|w| w.unparks).sum()),
+        ("fleet.server_epochs.loaded", sum(|w| w.active - w.idle_active)),
+        ("fleet.server_epochs.idle", sum(|w| w.idle_active)),
+        ("fleet.server_epochs.parked", sum(|w| w.parked)),
+        ("fleet.server_epochs.crashed", sum(|w| w.crashed)),
+        ("fleet.server_epochs.ejected", sum(|w| w.ejected)),
+        ("fleet.slo_violations", sum(|w| usize::from(w.slo_violated))),
+        ("fleet.crashes", d.crashes),
+        ("fleet.rack_outages", d.rack_outages),
+        ("fleet.restarts", d.restarts),
+        ("fleet.restart_failures", d.restart_failures),
+        ("fleet.ejections", d.ejections),
+        ("fleet.probes", d.probes),
+        ("fleet.readmissions", d.readmissions),
+        ("fleet.unpark_failures", d.unpark_failures),
+        ("fleet.requests_retried", d.retried_requests),
+        ("fleet.requests_shed", d.shed_requests),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v))
+    .collect()
 }
 
 impl FleetReport {

@@ -17,8 +17,9 @@
 //!
 //! [`FleetReport`]: crate::FleetReport
 
+use aw_cstates::CState;
 use aw_faults::FleetFaultRecord;
-use aw_server::DegradationStats;
+use aw_server::RunMetrics;
 use aw_sleep::OpportunitySummary;
 use aw_telemetry::{bounded_stream, StreamReceiver, StreamSender, WindowCounters};
 use aw_types::{MilliWatts, Nanos};
@@ -89,9 +90,16 @@ pub struct ServerEpochSnapshot {
 }
 
 impl ServerEpochSnapshot {
-    /// A snapshot for a server that ran no simulation this epoch.
-    pub(crate) fn unsimulated(server: usize, role: ServerRole, power: MilliWatts) -> Self {
-        ServerEpochSnapshot {
+    /// One server's snapshot. `sim` carries the routed load, run metrics
+    /// and idle-opportunity sums of a server simulated this epoch; a
+    /// server that ran no simulation has no load, residency or counters.
+    pub(crate) fn new(
+        server: usize,
+        role: ServerRole,
+        power: MilliWatts,
+        sim: Option<(f64, &RunMetrics, OpportunitySummary)>,
+    ) -> Self {
+        let mut snapshot = ServerEpochSnapshot {
             server,
             role,
             share_qps: 0.0,
@@ -101,22 +109,31 @@ impl ServerEpochSnapshot {
             agile_share: 0.0,
             counters: WindowCounters::default(),
             opportunity: OpportunitySummary::default(),
+        };
+        if let Some((share_qps, m, opportunity)) = sim {
+            let d = &m.degradation;
+            (snapshot.c0_share, snapshot.agile_share) = residency_shares(m);
+            snapshot.share_qps = share_qps;
+            snapshot.p99 = (m.server_latency.count > 0).then_some(m.server_latency.p99);
+            snapshot.counters = WindowCounters {
+                faults_injected: d.faults_injected,
+                shed: d.shed,
+                timeouts: d.timeouts,
+                retries: d.retries,
+                breaker_trips: d.breaker_trips,
+                breaker_restores: d.breaker_restores,
+                fallback_exits: d.fallback_exits,
+            };
+            snapshot.opportunity = opportunity;
         }
+        snapshot
     }
 }
 
-/// Maps a server-epoch's degradation stats onto the shared streaming
-/// counter snapshot shape.
-pub(crate) fn epoch_counters(d: &DegradationStats) -> WindowCounters {
-    WindowCounters {
-        faults_injected: d.faults_injected,
-        shed: d.shed,
-        timeouts: d.timeouts,
-        retries: d.retries,
-        breaker_trips: d.breaker_trips,
-        breaker_restores: d.breaker_restores,
-        fallback_exits: d.fallback_exits,
-    }
+/// A run's C0 and agile-state (C6A + C6AE) residency shares in `[0, 1]`.
+pub(crate) fn residency_shares(m: &RunMetrics) -> (f64, f64) {
+    let share = |state| m.residency_of(state).as_percent();
+    (share(CState::C0) / 100.0, (share(CState::C6A) + share(CState::C6AE)) / 100.0)
 }
 
 /// One closed fleet epoch, pushed to a [`FleetObserver`] the moment the

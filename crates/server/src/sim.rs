@@ -939,20 +939,26 @@ impl<P: Probe> ServerSim<P> {
 
     fn on_snoop(&mut self, id: usize, now: Nanos) {
         self.schedule_snoop(id, now);
+        self.serve_snoops(id, now, 1);
+    }
+
+    /// Charges `bursts` snoop bursts to core `id` if it idles in a state
+    /// that keeps its caches coherent: the burst power for its state
+    /// over `bursts` burst durations, counted as served snoops and one
+    /// incident.
+    fn serve_snoops(&mut self, id: usize, now: Nanos, bursts: u32) {
         let SnoopTraffic { legacy_power, aw_power, burst_duration, .. } = self.config.snoops;
         if let CoreState::Idle { state } = self.cores[id].state {
-            let extra = match state {
-                CState::C1 | CState::C1E => Some(legacy_power),
-                CState::C6A | CState::C6AE => Some(aw_power),
+            let power = match state {
+                CState::C1 | CState::C1E => legacy_power,
+                CState::C6A | CState::C6AE => aw_power,
                 // C6 flushed its caches; C0 serves snoops in-pipeline.
-                _ => None,
+                _ => return,
             };
-            if let Some(p) = extra {
-                let core = &mut self.cores[id];
-                core.snoop_energy += p * burst_duration;
-                core.snoops_served += 1;
-                self.probe.incident(id, now, Incident::Snoop(state));
-            }
+            let core = &mut self.cores[id];
+            core.snoop_energy += power * burst_duration * f64::from(bursts);
+            core.snoops_served += u64::from(bursts);
+            self.probe.incident(id, now, Incident::Snoop(state));
         }
     }
 
@@ -1021,20 +1027,7 @@ impl<P: Probe> ServerSim<P> {
         self.schedule_storm(id, now);
         self.note_fault(id, now, "snoop-storm");
         let size = self.faults.as_ref().map_or(0, |f| f.spec().storm_size);
-        let SnoopTraffic { legacy_power, aw_power, burst_duration, .. } = self.config.snoops;
-        if let CoreState::Idle { state } = self.cores[id].state {
-            let extra = match state {
-                CState::C1 | CState::C1E => Some(legacy_power),
-                CState::C6A | CState::C6AE => Some(aw_power),
-                _ => None,
-            };
-            if let Some(p) = extra {
-                let core = &mut self.cores[id];
-                core.snoop_energy += p * burst_duration * f64::from(size);
-                core.snoops_served += u64::from(size);
-                self.probe.incident(id, now, Incident::Snoop(state));
-            }
-        }
+        self.serve_snoops(id, now, size);
     }
 
     fn schedule_slowdown(&mut self, now: Nanos) {

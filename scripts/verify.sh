@@ -173,6 +173,25 @@ echo "$watch_a" | grep -q "Residency heatmap" || {
     exit 1
 }
 
+echo "==> chaotic watch smoke (--fleet-faults, --jobs 1 vs --jobs 8, golden)"
+# Crashes, a rack outage, degraded links, throttles and failed unparks:
+# the frames render crashed (X) and ejected (E) servers next to parked,
+# idle and loaded ones, and the final report carries the chaos ledger.
+watch_chaos_cmd=(cargo run -q --release -p aw-cli -- watch --headless --frames 3 --seed 42 \
+    --servers 6 --epochs 8 --autoscale --diurnal 0.5 --fleet-faults \
+    "crash-at=2:1,rack-outage=0.04,rack-size=2,degrade=0.1,throttle=0.1,unpark-fail=0.3,down-epochs=2")
+"${watch_chaos_cmd[@]}" --jobs 1 >target/verify_watch_chaos_j1.txt
+"${watch_chaos_cmd[@]}" --jobs 8 >target/verify_watch_chaos_j8.txt
+if ! cmp -s target/verify_watch_chaos_j1.txt target/verify_watch_chaos_j8.txt; then
+    echo "verify: chaotic watch --headless differs between --jobs 1 and --jobs 8" >&2
+    diff target/verify_watch_chaos_j1.txt target/verify_watch_chaos_j8.txt >&2 || true
+    exit 1
+fi
+if ! diff target/verify_watch_chaos_j1.txt tests/golden/watch_chaos_skylake.txt >&2; then
+    echo "verify: chaotic watch drifted from tests/golden/watch_chaos_skylake.txt" >&2
+    exit 1
+fi
+
 echo "==> hardware-model gates (--hw)"
 # The explicit default spelling must stay byte-identical to the seed
 # goldens -- any Skylake-SP calibration drift fails here.
@@ -230,6 +249,7 @@ for cmd in \
     "sweep --qps 18446744073709551615 --duration-ms 1" \
     "sweep --qps 1 --duration-ms 18446744073709551615" \
     "analyze --qps 1e300 --duration-ms 1" \
+    "analyze --qps 4e7 --duration-ms 200000" \
     "fleet --utilization 1e300 --servers 1 --epochs 1" \
     "fleet --epochs 1000000000 --servers 1" \
     "watch --headless --epochs 4294967297 --servers 1"; do
