@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use agilewatts::aw_cluster::{fleet_stream, FleetConfig, FleetEpochEvent, FleetSim, ServerRole};
 use agilewatts::aw_faults::FleetFaultKind;
-use agilewatts::aw_telemetry::{StreamPoll, WindowCounters};
+use agilewatts::aw_server::DegradationStats;
+use agilewatts::aw_telemetry::StreamPoll;
 use agilewatts::aw_tui::{
     shade, AnsiBackend, Backend, Block, Borders, Buffer, Color, Constraint, Direction, KeyReader,
     Layout, Paragraph, Rect, Row, Sparkline, Style, Table, Tabs, Widget,
@@ -112,7 +113,7 @@ impl Cockpit {
 /// One feed cell for a server-epoch's fault/breaker counters, `None`
 /// when the epoch was clean. Counters are per-epoch (each server-epoch
 /// is an independent simulation), so no diffing is needed.
-fn counter_feed_line(c: &WindowCounters) -> Option<String> {
+fn counter_feed_line(c: &DegradationStats) -> Option<String> {
     let mut parts = Vec::new();
     for (count, what) in [
         (c.faults_injected, "faults"),

@@ -193,3 +193,77 @@ fn analyze_applies_the_robustness_flags() {
         "{err}"
     );
 }
+
+/// A faulted, overloaded AW sweep: every degradation path fires.
+const SWEEP_FAULTS: &[&str] = &[
+    "sweep",
+    "--config",
+    "AW",
+    "--qps",
+    "300000",
+    "--duration-ms",
+    "50",
+    "--cores",
+    "4",
+    "--seed",
+    "7",
+    "--faults",
+    "seed=7,wake-fail=0.9,wake-retries=1,relock=0.05,drowsy=0.05,lost-wake=0.02,spurious=2000,\
+     storm=200,slowdown=50",
+    "--queue-cap",
+    "4",
+    "--request-timeout",
+    "20",
+];
+
+/// The faulted sweep is pinned at two worker counts. Its report charges
+/// the engine's fixed robustness costs (client retry and backoff,
+/// circuit breaker, the full-C6 fallback) next to the snoop and
+/// transition-energy ones, so a changed constant changes the golden.
+#[test]
+fn sweep_faults_skylake_matches_golden() {
+    let expected = golden("sweep_faults_skylake.txt");
+    // The pin is not vacuous: each counter is nonzero.
+    let count = |key: &str| -> u64 {
+        let at = expected.find(key).unwrap_or_else(|| panic!("no `{key}` in the golden"));
+        let digits: String =
+            expected[at + key.len()..].chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().expect("counter value")
+    };
+    for key in [
+        "shed=",
+        "timeouts=",
+        "retries=",
+        "dropped=",
+        "fallbacks=",
+        "trips=",
+        "restores=",
+        "snoops: ",
+    ] {
+        assert!(count(key) > 0, "{key}0");
+    }
+    for jobs in ["1", "8"] {
+        let mut args = SWEEP_FAULTS.to_vec();
+        args.extend(["--jobs", jobs]);
+        assert_eq!(stdout_of(&args), expected, "--jobs {jobs}");
+    }
+}
+
+/// A fleet whose only faults are per-server ones reports the ledger
+/// rolled up over its server-epochs, and no all-zero fleet chaos block.
+#[test]
+fn fleet_report_shows_the_server_ledger() {
+    let out = stdout_of(&[
+        "fleet",
+        "--servers",
+        "4",
+        "--epochs",
+        "4",
+        "--faults",
+        "storm=500,wake-fail=0.05",
+    ]);
+    let ledger =
+        out.lines().find(|l| l.starts_with("  ledger:  ")).unwrap_or_else(|| panic!("{out}"));
+    assert!(ledger.contains("faults=") && !ledger.contains("faults=0 "), "{ledger}");
+    assert!(!out.contains("chaos:"), "{out}");
+}

@@ -331,8 +331,9 @@ impl fmt::Display for FleetReport {
             "  idle:    {:.1}% of the oracle-achievable idle savings recovered",
             self.opportunity_recovery.as_percent()
         )?;
-        if !self.degradation.is_clean() {
-            let d = &self.degradation;
+        let d = &self.degradation;
+        // The fleet's own counters; the server ledger has its own line.
+        if !(FleetDegradation { servers: DegradationStats::default(), ..*d }).is_clean() {
             writeln!(
                 f,
                 "  chaos:   {} crash(es) ({} rack outage(s)), {} ejection(s), \
@@ -354,6 +355,9 @@ impl fmt::Display for FleetReport {
                 d.retried_requests,
                 d.shed_requests
             )?;
+        }
+        if !d.servers.is_clean() {
+            writeln!(f, "  ledger:  {} over all server-epochs", d.servers)?;
         }
         write!(
             f,

@@ -19,9 +19,9 @@
 
 use aw_cstates::CState;
 use aw_faults::FleetFaultRecord;
-use aw_server::RunMetrics;
+use aw_server::{DegradationStats, RunMetrics};
 use aw_sleep::OpportunitySummary;
-use aw_telemetry::{bounded_stream, StreamReceiver, StreamSender, WindowCounters};
+use aw_telemetry::{bounded_stream, StreamReceiver, StreamSender};
 use aw_types::{MilliWatts, Nanos};
 
 use crate::report::FleetWindow;
@@ -80,7 +80,7 @@ pub struct ServerEpochSnapshot {
     /// Fault/degradation counters from this server's epoch simulation.
     /// Per-epoch values (each server-epoch is an independent sim), not
     /// run-cumulative.
-    pub counters: WindowCounters,
+    pub counters: DegradationStats,
     /// Idle-opportunity sums from this server's epoch simulation:
     /// achieved vs. oracle-achievable energy savings and sleepable idle
     /// time (see `aw_sleep::OpportunitySummary`). Zero — and therefore
@@ -107,23 +107,14 @@ impl ServerEpochSnapshot {
             p99: None,
             c0_share: 0.0,
             agile_share: 0.0,
-            counters: WindowCounters::default(),
+            counters: DegradationStats::default(),
             opportunity: OpportunitySummary::default(),
         };
         if let Some((share_qps, m, opportunity)) = sim {
-            let d = &m.degradation;
             (snapshot.c0_share, snapshot.agile_share) = residency_shares(m);
             snapshot.share_qps = share_qps;
             snapshot.p99 = (m.server_latency.count > 0).then_some(m.server_latency.p99);
-            snapshot.counters = WindowCounters {
-                faults_injected: d.faults_injected,
-                shed: d.shed,
-                timeouts: d.timeouts,
-                retries: d.retries,
-                breaker_trips: d.breaker_trips,
-                breaker_restores: d.breaker_restores,
-                fallback_exits: d.fallback_exits,
-            };
+            snapshot.counters = m.degradation;
             snapshot.opportunity = opportunity;
         }
         snapshot

@@ -6,6 +6,7 @@
 //! calling thread.
 
 use aw_cstates::{CState, FreqLevel};
+use aw_server::{SNOOP_AW_POWER, SNOOP_LEGACY_POWER};
 use aw_types::MilliWatts;
 
 /// The upper-bound snoop analysis of Sec. 7.5: a 100%-idle core resident
@@ -29,9 +30,9 @@ pub struct SnoopImpact {
     pub lost_pct: f64,
 }
 
-/// Computes the Sec. 7.5 bounds from the catalog powers and the snoop
-/// power deltas (L1/L2 clock-ungate ≈ 50 mW over C1; sleep-mode exit ≈
-/// 120 mW over C6A).
+/// Computes the Sec. 7.5 bounds from the catalog powers and the
+/// simulator's snoop power deltas ([`SNOOP_LEGACY_POWER`]: L1/L2
+/// clock-ungate over C1; [`SNOOP_AW_POWER`]: sleep-mode exit over C6A).
 ///
 /// # Examples
 ///
@@ -53,8 +54,8 @@ pub fn snoop_impact_on(hw: &'static aw_server::HardwareModel) -> SnoopImpact {
     let catalog = hw.catalog();
     let c1 = catalog.power(CState::C1, FreqLevel::P1);
     let c6a = catalog.power(CState::C6A, FreqLevel::P1);
-    let c1_snooping = c1 + MilliWatts::new(50.0);
-    let c6a_snooping = c6a + MilliWatts::new(120.0);
+    let c1_snooping = c1 + SNOOP_LEGACY_POWER;
+    let c6a_snooping = c6a + SNOOP_AW_POWER;
     // Paper uses C6A ≈ 0.3 W and quotes (1.44−0.3)/1.44 = 79%.
     let savings_quiet_pct = (1.0 - c6a / c1) * 100.0;
     let savings_snooping_pct = (1.0 - c6a_snooping / c1_snooping) * 100.0;

@@ -172,42 +172,26 @@ impl IdleGovernor for MenuGovernor {
     }
 }
 
-/// A ladder governor: promote one state deeper after `promote_after`
+/// Consecutive qualifying idle periods before the ladder governor
+/// promotes one state deeper.
+const PROMOTE_AFTER: u32 = 4;
+
+/// A ladder governor: promote one state deeper after four
 /// consecutive idle periods that met the *next* state's target residency;
 /// demote one state shallower immediately after an idle period shorter
 /// than the current state's target.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LadderGovernor {
     rung: usize,
     streak: u32,
-    promote_after: u32,
     last_idle: Option<Nanos>,
 }
 
 impl LadderGovernor {
-    /// Creates a ladder governor with the default promotion threshold (4
-    /// consecutive qualifying idles).
+    /// Creates a ladder governor at the shallowest rung.
     #[must_use]
     pub fn new() -> Self {
-        LadderGovernor { rung: 0, streak: 0, promote_after: 4, last_idle: None }
-    }
-
-    /// Creates a ladder governor promoting after `promote_after`
-    /// qualifying idle periods.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `promote_after` is zero.
-    #[must_use]
-    pub fn with_threshold(promote_after: u32) -> Self {
-        assert!(promote_after > 0, "promotion threshold must be positive");
-        LadderGovernor { rung: 0, streak: 0, promote_after, last_idle: None }
-    }
-}
-
-impl Default for LadderGovernor {
-    fn default() -> Self {
-        LadderGovernor::new()
+        LadderGovernor::default()
     }
 }
 
@@ -237,7 +221,7 @@ impl IdleGovernor for LadderGovernor {
                 let next_target = catalog.params(states[self.rung + 1]).target_residency;
                 if idle >= next_target {
                     self.streak += 1;
-                    if self.streak >= self.promote_after {
+                    if self.streak >= PROMOTE_AFTER {
                         self.rung += 1;
                         self.streak = 0;
                     }

@@ -3,9 +3,8 @@
 //! Deterministic fault injection and runtime invariant checking for the
 //! AgileWatts reproduction.
 //!
-//! The crate supplies three pieces, all deliberately decoupled from the
-//! simulator so that `aw-pma` and `aw-server` only depend on small trait
-//! hooks:
+//! The crate supplies these pieces, all deliberately decoupled from the
+//! simulators that consume them:
 //!
 //! * [`FaultSpec`] — a parseable, canonically printable description of
 //!   which faults to inject and how often (`wake-fail=0.2,storm=1e4`).
@@ -24,8 +23,8 @@
 //!
 //! The injection points themselves live in the consuming crates: the PMA
 //! flow FSM consults a [`FlowFaultHook`] during faulty exits, and the
-//! server simulator consults a [`ServerFaultHook`] for wake disruptions,
-//! lost/spurious wakes, snoop storms, and slowdown bursts.
+//! server simulator draws wake disruptions, lost/spurious wakes, snoop
+//! storms, and slowdown bursts from its [`FaultPlan`] directly.
 
 #![warn(missing_docs)]
 
@@ -39,5 +38,5 @@ pub use fleet::{
     DEFAULT_FLEET_FAULT_SEED,
 };
 pub use invariant::{FailureArtifact, InvariantChecker};
-pub use plan::{FaultPlan, FlowFaultHook, NoFaults, ServerFaultHook, WakeDisruption};
+pub use plan::{FaultPlan, FlowFaultHook, NoFaults, WakeDisruption};
 pub use spec::{FaultSpec, FaultSpecError, DEFAULT_FAULT_SEED};

@@ -1,4 +1,4 @@
-//! The seeded [`FaultPlan`] and the trait hooks it is injected through.
+//! The seeded [`FaultPlan`] and the flow-level hook it is injected through.
 
 use aw_sim::SimRng;
 use aw_types::Nanos;
@@ -44,29 +44,6 @@ pub trait FlowFaultHook {
 
     /// `true` if the CCSM drowsy wake fails once on this wake.
     fn drowsy_wake_failure(&mut self) -> bool;
-}
-
-/// Fault hook the server simulator consults. Object-safe so the
-/// simulator can hold `Box<dyn ServerFaultHook>`.
-pub trait ServerFaultHook {
-    /// The spec this hook realizes (embedded in failure artifacts).
-    fn spec(&self) -> &FaultSpec;
-
-    /// Draws the disruption of one agile (C6A/C6AE) wake.
-    fn wake_disruption(&mut self) -> WakeDisruption;
-
-    /// `Some(delay)` if this wake interrupt is lost and redelivered
-    /// after `delay`.
-    fn lost_wake(&mut self) -> Option<Nanos>;
-
-    /// Gap to the next spurious wake on one core (`None` if disabled).
-    fn spurious_gap(&mut self) -> Option<Nanos>;
-
-    /// Gap to the next snoop storm on one core (`None` if disabled).
-    fn storm_gap(&mut self) -> Option<Nanos>;
-
-    /// Gap to the next slowdown burst (`None` if disabled).
-    fn slowdown_gap(&mut self) -> Option<Nanos>;
 }
 
 /// The null hook: never injects anything.
@@ -147,6 +124,49 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan::new(FaultSpec::none())
     }
+
+    /// The spec this plan realizes (embedded in failure artifacts).
+    #[must_use]
+    pub fn spec(&self) -> &FaultSpec {
+        &self.spec
+    }
+
+    /// Draws the disruption of one agile (C6A/C6AE) wake.
+    pub fn wake_disruption(&mut self) -> WakeDisruption {
+        let retries = self.spec.wake_retries;
+        let stuck = self.stuck_gate_attempts(retries);
+        WakeDisruption {
+            stuck_attempts: stuck,
+            fell_back: stuck >= retries,
+            relock_overrun: self.relock_overrun(),
+            drowsy_retry: self.drowsy_wake_failure(),
+        }
+    }
+
+    /// `Some(delay)` if this wake interrupt is lost and redelivered
+    /// after `delay`.
+    pub fn lost_wake(&mut self) -> Option<Nanos> {
+        if self.spec.lost_wake > 0.0 && self.lost_rng.chance(self.spec.lost_wake) {
+            Some(self.spec.lost_wake_delay)
+        } else {
+            None
+        }
+    }
+
+    /// Gap to the next spurious wake on one core (`None` if disabled).
+    pub fn spurious_gap(&mut self) -> Option<Nanos> {
+        exp_gap(&mut self.spurious_rng, self.spec.spurious_rate)
+    }
+
+    /// Gap to the next snoop storm on one core (`None` if disabled).
+    pub fn storm_gap(&mut self) -> Option<Nanos> {
+        exp_gap(&mut self.storm_rng, self.spec.storm_rate)
+    }
+
+    /// Gap to the next slowdown burst (`None` if disabled).
+    pub fn slowdown_gap(&mut self) -> Option<Nanos> {
+        exp_gap(&mut self.slowdown_rng, self.spec.slowdown_rate)
+    }
 }
 
 impl FlowFaultHook for FaultPlan {
@@ -170,43 +190,6 @@ impl FlowFaultHook for FaultPlan {
     }
 }
 
-impl ServerFaultHook for FaultPlan {
-    fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    fn wake_disruption(&mut self) -> WakeDisruption {
-        let retries = self.spec.wake_retries;
-        let stuck = FlowFaultHook::stuck_gate_attempts(self, retries);
-        WakeDisruption {
-            stuck_attempts: stuck,
-            fell_back: stuck >= retries,
-            relock_overrun: FlowFaultHook::relock_overrun(self),
-            drowsy_retry: FlowFaultHook::drowsy_wake_failure(self),
-        }
-    }
-
-    fn lost_wake(&mut self) -> Option<Nanos> {
-        if self.spec.lost_wake > 0.0 && self.lost_rng.chance(self.spec.lost_wake) {
-            Some(self.spec.lost_wake_delay)
-        } else {
-            None
-        }
-    }
-
-    fn spurious_gap(&mut self) -> Option<Nanos> {
-        exp_gap(&mut self.spurious_rng, self.spec.spurious_rate)
-    }
-
-    fn storm_gap(&mut self) -> Option<Nanos> {
-        exp_gap(&mut self.storm_rng, self.spec.storm_rate)
-    }
-
-    fn slowdown_gap(&mut self) -> Option<Nanos> {
-        exp_gap(&mut self.slowdown_rng, self.spec.slowdown_rate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +198,7 @@ mod tests {
     fn zero_spec_draws_nothing() {
         let mut plan = FaultPlan::none();
         for _ in 0..100 {
-            assert!(ServerFaultHook::wake_disruption(&mut plan).is_clean());
+            assert!(plan.wake_disruption().is_clean());
             assert_eq!(plan.lost_wake(), None);
             assert_eq!(plan.spurious_gap(), None);
             assert_eq!(plan.storm_gap(), None);
@@ -237,7 +220,7 @@ mod tests {
     #[test]
     fn certain_failure_exhausts_the_retry_budget() {
         let mut plan = FaultPlan::new(FaultSpec::parse("wake-fail=1,wake-retries=4").unwrap());
-        let d = ServerFaultHook::wake_disruption(&mut plan);
+        let d = plan.wake_disruption();
         assert_eq!(d.stuck_attempts, 4);
         assert!(d.fell_back);
     }
@@ -249,9 +232,9 @@ mod tests {
         let mut only_wake = FaultPlan::new(FaultSpec::parse("seed=2,wake-fail=0.4").unwrap());
         let mut both = FaultPlan::new(FaultSpec::parse("seed=2,wake-fail=0.4,storm=1e4").unwrap());
         for _ in 0..100 {
-            let a = ServerFaultHook::wake_disruption(&mut only_wake);
+            let a = only_wake.wake_disruption();
             let _ = both.storm_gap();
-            let b = ServerFaultHook::wake_disruption(&mut both);
+            let b = both.wake_disruption();
             assert_eq!(a, b);
         }
     }

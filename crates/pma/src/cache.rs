@@ -197,13 +197,6 @@ impl CacheSleepController {
         let resleep = Cycles::new(3).at(PMA_CLOCK);
         wake + serve + resleep
     }
-
-    /// Fraction of awake data-array leakage drawn while sleeping at the
-    /// current setting.
-    #[must_use]
-    pub fn sleep_leakage_fraction(&self) -> Ratio {
-        self.setting.leakage_fraction()
-    }
 }
 
 #[cfg(test)]

@@ -165,12 +165,6 @@ impl Ufpg {
         };
         WakeReport { policy, latency: profile.end(), profile }
     }
-
-    /// Convenience: the staggered wake latency (the Fig. 6 step ⑤ budget).
-    #[must_use]
-    pub fn staggered_wake_latency(&self) -> Nanos {
-        self.wake(WakePolicy::Staggered).latency
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! Simulation configuration: machine shape, C-state setup, governor,
-//! dispatch policy, snoop traffic, and run window.
+//! dispatch policy, snoop rate, run window, and overload protection.
+//! The per-core costs the paper fixes (AW's frequency loss, transition
+//! energy, snoop power, timer-tick work, client retry and circuit
+//! breaker) are engine constants, not settings.
 
 use aw_cstates::{
     CStateCatalog, CStateConfig, IdleGovernor, LadderGovernor, MenuGovernor, NamedConfig,
     OracleGovernor,
 };
 use aw_hw::HardwareModel;
-use aw_types::{Joules, MegaHertz, MilliWatts, Nanos};
+use aw_types::Nanos;
 
 /// How arriving requests are routed to cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,88 +46,14 @@ impl GovernorKind {
     }
 }
 
-/// Inter-core coherence (snoop) traffic parameters (Sec. 7.5).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnoopTraffic {
-    /// Poisson snoop arrival rate per idle core, in snoops per second.
-    pub rate_per_core: f64,
-    /// Extra power above C1 while servicing snoops in a legacy shallow
-    /// state (~50 mW: L1/L2 clock-ungated).
-    pub legacy_power: MilliWatts,
-    /// Extra power above C6A while servicing snoops in an AW state
-    /// (~120 mW: arrays out of sleep mode).
-    pub aw_power: MilliWatts,
-    /// Duration the cache domain stays active per snoop burst.
-    pub burst_duration: Nanos,
-}
-
-impl SnoopTraffic {
-    /// No snoop traffic.
-    #[must_use]
-    pub fn none() -> Self {
-        SnoopTraffic {
-            rate_per_core: 0.0,
-            legacy_power: MilliWatts::new(50.0),
-            aw_power: MilliWatts::new(120.0),
-            burst_duration: Nanos::from_micros(1.0),
-        }
-    }
-
-    /// Snoop traffic at `rate_per_core` snoops/s with the paper's power
-    /// deltas.
-    #[must_use]
-    pub fn at_rate(rate_per_core: f64) -> Self {
-        assert!(rate_per_core >= 0.0, "snoop rate must be non-negative");
-        SnoopTraffic { rate_per_core, ..SnoopTraffic::none() }
-    }
-
-    /// `true` if any snoop traffic is generated.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.rate_per_core > 0.0
-    }
-}
-
-/// Client retry behaviour for shed or timed-out requests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum submission attempts per request (1 = no retries).
-    pub max_attempts: u32,
-    /// Base backoff before the first retry; doubles per attempt, with
-    /// ±50% deterministic jitter drawn from the sim's retry stream.
-    pub base_backoff: Nanos,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, base_backoff: Nanos::from_micros(50.0) }
-    }
-}
-
-/// Per-core circuit-breaker parameters guarding the agile exit path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerPolicy {
-    /// Consecutive agile-wake failures before the breaker trips and the
-    /// core's governor demotes C6A/C6AE to their legacy counterparts.
-    pub threshold: u32,
-    /// How long the breaker stays open before re-arming.
-    pub cooldown: Nanos,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy { threshold: 4, cooldown: Nanos::from_millis(1.0) }
-    }
-}
-
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The hardware model this configuration was built from: the
     /// provenance for the catalog snapshot below, and the live source
-    /// of uncore power and CCX topology during the run. The catalog
-    /// itself stays a snapshot so experiments can still override
-    /// individual rows (e.g. PPA-derived C6A power) via
+    /// of base/Turbo clocks, uncore power and CCX topology during the
+    /// run. The catalog itself stays a snapshot so experiments can still
+    /// override individual rows (e.g. PPA-derived C6A power) via
     /// [`ServerConfig::with_catalog`].
     pub hw: &'static HardwareModel,
     /// Number of physical cores serving requests.
@@ -139,42 +68,25 @@ pub struct ServerConfig {
     pub governor: GovernorKind,
     /// Request dispatch policy.
     pub dispatch: Dispatch,
-    /// Base (P1) core frequency.
-    pub base_freq: MegaHertz,
-    /// Maximum Turbo frequency.
-    pub turbo_freq: MegaHertz,
-    /// Snoop traffic parameters.
-    pub snoops: SnoopTraffic,
+    /// Poisson coherence-snoop arrival rate per idle core, in snoops per
+    /// second (Sec. 7.5); zero (the default) disables snoop traffic.
+    pub snoop_rate: f64,
     /// Simulated duration (after warm-up).
     pub duration: Nanos,
     /// Warm-up period excluded from metrics.
     pub warmup: Nanos,
-    /// Extra service-time stretch from AW's power-gate IR drop (≈1% ×
-    /// workload scalability), applied only for AW configurations.
-    pub aw_frequency_degradation: f64,
-    /// Hidden energy burned per idle-state round trip (wake in-rush,
-    /// clock restart, PLL stabilization) that residency counters cannot
-    /// see. This is what keeps the Sec. 6.3 analytical-model validation
-    /// below 100%: Eq. 2 prices residencies, not transitions.
-    pub transition_energy: Joules,
     /// Optional per-core OS timer tick: a periodic kernel interrupt that
-    /// wakes each core and runs [`ServerConfig::tick_work`] of kernel
-    /// time. Real kernels' ticks chop long idle periods, which is a big
-    /// part of why production residency profiles stay shallower than
-    /// queueing theory alone predicts. `None` (default) disables it.
+    /// wakes each core and runs a few microseconds of kernel work. Real
+    /// kernels' ticks chop long idle periods, which is a big part of why
+    /// production residency profiles stay shallower than queueing theory
+    /// alone predicts. `None` (default) disables it.
     pub timer_tick: Option<Nanos>,
-    /// Kernel work per timer tick.
-    pub tick_work: Nanos,
     /// Bound on each core's run-queue depth; arrivals beyond it are shed
-    /// (and retried per [`ServerConfig::retry`]). `None` = unbounded.
+    /// (and retried by the model client). `None` = unbounded.
     pub queue_cap: Option<usize>,
     /// Maximum time a request may wait in queue before it is abandoned
     /// and retried. `None` = no timeout.
     pub request_timeout: Option<Nanos>,
-    /// Client retry/backoff behaviour for shed and timed-out requests.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker parameters for the agile exit path.
-    pub breaker: BreakerPolicy,
 }
 
 impl ServerConfig {
@@ -188,8 +100,7 @@ impl ServerConfig {
     }
 
     /// A configuration for `cores` cores of the given hardware model:
-    /// the model's full (AW-derived) catalog, base/Turbo frequencies,
-    /// and the named enable mask restricted to the states the model
+    /// the model's full (AW-derived) catalog and the named enable mask restricted to the states the model
     /// actually has — on Zen 2 (no C1E) `Baseline` becomes C1+C6 and
     /// `AW` becomes C6A+C6.
     ///
@@ -206,26 +117,19 @@ impl ServerConfig {
             catalog: hw.catalog(),
             governor: GovernorKind::Menu,
             dispatch: Dispatch::RoundRobin,
-            base_freq: hw.base_freq,
-            turbo_freq: hw.turbo_freq,
-            snoops: SnoopTraffic::none(),
+            snoop_rate: 0.0,
             duration: Nanos::from_secs(1.0),
             warmup: Nanos::from_millis(100.0),
-            aw_frequency_degradation: 0.01,
-            transition_energy: Joules::new(10e-6),
             timer_tick: None,
-            tick_work: Nanos::from_micros(5.0),
             queue_cap: None,
             request_timeout: None,
-            retry: RetryPolicy::default(),
-            breaker: BreakerPolicy::default(),
         }
     }
 
     /// Moves this configuration onto another hardware model, replacing
-    /// the model-derived pieces (catalog, enable mask, frequencies)
-    /// while keeping everything operational — duration, governor,
-    /// dispatch, overload protection, fault policies. The enable mask
+    /// the model-derived pieces (catalog, enable mask; the clocks are
+    /// read from `hw`) while keeping everything operational — duration,
+    /// governor, dispatch, snoop rate, overload protection. The enable mask
     /// is re-derived from [`ServerConfig::named`], so a custom
     /// [`ServerConfig::with_cstates`] override does not survive the
     /// move (it may name states the new model lacks). Mixed fleets use
@@ -236,8 +140,6 @@ impl ServerConfig {
         c.hw = hw;
         c.catalog = hw.catalog();
         c.cstates = hw.restrict(&self.named.config());
-        c.base_freq = hw.base_freq;
-        c.turbo_freq = hw.turbo_freq;
         c
     }
 
@@ -272,10 +174,15 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the snoop traffic.
+    /// Sets the per-core snoop rate, in snoops per second.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is negative.
     #[must_use]
-    pub fn with_snoops(mut self, snoops: SnoopTraffic) -> Self {
-        self.snoops = snoops;
+    pub fn with_snoop_rate(mut self, rate: f64) -> Self {
+        assert!(rate >= 0.0, "snoop rate must be non-negative");
+        self.snoop_rate = rate;
         self
     }
 
@@ -308,7 +215,7 @@ impl ServerConfig {
     }
 
     /// Bounds each core's run queue at `cap` requests; excess arrivals
-    /// are shed and retried per the [`RetryPolicy`].
+    /// are shed and retried by the model client.
     ///
     /// # Panics
     ///
@@ -332,22 +239,6 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the client retry/backoff policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        assert!(retry.max_attempts > 0, "need at least one attempt");
-        self.retry = retry;
-        self
-    }
-
-    /// Overrides the circuit-breaker parameters.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerPolicy) -> Self {
-        assert!(breaker.threshold > 0, "breaker threshold must be positive");
-        self.breaker = breaker;
-        self
-    }
-
     /// `true` if this run models AW hardware (and thus its ~1% frequency
     /// degradation applies).
     #[must_use]
@@ -360,13 +251,14 @@ impl ServerConfig {
 mod tests {
     use super::*;
     use aw_cstates::CState;
+    use aw_types::MegaHertz;
 
     #[test]
     fn default_shape_is_xeon_4114() {
         let c = ServerConfig::new(10, NamedConfig::Baseline);
         assert_eq!(c.cores, 10);
-        assert_eq!(c.base_freq, MegaHertz::from_ghz(2.2));
-        assert_eq!(c.turbo_freq, MegaHertz::from_ghz(3.0));
+        assert_eq!(c.hw.base_freq, MegaHertz::from_ghz(2.2));
+        assert_eq!(c.hw.turbo_freq, MegaHertz::from_ghz(3.0));
         assert!(c.cstates.turbo());
         assert!(c.cstates.is_enabled(CState::C6));
     }
@@ -385,11 +277,11 @@ mod tests {
             .with_duration(Nanos::from_millis(10.0))
             .with_governor(GovernorKind::Oracle)
             .with_dispatch(Dispatch::LeastLoaded)
-            .with_snoops(SnoopTraffic::at_rate(1_000.0));
+            .with_snoop_rate(1_000.0);
         assert_eq!(c.duration, Nanos::from_millis(10.0));
         assert!(c.warmup <= c.duration * 0.2);
         assert_eq!(c.governor, GovernorKind::Oracle);
-        assert!(c.snoops.is_active());
+        assert_eq!(c.snoop_rate, 1_000.0);
         assert!(c.is_aw());
     }
 
@@ -413,15 +305,13 @@ mod tests {
         assert_eq!(c.hw.name, "skylake-sp");
         assert_eq!(c.catalog, h.catalog);
         assert_eq!(c.cstates, h.cstates);
-        assert_eq!(c.base_freq, h.base_freq);
-        assert_eq!(c.turbo_freq, h.turbo_freq);
     }
 
     #[test]
     fn for_hw_zen2_restricts_menu() {
         use aw_cstates::CState;
         let c = ServerConfig::for_hw(HardwareModel::zen2(), 8, NamedConfig::Baseline);
-        assert_eq!(c.base_freq, MegaHertz::from_ghz(2.5));
+        assert_eq!(c.hw.base_freq, MegaHertz::from_ghz(2.5));
         assert!(c.cstates.is_enabled(CState::C1));
         assert!(!c.cstates.is_enabled(CState::C1E));
         assert!(c.cstates.is_enabled(CState::C6));
@@ -442,7 +332,7 @@ mod tests {
         assert_eq!(z.duration, c.duration);
         assert_eq!(z.governor, GovernorKind::Oracle);
         assert_eq!(z.queue_cap, Some(64));
-        assert_eq!(z.base_freq, MegaHertz::from_ghz(2.5));
+        assert_eq!(z.hw.base_freq, MegaHertz::from_ghz(2.5));
         assert_eq!(z.cstates.validate(&z.catalog), Ok(()));
         // Round-tripping back to skylake restores the original menu.
         let back = z.rehosted(HardwareModel::skylake_sp());

@@ -49,11 +49,11 @@ mod uncore;
 mod workload;
 
 pub use builder::{default_idle_skip, set_default_idle_skip, SimBuilder};
-pub use config::{BreakerPolicy, Dispatch, GovernorKind, RetryPolicy, ServerConfig, SnoopTraffic};
+pub use config::{Dispatch, GovernorKind, ServerConfig};
 pub use core::{CoreState, SimCore};
 pub use idle::IdleInterval;
 pub use metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
-pub use sim::RunOutput;
+pub use sim::{RunOutput, SNOOP_AW_POWER, SNOOP_LEGACY_POWER};
 pub use thermal::ThermalModel;
 pub use uncore::{PackageCState, UncoreModel, UncorePower};
 // The hardware-model surface, re-exported so simulator users don't need

@@ -3,13 +3,13 @@
 use std::collections::BTreeMap;
 
 use aw_cstates::{CState, CStateConfig, CircuitBreaker};
-use aw_faults::{FailureArtifact, FaultPlan, InvariantChecker, ServerFaultHook};
+use aw_faults::{FailureArtifact, FaultPlan, InvariantChecker};
 use aw_power::ResidencyVector;
 use aw_sim::{EventQueue, SampleSet, SimRng};
 use aw_telemetry::{AttributionReport, RequestSpan, SloReport, TelemetryReport};
-use aw_types::{MilliWatts, Nanos, Ratio};
+use aw_types::{Joules, MilliWatts, Nanos, Ratio};
 
-use crate::config::{Dispatch, GovernorKind, ServerConfig, SnoopTraffic};
+use crate::config::{Dispatch, GovernorKind, ServerConfig};
 use crate::core::{CoreState, QueuedRequest, SimCore};
 use crate::idle::IdleInterval;
 use crate::metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
@@ -25,6 +25,46 @@ const WAKE_RETRY_BACKOFF: Nanos = Nanos::new(100.0);
 /// Extra cache-wake time when the CCSM drowsy exit must repeat (two PMA
 /// clocks at 500 MHz).
 const DROWSY_REPEAT: Nanos = Nanos::new(4.0);
+
+/// Service-time stretch from AW's UFPG power-gate IR drop: about 1%
+/// frequency loss, felt in proportion to the workload's frequency
+/// scalability (AW configurations only).
+const AW_FREQUENCY_DEGRADATION: f64 = 0.01;
+
+/// Hidden energy burned per idle-state round trip (wake in-rush, clock
+/// restart, PLL stabilization) that residency counters cannot see. This
+/// is what keeps the Sec. 6.3 analytical-model validation below 100%:
+/// Eq. 2 prices residencies, not transitions.
+const TRANSITION_ENERGY: Joules = Joules::new(10e-6);
+
+/// Kernel work per OS timer tick (5 µs).
+const TICK_WORK: Nanos = Nanos::new(5_000.0);
+
+/// Extra power above C1/C1E while an idle core serves snoops in a legacy
+/// shallow state (L1/L2 clock-ungated; Sec. 7.5).
+pub const SNOOP_LEGACY_POWER: MilliWatts = MilliWatts::new(50.0);
+
+/// Extra power above C6A/C6AE while an idle core serves snoops in an AW
+/// state (data arrays out of sleep mode; Sec. 7.5).
+pub const SNOOP_AW_POWER: MilliWatts = MilliWatts::new(120.0);
+
+/// How long the cache domain stays active per snoop burst (1 µs).
+const SNOOP_BURST: Nanos = Nanos::new(1_000.0);
+
+/// Client submission attempts per shed or timed-out request (the first
+/// try plus two retries).
+const RETRY_ATTEMPTS: u32 = 3;
+
+/// Client backoff before the first retry (50 µs); doubles per attempt,
+/// with ±50% deterministic jitter drawn from the retry stream.
+const RETRY_BACKOFF: Nanos = Nanos::new(50_000.0);
+
+/// Consecutive agile-wake fallbacks before a core's circuit breaker
+/// trips and its governor demotes C6A/C6AE to their legacy twins.
+const BREAKER_THRESHOLD: u32 = 4;
+
+/// How long a tripped breaker stays open before re-arming (1 ms).
+const BREAKER_COOLDOWN: Nanos = Nanos::new(1e6);
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +130,7 @@ pub(crate) struct ServerSim<P: Probe> {
     /// [`crate::SimBuilder::with_faults`]). Every draw comes from the
     /// plan's own seeded streams, so the workload sample path is never
     /// perturbed.
-    faults: Option<Box<dyn ServerFaultHook>>,
+    faults: Option<FaultPlan>,
     /// Dedicated stream for client retry-backoff jitter: drawn only when
     /// a request is actually shed or timed out, so overload-free runs
     /// never touch it (common random numbers).
@@ -234,7 +274,7 @@ impl<P: Probe> ServerSim<P> {
         let snoop_rng = SimRng::seed(seed ^ 0x534E_4F4F_505F_5247); // "SNOOP_RG"
         let retry_rng = SimRng::seed(seed ^ 0x5245_5452_595F_5247); // "RETRY_RG"
         let breakers = (0..config.cores)
-            .map(|_| CircuitBreaker::new(config.breaker.threshold, config.breaker.cooldown))
+            .map(|_| CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN))
             .collect();
         let demoted_cstates = config.cstates.demote_agile();
         // Pending-event envelope, sized like the latency reservoir from
@@ -248,16 +288,15 @@ impl<P: Probe> ServerSim<P> {
         // parameterization cannot demand an absurd allocation).
         let mut queue_cap = config.cores * 4 + 16;
         if config.queue_cap.is_some() || config.request_timeout.is_some() {
-            let exp = f64::from(1u32 << (config.retry.max_attempts.saturating_sub(1)).min(8));
-            let horizon = config.retry.base_backoff * (exp * 1.5);
+            let exp = f64::from(1u32 << (RETRY_ATTEMPTS - 1));
+            let horizon = RETRY_BACKOFF * (exp * 1.5);
             let retries = workload.offered_qps() * horizon.as_secs();
             if retries.is_finite() && retries > 0.0 {
                 queue_cap += (retries.ceil() as usize).min(1 << 14);
             }
         }
         let s = workload.frequency_scalability();
-        let max_time_factor =
-            if config.is_aw() { 1.0 + s * config.aw_frequency_degradation } else { 1.0 };
+        let max_time_factor = if config.is_aw() { 1.0 + s * AW_FREQUENCY_DEGRADATION } else { 1.0 };
         ServerSim {
             config,
             workload,
@@ -309,7 +348,7 @@ impl<P: Probe> ServerSim<P> {
     /// with no plan attached, and the same seed + plan always reproduces
     /// the same disrupted run.
     pub(crate) fn set_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(Box::new(plan));
+        self.faults = Some(plan);
     }
 
     /// Advances core `id`'s meters to `now`, reporting the elapsed
@@ -418,7 +457,7 @@ impl<P: Probe> ServerSim<P> {
         self.next_arrival = gap;
         self.queue.schedule(gap, Event::Arrival);
         self.queue.schedule(self.config.warmup, Event::WarmupEnd);
-        if self.config.snoops.is_active() {
+        if self.config.snoop_rate > 0.0 {
             for id in 0..self.cores.len() {
                 self.schedule_snoop(id, Nanos::ZERO);
             }
@@ -800,7 +839,7 @@ impl<P: Probe> ServerSim<P> {
         // One idle round trip completed: charge the hidden transition
         // energy (in-rush current, clock restart) that residency-based
         // models cannot attribute.
-        self.cores[id].transition_energy += self.config.transition_energy;
+        self.cores[id].transition_energy += TRANSITION_ENERGY;
         self.set_core_state(id, now, CoreState::Active);
         self.start_service(id, now);
     }
@@ -834,7 +873,7 @@ impl<P: Probe> ServerSim<P> {
         }
         let s = self.workload.frequency_scalability();
         let mut time_factor = if turbo {
-            let speedup = self.config.base_freq / self.config.turbo_freq;
+            let speedup = self.config.hw.base_freq / self.config.hw.turbo_freq;
             1.0 - s + s * speedup
         } else {
             1.0
@@ -842,7 +881,7 @@ impl<P: Probe> ServerSim<P> {
         if self.config.is_aw() {
             // The UFPG power gates cost ~1% frequency, felt in proportion
             // to the workload's frequency scalability.
-            time_factor *= 1.0 + s * self.config.aw_frequency_degradation;
+            time_factor *= 1.0 + s * AW_FREQUENCY_DEGRADATION;
         }
         if now < self.slowdown_until {
             if let Some(f) = self.faults.as_ref() {
@@ -916,7 +955,7 @@ impl<P: Probe> ServerSim<P> {
         }
         self.cores[id].queue.push_back(QueuedRequest {
             arrival: now,
-            service: self.config.tick_work,
+            service: TICK_WORK,
             wake_penalty: Nanos::ZERO,
             wake_state: None,
             is_tick: true,
@@ -929,7 +968,7 @@ impl<P: Probe> ServerSim<P> {
     }
 
     fn schedule_snoop(&mut self, id: usize, now: Nanos) {
-        let rate = self.config.snoops.rate_per_core;
+        let rate = self.config.snoop_rate;
         if rate <= 0.0 {
             return;
         }
@@ -947,16 +986,15 @@ impl<P: Probe> ServerSim<P> {
     /// over `bursts` burst durations, counted as served snoops and one
     /// incident.
     fn serve_snoops(&mut self, id: usize, now: Nanos, bursts: u32) {
-        let SnoopTraffic { legacy_power, aw_power, burst_duration, .. } = self.config.snoops;
         if let CoreState::Idle { state } = self.cores[id].state {
             let power = match state {
-                CState::C1 | CState::C1E => legacy_power,
-                CState::C6A | CState::C6AE => aw_power,
+                CState::C1 | CState::C1E => SNOOP_LEGACY_POWER,
+                CState::C6A | CState::C6AE => SNOOP_AW_POWER,
                 // C6 flushed its caches; C0 serves snoops in-pipeline.
                 _ => return,
             };
             let core = &mut self.cores[id];
-            core.snoop_energy += power * burst_duration * f64::from(bursts);
+            core.snoop_energy += power * SNOOP_BURST * f64::from(bursts);
             core.snoops_served += u64::from(bursts);
             self.probe.incident(id, now, Incident::Snoop(state));
         }
@@ -966,7 +1004,7 @@ impl<P: Probe> ServerSim<P> {
     /// jittered exponential backoff until the attempt budget runs out.
     fn schedule_retry(&mut self, now: Nanos, service: Nanos, attempt: u32) {
         let next = attempt + 1;
-        if next > self.config.retry.max_attempts {
+        if next > RETRY_ATTEMPTS {
             self.degradation.retries_exhausted += 1;
             return;
         }
@@ -974,7 +1012,7 @@ impl<P: Probe> ServerSim<P> {
         // retry storms.
         let exp = f64::from(1u32 << (attempt - 1).min(8));
         let jitter = 0.5 + self.retry_rng.uniform();
-        let backoff = self.config.retry.base_backoff * (exp * jitter);
+        let backoff = RETRY_BACKOFF * (exp * jitter);
         self.queue.schedule(now + backoff, Event::Retry { service, attempt: next });
     }
 
@@ -1268,9 +1306,36 @@ mod tests {
         assert!(m.residency_of(CState::C1).get() > 0.5, "{}", m.residencies);
     }
 
+    /// Pins every `RunMetrics` field, bit for bit, on the engine paths
+    /// no CLI command reaches: periodic snoop traffic plus an OS timer
+    /// tick, on AW and Baseline. The runs charge each model constant
+    /// (snoop power and burst, tick work, transition energy, the AW
+    /// frequency loss, the Turbo clocks read from `hw`), so a changed
+    /// constant changes a digest. The digest is FNV-1a over the `Debug`
+    /// rendering, which prints every `f64` in round-trip form.
+    #[test]
+    fn snoop_and_tick_runs_match_pinned_bits() {
+        let pinned = [
+            (NamedConfig::Aw, 0x1e99_ae07_2728_a646_u64, 5217, 0x408c_a145_d3aa_8abd_u64),
+            (NamedConfig::Baseline, 0x9fc6_c975_0783_88e0, 5218, 0x4097_0efb_5375_4fd6),
+        ];
+        for (named, digest, snoops, power_bits) in pinned {
+            let cfg = short_config(named)
+                .with_snoop_rate(20_000.0)
+                .with_timer_tick(Nanos::from_millis(1.0));
+            let m = SimBuilder::new(cfg, light_workload(60_000.0), 23).run().into_metrics();
+            assert_eq!(m.snoops_served, snoops, "{named}");
+            assert_eq!(m.avg_core_power.as_milliwatts().to_bits(), power_bits, "{named}");
+            let fnv = format!("{m:?}").bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            assert_eq!(fnv, digest, "{named}: {m:?}");
+        }
+    }
+
     #[test]
     fn snoops_burn_energy_in_coherent_states() {
-        let cfg = short_config(NamedConfig::Baseline).with_snoops(SnoopTraffic::at_rate(50_000.0));
+        let cfg = short_config(NamedConfig::Baseline).with_snoop_rate(50_000.0);
         let quiet =
             SimBuilder::new(short_config(NamedConfig::Baseline), light_workload(30_000.0), 17)
                 .run()

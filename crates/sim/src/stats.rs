@@ -67,12 +67,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest observation, or `None` if empty.
     #[must_use]
     pub fn min(&self) -> Option<f64> {

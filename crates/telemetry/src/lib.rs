@@ -29,8 +29,7 @@
 //!    reports the burn rate.
 //!
 //! 5. **Streaming** — [`bounded_stream`]: a bounded (backpressured)
-//!    channel between a simulator thread and a live consumer, carrying
-//!    [`WindowCounters`] snapshots among its items.
+//!    channel between a simulator thread and a live consumer.
 //!
 //! The [`TelemetryRecorder`] ties the layers together for a simulator:
 //! it pairs C-state enter/exit events with exact residencies, scores
@@ -80,5 +79,5 @@ pub use registry::{LogHistogram, MetricsRegistry, TimeWeightedGauge};
 pub use sink::RingBufferSink;
 pub use slo::{SloMonitor, SloReport};
 pub use span::{Phase, RequestSpan};
-pub use stream::{bounded_stream, StreamPoll, StreamReceiver, StreamSender, WindowCounters};
+pub use stream::{bounded_stream, StreamPoll, StreamReceiver, StreamSender};
 pub use timeline::{Timeline, TimelineWindow};

@@ -257,17 +257,6 @@ impl TelemetryRecorder {
         self.emit(time, core, EventKind::BreakerRestore);
     }
 
-    /// Direct access to the registry (for callers recording custom
-    /// metrics alongside the built-in ones).
-    ///
-    /// The built-in metrics join the registry only at
-    /// [`TelemetryRecorder::finish`]: until then it holds just the custom
-    /// ones. At the fold, a custom counter that shares a built-in name is
-    /// added to; a gauge or histogram that does is replaced.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// Closes the run at simulation time `end`: emits final C-state exit
     /// events, folds the built-in metrics and per-core governor scores
     /// into the registry, and computes the summary. Idempotent — later

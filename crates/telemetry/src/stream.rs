@@ -7,31 +7,10 @@
 //! items behind, the producer blocks in send — backpressure, not loss.
 //! Dropping the receiver permanently unblocks the producer (sends
 //! become no-ops), so a consumer can detach mid-run without wedging or
-//! perturbing the simulation. [`WindowCounters`] is the fault/overload
-//! snapshot a streamed item carries.
+//! perturbing the simulation.
 
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::Duration;
-
-/// Fault/overload counters of one simulation, as a streamed item
-/// carries them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowCounters {
-    /// Faults injected by the active fault plan.
-    pub faults_injected: u64,
-    /// Requests shed at a full bounded queue.
-    pub shed: u64,
-    /// Queued requests abandoned past the request timeout.
-    pub timeouts: u64,
-    /// Client retries (re-submissions after backoff).
-    pub retries: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Circuit-breaker re-arms.
-    pub breaker_restores: u64,
-    /// Degraded C-state demotions applied as a fallback.
-    pub fallback_exits: u64,
-}
 
 /// Internal channel message: an item or the end-of-stream marker.
 enum StreamMsg<T> {

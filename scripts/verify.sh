@@ -192,6 +192,22 @@ if ! diff target/verify_watch_chaos_j1.txt tests/golden/watch_chaos_skylake.txt 
     exit 1
 fi
 
+echo "==> faulted sweep golden (--faults/--queue-cap/--request-timeout, --jobs 1 vs --jobs 8)"
+# Sheds, timeouts, client retries, fallbacks and breaker trips: the
+# report charges the engine's fixed retry, breaker, snoop and
+# transition-energy costs.
+sweep_faults_cmd=(cargo run -q --release -p aw-cli -- sweep --config AW --qps 300000 \
+    --duration-ms 50 --cores 4 --seed 7 --faults \
+    "seed=7,wake-fail=0.9,wake-retries=1,relock=0.05,drowsy=0.05,lost-wake=0.02,spurious=2000,storm=200,slowdown=50" \
+    --queue-cap 4 --request-timeout 20)
+for jobs in 1 8; do
+    "${sweep_faults_cmd[@]}" --jobs "$jobs" >target/verify_sweep_faults_j"$jobs".txt
+    if ! diff target/verify_sweep_faults_j"$jobs".txt tests/golden/sweep_faults_skylake.txt >&2; then
+        echo "verify: faulted sweep at --jobs $jobs drifted from tests/golden/sweep_faults_skylake.txt" >&2
+        exit 1
+    fi
+done
+
 echo "==> hardware-model gates (--hw)"
 # The explicit default spelling must stay byte-identical to the seed
 # goldens -- any Skylake-SP calibration drift fails here.

@@ -3,9 +3,7 @@
 
 use agilewatts::aw_cstates::{CState, FreqLevel, NamedConfig};
 use agilewatts::aw_power::{average_power, AwTransform, PpaModel};
-use agilewatts::aw_server::{
-    Dispatch, GovernorKind, HardwareModel, ServerConfig, SimBuilder, SnoopTraffic,
-};
+use agilewatts::aw_server::{Dispatch, GovernorKind, HardwareModel, ServerConfig, SimBuilder};
 use agilewatts::aw_types::Nanos;
 use agilewatts::aw_workloads::{kafka, memcached_etc, mysql_oltp, KafkaRate, MysqlRate};
 
@@ -157,7 +155,7 @@ fn snoop_traffic_reduces_aw_advantage() {
     // clock ungating.
     let qps = 60_000.0;
     let run = |named, snoops: f64, seed| {
-        let cfg = quick(named).with_snoops(SnoopTraffic::at_rate(snoops));
+        let cfg = quick(named).with_snoop_rate(snoops);
         SimBuilder::new(cfg, memcached_etc(qps), seed).run().into_metrics()
     };
     let base_quiet = run(NamedConfig::Baseline, 0.0, 8);
