@@ -1,20 +1,19 @@
 //! The live fleet cockpit behind `aw-cli watch`.
 //!
 //! The fleet simulation runs on a background thread, streaming each
-//! closed epoch over a bounded channel (see [`fleet_stream`]); the
-//! foreground renders a five-tab terminal UI from whatever has arrived
-//! so far. Because every frame is a pure function of the streamed
-//! events — no wall-clock, no terminal state — the `--headless` mode
-//! can print frames as plain text and get byte-identical output for a
-//! fixed seed at any `--jobs`.
+//! closed epoch over a bounded `sync_channel`; the foreground renders a
+//! five-tab terminal UI from whatever has arrived so far. Because every
+//! frame is a pure function of the streamed events — no wall-clock, no
+//! terminal state — the `--headless` mode can print frames as plain
+//! text and get byte-identical output for a fixed seed at any `--jobs`.
 
+use std::sync::mpsc::{sync_channel, TryRecvError};
 use std::thread;
 use std::time::Duration;
 
-use agilewatts::aw_cluster::{fleet_stream, FleetConfig, FleetEpochEvent, FleetSim, ServerRole};
+use agilewatts::aw_cluster::{FleetConfig, FleetEpochEvent, FleetSim, ServerRole};
 use agilewatts::aw_faults::FleetFaultKind;
 use agilewatts::aw_server::DegradationStats;
-use agilewatts::aw_telemetry::StreamPoll;
 use agilewatts::aw_tui::{
     shade, AnsiBackend, Backend, Block, Borders, Buffer, Color, Constraint, Direction, KeyReader,
     Layout, Paragraph, Rect, Row, Sparkline, Style, Table, Tabs, Widget,
@@ -114,20 +113,12 @@ impl Cockpit {
 /// when the epoch was clean. Counters are per-epoch (each server-epoch
 /// is an independent simulation), so no diffing is needed.
 fn counter_feed_line(c: &DegradationStats) -> Option<String> {
-    let mut parts = Vec::new();
-    for (count, what) in [
-        (c.faults_injected, "faults"),
-        (c.shed, "shed"),
-        (c.timeouts, "timeouts"),
-        (c.retries, "retries"),
-        (c.breaker_trips, "breaker trips"),
-        (c.breaker_restores, "breaker restores"),
-        (c.fallback_exits, "fallback exits"),
-    ] {
-        if count > 0 {
-            parts.push(format!("{count} {what}"));
-        }
-    }
+    let parts: Vec<String> = c
+        .counters()
+        .into_iter()
+        .filter(|&(_, _, count)| count > 0)
+        .map(|(_, label, count)| format!("{count} {label}"))
+        .collect();
     (!parts.is_empty()).then(|| parts.join(", "))
 }
 
@@ -418,13 +409,11 @@ pub(crate) fn run_watch(
 fn run_headless(args: &WatchArgs, config: FleetConfig) {
     let frames = args.frames.unwrap_or(config.epochs);
     let mut state = Cockpit::new(config.servers, config.epochs, config.slo_p99);
-    let (tx, mut rx) = fleet_stream(CHANNEL_CAPACITY);
-    let handle = thread::spawn(move || {
-        let mut tx = tx;
-        FleetSim::new(config).run_observed(&mut tx)
-    });
+    let (mut tx, rx) = sync_channel(CHANNEL_CAPACITY);
+    // The stream ends when the thread returns and drops the sender.
+    let handle = thread::spawn(move || FleetSim::new(config).run_observed(&mut tx));
     let mut emitted = 0usize;
-    while let Some(event) = rx.recv() {
+    while let Ok(event) = rx.recv() {
         state.push(event);
         if emitted < frames {
             println!("=== frame {emitted} ===");
@@ -443,21 +432,18 @@ fn run_headless(args: &WatchArgs, config: FleetConfig) {
 /// final fleet report is printed after the terminal is restored.
 fn run_interactive(config: FleetConfig) -> Result<(), ParseError> {
     let mut state = Cockpit::new(config.servers, config.epochs, config.slo_p99);
-    let (tx, mut rx) = fleet_stream(CHANNEL_CAPACITY);
-    let handle = thread::spawn(move || {
-        let mut tx = tx;
-        FleetSim::new(config).run_observed(&mut tx)
-    });
+    let (mut tx, rx) = sync_channel(CHANNEL_CAPACITY);
+    let handle = thread::spawn(move || FleetSim::new(config).run_observed(&mut tx));
     let mut backend = AnsiBackend::new((HEADLESS_WIDTH, HEADLESS_HEIGHT))
         .map_err(|e| ParseError(format!("cannot take over the terminal: {e}")))?;
     let keys = KeyReader::spawn();
     let mut tab = 0usize;
     'ui: loop {
         loop {
-            match rx.try_poll() {
-                StreamPoll::Item(event) => state.push(event),
-                StreamPoll::Pending => break,
-                StreamPoll::Closed => {
+            match rx.try_recv() {
+                Ok(event) => state.push(event),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     state.finished = true;
                     break;
                 }

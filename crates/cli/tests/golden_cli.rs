@@ -238,6 +238,7 @@ fn sweep_faults_skylake_matches_golden() {
         "fallbacks=",
         "trips=",
         "restores=",
+        "demoted=",
         "snoops: ",
     ] {
         assert!(count(key) > 0, "{key}0");
@@ -247,6 +248,109 @@ fn sweep_faults_skylake_matches_golden() {
         args.extend(["--jobs", jobs]);
         assert_eq!(stdout_of(&args), expected, "--jobs {jobs}");
     }
+}
+
+/// The traced faulted sweep whose Chrome trace and metrics JSON are
+/// pinned: three AW configs, a one-slot queue and a request timeout.
+const SWEEP_TRACED: &[&str] = &[
+    "sweep",
+    "--config",
+    "T_C6A,No_C6,No_C1E",
+    "--qps",
+    "100000",
+    "--duration-ms",
+    "50",
+    "--cores",
+    "4",
+    "--seed",
+    "7",
+    "--faults",
+    "seed=7,wake-fail=0.9,wake-retries=1,relock=0.05,drowsy=0.05,lost-wake=0.02,spurious=2000,\
+     storm=200,slowdown=50",
+    "--queue-cap",
+    "1",
+    "--request-timeout",
+    "20",
+    "--trace-limit",
+    "200",
+];
+
+/// Drops the wall-clock `"events_per_sec"` field (key and value) from a
+/// metrics document, as `scripts/verify.sh`'s `strip_rate` does.
+fn strip_rate(metrics: &str) -> String {
+    let key = "\"events_per_sec\":";
+    let Some(at) = metrics.find(key) else { return metrics.to_string() };
+    let rest = &metrics[at + key.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    format!("{}{}", &metrics[..at], &rest[end..])
+}
+
+/// The traced exports are pinned byte for byte at two worker counts,
+/// and the pin is not vacuous: every counter the recorder bumps for an
+/// engine-built event is nonzero in the pinned metrics.
+#[test]
+fn sweep_traced_exports_match_golden() {
+    let trace_golden = golden("sweep_traced_trace.json");
+    let metrics_golden = golden("sweep_traced_metrics.json");
+    for counter in [
+        "wakes",
+        "snoops.serviced",
+        "turbo.engagements",
+        "runqueue.enqueues",
+        "runqueue.dequeues",
+        "faults.injected",
+        "overload.shed",
+        "overload.timeouts",
+        "overload.retries",
+        "breaker.trips",
+        "breaker.restores",
+    ] {
+        let key = format!("\"{counter}\":");
+        let at = metrics_golden.find(&key).unwrap_or_else(|| panic!("no `{counter}` counter"));
+        let digits: String =
+            metrics_golden[at + key.len()..].chars().take_while(char::is_ascii_digit).collect();
+        assert!(digits.parse::<u64>().expect("counter value") > 0, "{counter} is 0");
+    }
+    let dir = std::env::temp_dir();
+    for jobs in ["1", "8"] {
+        let trace = dir.join(format!("aw_golden_traced_{}_j{jobs}.json", std::process::id()));
+        let metrics = dir.join(format!("aw_golden_metrics_{}_j{jobs}.json", std::process::id()));
+        let mut args = SWEEP_TRACED.to_vec();
+        let (t, m) = (trace.to_str().expect("utf-8 path"), metrics.to_str().expect("utf-8 path"));
+        args.extend(["--trace-out", t, "--metrics-out", m, "--jobs", jobs]);
+        stdout_of(&args);
+        let read = |p: &PathBuf| std::fs::read_to_string(p).expect("export written");
+        let (trace_out, metrics_out) = (read(&trace), read(&metrics));
+        let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
+        assert!(trace_out == trace_golden, "Chrome trace drifted at --jobs {jobs}");
+        assert!(strip_rate(&metrics_out) == metrics_golden, "metrics drifted at --jobs {jobs}");
+    }
+}
+
+/// A server-epoch that drops requests for good shows the count in the
+/// cockpit's event feed.
+#[test]
+fn watch_feed_shows_retries_exhausted() {
+    let out = stdout_of(&[
+        "watch",
+        "--headless",
+        "--frames",
+        "3",
+        "--seed",
+        "42",
+        "--servers",
+        "4",
+        "--epochs",
+        "4",
+        "--faults",
+        "storm=500,wake-fail=0.05",
+        "--queue-cap",
+        "4",
+    ]);
+    assert!(
+        out.lines().any(|l| l.contains(" retries exhausted")),
+        "no feed row counts exhausted retries:\n{out}"
+    );
 }
 
 /// A fleet whose only faults are per-server ones reports the ledger

@@ -453,9 +453,9 @@ impl FleetSim {
     /// [`FleetSim::run`] at any worker count. Epochs fan out one at a
     /// time (each epoch's loaded servers still run on every
     /// [`SweepExecutor`] worker), so the observer sees epoch `e` before
-    /// epoch `e + 1` starts simulating. Pair with
-    /// [`crate::fleet_stream`] to move the events to a consumer thread
-    /// with bounded backpressure.
+    /// epoch `e + 1` starts simulating. Pass the sending half of a
+    /// `std::sync::mpsc::sync_channel` to move the events to a consumer
+    /// thread with bounded backpressure.
     #[must_use]
     #[allow(clippy::too_many_lines)]
     pub fn run_observed(self, observer: &mut dyn FleetObserver) -> FleetReport {

@@ -65,6 +65,5 @@ pub use fleet::{FleetConfig, FleetSim, LoadShape};
 pub use policy::RoutingPolicy;
 pub use report::{FleetDegradation, FleetReport, FleetWindow};
 pub use stream::{
-    fleet_stream, FleetEpochEvent, FleetObserver, NullFleetObserver, ServerEpochSnapshot,
-    ServerRole,
+    FleetEpochEvent, FleetObserver, NullFleetObserver, ServerEpochSnapshot, ServerRole,
 };

@@ -5,9 +5,9 @@
 //! soon as that epoch's server-epoch simulations finish and aggregate —
 //! the event carries the exact [`FleetWindow`] the final report will
 //! contain plus one [`ServerEpochSnapshot`] per server, which the batch
-//! path never materializes. [`fleet_stream`] provides the bounded
-//! (backpressured) channel for moving events to a consumer thread, built
-//! on `aw_telemetry::bounded_stream`.
+//! path never materializes. A std [`SyncSender`] is an observer too,
+//! so a bounded (backpressured) `sync_channel` moves the events to a
+//! consumer thread.
 //!
 //! Determinism contract: observation is pure. The events are built from
 //! clones of values the aggregation loop computes anyway, in the same
@@ -17,11 +17,12 @@
 //!
 //! [`FleetReport`]: crate::FleetReport
 
+use std::sync::mpsc::SyncSender;
+
 use aw_cstates::CState;
 use aw_faults::FleetFaultRecord;
 use aw_server::{DegradationStats, RunMetrics};
 use aw_sleep::OpportunitySummary;
-use aw_telemetry::{bounded_stream, StreamReceiver, StreamSender};
 use aw_types::{MilliWatts, Nanos};
 
 use crate::report::FleetWindow;
@@ -147,7 +148,7 @@ pub struct FleetEpochEvent {
 /// Implementations must be cheap or internally backpressured: the
 /// aggregation loop calls [`FleetObserver::on_epoch`] inline, so a
 /// blocking observer paces the fleet run (that is the bounded-channel
-/// contract — see [`fleet_stream`]).
+/// contract of the [`SyncSender`] observer).
 pub trait FleetObserver: Send {
     /// Called once per epoch, in epoch order.
     fn on_epoch(&mut self, event: &FleetEpochEvent);
@@ -176,36 +177,26 @@ impl FleetObserver for NullFleetObserver {
     }
 }
 
-impl FleetObserver for StreamSender<FleetEpochEvent> {
+/// The producing half of a `sync_channel`: each epoch is sent as it
+/// closes, blocking while the channel is full, so a slow consumer paces
+/// the fleet run instead of the channel buffering without bound. The
+/// stream ends when the sender is dropped; a dropped receiver is not an
+/// error, and the run completes with the remaining epochs unobserved.
+impl FleetObserver for SyncSender<FleetEpochEvent> {
     fn on_epoch(&mut self, event: &FleetEpochEvent) {
-        // A dropped receiver is not an error: the fleet run completes
-        // and the remaining epochs are simply unobserved.
         let _ = self.send(event.clone());
     }
-
-    fn on_finish(&mut self) {
-        self.finish();
-    }
-}
-
-/// Creates a bounded fleet-epoch channel: the sender side implements
-/// [`FleetObserver`] and blocks when the consumer falls `capacity`
-/// epochs behind, pacing the simulation instead of buffering without
-/// bound.
-///
-/// # Panics
-///
-/// Panics if `capacity` is zero.
-#[must_use]
-pub fn fleet_stream(
-    capacity: usize,
-) -> (StreamSender<FleetEpochEvent>, StreamReceiver<FleetEpochEvent>) {
-    bounded_stream(capacity)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::{sync_channel, TryRecvError};
+
+    use aw_cstates::NamedConfig;
+    use aw_server::{ServerConfig, WorkloadSpec};
+
     use super::*;
+    use crate::{FleetConfig, FleetSim};
 
     #[test]
     fn role_glyphs_are_distinct() {
@@ -230,12 +221,63 @@ mod tests {
 
     #[test]
     fn stream_sender_observer_is_enabled_and_finishes() {
-        let (tx, rx) = fleet_stream(4);
+        let (tx, rx) = sync_channel(4);
         let mut obs: Box<dyn FleetObserver> = Box::new(tx);
         assert!(obs.is_enabled());
         obs.on_finish();
         drop(obs);
-        let mut rx = rx;
-        assert!(rx.recv().is_none(), "finish must not deliver an event");
+        assert!(rx.recv().is_err(), "finish must not deliver an event");
+    }
+
+    /// The epochs of a two-server fleet run for three 5 ms epochs.
+    fn epochs() -> Vec<FleetEpochEvent> {
+        struct Collect(Vec<FleetEpochEvent>);
+        impl FleetObserver for Collect {
+            fn on_epoch(&mut self, event: &FleetEpochEvent) {
+                self.0.push(event.clone());
+            }
+        }
+        let workload = WorkloadSpec::poisson("tiny", 1_000.0, Nanos::from_micros(250.0), 0.6);
+        let config = FleetConfig::new(2, ServerConfig::new(2, NamedConfig::Aw), workload, 4_000.0)
+            .with_epochs(3, Nanos::from_millis(5.0));
+        let mut collect = Collect(Vec::new());
+        let _ = FleetSim::new(config).run_observed(&mut collect);
+        collect.0
+    }
+
+    #[test]
+    fn items_flow_in_order_until_finish() {
+        let (tx, rx) = sync_channel(1);
+        let producer = std::thread::spawn(move || {
+            let mut obs: Box<dyn FleetObserver> = Box::new(tx);
+            for event in &epochs() {
+                obs.on_epoch(event);
+            }
+            obs.on_finish();
+        });
+        let seen: Vec<usize> = rx.iter().map(|event| event.window.epoch).collect();
+        producer.join().expect("producer panicked");
+        assert_eq!(seen, [0, 1, 2]);
+    }
+
+    #[test]
+    fn dropped_receiver_turns_sends_into_noops() {
+        let (tx, rx) = sync_channel(1);
+        drop(rx);
+        let mut obs: Box<dyn FleetObserver> = Box::new(tx);
+        // Neither blocks on the full channel nor panics on the hang-up.
+        for event in &epochs() {
+            obs.on_epoch(event);
+        }
+        obs.on_finish();
+    }
+
+    #[test]
+    fn hung_up_sender_closes_the_stream() {
+        let (mut tx, rx) = sync_channel(2);
+        tx.on_epoch(&epochs()[0]);
+        drop(tx);
+        assert!(rx.recv().is_ok());
+        assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
     }
 }

@@ -195,6 +195,36 @@ impl DegradationStats {
     pub fn is_clean(&self) -> bool {
         *self == DegradationStats::default()
     }
+
+    /// Every counter as `(key, label, count)`, in display order: `key`
+    /// is its short name in the `Display` line, `label` its name in
+    /// prose. The pattern names every field, so a counter added to the
+    /// struct fails to compile until it is listed here too.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 9] {
+        let DegradationStats {
+            faults_injected,
+            shed,
+            timeouts,
+            retries,
+            retries_exhausted,
+            fallback_exits,
+            breaker_trips,
+            breaker_restores,
+            demoted_selections,
+        } = *self;
+        [
+            ("faults", "faults", faults_injected),
+            ("shed", "shed", shed),
+            ("timeouts", "timeouts", timeouts),
+            ("retries", "retries", retries),
+            ("dropped", "retries exhausted", retries_exhausted),
+            ("fallbacks", "fallback exits", fallback_exits),
+            ("trips", "breaker trips", breaker_trips),
+            ("restores", "breaker restores", breaker_restores),
+            ("demoted", "demoted selections", demoted_selections),
+        ]
+    }
 }
 
 impl fmt::Display for DegradationStats {
@@ -202,18 +232,11 @@ impl fmt::Display for DegradationStats {
         if self.is_clean() {
             return write!(f, "clean run (no faults, no shedding)");
         }
-        write!(
-            f,
-            "faults={} shed={} timeouts={} retries={} dropped={} fallbacks={} trips={} restores={}",
-            self.faults_injected,
-            self.shed,
-            self.timeouts,
-            self.retries,
-            self.retries_exhausted,
-            self.fallback_exits,
-            self.breaker_trips,
-            self.breaker_restores
-        )
+        for (i, (key, _, count)) in self.counters().into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{key}={count}")?;
+        }
+        Ok(())
     }
 }
 

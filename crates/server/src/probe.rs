@@ -17,34 +17,13 @@
 //! events, would hide anything from the probe.
 
 use aw_cstates::CState;
-use aw_telemetry::{Attribution, RequestSpan, TelemetryRecorder};
+use aw_telemetry::{Attribution, EventKind, RequestSpan, TelemetryRecorder};
 use aw_types::{MilliWatts, Nanos};
 
 use crate::core::CoreState;
 use crate::idle::IdleInterval;
 use crate::sim::RunOutput;
 use crate::trace;
-
-/// Something off a core's plain wake → serve → park life cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Incident {
-    /// A request was shed at a full bounded run queue of `cap` slots.
-    Shed { cap: usize },
-    /// A queued request was dropped at dispatch after waiting `waited`.
-    Timeout { waited: Nanos },
-    /// A client retry was dispatched to the core.
-    Retry { attempt: u32 },
-    /// The fault plan injected a fault of this kind.
-    Fault(&'static str),
-    /// The core's circuit breaker tripped.
-    BreakerTrip,
-    /// The core's circuit breaker re-armed.
-    BreakerRestore,
-    /// A service interval started at Turbo frequency.
-    Turbo,
-    /// The core, idle in this state, served a snoop burst.
-    Snoop(CState),
-}
 
 /// Declares the report hooks once: the [`Probe`] trait with a no-op
 /// default for each, and the `Option` and pair forwarders. Hook
@@ -115,12 +94,9 @@ probe_hooks! {
     /// The loop popped an event at `now`; `depth` counts it plus
     /// everything still pending. Idle-skip chain steps are not popped.
     fn event(&mut self, now: Nanos, depth: usize);
-    /// A request joined `core`'s run queue (`depth` after the push).
-    fn enqueue(&mut self, core: usize, now: Nanos, depth: usize);
-    /// A request left `core`'s run queue (`depth` after the pop).
-    fn dequeue(&mut self, core: usize, now: Nanos, depth: usize);
-    /// An interrupt starts waking `core`.
-    fn wake(&mut self, core: usize, now: Nanos, reason: &'static str);
+    /// `core` did something the trace shows as one event of `kind`: any
+    /// kind [`TelemetryRecorder::record`] takes.
+    fn trace(&mut self, core: usize, now: Nanos, kind: EventKind);
     /// The governor parks `core` in `chosen`, predicting `predicted` of
     /// idleness (its own estimate, else the oracle hint).
     fn park(&mut self, core: usize, now: Nanos, chosen: CState, predicted: Option<Nanos>);
@@ -141,8 +117,6 @@ probe_hooks! {
         chosen: CState,
         target_residency: Nanos
     );
-    /// Something off the plain life cycle happened on `core`.
-    fn incident(&mut self, core: usize, now: Nanos, incident: Incident);
 }
 
 /// The probe every [`crate::SimBuilder`] run composes: telemetry,
@@ -160,16 +134,8 @@ impl Probe for TelemetryRecorder {
         self.sim_event(now, depth);
     }
 
-    fn enqueue(&mut self, core: usize, now: Nanos, depth: usize) {
-        TelemetryRecorder::enqueue(self, core as u32, now, depth as u32);
-    }
-
-    fn dequeue(&mut self, core: usize, now: Nanos, depth: usize) {
-        TelemetryRecorder::dequeue(self, core as u32, now, depth as u32);
-    }
-
-    fn wake(&mut self, core: usize, now: Nanos, reason: &'static str) {
-        TelemetryRecorder::wake(self, core as u32, now, reason);
+    fn trace(&mut self, core: usize, now: Nanos, kind: EventKind) {
+        self.record(core as u32, now, kind);
     }
 
     fn park(&mut self, core: usize, now: Nanos, chosen: CState, predicted: Option<Nanos>) {
@@ -190,20 +156,6 @@ impl Probe for TelemetryRecorder {
         target_residency: Nanos,
     ) {
         self.idle_outcome(core as u32, now, now - start, target_residency);
-    }
-
-    fn incident(&mut self, core: usize, now: Nanos, incident: Incident) {
-        let core = core as u32;
-        match incident {
-            Incident::Shed { cap } => self.shed(core, now, cap as u32),
-            Incident::Timeout { waited } => self.timeout(core, now, waited),
-            Incident::Retry { attempt } => self.retry(core, now, attempt),
-            Incident::Fault(kind) => self.fault(core, now, kind),
-            Incident::BreakerTrip => self.breaker_trip(core, now),
-            Incident::BreakerRestore => self.breaker_restore(core, now),
-            Incident::Turbo => self.turbo_engage(core, now),
-            Incident::Snoop(state) => self.snoop(core, now, trace::cstate_label(state)),
-        }
     }
 
     fn finish(self, end: Nanos, out: &mut RunOutput) {
@@ -344,15 +296,12 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Hook {
         Event,
-        Enqueue(usize, Nanos, usize),
-        Dequeue(usize, Nanos, usize),
-        Wake(usize, Nanos, &'static str),
+        Trace(usize, Nanos, EventKind),
         Park(usize, Nanos, CState, Option<Nanos>),
         State(usize, Nanos, CoreState, CoreState),
         Power(usize, Nanos, Nanos, MilliWatts),
         Done(usize, RequestSpan),
         Idle(usize, Nanos, Nanos, CState, Nanos),
-        Incident(usize, Nanos, Incident),
         Finish(Nanos),
     }
 
@@ -363,14 +312,8 @@ mod tests {
         fn event(&mut self, _now: Nanos, _depth: usize) {
             self.0.push(Hook::Event);
         }
-        fn enqueue(&mut self, core: usize, now: Nanos, depth: usize) {
-            self.0.push(Hook::Enqueue(core, now, depth));
-        }
-        fn dequeue(&mut self, core: usize, now: Nanos, depth: usize) {
-            self.0.push(Hook::Dequeue(core, now, depth));
-        }
-        fn wake(&mut self, core: usize, now: Nanos, reason: &'static str) {
-            self.0.push(Hook::Wake(core, now, reason));
+        fn trace(&mut self, core: usize, now: Nanos, kind: EventKind) {
+            self.0.push(Hook::Trace(core, now, kind));
         }
         fn park(&mut self, core: usize, now: Nanos, chosen: CState, predicted: Option<Nanos>) {
             self.0.push(Hook::Park(core, now, chosen, predicted));
@@ -386,9 +329,6 @@ mod tests {
         }
         fn idle_done(&mut self, core: usize, start: Nanos, now: Nanos, chosen: CState, t: Nanos) {
             self.0.push(Hook::Idle(core, start, now, chosen, t));
-        }
-        fn incident(&mut self, core: usize, now: Nanos, incident: Incident) {
-            self.0.push(Hook::Incident(core, now, incident));
         }
         fn finish(self, end: Nanos, _out: &mut RunOutput) {
             self.0.push(Hook::Finish(end));

@@ -6,14 +6,14 @@ use aw_cstates::{CState, CStateConfig, CircuitBreaker};
 use aw_faults::{FailureArtifact, FaultPlan, InvariantChecker};
 use aw_power::ResidencyVector;
 use aw_sim::{EventQueue, SampleSet, SimRng};
-use aw_telemetry::{AttributionReport, RequestSpan, SloReport, TelemetryReport};
+use aw_telemetry::{AttributionReport, EventKind, RequestSpan, SloReport, TelemetryReport};
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
 
 use crate::config::{Dispatch, GovernorKind, ServerConfig};
 use crate::core::{CoreState, QueuedRequest, SimCore};
 use crate::idle::IdleInterval;
 use crate::metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
-use crate::probe::{Incident, Probe};
+use crate::probe::Probe;
 use crate::trace;
 use crate::uncore::{PackageCState, UncoreModel};
 use crate::workload::WorkloadSpec;
@@ -572,7 +572,7 @@ impl<P: Probe> ServerSim<P> {
         if let Some(cap) = self.config.queue_cap {
             if self.cores[id].queue.len() >= cap {
                 self.degradation.shed += 1;
-                self.probe.incident(id, now, Incident::Shed { cap });
+                self.probe.trace(id, now, EventKind::RequestShed { depth: cap as u32 });
                 self.schedule_retry(now, service, attempt);
                 return;
             }
@@ -585,7 +585,8 @@ impl<P: Probe> ServerSim<P> {
             is_tick: false,
             attempt,
         });
-        self.probe.enqueue(id, now, self.cores[id].queue.len());
+        let depth = self.cores[id].queue.len() as u32;
+        self.probe.trace(id, now, EventKind::QueueEnqueue { depth });
 
         if let CoreState::Idle { state } = self.cores[id].state {
             if let Some(delay) = self.faults.as_mut().and_then(|f| f.lost_wake()) {
@@ -704,7 +705,7 @@ impl<P: Probe> ServerSim<P> {
         // The voltage/clock ramp means a transition burns roughly the
         // midpoint of the two endpoint powers, not full C0 power.
         let ramp = self.transition_power(from);
-        self.probe.wake(id, now, reason);
+        self.probe.trace(id, now, EventKind::WakeInterrupt { reason });
         self.switch_core_power(id, now, ramp);
         self.set_core_state(id, now, CoreState::Waking { from });
         let gen = self.cores[id].generation;
@@ -739,7 +740,7 @@ impl<P: Probe> ServerSim<P> {
             extra += self.config.catalog.params(CState::C6).exit_latency;
             if self.breakers[id].record_failure(now) {
                 self.degradation.breaker_trips += 1;
-                self.probe.incident(id, now, Incident::BreakerTrip);
+                self.probe.trace(id, now, EventKind::BreakerTrip);
             }
         } else {
             self.breakers[id].record_success();
@@ -759,7 +760,7 @@ impl<P: Probe> ServerSim<P> {
     /// counter and reports it to the probe.
     fn note_fault(&mut self, id: usize, now: Nanos, kind: &'static str) {
         self.degradation.faults_injected += 1;
-        self.probe.incident(id, now, Incident::Fault(kind));
+        self.probe.trace(id, now, EventKind::FaultInjected { kind });
     }
 
     fn begin_idle(&mut self, id: usize, now: Nanos) {
@@ -775,7 +776,7 @@ impl<P: Probe> ServerSim<P> {
         let breaker_open = self.breakers[id].is_open(now);
         if self.breakers[id].restores() > restores_before {
             self.degradation.breaker_restores += 1;
-            self.probe.incident(id, now, Incident::BreakerRestore);
+            self.probe.trace(id, now, EventKind::BreakerRestore);
         }
         let cstates = if breaker_open {
             self.degradation.demoted_selections += 1;
@@ -850,7 +851,8 @@ impl<P: Probe> ServerSim<P> {
             self.begin_idle(id, now);
             return;
         };
-        self.probe.dequeue(id, now, self.cores[id].queue.len());
+        let depth = self.cores[id].queue.len() as u32;
+        self.probe.trace(id, now, EventKind::QueueDequeue { depth });
         if let Some(timeout) = self.config.request_timeout {
             if !req.is_tick {
                 let waited = now - req.arrival;
@@ -859,7 +861,7 @@ impl<P: Probe> ServerSim<P> {
                     // dispatch sheds the now-useless service time, and
                     // the client retries after backoff.
                     self.degradation.timeouts += 1;
-                    self.probe.incident(id, now, Incident::Timeout { waited });
+                    self.probe.trace(id, now, EventKind::RequestTimeout { waited });
                     self.schedule_retry(now, req.service, req.attempt);
                     self.start_service(id, now);
                     return;
@@ -869,7 +871,7 @@ impl<P: Probe> ServerSim<P> {
 
         let turbo = self.config.cstates.turbo() && self.cores[id].thermal.turbo_available();
         if turbo && !self.cores[id].serving_at_turbo {
-            self.probe.incident(id, now, Incident::Turbo);
+            self.probe.trace(id, now, EventKind::TurboEngage);
         }
         let s = self.workload.frequency_scalability();
         let mut time_factor = if turbo {
@@ -961,7 +963,8 @@ impl<P: Probe> ServerSim<P> {
             is_tick: true,
             attempt: 1,
         });
-        self.probe.enqueue(id, now, self.cores[id].queue.len());
+        let depth = self.cores[id].queue.len() as u32;
+        self.probe.trace(id, now, EventKind::QueueEnqueue { depth });
         if let CoreState::Idle { state } = self.cores[id].state {
             self.begin_wake(id, state, now, "timer");
         }
@@ -983,8 +986,8 @@ impl<P: Probe> ServerSim<P> {
 
     /// Charges `bursts` snoop bursts to core `id` if it idles in a state
     /// that keeps its caches coherent: the burst power for its state
-    /// over `bursts` burst durations, counted as served snoops and one
-    /// incident.
+    /// over `bursts` burst durations, counted as served snoops and traced
+    /// as one snoop event.
     fn serve_snoops(&mut self, id: usize, now: Nanos, bursts: u32) {
         if let CoreState::Idle { state } = self.cores[id].state {
             let power = match state {
@@ -996,7 +999,8 @@ impl<P: Probe> ServerSim<P> {
             let core = &mut self.cores[id];
             core.snoop_energy += power * SNOOP_BURST * f64::from(bursts);
             core.snoops_served += u64::from(bursts);
-            self.probe.incident(id, now, Incident::Snoop(state));
+            let state = trace::cstate_label(state);
+            self.probe.trace(id, now, EventKind::SnoopService { state });
         }
     }
 
@@ -1019,7 +1023,7 @@ impl<P: Probe> ServerSim<P> {
     fn on_retry(&mut self, now: Nanos, service: Nanos, attempt: u32) {
         self.degradation.retries += 1;
         let id = self.dispatch();
-        self.probe.incident(id, now, Incident::Retry { attempt });
+        self.probe.trace(id, now, EventKind::RequestRetry { attempt });
         self.admit(id, now, service, attempt);
     }
 

@@ -10,43 +10,33 @@ use aw_cstates::CState;
 
 use crate::core::CoreState;
 
+/// Per C-state, indexed by [`CState::depth`]: the resident, entry and
+/// exit labels.
+const LABELS: [[&str; 3]; CState::ALL.len()] = [
+    ["C0", "enter:C0", "exit:C0"],
+    ["C1", "enter:C1", "exit:C1"],
+    ["C1E", "enter:C1E", "exit:C1E"],
+    ["C6A", "enter:C6A", "exit:C6A"],
+    ["C6AE", "enter:C6AE", "exit:C6AE"],
+    ["C6", "enter:C6", "exit:C6"],
+];
+
 /// The label of a resident C-state.
 #[must_use]
 pub fn cstate_label(state: CState) -> &'static str {
-    match state {
-        CState::C0 => "C0",
-        CState::C1 => "C1",
-        CState::C1E => "C1E",
-        CState::C6A => "C6A",
-        CState::C6AE => "C6AE",
-        CState::C6 => "C6",
-    }
+    LABELS[usize::from(state.depth())][0]
 }
 
 /// The label of an entry transition into `state`.
 #[must_use]
 pub fn enter_label(state: CState) -> &'static str {
-    match state {
-        CState::C0 => "enter:C0",
-        CState::C1 => "enter:C1",
-        CState::C1E => "enter:C1E",
-        CState::C6A => "enter:C6A",
-        CState::C6AE => "enter:C6AE",
-        CState::C6 => "enter:C6",
-    }
+    LABELS[usize::from(state.depth())][1]
 }
 
 /// The label of an exit transition out of `state`.
 #[must_use]
 pub fn exit_label(state: CState) -> &'static str {
-    match state {
-        CState::C0 => "exit:C0",
-        CState::C1 => "exit:C1",
-        CState::C1E => "exit:C1E",
-        CState::C6A => "exit:C6A",
-        CState::C6AE => "exit:C6AE",
-        CState::C6 => "exit:C6",
-    }
+    LABELS[usize::from(state.depth())][2]
 }
 
 /// The trace label of a full core state (active, entering, idle, waking).

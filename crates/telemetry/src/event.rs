@@ -75,13 +75,6 @@ pub enum EventKind {
         /// Queue depth after the dequeue.
         depth: u32,
     },
-    /// One step of a PMA entry/snoop/exit flow (Fig. 6).
-    FlowStep {
-        /// The flow step's state name.
-        step: &'static str,
-        /// How long the step took.
-        duration: Nanos,
-    },
     /// A fault was injected from the active fault plan.
     FaultInjected {
         /// Which fault category struck (`"wake-fail"`, `"lost-wake"`, …).
@@ -124,7 +117,6 @@ impl EventKind {
             EventKind::TurboEngage => "turbo",
             EventKind::QueueEnqueue { .. } => "enqueue",
             EventKind::QueueDequeue { .. } => "dequeue",
-            EventKind::FlowStep { .. } => "flow-step",
             EventKind::FaultInjected { .. } => "fault",
             EventKind::RequestShed { .. } => "shed",
             EventKind::RequestTimeout { .. } => "timeout",
@@ -156,7 +148,6 @@ mod tests {
             EventKind::TurboEngage,
             EventKind::QueueEnqueue { depth: 1 },
             EventKind::QueueDequeue { depth: 0 },
-            EventKind::FlowStep { step: "x", duration: Nanos::ZERO },
             EventKind::FaultInjected { kind: "wake-fail" },
             EventKind::RequestShed { depth: 8 },
             EventKind::RequestTimeout { waited: Nanos::ZERO },

@@ -106,9 +106,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], cores: usize) -> String {
             }
             // Enter events duplicate the slice starts; skip them here.
             EventKind::CStateEnter { .. } => {}
-            EventKind::FlowStep { step, duration } => {
-                slice(out, step, "pma", e.core, e.time, duration)
-            }
             EventKind::GovernorDecision { chosen, predicted } => {
                 let args = [("chosen", Arg::Str(chosen)), ("predicted_us", Arg::Us(predicted))];
                 instant(out, e, "governor", &args);
@@ -241,20 +238,19 @@ pub fn metrics_json(registry: &MetricsRegistry, summary: &TelemetrySummary) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TelemetryRecorder;
+    use crate::recorder::{TelemetryRecorder, TelemetryReport};
 
-    fn sample_report() -> crate::recorder::TelemetryReport {
+    fn sample_report() -> TelemetryReport {
         let mut r = TelemetryRecorder::new(2, 100);
         r.state_change(0, Nanos::new(0.0), "C0");
         r.state_change(0, Nanos::new(100.0), "C1");
         r.governor_decision(0, Nanos::new(100.0), "C1", Nanos::new(500.0));
         r.idle_outcome(0, Nanos::new(400.0), Nanos::new(300.0), Nanos::new(2000.0));
-        r.wake(0, Nanos::new(400.0), "arrival");
-        r.enqueue(1, Nanos::new(250.0), 1);
-        r.dequeue(1, Nanos::new(260.0), 0);
-        r.turbo_engage(1, Nanos::new(260.0));
-        r.snoop(0, Nanos::new(350.0), "C1");
-        r.flow_step(1, Nanos::new(270.0), "EntryClockGate", Nanos::new(4.0));
+        r.record(0, Nanos::new(400.0), EventKind::WakeInterrupt { reason: "arrival" });
+        r.record(1, Nanos::new(250.0), EventKind::QueueEnqueue { depth: 1 });
+        r.record(1, Nanos::new(260.0), EventKind::QueueDequeue { depth: 0 });
+        r.record(1, Nanos::new(260.0), EventKind::TurboEngage);
+        r.record(0, Nanos::new(350.0), EventKind::SnoopService { state: "C1" });
         r.sim_event(Nanos::new(0.0), 2);
         r.into_report(Nanos::new(500.0))
     }

@@ -1,13 +1,15 @@
 //! # aw-telemetry — event tracing, metrics registry, and trace export
 //!
 //! Zero-external-dependency observability for the AgileWatts simulation
-//! stack, in three layers:
+//! stack, in four layers:
 //!
 //! 1. **Events** — [`TraceEvent`]/[`EventKind`]: typed records of C-state
 //!    entries and exits, governor decisions and their outcomes, wake
 //!    interrupts, snoop services, turbo engagements, run-queue
-//!    enqueue/dequeue, and PMA flow steps. Events flow into a
-//!    [`RingBufferSink`], which keeps a bounded window and counts drops.
+//!    enqueue/dequeue, injected faults, overload sheds, timeouts and
+//!    retries, and circuit-breaker trips and restores. Events flow into
+//!    a [`RingBufferSink`], which keeps a bounded window and counts
+//!    drops.
 //! 2. **Metrics** — [`MetricsRegistry`]: named counters, time-weighted
 //!    gauges ([`TimeWeightedGauge`]), and log₂-scaled histograms
 //!    ([`LogHistogram`], built on [`aw_sim::OnlineStats`]).
@@ -28,15 +30,13 @@
 //!    export). An [`SloMonitor`] evaluates a p99 target per window and
 //!    reports the burn rate.
 //!
-//! 5. **Streaming** — [`bounded_stream`]: a bounded (backpressured)
-//!    channel between a simulator thread and a live consumer.
-//!
 //! The [`TelemetryRecorder`] ties the layers together for a simulator:
-//! it pairs C-state enter/exit events with exact residencies, scores
-//! every governor decision against the idle period that followed, and
-//! produces a [`TelemetryReport`] plus a [`TelemetrySummary`] of the
-//! headline numbers (mispredict rate, queue-depth high-water marks,
-//! events/sec).
+//! [`TelemetryRecorder::record`] counts and emits an event the simulator
+//! built, while the recorder builds the rest itself: it pairs C-state
+//! enter/exit events with exact residencies, scores every governor
+//! decision against the idle period that followed, and produces a
+//! [`TelemetryReport`] plus a [`TelemetrySummary`] of the headline
+//! numbers (mispredict rate, queue-depth high-water marks, events/sec).
 //!
 //! # Examples
 //!
@@ -69,7 +69,6 @@ mod registry;
 mod sink;
 mod slo;
 mod span;
-mod stream;
 mod timeline;
 
 pub use attrib::{Attribution, AttributionReport, AttributionSummary, ExitShare, PhaseMeans};
@@ -79,5 +78,4 @@ pub use registry::{LogHistogram, MetricsRegistry, TimeWeightedGauge};
 pub use sink::RingBufferSink;
 pub use slo::{SloMonitor, SloReport};
 pub use span::{Phase, RequestSpan};
-pub use stream::{bounded_stream, StreamPoll, StreamReceiver, StreamSender};
 pub use timeline::{Timeline, TimelineWindow};

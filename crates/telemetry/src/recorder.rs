@@ -50,7 +50,6 @@ counters! {
     RunQueueEnqueues => "runqueue.enqueues",
     RunQueueDequeues => "runqueue.dequeues",
     SimEvents => "sim.events",
-    PmaFlowSteps => "pma.flow_steps",
     FaultsInjected => "faults.injected",
     OverloadShed => "overload.shed",
     OverloadTimeouts => "overload.timeouts",
@@ -174,36 +173,45 @@ impl TelemetryRecorder {
         self.emit(now, core, EventKind::IdleOutcome { chosen, predicted, actual, premature });
     }
 
-    /// An interrupt woke the core.
-    pub fn wake(&mut self, core: u32, now: Nanos, reason: &'static str) {
-        self.bump(Counter::Wakes);
-        self.emit(now, core, EventKind::WakeInterrupt { reason });
-    }
-
-    /// An idle core serviced a snoop burst.
-    pub fn snoop(&mut self, core: u32, now: Nanos, state: &'static str) {
-        self.bump(Counter::SnoopsServiced);
-        self.emit(now, core, EventKind::SnoopService { state });
-    }
-
-    /// A service interval started at Turbo frequency.
-    pub fn turbo_engage(&mut self, core: u32, now: Nanos) {
-        self.bump(Counter::TurboEngagements);
-        self.emit(now, core, EventKind::TurboEngage);
-    }
-
-    /// A request joined the core's run queue (depth after the push).
-    pub fn enqueue(&mut self, core: u32, now: Nanos, depth: u32) {
-        self.bump(Counter::RunQueueEnqueues);
-        self.run_queue_depth.get_or_insert_with(TimeWeightedGauge::new).set(now, f64::from(depth));
-        self.emit(now, core, EventKind::QueueEnqueue { depth });
-    }
-
-    /// A request left the core's run queue (depth after the pop).
-    pub fn dequeue(&mut self, core: u32, now: Nanos, depth: u32) {
-        self.bump(Counter::RunQueueDequeues);
-        self.run_queue_depth.get_or_insert_with(TimeWeightedGauge::new).set(now, f64::from(depth));
-        self.emit(now, core, EventKind::QueueDequeue { depth });
+    /// Records one event that needs no pairing or scoring: bumps the
+    /// kind's counter and emits the event. The queue kinds also set the
+    /// `runqueue.depth` gauge to the depth after the push or pop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the kinds the recorder builds itself: C-state enter and
+    /// exit ([`TelemetryRecorder::state_change`]), governor decisions
+    /// ([`TelemetryRecorder::governor_decision`]) and idle outcomes
+    /// ([`TelemetryRecorder::idle_outcome`]).
+    pub fn record(&mut self, core: u32, now: Nanos, kind: EventKind) {
+        let counter = match kind {
+            EventKind::WakeInterrupt { .. } => Counter::Wakes,
+            EventKind::SnoopService { .. } => Counter::SnoopsServiced,
+            EventKind::TurboEngage => Counter::TurboEngagements,
+            EventKind::QueueEnqueue { depth } | EventKind::QueueDequeue { depth } => {
+                let gauge = self.run_queue_depth.get_or_insert_with(TimeWeightedGauge::new);
+                gauge.set(now, f64::from(depth));
+                if matches!(kind, EventKind::QueueEnqueue { .. }) {
+                    Counter::RunQueueEnqueues
+                } else {
+                    Counter::RunQueueDequeues
+                }
+            }
+            EventKind::FaultInjected { .. } => Counter::FaultsInjected,
+            EventKind::RequestShed { .. } => Counter::OverloadShed,
+            EventKind::RequestTimeout { .. } => Counter::OverloadTimeouts,
+            EventKind::RequestRetry { .. } => Counter::OverloadRetries,
+            EventKind::BreakerTrip => Counter::BreakerTrips,
+            EventKind::BreakerRestore => Counter::BreakerRestores,
+            EventKind::CStateEnter { .. }
+            | EventKind::CStateExit { .. }
+            | EventKind::GovernorDecision { .. }
+            | EventKind::IdleOutcome { .. } => {
+                panic!("`{}` events are built by the recorder itself", kind.label())
+            }
+        };
+        self.bump(counter);
+        self.emit(now, core, kind);
     }
 
     /// One DES event was dispatched with `queue_depth` events still
@@ -213,48 +221,6 @@ impl TelemetryRecorder {
         self.event_queue_depth
             .get_or_insert_with(TimeWeightedGauge::new)
             .set(now, queue_depth as f64);
-    }
-
-    /// Records one PMA flow step (see `aw-pma`'s `FlowTrace`).
-    pub fn flow_step(&mut self, core: u32, time: Nanos, step: &'static str, duration: Nanos) {
-        self.bump(Counter::PmaFlowSteps);
-        self.emit(time, core, EventKind::FlowStep { step, duration });
-    }
-
-    /// Records an injected fault from the active fault plan.
-    pub fn fault(&mut self, core: u32, time: Nanos, kind: &'static str) {
-        self.bump(Counter::FaultsInjected);
-        self.emit(time, core, EventKind::FaultInjected { kind });
-    }
-
-    /// Records a request shed at a full bounded queue.
-    pub fn shed(&mut self, core: u32, time: Nanos, depth: u32) {
-        self.bump(Counter::OverloadShed);
-        self.emit(time, core, EventKind::RequestShed { depth });
-    }
-
-    /// Records a queued request abandoned after waiting `waited`.
-    pub fn timeout(&mut self, core: u32, time: Nanos, waited: Nanos) {
-        self.bump(Counter::OverloadTimeouts);
-        self.emit(time, core, EventKind::RequestTimeout { waited });
-    }
-
-    /// Records a client retry (re-submission after backoff).
-    pub fn retry(&mut self, core: u32, time: Nanos, attempt: u32) {
-        self.bump(Counter::OverloadRetries);
-        self.emit(time, core, EventKind::RequestRetry { attempt });
-    }
-
-    /// Records a circuit-breaker trip on `core`.
-    pub fn breaker_trip(&mut self, core: u32, time: Nanos) {
-        self.bump(Counter::BreakerTrips);
-        self.emit(time, core, EventKind::BreakerTrip);
-    }
-
-    /// Records a circuit-breaker re-arm on `core`.
-    pub fn breaker_restore(&mut self, core: u32, time: Nanos) {
-        self.bump(Counter::BreakerRestores);
-        self.emit(time, core, EventKind::BreakerRestore);
     }
 
     /// Closes the run at simulation time `end`: emits final C-state exit

@@ -64,7 +64,6 @@ fn reference_chrome_trace(events: &[TraceEvent], cores: usize) -> String {
             EventKind::CStateExit { state, residency } => {
                 slice(state, "cstate", e.core, e.time - residency, residency)
             }
-            EventKind::FlowStep { step, duration } => slice(step, "pma", e.core, e.time, duration),
             EventKind::GovernorDecision { chosen, predicted } => instant(
                 "governor-decision",
                 "governor",
@@ -118,7 +117,7 @@ fn reference_chrome_trace(events: &[TraceEvent], cores: usize) -> String {
     .render()
 }
 
-/// State and step names, including ones that need JSON escaping.
+/// State names, including ones that need JSON escaping.
 const NAMES: &[&str] =
     &["C6A", "enter:C6", "", "quo\"te", "back\\slash", "line\nbreak", "\r\t\u{1}\u{1f}", "ünï©ødé"];
 
@@ -141,9 +140,9 @@ fn any_u32(rng: &mut TestRng) -> u32 {
     rng.next_u64_raw() as u32
 }
 
-/// Draws any of the sixteen event kinds with random payloads.
+/// Draws any of the fifteen event kinds with random payloads.
 fn event(rng: &mut TestRng) -> TraceEvent {
-    let kind = match rng.below(16) {
+    let kind = match rng.below(15) {
         0 => EventKind::CStateEnter { state: name(rng) },
         1 => EventKind::CStateExit { state: name(rng), residency: nanos(rng) },
         2 => EventKind::GovernorDecision { chosen: name(rng), predicted: nanos(rng) },
@@ -158,12 +157,11 @@ fn event(rng: &mut TestRng) -> TraceEvent {
         6 => EventKind::TurboEngage,
         7 => EventKind::QueueEnqueue { depth: any_u32(rng) },
         8 => EventKind::QueueDequeue { depth: any_u32(rng) },
-        9 => EventKind::FlowStep { step: name(rng), duration: nanos(rng) },
-        10 => EventKind::FaultInjected { kind: name(rng) },
-        11 => EventKind::RequestShed { depth: any_u32(rng) },
-        12 => EventKind::RequestTimeout { waited: nanos(rng) },
-        13 => EventKind::RequestRetry { attempt: any_u32(rng) },
-        14 => EventKind::BreakerTrip,
+        9 => EventKind::FaultInjected { kind: name(rng) },
+        10 => EventKind::RequestShed { depth: any_u32(rng) },
+        11 => EventKind::RequestTimeout { waited: nanos(rng) },
+        12 => EventKind::RequestRetry { attempt: any_u32(rng) },
+        13 => EventKind::BreakerTrip,
         _ => EventKind::BreakerRestore,
     };
     TraceEvent { time: nanos(rng), core: any_u32(rng), kind }
@@ -191,7 +189,7 @@ fn non_finite_durations_render_as_null() {
     let events = [TraceEvent {
         time: Nanos::new(5.0),
         core: 0,
-        kind: EventKind::FlowStep { step: "s", duration: Nanos::new(f64::NAN) },
+        kind: EventKind::CStateExit { state: "s", residency: Nanos::new(f64::NAN) },
     }];
     let trace = chrome_trace_json(&events, 0);
     assert!(trace.contains("\"dur\":null"), "{trace}");

@@ -3,9 +3,11 @@
 //! byte-for-byte, including across the bounded channel to a consumer
 //! thread and at any worker count.
 
+use std::sync::mpsc::sync_channel;
+
 use agilewatts::aw_cluster::{
-    fleet_stream, AutoscalePolicy, FleetConfig, FleetEpochEvent, FleetObserver, FleetSim,
-    FleetWindow, LoadShape, RoutingPolicy,
+    AutoscalePolicy, FleetConfig, FleetEpochEvent, FleetObserver, FleetSim, FleetWindow, LoadShape,
+    RoutingPolicy,
 };
 use agilewatts::aw_cstates::NamedConfig;
 use agilewatts::aw_exec::{set_default_jobs, SweepExecutor};
@@ -60,13 +62,11 @@ fn streamed_fleet_epochs_rebuild_the_timeline_csv_at_any_worker_count() {
         // Across the bounded channel: a slow consumer thread (capacity 1
         // forces the producer to block on every epoch) still sees every
         // window, in order.
-        let (tx, mut rx) = fleet_stream(1);
-        let producer = std::thread::spawn(move || {
-            let mut tx = tx;
-            FleetSim::new(fleet_config()).run_observed(&mut tx)
-        });
+        let (mut tx, rx) = sync_channel(1);
+        let producer =
+            std::thread::spawn(move || FleetSim::new(fleet_config()).run_observed(&mut tx));
         let mut rebuilder = CsvRebuilder::default();
-        while let Some(event) = rx.recv() {
+        while let Ok(event) = rx.recv() {
             rebuilder.on_epoch(&event);
         }
         let report = producer.join().expect("producer panicked");
@@ -79,4 +79,20 @@ fn streamed_fleet_epochs_rebuild_the_timeline_csv_at_any_worker_count() {
         }
     }
     set_default_jobs(0); // release the override for anything that follows
+}
+
+/// A consumer that detaches mid-run does not wedge or perturb the
+/// producer: with the receiver dropped after the first epoch, every
+/// later send fails, and the run still finishes with the batch report.
+#[test]
+fn dropped_receiver_lets_the_producer_finish_unperturbed() {
+    let batch_csv = FleetSim::new(fleet_config()).run().timeline_csv();
+    let (mut tx, rx) = sync_channel(1);
+    let producer = std::thread::spawn(move || FleetSim::new(fleet_config()).run_observed(&mut tx));
+    let first = rx.recv().expect("the first epoch arrives");
+    let head = format!("{}{}", FleetWindow::CSV_HEADER, first.window.csv_row());
+    assert!(batch_csv.starts_with(&head), "the first epoch differs from the batch run's");
+    drop(rx);
+    let report = producer.join().expect("producer panicked");
+    assert_eq!(report.timeline_csv(), batch_csv);
 }

@@ -168,30 +168,6 @@ fn metrics_export_is_valid_json_with_headline_numbers() {
     assert!(histograms.get("cstate.residency_ns").is_some());
 }
 
-#[test]
-fn pma_flow_traces_emit_into_sinks() {
-    use agilewatts::aw_pma::PmaFsm;
-
-    let mut fsm = PmaFsm::new_c6a();
-    let mut rec = TelemetryRecorder::new(4, 64);
-    let base = Nanos::from_micros(5.0);
-    let entry = fsm.run_entry().expect("fresh FSM is active");
-    for step in entry.steps() {
-        rec.flow_step(3, base + step.start, step.state.name(), step.duration);
-    }
-    let report = rec.into_report(base + entry.total());
-    assert_eq!(report.events.len(), entry.steps().len());
-    // Steps land at base + their flow-relative start, in order.
-    assert_eq!(report.events[0].time, base);
-    for (e, step) in report.events.iter().zip(entry.steps()) {
-        assert_eq!(e.core, 3);
-        assert_eq!(e.time, base + step.start);
-        assert!(
-            matches!(e.kind, EventKind::FlowStep { step: name, .. } if name == step.state.name())
-        );
-    }
-}
-
 /// The registry and summary the recorder must produce for a sequence of
 /// calls, folded here from plain string-keyed registry calls.
 #[derive(Default)]
@@ -280,7 +256,7 @@ proptest! {
     /// whole metrics export equals one built from plain string-keyed
     /// registry calls (wall-clock `events_per_sec` aside).
     #[test]
-    fn registry_aggregates_equal_event_fold(ops in prop::collection::vec((0u8..16, 0u32..3, 1.0f64..1e6), 1..300)) {
+    fn registry_aggregates_equal_event_fold(ops in prop::collection::vec((0u8..15, 0u32..3, 1.0f64..1e6), 1..300)) {
         const STATES: [&str; 3] = ["C0", "C1", "C6A"];
         let mut rec = TelemetryRecorder::new(3, 10_000);
         let mut reference = ReferenceFold::default();
@@ -293,25 +269,25 @@ proptest! {
             let span = Nanos::new(jitter);
             match op {
                 0 => {
-                    rec.enqueue(core, now, depth);
+                    rec.record(core, now, EventKind::QueueEnqueue { depth });
                     reference.event("runqueue.enqueues");
                     reference.registry.gauge_set("runqueue.depth", now, f64::from(depth));
                 }
                 1 => {
-                    rec.dequeue(core, now, depth);
+                    rec.record(core, now, EventKind::QueueDequeue { depth });
                     reference.event("runqueue.dequeues");
                     reference.registry.gauge_set("runqueue.depth", now, f64::from(depth));
                 }
                 2 => {
-                    rec.wake(core, now, "arrival");
+                    rec.record(core, now, EventKind::WakeInterrupt { reason: "arrival" });
                     reference.event("wakes");
                 }
                 3 => {
-                    rec.snoop(core, now, "C1");
+                    rec.record(core, now, EventKind::SnoopService { state: "C1" });
                     reference.event("snoops.serviced");
                 }
                 4 => {
-                    rec.turbo_engage(core, now);
+                    rec.record(core, now, EventKind::TurboEngage);
                     reference.event("turbo.engagements");
                 }
                 5 => {
@@ -333,31 +309,27 @@ proptest! {
                     reference.registry.gauge_set("sim.queue_depth", now, f64::from(depth));
                 }
                 9 => {
-                    rec.flow_step(core, now, "EntryClockGate", span);
-                    reference.event("pma.flow_steps");
-                }
-                10 => {
-                    rec.fault(core, now, "wake-fail");
+                    rec.record(core, now, EventKind::FaultInjected { kind: "wake-fail" });
                     reference.event("faults.injected");
                 }
-                11 => {
-                    rec.shed(core, now, depth);
+                10 => {
+                    rec.record(core, now, EventKind::RequestShed { depth });
                     reference.event("overload.shed");
                 }
-                12 => {
-                    rec.timeout(core, now, span);
+                11 => {
+                    rec.record(core, now, EventKind::RequestTimeout { waited: span });
                     reference.event("overload.timeouts");
                 }
-                13 => {
-                    rec.retry(core, now, depth);
+                12 => {
+                    rec.record(core, now, EventKind::RequestRetry { attempt: depth });
                     reference.event("overload.retries");
                 }
-                14 => {
-                    rec.breaker_trip(core, now);
+                13 => {
+                    rec.record(core, now, EventKind::BreakerTrip);
                     reference.event("breaker.trips");
                 }
                 _ => {
-                    rec.breaker_restore(core, now);
+                    rec.record(core, now, EventKind::BreakerRestore);
                     reference.event("breaker.restores");
                 }
             }
