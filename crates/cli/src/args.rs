@@ -1517,6 +1517,24 @@ mod tests {
         parse_cli(&argv("watch --utilization 0.000000001")).unwrap();
     }
 
+    /// The `(keys: ...;` list in the usage text of `--faults` and
+    /// `--fleet-faults` is exactly each grammar's key table, in order.
+    #[test]
+    fn fault_flag_usage_lists_every_key_in_table_order() {
+        for (name, keys) in
+            [("--faults", FaultSpec::KEYS), ("--fleet-faults", FleetFaultSpec::KEYS)]
+        {
+            let flag = FLAGS.iter().find(|f| f.name == name).expect(name);
+            let text = flag.help[0].3.join(" ");
+            let listed = text
+                .split_once("(keys: ")
+                .and_then(|(_, rest)| rest.split_once(';'))
+                .map(|(list, _)| list.split(", ").collect::<Vec<_>>())
+                .expect(name);
+            assert_eq!(listed, keys, "{name}");
+        }
+    }
+
     /// Every token the argv fuzz draws from: each subcommand and flag,
     /// hostile values (and the empty string), and fault-spec fragments.
     fn fuzz_tokens() -> Vec<&'static str> {

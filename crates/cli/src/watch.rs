@@ -116,8 +116,8 @@ fn counter_feed_line(c: &DegradationStats) -> Option<String> {
     let parts: Vec<String> = c
         .counters()
         .into_iter()
-        .filter(|&(_, _, count)| count > 0)
-        .map(|(_, label, count)| format!("{count} {label}"))
+        .filter(|&(_, _, _, count)| count > 0)
+        .map(|(_, label, _, count)| format!("{count} {label}"))
         .collect();
     (!parts.is_empty()).then(|| parts.join(", "))
 }

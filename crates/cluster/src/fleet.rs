@@ -744,7 +744,7 @@ impl Tally {
             self.c0_sum += c0;
             self.agile_sum += agile;
             self.pc6_sum += m.package_residency[2].as_percent() / 100.0;
-            self.degradation.absorb_server(&m.degradation);
+            self.degradation.servers += m.degradation;
             self.epoch.achieved += opportunity.achieved_savings;
             self.epoch.oracle += opportunity.oracle_savings;
             self.latencies.extend_from_slice(out.latency_samples.as_deref().unwrap_or(&[]));

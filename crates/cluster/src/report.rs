@@ -57,7 +57,7 @@ impl FleetDegradation {
 
     /// Field-wise accumulation of one epoch's ledger delta.
     pub(crate) fn absorb(&mut self, d: &FleetDegradation) {
-        self.absorb_server(&d.servers);
+        self.servers += d.servers;
         self.crashes += d.crashes;
         self.rack_outages += d.rack_outages;
         self.restarts += d.restarts;
@@ -70,20 +70,6 @@ impl FleetDegradation {
         self.throttled_server_epochs += d.throttled_server_epochs;
         self.retried_requests += d.retried_requests;
         self.shed_requests += d.shed_requests;
-    }
-
-    /// Field-wise accumulation of one simulated server-epoch's stats.
-    pub(crate) fn absorb_server(&mut self, d: &DegradationStats) {
-        let s = &mut self.servers;
-        s.faults_injected += d.faults_injected;
-        s.shed += d.shed;
-        s.timeouts += d.timeouts;
-        s.retries += d.retries;
-        s.retries_exhausted += d.retries_exhausted;
-        s.fallback_exits += d.fallback_exits;
-        s.breaker_trips += d.breaker_trips;
-        s.breaker_restores += d.breaker_restores;
-        s.demoted_selections += d.demoted_selections;
     }
 }
 

@@ -249,15 +249,9 @@ pub fn attribution_table(summary: &AttributionSummary) -> TextTable {
 #[must_use]
 pub fn degradation_table(stats: &DegradationStats) -> TextTable {
     let mut t = TextTable::new("Degradation", &["event", "count"]);
-    t.push_row(vec!["faults injected".into(), stats.faults_injected.to_string()]);
-    t.push_row(vec!["requests shed (queue full)".into(), stats.shed.to_string()]);
-    t.push_row(vec!["requests timed out".into(), stats.timeouts.to_string()]);
-    t.push_row(vec!["client retries".into(), stats.retries.to_string()]);
-    t.push_row(vec!["retries exhausted (dropped)".into(), stats.retries_exhausted.to_string()]);
-    t.push_row(vec!["full-C6 fallback exits".into(), stats.fallback_exits.to_string()]);
-    t.push_row(vec!["circuit-breaker trips".into(), stats.breaker_trips.to_string()]);
-    t.push_row(vec!["circuit-breaker restores".into(), stats.breaker_restores.to_string()]);
-    t.push_row(vec!["demoted governor selections".into(), stats.demoted_selections.to_string()]);
+    for (_, _, description, count) in stats.counters() {
+        t.push_row(vec![description.into(), count.to_string()]);
+    }
     t
 }
 

@@ -17,7 +17,9 @@ use std::fmt;
 use aw_telemetry::json::JsonValue;
 use aw_types::Nanos;
 
-use crate::spec::{parse_prob, FaultSpecError, MAX_STRETCH};
+use crate::keys::{
+    key_table, Count, CrashAt, Epochs, Factor, PositiveNs, Probability, Seed, MAX_STRETCH,
+};
 
 /// Default seed of the fleet fault draws when a spec does not pin one.
 /// Distinct from [`DEFAULT_FAULT_SEED`](crate::DEFAULT_FAULT_SEED) so
@@ -100,166 +102,27 @@ impl Default for FleetFaultSpec {
     }
 }
 
-fn parse_epochs(key: &str, v: &str) -> Result<usize, FaultSpecError> {
-    let n: usize =
-        v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (epochs)")))?;
-    if n == 0 {
-        return Err(FaultSpecError(format!("{key} must be at least 1 epoch, got {v}")));
-    }
-    Ok(n)
-}
+key_table!(FleetFaultSpec, "fleet fault" {
+    "seed" => seed: Seed,
+    "crash" => crash: Probability,
+    "crash-at" => crash_at: CrashAt,
+    "down-epochs" => down_epochs: Epochs,
+    "unpark-fail" => unpark_fail: Probability,
+    "degrade" => degrade: Probability,
+    "degrade-ns" => degrade_extra: PositiveNs,
+    "degrade-epochs" => degrade_epochs: Epochs,
+    "rack-size" => rack_size: Count { max: None },
+    "rack-outage" => rack_outage: Probability,
+    "throttle" => throttle: Probability,
+    "throttle-factor" => throttle_factor: Factor { lo: 1.0 / MAX_STRETCH, hi: 1.0 },
+    "throttle-epochs" => throttle_epochs: Epochs,
+});
 
 impl FleetFaultSpec {
     /// The empty plan: no fleet faults are ever injected.
     #[must_use]
     pub fn none() -> Self {
         FleetFaultSpec::default()
-    }
-
-    /// `true` if any fleet fault can fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.crash > 0.0
-            || !self.crash_at.is_empty()
-            || self.unpark_fail > 0.0
-            || self.degrade > 0.0
-            || self.rack_outage > 0.0
-            || self.throttle > 0.0
-    }
-
-    /// Parses a comma-separated `key=value` spec. The empty string and
-    /// `"none"` parse to [`FleetFaultSpec::none`]. Keys: `seed`, `crash`,
-    /// `crash-at` (`epoch:server`, repeatable), `down-epochs`,
-    /// `unpark-fail`, `degrade`, `degrade-ns`, `degrade-epochs`,
-    /// `rack-size`, `rack-outage`, `throttle`, `throttle-factor`,
-    /// `throttle-epochs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FaultSpecError`] naming the first malformed or
-    /// out-of-range entry.
-    pub fn parse(s: &str) -> Result<Self, FaultSpecError> {
-        let mut spec = FleetFaultSpec::default();
-        let trimmed = s.trim();
-        if trimmed.is_empty() || trimmed == "none" {
-            return Ok(spec);
-        }
-        for pair in trimmed.split(',') {
-            let pair = pair.trim();
-            let Some((key, v)) = pair.split_once('=') else {
-                return Err(FaultSpecError(format!("expected key=value, got '{pair}'")));
-            };
-            let (key, v) = (key.trim(), v.trim());
-            match key {
-                "seed" => {
-                    spec.seed = v.parse().map_err(|_| FaultSpecError(format!("bad seed '{v}'")))?;
-                }
-                "crash" => spec.crash = parse_prob(key, v)?,
-                "crash-at" => {
-                    let Some((e, sv)) = v.split_once(':') else {
-                        return Err(FaultSpecError(format!(
-                            "crash-at expects epoch:server, got '{v}'"
-                        )));
-                    };
-                    let epoch: usize = e
-                        .trim()
-                        .parse()
-                        .map_err(|_| FaultSpecError(format!("bad crash-at epoch '{e}'")))?;
-                    let server: usize = sv
-                        .trim()
-                        .parse()
-                        .map_err(|_| FaultSpecError(format!("bad crash-at server '{sv}'")))?;
-                    spec.crash_at.push((epoch, server));
-                }
-                "down-epochs" => spec.down_epochs = parse_epochs(key, v)?,
-                "unpark-fail" => spec.unpark_fail = parse_prob(key, v)?,
-                "degrade" => spec.degrade = parse_prob(key, v)?,
-                "degrade-ns" => {
-                    let ns: f64 =
-                        v.parse().map_err(|_| FaultSpecError(format!("bad degrade-ns '{v}'")))?;
-                    if !ns.is_finite() || ns <= 0.0 {
-                        return Err(FaultSpecError(format!(
-                            "degrade-ns must be positive nanoseconds, got {v}"
-                        )));
-                    }
-                    spec.degrade_extra = Nanos::new(ns);
-                }
-                "degrade-epochs" => spec.degrade_epochs = parse_epochs(key, v)?,
-                "rack-size" => {
-                    let n: usize =
-                        v.parse().map_err(|_| FaultSpecError(format!("bad rack-size '{v}'")))?;
-                    if n == 0 {
-                        return Err(FaultSpecError("rack-size must be positive".into()));
-                    }
-                    spec.rack_size = n;
-                }
-                "rack-outage" => spec.rack_outage = parse_prob(key, v)?,
-                "throttle" => spec.throttle = parse_prob(key, v)?,
-                "throttle-factor" => {
-                    let f: f64 = v
-                        .parse()
-                        .map_err(|_| FaultSpecError(format!("bad throttle-factor '{v}'")))?;
-                    if !(1.0 / MAX_STRETCH..=1.0).contains(&f) {
-                        return Err(FaultSpecError(format!(
-                            "throttle-factor must be in [{:e}, 1], got {v}",
-                            1.0 / MAX_STRETCH
-                        )));
-                    }
-                    spec.throttle_factor = f;
-                }
-                "throttle-epochs" => spec.throttle_epochs = parse_epochs(key, v)?,
-                other => return Err(FaultSpecError(format!("unknown fleet fault key '{other}'"))),
-            }
-        }
-        Ok(spec)
-    }
-}
-
-impl fmt::Display for FleetFaultSpec {
-    /// The canonical `key=value` form: the seed first, then every field
-    /// that differs from the default, in parse order (`crash-at` repeats
-    /// once per scheduled crash). Guaranteed to re-parse to an equal
-    /// spec.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let d = FleetFaultSpec::default();
-        write!(f, "seed={}", self.seed)?;
-        if self.crash != d.crash {
-            write!(f, ",crash={}", self.crash)?;
-        }
-        for (epoch, server) in &self.crash_at {
-            write!(f, ",crash-at={epoch}:{server}")?;
-        }
-        if self.down_epochs != d.down_epochs {
-            write!(f, ",down-epochs={}", self.down_epochs)?;
-        }
-        if self.unpark_fail != d.unpark_fail {
-            write!(f, ",unpark-fail={}", self.unpark_fail)?;
-        }
-        if self.degrade != d.degrade {
-            write!(f, ",degrade={}", self.degrade)?;
-        }
-        if self.degrade_extra != d.degrade_extra {
-            write!(f, ",degrade-ns={}", self.degrade_extra.as_nanos())?;
-        }
-        if self.degrade_epochs != d.degrade_epochs {
-            write!(f, ",degrade-epochs={}", self.degrade_epochs)?;
-        }
-        if self.rack_size != d.rack_size {
-            write!(f, ",rack-size={}", self.rack_size)?;
-        }
-        if self.rack_outage != d.rack_outage {
-            write!(f, ",rack-outage={}", self.rack_outage)?;
-        }
-        if self.throttle != d.throttle {
-            write!(f, ",throttle={}", self.throttle)?;
-        }
-        if self.throttle_factor != d.throttle_factor {
-            write!(f, ",throttle-factor={}", self.throttle_factor)?;
-        }
-        if self.throttle_epochs != d.throttle_epochs {
-            write!(f, ",throttle-epochs={}", self.throttle_epochs)?;
-        }
-        Ok(())
     }
 }
 

@@ -8,6 +8,8 @@
 //!
 //! * [`FaultSpec`] — a parseable, canonically printable description of
 //!   which faults to inject and how often (`wake-fail=0.2,storm=1e4`).
+//!   Its grammar, like [`FleetFaultSpec`]'s, is derived from one key
+//!   table: a row per key, naming its value kind and its field.
 //! * [`FaultPlan`] — a seeded realization of a spec. Each fault category
 //!   draws from its own RNG stream so enabling one category never
 //!   perturbs another, and a plan with all rates at zero is perfectly
@@ -21,15 +23,17 @@
 //!   collection that turns violations into a structured, replayable
 //!   artifact carrying the seed and fault spec.
 //!
-//! The injection points themselves live in the consuming crates: the PMA
-//! flow FSM consults a [`FlowFaultHook`] during faulty exits, and the
-//! server simulator draws wake disruptions, lost/spurious wakes, snoop
-//! storms, and slowdown bursts from its [`FaultPlan`] directly.
+//! The injection points themselves live in the consuming crates: the
+//! server engine draws agile-wake disruptions, lost and spurious wakes,
+//! snoop storms and slowdown bursts from its [`FaultPlan`] directly, and
+//! is the one model of a disrupted wake; `aw-cluster` asks its
+//! [`FleetFaultPlan`] about each server and epoch.
 
 #![warn(missing_docs)]
 
 mod fleet;
 mod invariant;
+mod keys;
 mod plan;
 mod spec;
 
@@ -38,5 +42,6 @@ pub use fleet::{
     DEFAULT_FLEET_FAULT_SEED,
 };
 pub use invariant::{FailureArtifact, InvariantChecker};
-pub use plan::{FaultPlan, FlowFaultHook, NoFaults, WakeDisruption};
-pub use spec::{FaultSpec, FaultSpecError, DEFAULT_FAULT_SEED};
+pub use keys::FaultSpecError;
+pub use plan::{FaultPlan, WakeDisruption};
+pub use spec::{FaultSpec, DEFAULT_FAULT_SEED};

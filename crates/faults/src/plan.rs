@@ -1,4 +1,4 @@
-//! The seeded [`FaultPlan`] and the flow-level hook it is injected through.
+//! The seeded [`FaultPlan`]: the engine's one source of fault draws.
 
 use aw_sim::SimRng;
 use aw_types::Nanos;
@@ -25,42 +25,6 @@ impl WakeDisruption {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         *self == WakeDisruption::default()
-    }
-}
-
-/// Fault hook the PMA flow FSM consults during `run_exit_faulty`.
-///
-/// The null implementation is [`NoFaults`]; the real one is
-/// [`FaultPlan`]. Keeping this a trait means `aw-pma` depends only on
-/// the hook shape, not on any particular plan.
-pub trait FlowFaultHook {
-    /// How many UFPG ungate attempts stick on this wake (0 = clean).
-    /// Capped at `max_retries`; returning `max_retries` means the fast
-    /// path is abandoned for the full C6 restore.
-    fn stuck_gate_attempts(&mut self, max_retries: u32) -> u32;
-
-    /// `true` if the ADPLL relock overruns on this wake.
-    fn relock_overrun(&mut self) -> bool;
-
-    /// `true` if the CCSM drowsy wake fails once on this wake.
-    fn drowsy_wake_failure(&mut self) -> bool;
-}
-
-/// The null hook: never injects anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FlowFaultHook for NoFaults {
-    fn stuck_gate_attempts(&mut self, _max_retries: u32) -> u32 {
-        0
-    }
-
-    fn relock_overrun(&mut self) -> bool {
-        false
-    }
-
-    fn drowsy_wake_failure(&mut self) -> bool {
-        false
     }
 }
 
@@ -133,14 +97,36 @@ impl FaultPlan {
 
     /// Draws the disruption of one agile (C6A/C6AE) wake.
     pub fn wake_disruption(&mut self) -> WakeDisruption {
-        let retries = self.spec.wake_retries;
-        let stuck = self.stuck_gate_attempts(retries);
+        let stuck = self.stuck_gate_attempts();
         WakeDisruption {
             stuck_attempts: stuck,
-            fell_back: stuck >= retries,
+            fell_back: stuck >= self.spec.wake_retries,
             relock_overrun: self.relock_overrun(),
             drowsy_retry: self.drowsy_wake_failure(),
         }
+    }
+
+    /// How many UFPG ungate attempts stick on this wake (0 = clean),
+    /// capped at the spec's retry budget.
+    fn stuck_gate_attempts(&mut self) -> u32 {
+        if self.spec.wake_fail <= 0.0 {
+            return 0;
+        }
+        let mut attempts = 0;
+        while attempts < self.spec.wake_retries && self.wake_rng.chance(self.spec.wake_fail) {
+            attempts += 1;
+        }
+        attempts
+    }
+
+    /// `true` if the ADPLL relock overruns on this wake.
+    fn relock_overrun(&mut self) -> bool {
+        self.spec.relock > 0.0 && self.relock_rng.chance(self.spec.relock)
+    }
+
+    /// `true` if the CCSM drowsy wake fails once on this wake.
+    fn drowsy_wake_failure(&mut self) -> bool {
+        self.spec.drowsy > 0.0 && self.drowsy_rng.chance(self.spec.drowsy)
     }
 
     /// `Some(delay)` if this wake interrupt is lost and redelivered
@@ -166,27 +152,6 @@ impl FaultPlan {
     /// Gap to the next slowdown burst (`None` if disabled).
     pub fn slowdown_gap(&mut self) -> Option<Nanos> {
         exp_gap(&mut self.slowdown_rng, self.spec.slowdown_rate)
-    }
-}
-
-impl FlowFaultHook for FaultPlan {
-    fn stuck_gate_attempts(&mut self, max_retries: u32) -> u32 {
-        if self.spec.wake_fail <= 0.0 {
-            return 0;
-        }
-        let mut attempts = 0;
-        while attempts < max_retries && self.wake_rng.chance(self.spec.wake_fail) {
-            attempts += 1;
-        }
-        attempts
-    }
-
-    fn relock_overrun(&mut self) -> bool {
-        self.spec.relock > 0.0 && self.relock_rng.chance(self.spec.relock)
-    }
-
-    fn drowsy_wake_failure(&mut self) -> bool {
-        self.spec.drowsy > 0.0 && self.drowsy_rng.chance(self.spec.drowsy)
     }
 }
 

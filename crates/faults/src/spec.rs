@@ -1,8 +1,10 @@
 //! The parseable, canonical fault-plan specification.
 
-use std::fmt;
-
 use aw_types::Nanos;
+
+use crate::keys::{
+    key_table, Count, Factor, Millis, PositiveNs, Probability, Rate, Seed, MAX_STRETCH,
+};
 
 /// Everything a deterministic fault plan needs: a seed for the fault
 /// RNG streams plus per-category probabilities, rates, and magnitudes.
@@ -85,208 +87,28 @@ impl Default for FaultSpec {
     }
 }
 
-/// A human-readable spec parse/validation failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSpecError(pub String);
-
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
-
-pub(crate) fn parse_prob(key: &str, v: &str) -> Result<f64, FaultSpecError> {
-    let p: f64 =
-        v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (probability)")))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(FaultSpecError(format!("{key} must be a probability in [0, 1], got {v}")));
-    }
-    Ok(p)
-}
-
-/// Smallest non-zero fault event rate, per second: a rarer event fires
-/// less than once in eleven simulated days, and far below it the
-/// exponential gap between events overflows to an infinite event time.
-const MIN_RATE: f64 = 1e-6;
-
-/// Largest fault event rate, per second: one event per simulated
-/// nanosecond. Far above it the gaps fall below the resolution of the
-/// event clock, which then stops advancing, and the run never ends.
-const MAX_RATE: f64 = 1e9;
-
-/// Largest service-time stretch a fault may apply (`slow-factor`, and
-/// `1 / throttle-factor` for a fleet): a thousandfold stretch already
-/// stalls any modeled server, and far beyond it stretched service times
-/// overflow to infinity.
-pub(crate) const MAX_STRETCH: f64 = 1e3;
-
-fn parse_rate(key: &str, v: &str) -> Result<f64, FaultSpecError> {
-    let r: f64 = v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (rate)")))?;
-    if r != 0.0 && !(MIN_RATE..=MAX_RATE).contains(&r) {
-        return Err(FaultSpecError(format!(
-            "{key} must be 0 or a rate in [{MIN_RATE:e}, {MAX_RATE:e}] per second, got {v}"
-        )));
-    }
-    Ok(r)
-}
-
-fn parse_positive_ns(key: &str, v: &str) -> Result<Nanos, FaultSpecError> {
-    let ns: f64 = v.parse().map_err(|_| FaultSpecError(format!("bad {key} value '{v}' (ns)")))?;
-    if !ns.is_finite() || ns <= 0.0 {
-        return Err(FaultSpecError(format!("{key} must be positive nanoseconds, got {v}")));
-    }
-    Ok(Nanos::new(ns))
-}
+key_table!(FaultSpec, "fault" {
+    "seed" => seed: Seed,
+    "wake-fail" => wake_fail: Probability,
+    "wake-retries" => wake_retries: Count { max: Some(8) },
+    "relock" => relock: Probability,
+    "relock-ns" => relock_extra: PositiveNs,
+    "drowsy" => drowsy: Probability,
+    "lost-wake" => lost_wake: Probability,
+    "lost-ns" => lost_wake_delay: PositiveNs,
+    "spurious" => spurious_rate: Rate,
+    "storm" => storm_rate: Rate,
+    "storm-size" => storm_size: Count { max: None },
+    "slowdown" => slowdown_rate: Rate,
+    "slow-factor" => slowdown_factor: Factor { lo: 1.0, hi: MAX_STRETCH },
+    "slow-ms" => slowdown_duration: Millis,
+});
 
 impl FaultSpec {
     /// The empty plan: no faults are ever injected.
     #[must_use]
     pub fn none() -> Self {
         FaultSpec::default()
-    }
-
-    /// `true` if any fault category can fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.wake_fail > 0.0
-            || self.relock > 0.0
-            || self.drowsy > 0.0
-            || self.lost_wake > 0.0
-            || self.spurious_rate > 0.0
-            || self.storm_rate > 0.0
-            || self.slowdown_rate > 0.0
-    }
-
-    /// Parses a comma-separated `key=value` spec. The empty string and
-    /// `"none"` parse to [`FaultSpec::none`]. Keys: `seed`, `wake-fail`,
-    /// `wake-retries`, `relock`, `relock-ns`, `drowsy`, `lost-wake`,
-    /// `lost-ns`, `spurious`, `storm`, `storm-size`, `slowdown`,
-    /// `slow-factor`, `slow-ms`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FaultSpecError`] naming the first malformed or
-    /// out-of-range entry.
-    pub fn parse(s: &str) -> Result<Self, FaultSpecError> {
-        let mut spec = FaultSpec::default();
-        let trimmed = s.trim();
-        if trimmed.is_empty() || trimmed == "none" {
-            return Ok(spec);
-        }
-        for pair in trimmed.split(',') {
-            let pair = pair.trim();
-            let Some((key, v)) = pair.split_once('=') else {
-                return Err(FaultSpecError(format!("expected key=value, got '{pair}'")));
-            };
-            let (key, v) = (key.trim(), v.trim());
-            match key {
-                "seed" => {
-                    spec.seed = v.parse().map_err(|_| FaultSpecError(format!("bad seed '{v}'")))?;
-                }
-                "wake-fail" => spec.wake_fail = parse_prob(key, v)?,
-                "wake-retries" => {
-                    let n: u32 =
-                        v.parse().map_err(|_| FaultSpecError(format!("bad wake-retries '{v}'")))?;
-                    if !(1..=8).contains(&n) {
-                        return Err(FaultSpecError(format!(
-                            "wake-retries must be in 1..=8, got {v}"
-                        )));
-                    }
-                    spec.wake_retries = n;
-                }
-                "relock" => spec.relock = parse_prob(key, v)?,
-                "relock-ns" => spec.relock_extra = parse_positive_ns(key, v)?,
-                "drowsy" => spec.drowsy = parse_prob(key, v)?,
-                "lost-wake" => spec.lost_wake = parse_prob(key, v)?,
-                "lost-ns" => spec.lost_wake_delay = parse_positive_ns(key, v)?,
-                "spurious" => spec.spurious_rate = parse_rate(key, v)?,
-                "storm" => spec.storm_rate = parse_rate(key, v)?,
-                "storm-size" => {
-                    let n: u32 =
-                        v.parse().map_err(|_| FaultSpecError(format!("bad storm-size '{v}'")))?;
-                    if n == 0 {
-                        return Err(FaultSpecError("storm-size must be positive".into()));
-                    }
-                    spec.storm_size = n;
-                }
-                "slowdown" => spec.slowdown_rate = parse_rate(key, v)?,
-                "slow-factor" => {
-                    let f: f64 =
-                        v.parse().map_err(|_| FaultSpecError(format!("bad slow-factor '{v}'")))?;
-                    if !(1.0..=MAX_STRETCH).contains(&f) {
-                        return Err(FaultSpecError(format!(
-                            "slow-factor must be in [1, {MAX_STRETCH:e}], got {v}"
-                        )));
-                    }
-                    spec.slowdown_factor = f;
-                }
-                "slow-ms" => {
-                    let ms: f64 =
-                        v.parse().map_err(|_| FaultSpecError(format!("bad slow-ms '{v}'")))?;
-                    let duration = Nanos::from_millis(ms);
-                    if !duration.is_finite() || ms <= 0.0 {
-                        return Err(FaultSpecError(format!(
-                            "slow-ms must be positive milliseconds, finite in nanoseconds, got {v}"
-                        )));
-                    }
-                    spec.slowdown_duration = duration;
-                }
-                other => return Err(FaultSpecError(format!("unknown fault key '{other}'"))),
-            }
-        }
-        Ok(spec)
-    }
-}
-
-impl fmt::Display for FaultSpec {
-    /// The canonical `key=value` form: the seed first, then every field
-    /// that differs from the default, in parse order. Guaranteed to
-    /// re-parse to an equal spec.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let d = FaultSpec::default();
-        write!(f, "seed={}", self.seed)?;
-        if self.wake_fail != d.wake_fail {
-            write!(f, ",wake-fail={}", self.wake_fail)?;
-        }
-        if self.wake_retries != d.wake_retries {
-            write!(f, ",wake-retries={}", self.wake_retries)?;
-        }
-        if self.relock != d.relock {
-            write!(f, ",relock={}", self.relock)?;
-        }
-        if self.relock_extra != d.relock_extra {
-            write!(f, ",relock-ns={}", self.relock_extra.as_nanos())?;
-        }
-        if self.drowsy != d.drowsy {
-            write!(f, ",drowsy={}", self.drowsy)?;
-        }
-        if self.lost_wake != d.lost_wake {
-            write!(f, ",lost-wake={}", self.lost_wake)?;
-        }
-        if self.lost_wake_delay != d.lost_wake_delay {
-            write!(f, ",lost-ns={}", self.lost_wake_delay.as_nanos())?;
-        }
-        if self.spurious_rate != d.spurious_rate {
-            write!(f, ",spurious={}", self.spurious_rate)?;
-        }
-        if self.storm_rate != d.storm_rate {
-            write!(f, ",storm={}", self.storm_rate)?;
-        }
-        if self.storm_size != d.storm_size {
-            write!(f, ",storm-size={}", self.storm_size)?;
-        }
-        if self.slowdown_rate != d.slowdown_rate {
-            write!(f, ",slowdown={}", self.slowdown_rate)?;
-        }
-        if self.slowdown_factor != d.slowdown_factor {
-            write!(f, ",slow-factor={}", self.slowdown_factor)?;
-        }
-        if self.slowdown_duration != d.slowdown_duration {
-            write!(f, ",slow-ms={}", self.slowdown_duration.as_millis())?;
-        }
-        Ok(())
     }
 }
 

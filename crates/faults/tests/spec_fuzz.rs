@@ -46,6 +46,15 @@ const FLEET_KEYS: [&str; 13] = [
     "throttle-epochs",
 ];
 
+/// The key lists above are this fuzz's own oracle; they must be exactly
+/// the grammars' key tables, in table order, or the fuzz is not
+/// exercising every key.
+#[test]
+fn oracle_key_lists_match_the_key_tables() {
+    assert_eq!(SERVER_KEYS.as_slice(), FaultSpec::KEYS);
+    assert_eq!(FLEET_KEYS.as_slice(), FleetFaultSpec::KEYS);
+}
+
 /// Keys neither grammar knows, or knows only in another spelling.
 const UNKNOWN_KEYS: [&str; 5] = ["frobnicate", "", "SEED", "none", "storm size"];
 

@@ -10,13 +10,11 @@
 //! Illegal transitions (entry from a non-active core, exit or snoop from
 //! a non-idle core) return a typed [`FlowError`] instead of panicking, so
 //! callers driving the FSM from external event streams can recover.
-//! [`PmaFsm::run_exit_faulty`] additionally consults a
-//! [`FlowFaultHook`] to model stuck UFPG gates (bounded retry with
-//! exponential backoff, then fallback to the full C6 restore path), ADPLL
-//! relock overruns, and CCSM drowsy-wake failures.
+//! The FSM models the fault-free flow only; a disrupted agile wake
+//! (stuck gates, the C6 fallback, relock overruns, drowsy repeats) is
+//! modelled once, by the server engine's fault layer.
 
 use aw_cstates::{FreqLevel, PMA_CLOCK};
-use aw_faults::{FlowFaultHook, NoFaults};
 use aw_types::{Cycles, Nanos};
 
 use crate::cache::CacheSleepController;
@@ -149,22 +147,6 @@ impl FlowTrace {
     }
 }
 
-/// What happened during a fault-aware exit flow.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExitOutcome {
-    /// The traced steps, including retry and fallback time.
-    pub trace: FlowTrace,
-    /// Stuck-gate attempts retried before the wake went through.
-    pub retries: u32,
-    /// `true` if the retry budget ran out and the exit fell back to the
-    /// full C6 restore path.
-    pub fell_back: bool,
-    /// `true` if the ADPLL relock overran and added [`ADPLL_RELOCK_OVERRUN`].
-    pub relock_overrun: bool,
-    /// CCSM drowsy-wake repeats (0 or 1).
-    pub drowsy_retries: u32,
-}
-
 /// The core's power-management agent running the C6A/C6AE flow.
 ///
 /// Owns the three hardware subsystems the flow orchestrates: the UFPG
@@ -216,16 +198,6 @@ pub struct PmaFsm {
 /// The non-blocking DVFS ramp to Pn kicked off at C6AE entry step ①
 /// (Sec. 5.2.1: "can take few tens of microseconds").
 pub const PN_TRANSITION: Nanos = Nanos::new(30_000.0);
-
-/// Base backoff after a stuck UFPG ungate attempt; doubles per retry.
-pub const WAKE_RETRY_BACKOFF: Nanos = Nanos::new(100.0);
-
-/// Duration of the full legacy C6 restore path used when the C6A fast
-/// exit gives up (matches the catalog's C6 exit latency of 30 µs).
-pub const C6_FALLBACK_EXIT: Nanos = Nanos::new(30_000.0);
-
-/// Extra exit latency when the ADPLL overruns its relock budget.
-pub const ADPLL_RELOCK_OVERRUN: Nanos = Nanos::new(2_000.0);
 
 impl PmaFsm {
     /// A PMA configured for C6A at the paper's design point.
@@ -417,31 +389,6 @@ impl PmaFsm {
     /// [`FlowError::ExitFromNonIdle`] if the core is not idle; the FSM is
     /// left untouched.
     pub fn run_exit(&mut self) -> Result<FlowTrace, FlowError> {
-        self.run_exit_faulty(&mut NoFaults, 0).map(|outcome| outcome.trace)
-    }
-
-    /// Runs the exit flow, consulting `hook` for injected faults and
-    /// degrading gracefully when they strike:
-    ///
-    /// * a stuck UFPG gate is retried up to `max_retries` times with an
-    ///   exponentially doubling backoff ([`WAKE_RETRY_BACKOFF`] base);
-    ///   if every retry sticks, the exit abandons the fast path and
-    ///   falls back to the full legacy C6 restore ([`C6_FALLBACK_EXIT`]);
-    /// * an ADPLL relock overrun stretches step ⑥ by
-    ///   [`ADPLL_RELOCK_OVERRUN`];
-    /// * a CCSM drowsy-wake failure repeats step ④ once.
-    ///
-    /// With a [`NoFaults`] hook this is exactly [`PmaFsm::run_exit`].
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::ExitFromNonIdle`] if the core is not idle; the FSM is
-    /// left untouched and the hook is not consulted.
-    pub fn run_exit_faulty(
-        &mut self,
-        hook: &mut dyn FlowFaultHook,
-        max_retries: u32,
-    ) -> Result<ExitOutcome, FlowError> {
         if self.state != PmaState::Idle {
             return Err(FlowError::ExitFromNonIdle(self.state));
         }
@@ -453,48 +400,16 @@ impl PmaFsm {
         let d4 = self.ccsm.exit_sleep().at(PMA_CLOCK);
         trace.push(self.state, now, d4);
         now += d4;
-        let drowsy_retries = if hook.drowsy_wake_failure() {
-            // The drowsy arrays failed to come up; repeat the wake pulse.
-            trace.push(self.state, now, d4);
-            now += d4;
-            1
-        } else {
-            0
-        };
 
         // ⑤ power-ungate the UFPG zones (staggered), then deassert Ret.
         self.state = PmaState::ExitPowerUngate;
-        let wake = self.ufpg.wake(self.wake_policy);
-        let stuck = hook.stuck_gate_attempts(max_retries);
-        let mut fell_back = false;
-        for attempt in 0..stuck {
-            // A zone gate stuck: the attempted (wasted) wake plus the
-            // doubling backoff before the next try.
-            let backoff = WAKE_RETRY_BACKOFF * f64::from(1u32 << attempt.min(8));
-            trace.push(self.state, now, wake.latency + backoff);
-            now += wake.latency + backoff;
-        }
-        let restore = self.srpg.restore().at(PMA_CLOCK);
-        if stuck >= max_retries && stuck > 0 {
-            // Retry budget exhausted: give up on the fast path and take
-            // the full legacy C6 restore (context comes back with it).
-            fell_back = true;
-            trace.push(self.state, now, C6_FALLBACK_EXIT);
-            now += C6_FALLBACK_EXIT;
-        } else {
-            let d5 = wake.latency + restore;
-            trace.push(self.state, now, d5);
-            now += d5;
-        }
+        let d5 = self.ufpg.wake(self.wake_policy).latency + self.srpg.restore().at(PMA_CLOCK);
+        trace.push(self.state, now, d5);
+        now += d5;
 
         // ⑥ clock-ungate every domain; the core resumes in C0.
         self.state = PmaState::ExitClockUngate;
-        let relock_overrun = hook.relock_overrun();
-        let mut d6 = Cycles::new(2).at(PMA_CLOCK);
-        if relock_overrun {
-            d6 += ADPLL_RELOCK_OVERRUN;
-        }
-        trace.push(self.state, now, d6);
+        trace.push(self.state, now, Cycles::new(2).at(PMA_CLOCK));
 
         self.state = PmaState::Active;
         self.exits += 1;
@@ -502,7 +417,7 @@ impl PmaFsm {
         // Exit cancels any in-flight or completed Pn ramp: the core
         // returns to P1 for execution.
         self.pn_ready_at = None;
-        Ok(ExitOutcome { trace, retries: stuck, fell_back, relock_overrun, drowsy_retries })
+        Ok(trace)
     }
 }
 
@@ -662,127 +577,6 @@ mod tests {
             states,
             [PmaState::ExitCacheWake, PmaState::ExitPowerUngate, PmaState::ExitClockUngate]
         );
-    }
-}
-
-#[cfg(test)]
-mod faulty_exit_tests {
-    use super::*;
-
-    /// A scripted hook: pops pre-planned answers instead of drawing RNG.
-    struct Scripted {
-        stuck: u32,
-        relock: bool,
-        drowsy: bool,
-    }
-
-    impl FlowFaultHook for Scripted {
-        fn stuck_gate_attempts(&mut self, max_retries: u32) -> u32 {
-            self.stuck.min(max_retries)
-        }
-
-        fn relock_overrun(&mut self) -> bool {
-            self.relock
-        }
-
-        fn drowsy_wake_failure(&mut self) -> bool {
-            self.drowsy
-        }
-    }
-
-    #[test]
-    fn no_faults_hook_matches_plain_exit() {
-        let mut plain = PmaFsm::new_c6a();
-        plain.run_entry().unwrap();
-        let baseline = plain.run_exit().unwrap();
-
-        let mut faulty = PmaFsm::new_c6a();
-        faulty.run_entry().unwrap();
-        let outcome = faulty.run_exit_faulty(&mut NoFaults, 3).unwrap();
-        assert_eq!(outcome.trace, baseline);
-        assert_eq!(outcome.retries, 0);
-        assert!(!outcome.fell_back && !outcome.relock_overrun);
-        assert_eq!(outcome.drowsy_retries, 0);
-    }
-
-    #[test]
-    fn stuck_gate_retries_add_backoff_then_succeed() {
-        let mut fsm = PmaFsm::new_c6a();
-        fsm.run_entry().unwrap();
-        let mut hook = Scripted { stuck: 2, relock: false, drowsy: false };
-        let outcome = fsm.run_exit_faulty(&mut hook, 4).unwrap();
-        assert_eq!(outcome.retries, 2);
-        assert!(!outcome.fell_back);
-        assert_eq!(fsm.state(), PmaState::Active);
-        // 2 wasted wakes + 100 ns + 200 ns of backoff on top of the
-        // clean ~71.5 ns exit.
-        let clean = {
-            let mut f = PmaFsm::new_c6a();
-            f.run_entry().unwrap();
-            f.run_exit().unwrap().total()
-        };
-        let extra = outcome.trace.total() - clean;
-        assert!(extra > Nanos::new(300.0), "extra {extra}");
-        assert!(outcome.trace.is_contiguous());
-    }
-
-    #[test]
-    fn exhausted_retries_fall_back_to_full_c6_exit() {
-        let mut fsm = PmaFsm::new_c6a();
-        fsm.write_context(99);
-        fsm.run_entry().unwrap();
-        let mut hook = Scripted { stuck: 10, relock: false, drowsy: false };
-        let outcome = fsm.run_exit_faulty(&mut hook, 3).unwrap();
-        assert_eq!(outcome.retries, 3);
-        assert!(outcome.fell_back);
-        // The fallback is the slow legacy restore...
-        assert!(outcome.trace.total() > C6_FALLBACK_EXIT);
-        // ...but the core still comes back up with its context intact.
-        assert_eq!(fsm.state(), PmaState::Active);
-        assert_eq!(fsm.read_context(), Some(99));
-    }
-
-    #[test]
-    fn relock_overrun_stretches_the_clock_ungate() {
-        let mut fsm = PmaFsm::new_c6a();
-        fsm.run_entry().unwrap();
-        let mut hook = Scripted { stuck: 0, relock: true, drowsy: false };
-        let outcome = fsm.run_exit_faulty(&mut hook, 3).unwrap();
-        assert!(outcome.relock_overrun);
-        let d6 = outcome.trace.duration_of(PmaState::ExitClockUngate);
-        assert!(d6 > ADPLL_RELOCK_OVERRUN);
-    }
-
-    #[test]
-    fn drowsy_failure_repeats_the_cache_wake() {
-        let mut fsm = PmaFsm::new_c6a();
-        fsm.run_entry().unwrap();
-        let mut hook = Scripted { stuck: 0, relock: false, drowsy: true };
-        let outcome = fsm.run_exit_faulty(&mut hook, 3).unwrap();
-        assert_eq!(outcome.drowsy_retries, 1);
-        let cache_wake_steps =
-            outcome.trace.steps().iter().filter(|s| s.state == PmaState::ExitCacheWake).count();
-        assert_eq!(cache_wake_steps, 2);
-        assert!(outcome.trace.is_contiguous());
-    }
-
-    #[test]
-    fn faulty_exit_from_active_is_rejected_without_consulting_the_hook() {
-        struct Exploding;
-        impl FlowFaultHook for Exploding {
-            fn stuck_gate_attempts(&mut self, _max: u32) -> u32 {
-                panic!("hook must not be consulted on an illegal flow")
-            }
-            fn relock_overrun(&mut self) -> bool {
-                panic!("hook must not be consulted on an illegal flow")
-            }
-            fn drowsy_wake_failure(&mut self) -> bool {
-                panic!("hook must not be consulted on an illegal flow")
-            }
-        }
-        let mut fsm = PmaFsm::new_c6a();
-        let err = fsm.run_exit_faulty(&mut Exploding, 3).unwrap_err();
-        assert_eq!(err, FlowError::ExitFromNonIdle(PmaState::Active));
     }
 }
 

@@ -20,6 +20,12 @@
 //! and a staggered in-rush peak no higher than the AVX-unit wake that
 //! shipping silicon already tolerates.
 //!
+//! The FSM steps the fault-free flow only. A disrupted agile wake (stuck
+//! UFPG gates, the fallback to the full C6 exit, ADPLL relock overruns,
+//! repeated drowsy wakes) has one model, in `aw-server`'s engine, which
+//! draws it from the run's fault plan; this crate has no dependency on
+//! the fault layer.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,10 +48,7 @@ mod switch;
 mod ufpg;
 
 pub use cache::{CacheSleepController, CacheSleepState, SleepSetting};
-pub use flow::{
-    ExitOutcome, FlowError, FlowTrace, PmaFsm, PmaState, TraceStep, ADPLL_RELOCK_OVERRUN,
-    C6_FALLBACK_EXIT, PN_TRANSITION, WAKE_RETRY_BACKOFF,
-};
+pub use flow::{FlowError, FlowTrace, PmaFsm, PmaState, TraceStep, PN_TRANSITION};
 pub use srpg::{RetentionSignal, SrpgBank};
 pub use switch::{CurrentProfile, DaisyChain, AVX_REFERENCE_WAKE};
 pub use ufpg::{Ufpg, UfpgZone, WakePolicy, WakeReport};

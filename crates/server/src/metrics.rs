@@ -196,12 +196,13 @@ impl DegradationStats {
         *self == DegradationStats::default()
     }
 
-    /// Every counter as `(key, label, count)`, in display order: `key`
-    /// is its short name in the `Display` line, `label` its name in
-    /// prose. The pattern names every field, so a counter added to the
-    /// struct fails to compile until it is listed here too.
+    /// Every counter as `(key, label, description, count)`, in display
+    /// order: `key` is its short name in the `Display` line, `label` its
+    /// name in the `watch` feed, `description` its row in the
+    /// degradation table. The pattern names every field, so a counter
+    /// added to the struct fails to compile until it is listed here too.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 9] {
+    pub fn counters(&self) -> [(&'static str, &'static str, &'static str, u64); 9] {
         let DegradationStats {
             faults_injected,
             shed,
@@ -214,16 +215,43 @@ impl DegradationStats {
             demoted_selections,
         } = *self;
         [
-            ("faults", "faults", faults_injected),
-            ("shed", "shed", shed),
-            ("timeouts", "timeouts", timeouts),
-            ("retries", "retries", retries),
-            ("dropped", "retries exhausted", retries_exhausted),
-            ("fallbacks", "fallback exits", fallback_exits),
-            ("trips", "breaker trips", breaker_trips),
-            ("restores", "breaker restores", breaker_restores),
-            ("demoted", "demoted selections", demoted_selections),
+            ("faults", "faults", "faults injected", faults_injected),
+            ("shed", "shed", "requests shed (queue full)", shed),
+            ("timeouts", "timeouts", "requests timed out", timeouts),
+            ("retries", "retries", "client retries", retries),
+            ("dropped", "retries exhausted", "retries exhausted (dropped)", retries_exhausted),
+            ("fallbacks", "fallback exits", "full-C6 fallback exits", fallback_exits),
+            ("trips", "breaker trips", "circuit-breaker trips", breaker_trips),
+            ("restores", "breaker restores", "circuit-breaker restores", breaker_restores),
+            ("demoted", "demoted selections", "demoted governor selections", demoted_selections),
         ]
+    }
+}
+
+impl std::ops::AddAssign for DegradationStats {
+    /// Field-wise sum. The pattern names every field, so a counter added
+    /// to the struct fails to compile until it is summed here too.
+    fn add_assign(&mut self, other: DegradationStats) {
+        let DegradationStats {
+            faults_injected,
+            shed,
+            timeouts,
+            retries,
+            retries_exhausted,
+            fallback_exits,
+            breaker_trips,
+            breaker_restores,
+            demoted_selections,
+        } = other;
+        self.faults_injected += faults_injected;
+        self.shed += shed;
+        self.timeouts += timeouts;
+        self.retries += retries;
+        self.retries_exhausted += retries_exhausted;
+        self.fallback_exits += fallback_exits;
+        self.breaker_trips += breaker_trips;
+        self.breaker_restores += breaker_restores;
+        self.demoted_selections += demoted_selections;
     }
 }
 
@@ -232,7 +260,7 @@ impl fmt::Display for DegradationStats {
         if self.is_clean() {
             return write!(f, "clean run (no faults, no shedding)");
         }
-        for (i, (key, _, count)) in self.counters().into_iter().enumerate() {
+        for (i, (key, _, _, count)) in self.counters().into_iter().enumerate() {
             let sep = if i == 0 { "" } else { " " };
             write!(f, "{sep}{key}={count}")?;
         }

@@ -18,8 +18,9 @@ use crate::trace;
 use crate::uncore::{PackageCState, UncoreModel};
 use crate::workload::WorkloadSpec;
 
-/// Backoff between retries of a stuck UFPG un-gate attempt (mirrors
-/// `aw_pma::WAKE_RETRY_BACKOFF`; aw-server does not depend on aw-pma).
+/// Base backoff between retries of a stuck UFPG un-gate attempt; it
+/// doubles per retry. The engine is the one model of a disrupted agile
+/// wake: `aw-pma`'s flow FSM steps the fault-free exit only.
 const WAKE_RETRY_BACKOFF: Nanos = Nanos::new(100.0);
 
 /// Extra cache-wake time when the CCSM drowsy exit must repeat (two PMA

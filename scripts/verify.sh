@@ -9,6 +9,21 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> dead workspace dependencies"
+# A crate may list a workspace crate under [dependencies] only if its
+# src/ mentions that crate's identifier (aw-faults -> aw_faults).
+dead=0
+for manifest in crates/*/Cargo.toml; do
+    dir=${manifest%/Cargo.toml}
+    for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\(aw-[a-z]*\|agilewatts\)\..*/\1/p' "$manifest"); do
+        if ! grep -rqw "${dep//-/_}" "$dir/src"; then
+            echo "verify: $manifest lists $dep, but $dir/src never mentions ${dep//-/_}" >&2
+            dead=1
+        fi
+    done
+done
+[ "$dead" -eq 0 ] || exit 1
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 
