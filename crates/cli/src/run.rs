@@ -500,6 +500,9 @@ fn report_observations(
     }
     if let Some(report) = &output.telemetry {
         println!("{}", telemetry_table(&report.summary));
+        // Wall-clock, so it stays off stdout: the report text depends on
+        // the command alone.
+        eprintln!("telemetry: {:.0} DES events/s (wall clock)", report.summary.events_per_sec);
         write_telemetry(report, telemetry)?;
     }
     if let Some(report) = &output.attribution {

@@ -327,6 +327,32 @@ fn sweep_traced_exports_match_golden() {
     }
 }
 
+/// A traced run's stdout holds no wall-clock number: two identical runs,
+/// and `--jobs 1` against `--jobs 8`, print the same bytes. The
+/// wall-clock event rate goes to stderr.
+#[test]
+fn traced_sweep_stdout_is_byte_identical_across_runs_and_jobs() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join(format!("aw_stdout_traced_{}.json", std::process::id()));
+    let metrics = dir.join(format!("aw_stdout_metrics_{}.json", std::process::id()));
+    let (t, m) = (trace.to_str().expect("utf-8 path"), metrics.to_str().expect("utf-8 path"));
+    let traced = |jobs: &str| {
+        let mut args = SWEEP_TRACED.to_vec();
+        args.extend(["--trace-out", t, "--metrics-out", m, "--jobs", jobs]);
+        let out = run(&args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains("DES events/s (wall clock)"), "no rate on stderr: {stderr}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let first = traced("1");
+    assert!(first.contains("Telemetry"), "no telemetry table:\n{first}");
+    let (again, parallel) = (traced("1"), traced("8"));
+    let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
+    assert!(first == again, "two identical traced sweeps printed different stdout");
+    assert!(first == parallel, "traced sweep stdout differs between --jobs 1 and --jobs 8");
+}
+
 /// A server-epoch that drops requests for good shows the count in the
 /// cockpit's event feed.
 #[test]

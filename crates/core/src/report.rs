@@ -134,10 +134,6 @@ pub fn telemetry_table(summary: &TelemetrySummary) -> TextTable {
     t.push_row(vec!["trace events dropped".into(), summary.events_dropped.to_string()]);
     t.push_row(vec!["DES events dispatched".into(), summary.sim_events.to_string()]);
     t.push_row(vec![
-        "DES events/sec (wall clock)".into(),
-        format!("{:.0}", summary.events_per_sec),
-    ]);
-    t.push_row(vec![
         "event-queue depth HWM".into(),
         format!("{:.0}", summary.event_queue_depth_hwm),
     ]);

@@ -8,12 +8,10 @@
 //! point-in-time actions (wakes, snoops, governor decisions) as instant
 //! (`"i"`) events.
 
-use std::fmt::Write as _;
-
 use aw_types::Nanos;
 
 use crate::event::{EventKind, TraceEvent};
-use crate::json::{write_escaped, write_num, JsonValue};
+use crate::json::{write_escaped, write_num, write_uint, JsonValue};
 use crate::recorder::TelemetrySummary;
 use crate::registry::MetricsRegistry;
 
@@ -32,6 +30,14 @@ enum Arg<'a> {
     Bool(bool),
 }
 
+/// Writes the `pid` and `tid` fields every record carries.
+fn write_ids(out: &mut String, tid: u64) {
+    out.push_str(",\"pid\":");
+    write_uint(out, PID);
+    out.push_str(",\"tid\":");
+    write_uint(out, tid);
+}
+
 /// Writes the fields slices and instants share, from `head` (the phase
 /// fields up to `"name":`) through `"ts"`, leaving the object open.
 fn open_event(out: &mut String, head: &str, name: &str, cat: &str, core: u32, ts: Nanos) {
@@ -39,7 +45,8 @@ fn open_event(out: &mut String, head: &str, name: &str, cat: &str, core: u32, ts
     write_escaped(out, name);
     out.push_str(",\"cat\":");
     write_escaped(out, cat);
-    let _ = write!(out, ",\"pid\":{PID},\"tid\":{core},\"ts\":");
+    write_ids(out, u64::from(core));
+    out.push_str(",\"ts\":");
     write_num(out, ts.as_micros());
 }
 
@@ -64,9 +71,7 @@ fn instant(out: &mut String, e: &TraceEvent, cat: &str, args: &[(&str, Arg)]) {
         match *value {
             Arg::Str(s) => write_escaped(out, s),
             Arg::Us(t) => write_num(out, t.as_micros()),
-            Arg::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Arg::UInt(v) => write_uint(out, u64::from(v)),
             Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
         }
     }
@@ -76,7 +81,8 @@ fn instant(out: &mut String, e: &TraceEvent, cat: &str, args: &[(&str, Arg)]) {
 fn metadata(out: &mut String, name: &str, tid: usize, value: &str) {
     out.push_str("{\"ph\":\"M\",\"name\":");
     write_escaped(out, name);
-    let _ = write!(out, ",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"name\":");
+    write_ids(out, tid as u64);
+    out.push_str(",\"args\":{\"name\":");
     write_escaped(out, value);
     out.push_str("}},");
 }

@@ -3,11 +3,11 @@
 //! The workspace links no serializer crate, so the exporters build
 //! their documents from this tiny value enum and render them with a
 //! hand-rolled writer. Streaming writers that skip the tree (the Chrome
-//! trace exporter) call [`write_escaped`] and [`write_num`] directly, so
-//! every document shares one escaping and one number rule. Output is
-//! strict JSON: strings are escaped per RFC 8259, non-finite numbers
-//! render as `null`, and object keys keep insertion order so exports are
-//! byte-stable across runs.
+//! trace exporter) call [`write_escaped`], [`write_num`] and
+//! [`write_uint`] directly, so every document shares one escaping and
+//! one number rule. Output is strict JSON: strings are escaped per
+//! RFC 8259, non-finite numbers render as `null`, and object keys keep
+//! insertion order so exports are byte-stable across runs.
 
 use std::fmt::Write as _;
 
@@ -56,9 +56,7 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Num(v) => write_num(out, *v),
-            JsonValue::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            JsonValue::UInt(v) => write_uint(out, *v),
             JsonValue::Str(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 out.push('[');
@@ -95,6 +93,21 @@ pub fn write_num(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
+}
+
+/// Appends `v` in decimal, without going through `fmt`.
+pub fn write_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Appends `s` as a quoted JSON string, escaped per RFC 8259.
@@ -135,6 +148,15 @@ mod tests {
         assert_eq!(JsonValue::Num(1.5).render(), "1.5");
         assert_eq!(JsonValue::UInt(42).render(), "42");
         assert_eq!(JsonValue::str("hi").render(), "\"hi\"");
+    }
+
+    #[test]
+    fn uints_match_display() {
+        for v in [0, 1, 9, 10, 99, 100, 4_294_967_295, 10_000_000_000_000_000_000, u64::MAX] {
+            let mut out = String::from("x");
+            write_uint(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!    enqueue/dequeue, injected faults, overload sheds, timeouts and
 //!    retries, and circuit-breaker trips and restores. Events flow into
 //!    a [`RingBufferSink`], which keeps a bounded window and counts
-//!    drops.
+//!    drops: once full, each event evicts the oldest, so the window is
+//!    always the newest events, oldest first.
 //! 2. **Metrics** — [`MetricsRegistry`]: named counters, time-weighted
 //!    gauges ([`TimeWeightedGauge`]), and log₂-scaled histograms
 //!    ([`LogHistogram`], built on [`aw_sim::OnlineStats`]).
@@ -27,7 +28,11 @@
 //!    p99-tail buckets, flamegraph folded-stack export) and a
 //!    [`Timeline`] of fixed windows (throughput, per-phase means,
 //!    windowed p50/p99/p99.9, average power, residency shares, CSV/JSON
-//!    export). An [`SloMonitor`] evaluates a p99 target per window and
+//!    export). The timeline keeps a cursor on the last window it
+//!    touched: times in `[idx·w, safe)` are known to floor to `idx`
+//!    (rounded division is monotone, and `safe` is checked once per
+//!    cursor move), so the common same-window record skips the
+//!    division. An [`SloMonitor`] evaluates a p99 target per window and
 //!    reports the burn rate.
 //!
 //! The [`TelemetryRecorder`] ties the layers together for a simulator:

@@ -332,6 +332,8 @@ pub struct TelemetrySummary {
     /// DES events dispatched by the simulator loop.
     pub sim_events: u64,
     /// DES events dispatched per wall-clock second (engine throughput).
+    /// The one wall-clock field: it goes to the metrics JSON, never into
+    /// `Display`, so a report's text depends on its inputs alone.
     pub events_per_sec: f64,
     /// High-water mark of the DES event-queue depth.
     pub event_queue_depth_hwm: f64,
@@ -354,11 +356,10 @@ impl fmt::Display for TelemetrySummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} events ({} dropped), {:.0} sim-events/s, queue HWM {:.0}, \
+            "{} events ({} dropped), queue HWM {:.0}, \
              mispredict {:.1}% over {} decisions, residency err {}",
             self.events_recorded,
             self.events_dropped,
-            self.events_per_sec,
             self.event_queue_depth_hwm,
             self.mispredict_rate * 100.0,
             self.governor_decisions,

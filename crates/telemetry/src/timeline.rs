@@ -148,6 +148,65 @@ impl TimelineWindow {
 pub struct Timeline {
     window: Nanos,
     windows: Vec<TimelineWindow>,
+    /// The window the last lookup landed in.
+    cursor: Cursor,
+}
+
+/// Window `idx` of a [`Timeline`], with the span of times known to fall
+/// in it without dividing.
+///
+/// A time `t` belongs to window `floor(t / w)`. Rounded division is
+/// monotone in `t`, so if `lo = idx·w` divides back to `idx` and the
+/// float just below `safe` does too, every `t` in `[lo, safe)` lies in
+/// window `idx`. `safe` starts at `hi = (idx+1)·w` and steps down one
+/// float at a time until that holds (rarely more than one step). When
+/// `idx·w / w` floors below `idx`, the range is left empty and every
+/// lookup divides.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    idx: usize,
+    /// `idx·w`, the window's start.
+    lo: f64,
+    /// `(idx+1)·w`, the next window's start.
+    hi: f64,
+    /// Every `t` in `[lo, safe)` lies in window `idx`; `safe ≤ hi`.
+    safe: f64,
+}
+
+impl Cursor {
+    /// Points at no window.
+    const NONE: Cursor = Cursor { idx: usize::MAX, lo: 0.0, hi: 0.0, safe: 0.0 };
+
+    /// Steps below `hi` at most this many floats before giving up.
+    const MAX_STEPS: usize = 8;
+
+    fn new(idx: usize, w: f64) -> Cursor {
+        let lo = idx as f64 * w;
+        let hi = (idx + 1) as f64 * w;
+        let mut safe = if window_index(lo, w) == idx { hi } else { lo };
+        for _ in 0..Self::MAX_STEPS {
+            if safe <= lo {
+                break;
+            }
+            // `safe > lo ≥ 0`, so the float below it is one bit pattern down.
+            let below = f64::from_bits(safe.to_bits() - 1);
+            if window_index(below, w) == idx {
+                return Cursor { idx, lo, hi, safe };
+            }
+            safe = below;
+        }
+        Cursor { idx, lo, hi, safe: lo }
+    }
+
+    fn holds(&self, t: f64) -> bool {
+        self.lo <= t && t < self.safe
+    }
+}
+
+/// The window a time falls in: `floor(t / w)`, with negative times in
+/// window 0.
+fn window_index(t: f64, w: f64) -> usize {
+    (t / w).max(0.0) as usize
 }
 
 impl Timeline {
@@ -159,7 +218,7 @@ impl Timeline {
     #[must_use]
     pub fn new(window: Nanos) -> Self {
         assert!(window.as_nanos() > 0.0, "timeline window must be positive");
-        Timeline { window, windows: Vec::new() }
+        Timeline { window, windows: Vec::new(), cursor: Cursor::NONE }
     }
 
     /// The fixed window duration.
@@ -176,10 +235,23 @@ impl Timeline {
     }
 
     fn window_mut(&mut self, t: Nanos) -> &mut TimelineWindow {
-        let idx = (t.as_nanos() / self.window.as_nanos()).max(0.0) as usize;
+        let t = t.as_nanos();
+        if self.cursor.holds(t) {
+            return &mut self.windows[self.cursor.idx];
+        }
+        self.window_at(window_index(t, self.window.as_nanos()))
+    }
+
+    /// Window `idx`, materialising any gap windows before it, with the
+    /// cursor moved onto it.
+    fn window_at(&mut self, idx: usize) -> &mut TimelineWindow {
+        let wn = self.window.as_nanos();
         while self.windows.len() <= idx {
-            let start = Nanos::new(self.windows.len() as f64 * self.window.as_nanos());
+            let start = Nanos::new(self.windows.len() as f64 * wn);
             self.windows.push(TimelineWindow::new(start));
+        }
+        if self.cursor.idx != idx {
+            self.cursor = Cursor::new(idx, wn);
         }
         &mut self.windows[idx]
     }
@@ -209,9 +281,16 @@ impl Timeline {
     /// `[start, end)`, pro-rated across the overlapping windows.
     pub fn record_residency(&mut self, state: &'static str, start: Nanos, end: Nanos) {
         self.for_each_overlap(start, end, |w, overlap| {
-            match w.residency_ns.iter_mut().find(|(s, _)| *s == state) {
-                Some((_, ns)) => *ns += overlap.as_nanos(),
-                None => w.residency_ns.push((state, overlap.as_nanos())),
+            // Labels are interned statics, so the pointer nearly always
+            // matches; the byte compare catches equal labels elsewhere.
+            let slots = &mut w.residency_ns;
+            let slot = slots
+                .iter()
+                .position(|(s, _)| std::ptr::eq(*s, state))
+                .or_else(|| slots.iter().position(|(s, _)| *s == state));
+            match slot {
+                Some(i) => slots[i].1 += overlap.as_nanos(),
+                None => slots.push((state, overlap.as_nanos())),
             }
         });
     }
@@ -222,21 +301,26 @@ impl Timeline {
         end: Nanos,
         mut f: impl FnMut(&mut TimelineWindow, Nanos),
     ) {
-        if end.as_nanos() <= start.as_nanos() {
+        let (start, end) = (start.as_nanos(), end.as_nanos());
+        if end <= start {
+            return;
+        }
+        // `end` is exclusive, so a boundary-aligned end stays in the
+        // previous window.
+        let last_t = (end - f64::EPSILON * end).max(0.0);
+        let c = self.cursor;
+        if c.holds(start) && c.holds(last_t) && end <= c.hi {
+            // Both ends lie in the cursor's window: the loop below would
+            // charge it `end − start` and touch nothing else.
+            f(&mut self.windows[c.idx], Nanos::new(end - start));
             return;
         }
         let wn = self.window.as_nanos();
-        let first = (start.as_nanos() / wn).max(0.0) as usize;
-        // `end` is exclusive, so a boundary-aligned end stays in the
-        // previous window.
-        let last = ((end.as_nanos() - f64::EPSILON * end.as_nanos()).max(0.0) / wn) as usize;
-        for idx in first..=last {
-            let lo = start.as_nanos().max(idx as f64 * wn);
-            let hi = end.as_nanos().min((idx + 1) as f64 * wn);
+        for idx in window_index(start, wn)..=window_index(last_t, wn) {
+            let lo = start.max(idx as f64 * wn);
+            let hi = end.min((idx + 1) as f64 * wn);
             if hi > lo {
-                // Touch via window_mut so gap windows are materialised.
-                let w = self.window_mut(Nanos::new(lo));
-                f(w, Nanos::new(hi - lo));
+                f(self.window_at(idx), Nanos::new(hi - lo));
             }
         }
     }
@@ -454,6 +538,47 @@ mod tests {
     }
 
     #[test]
+    fn windows_that_are_not_whole_nanoseconds_charge_their_own_share() {
+        // 3 × 0.7 / 0.7 floors to 2: looking a share up by its start
+        // time put window 3's share into window 2.
+        let mut tl = Timeline::new(Nanos::new(0.7));
+        tl.record_power(Nanos::new(1.0), Nanos::new(2.5), MilliWatts::from_watts(1.0));
+        let e: Vec<f64> = tl.windows().iter().map(|w| w.energy().as_joules()).collect();
+        assert_eq!(e.len(), 4, "{e:?}");
+        assert!((e[1] - 0.4e-9).abs() < 1e-18, "{e:?}");
+        assert!((e[2] - 0.7e-9).abs() < 1e-18, "{e:?}");
+        assert!((e[3] - 0.4e-9).abs() < 1e-18, "{e:?}");
+
+        // 7 × (1e6 / 3) / (1e6 / 3) floors to 6.
+        let w = 1e6 / 3.0;
+        let mut tl = Timeline::new(Nanos::new(w));
+        tl.record_residency("C6", Nanos::new(2.0e6), Nanos::new(2.5e6));
+        assert_eq!(tl.windows().len(), 8);
+        assert_eq!(tl.windows()[6].residency_ns, [("C6", 7.0 * w - 2.0e6)]);
+        assert_eq!(tl.windows()[7].residency_ns, [("C6", 2.5e6 - 7.0 * w)]);
+    }
+
+    #[test]
+    fn cursor_covers_exactly_the_times_that_divide_to_its_window() {
+        for w in [1_000.0, 0.7, 1e6 / 3.0, 1e-3, 0.25, 20e6] {
+            for idx in 0..50 {
+                let c = Cursor::new(idx, w);
+                assert!(c.safe <= c.hi && c.lo <= c.safe, "w={w} idx={idx}: {c:?}");
+                if c.safe > c.lo {
+                    assert_eq!(window_index(c.lo, w), idx, "w={w} idx={idx}");
+                    let below = f64::from_bits(c.safe.to_bits() - 1);
+                    assert_eq!(window_index(below, w), idx, "w={w} idx={idx}");
+                    // `safe` is as high as it can go: it is `hi`, or it
+                    // divides past the window.
+                    assert!(c.safe == c.hi || window_index(c.safe, w) > idx, "w={w} idx={idx}");
+                } else {
+                    assert_ne!(window_index(c.lo, w), idx, "w={w} idx={idx}: dropped needlessly");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_window() {
         let _ = Timeline::new(Nanos::ZERO);
@@ -504,11 +629,10 @@ mod tests {
                 let lo = start.max(idx as f64 * window);
                 let hi = end.min((idx + 1) as f64 * window);
                 if hi > lo {
-                    let at = (lo / window).max(0.0) as usize;
-                    if windows.len() <= at {
-                        windows.resize_with(at + 1, BTreeMap::new);
+                    if windows.len() <= idx {
+                        windows.resize_with(idx + 1, BTreeMap::new);
                     }
-                    *windows[at].entry(state).or_insert(0.0) += hi - lo;
+                    *windows[idx].entry(state).or_insert(0.0) += hi - lo;
                 }
             }
         }
@@ -525,6 +649,158 @@ mod tests {
 
     fn bits(share: &BTreeMap<&'static str, f64>) -> Vec<(&'static str, u64)> {
         share.iter().map(|(s, v)| (*s, v.to_bits())).collect()
+    }
+
+    /// The division-based lookup the cursor replaced: every time is
+    /// divided by the window width, and each overlap is charged to the
+    /// window its loop is on.
+    struct DividingTimeline {
+        window: f64,
+        windows: Vec<TimelineWindow>,
+    }
+
+    impl DividingTimeline {
+        fn window_at(&mut self, idx: usize) -> &mut TimelineWindow {
+            while self.windows.len() <= idx {
+                let start = Nanos::new(self.windows.len() as f64 * self.window);
+                self.windows.push(TimelineWindow::new(start));
+            }
+            &mut self.windows[idx]
+        }
+
+        fn window_mut(&mut self, t: f64) -> &mut TimelineWindow {
+            self.window_at((t / self.window).max(0.0) as usize)
+        }
+
+        fn for_each_overlap(
+            &mut self,
+            start: f64,
+            end: f64,
+            mut f: impl FnMut(&mut TimelineWindow, f64),
+        ) {
+            if end <= start {
+                return;
+            }
+            let wn = self.window;
+            let first = (start / wn).max(0.0) as usize;
+            let last = ((end - f64::EPSILON * end).max(0.0) / wn) as usize;
+            for idx in first..=last {
+                let lo = start.max(idx as f64 * wn);
+                let hi = end.min((idx + 1) as f64 * wn);
+                if hi > lo {
+                    f(self.window_at(idx), hi - lo);
+                }
+            }
+        }
+    }
+
+    /// One timeline input.
+    #[derive(Debug, Clone, Copy)]
+    enum Record {
+        Span(f64),
+        Power(f64, f64, f64),
+        Residency(&'static str, f64, f64),
+    }
+
+    /// A window width: whole nanoseconds, widths that are not (0.7,
+    /// 1e6/3, 1e-3), or a power of two.
+    fn random_window(rng: &mut TestRng) -> f64 {
+        match rng.below(6) {
+            0 => (1 + rng.below(20_000_000)) as f64,
+            1 => 0.7,
+            2 => 1e6 / 3.0,
+            3 => 1e-3,
+            _ => 2f64.powi(rng.below(60) as i32 - 30),
+        }
+    }
+
+    /// Records whose times walk slowly through the windows (so runs of
+    /// them share one), landing on `k·w`, the floats around it, or
+    /// inside a window; intervals span zero, one or several windows,
+    /// and some are reversed or start before zero.
+    fn random_records(rng: &mut TestRng, w: f64) -> Vec<Record> {
+        const STATES: [&str; 3] = ["C0", "C1", "C6"];
+        let mut k: u64 = rng.below(5);
+        let at = |rng: &mut TestRng, k: u64| {
+            let edge = k as f64 * w;
+            match rng.below(6) {
+                0 => edge,
+                1 if edge > 0.0 => f64::from_bits(edge.to_bits() - 1 - rng.below(2)),
+                2 => f64::from_bits(edge.to_bits() + 1 + rng.below(2)),
+                3 => -w * rng.uniform(),
+                _ => edge + w * rng.uniform(),
+            }
+        };
+        let n = rng.below(60) as usize;
+        (0..n)
+            .map(|_| {
+                if rng.below(4) == 0 {
+                    k = (k + rng.below(3)).saturating_sub(1);
+                }
+                let start = at(rng, k);
+                let end = match rng.below(6) {
+                    0 => start,
+                    1 => start - w * rng.uniform(),
+                    2 => start + 4.0 * w * rng.uniform(),
+                    _ => {
+                        let next = k + rng.below(2);
+                        at(rng, next)
+                    }
+                };
+                match rng.below(3) {
+                    0 => Record::Span(start),
+                    1 => Record::Power(start, end, 1_000.0 * rng.uniform()),
+                    _ => Record::Residency(STATES[rng.below(3) as usize], start, end),
+                }
+            })
+            .collect()
+    }
+
+    /// Bits of everything a window holds that the lookup decides.
+    fn window_bits(w: &TimelineWindow) -> (u64, u64, u64, Vec<(&'static str, u64)>) {
+        let residency = w.residency_ns.iter().map(|(s, ns)| (*s, ns.to_bits())).collect();
+        (w.start.as_nanos().to_bits(), w.completed, w.energy.as_joules().to_bits(), residency)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn cursor_lookups_match_the_dividing_timeline(
+            (window, records) in Just(()).prop_perturb(|(), mut rng| {
+                let w = random_window(&mut rng);
+                (w, random_records(&mut rng, w))
+            })
+        ) {
+            let mut tl = Timeline::new(Nanos::new(window));
+            let mut reference = DividingTimeline { window, windows: Vec::new() };
+            for record in &records {
+                match *record {
+                    Record::Span(t) => {
+                        tl.record_span(&span_at(t, 0.0, 0.0, 0.0));
+                        reference.window_mut(t).completed += 1;
+                    }
+                    Record::Power(start, end, mw) => {
+                        let power = MilliWatts::new(mw);
+                        tl.record_power(Nanos::new(start), Nanos::new(end), power);
+                        reference.for_each_overlap(start, end, |w, ns| w.energy += power * Nanos::new(ns));
+                    }
+                    Record::Residency(state, start, end) => {
+                        tl.record_residency(state, Nanos::new(start), Nanos::new(end));
+                        reference.for_each_overlap(start, end, |w, ns| {
+                            match w.residency_ns.iter_mut().find(|(s, _)| *s == state) {
+                                Some((_, slot)) => *slot += ns,
+                                None => w.residency_ns.push((state, ns)),
+                            }
+                        });
+                    }
+                }
+            }
+            prop_assert_eq!(tl.windows().len(), reference.windows.len());
+            for (got, want) in tl.windows().iter().zip(&reference.windows) {
+                prop_assert_eq!(window_bits(got), window_bits(want));
+            }
+        }
     }
 
     proptest! {

@@ -223,7 +223,7 @@ for jobs in 1 8; do
     fi
 done
 
-echo "==> traced-export goldens (--trace-out/--metrics-out, --jobs 1 vs --jobs 8)"
+echo "==> traced-export goldens and stdout (--trace-out/--metrics-out, --jobs 1 vs --jobs 8)"
 # Every counter the recorder bumps for an engine-built event is nonzero
 # in the pinned metrics, so the pin covers each event kind's counter.
 for counter in wakes snoops.serviced turbo.engagements runqueue.enqueues runqueue.dequeues \
@@ -233,22 +233,28 @@ for counter in wakes snoops.serviced turbo.engagements runqueue.enqueues runqueu
         exit 1
     }
 done
+# Both runs write the same paths, which the report names, so their
+# stdout can be compared byte for byte: it holds no wall-clock number.
 for jobs in 1 8; do
     cargo run -q --release -p aw-cli -- sweep --config T_C6A,No_C6,No_C1E --qps 100000 \
         --duration-ms 50 --cores 4 --seed 7 --faults \
         "seed=7,wake-fail=0.9,wake-retries=1,relock=0.05,drowsy=0.05,lost-wake=0.02,spurious=2000,storm=200,slowdown=50" \
         --queue-cap 1 --request-timeout 20 --trace-limit 200 --jobs "$jobs" \
-        --trace-out target/verify_traced_trace_j"$jobs".json \
-        --metrics-out target/verify_traced_metrics_j"$jobs".json >/dev/null
-    if ! cmp -s target/verify_traced_trace_j"$jobs".json tests/golden/sweep_traced_trace.json; then
+        --trace-out target/verify_traced_trace.json \
+        --metrics-out target/verify_traced_metrics.json >target/verify_traced_stdout_j"$jobs".txt
+    if ! cmp -s target/verify_traced_trace.json tests/golden/sweep_traced_trace.json; then
         echo "verify: traced sweep at --jobs $jobs drifted from tests/golden/sweep_traced_trace.json" >&2
         exit 1
     fi
-    if ! diff <(strip_rate target/verify_traced_metrics_j"$jobs".json) tests/golden/sweep_traced_metrics.json >&2; then
+    if ! diff <(strip_rate target/verify_traced_metrics.json) tests/golden/sweep_traced_metrics.json >&2; then
         echo "verify: traced sweep at --jobs $jobs drifted from tests/golden/sweep_traced_metrics.json" >&2
         exit 1
     fi
 done
+if ! diff target/verify_traced_stdout_j1.txt target/verify_traced_stdout_j8.txt >&2; then
+    echo "verify: traced sweep stdout differs between --jobs 1 and --jobs 8" >&2
+    exit 1
+fi
 
 echo "==> hardware-model gates (--hw)"
 # The explicit default spelling must stay byte-identical to the seed
