@@ -397,3 +397,53 @@ fn fleet_report_shows_the_server_ledger() {
     assert!(ledger.contains("faults=") && !ledger.contains("faults=0 "), "{ledger}");
     assert!(!out.contains("chaos:"), "{out}");
 }
+
+/// The idle-opportunity run whose reports and `--idle-out` files are
+/// pinned: 30k QPS leaves most cores parked, so every interval is
+/// scored and both too-shallow (Baseline) and too-deep (AW) decisions
+/// occur.
+const ANALYZE: &[&str] = &["analyze", "--qps", "30000", "--duration-ms", "200"];
+
+/// `analyze`'s stdout is pinned byte for byte on both hardware models,
+/// at the default and at one worker, and the pin is not vacuous: the
+/// Skylake-SP audit holds both kinds of wrong decision.
+#[test]
+fn analyze_matches_golden_on_both_hw() {
+    let skylake = golden("analyze_skylake.txt");
+    for needle in ["3222 too-shallow", "816 too-deep"] {
+        assert!(skylake.contains(needle), "no `{needle}` in the golden");
+    }
+    for (hw, expected) in [("skylake-sp", skylake), ("zen2", golden("analyze_zen2.txt"))] {
+        let mut args = ANALYZE.to_vec();
+        args.extend(["--hw", hw]);
+        assert!(stdout_of(&args) == expected, "analyze --hw {hw} drifted");
+        args.extend(["--jobs", "1"]);
+        assert!(stdout_of(&args) == expected, "analyze --hw {hw} --jobs 1 drifted");
+    }
+}
+
+/// Each `--idle-out` format writes the pinned bytes, and stdout is the
+/// pinned report plus one `idle report: … -> <path>` line.
+#[test]
+fn analyze_idle_out_matches_golden_in_every_format() {
+    let report = golden("analyze_skylake.txt");
+    for suffix in ["json", "csv", "folded"] {
+        let path =
+            std::env::temp_dir().join(format!("aw_golden_idle_{}.{suffix}", std::process::id()));
+        let p = path.to_str().expect("utf-8 path");
+        let mut args = ANALYZE.to_vec();
+        args.extend(["--idle-out", p]);
+        let stdout = stdout_of(&args);
+        let written = std::fs::read_to_string(&path).expect("idle report written");
+        let _ = std::fs::remove_file(&path);
+        let (head, last) = stdout.trim_end().rsplit_once('\n').expect("a trailing line");
+        assert_eq!(format!("{head}\n"), report, "--idle-out .{suffix} changed the report");
+        assert_eq!(
+            last.replace(p, "<path>"),
+            "idle report: 5844 intervals, 50 windows -> <path>",
+            "--idle-out .{suffix}"
+        );
+        let expected = golden(&format!("analyze_idle_skylake.{suffix}"));
+        assert!(written == expected, "--idle-out .{suffix} drifted");
+    }
+}
