@@ -12,18 +12,29 @@ use aw_cstates::{CState, CStateCatalog, FreqLevel};
 use aw_server::ServerConfig;
 use aw_types::{Joules, MilliWatts, Nanos};
 
-/// Per-state cost coefficients derived from the catalog.
+/// One catalog state's cost coefficients, in raw nanoseconds and
+/// milliwatts so the per-interval kernel converts no units.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct StateCost {
-    /// Entry + exit transition time: the part of an interval that cannot be
-    /// spent resident.
-    budget: Nanos,
-    /// Average power during the transition ramp, modeled as the midpoint
-    /// between active power and the state's resident power — the same
-    /// linear-ramp model the simulator's transition meter integrates.
-    ramp: MilliWatts,
-    /// Power while resident, at the frequency level the state pins.
-    resident: MilliWatts,
+struct Row {
+    state: CState,
+    /// Entry + exit transition time (ns): the part of an interval that
+    /// cannot be spent resident.
+    budget: f64,
+    /// Average power during the transition ramp (mW), modeled as the
+    /// midpoint between active power and the state's resident power — the
+    /// same linear-ramp model the simulator's transition meter integrates.
+    ramp: f64,
+    /// Power while resident (mW), at the frequency level the state pins.
+    resident: f64,
+}
+
+impl Row {
+    /// Joules burned spending `t` ns in this state: ramp power for up to
+    /// the budget, resident power for the remainder. Same products, in the
+    /// same order, as `MilliWatts * Nanos`.
+    fn energy(&self, t: f64) -> f64 {
+        self.ramp * t.min(self.budget) * 1e-12 + self.resident * (t - self.budget).max(0.0) * 1e-12
+    }
 }
 
 /// Break-even energy model for a server's C-state catalog.
@@ -31,6 +42,7 @@ struct StateCost {
 /// Scores any `(state, interval length)` pair in joules and picks the
 /// energy-optimal state for a known interval length, so the analyzer can
 /// compare the governor's causal choice against a clairvoyant oracle.
+/// Every price comes from one per-interval kernel, [`BreakEven::score`].
 ///
 /// # Examples
 ///
@@ -51,12 +63,12 @@ struct StateCost {
 pub struct BreakEven {
     /// Active (C0) power at P1 — the do-nothing baseline cost.
     active: MilliWatts,
-    /// Cost coefficients per catalog state, indexed by `CState::depth()`
-    /// (`None` for states absent from the catalog). Depth-indexing keeps
-    /// the per-interval scoring loop free of lookups.
-    costs: [Option<StateCost>; CState::ALL.len()],
-    /// Idle states the governor was allowed to choose, shallowest first.
-    enabled: Vec<CState>,
+    /// Cost rows indexed by `CState::depth()` (`None` for states absent
+    /// from the catalog).
+    rows: [Option<Row>; CState::ALL.len()],
+    /// The rows of the idle states the governor was allowed to choose,
+    /// shallowest first: the oracle's candidates.
+    candidates: Vec<Row>,
 }
 
 impl BreakEven {
@@ -66,27 +78,31 @@ impl BreakEven {
     #[must_use]
     pub fn new(catalog: &CStateCatalog, enabled: &[CState]) -> Self {
         let active = catalog.power(CState::C0, FreqLevel::P1);
-        let mut costs = [None; CState::ALL.len()];
-        for s in catalog.states() {
-            let p = catalog.params(s);
+        let mut rows = [None; CState::ALL.len()];
+        for state in catalog.states() {
+            let p = catalog.params(state);
             let resident = p.power(FreqLevel::P1);
-            let cost = if s == CState::C0 {
-                StateCost { budget: Nanos::ZERO, ramp: active, resident: active }
+            let (budget, ramp) = if state == CState::C0 {
+                (Nanos::ZERO, active)
             } else {
-                StateCost {
-                    budget: p.entry_latency + p.exit_latency,
-                    ramp: (active + resident) * 0.5,
-                    resident,
-                }
+                (p.entry_latency + p.exit_latency, (active + resident) * 0.5)
             };
-            costs[s.depth() as usize] = Some(cost);
+            rows[state.depth() as usize] = Some(Row {
+                state,
+                budget: budget.as_nanos(),
+                ramp: ramp.as_milliwatts(),
+                resident: resident.as_milliwatts(),
+            });
         }
-        let mut enabled: Vec<CState> =
-            enabled.iter().copied().filter(|s| s.is_idle() && catalog.get(*s).is_some()).collect();
-        enabled.sort_by_key(|s| s.depth());
-        enabled.dedup();
-        assert!(!enabled.is_empty(), "break-even model needs at least one enabled idle state");
-        Self { active, costs, enabled }
+        // `IDLE` runs shallowest first, so the candidates come out sorted
+        // and without repeats.
+        let candidates: Vec<Row> = CState::IDLE
+            .iter()
+            .filter(|s| enabled.contains(s))
+            .filter_map(|s| rows[s.depth() as usize])
+            .collect();
+        assert!(!candidates.is_empty(), "break-even model needs at least one enabled idle state");
+        Self { active, rows, candidates }
     }
 
     /// Builds the model straight from a server configuration, using its
@@ -105,38 +121,38 @@ impl BreakEven {
         Self::new(&hw.catalog(), enabled)
     }
 
-    fn cost(&self, state: CState) -> StateCost {
-        self.costs[state.depth() as usize]
+    fn row(&self, state: CState) -> &Row {
+        self.rows[state.depth() as usize]
+            .as_ref()
             .unwrap_or_else(|| panic!("state {state} not in the catalog"))
     }
 
     /// The enabled idle states, shallowest first.
-    #[must_use]
-    pub fn enabled(&self) -> &[CState] {
-        &self.enabled
+    pub fn enabled(&self) -> impl Iterator<Item = CState> + '_ {
+        self.candidates.iter().map(|row| row.state)
     }
 
     /// The shallowest enabled idle state — the floor every interval can
     /// reach.
     #[must_use]
     pub fn shallowest(&self) -> CState {
-        self.enabled[0]
+        self.candidates[0].state
     }
 
     /// Entry + exit transition budget for `state`: the minimum interval
     /// length for which the state is even reachable.
     #[must_use]
     pub fn budget(&self, state: CState) -> Nanos {
-        self.cost(state).budget
+        Nanos::new(self.row(state).budget)
     }
 
     /// The smallest transition budget across enabled states: anything above
     /// it is sleepable time in the best case.
     #[must_use]
     pub fn min_budget(&self) -> Nanos {
-        self.enabled
+        self.candidates
             .iter()
-            .map(|s| self.budget(*s))
+            .map(|row| Nanos::new(row.budget))
             .reduce(Nanos::min)
             .expect("enabled set is non-empty")
     }
@@ -151,13 +167,11 @@ impl BreakEven {
     /// for up to the state's budget, resident power for the remainder.
     /// Intervals shorter than the budget pay ramp power for their full
     /// length (a truncated transition), so the result never exceeds
-    /// [`BreakEven::active_energy`].
+    /// [`BreakEven::active_energy`]. The achieved energy of
+    /// [`BreakEven::score`] with `state` as the causal choice.
     #[must_use]
     pub fn energy(&self, state: CState, interval: Nanos) -> Joules {
-        let c = self.cost(state);
-        let ramp_time = interval.min(c.budget);
-        let resident_time = (interval - c.budget).max(Nanos::ZERO);
-        c.ramp * ramp_time + c.resident * resident_time
+        self.score(interval, state).2
     }
 
     /// The energy-optimal state for an interval of known length `interval`,
@@ -175,35 +189,37 @@ impl BreakEven {
 
     /// Scores an interval in one pass: the oracle-optimal state plus the
     /// two energies every per-interval analysis needs — `(optimal, oracle
-    /// energy, achieved energy)`. Equivalent to
-    /// `(optimal(t, c), energy(optimal, t), energy(c, t))` without
-    /// re-scoring candidates the optimum scan already priced; the
-    /// analyzer calls this once per captured interval.
+    /// energy, achieved energy)`, i.e. `(optimal(t, c), energy(optimal,
+    /// t), energy(c, t))`. The analyzer calls this once per captured
+    /// interval.
+    ///
+    /// The candidates are the enabled states, shallowest first, then
+    /// `chosen` unless it is C0. A candidate other than `chosen` whose
+    /// budget exceeds the interval is skipped. Every candidate is priced
+    /// and the best kept with a select rather than a branch on the budget,
+    /// so the branch predictor does not guess once per interval.
     #[must_use]
     pub fn score(&self, interval: Nanos, chosen: CState) -> (CState, Joules, Joules) {
-        let mut best = self.shallowest();
-        let mut best_energy = self.energy(best, interval);
-        let mut chosen_energy = (chosen == best).then_some(best_energy);
-        let deeper = self.enabled.iter().copied().skip(1);
-        for s in deeper.chain(std::iter::once(chosen)).filter(|s| s.is_idle()) {
-            if s != chosen && interval < self.budget(s) {
-                continue;
-            }
-            let e = self.energy(s, interval);
-            if s == chosen {
-                chosen_energy = Some(e);
-            }
+        let t = interval.as_nanos();
+        let chosen_energy = self.row(chosen).energy(t);
+        let (first, deeper) = self.candidates.split_first().expect("enabled set is non-empty");
+        let mut best = first.state;
+        let mut best_energy = first.energy(t);
+        for row in deeper {
+            let e = row.energy(t);
+            let skip = row.state != chosen && t < row.budget;
             // Strict `<`: candidates iterate shallow→deep, so ties keep the
             // shallower state (less exit-latency exposure for equal energy).
-            if e < best_energy {
-                best = s;
-                best_energy = e;
-            }
+            let better = !skip & (e < best_energy);
+            best = if better { row.state } else { best };
+            best_energy = if better { e } else { best_energy };
         }
-        // `chosen` is always in the candidate chain, so this only fires for
-        // a non-idle `chosen` (C0), which the filter excludes.
-        let chosen_energy = chosen_energy.unwrap_or_else(|| self.energy(chosen, interval));
-        (best, best_energy, chosen_energy)
+        // The causal choice comes last, whatever its budget; C0 is never a
+        // candidate.
+        let better = chosen.is_idle() & (chosen_energy < best_energy);
+        best = if better { chosen } else { best };
+        best_energy = if better { chosen_energy } else { best_energy };
+        (best, Joules::new(best_energy), Joules::new(chosen_energy))
     }
 }
 
@@ -281,6 +297,6 @@ mod tests {
         use aw_cstates::NamedConfig;
         let cfg = ServerConfig::new(4, NamedConfig::Aw);
         let m = BreakEven::from_server(&cfg);
-        assert!(m.enabled().contains(&CState::C6A));
+        assert!(m.enabled().any(|s| s == CState::C6A));
     }
 }

@@ -7,7 +7,7 @@ use std::fmt;
 use aw_cstates::CState;
 use aw_server::IdleInterval;
 use aw_sim::select_quantiles;
-use aw_telemetry::LogHistogram;
+use aw_telemetry::{LogHistogram, WindowCursor};
 use aw_types::{Joules, Nanos};
 
 use crate::BreakEven;
@@ -38,33 +38,79 @@ pub struct IdleDistribution {
     pub p99: Nanos,
 }
 
-impl IdleDistribution {
-    /// Builds a distribution from raw durations (nanoseconds). The sum is
-    /// folded first; then [`select_quantiles`] partitions the slice in
-    /// place for the exact quantiles (selection, not a full sort — the
-    /// quantiles stay exact but the build is O(n)).
-    fn build(core: Option<usize>, durations: &mut [f64]) -> Self {
-        let mut histogram = LogHistogram::new();
-        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
-        for &d in durations.iter() {
-            histogram.record(d);
-            min = min.min(d);
-            max = max.max(d);
-            sum += d;
-        }
-        let count = durations.len() as u64;
-        let [p50, p90, p99] = if durations.is_empty() {
-            [0.0; 3]
+/// The fold of one group of durations that [`IdleReport::analyze`] keeps
+/// while it sweeps: histogram counts (a last slot for the negative and NaN
+/// values the histogram rejects), sum, minimum and maximum.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    slots: [u64; SLOTS],
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Histogram buckets, then the rejected slot.
+const SLOTS: usize = LogHistogram::MAX_BUCKETS + 1;
+const REJECTED: usize = SLOTS - 1;
+
+impl Fold {
+    const EMPTY: Fold =
+        Fold { slots: [0; SLOTS], sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY };
+
+    /// The slot `d` counts in: its log2 bucket, or [`REJECTED`] for the
+    /// negative and NaN values [`LogHistogram::record`] refuses.
+    fn slot(d: f64) -> usize {
+        if d < 0.0 || d.is_nan() {
+            REJECTED
         } else {
-            select_quantiles(durations, [0.50, 0.90, 0.99])
+            LogHistogram::bucket_index(d)
+        }
+    }
+
+    fn add(&mut self, d: f64) {
+        self.slots[Self::slot(d)] += 1;
+        self.sum += d;
+        self.min = self.min.min(d);
+        self.max = self.max.max(d);
+    }
+
+    /// The distribution of `durations`, the values this fold saw.
+    /// [`select_quantiles`] partitions the slice in place for the exact
+    /// quantiles (selection, not a full sort).
+    fn distribution(&self, core: Option<usize>, durations: &mut [f64]) -> IdleDistribution {
+        let count = durations.len() as u64;
+        if count == 0 {
+            return IdleDistribution {
+                core,
+                count,
+                histogram: LogHistogram::new(),
+                min: Nanos::ZERO,
+                max: Nanos::ZERO,
+                mean: Nanos::ZERO,
+                p50: Nanos::ZERO,
+                p90: Nanos::ZERO,
+                p99: Nanos::ZERO,
+            };
+        }
+        let rejected = self.slots[REJECTED];
+        let mean = self.sum / count as f64;
+        // The histogram's mean covers only the values it accepts.
+        let valid_mean = if rejected == 0 {
+            mean
+        } else {
+            let valid = durations.iter().filter(|d| Self::slot(**d) != REJECTED);
+            valid.sum::<f64>() / (count - rejected) as f64
         };
-        Self {
+        let buckets = self.slots[..REJECTED].try_into().expect("one slot per bucket");
+        let histogram = LogHistogram::from_counts(buckets, rejected, valid_mean, self.max);
+        let [p50, p90, p99] = select_quantiles(durations, [0.50, 0.90, 0.99]);
+        IdleDistribution {
             core,
             count,
             histogram,
-            min: if count == 0 { Nanos::ZERO } else { Nanos::new(min) },
-            max: if count == 0 { Nanos::ZERO } else { Nanos::new(max) },
-            mean: if count == 0 { Nanos::ZERO } else { Nanos::new(sum / count as f64) },
+            min: Nanos::new(self.min),
+            max: Nanos::new(self.max),
+            mean: Nanos::new(mean),
             p50: Nanos::new(p50),
             p90: Nanos::new(p90),
             p99: Nanos::new(p99),
@@ -294,13 +340,37 @@ impl IdleReport {
         cores: usize,
         window: Nanos,
     ) -> Self {
-        let mut pooled_durations = Vec::new();
-        let mut per_core_durations: Vec<Vec<f64>> = vec![Vec::new(); cores];
+        let measured = || intervals.iter().filter(|iv| iv.measured);
+        // One group per core, then one for cores ≥ `cores`, which count
+        // only in the pooled view. A counting pass sizes each group's
+        // run of one shared duration buffer.
+        let group = |core: usize| core.min(cores);
+        let mut next = vec![0usize; cores + 1];
+        for iv in measured() {
+            next[group(iv.core)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            (*slot, at) = (at, at + *slot);
+        }
+        let starts = next.clone();
+        // The capacity is rounded up to a power of two, as a pushed Vec's
+        // growth would leave it. glibc slides its mmap threshold up to the
+        // largest mapped block freed, and an exact-size buffer set it where
+        // later allocations placed worse: `light_analyze`'s peak RSS rose
+        // 1.7 MiB. The spare capacity is never touched, so costs no RSS.
+        let mut durations = Vec::with_capacity(at.next_power_of_two());
+        durations.resize(at, 0.0);
+        let mut folds = vec![Fold::EMPTY; cores + 1];
+        let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, f64::NEG_INFINITY);
+
         let mut audit = GovernorAudit::default();
         let mut ledger = OpportunityLedger::default();
         // Dense, index-addressed: intervals arrive in near-time order, so a
-        // Vec grown on demand beats a tree walk per interval on the hot path.
+        // Vec grown on demand beats a tree walk per interval on the hot
+        // path, and the cursor finds the window without dividing.
         let mut windows: Vec<IdleWindow> = Vec::new();
+        let mut cursor = WindowCursor::NONE;
         let min_budget = model.min_budget();
         let shallowest = model.shallowest();
 
@@ -309,75 +379,69 @@ impl IdleReport {
         let mut abs_pct_sum = 0.0;
         let mut pct_count = 0u64;
         // Confusion counts accumulate in a depth-indexed array (one add per
-        // interval) and fold into the reported map after the loop.
+        // interval) and fold into the reported map, and the audit's three
+        // classes, after the loop.
         let mut confusion = [[0u64; CState::ALL.len()]; CState::ALL.len()];
 
-        for iv in intervals.iter().filter(|iv| iv.measured) {
+        for iv in measured() {
             let t = iv.duration;
-            pooled_durations.push(t.as_nanos());
-            if iv.core < cores {
-                per_core_durations[iv.core].push(t.as_nanos());
-            }
+            let d = t.as_nanos();
+            let g = group(iv.core);
+            durations[next[g]] = d;
+            next[g] += 1;
+            folds[g].add(d);
+            sum += d;
+            min = min.min(d);
+            max = max.max(d);
 
             let (optimal, oracle, achieved) = model.score(t, iv.chosen);
             let c0 = model.active_energy(t);
             let waste = achieved - oracle;
+            // Conditional sums add +0 instead of branching on the data: a
+            // sum that starts at +0 is never −0, so adding +0 keeps its bits.
+            let (shallow, deep) =
+                (iv.chosen.depth() < optimal.depth(), iv.chosen.depth() > optimal.depth());
+            let unsleepable = optimal == shallowest;
 
             // --- audit ---
-            audit.decisions += 1;
             confusion[iv.chosen.depth() as usize][optimal.depth() as usize] += 1;
-            match iv.chosen.depth().cmp(&optimal.depth()) {
-                std::cmp::Ordering::Equal => audit.exact += 1,
-                std::cmp::Ordering::Less => {
-                    audit.too_shallow += 1;
-                    ledger.too_shallow_waste += waste;
-                }
-                std::cmp::Ordering::Greater => {
-                    audit.too_deep += 1;
-                    ledger.too_deep_waste += waste;
-                    ledger.too_deep_latency +=
-                        (model.budget(iv.chosen) - model.budget(optimal)).max(Nanos::ZERO);
-                }
-            }
+            ledger.too_shallow_waste += if shallow { waste } else { Joules::ZERO };
+            ledger.too_deep_waste += if deep { waste } else { Joules::ZERO };
+            let budget = model.budget(iv.chosen);
+            let exposure = (budget - model.budget(optimal)).max(Nanos::ZERO);
+            ledger.too_deep_latency += if deep { exposure } else { Nanos::ZERO };
             if let Some(p) = iv.predicted {
                 audit.prediction.predicted += 1;
                 let err = (p - t).as_nanos();
                 err_sum += err;
                 abs_err_sum += err.abs();
-                if err < 0.0 {
-                    audit.prediction.underpredictions += 1;
-                }
-                if t.as_nanos() > 0.0 {
-                    abs_pct_sum += 100.0 * err.abs() / t.as_nanos();
+                audit.prediction.underpredictions += u64::from(err < 0.0);
+                if d > 0.0 {
+                    abs_pct_sum += 100.0 * err.abs() / d;
                     pct_count += 1;
                 }
             }
 
             // --- ledger ---
-            ledger.intervals += 1;
             ledger.idle_time += t;
             // The chosen state counts as a candidate, as in `score`: a
             // run under another menu may have chosen a state cheaper than
             // any this model enables.
-            let budget = model.budget(iv.chosen);
             ledger.achieved_residency += (t - budget).max(Nanos::ZERO);
             ledger.achievable_residency += (t - min_budget.min(budget)).max(Nanos::ZERO);
             ledger.achieved_energy += achieved;
             ledger.oracle_energy += oracle;
             ledger.c0_energy += c0;
-            if optimal == shallowest {
-                ledger.unsleepable += 1;
-                ledger.unsleepable_time += t;
-            }
-            if optimal.depth() >= CState::C6A.depth() {
-                ledger.deep_opportunities += 1;
-                ledger.deep_oracle_savings += c0 - oracle;
-                ledger.deep_achieved_savings += c0 - achieved;
-            }
+            ledger.unsleepable += u64::from(unsleepable);
+            ledger.unsleepable_time += if unsleepable { t } else { Nanos::ZERO };
+            let core_off = optimal.depth() >= CState::C6A.depth();
+            ledger.deep_opportunities += u64::from(core_off);
+            ledger.deep_oracle_savings += if core_off { c0 - oracle } else { Joules::ZERO };
+            ledger.deep_achieved_savings += if core_off { c0 - achieved } else { Joules::ZERO };
 
             // --- windows ---
             if window > Nanos::ZERO {
-                let index = (iv.start.as_nanos() / window.as_nanos()).floor() as usize;
+                let index = cursor.locate(iv.start.as_nanos(), window.as_nanos());
                 if windows.len() <= index {
                     windows.resize_with(index + 1, IdleWindow::default);
                 }
@@ -386,16 +450,22 @@ impl IdleReport {
                 w.idle_time += t;
                 w.achieved_savings += c0 - achieved;
                 w.oracle_savings += c0 - oracle;
-                if optimal != shallowest {
-                    w.sleepable_time += t;
-                }
+                w.sleepable_time += if unsleepable { Nanos::ZERO } else { t };
             }
         }
 
+        let n = durations.len() as u64;
+        ledger.intervals = n;
+        audit.decisions = n;
         for (c, row) in confusion.iter().enumerate() {
-            for (o, &n) in row.iter().enumerate() {
-                if n > 0 {
-                    audit.confusion.insert((CState::ALL[c], CState::ALL[o]), n);
+            for (o, &k) in row.iter().enumerate() {
+                if k > 0 {
+                    audit.confusion.insert((CState::ALL[c], CState::ALL[o]), k);
+                    match c.cmp(&o) {
+                        std::cmp::Ordering::Equal => audit.exact += k,
+                        std::cmp::Ordering::Less => audit.too_shallow += k,
+                        std::cmp::Ordering::Greater => audit.too_deep += k,
+                    }
                 }
             }
         }
@@ -434,12 +504,19 @@ impl IdleReport {
             w.start = Nanos::new(i as f64 * window.as_nanos());
         }
 
-        let pooled = IdleDistribution::build(None, &mut pooled_durations);
-        let per_core = per_core_durations
-            .iter_mut()
-            .enumerate()
-            .map(|(i, d)| IdleDistribution::build(Some(i), d))
+        // Each core's quantiles come from its own run of the buffer, then
+        // the pooled ones from the whole buffer; selection reorders values
+        // but not the multiset, so the order of the two does not matter.
+        let per_core = (0..cores)
+            .map(|c| folds[c].distribution(Some(c), &mut durations[starts[c]..next[c]]))
             .collect();
+        let mut pooled = Fold { sum, min, max, ..Fold::EMPTY };
+        for f in &folds {
+            for (total, k) in pooled.slots.iter_mut().zip(f.slots) {
+                *total += k;
+            }
+        }
+        let pooled = pooled.distribution(None, &mut durations);
 
         Self { pooled, per_core, audit, ledger, windows, window }
     }
@@ -544,12 +621,12 @@ impl OpportunitySummary {
         let mut s = Self::default();
         for iv in intervals.iter().filter(|iv| iv.measured) {
             let t = iv.duration;
-            let optimal = model.optimal(t, iv.chosen);
+            let (optimal, oracle, achieved) = model.score(t, iv.chosen);
             let c0 = model.active_energy(t);
             s.intervals += 1;
             s.idle_time += t;
-            s.achieved_savings += c0 - model.energy(iv.chosen, t);
-            s.oracle_savings += c0 - model.energy(optimal, t);
+            s.achieved_savings += c0 - achieved;
+            s.oracle_savings += c0 - oracle;
             if optimal != shallowest {
                 s.sleepable_time += t;
             }
@@ -746,10 +823,14 @@ mod tests {
         assert!(text.contains("deep opportunity"));
     }
 
-    /// Opt-in microbench behind `--ignored`: times `analyze` on 300k
-    /// synthetic intervals (the 1 s / 300k-QPS sweep's volume) so the
-    /// `analyze_overhead` bench in `scripts/bench.sh` can be split into
-    /// capture vs. analysis when it regresses. Run with
+    /// Opt-in microbench behind `--ignored`: times one `analyze` call on
+    /// 300k synthetic intervals across 10 cores (the 1 s / 300k-QPS
+    /// sweep's volume) — the counting pass, the sweep that scores each
+    /// interval and folds the audit, ledger, windows and per-core
+    /// histograms, and the exact quantile selection — and then the
+    /// `Display` render. The `analyze_overhead` bench in
+    /// `scripts/bench.sh` times capture plus analysis; this splits out the
+    /// analysis. Run with
     /// `cargo test --release -p aw-sleep -- --ignored --nocapture`.
     #[test]
     #[ignore = "microbench; run with --release --ignored --nocapture"]

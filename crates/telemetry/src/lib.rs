@@ -13,7 +13,7 @@
 //!    always the newest events, oldest first.
 //! 2. **Metrics** — [`MetricsRegistry`]: named counters, time-weighted
 //!    gauges ([`TimeWeightedGauge`]), and log₂-scaled histograms
-//!    ([`LogHistogram`], built on [`aw_sim::OnlineStats`]).
+//!    ([`LogHistogram`], log₂ buckets with an exact mean and max).
 //! 3. **Export** — [`export::chrome_trace_json`] renders an event window
 //!    as Chrome trace-event JSON (loadable in `chrome://tracing` and
 //!    Perfetto, one track per core), and [`export::metrics_json`]
@@ -83,4 +83,4 @@ pub use registry::{LogHistogram, MetricsRegistry, TimeWeightedGauge};
 pub use sink::RingBufferSink;
 pub use slo::{SloMonitor, SloReport};
 pub use span::{Phase, RequestSpan};
-pub use timeline::{Timeline, TimelineWindow};
+pub use timeline::{Timeline, TimelineWindow, WindowCursor};

@@ -2,12 +2,11 @@
 //! log-scaled histograms.
 //!
 //! All keys are strings and all collections are `BTreeMap`s so exports
-//! enumerate in a stable order. The histogram reuses
-//! [`aw_sim::OnlineStats`] for exact moments alongside its log₂ buckets.
+//! enumerate in a stable order. The histogram keeps an exact mean and max
+//! alongside its log₂ buckets.
 
 use std::collections::BTreeMap;
 
-use aw_sim::OnlineStats;
 use aw_types::Nanos;
 
 /// A gauge whose mean is weighted by how long each value was held.
@@ -110,8 +109,8 @@ impl Default for TimeWeightedGauge {
 /// Bucket 0 holds values in `[0, 1)`; bucket *i* ≥ 1 holds
 /// `[2^(i−1), 2^i)`. Durations in the simulator span nanoseconds to
 /// milliseconds — six decades — which fixed-width buckets cannot cover,
-/// so the telemetry histograms are log-scaled. Exact mean/min/max come
-/// from an embedded [`OnlineStats`].
+/// so the telemetry histograms are log-scaled. The exact mean and max are
+/// kept alongside the buckets.
 ///
 /// # Examples
 ///
@@ -123,30 +122,65 @@ impl Default for TimeWeightedGauge {
 /// h.record(3.0);
 /// h.record(1000.0);
 /// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_index(3.0), 2);          // [2, 4)
+/// assert_eq!(LogHistogram::bucket_index(3.0), 2); // [2, 4)
 /// assert_eq!(h.bucket_bounds(2), (2.0, 4.0));
 /// assert!(h.quantile_upper_bound(0.5) >= 3.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
-    stats: OnlineStats,
+    /// Valid observations.
+    count: u64,
+    /// Running mean of the valid observations.
+    mean: f64,
+    /// Largest valid observation (−∞ while empty).
+    max: f64,
     negatives: u64,
 }
 
 impl LogHistogram {
     /// Maximum number of buckets (covers all of f64's useful range).
-    const MAX_BUCKETS: usize = 64;
+    pub const MAX_BUCKETS: usize = 64;
 
     /// Creates an empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        LogHistogram { buckets: Vec::new(), stats: OnlineStats::new(), negatives: 0 }
+        LogHistogram {
+            buckets: Vec::new(),
+            count: 0,
+            mean: 0.0,
+            max: f64::NEG_INFINITY,
+            negatives: 0,
+        }
     }
 
-    /// The bucket index `x` falls in.
+    /// A histogram of values already bucketed elsewhere: `counts[i]` valid
+    /// values in bucket `i` (as [`LogHistogram::bucket_index`] files them),
+    /// `rejected` negative or NaN ones, and the valid values' `mean` and
+    /// `max`. It holds what recording the values would have left, except
+    /// that `mean` is taken as given rather than folded one value at a
+    /// time, so its last bits may differ.
     #[must_use]
-    pub fn bucket_index(&self, x: f64) -> usize {
+    pub fn from_counts(
+        counts: &[u64; Self::MAX_BUCKETS],
+        rejected: u64,
+        mean: f64,
+        max: f64,
+    ) -> Self {
+        let used = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+        LogHistogram {
+            buckets: counts[..used].to_vec(),
+            count: counts.iter().sum(),
+            mean,
+            max,
+            negatives: rejected,
+        }
+    }
+
+    /// The bucket index a non-negative `x` falls in.
+    #[must_use]
+    #[inline]
+    pub fn bucket_index(x: f64) -> usize {
         if x < 1.0 {
             0
         } else {
@@ -178,18 +212,20 @@ impl LogHistogram {
             self.negatives += 1;
             return;
         }
-        let idx = self.bucket_index(x);
+        let idx = Self::bucket_index(x);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
         }
         self.buckets[idx] += 1;
-        self.stats.record(x);
+        self.count += 1;
+        self.mean += (x - self.mean) / self.count as f64;
+        self.max = self.max.max(x);
     }
 
     /// Total valid observations.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.stats.count()
+        self.count
     }
 
     /// Observations rejected as negative or NaN.
@@ -201,13 +237,21 @@ impl LogHistogram {
     /// Exact mean of the valid observations.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        self.stats.mean()
+        if self.count == 0 {
+            0.0
+        } else {
+            self.mean
+        }
     }
 
     /// Exact maximum of the valid observations, or 0 if empty.
     #[must_use]
     pub fn max(&self) -> f64 {
-        self.stats.max().unwrap_or(0.0)
+        if self.count == 0 {
+            0.0
+        } else {
+            self.max
+        }
     }
 
     /// The non-empty buckets as `(index, count)` pairs.
@@ -383,12 +427,12 @@ mod tests {
     #[test]
     fn log_histogram_bucket_edges() {
         let h = LogHistogram::new();
-        assert_eq!(h.bucket_index(0.0), 0);
-        assert_eq!(h.bucket_index(0.99), 0);
-        assert_eq!(h.bucket_index(1.0), 1);
-        assert_eq!(h.bucket_index(1.99), 1);
-        assert_eq!(h.bucket_index(2.0), 2);
-        assert_eq!(h.bucket_index(1024.0), 11);
+        assert_eq!(LogHistogram::bucket_index(0.0), 0);
+        assert_eq!(LogHistogram::bucket_index(0.99), 0);
+        assert_eq!(LogHistogram::bucket_index(1.0), 1);
+        assert_eq!(LogHistogram::bucket_index(1.99), 1);
+        assert_eq!(LogHistogram::bucket_index(2.0), 2);
+        assert_eq!(LogHistogram::bucket_index(1024.0), 11);
         assert_eq!(h.bucket_bounds(11), (1024.0, 2048.0));
     }
 

@@ -149,11 +149,13 @@ pub struct Timeline {
     window: Nanos,
     windows: Vec<TimelineWindow>,
     /// The window the last lookup landed in.
-    cursor: Cursor,
+    cursor: WindowCursor,
 }
 
-/// Window `idx` of a [`Timeline`], with the span of times known to fall
-/// in it without dividing.
+/// A cursor on one window of a fixed-width window series, with the span
+/// of times known to fall in it without dividing. [`Timeline`] keeps one;
+/// any fold that buckets near-sorted times into windows can too (see
+/// [`WindowCursor::locate`]).
 ///
 /// A time `t` belongs to window `floor(t / w)`. Rounded division is
 /// monotone in `t`, so if `lo = idx·w` divides back to `idx` and the
@@ -163,7 +165,7 @@ pub struct Timeline {
 /// `idx·w / w` floors below `idx`, the range is left empty and every
 /// lookup divides.
 #[derive(Debug, Clone, Copy)]
-struct Cursor {
+pub struct WindowCursor {
     idx: usize,
     /// `idx·w`, the window's start.
     lo: f64,
@@ -173,14 +175,14 @@ struct Cursor {
     safe: f64,
 }
 
-impl Cursor {
+impl WindowCursor {
     /// Points at no window.
-    const NONE: Cursor = Cursor { idx: usize::MAX, lo: 0.0, hi: 0.0, safe: 0.0 };
+    pub const NONE: WindowCursor = WindowCursor { idx: usize::MAX, lo: 0.0, hi: 0.0, safe: 0.0 };
 
     /// Steps below `hi` at most this many floats before giving up.
     const MAX_STEPS: usize = 8;
 
-    fn new(idx: usize, w: f64) -> Cursor {
+    fn new(idx: usize, w: f64) -> WindowCursor {
         let lo = idx as f64 * w;
         let hi = (idx + 1) as f64 * w;
         let mut safe = if window_index(lo, w) == idx { hi } else { lo };
@@ -191,15 +193,31 @@ impl Cursor {
             // `safe > lo ≥ 0`, so the float below it is one bit pattern down.
             let below = f64::from_bits(safe.to_bits() - 1);
             if window_index(below, w) == idx {
-                return Cursor { idx, lo, hi, safe };
+                return WindowCursor { idx, lo, hi, safe };
             }
             safe = below;
         }
-        Cursor { idx, lo, hi, safe: lo }
+        WindowCursor { idx, lo, hi, safe: lo }
     }
 
+    #[inline]
     fn holds(&self, t: f64) -> bool {
         self.lo <= t && t < self.safe
+    }
+
+    /// The window `t` falls in, `floor(t / w)` with negative times in
+    /// window 0, moving the cursor onto it. Divides only when `t` lies
+    /// outside the cursor's known span. Every call on one cursor must
+    /// pass the same `w`.
+    #[inline]
+    pub fn locate(&mut self, t: f64, w: f64) -> usize {
+        if !self.holds(t) {
+            let idx = window_index(t, w);
+            if idx != self.idx {
+                *self = WindowCursor::new(idx, w);
+            }
+        }
+        self.idx
     }
 }
 
@@ -218,7 +236,7 @@ impl Timeline {
     #[must_use]
     pub fn new(window: Nanos) -> Self {
         assert!(window.as_nanos() > 0.0, "timeline window must be positive");
-        Timeline { window, windows: Vec::new(), cursor: Cursor::NONE }
+        Timeline { window, windows: Vec::new(), cursor: WindowCursor::NONE }
     }
 
     /// The fixed window duration.
@@ -251,7 +269,7 @@ impl Timeline {
             self.windows.push(TimelineWindow::new(start));
         }
         if self.cursor.idx != idx {
-            self.cursor = Cursor::new(idx, wn);
+            self.cursor = WindowCursor::new(idx, wn);
         }
         &mut self.windows[idx]
     }
@@ -562,7 +580,7 @@ mod tests {
     fn cursor_covers_exactly_the_times_that_divide_to_its_window() {
         for w in [1_000.0, 0.7, 1e6 / 3.0, 1e-3, 0.25, 20e6] {
             for idx in 0..50 {
-                let c = Cursor::new(idx, w);
+                let c = WindowCursor::new(idx, w);
                 assert!(c.safe <= c.hi && c.lo <= c.safe, "w={w} idx={idx}: {c:?}");
                 if c.safe > c.lo {
                     assert_eq!(window_index(c.lo, w), idx, "w={w} idx={idx}");

@@ -365,5 +365,23 @@ if [ "$plain" = "$faulted" ]; then
     echo "verify: analyze ignored --faults/--queue-cap/--request-timeout" >&2
     exit 1
 fi
+# Zen 2's catalog, and every --idle-out format: each run exits 0 and
+# writes a non-empty report.
+timeout 60 target/release/agilewatts analyze --hw zen2 --duration-ms 20 >/dev/null || {
+    echo "verify: 'agilewatts analyze --hw zen2 --duration-ms 20' failed" >&2
+    exit 1
+}
+for suffix in json csv folded; do
+    out="target/verify_idle_out.$suffix"
+    rm -f "$out"
+    timeout 60 target/release/agilewatts analyze --duration-ms 20 --idle-out "$out" >/dev/null || {
+        echo "verify: 'agilewatts analyze --idle-out $out' failed" >&2
+        exit 1
+    }
+    if [ ! -s "$out" ]; then
+        echo "verify: 'agilewatts analyze --idle-out $out' wrote no report" >&2
+        exit 1
+    fi
+done
 
 echo "verify: OK"
