@@ -114,10 +114,38 @@ fn mixed_fleet_deterministic_across_jobs() {
         stdout_of(&args)
     };
     let one = out("1");
+    assert_eq!(one, golden("fleet_chaos_mixed.txt"));
     assert_eq!(one, out("2"));
     assert_eq!(one, out("8"));
     // And the mix really changes the report vs the all-Skylake fleet.
     assert_ne!(one, golden("fleet_chaos_skylake.txt"));
+}
+
+/// A mixed-silicon fleet under diurnal load with the packing autoscaler
+/// (the shape of the long energy runs) is pinned byte for byte at one
+/// and eight workers.
+#[test]
+fn fleet_mixed_diurnal_matches_golden() {
+    let expected = golden("fleet_mixed_diurnal.txt");
+    for jobs in ["1", "8"] {
+        let out = stdout_of(&[
+            "fleet",
+            "--servers",
+            "8",
+            "--hw",
+            "skylake-sp,zen2",
+            "--policy",
+            "packing",
+            "--autoscale",
+            "--diurnal",
+            "0.8",
+            "--epochs",
+            "8",
+            "--jobs",
+            jobs,
+        ]);
+        assert_eq!(out, expected, "--jobs {jobs}");
+    }
 }
 
 /// Unknown model names fail fast and name the alternatives.

@@ -290,6 +290,10 @@ if [ "$mixed_1" != "$mixed_2" ] || [ "$mixed_1" != "$mixed_8" ]; then
     echo "verify: mixed skylake-sp,zen2 fleet differs across --jobs 1/2/8" >&2
     exit 1
 fi
+if ! diff <(echo "$mixed_1") tests/golden/fleet_chaos_mixed.txt >&2; then
+    echo "verify: mixed chaos fleet drifted from tests/golden/fleet_chaos_mixed.txt" >&2
+    exit 1
+fi
 echo "$mixed_1" | grep -q "hw:      skylake-sp, zen2" || {
     echo "verify: mixed fleet report missing its hw line" >&2
     exit 1
