@@ -1,28 +1,37 @@
-//! A closed-form oracle for the engine: with every C-state transition
+//! Closed-form oracles for the engine: with every C-state transition
 //! free, random dispatch turns an `n`-core server into `n` independent
-//! M/M/1 queues, whose mean queueing delay and busy share are known
+//! M/G/1 queues, whose mean queueing delay and busy share are known
 //! exactly.
 //!
 //! Poisson arrivals at rate λ split uniformly at random over 4 cores
-//! give each core a Poisson stream at λ/4; exponential service of mean
-//! E[S] makes each core an M/M/1 queue at utilization ρ = λ·E[S]/4. Its
-//! mean wait in queue is ρ·E[S]/(1 − ρ), and it is busy a share ρ of the
-//! time. The catalog holds only C0 and C1, with every latency and the
-//! target residency zero, so a wake adds no delay and an idle core is
-//! never counted as busy.
+//! give each core a Poisson stream at λ/4. With service time S each core
+//! is an M/G/1 queue at utilization ρ = λ·E[S]/4, busy a share ρ of the
+//! time, and its mean wait in queue is the Pollaczek–Khinchine value
+//! (λ/4)·E[S²]/(2(1 − ρ)). Exponential service (M/M/1) makes that
+//! ρ·E[S]/(1 − ρ), deterministic service (M/D/1) ρ·E[S]/(2(1 − ρ)),
+//! and a log-normal service pins the general form with a second moment
+//! above either. The catalog holds only C0 and C1, with every latency
+//! and the target residency zero, so a wake adds no delay and an idle
+//! core is never counted as busy.
+
+use std::sync::Arc;
 
 use aw_cstates::{CState, CStateCatalog, CStateParams, NamedConfig};
 use aw_server::{Dispatch, ServerConfig, SimBuilder, WorkloadSpec};
+use aw_sim::{Distribution, Exponential, LogNormal, Point};
 use aw_types::Nanos;
 
 const CORES: usize = 4;
 /// E[S], in nanoseconds.
 const MEAN_SERVICE_NS: f64 = 10_000.0;
-const SEEDS: u64 = 10;
+/// Seeds per load: enough that a 2% stretch of every service time moves
+/// each model's mean wait by more than four standard errors.
+const SEEDS: u64 = 20;
 
 /// A 4-core server at per-core utilization `rho`, random dispatch,
-/// C1 as the only idle state and every transition free.
-fn config(rho: f64) -> (ServerConfig, WorkloadSpec) {
+/// C1 as the only idle state and every transition free, fed Poisson
+/// arrivals with `service` times of mean [`MEAN_SERVICE_NS`].
+fn config(rho: f64, service: &Arc<dyn Distribution>) -> (ServerConfig, WorkloadSpec) {
     let base = ServerConfig::new(CORES, NamedConfig::NtNoC6NoC1e);
     let mut catalog = CStateCatalog::empty();
     for state in [CState::C0, CState::C1] {
@@ -41,7 +50,8 @@ fn config(rho: f64) -> (ServerConfig, WorkloadSpec) {
         .with_warmup(Nanos::from_millis(10.0))
         .with_duration(Nanos::from_millis(100.0));
     let qps = rho * CORES as f64 / (MEAN_SERVICE_NS * 1e-9);
-    (config, WorkloadSpec::poisson("mm1", qps, Nanos::new(MEAN_SERVICE_NS), 1.0))
+    let arrivals = Arc::new(Exponential::with_mean(1e9 / qps));
+    (config, WorkloadSpec::new("mg1", arrivals, Arc::clone(service), 1.0))
 }
 
 /// Mean and standard error of `xs`.
@@ -52,10 +62,17 @@ fn mean_and_se(xs: &[f64]) -> (f64, f64) {
     (mean, (var / n).sqrt())
 }
 
-#[test]
-fn random_dispatch_matches_mm1_queue_wait_and_busy_share() {
+/// At three loads, the mean queue wait over [`SEEDS`] runs lies within
+/// four standard errors of `expected_wait(rho)` and the C0 residency
+/// within 0.01 of ρ.
+fn assert_matches_oracle(
+    model: &str,
+    service: Arc<dyn Distribution>,
+    expected_wait: impl Fn(f64) -> f64,
+) {
+    assert!((service.mean() - MEAN_SERVICE_NS).abs() < 1e-6 * MEAN_SERVICE_NS);
     for rho in [0.3, 0.6, 0.8] {
-        let (config, workload) = config(rho);
+        let (config, workload) = config(rho, &service);
         let runs: Vec<_> = (0..SEEDS)
             .map(|seed| SimBuilder::new(config.clone(), workload.clone(), seed).run().metrics)
             .collect();
@@ -63,12 +80,43 @@ fn random_dispatch_matches_mm1_queue_wait_and_busy_share() {
         let busy: Vec<f64> = runs.iter().map(|m| m.residency_of(CState::C0).get()).collect();
 
         let (wait, se) = mean_and_se(&waits);
-        let expected = rho * MEAN_SERVICE_NS / (1.0 - rho);
+        let expected = expected_wait(rho);
         assert!(
             (wait - expected).abs() <= 4.0 * se,
-            "rho {rho}: mean queue wait {wait:.0} ± {se:.0} ns, M/M/1 gives {expected:.0} ns"
+            "{model} rho {rho}: mean queue wait {wait:.0} ± {se:.0} ns, oracle gives {expected:.0} ns"
         );
         let (busy, _) = mean_and_se(&busy);
-        assert!((busy - rho).abs() <= 0.01, "rho {rho}: C0 residency {busy:.4}");
+        assert!((busy - rho).abs() <= 0.01, "{model} rho {rho}: C0 residency {busy:.4}");
     }
+}
+
+#[test]
+fn random_dispatch_matches_mm1_queue_wait_and_busy_share() {
+    assert_matches_oracle("M/M/1", Arc::new(Exponential::with_mean(MEAN_SERVICE_NS)), |rho| {
+        rho * MEAN_SERVICE_NS / (1.0 - rho)
+    });
+}
+
+#[test]
+fn random_dispatch_matches_md1_pollaczek_khinchine_wait() {
+    assert_matches_oracle("M/D/1", Arc::new(Point::new(MEAN_SERVICE_NS)), |rho| {
+        rho * MEAN_SERVICE_NS / (2.0 * (1.0 - rho))
+    });
+}
+
+#[test]
+fn random_dispatch_matches_lognormal_mg1_pollaczek_khinchine_wait() {
+    // σ = 1: E[S²] = E[S]²·e^{σ²}, about 2.7 E[S]² against 2 for the
+    // exponential.
+    let sigma: f64 = 1.0;
+    let median = MEAN_SERVICE_NS * (-sigma * sigma / 2.0).exp();
+    let second_moment = MEAN_SERVICE_NS * MEAN_SERVICE_NS * (sigma * sigma).exp();
+    assert_matches_oracle(
+        "log-normal M/G/1",
+        Arc::new(LogNormal::from_median(median, sigma)),
+        |rho| {
+            let per_core_rate = rho / MEAN_SERVICE_NS;
+            per_core_rate * second_moment / (2.0 * (1.0 - rho))
+        },
+    );
 }

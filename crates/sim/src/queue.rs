@@ -5,6 +5,14 @@
 //! scheduled, which the determinism pins (chaos golden bits, jobs-N byte
 //! identity) rely on; see `tests/proptests.rs` for the property check
 //! against a sorted-`Vec` reference.
+//!
+//! Two things make one event cost one sift. A `pop` leaves the returned
+//! root in the heap, marked consumed, and the next `schedule` overwrites
+//! it and sifts down once: the engine pops once and schedules about once
+//! per event, which a plain heap pays for with a sift out and a sift in.
+//! And each entry carries its `(time, seq)` order as one 128-bit integer
+//! key, so a compare is two integer compares instead of a float compare
+//! and a branch on its result.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -12,24 +20,50 @@ use std::fmt;
 
 use aw_types::Nanos;
 
-/// A pending event: its firing time, a monotone sequence number for stable
-/// ordering of simultaneous events, and the payload.
+const SIGN: u64 = 1 << 63;
+
+/// A pending event: its firing time and a monotone sequence number as
+/// one integer key, and the payload.
+#[derive(Clone, Copy)]
 struct Entry<E> {
-    at: Nanos,
-    seq: u64,
+    /// The bits of `t + 0.0` (which folds `-0.0` into `0.0`), mapped so
+    /// that unsigned order is numeric order: a positive time sets the
+    /// sign bit, a negative one flips every bit.
+    hi: u64,
+    /// `seq << 1`, with bit 0 set when the time was `-0.0`; sequence
+    /// numbers are unique, so bit 0 never decides an order.
+    lo: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn new(at: Nanos, seq: u64, event: E) -> Self {
+        let t = at.as_nanos();
+        let bits = (t + 0.0).to_bits();
+        let negative_zero = t == 0.0 && t.is_sign_negative();
+        Entry {
+            hi: bits ^ (((bits as i64 >> 63) as u64) | SIGN),
+            lo: seq << 1 | u64::from(negative_zero),
+            event,
+        }
+    }
+
+    /// The `(time, seq)` order as one integer.
+    fn key(&self) -> u128 {
+        u128::from(self.hi) << 64 | u128::from(self.lo)
+    }
+
+    /// The scheduled time, bit for bit (`-0.0` included).
+    fn at(&self) -> Nanos {
+        let bits = self.hi ^ (((!self.hi as i64 >> 63) as u64) | SIGN);
+        Nanos::new(f64::from_bits(bits | (self.lo & 1) << 63))
+    }
 }
 
 impl<E> Ord for Entry<E> {
     /// Reversed, so `BinaryHeap`'s max is the earliest `(time, seq)`.
-    /// Times are finite (asserted in [`EventQueue::schedule`]), so
-    /// `partial_cmp` never fails; it also makes `-0.0 == 0.0`, leaving
-    /// such ties to the sequence number like any other.
     fn cmp(&self, other: &Self) -> Ordering {
-        match other.at.partial_cmp(&self.at) {
-            Some(Ordering::Equal) | None => other.seq.cmp(&self.seq),
-            Some(by_time) => by_time,
-        }
+        other.key().cmp(&self.key())
     }
 }
 
@@ -41,7 +75,7 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key() == other.key()
     }
 }
 
@@ -51,14 +85,17 @@ impl<E> Eq for Entry<E> {}
 ///
 /// Events scheduled for the same instant pop in the order they were
 /// scheduled (FIFO), which keeps simulations deterministic without needing
-/// a total order on the event payload type.
+/// a total order on the event payload type. Payloads are `Copy`: `pop`
+/// hands out a copy and leaves the entry for the next `schedule` to
+/// overwrite.
 ///
 /// # Ordering contract
 ///
 /// `pop` always returns the pending event with the smallest `(time,
 /// sequence-number)` key, where the sequence number increments on every
 /// `schedule`. Times compare by value, so `-0.0` and `0.0` are the same
-/// instant and pop FIFO.
+/// instant and pop FIFO; each comes back with the bits it was scheduled
+/// with.
 ///
 /// # Examples
 ///
@@ -76,9 +113,13 @@ impl<E> Eq for Entry<E> {}
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
+    /// The heap's root was returned by the last `pop` and is no longer
+    /// pending: the next `schedule` overwrites it, the next `pop`
+    /// removes it.
+    consumed: bool,
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
@@ -89,7 +130,7 @@ impl<E> EventQueue<E> {
     /// before it reallocates.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0 }
+        EventQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0, consumed: false }
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -100,43 +141,61 @@ impl<E> EventQueue<E> {
     /// is always a simulation bug and would corrupt the time order.
     pub fn schedule(&mut self, at: Nanos, event: E) {
         assert!(at.is_finite(), "event scheduled at non-finite time");
-        let seq = self.next_seq;
+        let entry = Entry::new(at, self.next_seq, event);
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        if self.consumed {
+            // One sift down from the root does the work of removing the
+            // consumed root and pushing the new entry.
+            self.consumed = false;
+            *self.heap.peek_mut().expect("a consumed root is in the heap") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        if self.consumed {
+            self.heap.pop();
+        }
+        let root = self.heap.peek().copied();
+        self.consumed = root.is_some();
+        root.map(|e| (e.at(), e.event))
     }
 
-    /// The firing time of the earliest pending event.
+    /// The firing time of the earliest pending event: the root, or the
+    /// earlier of its two children while the root is consumed.
     #[must_use]
     pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
+        let next = if self.consumed {
+            self.heap.as_slice()[1..].iter().take(2).max()
+        } else {
+            self.heap.peek()
+        };
+        next.map(Entry::at)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.consumed)
     }
 
     /// `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
     }
 }
 
-impl<E> fmt::Debug for EventQueue<E> {
+impl<E: Copy> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("len", &self.len())
@@ -203,6 +262,29 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn signed_zeros_keep_their_bits_and_pop_fifo() {
+        let mut q = EventQueue::new();
+        q.schedule(Nanos::new(0.0), 'a');
+        q.schedule(Nanos::new(-0.0), 'b');
+        q.schedule(Nanos::new(-1.0), 'c');
+        q.schedule(Nanos::new(0.0), 'd');
+        let out: Vec<_> =
+            std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.as_nanos().to_bits(), e)).collect();
+        let zero = 0.0f64.to_bits();
+        assert_eq!(
+            out,
+            vec![((-1.0f64).to_bits(), 'c'), (zero, 'a'), ((-0.0f64).to_bits(), 'b'), (zero, 'd')]
+        );
+    }
+
+    #[test]
+    fn key_adds_sixteen_bytes_to_a_payload() {
+        // A `u128` field would be 16-byte aligned and pad a 24-byte
+        // payload's entry to 48 bytes.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 3]>>(), 40);
     }
 
     #[test]

@@ -30,36 +30,6 @@ proptest! {
         prop_assert_eq!(drained, expected);
     }
 
-    /// The queue pops in exactly the same order as a sorted-`Vec`
-    /// reference model for arbitrary interleavings of `schedule` and
-    /// `pop` — including equal timestamps (FIFO in push order), `-0.0`
-    /// mixed with `0.0` (one instant, so also FIFO) and pushes earlier
-    /// than the last popped time.
-    #[test]
-    fn queue_matches_sorted_vec_reference(
-        ops in prop::collection::vec((0u64..2, 0.0f64..1000.0, 0u64..2), 1..400),
-        quantum in prop::sample::select(vec![0.0, 50.0, 400.0]),
-    ) {
-        let mut q = EventQueue::new();
-        let mut model = SortedVecModel::default();
-        let mut seq = 0usize;
-        for (push, t, negate_zero) in ops {
-            // Coarse quanta make equal timestamps (and zeros) common.
-            let t = if quantum > 0.0 { (t / quantum).floor() * quantum } else { t };
-            let t = if t == 0.0 && negate_zero == 1 { -0.0 } else { t };
-            if push == 0 || model.is_empty() {
-                q.schedule(Nanos::new(t), seq);
-                model.push(t, seq);
-                seq += 1;
-            } else {
-                prop_assert_eq!(popped(&mut q), model.pop());
-            }
-        }
-        for next in model.into_sorted() {
-            prop_assert_eq!(popped(&mut q), Some(next));
-        }
-        prop_assert_eq!(q.pop(), None);
-    }
     /// OnlineStats merge order doesn't matter (associativity within fp
     /// tolerance).
     #[test]
@@ -257,6 +227,57 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The queue pops in exactly the same order as a sorted-`Vec`
+    /// reference model for arbitrary interleavings of `schedule` and
+    /// `pop` — including equal timestamps (FIFO in push order), `-0.0`
+    /// mixed with `0.0` (one instant, so also FIFO) and pushes earlier
+    /// than the last popped time. Each step is a pop followed by 0, 1 or
+    /// 2 schedules, or 2 schedules alone, and `peek_time` (bits) and
+    /// `len` must match the model after every pop and every schedule:
+    /// so also between a pop and the next schedule, while the popped
+    /// root still sits in the heap.
+    #[test]
+    fn queue_matches_sorted_vec_reference(
+        steps in prop::collection::vec((0u8..4, 0.0f64..1000.0, 0.0f64..1000.0, 0u64..4), 1..300),
+        quantum in prop::sample::select(vec![0.0, 50.0, 400.0]),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = SortedVecModel::default();
+        let mut seq = 0usize;
+        let check = |q: &EventQueue<usize>, model: &mut SortedVecModel| {
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time().map(|t| t.as_nanos().to_bits()), model.peek());
+        };
+        for (kind, t0, t1, negate_zero) in steps {
+            // kind 0..=2: a pop, then `kind` schedules; kind 3: two
+            // schedules and no pop.
+            if kind < 3 {
+                prop_assert_eq!(popped(&mut q), model.pop());
+                check(&q, &mut model);
+            }
+            let schedules = if kind < 3 { kind } else { 2 };
+            for (i, t) in [t0, t1].into_iter().take(schedules as usize).enumerate() {
+                // Coarse quanta make equal timestamps (and zeros) common.
+                let t = if quantum > 0.0 { (t / quantum).floor() * quantum } else { t };
+                let t = if t == 0.0 && negate_zero >> i & 1 == 1 { -0.0 } else { t };
+                q.schedule(Nanos::new(t), seq);
+                model.push(t, seq);
+                seq += 1;
+                check(&q, &mut model);
+            }
+        }
+        for next in model.into_sorted() {
+            prop_assert_eq!(popped(&mut q), Some(next));
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.peek_time(), None);
+        prop_assert!(q.is_empty());
+    }
+}
+
 /// Reference model for the event queue: pending events in push order; a
 /// pop stably sorts them by time, so ties keep push order, and takes
 /// the front. Deliberately nothing like a heap.
@@ -270,12 +291,18 @@ impl SortedVecModel {
         self.pending.push((t, id));
     }
 
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+    fn len(&self) -> usize {
+        self.pending.len()
     }
 
     fn sort(&mut self) {
         self.pending.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    }
+
+    /// The next time's bits, without removing it.
+    fn peek(&mut self) -> Option<u64> {
+        self.sort();
+        self.pending.first().map(|(t, _)| t.to_bits())
     }
 
     /// The next `(time bits, id)`; the bits tell `-0.0` from `0.0`.
