@@ -1,5 +1,7 @@
 //! Command execution: maps a parsed [`Command`] onto the experiment API.
 
+use std::time::Instant;
+
 use agilewatts::aw_cstates::NamedConfig;
 use agilewatts::aw_faults::FaultPlan;
 use agilewatts::aw_server::{HardwareModel, RunOutput, ServerConfig, SimBuilder, WorkloadSpec};
@@ -450,7 +452,15 @@ fn run_instrumented(
     if telemetry.idle_active() {
         sim = sim.with_idle_analysis();
     }
-    checked(sim)
+    let start = Instant::now();
+    let output = checked(sim)?;
+    if output.telemetry.is_some() {
+        // Wall-clock, so it stays off stdout: the report text depends on
+        // the command alone.
+        let rate = output.metrics.events as f64 / start.elapsed().as_secs_f64();
+        eprintln!("telemetry: {rate:.0} DES events/s (wall clock)");
+    }
+    Ok(output)
 }
 
 /// A run of `config` under the robustness flags: `--queue-cap` and
@@ -500,9 +510,6 @@ fn report_observations(
     }
     if let Some(report) = &output.telemetry {
         println!("{}", telemetry_table(&report.summary));
-        // Wall-clock, so it stays off stdout: the report text depends on
-        // the command alone.
-        eprintln!("telemetry: {:.0} DES events/s (wall clock)", report.summary.events_per_sec);
         write_telemetry(report, telemetry)?;
     }
     if let Some(report) = &output.attribution {

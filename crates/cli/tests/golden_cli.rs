@@ -9,6 +9,11 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// The JSON reader shared by the workspace's integration tests,
+/// independent of the writer in `aw-telemetry`.
+#[path = "../../../tests/common/json_reader.rs"]
+mod json;
+
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_agilewatts")).args(args).output().expect("binary runs")
 }
@@ -303,16 +308,6 @@ const SWEEP_TRACED: &[&str] = &[
     "200",
 ];
 
-/// Drops the wall-clock `"events_per_sec"` field (key and value) from a
-/// metrics document, as `scripts/verify.sh`'s `strip_rate` does.
-fn strip_rate(metrics: &str) -> String {
-    let key = "\"events_per_sec\":";
-    let Some(at) = metrics.find(key) else { return metrics.to_string() };
-    let rest = &metrics[at + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    format!("{}{}", &metrics[..at], &rest[end..])
-}
-
 /// The traced exports are pinned byte for byte at two worker counts,
 /// and the pin is not vacuous: every counter the recorder bumps for an
 /// engine-built event is nonzero in the pinned metrics.
@@ -351,8 +346,18 @@ fn sweep_traced_exports_match_golden() {
         let (trace_out, metrics_out) = (read(&trace), read(&metrics));
         let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&metrics));
         assert!(trace_out == trace_golden, "Chrome trace drifted at --jobs {jobs}");
-        assert!(strip_rate(&metrics_out) == metrics_golden, "metrics drifted at --jobs {jobs}");
+        assert!(metrics_out == metrics_golden, "metrics drifted at --jobs {jobs}");
     }
+}
+
+/// The pinned metrics document is valid JSON, read by the test suite's
+/// own reader rather than the writer that produced it.
+#[test]
+fn traced_metrics_golden_is_valid_json() {
+    let doc = json::parse(&golden("sweep_traced_metrics.json")).expect("valid JSON");
+    let summary = doc.get("summary").expect("summary section");
+    assert_eq!(summary.get("sim_events").and_then(json::Value::as_f64), Some(28_195.0));
+    assert!(doc.get("counters").and_then(|c| c.get("governor.decisions")).is_some());
 }
 
 /// A traced run's stdout holds no wall-clock number: two identical runs,

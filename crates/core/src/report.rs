@@ -124,7 +124,7 @@ impl fmt::Display for TextTable {
 ///
 /// let mut rec = TelemetryRecorder::new(1, 64);
 /// rec.sim_event(Nanos::ZERO, 3);
-/// let table = telemetry_table(&rec.finish(Nanos::from_micros(1.0)));
+/// let table = telemetry_table(&rec.into_report(Nanos::from_micros(1.0)).summary);
 /// assert!(table.to_string().contains("mispredict rate"));
 /// ```
 #[must_use]
@@ -363,7 +363,7 @@ mod tests {
             aw_types::Nanos::from_micros(3.0),
             aw_types::Nanos::from_micros(2.0),
         );
-        let table = telemetry_table(&rec.finish(aw_types::Nanos::from_micros(10.0)));
+        let table = telemetry_table(&rec.into_report(aw_types::Nanos::from_micros(10.0)).summary);
         let text = table.to_string();
         assert!(text.contains("governor mispredict rate"));
         assert!(text.contains("0.00%"));

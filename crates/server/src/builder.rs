@@ -9,10 +9,6 @@
 //! observation path; each output field is `Some` exactly when its
 //! setting was made.
 //!
-//! The builder is [`Clone`], so a fleet (or any sweep) can hold one
-//! prototype and stamp out per-server instances, varying only the seed
-//! and the offered load.
-//!
 //! # Examples
 //!
 //! ```
@@ -189,40 +185,6 @@ impl SimBuilder {
         self
     }
 
-    /// The configuration this builder will run.
-    #[must_use]
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// The workload this builder will run.
-    #[must_use]
-    pub fn workload(&self) -> &WorkloadSpec {
-        &self.workload
-    }
-
-    /// The RNG seed this builder will run with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Replaces the seed (fleet stamping: same prototype, one CRN stream
-    /// per server).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the workload (fleet stamping: same prototype, per-server
-    /// load share).
-    #[must_use]
-    pub fn with_workload(mut self, workload: WorkloadSpec) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// The default attribution window for a run of `duration`: ~50
     /// windows, but never finer than 1 ms (sub-millisecond windows hold
     /// too few completions for a meaningful windowed p99).
@@ -388,20 +350,6 @@ mod tests {
     fn default_window_is_clamped() {
         assert_eq!(SimBuilder::default_window(Nanos::from_millis(400.0)), Nanos::from_millis(8.0));
         assert_eq!(SimBuilder::default_window(Nanos::from_millis(10.0)), Nanos::from_millis(1.0));
-    }
-
-    #[test]
-    fn stamping_helpers_replace_seed_and_workload() {
-        let proto = builder(NamedConfig::Aw, 50_000.0, 1);
-        let stamped = proto.clone().with_seed(99).with_workload(WorkloadSpec::poisson(
-            "half",
-            25_000.0,
-            Nanos::from_micros(3.0),
-            0.8,
-        ));
-        assert_eq!(stamped.seed(), 99);
-        assert!((stamped.workload().offered_qps() - 25_000.0).abs() < 1e-6);
-        assert_eq!(proto.seed(), 1);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The foundation under the AgileWatts server simulator: a time-ordered
 //! event queue with stable tie-breaking, a seeded random-number layer with
-//! the distributions the workload models need, and online statistics for
-//! latency percentiles and time-weighted state residencies.
+//! the distributions the workload models need, exact nearest-rank
+//! percentiles (by selection), the P² streaming quantile estimator, and
+//! time-weighted state residencies.
 //!
 //! Everything here is deterministic given a seed: two runs with the same
 //! seed and the same event schedule produce bit-identical results, which the
@@ -40,5 +41,5 @@ pub use dist::{Distribution, Empirical, Exponential, LogNormal, Pareto, Point, S
 pub use quantile::P2Quantile;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{nearest_rank, select_quantiles, OnlineStats, SampleSet};
+pub use stats::{nearest_rank, select_quantiles, SampleSet};
 pub use tracker::{EnergyMeter, ResidencyTracker};

@@ -1,104 +1,4 @@
-//! Online statistics: moments and percentiles.
-
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use aw_sim::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_variance(), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        OnlineStats { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0 if no observations were recorded.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (dividing by `n`), or 0 for fewer than one
-    /// observation.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Smallest observation, or `None` if empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Exact percentiles: nearest ranks found by selection.
 
 /// The 1-based nearest rank of the `q`-quantile among `n` values: the
 /// smallest rank `r` with `r >= q·n`, clamped to `[1, n]`. Every exact
@@ -186,8 +86,7 @@ fn check_quantiles(qs: &[f64]) {
 /// percentile queries order samples with [`f64::total_cmp`] — IEEE 754
 /// total order, under which every NaN with a positive sign bit ranks
 /// above `+inf`. A stray NaN therefore skews the extreme upper
-/// percentiles instead of panicking mid-sweep; [`mean`](Self::mean)
-/// propagates it as NaN.
+/// percentiles instead of panicking mid-sweep.
 ///
 /// # Examples
 ///
@@ -223,11 +122,6 @@ impl SampleSet {
         SampleSet { samples: Vec::with_capacity(capacity) }
     }
 
-    /// Reserves room for at least `additional` further samples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.samples.reserve(additional);
-    }
-
     /// Records one sample.
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
@@ -258,24 +152,12 @@ impl SampleSet {
         self.samples.is_empty()
     }
 
-    /// Arithmetic mean of the samples, or `None` if empty. The sum runs
-    /// in the samples' current order, which a percentile query changes:
-    /// take the mean first when its bits must repeat.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
     /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`. `None` if empty.
     ///
     /// One selection per call; use [`quantiles`](Self::quantiles) for
-    /// several. Reorders the samples (see [`select_quantiles`]), so take
-    /// any [`mean`](Self::mean) first; `total_cmp` ranks a positive NaN
-    /// above `+inf`.
+    /// several. Reorders the samples (see [`select_quantiles`]), so read
+    /// [`values`](Self::values) first when record order matters;
+    /// `total_cmp` ranks a positive NaN above `+inf`.
     ///
     /// # Panics
     ///
@@ -288,8 +170,9 @@ impl SampleSet {
     /// The nearest-rank quantiles for ascending `qs`, in one selection
     /// cascade ([`select_quantiles`]). `None` if empty.
     ///
-    /// Reorders the samples, so take any [`mean`](Self::mean) first;
-    /// `total_cmp` ranks a positive NaN above `+inf`.
+    /// Reorders the samples, so read [`values`](Self::values) first when
+    /// record order matters; `total_cmp` ranks a positive NaN above
+    /// `+inf`.
     ///
     /// # Panics
     ///
@@ -300,71 +183,11 @@ impl SampleSet {
         check_quantiles(&qs);
         (!self.samples.is_empty()).then(|| select_quantiles(&mut self.samples, qs))
     }
-
-    /// Convenience: the median (p50).
-    #[must_use]
-    pub fn median(&mut self) -> Option<f64> {
-        self.percentile(0.5)
-    }
-
-    /// Convenience: the p99 "tail" latency used throughout the evaluation.
-    #[must_use]
-    pub fn p99(&mut self) -> Option<f64> {
-        self.percentile(0.99)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [1.0, 2.0, 3.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(3.0));
-        assert!((s.population_variance() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| f64::from(i) * 0.37).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..40] {
-            a.record(x);
-        }
-        for &x in &xs[40..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(5.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), before);
-    }
 
     #[test]
     fn percentiles_nearest_rank() {
@@ -376,7 +199,6 @@ mod tests {
         assert_eq!(s.percentile(0.1), Some(1.0));
         assert_eq!(s.percentile(0.5), Some(5.0));
         assert_eq!(s.percentile(1.0), Some(10.0));
-        assert_eq!(s.median(), Some(5.0));
     }
 
     #[test]
@@ -408,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve_preallocate() {
+    fn with_capacity_preallocates() {
         let mut s = SampleSet::with_capacity(64);
         assert!(s.is_empty());
         let base = s.samples.capacity();
@@ -417,8 +239,6 @@ mod tests {
             s.record(f64::from(i));
         }
         assert_eq!(s.samples.capacity(), base, "pre-sized reservoir reallocated");
-        s.reserve(100);
-        assert!(s.samples.capacity() >= 164);
         assert_eq!(s.percentile(0.5), Some(31.0));
     }
 
@@ -438,7 +258,6 @@ mod tests {
     fn empty_sample_set() {
         let mut s = SampleSet::new();
         assert!(s.is_empty());
-        assert_eq!(s.mean(), None);
         assert_eq!(s.percentile(0.5), None);
         assert_eq!(s.quantiles([0.5, 1.0]), None);
     }

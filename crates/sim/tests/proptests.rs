@@ -2,7 +2,7 @@
 
 use aw_sim::{
     select_quantiles, Distribution, Empirical, EnergyMeter, EventQueue, Exponential, LogNormal,
-    OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
+    P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
 };
 use aw_types::{MilliWatts, Nanos};
 use proptest::prelude::*;
@@ -28,28 +28,6 @@ proptest! {
         let drained: Vec<(f64, usize)> =
             std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.as_nanos(), e)).collect();
         prop_assert_eq!(drained, expected);
-    }
-
-    /// OnlineStats merge order doesn't matter (associativity within fp
-    /// tolerance).
-    #[test]
-    fn stats_merge_is_order_insensitive(xs in prop::collection::vec(-1e6f64..1e6, 2..100), split in 1usize..99) {
-        let split = split.min(xs.len() - 1);
-        let (a, b) = xs.split_at(split);
-        let mut ab = OnlineStats::new();
-        for &x in a { ab.record(x); }
-        let mut bb = OnlineStats::new();
-        for &x in b { bb.record(x); }
-        let mut m1 = ab;
-        m1.merge(&bb);
-        let mut m2 = bb;
-        m2.merge(&ab);
-        prop_assert_eq!(m1.count(), m2.count());
-        prop_assert!((m1.mean() - m2.mean()).abs() <= 1e-6 * (1.0 + m1.mean().abs()));
-        prop_assert!(
-            (m1.population_variance() - m2.population_variance()).abs()
-                <= 1e-3 * (1.0 + m1.population_variance().abs())
-        );
     }
 
     /// Exact percentiles are monotone in the quantile.

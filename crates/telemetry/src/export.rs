@@ -163,7 +163,6 @@ fn summary_json(summary: &TelemetrySummary) -> JsonValue {
         ("events_recorded", JsonValue::UInt(summary.events_recorded)),
         ("events_dropped", JsonValue::UInt(summary.events_dropped)),
         ("sim_events", JsonValue::UInt(summary.sim_events)),
-        ("events_per_sec", JsonValue::Num(summary.events_per_sec)),
         ("event_queue_depth_hwm", JsonValue::Num(summary.event_queue_depth_hwm)),
         ("run_queue_depth_hwm", JsonValue::Num(summary.run_queue_depth_hwm)),
         ("governor_decisions", JsonValue::UInt(summary.governor_decisions)),
@@ -292,7 +291,6 @@ mod tests {
             "\"summary\"",
             "\"mispredict_rate\"",
             "\"event_queue_depth_hwm\"",
-            "\"events_per_sec\"",
             "\"governor.decisions\"",
             "\"runqueue.depth\"",
             "\"governor.residency_error_ns\"",

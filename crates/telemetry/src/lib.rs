@@ -41,7 +41,9 @@
 //! enter/exit events with exact residencies, scores every governor
 //! decision against the idle period that followed, and produces a
 //! [`TelemetryReport`] plus a [`TelemetrySummary`] of the headline
-//! numbers (mispredict rate, queue-depth high-water marks, events/sec).
+//! numbers (mispredict rate, residency error, queue-depth high-water
+//! marks). The crate reads no clock: every number it reports depends on
+//! the run's inputs alone.
 //!
 //! # Examples
 //!

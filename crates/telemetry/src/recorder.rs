@@ -7,13 +7,12 @@
 //! idle period that actually followed it.
 //!
 //! The built-in metrics live in fixed slots while the run is in flight,
-//! so the per-event hot path never looks up a metric by name; `finish`
-//! folds them into the registry once.
+//! so the per-event hot path never looks up a metric by name;
+//! `into_report` folds them into the registry once and builds the
+//! summary from the same slots.
 
 use std::fmt;
-use std::time::Instant;
 
-use aw_sim::OnlineStats;
 use aw_types::Nanos;
 
 use crate::event::{EventKind, TraceEvent};
@@ -42,8 +41,6 @@ macro_rules! counters {
 
 counters! {
     CStateTransitions => "cstate.transitions",
-    GovernorDecisions => "governor.decisions",
-    GovernorMispredicts => "governor.mispredicts",
     Wakes => "wakes",
     SnoopsServiced => "snoops.serviced",
     TurboEngagements => "turbo.engagements",
@@ -61,12 +58,11 @@ counters! {
 /// Records trace events and metrics for one simulation run.
 ///
 /// Construct with the core count and a trace capacity, drive it from the
-/// simulator's event handlers, then call [`TelemetryRecorder::finish`]
-/// once and convert into a [`TelemetryReport`].
+/// simulator's event handlers, then close the run with
+/// [`TelemetryRecorder::into_report`].
 #[derive(Debug)]
 pub struct TelemetryRecorder {
     sink: RingBufferSink,
-    registry: MetricsRegistry,
     /// Built-in counters, indexed by [`Counter`]; every bump adds one, so
     /// a nonzero slot is exactly a touched counter.
     counters: [u64; COUNTER_NAMES.len()],
@@ -79,10 +75,9 @@ pub struct TelemetryRecorder {
     residency_error_ns: Option<LogHistogram>,
     /// Per core: the occupied state's name and when it was entered.
     occupancy: Vec<Option<(&'static str, Nanos)>>,
+    /// Per core: decisions and mispredicts, summed into
+    /// `governor.decisions` and `governor.mispredicts` at the end.
     governor: Vec<GovernorScore>,
-    residency_error: OnlineStats,
-    started: Instant,
-    finished: Option<TelemetrySummary>,
 }
 
 impl TelemetryRecorder {
@@ -96,7 +91,6 @@ impl TelemetryRecorder {
     pub fn new(cores: usize, trace_limit: usize) -> Self {
         TelemetryRecorder {
             sink: RingBufferSink::new(trace_limit),
-            registry: MetricsRegistry::new(),
             counters: [0; COUNTER_NAMES.len()],
             run_queue_depth: None,
             event_queue_depth: None,
@@ -104,9 +98,6 @@ impl TelemetryRecorder {
             residency_error_ns: None,
             occupancy: vec![None; cores],
             governor: vec![GovernorScore::default(); cores],
-            residency_error: OnlineStats::new(),
-            started: Instant::now(),
-            finished: None,
         }
     }
 
@@ -150,7 +141,6 @@ impl TelemetryRecorder {
         let slot = usize::try_from(core).expect("core index fits usize");
         self.governor[slot].pending = Some((chosen, predicted));
         self.governor[slot].decisions += 1;
-        self.bump(Counter::GovernorDecisions);
         self.emit(now, core, EventKind::GovernorDecision { chosen, predicted });
     }
 
@@ -165,10 +155,8 @@ impl TelemetryRecorder {
         let premature = actual < target_residency;
         if premature {
             self.governor[slot].mispredicts += 1;
-            self.bump(Counter::GovernorMispredicts);
         }
         let error = (actual - predicted).as_nanos().abs();
-        self.residency_error.record(error);
         self.residency_error_ns.get_or_insert_with(LogHistogram::new).record(error);
         self.emit(now, core, EventKind::IdleOutcome { chosen, predicted, actual, premature });
     }
@@ -223,102 +211,89 @@ impl TelemetryRecorder {
             .set(now, queue_depth as f64);
     }
 
-    /// Closes the run at simulation time `end`: emits final C-state exit
-    /// events, folds the built-in metrics and per-core governor scores
-    /// into the registry, and computes the summary. Idempotent — later
-    /// calls return the first summary.
-    pub fn finish(&mut self, end: Nanos) -> TelemetrySummary {
-        if let Some(summary) = &self.finished {
-            return summary.clone();
-        }
-        for slot in 0..self.occupancy.len() {
-            if let Some((state, since)) = self.occupancy[slot].take() {
+    /// Closes the run at simulation time `end` and consumes the recorder
+    /// into a report: emits the final C-state exit events, folds the
+    /// built-in metrics and per-core governor scores into the registry,
+    /// and builds the summary from the same slots.
+    #[must_use]
+    pub fn into_report(mut self, end: Nanos) -> TelemetryReport {
+        for (slot, occupied) in self.occupancy.iter().enumerate() {
+            if let Some((state, since)) = *occupied {
                 let residency = (end - since).clamp_non_negative();
                 let core = u32::try_from(slot).expect("core index fits u32");
-                self.emit(end, core, EventKind::CStateExit { state, residency });
+                let kind = EventKind::CStateExit { state, residency };
+                self.sink.record(TraceEvent { time: end, core, kind });
             }
         }
-        for (name, &count) in COUNTER_NAMES.iter().zip(&self.counters) {
-            if count > 0 {
-                self.registry.inc(name, count);
-            }
-        }
-        let gauges = [
-            ("runqueue.depth", &mut self.run_queue_depth),
-            ("sim.queue_depth", &mut self.event_queue_depth),
-        ];
-        for (name, gauge) in gauges {
-            if let Some(gauge) = gauge.take() {
-                self.registry.gauges.insert(name.to_string(), gauge);
-            }
-        }
-        let histograms = [
-            ("cstate.residency_ns", &mut self.residency_ns),
-            ("governor.residency_error_ns", &mut self.residency_error_ns),
-        ];
-        for (name, histogram) in histograms {
-            if let Some(histogram) = histogram.take() {
-                self.registry.histograms.insert(name.to_string(), histogram);
-            }
-        }
-        self.registry.finish_gauges(end);
-        self.registry.inc("trace.recorded", self.sink.recorded());
-        self.registry.inc("trace.dropped", self.sink.dropped());
-
+        let mut registry = MetricsRegistry::new();
         let mut per_core_mispredict_rate = Vec::with_capacity(self.governor.len());
+        let (mut decisions, mut mispredicts) = (0, 0);
         for (i, score) in self.governor.iter().enumerate() {
-            self.registry.inc(&format!("governor.decisions.core{i}"), score.decisions);
-            self.registry.inc(&format!("governor.mispredicts.core{i}"), score.mispredicts);
-            let rate = if score.decisions > 0 {
-                score.mispredicts as f64 / score.decisions as f64
-            } else {
-                0.0
-            };
-            per_core_mispredict_rate.push(rate);
+            registry.inc(&format!("governor.decisions.core{i}"), score.decisions);
+            registry.inc(&format!("governor.mispredicts.core{i}"), score.mispredicts);
+            per_core_mispredict_rate.push(rate(score.mispredicts, score.decisions));
+            decisions += score.decisions;
+            mispredicts += score.mispredicts;
         }
+        let governor = [("governor.decisions", decisions), ("governor.mispredicts", mispredicts)];
+        for (name, count) in COUNTER_NAMES.iter().copied().zip(self.counters).chain(governor) {
+            if count > 0 {
+                registry.inc(name, count);
+            }
+        }
+        registry.inc("trace.recorded", self.sink.recorded());
+        registry.inc("trace.dropped", self.sink.dropped());
 
-        let decisions = self.registry.counter("governor.decisions");
-        let mispredicts = self.registry.counter("governor.mispredicts");
-        let sim_events = self.registry.counter("sim.events");
-        let wall = self.started.elapsed().as_secs_f64();
+        let hwm = |gauge: &Option<TimeWeightedGauge>| {
+            gauge.as_ref().map_or(0.0, TimeWeightedGauge::high_water_mark)
+        };
         let summary = TelemetrySummary {
             events_recorded: self.sink.recorded(),
             events_dropped: self.sink.dropped(),
-            sim_events,
-            events_per_sec: if wall > 0.0 { sim_events as f64 / wall } else { 0.0 },
-            event_queue_depth_hwm: self
-                .registry
-                .gauge("sim.queue_depth")
-                .map_or(0.0, super::TimeWeightedGauge::high_water_mark),
-            run_queue_depth_hwm: self
-                .registry
-                .gauge("runqueue.depth")
-                .map_or(0.0, super::TimeWeightedGauge::high_water_mark),
+            sim_events: self.counters[Counter::SimEvents as usize],
+            event_queue_depth_hwm: hwm(&self.event_queue_depth),
+            run_queue_depth_hwm: hwm(&self.run_queue_depth),
             governor_decisions: decisions,
             governor_mispredicts: mispredicts,
-            mispredict_rate: if decisions > 0 {
-                mispredicts as f64 / decisions as f64
-            } else {
-                0.0
-            },
-            mean_residency_error: Nanos::new(self.residency_error.mean()),
+            mispredict_rate: rate(mispredicts, decisions),
+            mean_residency_error: Nanos::new(
+                self.residency_error_ns.as_ref().map_or(0.0, LogHistogram::mean),
+            ),
             per_core_mispredict_rate,
         };
-        self.finished = Some(summary.clone());
-        summary
-    }
 
-    /// Consumes the recorder into a report. Calls
-    /// [`TelemetryRecorder::finish`] if the caller has not already.
-    #[must_use]
-    pub fn into_report(mut self, end: Nanos) -> TelemetryReport {
-        let summary = self.finish(end);
+        let gauges =
+            [("runqueue.depth", self.run_queue_depth), ("sim.queue_depth", self.event_queue_depth)];
+        for (name, gauge) in gauges {
+            if let Some(gauge) = gauge {
+                registry.gauges.insert(name.to_string(), gauge);
+            }
+        }
+        registry.finish_gauges(end);
+        let histograms = [
+            ("cstate.residency_ns", self.residency_ns),
+            ("governor.residency_error_ns", self.residency_error_ns),
+        ];
+        for (name, histogram) in histograms {
+            if let Some(histogram) = histogram {
+                registry.histograms.insert(name.to_string(), histogram);
+            }
+        }
         TelemetryReport {
             cores: self.occupancy.len(),
             events: self.sink.into_events(),
-            registry: self.registry,
+            registry,
             summary,
         }
+    }
+}
+
+/// `part / whole`, or 0 when `whole` is 0.
+fn rate(part: u64, whole: u64) -> f64 {
+    if whole > 0 {
+        part as f64 / whole as f64
+    } else {
+        0.0
     }
 }
 
@@ -331,10 +306,6 @@ pub struct TelemetrySummary {
     pub events_dropped: u64,
     /// DES events dispatched by the simulator loop.
     pub sim_events: u64,
-    /// DES events dispatched per wall-clock second (engine throughput).
-    /// The one wall-clock field: it goes to the metrics JSON, never into
-    /// `Display`, so a report's text depends on its inputs alone.
-    pub events_per_sec: f64,
     /// High-water mark of the DES event-queue depth.
     pub event_queue_depth_hwm: f64,
     /// High-water mark of the per-core run-queue depth.
@@ -430,27 +401,33 @@ mod tests {
             Nanos::from_micros(5.0),
             Nanos::from_micros(2.0),
         );
-        let s = r.finish(Nanos::from_micros(10.0));
+        let report = r.into_report(Nanos::from_micros(10.0));
+        let s = &report.summary;
         assert_eq!(s.governor_decisions, 2);
         assert_eq!(s.governor_mispredicts, 1);
         assert_eq!(s.mispredict_rate, 0.5);
         assert_eq!(s.per_core_mispredict_rate, [1.0, 0.0]);
+        assert_eq!(report.registry.counter("governor.decisions"), 2);
+        assert_eq!(report.registry.counter("governor.mispredicts"), 1);
+        // |100 ns − 700 µs| and |5 µs − 3 µs|, read from the histogram.
+        assert_eq!(s.mean_residency_error, Nanos::new((699_900.0 + 2_000.0) / 2.0));
     }
 
     #[test]
     fn outcome_without_decision_is_ignored() {
         let mut r = TelemetryRecorder::new(1, 16);
         r.idle_outcome(0, Nanos::ZERO, Nanos::ZERO, Nanos::new(1.0));
-        assert_eq!(r.finish(Nanos::new(1.0)).governor_decisions, 0);
-    }
-
-    #[test]
-    fn finish_is_idempotent() {
-        let mut r = TelemetryRecorder::new(1, 16);
-        r.state_change(0, Nanos::ZERO, "C0");
-        let a = r.finish(Nanos::new(10.0));
-        let b = r.finish(Nanos::new(99.0));
-        assert_eq!(a.events_recorded, b.events_recorded);
+        let report = r.into_report(Nanos::new(1.0));
+        assert_eq!(report.summary.governor_decisions, 0);
+        assert_eq!(report.summary.mean_residency_error, Nanos::ZERO);
+        // Zero totals stay out of the registry; per-core scores do not.
+        let governor: Vec<&str> = report
+            .registry
+            .counters()
+            .map(|(n, _)| n)
+            .filter(|n| n.starts_with("governor."))
+            .collect();
+        assert_eq!(governor, ["governor.decisions.core0", "governor.mispredicts.core0"]);
     }
 
     #[test]
@@ -459,9 +436,8 @@ mod tests {
         r.sim_event(Nanos::new(0.0), 3);
         r.sim_event(Nanos::new(10.0), 7);
         r.sim_event(Nanos::new(20.0), 1);
-        let s = r.finish(Nanos::new(30.0));
+        let s = r.into_report(Nanos::new(30.0)).summary;
         assert_eq!(s.sim_events, 3);
         assert_eq!(s.event_queue_depth_hwm, 7.0);
-        assert!(s.events_per_sec > 0.0);
     }
 }

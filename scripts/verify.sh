@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # One-shot verification gate: formatting, release build, full test suite
 # (unit + doc), warning-free clippy and rustdoc passes, the aw-benchmark
-# smoke test, and end-to-end smokes of the CLI and examples. CI and
-# pre-commit both run exactly this.
+# smoke test, and end-to-end smokes of the CLI and examples. The CLI's
+# goldens run inside `cargo test` (crates/cli/tests/golden_cli.rs), so
+# this script repeats none of them. CI and pre-commit both run exactly
+# this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,15 +74,6 @@ echo "$out" | grep -q "invariants: OK" || {
     exit 1
 }
 
-echo "==> parallel determinism smoke (--jobs 2 vs --jobs 1)"
-serial=$(cargo run -q --release -p aw-cli -- fig 8 --quick --jobs 1)
-parallel=$(cargo run -q --release -p aw-cli -- fig 8 --quick --jobs 2)
-if [ "$serial" != "$parallel" ]; then
-    echo "verify: fig 8 output differs between --jobs 1 and --jobs 2" >&2
-    diff <(echo "$serial") <(echo "$parallel") >&2 || true
-    exit 1
-fi
-
 echo "==> traced-output smoke (--trace-out/--metrics-out, --jobs 1 vs --jobs 2)"
 for jobs in 1 2; do
     cargo run -q --release -p aw-cli -- fig 8 --quick --jobs "$jobs" \
@@ -91,9 +84,7 @@ if ! cmp -s target/verify_trace_j1.json target/verify_trace_j2.json; then
     echo "verify: Chrome trace differs between --jobs 1 and --jobs 2" >&2
     exit 1
 fi
-# events_per_sec is wall-clock throughput; everything else is simulated.
-strip_rate() { sed -E 's/"events_per_sec":[^,}]*//' "$1"; }
-if ! diff <(strip_rate target/verify_metrics_j1.json) <(strip_rate target/verify_metrics_j2.json) >&2; then
+if ! cmp -s target/verify_metrics_j1.json target/verify_metrics_j2.json; then
     echo "verify: metrics JSON differs between --jobs 1 and --jobs 2" >&2
     exit 1
 fi
@@ -188,126 +179,6 @@ echo "$watch_a" | grep -q "Residency heatmap" || {
     exit 1
 }
 
-echo "==> chaotic watch smoke (--fleet-faults, --jobs 1 vs --jobs 8, golden)"
-# Crashes, a rack outage, degraded links, throttles and failed unparks:
-# the frames render crashed (X) and ejected (E) servers next to parked,
-# idle and loaded ones, and the final report carries the chaos ledger.
-watch_chaos_cmd=(cargo run -q --release -p aw-cli -- watch --headless --frames 3 --seed 42 \
-    --servers 6 --epochs 8 --autoscale --diurnal 0.5 --fleet-faults \
-    "crash-at=2:1,rack-outage=0.04,rack-size=2,degrade=0.1,throttle=0.1,unpark-fail=0.3,down-epochs=2")
-"${watch_chaos_cmd[@]}" --jobs 1 >target/verify_watch_chaos_j1.txt
-"${watch_chaos_cmd[@]}" --jobs 8 >target/verify_watch_chaos_j8.txt
-if ! cmp -s target/verify_watch_chaos_j1.txt target/verify_watch_chaos_j8.txt; then
-    echo "verify: chaotic watch --headless differs between --jobs 1 and --jobs 8" >&2
-    diff target/verify_watch_chaos_j1.txt target/verify_watch_chaos_j8.txt >&2 || true
-    exit 1
-fi
-if ! diff target/verify_watch_chaos_j1.txt tests/golden/watch_chaos_skylake.txt >&2; then
-    echo "verify: chaotic watch drifted from tests/golden/watch_chaos_skylake.txt" >&2
-    exit 1
-fi
-
-echo "==> faulted sweep golden (--faults/--queue-cap/--request-timeout, --jobs 1 vs --jobs 8)"
-# Sheds, timeouts, client retries, fallbacks and breaker trips: the
-# report charges the engine's fixed retry, breaker, snoop and
-# transition-energy costs.
-sweep_faults_cmd=(cargo run -q --release -p aw-cli -- sweep --config AW --qps 300000 \
-    --duration-ms 50 --cores 4 --seed 7 --faults \
-    "seed=7,wake-fail=0.9,wake-retries=1,relock=0.05,drowsy=0.05,lost-wake=0.02,spurious=2000,storm=200,slowdown=50" \
-    --queue-cap 4 --request-timeout 20)
-for jobs in 1 8; do
-    "${sweep_faults_cmd[@]}" --jobs "$jobs" >target/verify_sweep_faults_j"$jobs".txt
-    if ! diff target/verify_sweep_faults_j"$jobs".txt tests/golden/sweep_faults_skylake.txt >&2; then
-        echo "verify: faulted sweep at --jobs $jobs drifted from tests/golden/sweep_faults_skylake.txt" >&2
-        exit 1
-    fi
-done
-
-echo "==> traced-export goldens and stdout (--trace-out/--metrics-out, --jobs 1 vs --jobs 8)"
-# Every counter the recorder bumps for an engine-built event is nonzero
-# in the pinned metrics, so the pin covers each event kind's counter.
-for counter in wakes snoops.serviced turbo.engagements runqueue.enqueues runqueue.dequeues \
-    faults.injected overload.shed overload.timeouts overload.retries breaker.trips breaker.restores; do
-    grep -Eq "\"$counter\":[1-9]" tests/golden/sweep_traced_metrics.json || {
-        echo "verify: counter $counter is 0 or missing in tests/golden/sweep_traced_metrics.json" >&2
-        exit 1
-    }
-done
-# Both runs write the same paths, which the report names, so their
-# stdout can be compared byte for byte: it holds no wall-clock number.
-for jobs in 1 8; do
-    cargo run -q --release -p aw-cli -- sweep --config T_C6A,No_C6,No_C1E --qps 100000 \
-        --duration-ms 50 --cores 4 --seed 7 --faults \
-        "seed=7,wake-fail=0.9,wake-retries=1,relock=0.05,drowsy=0.05,lost-wake=0.02,spurious=2000,storm=200,slowdown=50" \
-        --queue-cap 1 --request-timeout 20 --trace-limit 200 --jobs "$jobs" \
-        --trace-out target/verify_traced_trace.json \
-        --metrics-out target/verify_traced_metrics.json >target/verify_traced_stdout_j"$jobs".txt
-    if ! cmp -s target/verify_traced_trace.json tests/golden/sweep_traced_trace.json; then
-        echo "verify: traced sweep at --jobs $jobs drifted from tests/golden/sweep_traced_trace.json" >&2
-        exit 1
-    fi
-    if ! diff <(strip_rate target/verify_traced_metrics.json) tests/golden/sweep_traced_metrics.json >&2; then
-        echo "verify: traced sweep at --jobs $jobs drifted from tests/golden/sweep_traced_metrics.json" >&2
-        exit 1
-    fi
-done
-if ! diff target/verify_traced_stdout_j1.txt target/verify_traced_stdout_j8.txt >&2; then
-    echo "verify: traced sweep stdout differs between --jobs 1 and --jobs 8" >&2
-    exit 1
-fi
-
-echo "==> hardware-model gates (--hw)"
-# The explicit default spelling must stay byte-identical to the seed
-# goldens -- any Skylake-SP calibration drift fails here.
-cargo run -q --release -p aw-cli -- fig 8 --quick --hw skylake-sp --jobs 2 >target/verify_sky_fig8.txt
-if ! diff target/verify_sky_fig8.txt tests/golden/fig8_quick_skylake.txt >&2; then
-    echo "verify: fig 8 --hw skylake-sp drifted from tests/golden/fig8_quick_skylake.txt" >&2
-    exit 1
-fi
-sky_fig8=$(cat target/verify_sky_fig8.txt)
-"${chaos_cmd[@]}" --hw skylake-sp --jobs 2 >target/verify_sky_chaos.txt
-if ! diff target/verify_sky_chaos.txt tests/golden/fleet_chaos_skylake.txt >&2; then
-    echo "verify: chaos fleet --hw skylake-sp drifted from tests/golden/fleet_chaos_skylake.txt" >&2
-    exit 1
-fi
-# Zen 2 smoke: the same grid runs end to end on the other backend and
-# actually produces different numbers.
-zen_fig8=$(cargo run -q --release -p aw-cli -- fig 8 --quick --hw zen2 --jobs 2)
-echo "$zen_fig8" | grep -q "Fig. 8" || {
-    echo "verify: fig 8 --hw zen2 printed no report" >&2
-    exit 1
-}
-if [ "$zen_fig8" = "$sky_fig8" ]; then
-    echo "verify: zen2 output identical to skylake-sp (model not plumbed through)" >&2
-    exit 1
-fi
-# Mixed fleet: byte-identical at --jobs 1/2/8.
-mixed_cmd=("${chaos_cmd[@]}" --hw skylake-sp,zen2)
-mixed_1=$("${mixed_cmd[@]}" --jobs 1)
-mixed_2=$("${mixed_cmd[@]}" --jobs 2)
-mixed_8=$("${mixed_cmd[@]}" --jobs 8)
-if [ "$mixed_1" != "$mixed_2" ] || [ "$mixed_1" != "$mixed_8" ]; then
-    echo "verify: mixed skylake-sp,zen2 fleet differs across --jobs 1/2/8" >&2
-    exit 1
-fi
-if ! diff <(echo "$mixed_1") tests/golden/fleet_chaos_mixed.txt >&2; then
-    echo "verify: mixed chaos fleet drifted from tests/golden/fleet_chaos_mixed.txt" >&2
-    exit 1
-fi
-echo "$mixed_1" | grep -q "hw:      skylake-sp, zen2" || {
-    echo "verify: mixed fleet report missing its hw line" >&2
-    exit 1
-}
-# Unknown names fail fast and list the registry.
-if cargo run -q --release -p aw-cli -- fig 8 --hw epyc9 2>/tmp/aw_hw_err; then
-    echo "verify: unknown --hw name was accepted" >&2
-    exit 1
-fi
-grep -q "known models" /tmp/aw_hw_err || {
-    echo "verify: unknown --hw error did not list known models" >&2
-    exit 1
-}
-
 echo "==> work-limit refusal smoke"
 # Runs that could never finish, or would abort in the allocator, are
 # refused while parsing: a usage error (exit 1), not a timeout (124) or
@@ -355,20 +226,6 @@ for entry in \
 done
 
 echo "==> analyze smoke"
-# A small core count scores the Baseline run's C1 choices against the
-# AW menu's costlier cheapest state; the ledger must still hold. The
-# robustness flags reach both runs, so a faulted report differs.
-timeout 60 target/release/agilewatts analyze --cores 2 --duration-ms 20 >/dev/null || {
-    echo "verify: 'agilewatts analyze --cores 2 --duration-ms 20' failed" >&2
-    exit 1
-}
-plain=$(target/release/agilewatts analyze --duration-ms 5)
-faulted=$(target/release/agilewatts analyze --duration-ms 5 \
-    --faults storm=100000,spurious=100000,wake-fail=0.5 --queue-cap 1 --request-timeout 1)
-if [ "$plain" = "$faulted" ]; then
-    echo "verify: analyze ignored --faults/--queue-cap/--request-timeout" >&2
-    exit 1
-fi
 # Zen 2's catalog, and every --idle-out format: each run exits 0 and
 # writes a non-empty report.
 timeout 60 target/release/agilewatts analyze --hw zen2 --duration-ms 20 >/dev/null || {

@@ -3,7 +3,7 @@
 //! trace exporter's golden format.
 
 use agilewatts::aw_cstates::NamedConfig;
-use agilewatts::aw_server::{ServerConfig, SimBuilder};
+use agilewatts::aw_server::{RunOutput, ServerConfig, SimBuilder};
 use agilewatts::aw_telemetry::export::metrics_json;
 use agilewatts::aw_telemetry::{
     EventKind, LogHistogram, MetricsRegistry, TelemetryRecorder, TelemetryReport, TelemetrySummary,
@@ -146,18 +146,30 @@ fn chrome_export_is_valid_json_with_required_keys() {
     }
 }
 
+/// Everything a traced run reports depends on its inputs alone: two
+/// identical runs give the same metrics, summary included, and the same
+/// metrics document byte for byte.
+#[test]
+fn identical_traced_runs_report_identical_metrics() {
+    let run = || {
+        let config = ServerConfig::new(2, NamedConfig::Aw).with_duration(Nanos::from_millis(10.0));
+        SimBuilder::new(config, memcached_etc(80_000.0), 7).with_telemetry(10_000).run()
+    };
+    let (a, b) = (run(), run());
+    assert!(a.metrics.telemetry.is_some(), "the summary rides in the metrics");
+    assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
+    let json = |out: &RunOutput| out.telemetry.as_ref().expect("telemetry enabled").metrics_json();
+    assert_eq!(json(&a), json(&b));
+}
+
 #[test]
 fn metrics_export_is_valid_json_with_headline_numbers() {
     let report = traced_run(NamedConfig::Aw, 2);
     let doc = json::parse(&report.metrics_json()).expect("exporter emits valid JSON");
     let summary = doc.get("summary").expect("summary section");
-    for key in [
-        "mispredict_rate",
-        "events_per_sec",
-        "event_queue_depth_hwm",
-        "run_queue_depth_hwm",
-        "governor_decisions",
-    ] {
+    for key in
+        ["mispredict_rate", "event_queue_depth_hwm", "run_queue_depth_hwm", "governor_decisions"]
+    {
         assert!(summary.get(key).is_some(), "summary is missing {key}");
     }
     let counters = doc.get("counters").expect("counters section");
@@ -213,7 +225,7 @@ impl ReferenceFold {
         self.emitted += 1;
     }
 
-    fn finish(mut self, end: Nanos, events_per_sec: f64) -> (MetricsRegistry, TelemetrySummary) {
+    fn finish(mut self, end: Nanos) -> (MetricsRegistry, TelemetrySummary) {
         self.emitted += self.occupancy.iter().flatten().count() as u64;
         let r = &mut self.registry;
         r.finish_gauges(end);
@@ -231,7 +243,6 @@ impl ReferenceFold {
             events_recorded: self.emitted,
             events_dropped: 0,
             sim_events: r.counter("sim.events"),
-            events_per_sec,
             event_queue_depth_hwm: hwm("sim.queue_depth"),
             run_queue_depth_hwm: hwm("runqueue.depth"),
             governor_decisions: decisions,
@@ -254,7 +265,7 @@ proptest! {
     /// Every recorder entry point, in arbitrary interleavings: the
     /// registry's counters equal a fold over the raw event stream, and the
     /// whole metrics export equals one built from plain string-keyed
-    /// registry calls (wall-clock `events_per_sec` aside).
+    /// registry calls.
     #[test]
     fn registry_aggregates_equal_event_fold(ops in prop::collection::vec((0u8..15, 0u32..3, 1.0f64..1e6), 1..300)) {
         const STATES: [&str; 3] = ["C0", "C1", "C6A"];
@@ -351,8 +362,7 @@ proptest! {
         prop_assert_eq!(report.registry.counter("turbo.engagements"), turbos);
         prop_assert_eq!(report.summary.events_recorded, report.events.len() as u64);
 
-        let (registry, summary) =
-            reference.finish(Nanos::new(clock), report.summary.events_per_sec);
+        let (registry, summary) = reference.finish(Nanos::new(clock));
         prop_assert_eq!(&report.summary, &summary);
         prop_assert_eq!(report.metrics_json(), metrics_json(&registry, &summary));
     }
