@@ -563,7 +563,7 @@ static FLAGS: &[Flag] = &[
         (SWEEP, 1, "<N>", &["offered load (memcached only; default 300000)"]),
         (ANALYZE, 1, "<N>", &["offered load (memcached only; default 300000)"])],
         set: Value(|p, f, v| floored_f64(f, v, MIN_QPS, "requests/s")
-            .map(|q| (p.sweep.qps, p.analyze.qps) = (q, q))) },
+            .map(|q| (p.sweep.qps, p.analyze.qps, p.qps_given) = (q, q, true))) },
     Flag { name: "--config", scope: &[Sweep, Fleet, Watch], help: &[
         (SWEEP, 2, "<NAME>", &[
             "Baseline | NT_Baseline | NT_No_C6 | NT_No_C6,No_C1E |",
@@ -731,6 +731,8 @@ struct Parsed {
     fleet: FleetArgs,
     /// The `watch`-only options; its `fleet` part is `Parsed::fleet`.
     watch: WatchArgs,
+    /// Whether the line gave `--qps`, which only memcached takes.
+    qps_given: bool,
 }
 
 impl Parsed {
@@ -746,6 +748,20 @@ impl Parsed {
             Switch(set) => set(self),
             Path(slot) => *slot(self) = Some(value()?.clone()),
             Value(set) => set(self, flag.name, value()?)?,
+        }
+        Ok(())
+    }
+
+    /// Refuses `--qps` for a known workload other than memcached: the
+    /// others run at their own fixed rates, so the value would be
+    /// ignored. An unknown name fails when it runs, as without `--qps`.
+    fn check_qps(&self, workload: &str) -> Result<(), ParseError> {
+        let fixed_rate =
+            workload != "memcached" && crate::run::workload_by_name(workload, 1.0, 1).is_ok();
+        if self.qps_given && fixed_rate {
+            return Err(ParseError(format!(
+                "--qps only applies to the memcached workload, not '{workload}'"
+            )));
         }
         Ok(())
     }
@@ -807,8 +823,16 @@ impl Parsed {
             "ablations" => Command::Ablations { quick: self.switch(Quick, rest)? },
             "cross-vendor" => Command::CrossVendor { quick: self.switch(Quick, rest)? },
             "report" => Command::Report { quick: self.switch(Quick, rest)? },
-            "sweep" => self.flags(Sweep, rest).map(|()| Command::Sweep(self.sweep))?,
-            "analyze" => self.flags(Analyze, rest).map(|()| Command::Analyze(self.analyze))?,
+            "sweep" => {
+                self.flags(Sweep, rest)?;
+                self.check_qps(&self.sweep.workload)?;
+                Command::Sweep(self.sweep)
+            }
+            "analyze" => {
+                self.flags(Analyze, rest)?;
+                self.check_qps(&self.analyze.workload)?;
+                Command::Analyze(self.analyze)
+            }
             "fleet" => self.flags(Fleet, rest).map(|()| Command::Fleet(self.fleet))?,
             "watch" => {
                 self.flags(Watch, rest)?;
@@ -1017,16 +1041,40 @@ mod tests {
     #[test]
     fn sweep_full_options() {
         let cmd = parse(&argv(
-            "sweep --workload kafka-low --qps 50000 --config NT_No_C6 --cores 4 --duration-ms 80 --seed 7",
+            "sweep --workload memcached --qps 50000 --config NT_No_C6 --cores 4 --duration-ms 80 --seed 7",
         ))
         .unwrap();
         let Command::Sweep(s) = cmd else { panic!("expected sweep") };
-        assert_eq!(s.workload, "kafka-low");
+        assert_eq!(s.workload, "memcached");
         assert_eq!(s.qps, 50_000.0);
         assert_eq!(s.config, NamedConfig::NtNoC6);
         assert_eq!(s.cores, 4);
         assert_eq!(s.duration_ms, 80.0);
         assert_eq!(s.seed, 7);
+    }
+
+    #[test]
+    fn qps_is_refused_for_every_workload_but_memcached() {
+        for command in ["sweep", "analyze"] {
+            for workload in ["kafka-low", "mysql-mid", "websearch-50"] {
+                let msg = format!("--qps only applies to the memcached workload, not '{workload}'");
+                for line in [
+                    format!("{command} --workload {workload} --qps 1000"),
+                    format!("{command} --qps 1000 --workload {workload}"),
+                ] {
+                    assert_eq!(err(&line), msg, "`{line}`");
+                }
+                // Without --qps the workload runs at its own rate.
+                let line = format!("{command} --workload {workload}");
+                let workload_of = |c| match c {
+                    Command::Sweep(s) => s.workload,
+                    Command::Analyze(a) => a.workload,
+                    other => panic!("`{line}` parsed as {other:?}"),
+                };
+                assert_eq!(workload_of(parse(&argv(&line)).unwrap()), workload);
+            }
+            parse_cli(&argv(&format!("{command} --qps 1000 --workload memcached"))).unwrap();
+        }
     }
 
     #[test]
@@ -1071,11 +1119,11 @@ mod tests {
         assert_eq!(a, AnalyzeArgs::default());
 
         let cmd = parse(&argv(
-            "analyze --workload mysql-mid --qps 50000 --cores 4 --duration-ms 80 --seed 7",
+            "analyze --workload memcached --qps 50000 --cores 4 --duration-ms 80 --seed 7",
         ))
         .unwrap();
         let Command::Analyze(a) = cmd else { panic!("expected analyze") };
-        assert_eq!(a.workload, "mysql-mid");
+        assert_eq!(a.workload, "memcached");
         assert_eq!(a.qps, 50_000.0);
         assert_eq!(a.cores, 4);
         assert_eq!(a.duration_ms, 80.0);

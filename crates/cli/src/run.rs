@@ -26,7 +26,11 @@ fn sweep_params(quick: bool, hw: &'static HardwareModel) -> SweepParams {
     if quick { SweepParams::quick() } else { SweepParams::default() }.with_hw(hw)
 }
 
-fn workload_by_name(name: &str, qps: f64, cores: usize) -> Result<WorkloadSpec, ParseError> {
+pub(crate) fn workload_by_name(
+    name: &str,
+    qps: f64,
+    cores: usize,
+) -> Result<WorkloadSpec, ParseError> {
     match name {
         "memcached" => Ok(memcached_etc(qps)),
         "kafka-low" => Ok(kafka(KafkaRate::Low)),

@@ -41,7 +41,7 @@ use aw_faults::{
     FleetFaultSpec,
 };
 use aw_server::{
-    HardwareModel, LatencyStats, PackageCState, RunOutput, ServerConfig, SimBuilder, WorkloadSpec,
+    HardwareModel, LatencyStats, PackageCState, RunMetrics, ServerConfig, SimBuilder, WorkloadSpec,
 };
 use aw_sleep::{BreakEven, OpportunitySummary};
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
@@ -338,10 +338,10 @@ impl FleetSim {
     /// Runs the whole fleet and aggregates the report.
     ///
     /// Deterministic for a fixed config: epoch plans are computed
-    /// serially up front, the simulated server-epochs fan out on
-    /// [`SweepExecutor::current`] with results landing by grid index,
-    /// and every server-epoch seeds its own RNG streams — so the report
-    /// is byte-identical at any `--jobs`.
+    /// serially up front, each epoch's simulated server-epochs fan out
+    /// on [`SweepExecutor::current`] and are counted in server order as
+    /// their records arrive, and every server-epoch seeds its own RNG
+    /// streams — so the report is byte-identical at any `--jobs`.
     #[must_use]
     pub fn run(self) -> FleetReport {
         self.run_observed(&mut NullFleetObserver)
@@ -472,24 +472,23 @@ impl FleetSim {
         let mut windows = Vec::with_capacity(cfg.epochs);
         let mut events = 0u64;
         // Epoch by epoch: simulate the epoch's loaded servers, take the
-        // census, stream it, move on.
+        // census as their records arrive, stream it, move on.
         for (e, plan) in plans.iter().enumerate() {
             let (health, scale) = (&plan.health, &plan.scale);
-            let runs = simulate_epoch(&cfg, &slots, e, plan);
-            events += runs.iter().flatten().map(|o| o.metrics.events).sum::<u64>();
 
             // The census: each server's role, power contribution and
             // sums, in server order.
             let mut snapshots = Vec::with_capacity(if observe { cfg.servers } else { 0 });
-            for (server, (slot, run)) in slots.iter().zip(&runs).enumerate() {
+            let mut count = |server: usize, run: Option<&ServerEpoch>| {
+                let slot = &slots[server];
                 let role = plan.role(server, run.is_some());
                 let avail = scale.availability[server];
                 let crash = health.crash_phase[server];
                 let power = match (role, run) {
                     // A mid-epoch crash serves `phase` of the epoch at
                     // its simulated power and is dark (0 W) for the rest.
-                    (_, Some(out)) => {
-                        let pkg = out.metrics.package_power() * crash.unwrap_or(1.0);
+                    (_, Some(run)) => {
+                        let pkg = run.metrics.package_power() * crash.unwrap_or(1.0);
                         if role == ServerRole::Loaded && avail < 1.0 {
                             // Unparking server: part of the epoch at park
                             // power, plus the boot-energy burst.
@@ -513,15 +512,24 @@ impl FleetSim {
                     // package idle.
                     _ => slot.idle_power,
                 };
-                let sim = run.as_ref().map(|out| {
-                    let intervals = out.idle_intervals.as_deref().unwrap_or(&[]);
-                    (out, OpportunitySummary::compute(intervals, &slot.breakeven))
-                });
-                tally.count(role, power, sim, slot.idle_pc6);
+                events += run.map_or(0, |r| r.metrics.events);
+                tally.count(role, power, run, slot.idle_pc6);
                 if observe {
-                    let sim = sim.map(|(out, o)| (plan.shares[server], &out.metrics, o));
+                    let sim = run.map(|r| (plan.shares[server], &r.metrics, r.opportunity));
                     snapshots.push(ServerEpochSnapshot::new(server, role, power, sim));
                 }
+            };
+            // Servers routed no load are counted as the fold passes them.
+            let mut next = 0;
+            simulate_epoch(&cfg, &slots, e, plan, |server, run| {
+                for idle in next..server {
+                    count(idle, None);
+                }
+                count(server, Some(&run));
+                next = server + 1;
+            });
+            for idle in next..cfg.servers {
+                count(idle, None);
             }
 
             let (epoch, latency) = tally.close_epoch();
@@ -645,20 +653,32 @@ impl Slot {
     }
 }
 
-/// Simulates epoch `e`'s loaded servers on the executor, and returns
-/// each server's run (`None` for a server routed no load). Each
-/// server-epoch owns its seed stream, so the runs are the same at any
-/// worker count.
+/// What the census keeps of one simulated server-epoch. The idle log is
+/// scored into `opportunity` by the worker that ran the simulation and
+/// dropped there.
+struct ServerEpoch {
+    metrics: RunMetrics,
+    /// Measured latencies in ns, completion order.
+    latency_samples: Vec<f64>,
+    opportunity: OpportunitySummary,
+}
+
+/// Simulates epoch `e`'s loaded servers on the executor and hands each
+/// server's record to `sink` in server order, as soon as it and every
+/// loaded server before it have finished. Each server-epoch owns its
+/// seed stream, so `sink` sees the same records at any worker count.
 fn simulate_epoch(
     cfg: &FleetConfig,
     slots: &[Slot],
     e: usize,
     plan: &EpochPlan,
-) -> Vec<Option<RunOutput>> {
+    mut sink: impl FnMut(usize, ServerEpoch),
+) {
     let proto_qps = cfg.workload.offered_qps();
     let health = &plan.health;
     let loaded: Vec<usize> = (0..cfg.servers).filter(|&s| plan.shares[s] > 0.0).collect();
-    let outputs = SweepExecutor::current().map(&loaded, |&server| {
+    let simulate = |_, &server: &usize| {
+        let slot = &slots[server];
         let mut workload = cfg.workload.scaled_qps(plan.shares[server] / proto_qps);
         // A degraded link adds latency to every request; a throttle
         // stretches service times by its inverse.
@@ -671,7 +691,7 @@ fn simulate_epoch(
         }
         // A server crashing mid-epoch serves only `phase` of it.
         let phase = health.crash_phase[server].unwrap_or(1.0);
-        let config = slots[server].config.clone().with_duration(cfg.epoch * phase);
+        let config = slot.config.clone().with_duration(cfg.epoch * phase);
         let seed = mix_seed(cfg.seed, server as u64, e as u64);
         let mut builder =
             SimBuilder::new(config, workload, seed).with_latency_samples().with_idle_analysis();
@@ -680,13 +700,15 @@ fn simulate_epoch(
             spec.seed = mix_seed(fs.seed, server as u64, e as u64);
             builder = builder.with_faults(FaultPlan::new(spec));
         }
-        builder.run()
-    });
-    let mut runs: Vec<Option<RunOutput>> = (0..cfg.servers).map(|_| None).collect();
-    for (&server, out) in loaded.iter().zip(outputs) {
-        runs[server] = Some(out);
-    }
-    runs
+        let out = builder.run();
+        let intervals = out.idle_intervals.as_deref().unwrap_or(&[]);
+        ServerEpoch {
+            opportunity: OpportunitySummary::compute(intervals, &slot.breakeven),
+            latency_samples: out.latency_samples.unwrap_or_default(),
+            metrics: out.metrics,
+        }
+    };
+    SweepExecutor::current().fold_ordered(&loaded, simulate, |k, run| sink(loaded[k], run));
 }
 
 /// One epoch's census sums, folded server by server in index order.
@@ -723,20 +745,20 @@ struct Tally {
 }
 
 impl Tally {
-    /// Counts one server's epoch. `sim` is its run and idle-opportunity
-    /// sums when it was simulated; `idle_pc6` says whether its
+    /// Counts one server's epoch. `run` is its record when it was
+    /// simulated; `idle_pc6` says whether its
     /// closed-form deep idle reaches package C6.
     fn count(
         &mut self,
         role: ServerRole,
         power: MilliWatts,
-        sim: Option<(&RunOutput, OpportunitySummary)>,
+        run: Option<&ServerEpoch>,
         idle_pc6: bool,
     ) {
         self.epoch.power += power;
         self.epoch.roles[role as usize] += 1;
-        if let Some((out, opportunity)) = sim {
-            let m = &out.metrics;
+        if let Some(run) = run {
+            let (m, opportunity) = (&run.metrics, &run.opportunity);
             let (c0, agile) = residency_shares(m);
             self.sim_epochs += 1;
             self.unparked_epochs += 1;
@@ -747,7 +769,7 @@ impl Tally {
             self.degradation.servers += m.degradation;
             self.epoch.achieved += opportunity.achieved_savings;
             self.epoch.oracle += opportunity.oracle_savings;
-            self.latencies.extend_from_slice(out.latency_samples.as_deref().unwrap_or(&[]));
+            self.latencies.extend_from_slice(&run.latency_samples);
         } else if matches!(role, ServerRole::Ejected | ServerRole::Idle) {
             self.unparked_epochs += 1;
             self.pc6_sum += if idle_pc6 { 1.0 } else { 0.0 };

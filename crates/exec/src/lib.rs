@@ -23,7 +23,12 @@
 //! The pool is a zero-dependency atomic-cursor design on
 //! [`std::thread::scope`]: workers claim the next unclaimed index with a
 //! single `fetch_add`, so load imbalance between points self-corrects
-//! without any channels or locking.
+//! without any locking. Its one primitive is
+//! [`SweepExecutor::fold_ordered`], which hands each result to a
+//! caller-side sink in point order as soon as its index is next;
+//! `map_indexed` is that fold collecting into a `Vec`. A caller that
+//! reduces each result in its sink holds only the results that finished
+//! ahead of the next index, never the whole sweep.
 //!
 //! # Choosing the worker count
 //!
@@ -46,9 +51,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::BTreeMap;
 use std::io::{IsTerminal, Write};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Process-wide job-count override; `0` means "not set".
@@ -130,10 +137,20 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
+/// Sets its flag when dropped: stops the progress reporter however the
+/// fold exits.
+struct Release<'a>(&'a AtomicBool);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 /// A deterministic fork–join executor for sweeps of independent points.
 ///
 /// The executor is cheap to construct (it is just a worker count); the
-/// thread pool is scoped to each [`map_indexed`](Self::map_indexed)
+/// thread pool is scoped to each [`fold_ordered`](Self::fold_ordered)
 /// call, so no threads outlive the sweep and borrowed points need no
 /// `'static` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +171,9 @@ impl SweepExecutor {
         SweepExecutor { jobs: jobs.max(1) }
     }
 
-    /// The strictly serial executor: `map_indexed` degenerates to the
-    /// plain `for` loop over the points, on the calling thread.
+    /// The strictly serial executor: `fold_ordered` (and so
+    /// `map_indexed`) degenerates to the plain `for` loop over the
+    /// points, on the calling thread.
     #[must_use]
     pub fn serial() -> Self {
         SweepExecutor { jobs: 1 }
@@ -173,43 +191,54 @@ impl SweepExecutor {
         self.jobs
     }
 
-    /// Maps `point_fn` over `points`, returning results **in point
-    /// order** regardless of worker count or completion order.
+    /// Runs `point_fn` over `points` and hands each result to `sink`
+    /// **strictly in point order**, as soon as its index is next —
+    /// regardless of worker count or completion order.
     ///
-    /// `point_fn(i, &points[i])` must derive all of its randomness from
-    /// the point itself (seeds live *in* the point) and must not touch
-    /// shared mutable state; under that contract the output is
-    /// bit-identical for every `jobs` value, including the serial path.
+    /// With one worker this is the plain serial loop on the calling
+    /// thread: `sink(i, point_fn(i, &points[i]))` for each `i` in turn,
+    /// with no thread and no channel. With more, workers claim indices
+    /// from the atomic cursor and send each result over a channel to the
+    /// calling thread, which runs `sink`; a result that finishes ahead
+    /// of the next index waits in a reorder buffer until that index
+    /// arrives, and no result is held once its sink call has run. So a
+    /// sink that reduces each result keeps only those still ahead of
+    /// the fold in memory, not the whole sweep.
+    ///
+    /// The determinism contract is [`map_indexed`](Self::map_indexed)'s:
+    /// a `point_fn` that derives its randomness from the point gives
+    /// `sink` the same sequence at every `jobs` value.
     ///
     /// # Panics
     ///
-    /// If `point_fn` panics for any point, the panic is propagated to
-    /// the caller after all workers have stopped claiming new points.
-    pub fn map_indexed<T, R, F>(&self, points: &[T], point_fn: F) -> Vec<R>
+    /// If `point_fn` panics for any point, its payload is re-raised on
+    /// the caller once every worker has stopped; `sink` sees no index at
+    /// or after the panicking one.
+    pub fn fold_ordered<T, R, F, S>(&self, points: &[T], point_fn: F, mut sink: S)
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
+        S: FnMut(usize, R),
     {
         let n = points.len();
         let workers = self.jobs.min(n);
         if workers <= 1 {
             // The exact old serial loop: index order, calling thread.
-            return points.iter().enumerate().map(|(i, p)| point_fn(i, p)).collect();
+            for (i, p) in points.iter().enumerate() {
+                sink(i, point_fn(i, p));
+            }
+            return;
         }
 
         // Atomic-cursor pool: each worker claims the next unclaimed
-        // index, computes it, and remembers (index, result) locally.
-        // Results are merged into index-ordered slots afterwards, so
-        // completion order is unobservable.
+        // index, computes it, and sends (index, result) to the caller.
         let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
 
         // Live progress (opt-in, stderr only): workers bump `done`
         // after each point; a reporter thread turns the counter into a
         // points/sec + ETA line. Purely observational — the cursor and
-        // result slots are untouched.
+        // the fold are untouched.
         let done = AtomicUsize::new(0);
         let finished = AtomicBool::new(false);
         let report = progress_active();
@@ -233,46 +262,69 @@ impl SweepExecutor {
                     let _ = std::io::stderr().flush();
                 });
             }
+            // Released on every exit from this closure, unwinding from a
+            // panicking sink included, so the scope never waits forever
+            // on the reporter's sleep loop.
+            let _release = Release(&finished);
+            let (tx, rx) = mpsc::channel();
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, point_fn(i, &points[i])));
-                            done.fetch_add(1, Ordering::Relaxed);
+                    let tx = tx.clone();
+                    let (cursor, done, point_fn) = (&cursor, &done, &point_fn);
+                    scope.spawn(move || loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        // A closed channel means the sink panicked: stop.
+                        if i >= n || tx.send((i, point_fn(i, &points[i]))).is_err() {
+                            break;
                         }
-                        local
+                        done.fetch_add(1, Ordering::Relaxed);
                     })
                 })
                 .collect();
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (i, r) in local {
-                            debug_assert!(slots[i].is_none(), "index {i} claimed twice");
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(payload) => panic = Some(payload),
+            // The workers hold the only senders now, so the receive loop
+            // ends once every worker has returned or unwound.
+            drop(tx);
+            let mut ahead = BTreeMap::new();
+            let mut next = 0;
+            for (i, r) in rx {
+                ahead.insert(i, r);
+                while let Some(r) = ahead.remove(&next) {
+                    sink(next, r);
+                    next += 1;
                 }
             }
-            // Release the reporter before (possibly) unwinding, so the
-            // scope never deadlocks waiting for its sleep loop.
-            finished.store(true, Ordering::Release);
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
+            debug_assert_eq!(next, n, "atomic cursor visits every index exactly once");
         });
+    }
 
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("atomic cursor visits every index exactly once"))
-            .collect()
+    /// Maps `point_fn` over `points`, returning results **in point
+    /// order** regardless of worker count or completion order: the
+    /// [`fold_ordered`](Self::fold_ordered) whose sink collects into a
+    /// `Vec`.
+    ///
+    /// `point_fn(i, &points[i])` must derive all of its randomness from
+    /// the point itself (seeds live *in* the point) and must not touch
+    /// shared mutable state; under that contract the output is
+    /// bit-identical for every `jobs` value, including the serial path.
+    ///
+    /// # Panics
+    ///
+    /// If `point_fn` panics for any point, the panic is propagated to
+    /// the caller after all workers have stopped claiming new points.
+    pub fn map_indexed<T, R, F>(&self, points: &[T], point_fn: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        let mut out = Vec::with_capacity(points.len());
+        self.fold_ordered(points, point_fn, |_, r| out.push(r));
+        out
     }
 
     /// [`map_indexed`](Self::map_indexed) without the index argument.
@@ -289,6 +341,8 @@ impl SweepExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -344,6 +398,63 @@ mod tests {
             assert!(*p != 7, "sweep point exploded");
             *p
         });
+    }
+
+    #[test]
+    fn fold_sinks_every_index_once_in_order_when_low_indices_finish_last() {
+        let n = 97;
+        let points: Vec<u64> = (0..n as u64).collect();
+        for jobs in [1, 2, 3, 8, 64] {
+            let finished = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            SweepExecutor::with_jobs(jobs).fold_ordered(
+                &points,
+                |i, &p| {
+                    // With another worker to run the rest, index 0
+                    // finishes last: every later result arrives first.
+                    while jobs > 1 && i == 0 && finished.load(Ordering::Acquire) < n - 1 {
+                        std::thread::yield_now();
+                    }
+                    // The cost falls with the index.
+                    let x = (0..(n - i) * 200).fold(p, |x, _| black_box(x.wrapping_mul(31) ^ 7));
+                    finished.fetch_add(1, Ordering::Release);
+                    (i, x)
+                },
+                |i, (computed_at, _)| seen.push((i, computed_at)),
+            );
+            let expect: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+            assert_eq!(seen, expect, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn serial_fold_runs_the_sink_between_points() {
+        let points: Vec<u32> = (0..50).collect();
+        let sunk = AtomicUsize::new(0);
+        SweepExecutor::serial().fold_ordered(
+            &points,
+            |i, _| assert_eq!(sunk.load(Ordering::Relaxed), i, "point {i} ran before the sink"),
+            |i, ()| assert_eq!(sunk.fetch_add(1, Ordering::Relaxed), i),
+        );
+        assert_eq!(sunk.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn fold_reraises_a_point_panic_payload_after_the_points_before_it() {
+        let points: Vec<u32> = (0..64).collect();
+        for jobs in [1, 2, 8] {
+            let mut sunk = Vec::new();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                SweepExecutor::with_jobs(jobs).fold_ordered(
+                    &points,
+                    |_, &p| assert!(p != 9, "point nine exploded"),
+                    |i, ()| sunk.push(i),
+                );
+            }));
+            let payload = caught.expect_err("the point's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"point nine exploded"), "jobs={jobs}");
+            assert_eq!(sunk, (0..9).collect::<Vec<_>>(), "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ if [ "$skip_on" != "$skip_off" ]; then
     exit 1
 fi
 
-echo "==> fleet smoke (packing, --jobs 1 vs --jobs 8)"
+echo "==> fleet smoke (packing: 4 servers at --jobs 1 vs 8, 16 at --jobs 1 vs 2 and 3)"
 fleet_serial=$(cargo run -q --release -p aw-cli -- fleet --servers 4 --policy packing --autoscale --diurnal 0.5 --jobs 1)
 fleet_parallel=$(cargo run -q --release -p aw-cli -- fleet --servers 4 --policy packing --autoscale --diurnal 0.5 --jobs 8)
 if [ "$fleet_serial" != "$fleet_parallel" ]; then
@@ -114,6 +114,18 @@ echo "$fleet_serial" | grep -q "SLO:" || {
     echo "verify: fleet report missing its SLO line" >&2
     exit 1
 }
+# More loaded servers per epoch than workers: results that finish ahead
+# of the next server wait in the executor's reorder buffer.
+fleet16_cmd=(cargo run -q --release -p aw-cli -- fleet --servers 16 --policy packing --autoscale --diurnal 0.5)
+fleet16_serial=$("${fleet16_cmd[@]}" --jobs 1)
+for jobs in 2 3; do
+    fleet16_parallel=$("${fleet16_cmd[@]}" --jobs "$jobs")
+    if [ "$fleet16_serial" != "$fleet16_parallel" ]; then
+        echo "verify: 16-server fleet output differs between --jobs 1 and --jobs $jobs" >&2
+        diff <(echo "$fleet16_serial") <(echo "$fleet16_parallel") >&2 || true
+        exit 1
+    fi
+done
 
 echo "==> fleet chaos smoke (--fleet-faults, --jobs 1 vs --jobs 8)"
 chaos_cmd=(cargo run -q --release -p aw-cli -- fleet --servers 4 --epochs 8 --autoscale \
@@ -205,7 +217,8 @@ echo "==> fault-value refusal smoke"
 # Fault values that used to panic (an event time or a stretched service
 # time overflowing to infinity) or hang (event gaps below the resolution
 # of the event clock) are usage errors, and fault event rates count
-# toward the work limit. Each entry is "command|expected message".
+# toward the work limit. So is `--qps` on a workload that would ignore
+# it. Each entry is "command|expected message".
 for entry in \
     "sweep --duration-ms 1 --cores 2 --faults storm=1e-300|storm must be 0 or a rate in [1e-6, 1e9] per second, got 1e-300" \
     "sweep --duration-ms 1 --cores 2 --faults storm=1e300|storm must be 0 or a rate in [1e-6, 1e9] per second, got 1e300" \
@@ -213,13 +226,14 @@ for entry in \
     "fleet --fleet-faults throttle-factor=5e-324,throttle=1|throttle-factor must be in [1e-3, 1], got 5e-324" \
     "sweep --duration-ms 1 --cores 2 --faults slow-ms=1e308,slowdown=1000|slow-ms must be positive milliseconds, finite in nanoseconds, got 1e308" \
     "sweep --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 1.000e12 offered requests: the limit is 1e10" \
-    "analyze --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 2.000e12 offered requests: the limit is 1e10"; do
+    "analyze --qps 1 --duration-ms 100000000 --faults storm=1000000|refusing a run of about 2.000e12 offered requests: the limit is 1e10" \
+    "sweep --qps 900000 --workload kafka-low --duration-ms 5|--qps only applies to the memcached workload, not 'kafka-low'"; do
     cmd=${entry%%|*}
     msg=${entry#*|}
     status=0
     # shellcheck disable=SC2086 # $cmd is split into arguments on purpose
     timeout 10 target/release/agilewatts $cmd >/dev/null 2>target/verify_refusal.txt || status=$?
-    if [ "$status" -ne 1 ] || ! grep -qF "$msg" target/verify_refusal.txt; then
+    if [ "$status" -ne 1 ] || ! grep -qF -- "$msg" target/verify_refusal.txt; then
         echo "verify: 'agilewatts $cmd' exited $status, expected exit 1 with '$msg'" >&2
         exit 1
     fi
