@@ -223,32 +223,32 @@ pub struct TelemetryArgs {
 
 impl TelemetryArgs {
     /// Default ring-buffer capacity when `--trace-limit` is not given.
-    pub const DEFAULT_TRACE_LIMIT: usize = 200_000;
+    pub(crate) const DEFAULT_TRACE_LIMIT: usize = 200_000;
 
     /// `true` if any output was requested, i.e. the run must be
     /// instrumented (traced and/or attributed).
     #[must_use]
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.attrib_active()
     }
 
     /// `true` if any attribution output was requested, i.e. the run must
     /// collect request spans and a timeline.
     #[must_use]
-    pub fn attrib_active(&self) -> bool {
+    pub(crate) fn attrib_active(&self) -> bool {
         self.slo_p99.is_some() || self.timeline_out.is_some() || self.attrib_out.is_some()
     }
 
     /// `true` if the idle-opportunity report was requested, i.e. the run
     /// must capture idle intervals.
     #[must_use]
-    pub fn idle_active(&self) -> bool {
+    pub(crate) fn idle_active(&self) -> bool {
         self.idle_out.is_some()
     }
 
     /// The effective ring-buffer capacity.
     #[must_use]
-    pub fn limit(&self) -> usize {
+    pub(crate) fn limit(&self) -> usize {
         self.trace_limit.unwrap_or(Self::DEFAULT_TRACE_LIMIT)
     }
 }
@@ -293,7 +293,7 @@ impl RobustnessArgs {
     /// `true` if any fault-injection or overload-protection option was
     /// given, i.e. the run must print a "Degradation" section.
     #[must_use]
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.faults.is_some() || self.queue_cap.is_some() || self.request_timeout_us.is_some()
     }
 }
@@ -322,13 +322,13 @@ impl CommonArgs {
     /// `true` if any shared flag that changes what a run must print or
     /// collect was given.
     #[must_use]
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.telemetry.is_active() || self.telemetry.idle_active() || self.robustness.is_active()
     }
 
     /// The parsed `--hw` models, in the order given on the command line.
     #[must_use]
-    pub fn hw_models(&self) -> Vec<&'static HardwareModel> {
+    pub(crate) fn hw_models(&self) -> Vec<&'static HardwareModel> {
         self.hw
             .iter()
             .map(|n| HardwareModel::by_name(n).expect("validated at parse time"))
@@ -342,7 +342,7 @@ impl CommonArgs {
     ///
     /// Errors when `--hw` named more than one model — only `fleet`,
     /// `watch`, and `cross-vendor` accept a list.
-    pub fn single_hw(&self) -> Result<&'static HardwareModel, ParseError> {
+    pub(crate) fn single_hw(&self) -> Result<&'static HardwareModel, ParseError> {
         match self.hw.len() {
             0 => Ok(HardwareModel::skylake_sp()),
             1 => Ok(HardwareModel::by_name(&self.hw[0]).expect("validated at parse time")),

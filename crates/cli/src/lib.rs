@@ -15,11 +15,9 @@
 //! flag table drives parsing, validation and the usage text. It lives
 //! here so it can be unit-tested; `main.rs` only dispatches.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod args;
 mod run;
+mod tui;
 mod watch;
 
 pub use args::{

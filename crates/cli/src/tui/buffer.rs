@@ -1,12 +1,12 @@
 //! The off-screen cell grid widgets draw into, with plain-text and
 //! ANSI serializers.
 
-use crate::geometry::Rect;
-use crate::style::Style;
+use super::geometry::Rect;
+use super::style::Style;
 
 /// One terminal cell: a character plus its style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// The glyph occupying the cell.
     pub symbol: char,
     /// How the glyph is drawn.
@@ -24,7 +24,7 @@ impl Default for Cell {
 /// [`Buffer::to_plain_text`] (headless/golden tests) or
 /// [`Buffer::to_ansi`] (live terminal).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Buffer {
+pub(crate) struct Buffer {
     area: Rect,
     cells: Vec<Cell>,
 }
@@ -32,14 +32,8 @@ pub struct Buffer {
 impl Buffer {
     /// A buffer of spaces covering `area`.
     #[must_use]
-    pub fn empty(area: Rect) -> Self {
+    pub(crate) fn empty(area: Rect) -> Self {
         Buffer { area, cells: vec![Cell::default(); area.area() as usize] }
-    }
-
-    /// The rectangle this buffer covers.
-    #[must_use]
-    pub fn area(&self) -> Rect {
-        self.area
     }
 
     fn index_of(&self, x: u16, y: u16) -> Option<usize> {
@@ -51,14 +45,8 @@ impl Buffer {
         Some(dy * usize::from(self.area.width) + dx)
     }
 
-    /// The cell at absolute coordinates, if inside the buffer.
-    #[must_use]
-    pub fn get(&self, x: u16, y: u16) -> Option<&Cell> {
-        self.index_of(x, y).map(|i| &self.cells[i])
-    }
-
     /// Writes one cell; out-of-bounds writes are clipped silently.
-    pub fn set(&mut self, x: u16, y: u16, symbol: char, style: Style) {
+    pub(crate) fn set(&mut self, x: u16, y: u16, symbol: char, style: Style) {
         if let Some(i) = self.index_of(x, y) {
             self.cells[i] = Cell { symbol, style };
         }
@@ -66,7 +54,7 @@ impl Buffer {
 
     /// Writes a string left to right starting at `(x, y)`, clipping at
     /// the buffer edge. Returns the column after the last written cell.
-    pub fn set_string(&mut self, x: u16, y: u16, string: &str, style: Style) -> u16 {
+    pub(crate) fn set_string(&mut self, x: u16, y: u16, string: &str, style: Style) -> u16 {
         let mut col = x;
         for symbol in string.chars() {
             if col >= self.area.right() {
@@ -78,21 +66,12 @@ impl Buffer {
         col
     }
 
-    /// Fills a sub-rectangle with one styled character.
-    pub fn fill(&mut self, rect: Rect, symbol: char, style: Style) {
-        for y in rect.y..rect.bottom().min(self.area.bottom()) {
-            for x in rect.x..rect.right().min(self.area.right()) {
-                self.set(x, y, symbol, style);
-            }
-        }
-    }
-
     /// The frame as plain text: rows joined by `\n`, styles dropped,
     /// trailing spaces trimmed from every row. This is the headless
     /// (`--headless`) and golden-test serialization — byte-stable
     /// because it contains nothing but the glyphs.
     #[must_use]
-    pub fn to_plain_text(&self) -> String {
+    pub(crate) fn to_plain_text(&self) -> String {
         let width = usize::from(self.area.width);
         let mut out = String::with_capacity(self.cells.len() + usize::from(self.area.height));
         for (row, chunk) in self.cells.chunks(width.max(1)).enumerate() {
@@ -111,7 +90,7 @@ impl Buffer {
     /// `\r\n` (raw-mode friendly), each style change emitted once, and a
     /// final attribute reset.
     #[must_use]
-    pub fn to_ansi(&self) -> String {
+    pub(crate) fn to_ansi(&self) -> String {
         let width = usize::from(self.area.width);
         let mut out = String::with_capacity(self.cells.len() * 2);
         let mut current: Option<Style> = None;
@@ -135,7 +114,7 @@ impl Buffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::style::Color;
+    use crate::tui::style::Color;
 
     #[test]
     fn set_string_clips_at_the_right_edge() {

@@ -4,7 +4,7 @@
 
 /// An axis-aligned region of the terminal grid, in cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Rect {
+pub(crate) struct Rect {
     /// Left column.
     pub x: u16,
     /// Top row.
@@ -18,90 +18,55 @@ pub struct Rect {
 impl Rect {
     /// A rectangle from its corner and extent.
     #[must_use]
-    pub fn new(x: u16, y: u16, width: u16, height: u16) -> Self {
+    pub(crate) fn new(x: u16, y: u16, width: u16, height: u16) -> Self {
         Rect { x, y, width, height }
     }
 
     /// One past the rightmost column.
     #[must_use]
-    pub fn right(self) -> u16 {
+    pub(crate) fn right(self) -> u16 {
         self.x.saturating_add(self.width)
     }
 
     /// One past the bottom row.
     #[must_use]
-    pub fn bottom(self) -> u16 {
+    pub(crate) fn bottom(self) -> u16 {
         self.y.saturating_add(self.height)
     }
 
     /// Number of cells covered.
     #[must_use]
-    pub fn area(self) -> u32 {
+    pub(crate) fn area(self) -> u32 {
         u32::from(self.width) * u32::from(self.height)
     }
 
     /// Whether the rectangle covers no cells.
     #[must_use]
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.width == 0 || self.height == 0
-    }
-
-    /// The rectangle shrunk by a symmetric margin on each axis; collapses
-    /// to empty rather than underflowing.
-    #[must_use]
-    pub fn inner(self, margin_x: u16, margin_y: u16) -> Rect {
-        if self.width <= margin_x * 2 || self.height <= margin_y * 2 {
-            return Rect::new(self.x, self.y, 0, 0);
-        }
-        Rect::new(
-            self.x + margin_x,
-            self.y + margin_y,
-            self.width - margin_x * 2,
-            self.height - margin_y * 2,
-        )
     }
 }
 
 /// How much of the split axis one chunk demands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Constraint {
+pub(crate) enum Constraint {
     /// Exactly this many cells.
     Length(u16),
-    /// This percentage of the whole axis (0–100).
-    Percentage(u16),
     /// At least this many cells; `Min` chunks absorb the leftover space
     /// equally.
     Min(u16),
 }
 
-/// Which axis a [`Layout`] splits along.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Direction {
-    /// Chunks stack top to bottom.
-    #[default]
-    Vertical,
-    /// Chunks run left to right.
-    Horizontal,
-}
-
 /// A one-axis splitter: give it constraints, get sub-rectangles.
 #[derive(Debug, Clone, Default)]
-pub struct Layout {
-    direction: Direction,
+pub(crate) struct Layout {
     constraints: Vec<Constraint>,
 }
 
 impl Layout {
-    /// Sets the split axis.
-    #[must_use]
-    pub fn direction(mut self, direction: Direction) -> Self {
-        self.direction = direction;
-        self
-    }
-
     /// Sets the chunk constraints, one per resulting rectangle.
     #[must_use]
-    pub fn constraints(mut self, constraints: impl Into<Vec<Constraint>>) -> Self {
+    pub(crate) fn constraints(mut self, constraints: impl Into<Vec<Constraint>>) -> Self {
         self.constraints = constraints.into();
         self
     }
@@ -113,19 +78,13 @@ impl Layout {
     /// When demands exceed the area, trailing chunks are truncated to
     /// zero — never panics.
     #[must_use]
-    pub fn split(&self, area: Rect) -> Vec<Rect> {
-        let total = match self.direction {
-            Direction::Vertical => area.height,
-            Direction::Horizontal => area.width,
-        };
+    pub(crate) fn split(&self, area: Rect) -> Vec<Rect> {
+        let total = area.height;
         let mut sizes: Vec<u16> = self
             .constraints
             .iter()
             .map(|c| match *c {
                 Constraint::Length(n) | Constraint::Min(n) => n,
-                Constraint::Percentage(p) => {
-                    (u32::from(total) * u32::from(p.min(100)) / 100) as u16
-                }
             })
             .collect();
 
@@ -162,10 +121,7 @@ impl Layout {
         for size in sizes {
             let remaining = total.saturating_sub(offset);
             let size = size.min(remaining);
-            chunks.push(match self.direction {
-                Direction::Vertical => Rect::new(area.x, area.y + offset, area.width, size),
-                Direction::Horizontal => Rect::new(area.x + offset, area.y, size, area.height),
-            });
+            chunks.push(Rect::new(area.x, area.y + offset, area.width, size));
             offset += size;
         }
         chunks
@@ -179,22 +135,11 @@ mod tests {
     #[test]
     fn min_chunks_absorb_slack_equally() {
         let chunks = Layout::default()
-            .direction(Direction::Vertical)
             .constraints([Constraint::Length(3), Constraint::Min(0), Constraint::Min(0)])
             .split(Rect::new(0, 0, 10, 13));
         assert_eq!(chunks[0], Rect::new(0, 0, 10, 3));
         assert_eq!(chunks[1], Rect::new(0, 3, 10, 5));
         assert_eq!(chunks[2], Rect::new(0, 8, 10, 5));
-    }
-
-    #[test]
-    fn horizontal_percentages_partition_width() {
-        let chunks = Layout::default()
-            .direction(Direction::Horizontal)
-            .constraints([Constraint::Percentage(50), Constraint::Min(0)])
-            .split(Rect::new(2, 1, 40, 5));
-        assert_eq!(chunks[0], Rect::new(2, 1, 20, 5));
-        assert_eq!(chunks[1], Rect::new(22, 1, 20, 5));
     }
 
     #[test]
@@ -204,11 +149,5 @@ mod tests {
             .split(Rect::new(0, 0, 4, 10));
         assert_eq!(chunks[0].height, 8);
         assert_eq!(chunks[1].height, 2);
-    }
-
-    #[test]
-    fn inner_collapses_rather_than_underflows() {
-        assert!(Rect::new(0, 0, 2, 2).inner(1, 1).is_empty());
-        assert_eq!(Rect::new(0, 0, 10, 4).inner(1, 1), Rect::new(1, 1, 8, 2));
     }
 }

@@ -1,6 +1,5 @@
 //! Frame presentation: a live ANSI terminal backend (alternate screen,
-//! raw mode via `stty`, keyboard polling) and a headless text backend
-//! that records plain-text frames for deterministic testing.
+//! raw mode via `stty`, keyboard polling).
 
 use std::io::{self, Read, Write};
 use std::process::{Command, Stdio};
@@ -8,67 +7,8 @@ use std::sync::mpsc::{self, Receiver};
 use std::thread;
 use std::time::Duration;
 
-use crate::buffer::Buffer;
-use crate::geometry::Rect;
-
-/// Where rendered frames go.
-pub trait Backend {
-    /// The drawable area frames should be built for.
-    fn size(&self) -> Rect;
-
-    /// Presents one finished frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying terminal; the headless
-    /// backend never fails.
-    fn present(&mut self, frame: &Buffer) -> io::Result<()>;
-}
-
-/// A headless backend: frames accumulate as plain text, trailing
-/// whitespace trimmed — the `--headless` serialization golden tests
-/// and the determinism smoke diff against.
-#[derive(Debug, Clone)]
-pub struct TextBackend {
-    area: Rect,
-    frames: Vec<String>,
-}
-
-impl TextBackend {
-    /// A recorder with a fixed frame size.
-    #[must_use]
-    pub fn new(width: u16, height: u16) -> Self {
-        TextBackend { area: Rect::new(0, 0, width, height), frames: Vec::new() }
-    }
-
-    /// The recorded frames, in presentation order.
-    #[must_use]
-    pub fn frames(&self) -> &[String] {
-        &self.frames
-    }
-
-    /// All frames joined by a `=== frame N ===` separator line — the
-    /// stable dump format for snapshot diffs.
-    #[must_use]
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for (i, frame) in self.frames.iter().enumerate() {
-            out.push_str(&format!("=== frame {i} ===\n{frame}\n"));
-        }
-        out
-    }
-}
-
-impl Backend for TextBackend {
-    fn size(&self) -> Rect {
-        self.area
-    }
-
-    fn present(&mut self, frame: &Buffer) -> io::Result<()> {
-        self.frames.push(frame.to_plain_text());
-        Ok(())
-    }
-}
+use super::buffer::Buffer;
+use super::geometry::Rect;
 
 /// Runs `stty` against the controlling terminal, ignoring failures —
 /// raw mode is best-effort (inside a pipe there is nothing to
@@ -84,10 +24,9 @@ fn stty(args: &[&str]) -> Option<String> {
 /// the cursor, puts the terminal in raw mode (via `stty`, restored on
 /// drop), and repaints in place from the home position.
 #[derive(Debug)]
-pub struct AnsiBackend {
+pub(crate) struct AnsiBackend {
     area: Rect,
     saved_stty: Option<String>,
-    raw_mode: bool,
     out: io::Stdout,
 }
 
@@ -98,16 +37,15 @@ impl AnsiBackend {
     /// When raw mode cannot be entered (stdin is a pipe, or `stty` is
     /// missing) the backend still works, but keys stay line-buffered
     /// and echoed — a warning is printed on stderr instead of failing
-    /// silently; check [`AnsiBackend::raw_mode`]. Scripted runs should
-    /// prefer a headless mode over an un-raw interactive terminal.
+    /// silently. Scripted runs should prefer a headless mode over an
+    /// un-raw interactive terminal.
     ///
     /// # Errors
     ///
     /// Fails only if the initial escape sequences cannot be written.
-    pub fn new(fallback: (u16, u16)) -> io::Result<Self> {
+    pub(crate) fn new(fallback: (u16, u16)) -> io::Result<Self> {
         let saved_stty = stty(&["-g"]);
-        let raw_mode = stty(&["raw", "-echo"]).is_some();
-        if !raw_mode {
+        if stty(&["raw", "-echo"]).is_none() {
             eprintln!(
                 "aw-tui: cannot enter raw mode (stdin is not a terminal, or `stty` is \
                  unavailable); keys will be line-buffered and echoed — press Enter after \
@@ -125,24 +63,20 @@ impl AnsiBackend {
         // Alternate screen + hidden cursor; both restored on drop.
         write!(out, "\x1b[?1049h\x1b[?25l\x1b[2J")?;
         out.flush()?;
-        Ok(AnsiBackend { area: Rect::new(0, 0, width, height), saved_stty, raw_mode, out })
+        Ok(AnsiBackend { area: Rect::new(0, 0, width, height), saved_stty, out })
     }
 
-    /// `true` when the terminal really is in raw mode; `false` means
-    /// the `stty` handshake failed (the warning above was printed) and
-    /// input is still line-buffered.
-    #[must_use]
-    pub fn raw_mode(&self) -> bool {
-        self.raw_mode
-    }
-}
-
-impl Backend for AnsiBackend {
-    fn size(&self) -> Rect {
+    /// The drawable area frames should be built for.
+    pub(crate) fn size(&self) -> Rect {
         self.area
     }
 
-    fn present(&mut self, frame: &Buffer) -> io::Result<()> {
+    /// Presents one finished frame, repainting from the home position.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the terminal.
+    pub(crate) fn present(&mut self, frame: &Buffer) -> io::Result<()> {
         write!(self.out, "\x1b[H{}", frame.to_ansi())?;
         self.out.flush()
     }
@@ -168,14 +102,14 @@ impl Drop for AnsiBackend {
 /// blocking read and exits with the process — std-only terminals have
 /// no portable non-blocking stdin.
 #[derive(Debug)]
-pub struct KeyReader {
+pub(crate) struct KeyReader {
     rx: Receiver<u8>,
 }
 
 impl KeyReader {
     /// Spawns the stdin reader thread.
     #[must_use]
-    pub fn spawn() -> Self {
+    pub(crate) fn spawn() -> Self {
         let (tx, rx) = mpsc::channel();
         thread::Builder::new()
             .name("aw-tui-keys".into())
@@ -194,25 +128,7 @@ impl KeyReader {
 
     /// Waits up to `timeout` for one key byte.
     #[must_use]
-    pub fn poll(&self, timeout: Duration) -> Option<u8> {
+    pub(crate) fn poll(&self, timeout: Duration) -> Option<u8> {
         self.rx.recv_timeout(timeout).ok()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::style::Style;
-
-    #[test]
-    fn text_backend_records_trimmed_frames_in_order() {
-        let mut backend = TextBackend::new(4, 2);
-        let mut frame = Buffer::empty(backend.size());
-        frame.set_string(0, 0, "ab", Style::default());
-        backend.present(&frame).unwrap();
-        frame.set_string(0, 1, "c", Style::default());
-        backend.present(&frame).unwrap();
-        assert_eq!(backend.frames(), ["ab\n", "ab\nc"]);
-        assert_eq!(backend.dump(), "=== frame 0 ===\nab\n\n=== frame 1 ===\nab\nc\n");
     }
 }

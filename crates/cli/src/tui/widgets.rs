@@ -1,12 +1,12 @@
 //! The widget set: bordered blocks, paragraphs, tables, sparklines,
 //! tab bars, and heat shading — the pieces the live cockpit composes.
 
-use crate::buffer::Buffer;
-use crate::geometry::{Constraint, Rect};
-use crate::style::Style;
+use super::buffer::Buffer;
+use super::geometry::{Constraint, Rect};
+use super::style::Style;
 
 /// Anything that can draw itself into a buffer region.
-pub trait Widget {
+pub(crate) trait Widget {
     /// Draws the widget into `area` of `buf`; drawing outside `area` is
     /// a bug, drawing outside the buffer is clipped.
     fn render(self, area: Rect, buf: &mut Buffer);
@@ -14,25 +14,25 @@ pub trait Widget {
 
 /// Which box edges a [`Block`] draws; combine with `|`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Borders(u8);
+pub(crate) struct Borders(u8);
 
 impl Borders {
     /// No border.
-    pub const NONE: Borders = Borders(0);
+    pub(crate) const NONE: Borders = Borders(0);
     /// Top edge.
-    pub const TOP: Borders = Borders(1);
+    pub(crate) const TOP: Borders = Borders(1);
     /// Bottom edge.
-    pub const BOTTOM: Borders = Borders(2);
+    pub(crate) const BOTTOM: Borders = Borders(2);
     /// Left edge.
-    pub const LEFT: Borders = Borders(4);
+    pub(crate) const LEFT: Borders = Borders(4);
     /// Right edge.
-    pub const RIGHT: Borders = Borders(8);
+    pub(crate) const RIGHT: Borders = Borders(8);
     /// All four edges.
-    pub const ALL: Borders = Borders(15);
+    pub(crate) const ALL: Borders = Borders(15);
 
     /// Whether every edge in `other` is present.
     #[must_use]
-    pub fn contains(self, other: Borders) -> bool {
+    pub(crate) fn contains(self, other: Borders) -> bool {
         self.0 & other.0 == other.0
     }
 }
@@ -47,45 +47,29 @@ impl std::ops::BitOr for Borders {
 /// A bordered, optionally titled box — the framing widget everything
 /// else nests inside.
 #[derive(Debug, Clone, Default)]
-pub struct Block {
+pub(crate) struct Block {
     title: String,
     borders: Option<Borders>,
-    border_style: Style,
-    title_style: Style,
 }
 
 impl Block {
     /// Sets the title, drawn inside the top border.
     #[must_use]
-    pub fn title(mut self, title: impl Into<String>) -> Self {
+    pub(crate) fn title(mut self, title: impl Into<String>) -> Self {
         self.title = title.into();
         self
     }
 
     /// Sets which edges to draw.
     #[must_use]
-    pub fn borders(mut self, borders: Borders) -> Self {
+    pub(crate) fn borders(mut self, borders: Borders) -> Self {
         self.borders = Some(borders);
-        self
-    }
-
-    /// Sets the border style.
-    #[must_use]
-    pub fn border_style(mut self, style: Style) -> Self {
-        self.border_style = style;
-        self
-    }
-
-    /// Sets the title style.
-    #[must_use]
-    pub fn title_style(mut self, style: Style) -> Self {
-        self.title_style = style;
         self
     }
 
     /// The drawable region inside the borders.
     #[must_use]
-    pub fn inner(&self, area: Rect) -> Rect {
+    pub(crate) fn inner(&self, area: Rect) -> Rect {
         let b = self.borders.unwrap_or(Borders::NONE);
         let mut inner = area;
         if b.contains(Borders::LEFT) {
@@ -114,7 +98,7 @@ impl Widget for Block {
         let b = self.borders.unwrap_or(Borders::NONE);
         let (top, bottom) = (area.y, area.bottom() - 1);
         let (left, right) = (area.x, area.right() - 1);
-        let s = self.border_style;
+        let s = Style::default();
         if b.contains(Borders::TOP) {
             for x in left..=right {
                 buf.set(x, top, '─', s);
@@ -151,38 +135,28 @@ impl Widget for Block {
             let start = left + 1;
             let max = usize::from(area.width.saturating_sub(2));
             let title: String = self.title.chars().take(max).collect();
-            buf.set_string(start, top, &title, self.title_style);
+            buf.set_string(start, top, &title, Style::default());
         }
     }
 }
 
-/// Styled lines of text, rendered top-down and clipped to the area.
+/// Plain lines of text, rendered top-down and clipped to the area.
 #[derive(Debug, Clone, Default)]
-pub struct Paragraph {
-    lines: Vec<(String, Style)>,
+pub(crate) struct Paragraph {
+    lines: Vec<String>,
     block: Option<Block>,
 }
 
 impl Paragraph {
-    /// A paragraph from plain lines in one style.
+    /// A paragraph from plain lines.
     #[must_use]
-    pub fn new(lines: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        Paragraph {
-            lines: lines.into_iter().map(|l| (l.into(), Style::default())).collect(),
-            block: None,
-        }
-    }
-
-    /// Appends one styled line.
-    #[must_use]
-    pub fn line(mut self, text: impl Into<String>, style: Style) -> Self {
-        self.lines.push((text.into(), style));
-        self
+    pub(crate) fn new(lines: impl IntoIterator<Item = impl Into<String>>) -> Self {
+        Paragraph { lines: lines.into_iter().map(Into::into).collect(), block: None }
     }
 
     /// Wraps the paragraph in a block.
     #[must_use]
-    pub fn block(mut self, block: Block) -> Self {
+    pub(crate) fn block(mut self, block: Block) -> Self {
         self.block = Some(block);
         self
     }
@@ -197,21 +171,21 @@ impl Widget for Paragraph {
         if let Some(b) = self.block {
             b.render(area, buf);
         }
-        for (i, (text, style)) in self.lines.iter().enumerate() {
+        for (i, text) in self.lines.iter().enumerate() {
             let y = inner.y + i as u16;
             if y >= inner.bottom() {
                 break;
             }
             let max = usize::from(inner.width);
             let clipped: String = text.chars().take(max).collect();
-            buf.set_string(inner.x, y, &clipped, *style);
+            buf.set_string(inner.x, y, &clipped, Style::default());
         }
     }
 }
 
 /// One table row: cell texts plus a row style.
 #[derive(Debug, Clone, Default)]
-pub struct Row {
+pub(crate) struct Row {
     cells: Vec<String>,
     style: Style,
 }
@@ -219,13 +193,13 @@ pub struct Row {
 impl Row {
     /// A row from its cell texts.
     #[must_use]
-    pub fn new(cells: impl IntoIterator<Item = impl Into<String>>) -> Self {
+    pub(crate) fn new(cells: impl IntoIterator<Item = impl Into<String>>) -> Self {
         Row { cells: cells.into_iter().map(Into::into).collect(), style: Style::default() }
     }
 
     /// Sets the row style.
     #[must_use]
-    pub fn style(mut self, style: Style) -> Self {
+    pub(crate) fn style(mut self, style: Style) -> Self {
         self.style = style;
         self
     }
@@ -233,7 +207,7 @@ impl Row {
 
 /// A column-aligned table with an optional header row.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     rows: Vec<Row>,
     widths: Vec<Constraint>,
     header: Option<Row>,
@@ -244,7 +218,10 @@ pub struct Table {
 impl Table {
     /// A table from its body rows and column width constraints.
     #[must_use]
-    pub fn new(rows: impl IntoIterator<Item = Row>, widths: impl Into<Vec<Constraint>>) -> Self {
+    pub(crate) fn new(
+        rows: impl IntoIterator<Item = Row>,
+        widths: impl Into<Vec<Constraint>>,
+    ) -> Self {
         Table {
             rows: rows.into_iter().collect(),
             widths: widths.into(),
@@ -256,14 +233,14 @@ impl Table {
 
     /// Sets the header row.
     #[must_use]
-    pub fn header(mut self, header: Row) -> Self {
+    pub(crate) fn header(mut self, header: Row) -> Self {
         self.header = Some(header);
         self
     }
 
     /// Wraps the table in a block.
     #[must_use]
-    pub fn block(mut self, block: Block) -> Self {
+    pub(crate) fn block(mut self, block: Block) -> Self {
         self.block = Some(block);
         self
     }
@@ -274,9 +251,6 @@ impl Table {
         for c in &self.widths {
             let w = match *c {
                 Constraint::Length(n) | Constraint::Min(n) => n,
-                Constraint::Percentage(p) => {
-                    (u32::from(inner.width) * u32::from(p.min(100)) / 100) as u16
-                }
             };
             let w = w.min(inner.right().saturating_sub(x));
             cols.push((x, w));
@@ -327,9 +301,8 @@ const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
 /// A bottom-aligned bar-per-sample mini chart. With more data points
 /// than columns, the most recent points win (the chart scrolls left).
 #[derive(Debug, Clone, Default)]
-pub struct Sparkline {
+pub(crate) struct Sparkline {
     data: Vec<f64>,
-    max: Option<f64>,
     style: Style,
     block: Option<Block>,
 }
@@ -337,27 +310,20 @@ pub struct Sparkline {
 impl Sparkline {
     /// A sparkline over `data`; negative samples clamp to zero.
     #[must_use]
-    pub fn new(data: impl Into<Vec<f64>>) -> Self {
-        Sparkline { data: data.into(), max: None, style: Style::default(), block: None }
-    }
-
-    /// Fixes the scale maximum instead of auto-scaling to the data.
-    #[must_use]
-    pub fn max(mut self, max: f64) -> Self {
-        self.max = Some(max);
-        self
+    pub(crate) fn new(data: impl Into<Vec<f64>>) -> Self {
+        Sparkline { data: data.into(), style: Style::default(), block: None }
     }
 
     /// Sets the bar style.
     #[must_use]
-    pub fn style(mut self, style: Style) -> Self {
+    pub(crate) fn style(mut self, style: Style) -> Self {
         self.style = style;
         self
     }
 
     /// Wraps the sparkline in a block.
     #[must_use]
-    pub fn block(mut self, block: Block) -> Self {
+    pub(crate) fn block(mut self, block: Block) -> Self {
         self.block = Some(block);
         self
     }
@@ -377,10 +343,7 @@ impl Widget for Sparkline {
         }
         let visible = usize::from(inner.width).min(self.data.len());
         let window = &self.data[self.data.len() - visible..];
-        let scale = self
-            .max
-            .unwrap_or_else(|| window.iter().cloned().fold(0.0, f64::max))
-            .max(f64::MIN_POSITIVE);
+        let scale = window.iter().cloned().fold(0.0, f64::max).max(f64::MIN_POSITIVE);
         let levels = u32::from(inner.height) * 8;
         for (i, &v) in window.iter().enumerate() {
             let x = inner.x + i as u16;
@@ -405,43 +368,22 @@ impl Widget for Sparkline {
 
 /// A one-row tab bar with the selected tab highlighted.
 #[derive(Debug, Clone, Default)]
-pub struct Tabs {
+pub(crate) struct Tabs {
     titles: Vec<String>,
     selected: usize,
-    style: Style,
-    highlight_style: Style,
 }
 
 impl Tabs {
     /// A tab bar from its titles.
     #[must_use]
-    pub fn new(titles: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        Tabs {
-            titles: titles.into_iter().map(Into::into).collect(),
-            selected: 0,
-            style: Style::default(),
-            highlight_style: Style::default().reversed(),
-        }
+    pub(crate) fn new(titles: impl IntoIterator<Item = impl Into<String>>) -> Self {
+        Tabs { titles: titles.into_iter().map(Into::into).collect(), selected: 0 }
     }
 
     /// Selects the highlighted tab by index.
     #[must_use]
-    pub fn select(mut self, selected: usize) -> Self {
+    pub(crate) fn select(mut self, selected: usize) -> Self {
         self.selected = selected;
-        self
-    }
-
-    /// Sets the style of unselected tabs.
-    #[must_use]
-    pub fn style(mut self, style: Style) -> Self {
-        self.style = style;
-        self
-    }
-
-    /// Sets the style of the selected tab.
-    #[must_use]
-    pub fn highlight_style(mut self, style: Style) -> Self {
-        self.highlight_style = style;
         self
     }
 }
@@ -457,9 +399,10 @@ impl Widget for Tabs {
                 break;
             }
             if i > 0 {
-                x = buf.set_string(x, area.y, " │ ", self.style);
+                x = buf.set_string(x, area.y, " │ ", Style::default());
             }
-            let style = if i == self.selected { self.highlight_style } else { self.style };
+            let style =
+                if i == self.selected { Style::default().reversed() } else { Style::default() };
             let marker =
                 if i == self.selected { format!("[{title}]") } else { format!(" {title} ") };
             x = buf.set_string(x, area.y, &marker, style);
@@ -470,7 +413,7 @@ impl Widget for Tabs {
 /// Maps an intensity in `[0, 1]` onto the shade ramp
 /// `' ' ░ ▒ ▓ █` — the heatmap glyph set.
 #[must_use]
-pub fn shade(level: f64) -> char {
+pub(crate) fn shade(level: f64) -> char {
     const RAMP: [char; 5] = [' ', '░', '▒', '▓', '█'];
     let clamped = level.clamp(0.0, 1.0);
     // Bucket edges at 0.125, 0.375, 0.625, 0.875: a level has to earn
@@ -505,6 +448,13 @@ mod tests {
     }
 
     #[test]
+    fn paragraph_renders_inside_its_block() {
+        let para =
+            Paragraph::new(["hello"]).block(Block::default().title(" aw ").borders(Borders::ALL));
+        assert!(plain(para, 12, 3).contains("│hello"));
+    }
+
+    #[test]
     fn table_aligns_columns_and_clips_cells() {
         let table = Table::new(
             [Row::new(["aa", "bbbbbb"]), Row::new(["c", "d"])],
@@ -516,14 +466,14 @@ mod tests {
 
     #[test]
     fn sparkline_scales_bars_to_the_window_max() {
-        let spark = Sparkline::new([0.0, 1.0, 4.0, 8.0]).max(8.0);
+        let spark = Sparkline::new([0.0, 1.0, 4.0, 8.0]);
         assert_eq!(plain(spark, 4, 1), " ▁▄█");
     }
 
     #[test]
     fn sparkline_scrolls_to_the_most_recent_samples() {
-        let spark = Sparkline::new([8.0, 8.0, 8.0, 1.0, 2.0]).max(8.0);
-        assert_eq!(plain(spark, 2, 1), "▁▂");
+        let spark = Sparkline::new([8.0, 8.0, 8.0, 1.0, 2.0]);
+        assert_eq!(plain(spark, 2, 1), "▄█");
     }
 
     #[test]

@@ -11,13 +11,13 @@ use std::sync::mpsc::{sync_channel, TryRecvError};
 use std::thread;
 use std::time::Duration;
 
+use crate::tui::{
+    shade, AnsiBackend, Block, Borders, Buffer, Color, Constraint, KeyReader, Layout, Paragraph,
+    Rect, Row, Sparkline, Style, Table, Tabs, Widget,
+};
 use agilewatts::aw_cluster::{FleetConfig, FleetEpochEvent, FleetSim, ServerRole};
 use agilewatts::aw_faults::FleetFaultKind;
 use agilewatts::aw_server::DegradationStats;
-use agilewatts::aw_tui::{
-    shade, AnsiBackend, Backend, Block, Borders, Buffer, Color, Constraint, Direction, KeyReader,
-    Layout, Paragraph, Rect, Row, Sparkline, Style, Table, Tabs, Widget,
-};
 use agilewatts::aw_types::Nanos;
 
 use crate::args::{ParseError, RobustnessArgs, TelemetryArgs, WatchArgs};
@@ -125,10 +125,8 @@ fn counter_feed_line(c: &DegradationStats) -> Option<String> {
 /// Renders one full frame: the tab bar plus the selected tab's body.
 fn render(state: &Cockpit, tab: usize, area: Rect) -> Buffer {
     let mut buf = Buffer::empty(area);
-    let chunks = Layout::default()
-        .direction(Direction::Vertical)
-        .constraints([Constraint::Length(1), Constraint::Min(0)])
-        .split(area);
+    let chunks =
+        Layout::default().constraints([Constraint::Length(1), Constraint::Min(0)]).split(area);
     Tabs::new(TAB_TITLES).select(tab).render(chunks[0], &mut buf);
     let status = format!(
         "epoch {}/{}{}",
@@ -152,10 +150,8 @@ fn render(state: &Cockpit, tab: usize, area: Rect) -> Buffer {
 /// C-state residency heatmap (one row per server, one column per
 /// epoch).
 fn render_power(state: &Cockpit, area: Rect, buf: &mut Buffer) {
-    let chunks = Layout::default()
-        .direction(Direction::Vertical)
-        .constraints([Constraint::Length(7), Constraint::Min(0)])
-        .split(area);
+    let chunks =
+        Layout::default().constraints([Constraint::Length(7), Constraint::Min(0)]).split(area);
     let watts: Vec<f64> = state.events.iter().map(|e| e.window.fleet_power.as_watts()).collect();
     let cur = watts.last().copied().unwrap_or(0.0);
     let peak = watts.iter().copied().fold(0.0, f64::max);
@@ -199,10 +195,8 @@ fn render_power(state: &Cockpit, area: Rect, buf: &mut Buffer) {
 
 /// Tab 2: per-server p99 sparklines plus the fleet SLO burn summary.
 fn render_latency(state: &Cockpit, area: Rect, buf: &mut Buffer) {
-    let chunks = Layout::default()
-        .direction(Direction::Vertical)
-        .constraints([Constraint::Min(0), Constraint::Length(4)])
-        .split(area);
+    let chunks =
+        Layout::default().constraints([Constraint::Min(0), Constraint::Length(4)]).split(area);
     let block = Block::default().borders(Borders::ALL).title(" Per-server p99 (µs) ");
     let inner = block.inner(chunks[0]);
     block.render(chunks[0], buf);
@@ -315,10 +309,8 @@ fn render_events(state: &Cockpit, area: Rect, buf: &mut Buffer) {
 /// opportunity-recovery heatmap — achieved idle energy savings as a
 /// share of the oracle-achievable savings (see `aw_sleep`).
 fn render_opportunity(state: &Cockpit, area: Rect, buf: &mut Buffer) {
-    let chunks = Layout::default()
-        .direction(Direction::Vertical)
-        .constraints([Constraint::Length(7), Constraint::Min(0)])
-        .split(area);
+    let chunks =
+        Layout::default().constraints([Constraint::Length(7), Constraint::Min(0)]).split(area);
     let shares: Vec<f64> = state
         .events
         .iter()

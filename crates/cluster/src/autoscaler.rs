@@ -45,7 +45,12 @@ impl AutoscalePolicy {
     /// The number of servers the scaler wants active for `offered_qps`,
     /// clamped to `[min_active, fleet_size]`.
     #[must_use]
-    pub fn target_active(&self, offered_qps: f64, capacity_qps: f64, fleet_size: usize) -> usize {
+    pub(crate) fn target_active(
+        &self,
+        offered_qps: f64,
+        capacity_qps: f64,
+        fleet_size: usize,
+    ) -> usize {
         assert!(self.target_utilization > 0.0, "target utilization must be positive");
         assert!(capacity_qps > 0.0, "capacity must be positive");
         let wanted = (offered_qps / (self.target_utilization * capacity_qps)).ceil() as usize;
@@ -54,7 +59,7 @@ impl AutoscalePolicy {
 
     /// The fraction of an `epoch` a freshly unparked server can serve.
     #[must_use]
-    pub fn unpark_availability(&self, epoch: Nanos) -> f64 {
+    pub(crate) fn unpark_availability(&self, epoch: Nanos) -> f64 {
         if epoch <= Nanos::ZERO {
             return 0.0;
         }
@@ -66,7 +71,7 @@ impl AutoscalePolicy {
 /// transition counts the decision incurred against the previous epoch's
 /// active set.
 #[derive(Debug, Clone)]
-pub struct ScaleDecision {
+pub(crate) struct ScaleDecision {
     /// Per-server serve fraction for the epoch: `1.0` steady active,
     /// `(0, 1)` unparking this epoch, `0.0` parked (or ineligible).
     pub availability: Vec<f64>,
@@ -86,7 +91,7 @@ pub struct ScaleDecision {
 /// wants (the load concentrates on low indices, so high indices are the
 /// cold ones).
 #[derive(Debug)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     policy: Option<AutoscalePolicy>,
     fleet_size: usize,
     active: Vec<bool>,
@@ -96,7 +101,7 @@ impl Autoscaler {
     /// A scaler over `fleet_size` servers; `None` disables scaling (the
     /// whole fleet stays active and every decision is all-ones).
     #[must_use]
-    pub fn new(policy: Option<AutoscalePolicy>, fleet_size: usize) -> Self {
+    pub(crate) fn new(policy: Option<AutoscalePolicy>, fleet_size: usize) -> Self {
         assert!(fleet_size > 0, "fleet must have at least one server");
         Autoscaler { policy, fleet_size, active: vec![true; fleet_size] }
     }
@@ -113,7 +118,7 @@ impl Autoscaler {
     /// decision instead of being silently replaced, so unpark failures
     /// cost real capacity under pressure. A fault-free fleet passes an
     /// all-`true` mask and an always-`true` `unpark_ok`.
-    pub fn decide(
+    pub(crate) fn decide(
         &mut self,
         offered_qps: f64,
         capacity_qps: f64,
@@ -163,12 +168,6 @@ impl Autoscaler {
         }
         self.active = next_active;
         ScaleDecision { availability, parks, unparks, unpark_failures }
-    }
-
-    /// Servers currently active.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
     }
 }
 

@@ -72,7 +72,7 @@ pub enum LoadShape {
 impl LoadShape {
     /// The load multiplier for `epoch` of `epochs`.
     #[must_use]
-    pub fn factor(self, epoch: usize, epochs: usize) -> f64 {
+    pub(crate) fn factor(self, epoch: usize, epochs: usize) -> f64 {
         match self {
             LoadShape::Constant => 1.0,
             LoadShape::Diurnal { amplitude } => {
@@ -234,7 +234,7 @@ impl FleetConfig {
     /// prototype rehosted onto the slot's hardware model, or the
     /// prototype itself when no `hw` list is set.
     #[must_use]
-    pub fn server_config(&self, server: usize) -> ServerConfig {
+    pub(crate) fn server_config(&self, server: usize) -> ServerConfig {
         if self.hw.is_empty() {
             self.server.clone()
         } else {
@@ -246,15 +246,8 @@ impl FleetConfig {
     /// mean service time`. The capacity the balancer and autoscaler
     /// reason against.
     #[must_use]
-    pub fn capacity_qps(&self) -> f64 {
+    pub(crate) fn capacity_qps(&self) -> f64 {
         self.server.cores as f64 / self.workload.mean_service().as_secs()
-    }
-
-    /// Aggregate load as a fraction of total fleet capacity (at load
-    /// factor 1.0).
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.total_qps / (self.capacity_qps() * self.servers as f64)
     }
 }
 
@@ -700,12 +693,15 @@ fn simulate_epoch(
             spec.seed = mix_seed(fs.seed, server as u64, e as u64);
             builder = builder.with_faults(FaultPlan::new(spec));
         }
-        let out = builder.run();
-        let intervals = out.idle_intervals.as_deref().unwrap_or(&[]);
+        let mut out = builder.run();
+        let intervals = out.idle_intervals.take().unwrap_or_default();
+        let latency_samples = out.latency_samples.take().unwrap_or_default();
         ServerEpoch {
-            opportunity: OpportunitySummary::compute(intervals, &slot.breakeven),
-            latency_samples: out.latency_samples.unwrap_or_default(),
-            metrics: out.metrics,
+            opportunity: OpportunitySummary::compute(&intervals, &slot.breakeven),
+            latency_samples,
+            // A server-epoch that broke a runtime invariant panics with
+            // its replay hint, as every single run does.
+            metrics: out.into_metrics(),
         }
     };
     SweepExecutor::current().fold_ordered(&loaded, simulate, |k, run| sink(loaded[k], run));
@@ -1034,11 +1030,18 @@ mod tests {
         }
         assert_eq!(energy.as_joules().to_bits(), report.energy.as_joules().to_bits());
 
-        // The pinned run.
+        // The pinned run, one glyph per server role.
+        let glyph = |role| match role {
+            ServerRole::Parked => 'P',
+            ServerRole::Idle => '.',
+            ServerRole::Loaded => '#',
+            ServerRole::Crashed => 'X',
+            ServerRole::Ejected => 'E',
+        };
         let roles: Vec<String> = collector
             .events
             .iter()
-            .map(|e| e.servers.iter().map(|s| s.role.glyph()).collect())
+            .map(|e| e.servers.iter().map(|s| glyph(s.role)).collect())
             .collect();
         let expected =
             ["###PPP", "###.PP", "XX#EPP", "XX#P#P", "XX##XX", "###PXX", "##PPXX", "##PPPX"];

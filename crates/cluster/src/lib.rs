@@ -50,9 +50,6 @@
 //! assert_eq!(report.windows.len(), 2);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod autoscaler;
 mod fleet;
 mod health;
@@ -60,10 +57,8 @@ mod policy;
 mod report;
 mod stream;
 
-pub use autoscaler::{AutoscalePolicy, Autoscaler, ScaleDecision};
+pub use autoscaler::AutoscalePolicy;
 pub use fleet::{FleetConfig, FleetSim, LoadShape};
 pub use policy::RoutingPolicy;
 pub use report::{FleetDegradation, FleetReport, FleetWindow};
-pub use stream::{
-    FleetEpochEvent, FleetObserver, NullFleetObserver, ServerEpochSnapshot, ServerRole,
-};
+pub use stream::{FleetEpochEvent, FleetObserver, ServerEpochSnapshot, ServerRole};

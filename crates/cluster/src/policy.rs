@@ -27,7 +27,7 @@ pub enum RoutingPolicy {
     /// pinned by test.
     LeastOutstanding,
     /// Power-aware: fill servers in index order up to
-    /// [`RoutingPolicy::PACK_UTILIZATION`] of capacity so the remaining
+    /// `RoutingPolicy::PACK_UTILIZATION` of capacity so the remaining
     /// servers see *zero* load and their package sinks into deep idle
     /// (PC6 uncore at ~2 W instead of PC0's 12 W).
     Packing,
@@ -43,7 +43,7 @@ impl RoutingPolicy {
     /// Target utilization packing fills a server to before spilling to
     /// the next one. Below saturation but high enough that a packed
     /// fleet parks a meaningful fraction of its servers.
-    pub const PACK_UTILIZATION: f64 = 0.85;
+    pub(crate) const PACK_UTILIZATION: f64 = 0.85;
 
     /// All policies, in CLI listing order.
     pub const ALL: [RoutingPolicy; 4] = [
@@ -55,7 +55,7 @@ impl RoutingPolicy {
 
     /// The CLI name of this policy.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RoutingPolicy::RoundRobin => "round-robin",
             RoutingPolicy::LeastOutstanding => "least-outstanding",
@@ -68,7 +68,7 @@ impl RoutingPolicy {
     /// autoscaler's target (spreading needs the whole fleet to spread
     /// over).
     #[must_use]
-    pub fn wants_all_active(self) -> bool {
+    pub(crate) fn wants_all_active(self) -> bool {
         self == RoutingPolicy::Spreading
     }
 
@@ -81,7 +81,12 @@ impl RoutingPolicy {
     /// saturated fleet overloads its servers rather than silently
     /// shedding, matching the open-loop client model).
     #[must_use]
-    pub fn shares(self, offered_qps: f64, availability: &[f64], capacity_qps: f64) -> Vec<f64> {
+    pub(crate) fn shares(
+        self,
+        offered_qps: f64,
+        availability: &[f64],
+        capacity_qps: f64,
+    ) -> Vec<f64> {
         assert!(!availability.is_empty(), "fleet must have at least one server");
         let weights: Vec<f64> = match self {
             RoutingPolicy::RoundRobin => {

@@ -44,19 +44,7 @@ pub enum ServerRole {
     Ejected,
 }
 
-impl ServerRole {
-    /// One-character glyph for compact per-server displays.
-    #[must_use]
-    pub fn glyph(self) -> char {
-        match self {
-            ServerRole::Parked => 'P',
-            ServerRole::Idle => '.',
-            ServerRole::Loaded => '#',
-            ServerRole::Crashed => 'X',
-            ServerRole::Ejected => 'E',
-        }
-    }
-}
+impl ServerRole {}
 
 /// One server's slice of one fleet epoch.
 #[derive(Debug, Clone)]
@@ -158,7 +146,7 @@ pub trait FleetObserver: Send {
     fn on_finish(&mut self) {}
 
     /// Whether per-server snapshots should be built at all. The
-    /// [`NullFleetObserver`] returns `false`, letting the unobserved
+    /// `NullFleetObserver` returns `false`, letting the unobserved
     /// path skip the per-server bookkeeping entirely.
     fn is_enabled(&self) -> bool {
         true
@@ -167,7 +155,7 @@ pub trait FleetObserver: Send {
 
 /// The no-op observer behind [`crate::FleetSim::run`].
 #[derive(Debug, Default)]
-pub struct NullFleetObserver;
+pub(crate) struct NullFleetObserver;
 
 impl FleetObserver for NullFleetObserver {
     fn on_epoch(&mut self, _event: &FleetEpochEvent) {}
@@ -197,22 +185,6 @@ mod tests {
 
     use super::*;
     use crate::{FleetConfig, FleetSim};
-
-    #[test]
-    fn role_glyphs_are_distinct() {
-        let glyphs = [
-            ServerRole::Parked.glyph(),
-            ServerRole::Idle.glyph(),
-            ServerRole::Loaded.glyph(),
-            ServerRole::Crashed.glyph(),
-            ServerRole::Ejected.glyph(),
-        ];
-        for (i, a) in glyphs.iter().enumerate() {
-            for b in &glyphs[i + 1..] {
-                assert_ne!(a, b, "role glyphs collide");
-            }
-        }
-    }
 
     #[test]
     fn null_observer_reports_disabled() {

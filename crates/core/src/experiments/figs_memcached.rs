@@ -9,7 +9,7 @@ use aw_server::{HardwareModel, RunMetrics, ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
 
-use crate::Series;
+use crate::report::Series;
 
 /// Shared sweep parameters for the Memcached figures.
 #[derive(Debug, Clone)]
@@ -263,14 +263,6 @@ pub struct Fig9Report {
     pub rows: Vec<Fig9Row>,
 }
 
-impl Fig9Report {
-    /// Rows of one configuration.
-    #[must_use]
-    pub fn of_config(&self, name: &str) -> Vec<&Fig9Row> {
-        self.rows.iter().filter(|r| r.config == name).collect()
-    }
-}
-
 /// Fig. 9: the three tuned (Turbo-disabled) configurations.
 #[derive(Debug, Clone)]
 pub struct Fig9 {
@@ -279,7 +271,7 @@ pub struct Fig9 {
 
 impl Fig9 {
     /// The three configurations of Fig. 9.
-    pub const CONFIGS: [NamedConfig; 3] =
+    pub(crate) const CONFIGS: [NamedConfig; 3] =
         [NamedConfig::NtBaseline, NamedConfig::NtNoC6, NamedConfig::NtNoC6NoC1e];
 
     /// Creates the experiment.
@@ -482,7 +474,7 @@ pub struct Fig11 {
 impl Fig11 {
     /// The six configurations of Fig. 11 (four legacy + the two AW
     /// variants).
-    pub const CONFIGS: [NamedConfig; 6] = [
+    pub(crate) const CONFIGS: [NamedConfig; 6] = [
         NamedConfig::TNoC6,
         NamedConfig::NtNoC6,
         NamedConfig::TNoC6NoC1e,
@@ -566,8 +558,11 @@ mod tests {
     #[test]
     fn fig9_no_c1e_no_c6_is_fast_but_hot() {
         let report = Fig9::new(SweepParams::quick()).run();
-        let lean = report.of_config("NT_No_C6,No_C1E");
-        let base = report.of_config("NT_Baseline");
+        let of_config = |name: &str| -> Vec<&Fig9Row> {
+            report.rows.iter().filter(|r| r.config == name).collect()
+        };
+        let lean = of_config("NT_No_C6,No_C1E");
+        let base = of_config("NT_Baseline");
         let mean = |rows: &[&Fig9Row], f: fn(&Fig9Row) -> f64| {
             rows.iter().map(|r| f(r)).sum::<f64>() / rows.len() as f64
         };

@@ -16,7 +16,7 @@ use aw_server::{HardwareModel, ServerConfig};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
 
-use crate::TextTable;
+use crate::report::TextTable;
 
 /// The fleet experiment: one policy sweep at a fixed aggregate load.
 #[derive(Debug, Clone)]
@@ -128,12 +128,6 @@ pub struct FleetComparison {
 }
 
 impl FleetComparison {
-    /// The summary row for one (policy, menu) cell.
-    #[must_use]
-    pub fn row(&self, policy: RoutingPolicy, named: NamedConfig) -> Option<&FleetRow> {
-        self.rows.iter().find(|r| r.policy == policy && r.config == named.to_string())
-    }
-
     /// Renders the comparison as a text table.
     #[must_use]
     pub fn table(&self) -> TextTable {
@@ -249,8 +243,12 @@ mod tests {
     fn quick_comparison_covers_the_grid() {
         let cmp = Fleet::quick().run();
         assert_eq!(cmp.rows.len(), RoutingPolicy::ALL.len() * 2);
-        let packed = cmp.row(RoutingPolicy::Packing, NamedConfig::Aw).unwrap();
-        let rr = cmp.row(RoutingPolicy::RoundRobin, NamedConfig::Aw).unwrap();
+        let row = |policy| {
+            let aw = NamedConfig::Aw.to_string();
+            cmp.rows.iter().find(|r| r.policy == policy && r.config == aw).unwrap()
+        };
+        let packed = row(RoutingPolicy::Packing);
+        let rr = row(RoutingPolicy::RoundRobin);
         assert!(
             packed.fleet_power_w < rr.fleet_power_w,
             "packing ({:.1} W) should beat round robin ({:.1} W) at 25% load",
@@ -258,6 +256,6 @@ mod tests {
             rr.fleet_power_w
         );
         let table = cmp.table();
-        assert!(table.to_csv().contains("packing"));
+        assert!(table.to_string().contains("packing"));
     }
 }

@@ -40,7 +40,5 @@ pub use motivation::{motivation, motivation_simulated, MotivationRow};
 pub use package::{PackageAnalysis, PackageRow};
 pub use proportionality::{Proportionality, ProportionalityReport};
 pub use snoop::{snoop_impact, snoop_impact_on, SnoopImpact};
-pub use tables::{
-    c6a_round_trip, table1, table1_for, table2, table3, table4, table5, Table5Params,
-};
+pub use tables::{table1, table1_for, table2, table3, table4, table5, Table5Params};
 pub use validation::{Validation, ValidationReport, ValidationRow};

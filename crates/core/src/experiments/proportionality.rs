@@ -13,7 +13,7 @@ use aw_server::{ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
 
-use crate::Series;
+use crate::report::Series;
 
 /// The proportionality experiment.
 #[derive(Debug, Clone)]
@@ -66,17 +66,6 @@ fn proportionality_score(points: &[(f64, f64)]) -> f64 {
 }
 
 impl Proportionality {
-    /// A reduced instance for tests.
-    #[must_use]
-    pub fn quick() -> Self {
-        Proportionality {
-            utilizations: vec![0.05, 0.2, 0.5],
-            cores: 4,
-            duration: Nanos::from_millis(60.0),
-            seed: 42,
-        }
-    }
-
     /// Runs both configurations across the utilization sweep. Each
     /// utilization step is an independent baseline + AW pair; the steps
     /// run on the ambient [`SweepExecutor`] and the two curves assemble
@@ -121,6 +110,18 @@ mod tests {
     fn score_of_flat_line_is_poor() {
         let pts = vec![(0.1, 100.0), (0.5, 100.0), (1.0, 100.0)];
         assert!(proportionality_score(&pts) < 0.6);
+    }
+
+    impl Proportionality {
+        /// A reduced instance for tests.
+        fn quick() -> Self {
+            Proportionality {
+                utilizations: vec![0.05, 0.2, 0.5],
+                cores: 4,
+                duration: Nanos::from_millis(60.0),
+                seed: 42,
+            }
+        }
     }
 
     #[test]

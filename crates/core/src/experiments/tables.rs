@@ -1,14 +1,14 @@
 //! The five table experiments.
 
-use aw_cstates::{C6AFlow, CState, ComponentMatrix, FreqLevel, NamedConfig};
+use aw_cstates::{CState, ComponentMatrix, FreqLevel, NamedConfig};
 use aw_exec::SweepExecutor;
-use aw_pma::{PmaFsm, Ufpg, WakePolicy};
+use aw_pma::{Ufpg, WakePolicy};
 use aw_power::{PpaModel, TcoModel};
 use aw_server::{HardwareModel, ServerConfig, SimBuilder};
 use aw_types::Nanos;
 use aw_workloads::memcached_etc;
 
-use crate::TextTable;
+use crate::report::TextTable;
 
 /// Table 1: C-states available on the modeled Skylake server core plus
 /// AW's C6A/C6AE.
@@ -261,19 +261,11 @@ pub fn table5(params: &Table5Params) -> TextTable {
     t
 }
 
-/// Sanity helper shared by docs/tests: the C6A flow round trip from the
-/// analytical budget (used in Table 4 commentary).
-#[must_use]
-pub fn c6a_round_trip() -> (Nanos, Nanos) {
-    let analytical = C6AFlow::new();
-    let mut fsm = PmaFsm::new_c6a();
-    let measured = fsm.run_entry().expect("fresh FSM is active").total()
-        + fsm.run_exit().expect("idle core can exit").total();
-    (analytical.round_trip(), measured)
-}
-
 #[cfg(test)]
 mod tests {
+    use aw_cstates::C6AFlow;
+    use aw_pma::PmaFsm;
+
     use super::*;
 
     #[test]
@@ -326,7 +318,12 @@ mod tests {
 
     #[test]
     fn c6a_round_trip_under_100ns() {
-        let (analytical, measured) = c6a_round_trip();
+        // The analytical budget and the cycle-level PMA flow agree on
+        // the paper's "<100 ns" headline.
+        let analytical = C6AFlow::new().round_trip();
+        let mut fsm = PmaFsm::new_c6a();
+        let measured = fsm.run_entry().expect("fresh FSM is active").total()
+            + fsm.run_exit().expect("idle core can exit").total();
         assert!(analytical < Nanos::new(100.0));
         assert!(measured < Nanos::new(100.0));
     }

@@ -39,7 +39,7 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// Mean accuracy across all rows.
     #[must_use]
-    pub fn mean_accuracy_pct(&self) -> f64 {
+    pub(crate) fn mean_accuracy_pct(&self) -> f64 {
         if self.rows.is_empty() {
             return 0.0;
         }

@@ -48,9 +48,6 @@
 //! }
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod experiments;
 mod report;
 
@@ -66,6 +63,5 @@ pub use aw_server;
 pub use aw_sim;
 pub use aw_sleep;
 pub use aw_telemetry;
-pub use aw_tui;
 pub use aw_types;
 pub use aw_workloads;

@@ -13,8 +13,11 @@ use aw_types::Nanos;
 /// ```
 /// use agilewatts::TextTable;
 ///
-/// let mut t = TextTable::new("Demo", &["state", "power"]);
-/// t.push_row(vec!["C1".into(), "1.44W".into()]);
+/// let t = TextTable {
+///     title: "Demo".into(),
+///     headers: vec!["state".into(), "power".into()],
+///     rows: vec![vec!["C1".into(), "1.44W".into()]],
+/// };
 /// let s = t.to_string();
 /// assert!(s.contains("C1"));
 /// assert!(s.contains("power"));
@@ -32,7 +35,7 @@ pub struct TextTable {
 impl TextTable {
     /// Creates an empty table.
     #[must_use]
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         TextTable {
             title: title.into(),
             headers: headers.iter().map(|h| (*h).to_string()).collect(),
@@ -45,40 +48,9 @@ impl TextTable {
     /// # Panics
     ///
     /// Panics if the row width differs from the header count.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row width must match headers");
         self.rows.push(row);
-    }
-
-    /// Renders the table as CSV (RFC-4180-style quoting for cells
-    /// containing commas or quotes), for plotting pipelines.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use agilewatts::TextTable;
-    ///
-    /// let mut t = TextTable::new("T", &["a", "b"]);
-    /// t.push_row(vec!["1".into(), "x,y".into()]);
-    /// assert_eq!(t.to_csv(), "a,b\n1,\"x,y\"\n");
-    /// ```
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn cell(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| cell(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -263,29 +235,13 @@ pub struct Series {
 impl Series {
     /// Creates an empty series.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Series { name: name.into(), points: Vec::new() }
     }
 
     /// Appends a point.
-    pub fn push(&mut self, x: f64, y: f64) {
+    pub(crate) fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// Renders the series as two-column CSV (`x,y` with a header).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("x,{}\n", self.name.replace(',', ";"));
-        for (x, y) in &self.points {
-            out.push_str(&format!("{x},{y}\n"));
-        }
-        out
-    }
-
-    /// The y value at the first x ≥ `x`, if any.
-    #[must_use]
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| *px >= x).map(|&(_, y)| y)
     }
 }
 
@@ -321,35 +277,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = TextTable::new("T", &["a", "b"]);
         t.push_row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_and_renders() {
-        let mut t = TextTable::new("T", &["name", "value"]);
-        t.push_row(vec!["plain".into(), "1".into()]);
-        t.push_row(vec!["with,comma".into(), "quote\"d".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"quote\"\"d\"");
-    }
-
-    #[test]
-    fn series_csv() {
-        let mut s = Series::new("power");
-        s.push(1.0, 2.5);
-        assert_eq!(s.to_csv(), "x,power\n1,2.5\n");
-    }
-
-    #[test]
-    fn series_lookup() {
-        let mut s = Series::new("s");
-        s.push(10.0, 1.0);
-        s.push(20.0, 2.0);
-        assert_eq!(s.y_at(15.0), Some(2.0));
-        assert_eq!(s.y_at(10.0), Some(1.0));
-        assert_eq!(s.y_at(30.0), None);
     }
 
     #[test]

@@ -72,14 +72,16 @@ pub enum ContextState {
 /// ```
 /// use aw_cstates::{CState, CacheState, ComponentMatrix, ContextState, PllState};
 ///
-/// let c6a = ComponentMatrix::for_state(CState::C6A);
+/// let table = ComponentMatrix::table();
+/// let row = |state| table.iter().find(|r| r.state == state).expect("every state has a row");
+/// let c6a = row(CState::C6A);
 /// // The AW insight: deep power-gating while caches stay coherent,
 /// // context stays in place, and the PLL stays locked.
 /// assert_eq!(c6a.caches, CacheState::Coherent);
 /// assert_eq!(c6a.context, ContextState::InPlaceRetention);
 /// assert_eq!(c6a.pll, PllState::On);
 ///
-/// let c6 = ComponentMatrix::for_state(CState::C6);
+/// let c6 = row(CState::C6);
 /// assert_eq!(c6.caches, CacheState::Flushed);
 /// assert_eq!(c6.context, ContextState::SaveRestoreSram);
 /// ```
@@ -102,7 +104,7 @@ pub struct ComponentMatrix {
 impl ComponentMatrix {
     /// The Table 2 row for `state`.
     #[must_use]
-    pub fn for_state(state: CState) -> Self {
+    pub(crate) fn for_state(state: CState) -> Self {
         let (clocks, pll, caches, voltage, context) = match state {
             CState::C0 => (
                 ClockState::Running,
@@ -155,21 +157,6 @@ impl ComponentMatrix {
     pub fn table() -> Vec<ComponentMatrix> {
         CState::ALL.iter().map(|&s| Self::for_state(s)).collect()
     }
-
-    /// `true` if a core in this state can respond to coherence snoops
-    /// (requires retained caches and a powered PLL domain for the snoop
-    /// logic).
-    #[must_use]
-    pub fn serves_snoops(&self) -> bool {
-        self.caches == CacheState::Coherent && self.state != CState::C0
-    }
-
-    /// `true` if exiting this state requires restoring context from
-    /// external SRAM (the multi-microsecond penalty AW eliminates).
-    #[must_use]
-    pub fn needs_external_restore(&self) -> bool {
-        self.context == ContextState::SaveRestoreSram
-    }
 }
 
 impl fmt::Display for ComponentMatrix {
@@ -211,16 +198,16 @@ mod tests {
         for s in [CState::C6A, CState::C6AE] {
             let row = ComponentMatrix::for_state(s);
             assert_eq!(row.context, ContextState::InPlaceRetention);
-            assert!(row.serves_snoops());
-            assert!(!row.needs_external_restore());
         }
     }
 
     #[test]
     fn c6_needs_external_restore_and_skips_snoops() {
+        // Context goes out to the external SRAM and comes back on exit;
+        // the flushed caches leave nothing to snoop.
         let row = ComponentMatrix::for_state(CState::C6);
-        assert!(row.needs_external_restore());
-        assert!(!row.serves_snoops());
+        assert_eq!(row.context, ContextState::SaveRestoreSram);
+        assert_eq!(row.caches, CacheState::Flushed);
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl CStateConfig {
     /// used by governors that run once per idle entry. `CState`'s
     /// derived `Ord` is its depth order, so the set's own order is
     /// shallowest-first.
-    pub fn iter_enabled(&self) -> impl Iterator<Item = CState> + '_ {
+    pub(crate) fn iter_enabled(&self) -> impl Iterator<Item = CState> + '_ {
         self.enabled.iter().copied()
     }
 

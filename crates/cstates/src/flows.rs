@@ -15,7 +15,7 @@ pub const PMA_CLOCK: MegaHertz = MegaHertz::new(500.0);
 
 /// Reference point for the C6 cache-flush model: flushing the ~1.1 MB
 /// L1+L2 at 800 MHz with 50% dirty lines takes ~75 µs (Sec. 3).
-pub const SKYLAKE_CACHE_REFERENCE: CacheFlushReference = CacheFlushReference {
+pub(crate) const SKYLAKE_CACHE_REFERENCE: CacheFlushReference = CacheFlushReference {
     flush_time: Nanos::new(75_000.0),
     dirty_fraction: 0.5,
     frequency: MegaHertz::new(800.0),
@@ -23,7 +23,7 @@ pub const SKYLAKE_CACHE_REFERENCE: CacheFlushReference = CacheFlushReference {
 
 /// The calibration point for the cache flush model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheFlushReference {
+pub(crate) struct CacheFlushReference {
     /// Measured flush time at the reference point.
     pub flush_time: Nanos,
     /// Dirty fraction at the reference point.
@@ -88,12 +88,6 @@ impl C1Flow {
         C1Flow { steps }
     }
 
-    /// The ordered flow steps.
-    #[must_use]
-    pub fn steps(&self) -> &[FlowStep] {
-        &self.steps
-    }
-
     /// Total entry latency.
     #[must_use]
     pub fn entry_latency(&self) -> Nanos {
@@ -139,7 +133,7 @@ pub struct C6Flow {
 impl C6Flow {
     /// Builds the C6 flow for a core at `frequency` with `dirty` fraction
     /// of dirty cache lines, scaling the flush and save/restore stages from
-    /// the [`SKYLAKE_CACHE_REFERENCE`] calibration point.
+    /// the `SKYLAKE_CACHE_REFERENCE` calibration point.
     ///
     /// Flush time scales linearly with the dirty fraction (only dirty lines
     /// generate writebacks) and inversely with frequency (the flush loop is
@@ -237,12 +231,6 @@ impl C6AFlow {
         C6AFlow { steps }
     }
 
-    /// The ordered flow steps.
-    #[must_use]
-    pub fn steps(&self) -> &[FlowStep] {
-        &self.steps
-    }
-
     /// Total entry latency (steps ①–③).
     #[must_use]
     pub fn entry_latency(&self) -> Nanos {
@@ -259,13 +247,6 @@ impl C6AFlow {
     #[must_use]
     pub fn round_trip(&self) -> Nanos {
         self.entry_latency() + self.exit_latency()
-    }
-
-    /// Snoop-side overhead beyond the C1 snoop path (cache wake +
-    /// re-sleep).
-    #[must_use]
-    pub fn snoop_overhead(&self) -> Nanos {
-        phase_total(&self.steps, FlowPhase::Snoop)
     }
 }
 
@@ -284,7 +265,7 @@ mod tests {
         let f = C1Flow::new();
         // Excluding the software steps, C1 hardware work is tens of ns.
         let hw: Nanos = f
-            .steps()
+            .steps
             .iter()
             .filter(|s| !s.name.contains("MWAIT") && !s.name.contains("interrupt"))
             .map(|s| s.latency)
@@ -350,13 +331,14 @@ mod tests {
     fn snoop_overhead_is_cycles() {
         let f = C6AFlow::new();
         // 5 PMA cycles at 2 ns = 10 ns of wake + re-sleep overhead.
-        assert_eq!(f.snoop_overhead(), Nanos::new(10.0));
+        assert_eq!(phase_total(&f.steps, FlowPhase::Snoop), Nanos::new(10.0));
     }
 
     #[test]
     fn phases_partition_steps() {
         let f = C6AFlow::new();
-        let total: Nanos = f.steps().iter().map(|s| s.latency).sum();
-        assert_eq!(total, f.entry_latency() + f.exit_latency() + f.snoop_overhead());
+        let total: Nanos = f.steps.iter().map(|s| s.latency).sum();
+        let snoop = phase_total(&f.steps, FlowPhase::Snoop);
+        assert_eq!(total, f.entry_latency() + f.exit_latency() + snoop);
     }
 }

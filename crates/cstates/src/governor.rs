@@ -129,7 +129,7 @@ impl MenuGovernor {
 
     /// The current idle-duration prediction, before hint clipping.
     #[must_use]
-    pub fn predicted(&self) -> Option<Nanos> {
+    pub(crate) fn predicted(&self) -> Option<Nanos> {
         self.ewma.map(|e| e * self.pessimism)
     }
 }
@@ -301,7 +301,6 @@ pub struct CircuitBreaker {
     cooldown: Nanos,
     consecutive_failures: u32,
     open_until: Option<Nanos>,
-    trips: u64,
     restores: u64,
 }
 
@@ -321,7 +320,6 @@ impl CircuitBreaker {
             cooldown,
             consecutive_failures: 0,
             open_until: None,
-            trips: 0,
             restores: 0,
         }
     }
@@ -337,7 +335,6 @@ impl CircuitBreaker {
         if self.consecutive_failures >= self.threshold {
             self.consecutive_failures = 0;
             self.open_until = Some(now + self.cooldown);
-            self.trips += 1;
             true
         } else {
             false
@@ -364,12 +361,6 @@ impl CircuitBreaker {
             Some(_) => true,
             None => false,
         }
-    }
-
-    /// Lifetime count of trips (closed → open).
-    #[must_use]
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 
     /// Lifetime count of restores (open → re-armed after cooldown).
@@ -498,7 +489,6 @@ mod tests {
         assert!(!b.is_open(t0), "below threshold: still closed");
         assert!(b.record_failure(t0), "third consecutive failure trips");
         assert!(b.is_open(t0));
-        assert_eq!(b.trips(), 1);
         // Still open just before the cooldown elapses...
         assert!(b.is_open(t0 + Nanos::from_micros(99.0)));
         // ...re-armed after it.
@@ -513,7 +503,6 @@ mod tests {
         b.record_success();
         assert!(!b.record_failure(Nanos::ZERO), "streak was cleared");
         assert!(b.record_failure(Nanos::ZERO));
-        assert_eq!(b.trips(), 1);
     }
 
     #[test]
@@ -521,7 +510,6 @@ mod tests {
         let mut b = CircuitBreaker::new(1, Nanos::from_micros(50.0));
         assert!(b.record_failure(Nanos::ZERO));
         assert!(!b.record_failure(Nanos::ZERO), "already open: no double trip");
-        assert_eq!(b.trips(), 1);
     }
 
     #[test]

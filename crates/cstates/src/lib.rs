@@ -32,9 +32,6 @@
 //! assert!(c1.power(FreqLevel::P1) / c6a.power(FreqLevel::P1) > 4.0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod catalog;
 mod components;
 mod config;
@@ -47,7 +44,7 @@ pub use components::{
     CacheState, ClockState, ComponentMatrix, ContextState, PllState, VoltageState,
 };
 pub use config::{CStateConfig, NamedConfig};
-pub use flows::{C1Flow, C6AFlow, C6Flow, FlowPhase, FlowStep, PMA_CLOCK, SKYLAKE_CACHE_REFERENCE};
+pub use flows::{C1Flow, C6AFlow, C6Flow, FlowPhase, FlowStep, PMA_CLOCK};
 pub use governor::{CircuitBreaker, IdleGovernor, LadderGovernor, MenuGovernor, OracleGovernor};
 pub use state::{CState, FreqLevel};
 

@@ -13,11 +13,8 @@ use std::fmt;
 /// ```
 /// use aw_cstates::CState;
 ///
-/// assert!(CState::C6.is_deeper_than(CState::C1));
 /// assert_eq!(CState::C6A.replaces(), Some(CState::C1));
 /// assert_eq!(CState::C6AE.replaces(), Some(CState::C1E));
-/// assert!(CState::C6A.is_agile());
-/// assert!(!CState::C6.is_agile());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CState {
@@ -46,9 +43,6 @@ impl CState {
     /// The idle states (everything but C0), shallowest first.
     pub const IDLE: [CState; 5] = [CState::C1, CState::C1E, CState::C6A, CState::C6AE, CState::C6];
 
-    /// The legacy Skylake states.
-    pub const LEGACY: [CState; 4] = [CState::C0, CState::C1, CState::C1E, CState::C6];
-
     /// Depth rank by idle power: higher means lower power.
     ///
     /// C0 < C1 < C1E < C6A < C6AE < C6 (per Table 1's power column).
@@ -64,22 +58,10 @@ impl CState {
         }
     }
 
-    /// `true` if `self` saves more power than `other`.
-    #[must_use]
-    pub fn is_deeper_than(self, other: CState) -> bool {
-        self.depth() > other.depth()
-    }
-
     /// `true` for an idle state (anything but C0).
     #[must_use]
     pub fn is_idle(self) -> bool {
         self != CState::C0
-    }
-
-    /// `true` for the AgileWatts states C6A/C6AE.
-    #[must_use]
-    pub fn is_agile(self) -> bool {
-        matches!(self, CState::C6A | CState::C6AE)
     }
 
     /// The legacy state this AW state replaces (Sec. 4): C6A→C1, C6AE→C1E.
@@ -158,7 +140,7 @@ mod tests {
     #[test]
     fn depth_is_strictly_increasing() {
         for w in CState::ALL.windows(2) {
-            assert!(w[1].is_deeper_than(w[0]), "{} should be deeper than {}", w[1], w[0]);
+            assert!(w[1].depth() > w[0].depth(), "{} should be deeper than {}", w[1], w[0]);
         }
     }
 
@@ -207,11 +189,5 @@ mod tests {
     fn display_names() {
         assert_eq!(CState::C6AE.to_string(), "C6AE");
         assert_eq!(FreqLevel::Pn.to_string(), "Pn");
-    }
-
-    #[test]
-    fn agile_flag() {
-        let agile: Vec<_> = CState::ALL.iter().filter(|s| s.is_agile()).collect();
-        assert_eq!(agile, [&CState::C6A, &CState::C6AE]);
     }
 }

@@ -8,7 +8,7 @@
 //! embarrassingly parallel — and this crate is the one place that
 //! exploits it.
 //!
-//! [`SweepExecutor::map_indexed`] runs a closure over a slice of points
+//! `SweepExecutor::map_indexed` runs a closure over a slice of points
 //! on `N` worker threads while guaranteeing **bit-identical results and
 //! ordering regardless of worker count**:
 //!
@@ -43,13 +43,10 @@
 //! use aw_exec::SweepExecutor;
 //!
 //! let points: Vec<u64> = (0..100).collect();
-//! let serial = SweepExecutor::serial().map_indexed(&points, |_, p| p * p);
-//! let parallel = SweepExecutor::with_jobs(8).map_indexed(&points, |_, p| p * p);
+//! let serial = SweepExecutor::with_jobs(1).map(&points, |p| p * p);
+//! let parallel = SweepExecutor::with_jobs(8).map(&points, |p| p * p);
 //! assert_eq!(serial, parallel); // same values, same order — always
 //! ```
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 use std::collections::BTreeMap;
 use std::io::{IsTerminal, Write};
@@ -93,7 +90,7 @@ pub fn set_progress(mode: ProgressMode) {
 
 /// The installed [`ProgressMode`].
 #[must_use]
-pub fn progress_mode() -> ProgressMode {
+pub(crate) fn progress_mode() -> ProgressMode {
     match PROGRESS_MODE.load(Ordering::SeqCst) {
         1 => ProgressMode::Enabled,
         2 => ProgressMode::Disabled,
@@ -122,7 +119,7 @@ pub fn set_default_jobs(jobs: usize) {
 /// else [`std::thread::available_parallelism`] (or `1` if even that is
 /// unavailable).
 #[must_use]
-pub fn default_jobs() -> usize {
+pub(crate) fn default_jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
@@ -171,15 +168,7 @@ impl SweepExecutor {
         SweepExecutor { jobs: jobs.max(1) }
     }
 
-    /// The strictly serial executor: `fold_ordered` (and so
-    /// `map_indexed`) degenerates to the plain `for` loop over the
-    /// points, on the calling thread.
-    #[must_use]
-    pub fn serial() -> Self {
-        SweepExecutor { jobs: 1 }
-    }
-
-    /// An executor using the process default (see [`default_jobs`]).
+    /// An executor using the process default (see `default_jobs`).
     #[must_use]
     pub fn current() -> Self {
         Self::with_jobs(default_jobs())
@@ -205,7 +194,7 @@ impl SweepExecutor {
     /// sink that reduces each result keeps only those still ahead of
     /// the fold in memory, not the whole sweep.
     ///
-    /// The determinism contract is [`map_indexed`](Self::map_indexed)'s:
+    /// The determinism contract is `map_indexed`'s:
     /// a `point_fn` that derives its randomness from the point gives
     /// `sink` the same sequence at every `jobs` value.
     ///
@@ -316,7 +305,7 @@ impl SweepExecutor {
     ///
     /// If `point_fn` panics for any point, the panic is propagated to
     /// the caller after all workers have stopped claiming new points.
-    pub fn map_indexed<T, R, F>(&self, points: &[T], point_fn: F) -> Vec<R>
+    pub(crate) fn map_indexed<T, R, F>(&self, points: &[T], point_fn: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -327,7 +316,7 @@ impl SweepExecutor {
         out
     }
 
-    /// [`map_indexed`](Self::map_indexed) without the index argument.
+    /// `map_indexed` without the index argument.
     pub fn map<T, R, F>(&self, points: &[T], point_fn: F) -> Vec<R>
     where
         T: Sync,
@@ -348,7 +337,6 @@ mod tests {
     #[test]
     fn jobs_clamp_to_at_least_one() {
         assert_eq!(SweepExecutor::with_jobs(0).jobs(), 1);
-        assert_eq!(SweepExecutor::serial().jobs(), 1);
         assert_eq!(SweepExecutor::with_jobs(7).jobs(), 7);
     }
 
@@ -431,7 +419,7 @@ mod tests {
     fn serial_fold_runs_the_sink_between_points() {
         let points: Vec<u32> = (0..50).collect();
         let sunk = AtomicUsize::new(0);
-        SweepExecutor::serial().fold_ordered(
+        SweepExecutor::with_jobs(1).fold_ordered(
             &points,
             |i, _| assert_eq!(sunk.load(Ordering::Relaxed), i, "point {i} ran before the sink"),
             |i, ()| assert_eq!(sunk.fetch_add(1, Ordering::Relaxed), i),

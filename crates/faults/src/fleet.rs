@@ -24,7 +24,7 @@ use crate::keys::{
 /// Default seed of the fleet fault draws when a spec does not pin one.
 /// Distinct from [`DEFAULT_FAULT_SEED`](crate::DEFAULT_FAULT_SEED) so
 /// fleet and per-core chaos stay decorrelated when both default.
-pub const DEFAULT_FLEET_FAULT_SEED: u64 = 0x00F1_EE75;
+pub(crate) const DEFAULT_FLEET_FAULT_SEED: u64 = 0x00F1_EE75;
 
 /// Everything a deterministic fleet fault plan needs: a seed plus
 /// per-category probabilities, durations, and magnitudes.
@@ -130,13 +130,13 @@ impl FleetFaultSpec {
 /// streams are self-describing in a debugger; any fixed distinct values
 /// work.
 mod tag {
-    pub const CRASH: u64 = 0x0000_0063_7261_7368; // "crash"
-    pub const PHASE: u64 = 0x0000_0070_6861_7365; // "phase"
-    pub const RACK: u64 = 0x0000_0000_7261_636b; // "rack"
-    pub const UNPARK: u64 = 0x0000_756e_7061_726b; // "unpark"
-    pub const DEGRADE: u64 = 0x0064_6567_7261_6465; // "degrade"
-    pub const THROTTLE: u64 = 0x7468_726f_7474_6c65; // "throttle"
-    pub const RETRY: u64 = 0x0000_0072_6574_7279; // "retry"
+    pub(crate) const CRASH: u64 = 0x0000_0063_7261_7368; // "crash"
+    pub(crate) const PHASE: u64 = 0x0000_0070_6861_7365; // "phase"
+    pub(crate) const RACK: u64 = 0x0000_0000_7261_636b; // "rack"
+    pub(crate) const UNPARK: u64 = 0x0000_756e_7061_726b; // "unpark"
+    pub(crate) const DEGRADE: u64 = 0x0064_6567_7261_6465; // "degrade"
+    pub(crate) const THROTTLE: u64 = 0x7468_726f_7474_6c65; // "throttle"
+    pub(crate) const RETRY: u64 = 0x0000_0072_6574_7279; // "retry"
 }
 
 /// splitmix64-style finalizer over `(seed ^ tag, server, epoch)`.
@@ -175,23 +175,10 @@ impl FleetFaultPlan {
         FleetFaultPlan { spec }
     }
 
-    /// A plan that never injects anything (but still answers every
-    /// query, so it can stand in for a missing hook).
-    #[must_use]
-    pub fn none() -> Self {
-        FleetFaultPlan::new(FleetFaultSpec::none())
-    }
-
     /// The spec this plan realizes.
     #[must_use]
     pub fn spec(&self) -> &FleetFaultSpec {
         &self.spec
-    }
-
-    /// `true` if any category can fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.spec.is_active()
     }
 
     /// Does `server` crash at the start of epoch `epoch`? Scheduled
@@ -406,7 +393,6 @@ mod tests {
         assert_eq!(FleetFaultSpec::parse("").unwrap(), FleetFaultSpec::none());
         assert_eq!(FleetFaultSpec::parse("none").unwrap(), FleetFaultSpec::none());
         assert!(!FleetFaultSpec::none().is_active());
-        assert!(!FleetFaultPlan::none().is_active());
     }
 
     #[test]

@@ -33,26 +33,15 @@ impl InvariantChecker {
         }
     }
 
-    /// Records an unconditional violation.
-    pub fn violate(&mut self, message: impl Into<String>) {
-        self.violations.push(message.into());
-    }
-
     /// `true` if no invariant has been violated so far.
     #[must_use]
-    pub fn is_ok(&self) -> bool {
+    pub(crate) fn is_ok(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// The violations recorded so far, in order of detection.
-    #[must_use]
-    pub fn violations(&self) -> &[String] {
-        &self.violations
     }
 
     /// Consumes the checker, returning the violation list.
     #[must_use]
-    pub fn into_violations(self) -> Vec<String> {
+    pub(crate) fn into_violations(self) -> Vec<String> {
         self.violations
     }
 }
@@ -105,7 +94,7 @@ impl FailureArtifact {
 
     /// The CLI flags that replay this exact run.
     #[must_use]
-    pub fn replay_hint(&self) -> String {
+    pub(crate) fn replay_hint(&self) -> String {
         format!("--seed {} --faults '{}'", self.seed, self.fault_spec)
     }
 }
@@ -140,15 +129,15 @@ mod tests {
     fn violations_are_collected_in_order() {
         let mut c = InvariantChecker::new();
         c.check(false, || "first".to_string());
-        c.violate("second");
+        c.check(false, || "second".to_string());
         assert!(!c.is_ok());
-        assert_eq!(c.violations(), ["first", "second"]);
+        assert_eq!(c.into_violations(), ["first", "second"]);
     }
 
     #[test]
     fn artifact_renders_json_and_replay_hint() {
         let mut c = InvariantChecker::new();
-        c.violate("residency \"gap\" of 3ns");
+        c.check(false, || "residency \"gap\" of 3ns".to_string());
         let a = FailureArtifact::from_checker(c, 42, "seed=7,wake-fail=0.5").unwrap();
         let json = a.to_json();
         assert!(json.starts_with("{\"seed\":42,"));

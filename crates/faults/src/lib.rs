@@ -29,8 +29,6 @@
 //! is the one model of a disrupted wake; `aw-cluster` asks its
 //! [`FleetFaultPlan`] about each server and epoch.
 
-#![warn(missing_docs)]
-
 mod fleet;
 mod invariant;
 mod keys;
@@ -39,9 +37,8 @@ mod spec;
 
 pub use fleet::{
     FleetFailureArtifact, FleetFaultKind, FleetFaultPlan, FleetFaultRecord, FleetFaultSpec,
-    DEFAULT_FLEET_FAULT_SEED,
 };
 pub use invariant::{FailureArtifact, InvariantChecker};
 pub use keys::FaultSpecError;
 pub use plan::{FaultPlan, WakeDisruption};
-pub use spec::{FaultSpec, DEFAULT_FAULT_SEED};
+pub use spec::FaultSpec;

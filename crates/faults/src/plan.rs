@@ -20,14 +20,6 @@ pub struct WakeDisruption {
     pub drowsy_retry: bool,
 }
 
-impl WakeDisruption {
-    /// `true` if the wake proceeded exactly as in a fault-free run.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        *self == WakeDisruption::default()
-    }
-}
-
 /// A seeded, fully deterministic realization of a [`FaultSpec`].
 ///
 /// Every fault category draws from its own dedicated xoshiro stream
@@ -163,7 +155,7 @@ mod tests {
     fn zero_spec_draws_nothing() {
         let mut plan = FaultPlan::none();
         for _ in 0..100 {
-            assert!(plan.wake_disruption().is_clean());
+            assert_eq!(plan.wake_disruption(), WakeDisruption::default());
             assert_eq!(plan.lost_wake(), None);
             assert_eq!(plan.spurious_gap(), None);
             assert_eq!(plan.storm_gap(), None);

@@ -64,7 +64,7 @@ pub struct FaultSpec {
 }
 
 /// Default seed of the fault streams when a spec does not pin one.
-pub const DEFAULT_FAULT_SEED: u64 = 0x00AF_5EED;
+pub(crate) const DEFAULT_FAULT_SEED: u64 = 0x00AF_5EED;
 
 impl Default for FaultSpec {
     fn default() -> Self {

@@ -22,7 +22,7 @@
 //!   whose shared L3 gates deep package sleep ([`CcxSpec`]).
 //!
 //! [`HardwareModel::catalog`] computes the AW menu from the base menu
-//! generically ([`derive_aw`]): the agile twin of a legacy state keeps
+//! generically (`derive_aw`): the agile twin of a legacy state keeps
 //! the legacy software transition budget and only adds the per-vendor
 //! retention wake latency on exit. Hand-written per-vendor AW tables
 //! are therefore impossible to get out of sync with the base menu.
@@ -55,5 +55,5 @@ mod skylake;
 mod uncore;
 mod zen2;
 
-pub use model::{derive_aw, HardwareModel, RetentionPoint, UnknownHardware};
+pub use model::{HardwareModel, RetentionPoint, UnknownHardware};
 pub use uncore::{CcxSpec, PackageCState, UncorePower};

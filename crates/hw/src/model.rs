@@ -14,7 +14,7 @@ use crate::uncore::{CcxSpec, UncorePower};
 ///
 /// Everything else about the agile state — software transition budget,
 /// entry latency, target residency — is inherited from the legacy
-/// state it replaces; see [`derive_aw`].
+/// state it replaces; see `derive_aw`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetentionPoint {
     /// The agile state being calibrated (must satisfy
@@ -68,7 +68,7 @@ pub struct HardwareModel {
 ///
 /// Panics if a retention point names a non-agile state.
 #[must_use]
-pub fn derive_aw(base: &CStateCatalog, retention: &[RetentionPoint]) -> CStateCatalog {
+pub(crate) fn derive_aw(base: &CStateCatalog, retention: &[RetentionPoint]) -> CStateCatalog {
     let mut cat = base.clone();
     for r in retention {
         let legacy = r.state.replaces().unwrap_or_else(|| {
@@ -124,7 +124,7 @@ impl HardwareModel {
 
     /// Registered model names, registration order.
     #[must_use]
-    pub fn names() -> Vec<&'static str> {
+    pub(crate) fn names() -> Vec<&'static str> {
         registry().iter().map(|m| m.name).collect()
     }
 
@@ -161,7 +161,7 @@ impl HardwareModel {
     }
 
     /// The full menu: the base menu plus the AW states derived from it
-    /// (see [`derive_aw`]).
+    /// (see `derive_aw`).
     #[must_use]
     pub fn catalog(&self) -> CStateCatalog {
         derive_aw(&self.base, &self.retention)

@@ -21,10 +21,8 @@ use aw_cstates::PMA_CLOCK;
 pub struct SleepSetting(u8);
 
 impl SleepSetting {
-    /// The shallowest setting (least leakage savings).
-    pub const MIN: SleepSetting = SleepSetting(1);
     /// The deepest retention-safe setting.
-    pub const MAX: SleepSetting = SleepSetting(7);
+    pub(crate) const MAX: SleepSetting = SleepSetting(7);
 
     /// Creates setting `level`.
     ///
@@ -37,12 +35,6 @@ impl SleepSetting {
         } else {
             Err(level)
         }
-    }
-
-    /// The raw level, `1..=7`.
-    #[must_use]
-    pub fn level(self) -> u8 {
-        self.0
     }
 
     /// Fraction of the awake data-array leakage that remains at this
@@ -63,7 +55,7 @@ impl Default for SleepSetting {
 
 /// CCSM controller state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheSleepState {
+pub(crate) enum CacheSleepState {
     /// Nominal voltage, clock running (core active).
     Awake,
     /// Data array at retention voltage, domain clock-gated.
@@ -80,67 +72,35 @@ pub enum CacheSleepState {
 /// # Examples
 ///
 /// ```
-/// use aw_pma::{CacheSleepController, CacheSleepState};
+/// use aw_pma::CacheSleepController;
 ///
 /// let mut ccsm = CacheSleepController::skylake();
 /// ccsm.enter_sleep();
-/// assert_eq!(ccsm.state(), CacheSleepState::Sleeping);
 ///
-/// // A snoop arrives; the always-on detector wakes the arrays:
+/// // Snoops arrive; the always-on detector wakes the arrays, the burst
+/// // is served and the arrays go back to sleep:
 /// let latency = ccsm.serve_snoops(3);
-/// assert_eq!(ccsm.state(), CacheSleepState::Sleeping); // back asleep
 /// assert!(latency.as_nanos() < 100.0);
+/// assert_eq!(ccsm.snoops_served(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheSleepController {
     state: CacheSleepState,
-    setting: SleepSetting,
-    /// Private cache capacity retained (bytes); ~1.1 MB on Skylake.
-    capacity_bytes: usize,
     snoops_served: u64,
-    sleep_entries: u64,
     /// Per-snoop service time once awake (tag + data access).
     snoop_service: Nanos,
 }
 
 impl CacheSleepController {
-    /// The Skylake-calibrated controller: ~1.1 MB L1+L2 at the deepest
-    /// sleep setting, ~20 ns per snoop service.
+    /// The Skylake-calibrated controller for the ~1.1 MB L1+L2: ~20 ns
+    /// per snoop service.
     #[must_use]
     pub fn skylake() -> Self {
-        CacheSleepController::new(1_100 * 1024, SleepSetting::MAX, Nanos::new(20.0))
-    }
-
-    /// Creates a controller for `capacity_bytes` of private cache at
-    /// `setting`, with `snoop_service` per-snoop latency once awake.
-    #[must_use]
-    pub fn new(capacity_bytes: usize, setting: SleepSetting, snoop_service: Nanos) -> Self {
         CacheSleepController {
             state: CacheSleepState::Awake,
-            setting,
-            capacity_bytes,
             snoops_served: 0,
-            sleep_entries: 0,
-            snoop_service,
+            snoop_service: Nanos::new(20.0),
         }
-    }
-
-    /// Current controller state.
-    #[must_use]
-    pub fn state(&self) -> CacheSleepState {
-        self.state
-    }
-
-    /// The sleep-transistor setting in use.
-    #[must_use]
-    pub fn setting(&self) -> SleepSetting {
-        self.setting
-    }
-
-    /// Retained capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
     }
 
     /// Snoops serviced while sleeping, lifetime total.
@@ -149,28 +109,17 @@ impl CacheSleepController {
         self.snoops_served
     }
 
-    /// Times sleep mode was entered, lifetime total.
-    #[must_use]
-    pub fn sleep_entries(&self) -> u64 {
-        self.sleep_entries
-    }
-
     /// Enters sleep mode (Fig. 6 step ③). Returns the cycle cost
     /// (1–3 PMA cycles; we model the worst case, 3).
-    ///
-    /// Idempotent if already sleeping.
     pub fn enter_sleep(&mut self) -> Cycles {
-        if self.state != CacheSleepState::Sleeping {
-            self.state = CacheSleepState::Sleeping;
-            self.sleep_entries += 1;
-        }
+        self.state = CacheSleepState::Sleeping;
         Cycles::new(3)
     }
 
     /// Exits sleep mode to full wakefulness (Fig. 6 step ④). Returns the
     /// cycle cost (2 cycles: clock-ungate, then tag access overlaps the
     /// array wake).
-    pub fn exit_sleep(&mut self) -> Cycles {
+    pub(crate) fn exit_sleep(&mut self) -> Cycles {
         self.state = CacheSleepState::Awake;
         Cycles::new(2)
     }
@@ -207,7 +156,7 @@ mod tests {
     fn settings_bounds() {
         assert!(SleepSetting::new(0).is_err());
         assert!(SleepSetting::new(8).is_err());
-        assert_eq!(SleepSetting::new(3).unwrap().level(), 3);
+        assert_eq!(SleepSetting::new(3).unwrap().0, 3);
     }
 
     #[test]
@@ -225,17 +174,9 @@ mod tests {
     fn sleep_enter_exit_cycle_costs() {
         let mut c = CacheSleepController::skylake();
         assert_eq!(c.enter_sleep(), Cycles::new(3));
-        assert_eq!(c.state(), CacheSleepState::Sleeping);
+        assert_eq!(c.state, CacheSleepState::Sleeping);
         assert_eq!(c.exit_sleep(), Cycles::new(2));
-        assert_eq!(c.state(), CacheSleepState::Awake);
-    }
-
-    #[test]
-    fn enter_sleep_idempotent() {
-        let mut c = CacheSleepController::skylake();
-        c.enter_sleep();
-        c.enter_sleep();
-        assert_eq!(c.sleep_entries(), 1);
+        assert_eq!(c.state, CacheSleepState::Awake);
     }
 
     #[test]
@@ -246,7 +187,7 @@ mod tests {
         // 2 cycles wake (4 ns) + 2×20 ns + 3 cycles re-sleep (6 ns) = 50 ns.
         assert!((lat.as_nanos() - 50.0).abs() < 1e-9, "{lat}");
         assert_eq!(c.snoops_served(), 2);
-        assert_eq!(c.state(), CacheSleepState::Sleeping);
+        assert_eq!(c.state, CacheSleepState::Sleeping);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub enum PmaState {
 impl PmaState {
     /// Short static name of the state, used as the trace-event label.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PmaState::Active => "Active",
             PmaState::EntryClockGate => "EntryClockGate",
@@ -130,21 +130,6 @@ impl FlowTrace {
     pub fn total(&self) -> Nanos {
         self.steps.iter().map(|s| s.duration).sum()
     }
-
-    /// Duration of the given state within this trace (zero if absent).
-    #[must_use]
-    pub fn duration_of(&self, state: PmaState) -> Nanos {
-        self.steps.iter().filter(|s| s.state == state).map(|s| s.duration).sum()
-    }
-
-    /// Checks the trace is contiguous: each step starts where the previous
-    /// ended.
-    #[must_use]
-    pub fn is_contiguous(&self) -> bool {
-        self.steps
-            .windows(2)
-            .all(|w| ((w[0].start + w[0].duration) - w[1].start).as_nanos().abs() < 1e-9)
-    }
 }
 
 /// The core's power-management agent running the C6A/C6AE flow.
@@ -159,20 +144,18 @@ impl FlowTrace {
 /// end to end:
 ///
 /// ```
-/// use aw_pma::{PmaFsm, PmaState};
+/// use aw_pma::{FlowError, PmaFsm, PmaState};
 ///
 /// let mut fsm = PmaFsm::new_c6a();
 /// fsm.write_context(0x5EED);
 ///
 /// let entry = fsm.run_entry().expect("fresh FSM is active");
 /// assert!(entry.total().as_nanos() < 20.0);
-/// assert_eq!(fsm.state(), PmaState::Idle);
 ///
 /// // Illegal flows are typed errors, not panics:
-/// assert!(fsm.run_entry().is_err());
+/// assert_eq!(fsm.run_entry(), Err(FlowError::EntryFromNonActive(PmaState::Idle)));
 ///
 /// let snoop = fsm.run_snoop(1).expect("idle core can serve snoops");
-/// assert_eq!(fsm.state(), PmaState::Idle); // back to full C6A
 ///
 /// let exit = fsm.run_exit().expect("idle core can exit");
 /// assert!(exit.total().as_nanos() < 80.0);
@@ -183,12 +166,9 @@ impl FlowTrace {
 pub struct PmaFsm {
     state: PmaState,
     enhanced: bool,
-    wake_policy: WakePolicy,
     ufpg: Ufpg,
     srpg: SrpgBank,
     ccsm: CacheSleepController,
-    entries: u64,
-    exits: u64,
     /// Monotonic FSM time, advanced by flows and [`PmaFsm::wait`].
     now: Nanos,
     /// When the in-flight non-blocking Pn transition completes (C6AE).
@@ -197,43 +177,34 @@ pub struct PmaFsm {
 
 /// The non-blocking DVFS ramp to Pn kicked off at C6AE entry step ①
 /// (Sec. 5.2.1: "can take few tens of microseconds").
-pub const PN_TRANSITION: Nanos = Nanos::new(30_000.0);
+pub(crate) const PN_TRANSITION: Nanos = Nanos::new(30_000.0);
 
 impl PmaFsm {
     /// A PMA configured for C6A at the paper's design point.
     #[must_use]
     pub fn new_c6a() -> Self {
-        PmaFsm::with_parts(Ufpg::skylake_c6a(), CacheSleepController::skylake(), false)
+        PmaFsm::skylake(false)
     }
 
     /// A PMA configured for C6AE (adds the non-blocking transition to Pn;
     /// the DVFS runs in parallel and does not lengthen the flow).
     #[must_use]
     pub fn new_c6ae() -> Self {
-        PmaFsm::with_parts(Ufpg::skylake_c6a(), CacheSleepController::skylake(), true)
+        PmaFsm::skylake(true)
     }
 
-    /// Builds a PMA from explicit subsystems (for ablations).
-    #[must_use]
-    pub fn with_parts(ufpg: Ufpg, ccsm: CacheSleepController, enhanced: bool) -> Self {
+    /// The Skylake subsystems at the paper's design point; `enhanced`
+    /// selects C6AE.
+    fn skylake(enhanced: bool) -> Self {
         PmaFsm {
             state: PmaState::Active,
             enhanced,
-            wake_policy: WakePolicy::Staggered,
-            ufpg,
-            srpg: SrpgBank::new(8 * 1024),
-            ccsm,
-            entries: 0,
-            exits: 0,
+            ufpg: Ufpg::skylake_c6a(),
+            srpg: SrpgBank::default(),
+            ccsm: CacheSleepController::skylake(),
             now: Nanos::ZERO,
             pn_ready_at: None,
         }
-    }
-
-    /// The FSM's monotonic clock (advanced by flows and [`PmaFsm::wait`]).
-    #[must_use]
-    pub fn now(&self) -> Nanos {
-        self.now
     }
 
     /// Lets simulated time pass while the core stays in its current
@@ -259,24 +230,6 @@ impl PmaFsm {
         }
     }
 
-    /// Overrides the exit wake policy (ablation: staggered vs
-    /// simultaneous).
-    pub fn set_wake_policy(&mut self, policy: WakePolicy) {
-        self.wake_policy = policy;
-    }
-
-    /// Current FSM state.
-    #[must_use]
-    pub fn state(&self) -> PmaState {
-        self.state
-    }
-
-    /// `true` for a C6AE-configured PMA.
-    #[must_use]
-    pub fn is_enhanced(&self) -> bool {
-        self.enhanced
-    }
-
     /// Writes a context value into the core (only legal while active).
     ///
     /// # Panics
@@ -292,12 +245,6 @@ impl PmaFsm {
     #[must_use]
     pub fn read_context(&self) -> Option<u64> {
         self.srpg.read()
-    }
-
-    /// Lifetime entry/exit counts.
-    #[must_use]
-    pub fn transition_counts(&self) -> (u64, u64) {
-        (self.entries, self.exits)
     }
 
     /// Runs the entry flow ①–③ from `Active` to `Idle`.
@@ -337,7 +284,6 @@ impl PmaFsm {
         trace.push(self.state, now, d3);
 
         self.state = PmaState::Idle;
-        self.entries += 1;
         self.now += trace.total();
         Ok(trace)
     }
@@ -403,7 +349,7 @@ impl PmaFsm {
 
         // ⑤ power-ungate the UFPG zones (staggered), then deassert Ret.
         self.state = PmaState::ExitPowerUngate;
-        let d5 = self.ufpg.wake(self.wake_policy).latency + self.srpg.restore().at(PMA_CLOCK);
+        let d5 = self.ufpg.wake(WakePolicy::Staggered).latency + self.srpg.restore().at(PMA_CLOCK);
         trace.push(self.state, now, d5);
         now += d5;
 
@@ -412,7 +358,6 @@ impl PmaFsm {
         trace.push(self.state, now, Cycles::new(2).at(PMA_CLOCK));
 
         self.state = PmaState::Active;
-        self.exits += 1;
         self.now += trace.total();
         // Exit cancels any in-flight or completed Pn ramp: the core
         // returns to P1 for execution.
@@ -438,8 +383,7 @@ mod tests {
         let mut fsm = PmaFsm::new_c6a();
         let t = entry(&mut fsm);
         assert!(t.total() < Nanos::new(20.0), "entry {}", t.total());
-        assert!(t.is_contiguous());
-        assert_eq!(fsm.state(), PmaState::Idle);
+        assert_eq!(fsm.state, PmaState::Idle);
     }
 
     #[test]
@@ -448,10 +392,10 @@ mod tests {
         entry(&mut fsm);
         let t = exit(&mut fsm);
         assert!(t.total() < Nanos::new(80.0), "exit {}", t.total());
-        assert!(t.is_contiguous());
-        assert_eq!(fsm.state(), PmaState::Active);
+        assert_eq!(fsm.state, PmaState::Active);
         // Step ⑤ dominates: the 67.5 ns staggered wake + 1 restore cycle.
-        let d5 = t.duration_of(PmaState::ExitPowerUngate);
+        let d5 = t.steps()[1].duration;
+        assert_eq!(t.steps()[1].state, PmaState::ExitPowerUngate);
         assert!((d5.as_nanos() - 69.5).abs() < 1e-9, "step5 {d5}");
     }
 
@@ -470,7 +414,6 @@ mod tests {
         let mut e = PmaFsm::new_c6ae();
         assert_eq!(entry(&mut a).total(), entry(&mut e).total());
         assert_eq!(exit(&mut a).total(), exit(&mut e).total());
-        assert!(e.is_enhanced());
     }
 
     #[test]
@@ -482,7 +425,6 @@ mod tests {
             exit(&mut fsm);
         }
         assert_eq!(fsm.read_context(), Some(0xABCD));
-        assert_eq!(fsm.transition_counts(), (100, 100));
     }
 
     #[test]
@@ -500,8 +442,7 @@ mod tests {
         let mut fsm = PmaFsm::new_c6a();
         entry(&mut fsm);
         let t = fsm.run_snoop(4).expect("idle core serves snoops");
-        assert_eq!(fsm.state(), PmaState::Idle);
-        assert!(t.is_contiguous());
+        assert_eq!(fsm.state, PmaState::Idle);
         // 2 cy wake + 4 × 20 ns + 3 cy re-sleep = 90 ns.
         assert!((t.total().as_nanos() - 90.0).abs() < 1e-9, "{}", t.total());
     }
@@ -518,20 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_wake_is_faster_but_violates_current() {
-        let mut fsm = PmaFsm::new_c6a();
-        fsm.set_wake_policy(WakePolicy::Simultaneous);
-        entry(&mut fsm);
-        let t = exit(&mut fsm);
-        // Faster than the staggered 80 ns budget...
-        assert!(t.total() < Nanos::new(30.0));
-        // ...but the in-rush peak would be 5× the AVX budget (checked at
-        // the Ufpg level; here we just confirm the latency trade).
-        let ufpg = Ufpg::skylake_c6a();
-        assert!(!ufpg.wake(WakePolicy::Simultaneous).within_current_limit(1.05));
-    }
-
-    #[test]
     fn double_entry_is_a_typed_error() {
         let mut fsm = PmaFsm::new_c6a();
         fsm.run_entry().unwrap();
@@ -539,8 +466,7 @@ mod tests {
         assert_eq!(err, FlowError::EntryFromNonActive(PmaState::Idle));
         assert!(err.to_string().contains("entry requires an active core"));
         // The failed call must not have perturbed the FSM.
-        assert_eq!(fsm.state(), PmaState::Idle);
-        assert_eq!(fsm.transition_counts(), (1, 0));
+        assert_eq!(fsm.state, PmaState::Idle);
     }
 
     #[test]
@@ -549,8 +475,7 @@ mod tests {
         let err = fsm.run_exit().unwrap_err();
         assert_eq!(err, FlowError::ExitFromNonIdle(PmaState::Active));
         assert!(err.to_string().contains("exit requires an idle core"));
-        assert_eq!(fsm.state(), PmaState::Active);
-        assert_eq!(fsm.transition_counts(), (0, 0));
+        assert_eq!(fsm.state, PmaState::Active);
     }
 
     #[test]
@@ -559,7 +484,7 @@ mod tests {
         let err = fsm.run_snoop(1).unwrap_err();
         assert_eq!(err, FlowError::SnoopFromNonIdle(PmaState::Active));
         assert!(err.to_string().contains("snoop flow requires an idle core"));
-        assert_eq!(fsm.state(), PmaState::Active);
+        assert_eq!(fsm.state, PmaState::Active);
     }
 
     #[test]
@@ -606,6 +531,19 @@ mod pn_transition_tests {
     }
 
     #[test]
+    fn clock_is_monotone() {
+        let mut fsm = PmaFsm::new_c6ae();
+        let t0 = fsm.now;
+        fsm.run_entry().unwrap();
+        let t1 = fsm.now;
+        fsm.wait(Nanos::from_micros(1.0));
+        let t2 = fsm.now;
+        fsm.run_exit().unwrap();
+        let t3 = fsm.now;
+        assert!(t0 < t1 && t1 < t2 && t2 < t3);
+    }
+
+    #[test]
     fn early_exit_cancels_the_ramp() {
         let mut fsm = PmaFsm::new_c6ae();
         fsm.run_entry().unwrap();
@@ -631,18 +569,5 @@ mod pn_transition_tests {
         assert_eq!(fsm.freq_level(), FreqLevel::Pn);
         fsm.run_snoop(2).unwrap();
         assert_eq!(fsm.freq_level(), FreqLevel::Pn, "snoop service keeps the core in C6AE");
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut fsm = PmaFsm::new_c6ae();
-        let t0 = fsm.now();
-        fsm.run_entry().unwrap();
-        let t1 = fsm.now();
-        fsm.wait(Nanos::from_micros(1.0));
-        let t2 = fsm.now();
-        fsm.run_exit().unwrap();
-        let t3 = fsm.now();
-        assert!(t0 < t1 && t1 < t2 && t2 < t3);
     }
 }

@@ -38,17 +38,14 @@
 //! assert!(exit.total().as_nanos() < 80.0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod cache;
 mod flow;
 mod srpg;
 mod switch;
 mod ufpg;
 
-pub use cache::{CacheSleepController, CacheSleepState, SleepSetting};
-pub use flow::{FlowError, FlowTrace, PmaFsm, PmaState, TraceStep, PN_TRANSITION};
+pub use cache::{CacheSleepController, SleepSetting};
+pub use flow::{FlowError, FlowTrace, PmaFsm, PmaState, TraceStep};
 pub use srpg::{RetentionSignal, SrpgBank};
-pub use switch::{CurrentProfile, DaisyChain, AVX_REFERENCE_WAKE};
+pub use switch::{CurrentProfile, DaisyChain};
 pub use ufpg::{Ufpg, UfpgZone, WakePolicy, WakeReport};

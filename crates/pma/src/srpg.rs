@@ -29,16 +29,15 @@ pub enum RetentionSignal {
 /// ```
 /// use aw_pma::{RetentionSignal, SrpgBank};
 ///
-/// let mut bank = SrpgBank::new(8 * 1024); // the ~8 kB core context
+/// let mut bank = SrpgBank::default();
 /// bank.write(0xDEAD_BEEF);
 /// let save = bank.save();       // Ret↑ then Pwr↓
 /// let restore = bank.restore(); // Pwr↑ then Ret↓
 /// assert_eq!(bank.read(), Some(0xDEAD_BEEF));
-/// assert!(save.count() + restore.count() <= 5);
+/// assert!(save + restore <= aw_types::Cycles::new(5));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrpgBank {
-    context_bytes: usize,
     /// Live value in the main flops (None when the rail is down).
     main: Option<u64>,
     /// Value held in the shadow latch while `Ret` is asserted.
@@ -49,27 +48,15 @@ pub struct SrpgBank {
     corrupted: bool,
 }
 
+impl Default for SrpgBank {
+    /// A powered bank for the core context (the paper estimates ~8 kB for
+    /// a Skylake-class core).
+    fn default() -> Self {
+        SrpgBank { main: Some(0), shadow: None, ret: false, pwr: true, corrupted: false }
+    }
+}
+
 impl SrpgBank {
-    /// Creates a powered bank retaining `context_bytes` of context
-    /// (the paper estimates ~8 kB for a Skylake-class core).
-    #[must_use]
-    pub fn new(context_bytes: usize) -> Self {
-        SrpgBank {
-            context_bytes,
-            main: Some(0),
-            shadow: None,
-            ret: false,
-            pwr: true,
-            corrupted: false,
-        }
-    }
-
-    /// Bytes of context this bank retains.
-    #[must_use]
-    pub fn context_bytes(&self) -> usize {
-        self.context_bytes
-    }
-
     /// Writes a value into the main flops.
     ///
     /// # Panics
@@ -163,7 +150,7 @@ mod tests {
 
     #[test]
     fn save_restore_round_trip() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         b.write(42);
         b.save();
         assert_eq!(b.read(), None, "rail is down");
@@ -174,7 +161,7 @@ mod tests {
 
     #[test]
     fn repeated_round_trips_preserve_state() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         b.write(7);
         for _ in 0..10 {
             b.save();
@@ -185,7 +172,7 @@ mod tests {
 
     #[test]
     fn power_gating_without_retention_corrupts() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         b.write(99);
         b.apply(RetentionSignal::Pwr(false)); // no Ret first!
         b.apply(RetentionSignal::Pwr(true));
@@ -195,7 +182,7 @@ mod tests {
 
     #[test]
     fn dropping_ret_while_gated_corrupts() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         b.write(5);
         b.save();
         b.apply(RetentionSignal::Ret(false)); // rail still down!
@@ -205,7 +192,7 @@ mod tests {
 
     #[test]
     fn cycle_budget_matches_paper() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         let save = b.save();
         let restore = b.restore();
         assert!(save <= Cycles::new(4));
@@ -215,14 +202,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-gated")]
     fn write_while_gated_panics() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         b.save();
         b.write(1);
     }
 
     #[test]
     fn overwrite_then_save_keeps_latest() {
-        let mut b = SrpgBank::new(8192);
+        let mut b = SrpgBank::default();
         b.write(1);
         b.write(2);
         b.save();

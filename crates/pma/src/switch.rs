@@ -11,7 +11,7 @@ use aw_types::Nanos;
 
 /// The AVX power-gate wake time used as the in-rush calibration reference:
 /// Skylake staggers the AVX unit wake over ~15 ns (Sec. 3 / Sec. 5.3).
-pub const AVX_REFERENCE_WAKE: Nanos = Nanos::new(15.0);
+pub(crate) const AVX_REFERENCE_WAKE: Nanos = Nanos::new(15.0);
 
 /// A piecewise-constant current-versus-time profile, in normalized units
 /// where `1.0` equals the peak in-rush current of the reference AVX wake
@@ -39,7 +39,7 @@ pub struct CurrentProfile {
 impl CurrentProfile {
     /// An empty (zero-current) profile.
     #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         CurrentProfile { segments: Vec::new(), end: Nanos::ZERO }
     }
 
@@ -50,7 +50,7 @@ impl CurrentProfile {
     ///
     /// Panics if breakpoints are not time-ordered or extend past `end`.
     #[must_use]
-    pub fn from_segments(segments: Vec<(Nanos, f64)>, end: Nanos) -> Self {
+    pub(crate) fn from_segments(segments: Vec<(Nanos, f64)>, end: Nanos) -> Self {
         for w in segments.windows(2) {
             assert!(w[0].0 <= w[1].0, "profile breakpoints must be ordered");
         }
@@ -62,7 +62,7 @@ impl CurrentProfile {
 
     /// The current at time `t` (zero outside the profile).
     #[must_use]
-    pub fn at(&self, t: Nanos) -> f64 {
+    pub(crate) fn at(&self, t: Nanos) -> f64 {
         if t < Nanos::ZERO || t >= self.end {
             return 0.0;
         }
@@ -98,14 +98,14 @@ impl CurrentProfile {
 
     /// When the profile ends (the domain is fully conducting).
     #[must_use]
-    pub fn end(&self) -> Nanos {
+    pub(crate) fn end(&self) -> Nanos {
         self.end
     }
 
     /// Superimposes two profiles (currents add; useful for concurrent zone
     /// wakes).
     #[must_use]
-    pub fn superpose(&self, other: &CurrentProfile) -> CurrentProfile {
+    pub(crate) fn superpose(&self, other: &CurrentProfile) -> CurrentProfile {
         let end = self.end.max(other.end);
         let mut times: Vec<Nanos> = self
             .segments
@@ -154,28 +154,16 @@ impl DaisyChain {
         DaisyChain { cells, area, wake_time }
     }
 
-    /// Number of switch cells in the chain.
-    #[must_use]
-    pub fn cells(&self) -> u32 {
-        self.cells
-    }
-
     /// Relative gated area (1.0 ≡ AVX units).
     #[must_use]
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         self.area
     }
 
     /// Time from wake assertion to the `ready` acknowledgement.
     #[must_use]
-    pub fn wake_time(&self) -> Nanos {
+    pub(crate) fn wake_time(&self) -> Nanos {
         self.wake_time
-    }
-
-    /// Per-cell stagger delay.
-    #[must_use]
-    pub fn cell_delay(&self) -> Nanos {
-        self.wake_time / f64::from(self.cells)
     }
 
     /// The in-rush current profile of waking this chain starting at
@@ -217,12 +205,6 @@ mod tests {
         assert!(fast.peak() > slow.peak() * 10.0);
         // ...but the delivered charge is identical.
         assert!((fast.charge() - slow.charge()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cell_delay_divides_wake_time() {
-        let chain = DaisyChain::new(5, 1.0, Nanos::new(15.0));
-        assert_eq!(chain.cell_delay(), Nanos::new(3.0));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use aw_types::Nanos;
 use crate::switch::{CurrentProfile, DaisyChain, AVX_REFERENCE_WAKE};
 
 /// UFPG total area relative to the AVX units (paper: ~4.5×).
-pub const UFPG_RELATIVE_AREA: f64 = 4.5;
+pub(crate) const UFPG_RELATIVE_AREA: f64 = 4.5;
 
 /// One UFPG power-gate zone with its local controller and switch chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,7 +131,7 @@ impl Ufpg {
 
     /// Total gated area relative to the AVX units.
     #[must_use]
-    pub fn total_area(&self) -> f64 {
+    pub(crate) fn total_area(&self) -> f64 {
         self.zones.iter().map(|z| z.chain.area()).sum()
     }
 

@@ -1,11 +1,19 @@
 //! Property-based tests of the PMA microarchitecture invariants.
 
 use aw_pma::{
-    CacheSleepController, DaisyChain, PmaFsm, RetentionSignal, SleepSetting, SrpgBank, Ufpg,
-    WakePolicy,
+    CacheSleepController, DaisyChain, FlowTrace, PmaFsm, RetentionSignal, SleepSetting, SrpgBank,
+    Ufpg, WakePolicy,
 };
 use aw_types::Nanos;
 use proptest::prelude::*;
+
+/// The trace oracle: each step starts where the previous one ended.
+fn is_contiguous(trace: &FlowTrace) -> bool {
+    trace
+        .steps()
+        .windows(2)
+        .all(|w| ((w[0].start + w[0].duration) - w[1].start).as_nanos().abs() < 1e-9)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -13,7 +21,7 @@ proptest! {
     /// Any well-formed save/restore sequence preserves arbitrary context.
     #[test]
     fn srpg_round_trips_any_value(value: u64, rounds in 1usize..20) {
-        let mut bank = SrpgBank::new(8 * 1024);
+        let mut bank = SrpgBank::default();
         bank.write(value);
         for _ in 0..rounds {
             bank.save();
@@ -28,7 +36,7 @@ proptest! {
     /// and is detected.
     #[test]
     fn srpg_detects_protocol_violation(value: u64) {
-        let mut bank = SrpgBank::new(8 * 1024);
+        let mut bank = SrpgBank::default();
         bank.write(value);
         bank.apply(RetentionSignal::Pwr(false));
         bank.apply(RetentionSignal::Pwr(true));
@@ -71,23 +79,27 @@ proptest! {
         fsm.write_context(value);
         let entry = fsm.run_entry().unwrap();
         prop_assert!(entry.total().as_nanos() < 20.0);
+        prop_assert!(is_contiguous(&entry));
         for (op, n) in script {
             match op {
                 0 => {
                     let t = fsm.run_snoop(n).unwrap();
-                    prop_assert!(t.is_contiguous());
+                    prop_assert!(is_contiguous(&t));
                 }
                 1 => fsm.wait(Nanos::from_micros(f64::from(n))),
                 _ => {
                     let exit = fsm.run_exit().unwrap();
                     prop_assert!(exit.total().as_nanos() < 80.0);
+                    prop_assert!(is_contiguous(&exit));
                     prop_assert_eq!(fsm.read_context(), Some(value));
                     let e2 = fsm.run_entry().unwrap();
                     prop_assert!(e2.total().as_nanos() < 20.0);
+                    prop_assert!(is_contiguous(&e2));
                 }
             }
         }
-        fsm.run_exit().unwrap();
+        let exit = fsm.run_exit().unwrap();
+        prop_assert!(is_contiguous(&exit));
         prop_assert_eq!(fsm.read_context(), Some(value));
     }
 

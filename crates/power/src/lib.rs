@@ -32,19 +32,13 @@
 //! assert!((54.0..57.0).contains(&savings), "{savings}");
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod model;
 mod ppa;
 mod regulator;
 mod scaling;
 mod tco;
 
-pub use model::{
-    average_power, motivation_savings, motivation_savings_in, turbo_savings, AwTransform,
-    ResidencyVector,
-};
+pub use model::{average_power, motivation_savings, turbo_savings, AwTransform, ResidencyVector};
 pub use ppa::{catalog_from_ppa, AreaBound, PowerBound, PpaComponent, PpaModel, PpaRow};
 pub use regulator::{Fivr, SleepTransistorLvr};
 pub use scaling::{leakage_scale, scale_cache_leakage, TechNode};

@@ -76,7 +76,7 @@ impl ResidencyVector {
     }
 
     /// Iterates over `(state, residency)` pairs in state order.
-    pub fn iter(&self) -> impl Iterator<Item = (CState, Ratio)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (CState, Ratio)> + '_ {
         self.residencies.iter().map(|(&s, &r)| (s, r))
     }
 
@@ -142,7 +142,7 @@ pub fn average_power(
 ///
 /// Returns the fractional reduction of baseline average power, priced
 /// with the Skylake-SP hardware model's legacy menu. For other parts use
-/// [`motivation_savings_in`] with that model's base catalog.
+/// `motivation_savings_in` with that model's base catalog.
 #[must_use]
 pub fn motivation_savings(residencies: &ResidencyVector) -> Ratio {
     motivation_savings_in(residencies, &aw_hw::HardwareModel::skylake_sp().base_catalog())
@@ -151,7 +151,10 @@ pub fn motivation_savings(residencies: &ResidencyVector) -> Ratio {
 /// Eq. 1 priced with an explicit legacy C-state catalog, so the upper
 /// bound can be computed for any registered hardware model.
 #[must_use]
-pub fn motivation_savings_in(residencies: &ResidencyVector, catalog: &CStateCatalog) -> Ratio {
+pub(crate) fn motivation_savings_in(
+    residencies: &ResidencyVector,
+    catalog: &CStateCatalog,
+) -> Ratio {
     let baseline = average_power(residencies, catalog, FreqLevel::P1);
     if baseline <= MilliWatts::ZERO {
         return Ratio::ZERO;
@@ -259,7 +262,7 @@ impl AwTransform {
     /// The fractional growth of busy (C0) time under AW: frequency-loss
     /// stretch plus per-transition overhead.
     #[must_use]
-    pub fn busy_stretch(&self, baseline: &ResidencyVector) -> f64 {
+    pub(crate) fn busy_stretch(&self, baseline: &ResidencyVector) -> f64 {
         let freq_stretch = self.frequency_scalability * self.frequency_degradation.get();
         let transition_fraction =
             self.transitions_per_second * self.extra_transition_latency.as_secs();

@@ -25,14 +25,14 @@ impl PowerBound {
     ///
     /// Panics if `low > high`.
     #[must_use]
-    pub fn new(low: MilliWatts, high: MilliWatts) -> Self {
+    pub(crate) fn new(low: MilliWatts, high: MilliWatts) -> Self {
         assert!(low <= high, "power bound must be ordered");
         PowerBound { low, high }
     }
 
     /// A degenerate bound (`low == high`).
     #[must_use]
-    pub fn exact(p: MilliWatts) -> Self {
+    pub(crate) fn exact(p: MilliWatts) -> Self {
         PowerBound { low: p, high: p }
     }
 
@@ -44,7 +44,7 @@ impl PowerBound {
 
     /// Element-wise sum of two bounds.
     #[must_use]
-    pub fn add(&self, other: &PowerBound) -> PowerBound {
+    pub(crate) fn add(&self, other: &PowerBound) -> PowerBound {
         PowerBound { low: self.low + other.low, high: self.high + other.high }
     }
 }
@@ -164,7 +164,7 @@ impl PpaModel {
     /// UFPG residual gate leakage bound in C6A (at P1 leakage):
     /// `gated_fraction × core_leakage × residual` → ~30–50 mW.
     #[must_use]
-    pub fn ufpg_gates_c6a(&self) -> PowerBound {
+    pub(crate) fn ufpg_gates_c6a(&self) -> PowerBound {
         let gated = self.core_leakage_p1 * self.gated_leakage_fraction;
         PowerBound::new(gated * self.gate_residual.0, gated * self.gate_residual.1)
     }
@@ -172,14 +172,14 @@ impl PpaModel {
     /// UFPG residual gate leakage bound in C6AE (at Pn leakage):
     /// ~18–30 mW.
     #[must_use]
-    pub fn ufpg_gates_c6ae(&self) -> PowerBound {
+    pub(crate) fn ufpg_gates_c6ae(&self) -> PowerBound {
         let gated = self.core_leakage_pn * self.gated_leakage_fraction;
         PowerBound::new(gated * self.gate_residual.0, gated * self.gate_residual.1)
     }
 
     /// Context retention power: ~2 mW at P1 voltage, ~1 mW at Pn.
     #[must_use]
-    pub fn retention(&self) -> (MilliWatts, MilliWatts) {
+    pub(crate) fn retention(&self) -> (MilliWatts, MilliWatts) {
         (
             self.retention_base * self.retention_multiplier.0,
             self.retention_base * self.retention_multiplier.1,
@@ -189,7 +189,7 @@ impl PpaModel {
     /// Sum of on-die loads the FIVR must deliver in C6A (everything except
     /// the FIVR's own losses).
     #[must_use]
-    pub fn c6a_load(&self) -> PowerBound {
+    pub(crate) fn c6a_load(&self) -> PowerBound {
         let (ret_p1, _) = self.retention();
         self.ufpg_gates_c6a()
             .add(&PowerBound::exact(ret_p1))
@@ -201,7 +201,7 @@ impl PpaModel {
 
     /// Sum of on-die loads in C6AE.
     #[must_use]
-    pub fn c6ae_load(&self) -> PowerBound {
+    pub(crate) fn c6ae_load(&self) -> PowerBound {
         let (_, ret_pn) = self.retention();
         self.ufpg_gates_c6ae()
             .add(&PowerBound::exact(ret_pn))
@@ -213,14 +213,14 @@ impl PpaModel {
 
     /// FIVR conversion loss bound for the C6A load (~36–44 mW).
     #[must_use]
-    pub fn fivr_conversion_c6a(&self) -> PowerBound {
+    pub(crate) fn fivr_conversion_c6a(&self) -> PowerBound {
         let load = self.c6a_load();
         PowerBound::new(self.fivr.conversion_loss(load.low), self.fivr.conversion_loss(load.high))
     }
 
     /// FIVR conversion loss bound for the C6AE load (~23–29 mW).
     #[must_use]
-    pub fn fivr_conversion_c6ae(&self) -> PowerBound {
+    pub(crate) fn fivr_conversion_c6ae(&self) -> PowerBound {
         let load = self.c6ae_load();
         PowerBound::new(self.fivr.conversion_loss(load.low), self.fivr.conversion_loss(load.high))
     }
@@ -245,13 +245,6 @@ impl PpaModel {
     #[must_use]
     pub fn area_total(&self) -> AreaBound {
         AreaBound { low: Ratio::new(0.03), high: Ratio::new(0.07), basis: "core" }
-    }
-
-    /// Frequency degradation from the added power gates' IR drop: ~1%
-    /// (Sec. 5.1.1), applied by the performance model.
-    #[must_use]
-    pub fn frequency_degradation(&self) -> Ratio {
-        Ratio::new(0.01)
     }
 
     /// Every row of Table 3.
@@ -410,7 +403,6 @@ mod tests {
         let area = m.area_total();
         assert_eq!(area.low, Ratio::new(0.03));
         assert_eq!(area.high, Ratio::new(0.07));
-        assert_eq!(m.frequency_degradation(), Ratio::new(0.01));
     }
 
     #[test]

@@ -22,7 +22,8 @@ use aw_types::{MilliWatts, Ratio};
 /// let fivr = Fivr::skylake();
 /// // Delivering 154 mW of C6A idle load costs ~38.5 mW of conversion
 /// // loss plus the 100 mW static floor.
-/// let loss = fivr.conversion_loss(MilliWatts::new(154.0));
+/// let load = MilliWatts::new(154.0);
+/// let loss = fivr.input_power(load) - load - fivr.static_loss();
 /// assert!((loss.as_milliwatts() - 38.5).abs() < 0.1);
 /// assert_eq!(fivr.static_loss(), MilliWatts::new(100.0));
 /// ```
@@ -57,16 +58,10 @@ impl Fivr {
         self.static_loss
     }
 
-    /// Light-load conversion efficiency.
-    #[must_use]
-    pub fn efficiency(&self) -> Ratio {
-        self.light_load_efficiency
-    }
-
     /// Conversion loss for delivering `load` to the core:
     /// `load × (1/η − 1)`.
     #[must_use]
-    pub fn conversion_loss(&self, load: MilliWatts) -> MilliWatts {
+    pub(crate) fn conversion_loss(&self, load: MilliWatts) -> MilliWatts {
         load * (1.0 / self.light_load_efficiency.get() - 1.0)
     }
 
@@ -90,11 +85,13 @@ impl Fivr {
 ///
 /// ```
 /// use aw_power::SleepTransistorLvr;
+/// use aw_types::MilliWatts;
 ///
 /// let retention = 0.55; // V
 /// let c6a = SleepTransistorLvr::new(0.85, retention);  // P1-level rail
 /// let c6ae = SleepTransistorLvr::new(0.65, retention); // Pn-level rail
-/// assert!(c6ae.efficiency().get() > c6a.efficiency().get());
+/// let arrays = MilliWatts::new(10.0);
+/// assert!(c6ae.drop_loss(arrays) < c6a.drop_loss(arrays));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SleepTransistorLvr {
@@ -116,14 +113,14 @@ impl SleepTransistorLvr {
 
     /// Power-conversion efficiency `v_out / v_in`.
     #[must_use]
-    pub fn efficiency(&self) -> Ratio {
+    pub(crate) fn efficiency(&self) -> Ratio {
         Ratio::new(self.v_out / self.v_in)
     }
 
     /// Input power drawn from the core rail to supply `retained` watts of
     /// array retention power.
     #[must_use]
-    pub fn input_power(&self, retained: MilliWatts) -> MilliWatts {
+    pub(crate) fn input_power(&self, retained: MilliWatts) -> MilliWatts {
         retained / self.efficiency().get()
     }
 
@@ -156,7 +153,7 @@ mod tests {
 
     #[test]
     fn perfect_fivr_has_no_conversion_loss() {
-        let fivr = Fivr::new(MilliWatts::ZERO, Ratio::ONE);
+        let fivr = Fivr::new(MilliWatts::ZERO, Ratio::new(1.0));
         assert_eq!(fivr.conversion_loss(MilliWatts::new(500.0)), MilliWatts::ZERO);
     }
 

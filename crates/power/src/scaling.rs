@@ -18,19 +18,10 @@ pub enum TechNode {
 }
 
 impl TechNode {
-    /// Nominal feature size in nanometers.
-    #[must_use]
-    pub fn nanometers(self) -> f64 {
-        match self {
-            TechNode::Nm22 => 22.0,
-            TechNode::Nm14 => 14.0,
-        }
-    }
-
     /// The dimensional scaling factor `α` from `self` to `to`
     /// (≈0.7 for 22 nm → 14 nm).
     #[must_use]
-    pub fn alpha_to(self, to: TechNode) -> f64 {
+    pub(crate) fn alpha_to(self, to: TechNode) -> f64 {
         match (self, to) {
             (TechNode::Nm22, TechNode::Nm14) => 0.7,
             (TechNode::Nm14, TechNode::Nm22) => 1.0 / 0.7,
@@ -136,12 +127,6 @@ mod tests {
     fn voltage_scaling_compounds() {
         let p = leakage_scale(MilliWatts::new(100.0), 0.7, 0.8);
         assert!((p.as_milliwatts() - 56.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn node_sizes() {
-        assert_eq!(TechNode::Nm22.nanometers(), 22.0);
-        assert_eq!(TechNode::Nm14.nanometers(), 14.0);
     }
 
     #[test]

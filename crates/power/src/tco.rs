@@ -43,26 +43,26 @@ impl TcoModel {
 
     /// Seconds in a (mean Gregorian) year.
     #[must_use]
-    pub fn seconds_per_year() -> f64 {
+    pub(crate) fn seconds_per_year() -> f64 {
         365.25 * 24.0 * 3600.0
     }
 
     /// Yearly energy saved by one core at a steady power delta.
     #[must_use]
-    pub fn yearly_energy_per_core(&self, delta: MilliWatts) -> Joules {
+    pub(crate) fn yearly_energy_per_core(&self, delta: MilliWatts) -> Joules {
         delta * Nanos::from_secs(Self::seconds_per_year())
     }
 
     /// Dollar value of an energy quantity at this model's electricity
     /// price and PUE.
     #[must_use]
-    pub fn dollars_for(&self, energy: Joules) -> f64 {
+    pub(crate) fn dollars_for(&self, energy: Joules) -> f64 {
         energy.as_kilowatt_hours() * self.dollars_per_kwh * self.pue
     }
 
     /// Yearly dollar savings for one core at a steady power delta.
     #[must_use]
-    pub fn yearly_core_savings(&self, delta: MilliWatts) -> f64 {
+    pub(crate) fn yearly_core_savings(&self, delta: MilliWatts) -> f64 {
         self.dollars_for(self.yearly_energy_per_core(delta))
     }
 

@@ -63,7 +63,7 @@ pub fn set_default_idle_skip(on: bool) {
 /// The current process-wide idle-skip default (`true` unless
 /// [`set_default_idle_skip`]`(false)` was called).
 #[must_use]
-pub fn default_idle_skip() -> bool {
+pub(crate) fn default_idle_skip() -> bool {
     !IDLE_SKIP_DISABLED.load(Ordering::SeqCst)
 }
 

@@ -242,7 +242,7 @@ impl ServerConfig {
     /// `true` if this run models AW hardware (and thus its ~1% frequency
     /// degradation applies).
     #[must_use]
-    pub fn is_aw(&self) -> bool {
+    pub(crate) fn is_aw(&self) -> bool {
         self.named.is_aw()
     }
 }

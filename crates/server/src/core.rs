@@ -12,7 +12,7 @@ use crate::thermal::ThermalModel;
 
 /// The life-cycle state of a simulated core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoreState {
+pub(crate) enum CoreState {
     /// Executing a request.
     Active,
     /// Transitioning into `target` (entry latency elapsing).
@@ -37,7 +37,7 @@ impl CoreState {
     /// transitions burn near-active power and count as C0 (they are not
     /// useful work, but they are not low-power residency either).
     #[must_use]
-    pub fn accounting_state(self) -> CState {
+    pub(crate) fn accounting_state(self) -> CState {
         match self {
             CoreState::Active | CoreState::Entering { .. } | CoreState::Waking { .. } => CState::C0,
             CoreState::Idle { state } => state,
@@ -47,7 +47,7 @@ impl CoreState {
 
 /// One queued request: its arrival time and sampled service demand.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueuedRequest {
+pub(crate) struct QueuedRequest {
     /// When the request arrived at the server.
     pub arrival: Nanos,
     /// Service demand at base frequency.
@@ -69,7 +69,7 @@ pub struct QueuedRequest {
 
 /// A simulated core: queue, state machine bookkeeping, governor, thermal
 /// bank, and meters.
-pub struct SimCore {
+pub(crate) struct SimCore {
     /// Core index.
     pub id: usize,
     /// Current life-cycle state.
@@ -117,7 +117,7 @@ pub struct SimCore {
 impl SimCore {
     /// Creates an active, empty core at time zero.
     #[must_use]
-    pub fn new(id: usize, governor: Box<dyn IdleGovernor>) -> Self {
+    pub(crate) fn new(id: usize, governor: Box<dyn IdleGovernor>) -> Self {
         SimCore {
             id,
             state: CoreState::Active,
@@ -143,7 +143,7 @@ impl SimCore {
 
     /// Advances meters to `now` at the standing power level, then switches
     /// the standing power to `next_power` and bumps the event generation.
-    pub fn switch_power(&mut self, now: Nanos, next_power: MilliWatts) {
+    pub(crate) fn switch_power(&mut self, now: Nanos, next_power: MilliWatts) {
         let dt = now - self.meter.now();
         self.thermal.advance(self.current_power, dt);
         self.meter.advance(self.current_power, now);
@@ -152,14 +152,14 @@ impl SimCore {
     }
 
     /// Moves to a new life-cycle state at `now`, recording residency.
-    pub fn set_state(&mut self, now: Nanos, state: CoreState) {
+    pub(crate) fn set_state(&mut self, now: Nanos, state: CoreState) {
         self.tracker.transition(state.accounting_state(), now);
         self.state = state;
     }
 
     /// Resets metric accumulators at the warm-up boundary, preserving
     /// learned governor state and the current life-cycle state.
-    pub fn reset_metrics(&mut self, now: Nanos) {
+    pub(crate) fn reset_metrics(&mut self, now: Nanos) {
         // Close out the pre-warm-up interval, then restart the meters.
         // Deliberately does NOT bump `generation`: pending transition
         // events scheduled before the warm-up boundary must stay valid.
@@ -176,22 +176,16 @@ impl SimCore {
     }
 
     /// Counts one entry into idle state `state`.
-    pub fn record_entry(&mut self, state: CState) {
+    pub(crate) fn record_entry(&mut self, state: CState) {
         match self.entries.iter_mut().find(|(s, _)| *s == state) {
             Some((_, n)) => *n += 1,
             None => self.entries.push((state, 1)),
         }
     }
 
-    /// `true` if the core has no queued or in-flight work.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty() && !matches!(self.state, CoreState::Active)
-    }
-
     /// Queue depth including the in-flight request.
     #[must_use]
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queue.len() + usize::from(matches!(self.state, CoreState::Active))
     }
 }
@@ -266,9 +260,8 @@ mod tests {
     fn quiescence_and_load() {
         let mut c = core();
         assert_eq!(c.load(), 1); // starts Active
-        assert!(!c.is_quiescent());
         c.set_state(Nanos::new(1.0), CoreState::Idle { state: CState::C1 });
-        assert!(c.is_quiescent());
+        assert_eq!(c.load(), 0);
         c.queue.push_back(QueuedRequest {
             arrival: Nanos::new(2.0),
             service: Nanos::from_micros(1.0),
@@ -277,7 +270,6 @@ mod tests {
             is_tick: false,
             attempt: 1,
         });
-        assert!(!c.is_quiescent());
         assert_eq!(c.load(), 1);
     }
 }

@@ -34,34 +34,3 @@ pub struct IdleInterval {
     /// intervals, matching the metric reset.
     pub measured: bool,
 }
-
-impl IdleInterval {
-    /// Signed prediction error (`predicted − actual`) in nanoseconds,
-    /// `None` when no prediction was recorded. Negative values mean the
-    /// governor under-predicted (the pessimistic default for
-    /// latency-critical streams).
-    #[must_use]
-    pub fn prediction_error(&self) -> Option<Nanos> {
-        self.predicted.map(|p| p - self.duration)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prediction_error_is_signed() {
-        let mut iv = IdleInterval {
-            core: 0,
-            start: Nanos::ZERO,
-            duration: Nanos::from_micros(10.0),
-            chosen: CState::C1,
-            predicted: Some(Nanos::from_micros(8.0)),
-            measured: true,
-        };
-        assert_eq!(iv.prediction_error(), Some(Nanos::from_micros(-2.0)));
-        iv.predicted = None;
-        assert_eq!(iv.prediction_error(), None);
-    }
-}

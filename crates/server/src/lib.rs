@@ -33,9 +33,6 @@
 //! assert!(metrics.completed > 1_000);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod builder;
 mod config;
 mod core;
@@ -48,14 +45,14 @@ pub mod trace;
 mod uncore;
 mod workload;
 
-pub use builder::{default_idle_skip, set_default_idle_skip, SimBuilder};
+pub use builder::{set_default_idle_skip, SimBuilder};
 pub use config::{Dispatch, GovernorKind, ServerConfig};
-pub use core::{CoreState, SimCore};
+
 pub use idle::IdleInterval;
 pub use metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
 pub use sim::{RunOutput, SNOOP_AW_POWER, SNOOP_LEGACY_POWER};
 pub use thermal::ThermalModel;
-pub use uncore::{PackageCState, UncoreModel, UncorePower};
+pub use uncore::{PackageCState, UncorePower};
 // The hardware-model surface, re-exported so simulator users don't need
 // a separate aw-hw dependency for the common path.
 pub use aw_hw::{CcxSpec, HardwareModel};

@@ -95,7 +95,7 @@ impl LatencyStats {
     /// `offset_by_matches_per_sample_offsetting` pins the deterministic
     /// case and documents the failure of a random one.
     #[must_use]
-    pub fn offset_by(&self, offset: Nanos) -> LatencyStats {
+    pub(crate) fn offset_by(&self, offset: Nanos) -> LatencyStats {
         if self.is_empty() {
             return *self;
         }
@@ -450,7 +450,7 @@ mod tests {
             events: 4000,
             turbo_fraction: Ratio::ZERO,
             avg_uncore_power: MilliWatts::from_watts(10.0),
-            package_residency: [Ratio::ONE, Ratio::ZERO, Ratio::ZERO],
+            package_residency: [Ratio::new(1.0), Ratio::ZERO, Ratio::ZERO],
             breakdown: LatencyBreakdown {
                 transition: Nanos::from_micros(1.0),
                 queue: Nanos::from_micros(2.0),
@@ -580,7 +580,7 @@ mod tests {
     fn package_power_sums_cores_and_uncore() {
         let m = sample_metrics(1000.0, 100.0);
         assert_eq!(m.package_power(), MilliWatts::from_watts(12.0));
-        assert_eq!(m.package_residency_of(PackageCState::Pc0), Ratio::ONE);
+        assert_eq!(m.package_residency_of(PackageCState::Pc0), Ratio::new(1.0));
     }
 
     #[test]

@@ -425,6 +425,61 @@ mod tests {
         }
     }
 
+    /// Common random numbers: Baseline and AW at one seed see the same
+    /// arrivals, bit for bit, and round-robin sends each to the same
+    /// core — only what the idle states do to a request differs.
+    ///
+    /// Spans are emitted for requests that complete after the warmup.
+    /// The compared requests are those arriving in `[warmup, end − 1 ms)`:
+    /// an earlier one may finish on either side of the warmup, and a
+    /// later one may still be in flight when the horizon cuts the run in
+    /// one config but not the other. Under this light load every request
+    /// finishes within tens of microseconds, so the horizon cuts off none
+    /// of the compared ones in either config.
+    #[test]
+    fn baseline_and_aw_share_arrivals_and_cores_at_one_seed() {
+        let run = |named| {
+            let config = ServerConfig::new(CORES, named)
+                .with_duration(Nanos::from_millis(40.0))
+                .with_warmup(WARMUP);
+            let workload = WorkloadSpec::poisson("crn", 20_000.0, Nanos::from_micros(3.0), 0.8);
+            let mut hooks = Vec::new();
+            ServerSim::new(config, workload, 7, Recorder(&mut hooks)).run_to_output(false);
+            let Some(&Hook::Finish(end)) = hooks.last() else { panic!("finish is the last hook") };
+            let horizon = end - Nanos::from_millis(1.0);
+            let mut spans: Vec<(usize, RequestSpan)> = hooks
+                .iter()
+                .filter_map(|hook| match *hook {
+                    Hook::Done(core, span) if span.arrival >= WARMUP && span.arrival < horizon => {
+                        Some((core, span))
+                    }
+                    _ => None,
+                })
+                .collect();
+            spans.sort_by(|a, b| a.1.arrival.as_nanos().total_cmp(&b.1.arrival.as_nanos()));
+            spans
+        };
+        let base = run(NamedConfig::Baseline);
+        let aw = run(NamedConfig::Aw);
+        assert!(base.len() > 500, "expected a measured run, got {} requests", base.len());
+        for (i, ((base_core, b), (aw_core, a))) in base.iter().zip(&aw).enumerate() {
+            assert_eq!(
+                b.arrival.as_nanos().to_bits(),
+                a.arrival.as_nanos().to_bits(),
+                "request {i}: arrival {} vs {}",
+                b.arrival,
+                a.arrival
+            );
+            assert_eq!(base_core, aw_core, "request {i} at {}: core differs", b.arrival);
+        }
+        assert_eq!(base.len(), aw.len(), "the configs measured different request counts");
+        // The idle states do change what the requests see.
+        assert!(
+            base.iter().zip(&aw).any(|(b, a)| b.1.completion != a.1.completion),
+            "Baseline and AW completed every request at the same instant"
+        );
+    }
+
     /// Every span the engine emits (each `request_done` the recorder
     /// sees) satisfies the sum-to-latency invariant, and each breakdown
     /// phase is its span phase summed in completion order from -0.0 and

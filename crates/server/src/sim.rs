@@ -1247,6 +1247,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "replay with: --seed 7 --faults 'none'")]
+    fn into_metrics_panics_on_a_failure_with_its_replay_hint() {
+        let mut out =
+            SimBuilder::new(short_config(NamedConfig::Baseline), light_workload(50_000.0), 7).run();
+        assert!(out.failure.is_none(), "a clean run carries no artifact");
+        out.failure = Some(FailureArtifact {
+            seed: 7,
+            fault_spec: "none".into(),
+            violations: vec!["injected".into()],
+        });
+        let _ = out.into_metrics();
+    }
+
+    #[test]
     fn throughput_matches_offered_load() {
         let m = SimBuilder::new(short_config(NamedConfig::Baseline), light_workload(100_000.0), 3)
             .run()

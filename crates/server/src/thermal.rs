@@ -58,30 +58,6 @@ impl ThermalModel {
         }
     }
 
-    /// Creates a model from explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `enable_threshold > max_credit` or the Turbo power does
-    /// not exceed the sustained budget.
-    #[must_use]
-    pub fn new(
-        max_credit: Joules,
-        enable_threshold: Joules,
-        sustained_power: MilliWatts,
-        turbo_power: MilliWatts,
-    ) -> Self {
-        assert!(enable_threshold <= max_credit, "threshold must fit in the bank");
-        assert!(turbo_power > sustained_power, "turbo must exceed the sustained budget");
-        ThermalModel {
-            credit: Joules::ZERO,
-            max_credit,
-            enable_threshold,
-            sustained_power,
-            turbo_power,
-        }
-    }
-
     /// Accumulates (or drains) credit for `dt` spent at `power`.
     pub fn advance(&mut self, power: MilliWatts, dt: Nanos) {
         let delta = (self.sustained_power - power) * dt;
@@ -103,19 +79,8 @@ impl ThermalModel {
 
     /// The per-core power drawn while running at Turbo frequency.
     #[must_use]
-    pub fn turbo_power(&self) -> MilliWatts {
+    pub(crate) fn turbo_power(&self) -> MilliWatts {
         self.turbo_power
-    }
-
-    /// The sustained (credit-neutral) power budget.
-    #[must_use]
-    pub fn sustained_power(&self) -> MilliWatts {
-        self.sustained_power
-    }
-
-    /// Resets the bank to empty.
-    pub fn reset(&mut self) {
-        self.credit = Joules::ZERO;
     }
 }
 
@@ -161,27 +126,7 @@ mod tests {
         let mut t = ThermalModel::skylake();
         t.advance(MilliWatts::new(300.0), Nanos::from_millis(100.0));
         let before = t.credit();
-        t.advance(t.sustained_power(), Nanos::from_secs(1.0));
+        t.advance(t.sustained_power, Nanos::from_secs(1.0));
         assert_eq!(t.credit(), before);
-    }
-
-    #[test]
-    fn reset_empties_bank() {
-        let mut t = ThermalModel::skylake();
-        t.advance(MilliWatts::ZERO, Nanos::from_secs(1.0));
-        t.reset();
-        assert_eq!(t.credit(), Joules::ZERO);
-        assert!(!t.turbo_available());
-    }
-
-    #[test]
-    #[should_panic(expected = "turbo must exceed")]
-    fn rejects_weak_turbo() {
-        let _ = ThermalModel::new(
-            Joules::new(1.0),
-            Joules::new(0.1),
-            MilliWatts::from_watts(4.0),
-            MilliWatts::from_watts(3.0),
-        );
     }
 }

@@ -23,25 +23,25 @@ const LABELS: [[&str; 3]; CState::ALL.len()] = [
 
 /// The label of a resident C-state.
 #[must_use]
-pub fn cstate_label(state: CState) -> &'static str {
+pub(crate) fn cstate_label(state: CState) -> &'static str {
     LABELS[usize::from(state.depth())][0]
 }
 
 /// The label of an entry transition into `state`.
 #[must_use]
-pub fn enter_label(state: CState) -> &'static str {
+pub(crate) fn enter_label(state: CState) -> &'static str {
     LABELS[usize::from(state.depth())][1]
 }
 
 /// The label of an exit transition out of `state`.
 #[must_use]
-pub fn exit_label(state: CState) -> &'static str {
+pub(crate) fn exit_label(state: CState) -> &'static str {
     LABELS[usize::from(state.depth())][2]
 }
 
 /// The trace label of a full core state (active, entering, idle, waking).
 #[must_use]
-pub fn core_state_label(state: CoreState) -> &'static str {
+pub(crate) fn core_state_label(state: CoreState) -> &'static str {
     match state {
         CoreState::Active => "C0",
         CoreState::Entering { target } => enter_label(target),

@@ -34,26 +34,8 @@ use aw_hw::{CcxSpec, HardwareModel};
 /// * any core busy → PC0;
 /// * all cores idle → PC2;
 /// * all cores idle **and** all in C6 → PC6.
-///
-/// # Examples
-///
-/// ```
-/// use aw_server::{PackageCState, UncoreModel};
-/// use aw_types::Nanos;
-///
-/// let mut u = UncoreModel::skylake(4, Nanos::ZERO);
-/// assert_eq!(u.state(), PackageCState::Pc0);
-///
-/// // All four cores go idle, two of them into C6:
-/// u.update(4, 2, Nanos::from_micros(10.0));
-/// assert_eq!(u.state(), PackageCState::Pc2);
-///
-/// // The other two reach C6 as well:
-/// u.update(4, 4, Nanos::from_micros(50.0));
-/// assert_eq!(u.state(), PackageCState::Pc6);
-/// ```
 #[derive(Debug, Clone)]
-pub struct UncoreModel {
+pub(crate) struct UncoreModel {
     cores: usize,
     power: UncorePower,
     ccx: Option<CcxSpec>,
@@ -66,24 +48,13 @@ pub struct UncoreModel {
 }
 
 impl UncoreModel {
-    /// Creates the model for a `cores`-core package with Skylake-like
-    /// uncore powers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    #[must_use]
-    pub fn skylake(cores: usize, start: Nanos) -> Self {
-        UncoreModel::new(cores, UncorePower::skylake(), start)
-    }
-
     /// Creates the model with explicit power levels.
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero.
     #[must_use]
-    pub fn new(cores: usize, power: UncorePower, start: Nanos) -> Self {
+    pub(crate) fn new(cores: usize, power: UncorePower, start: Nanos) -> Self {
         assert!(cores > 0, "need at least one core");
         UncoreModel {
             cores,
@@ -103,16 +74,10 @@ impl UncoreModel {
     ///
     /// Panics if `cores` is zero.
     #[must_use]
-    pub fn for_hw(hw: &HardwareModel, cores: usize, start: Nanos) -> Self {
+    pub(crate) fn for_hw(hw: &HardwareModel, cores: usize, start: Nanos) -> Self {
         let mut m = UncoreModel::new(cores, hw.uncore, start);
         m.ccx = hw.ccx;
         m
-    }
-
-    /// Current package state.
-    #[must_use]
-    pub fn state(&self) -> PackageCState {
-        self.state
     }
 
     /// Power drawn right now: the package-state level, minus the L3
@@ -129,16 +94,6 @@ impl UncoreModel {
         }
     }
 
-    /// Reports the occupancy at time `now`: `idle_cores` cores resident
-    /// in any idle state, of which `c6_cores` are in legacy C6.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counts are inconsistent with the core count.
-    pub fn update(&mut self, idle_cores: usize, c6_cores: usize, now: Nanos) {
-        self.update_ccx(idle_cores, c6_cores, 0, now);
-    }
-
     /// As [`UncoreModel::update`], additionally reporting how many
     /// CCXes currently have *all* their cores in legacy C6 (only
     /// meaningful on models with a [`CcxSpec`]; ignored otherwise).
@@ -146,7 +101,7 @@ impl UncoreModel {
     /// # Panics
     ///
     /// Panics if the counts are inconsistent with the core count.
-    pub fn update_ccx(
+    pub(crate) fn update_ccx(
         &mut self,
         idle_cores: usize,
         c6_cores: usize,
@@ -174,7 +129,7 @@ impl UncoreModel {
     }
 
     /// Closes the observation window and returns accumulated energy.
-    pub fn finish(&mut self, end: Nanos) -> Joules {
+    pub(crate) fn finish(&mut self, end: Nanos) -> Joules {
         self.meter.advance(self.current_power(), end);
         self.tracker.finish(end);
         self.meter.energy()
@@ -182,21 +137,15 @@ impl UncoreModel {
 
     /// Restarts energy/residency accounting at `now`, keeping the
     /// current state (warm-up boundary).
-    pub fn reset_metrics(&mut self, now: Nanos) {
+    pub(crate) fn reset_metrics(&mut self, now: Nanos) {
         self.meter = EnergyMeter::new(now);
         self.tracker = ResidencyTracker::new(self.state, now);
     }
 
     /// Fraction of observed time in `state`.
     #[must_use]
-    pub fn residency(&self, state: PackageCState) -> Ratio {
+    pub(crate) fn residency(&self, state: PackageCState) -> Ratio {
         self.tracker.residency(&state)
-    }
-
-    /// Uncore energy accumulated so far (excludes the open interval).
-    #[must_use]
-    pub fn energy(&self) -> Joules {
-        self.meter.energy()
     }
 }
 
@@ -206,54 +155,54 @@ mod tests {
 
     #[test]
     fn starts_in_pc0() {
-        let u = UncoreModel::skylake(2, Nanos::ZERO);
-        assert_eq!(u.state(), PackageCState::Pc0);
+        let u = UncoreModel::new(2, UncorePower::skylake(), Nanos::ZERO);
+        assert_eq!(u.state, PackageCState::Pc0);
     }
 
     #[test]
     fn all_idle_enters_pc2() {
-        let mut u = UncoreModel::skylake(2, Nanos::ZERO);
-        u.update(1, 0, Nanos::new(10.0));
-        assert_eq!(u.state(), PackageCState::Pc0);
-        u.update(2, 0, Nanos::new(20.0));
-        assert_eq!(u.state(), PackageCState::Pc2);
+        let mut u = UncoreModel::new(2, UncorePower::skylake(), Nanos::ZERO);
+        u.update_ccx(1, 0, 0, Nanos::new(10.0));
+        assert_eq!(u.state, PackageCState::Pc0);
+        u.update_ccx(2, 0, 0, Nanos::new(20.0));
+        assert_eq!(u.state, PackageCState::Pc2);
     }
 
     #[test]
     fn pc6_requires_all_cores_in_c6() {
-        let mut u = UncoreModel::skylake(3, Nanos::ZERO);
-        u.update(3, 2, Nanos::new(10.0));
-        assert_eq!(u.state(), PackageCState::Pc2);
-        u.update(3, 3, Nanos::new(20.0));
-        assert_eq!(u.state(), PackageCState::Pc6);
+        let mut u = UncoreModel::new(3, UncorePower::skylake(), Nanos::ZERO);
+        u.update_ccx(3, 2, 0, Nanos::new(10.0));
+        assert_eq!(u.state, PackageCState::Pc2);
+        u.update_ccx(3, 3, 0, Nanos::new(20.0));
+        assert_eq!(u.state, PackageCState::Pc6);
         // One core waking drops straight to PC0.
-        u.update(2, 2, Nanos::new(30.0));
-        assert_eq!(u.state(), PackageCState::Pc0);
+        u.update_ccx(2, 2, 0, Nanos::new(30.0));
+        assert_eq!(u.state, PackageCState::Pc0);
     }
 
     #[test]
     fn aw_cores_block_pc6() {
         // The documented limitation: cores idling in C6A (coherent
         // caches) count as idle but never as C6, so PC6 is unreachable.
-        let mut u = UncoreModel::skylake(2, Nanos::ZERO);
-        u.update(2, 0, Nanos::new(10.0));
-        assert_eq!(u.state(), PackageCState::Pc2);
+        let mut u = UncoreModel::new(2, UncorePower::skylake(), Nanos::ZERO);
+        u.update_ccx(2, 0, 0, Nanos::new(10.0));
+        assert_eq!(u.state, PackageCState::Pc2);
     }
 
     #[test]
     fn energy_integrates_state_power() {
-        let mut u = UncoreModel::skylake(1, Nanos::ZERO);
+        let mut u = UncoreModel::new(1, UncorePower::skylake(), Nanos::ZERO);
         // 1 ms at PC0 (12 W) then 1 ms at PC6 (2 W).
-        u.update(1, 1, Nanos::from_millis(1.0));
+        u.update_ccx(1, 1, 0, Nanos::from_millis(1.0));
         let total = u.finish(Nanos::from_millis(2.0));
         assert!((total.as_joules() - (12.0e-3 + 2.0e-3)).abs() < 1e-9, "{total}");
     }
 
     #[test]
     fn residencies_partition() {
-        let mut u = UncoreModel::skylake(1, Nanos::ZERO);
-        u.update(1, 0, Nanos::new(40.0));
-        u.update(0, 0, Nanos::new(80.0));
+        let mut u = UncoreModel::new(1, UncorePower::skylake(), Nanos::ZERO);
+        u.update_ccx(1, 0, 0, Nanos::new(40.0));
+        u.update_ccx(0, 0, 0, Nanos::new(80.0));
         u.finish(Nanos::new(100.0));
         let sum = u.residency(PackageCState::Pc0).get()
             + u.residency(PackageCState::Pc2).get()
@@ -264,18 +213,18 @@ mod tests {
 
     #[test]
     fn reset_clears_accounting() {
-        let mut u = UncoreModel::skylake(1, Nanos::ZERO);
-        u.update(1, 1, Nanos::from_millis(1.0));
+        let mut u = UncoreModel::new(1, UncorePower::skylake(), Nanos::ZERO);
+        u.update_ccx(1, 1, 0, Nanos::from_millis(1.0));
         u.reset_metrics(Nanos::from_millis(1.0));
-        assert_eq!(u.energy(), Joules::ZERO);
-        assert_eq!(u.state(), PackageCState::Pc6);
+        assert_eq!(u.meter.energy(), Joules::ZERO);
+        assert_eq!(u.state, PackageCState::Pc6);
     }
 
     #[test]
     #[should_panic(expected = "C6 cores must be idle")]
     fn rejects_inconsistent_counts() {
-        let mut u = UncoreModel::skylake(2, Nanos::ZERO);
-        u.update(1, 2, Nanos::new(1.0));
+        let mut u = UncoreModel::new(2, UncorePower::skylake(), Nanos::ZERO);
+        u.update_ccx(1, 2, 0, Nanos::new(1.0));
     }
 
     #[test]
@@ -286,20 +235,20 @@ mod tests {
         let mut u = UncoreModel::for_hw(zen, 8, Nanos::ZERO);
         // All idle, one CCX (4 cores) in C6: PC2 with one slice asleep.
         u.update_ccx(8, 4, 1, Nanos::from_millis(1.0));
-        assert_eq!(u.state(), PackageCState::Pc2);
+        assert_eq!(u.state, PackageCState::Pc2);
         u.finish(Nanos::from_millis(2.0));
         // 1 ms at PC0 (40 W) + 1 ms at PC2 minus one slice credit.
         let credited = (zen.uncore.pc2 - zen.ccx.unwrap().l3_sleep).max(zen.uncore.pc6);
         let expect = 40.0e-3 + credited.as_watts() * 1.0e-3;
-        assert!((u.energy().as_joules() - expect).abs() < 1e-9, "{}", u.energy());
+        assert!((u.meter.energy().as_joules() - expect).abs() < 1e-9, "{}", u.meter.energy());
     }
 
     #[test]
     fn ccx_credit_ignored_without_spec() {
         // Skylake has no CCX spec: a nonzero asleep count changes nothing.
-        let mut a = UncoreModel::skylake(4, Nanos::ZERO);
-        let mut b = UncoreModel::skylake(4, Nanos::ZERO);
-        a.update(4, 0, Nanos::from_millis(1.0));
+        let mut a = UncoreModel::new(4, UncorePower::skylake(), Nanos::ZERO);
+        let mut b = UncoreModel::new(4, UncorePower::skylake(), Nanos::ZERO);
+        a.update_ccx(4, 0, 0, Nanos::from_millis(1.0));
         b.update_ccx(4, 0, 7, Nanos::from_millis(1.0));
         assert_eq!(a.finish(Nanos::from_millis(2.0)), b.finish(Nanos::from_millis(2.0)));
     }

@@ -54,35 +54,6 @@ impl Distribution for Point {
     }
 }
 
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is non-finite.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "invalid uniform bounds");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform_range(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
 /// Exponential distribution with the given mean (i.e., rate `1/mean`).
 ///
 /// Used for Poisson arrival processes: inter-arrival gaps at `λ` QPS are
@@ -376,14 +347,6 @@ mod tests {
     fn shifted_offsets_samples() {
         let d = Shifted::new(100.0, Point::new(5.0));
         assert_eq!(d.sample(&mut SimRng::seed(0)), 105.0);
-    }
-
-    #[test]
-    fn uniform_mean() {
-        let d = Uniform::new(10.0, 30.0);
-        assert_eq!(d.mean(), 20.0);
-        let m = empirical_mean(&d, 20_000, 6);
-        assert!((m - 20.0).abs() < 0.2);
     }
 
     #[test]

@@ -27,9 +27,6 @@
 //! assert_eq!(order, ["arrive", "snoop", "wake"]);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod dist;
 mod quantile;
 mod queue;
@@ -37,9 +34,9 @@ mod rng;
 mod stats;
 mod tracker;
 
-pub use dist::{Distribution, Empirical, Exponential, LogNormal, Pareto, Point, Shifted, Uniform};
+pub use dist::{Distribution, Empirical, Exponential, LogNormal, Pareto, Point, Shifted};
 pub use quantile::P2Quantile;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{nearest_rank, select_quantiles, SampleSet};
+pub use stats::{select_quantiles, SampleSet};
 pub use tracker::{EnergyMeter, ResidencyTracker};

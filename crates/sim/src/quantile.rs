@@ -35,8 +35,6 @@ pub struct P2Quantile {
     desired: [f64; 5],
     /// Desired position increments per observation.
     increments: [f64; 5],
-    /// Observations seen so far.
-    count: u64,
     /// Initial observations buffered until five are available.
     warmup: Vec<f64>,
 }
@@ -56,21 +54,8 @@ impl P2Quantile {
             positions: [1.0, 2.0, 3.0, 4.0, 5.0],
             desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
             increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
             warmup: Vec::with_capacity(5),
         }
-    }
-
-    /// The quantile being estimated.
-    #[must_use]
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Records one observation.
@@ -80,7 +65,6 @@ impl P2Quantile {
     /// Panics if `x` is NaN.
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "cannot rank NaN");
-        self.count += 1;
         if self.warmup.len() < 5 {
             // Sorted insert: the warmup buffer stays query-ready, so
             // `estimate` reads a rank directly instead of cloning and
@@ -168,7 +152,6 @@ impl P2Quantile {
     ///     est.record(x);
     /// }
     /// est.reset();
-    /// assert_eq!(est.count(), 0);
     /// assert_eq!(est.estimate(), None);
     /// est.record(42.0);
     /// assert_eq!(est.estimate(), Some(42.0));
@@ -178,7 +161,6 @@ impl P2Quantile {
         self.heights = [0.0; 5];
         self.positions = [1.0, 2.0, 3.0, 4.0, 5.0];
         self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0];
-        self.count = 0;
         self.warmup.clear();
     }
 
@@ -250,7 +232,6 @@ mod tests {
         est.record(1.0);
         est.record(2.0);
         assert_eq!(est.estimate(), Some(2.0));
-        assert_eq!(est.count(), 3);
     }
 
     #[test]
@@ -302,7 +283,6 @@ mod tests {
             reused.record(rng.uniform() * 100.0);
         }
         reused.reset();
-        assert_eq!(reused.count(), 0);
         assert_eq!(reused.estimate(), None);
 
         // Feeding the same stream into the reset estimator and a fresh
@@ -315,7 +295,6 @@ mod tests {
             fresh.record(x);
         }
         assert_eq!(reused.estimate(), fresh.estimate());
-        assert_eq!(reused.count(), fresh.count());
     }
 
     #[test]

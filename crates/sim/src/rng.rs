@@ -78,12 +78,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit value (upper half of a 64-bit draw).
-    #[must_use]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, 1)`.
     #[must_use]
     pub fn uniform(&mut self) -> f64 {
@@ -140,7 +134,7 @@ impl SimRng {
 
     /// A standard normal variate (Box–Muller transform).
     #[must_use]
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1 = self.uniform_open();
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -11,18 +11,22 @@
 /// # Examples
 ///
 /// ```
-/// use aw_sim::nearest_rank;
+/// use aw_sim::SampleSet;
 ///
-/// assert_eq!(nearest_rank(0.5, 10), 5);
-/// assert_eq!(nearest_rank(0.99, 10), 10);
-/// assert_eq!(nearest_rank(0.0, 10), 1);
+/// // Ten samples 1..=10: sample `k` sits at rank `k`.
+/// let mut s = SampleSet::new();
+/// for x in 1..=10 {
+///     s.record(f64::from(x));
+/// }
+/// // Rank ⌈q·n⌉, clamped to 1..=n.
+/// assert_eq!(s.quantiles([0.0, 0.5, 0.99]), Some([1.0, 5.0, 10.0]));
 /// ```
 #[must_use]
-pub fn nearest_rank(q: f64, n: usize) -> usize {
+pub(crate) fn nearest_rank(q: f64, n: usize) -> usize {
     ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
-/// The nearest-rank [`q`-quantiles](nearest_rank) of `values`, one per
+/// The nearest-rank `q`-quantiles of `values`, one per
 /// entry of `qs`, found by selection instead of a full sort.
 ///
 /// The first rank is selected over the whole slice; each later rank is
@@ -133,6 +137,12 @@ impl SampleSet {
         self.samples.len()
     }
 
+    /// `true` if no samples were recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.samples.is_empty()
+    }
+
     /// The samples, in record order until a quantile query reorders
     /// them.
     #[must_use]
@@ -144,12 +154,6 @@ impl SampleSet {
     /// directly (which reorders them, as a quantile query does).
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.samples
-    }
-
-    /// `true` if no samples were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`. `None` if empty.

@@ -7,7 +7,7 @@ use aw_types::{Joules, MilliWatts, Nanos, Ratio};
 /// This is the simulator's analogue of the per-C-state residency counters
 /// that the paper reads from the processor (Sec. 6.2): the server model
 /// reports a core's state transitions here, and at the end of the run the
-/// tracker yields residencies `R_Ci` and transition counts.
+/// tracker yields residencies `R_Ci`.
 ///
 /// # Examples
 ///
@@ -22,19 +22,17 @@ use aw_types::{Joules, MilliWatts, Nanos, Ratio};
 ///
 /// assert_eq!(t.residency(&"C0").as_percent(), 20.0);
 /// assert_eq!(t.residency(&"C1").as_percent(), 80.0);
-/// assert_eq!(t.transitions(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ResidencyTracker<S> {
     current: S,
     since: Nanos,
     finished_at: Option<Nanos>,
-    transitions: u64,
-    /// Per-state accumulators in first-seen order: state, accumulated
-    /// time, entry count. State types are tiny enums in practice (a
+    /// Per-state accumulators in first-seen order: state and accumulated
+    /// time. State types are tiny enums in practice (a
     /// handful of C-states), so a linear scan of a dense vector beats a
     /// hash lookup on the simulator's per-transition hot path.
-    slots: Vec<(S, Nanos, u64)>,
+    slots: Vec<(S, Nanos)>,
 }
 
 impl<S: Eq + Clone> ResidencyTracker<S> {
@@ -45,17 +43,16 @@ impl<S: Eq + Clone> ResidencyTracker<S> {
             current: initial.clone(),
             since: start,
             finished_at: None,
-            transitions: 0,
-            slots: vec![(initial, Nanos::ZERO, 1)],
+            slots: vec![(initial, Nanos::ZERO)],
         }
     }
 
     /// Index of `state`'s accumulator slot, appending one if absent.
     fn slot(&mut self, state: &S) -> usize {
-        match self.slots.iter().position(|(s, _, _)| s == state) {
+        match self.slots.iter().position(|(s, _)| s == state) {
             Some(i) => i,
             None => {
-                self.slots.push((state.clone(), Nanos::ZERO, 0));
+                self.slots.push((state.clone(), Nanos::ZERO));
                 self.slots.len() - 1
             }
         }
@@ -63,8 +60,8 @@ impl<S: Eq + Clone> ResidencyTracker<S> {
 
     /// Records a transition to `next` at time `now`.
     ///
-    /// Transitions to the current state are counted but accumulate no new
-    /// interval boundary (they are idempotent for residency purposes).
+    /// Transitions to the current state accumulate no new interval
+    /// boundary (they are idempotent for residency purposes).
     ///
     /// # Panics
     ///
@@ -79,11 +76,10 @@ impl<S: Eq + Clone> ResidencyTracker<S> {
         let current = self.current.clone();
         let i = self.slot(&current);
         self.slots[i].1 += now - self.since;
-        let j = self.slot(&next);
-        self.slots[j].2 += 1;
+        // Registers `next` so it is reported even if never exited.
+        self.slot(&next);
         self.current = next;
         self.since = now;
-        self.transitions += 1;
     }
 
     /// The state the component is currently in.
@@ -112,13 +108,13 @@ impl<S: Eq + Clone> ResidencyTracker<S> {
     /// Total time attributed to `state` so far.
     #[must_use]
     pub fn time_in(&self, state: &S) -> Nanos {
-        self.slots.iter().find(|(s, _, _)| s == state).map_or(Nanos::ZERO, |&(_, t, _)| t)
+        self.slots.iter().find(|(s, _)| s == state).map_or(Nanos::ZERO, |&(_, t)| t)
     }
 
     /// Total observed time across all states.
     #[must_use]
     pub fn total_time(&self) -> Nanos {
-        self.slots.iter().map(|&(_, t, _)| t).sum()
+        self.slots.iter().map(|&(_, t)| t).sum()
     }
 
     /// Fraction of observed time spent in `state` (the paper's `R_Ci`).
@@ -134,22 +130,10 @@ impl<S: Eq + Clone> ResidencyTracker<S> {
         }
     }
 
-    /// Total number of state transitions recorded.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Number of times `state` was entered (the initial state counts once).
-    #[must_use]
-    pub fn entry_count(&self, state: &S) -> u64 {
-        self.slots.iter().find(|(s, _, _)| s == state).map_or(0, |&(_, _, n)| n)
-    }
-
     /// Iterates over `(state, time)` pairs in first-seen order. States
     /// that were entered but never exited appear with zero time.
     pub fn iter(&self) -> impl Iterator<Item = (&S, Nanos)> {
-        self.slots.iter().map(|(s, t, _)| (s, *t))
+        self.slots.iter().map(|(s, t)| (s, *t))
     }
 }
 
@@ -172,7 +156,6 @@ impl<S: Eq + Clone> ResidencyTracker<S> {
 /// m.advance(MilliWatts::from_watts(4.0), Nanos::from_secs(1.0));
 /// m.advance(MilliWatts::from_watts(0.1), Nanos::from_secs(2.0));
 /// assert!((m.energy().as_joules() - 4.1).abs() < 1e-9);
-/// assert!((m.average_power(Nanos::from_secs(2.0)).as_watts() - 2.05).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyMeter {
@@ -211,18 +194,6 @@ impl EnergyMeter {
     pub fn now(&self) -> Nanos {
         self.last
     }
-
-    /// Average power over `window` (typically the full run duration).
-    ///
-    /// Returns zero power for an empty window.
-    #[must_use]
-    pub fn average_power(&self, window: Nanos) -> MilliWatts {
-        if window <= Nanos::ZERO {
-            MilliWatts::ZERO
-        } else {
-            self.energy / window
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,20 +218,8 @@ mod tests {
     fn self_transition_is_idempotent() {
         let mut t = ResidencyTracker::new("idle", Nanos::ZERO);
         t.transition("idle", Nanos::new(10.0));
-        assert_eq!(t.transitions(), 0);
         t.finish(Nanos::new(20.0));
         assert_eq!(t.time_in(&"idle"), Nanos::new(20.0));
-    }
-
-    #[test]
-    fn entry_counts() {
-        let mut t = ResidencyTracker::new("C0", Nanos::ZERO);
-        t.transition("C1", Nanos::new(1.0));
-        t.transition("C0", Nanos::new(2.0));
-        t.transition("C1", Nanos::new(3.0));
-        assert_eq!(t.entry_count(&"C0"), 2); // initial + one re-entry
-        assert_eq!(t.entry_count(&"C1"), 2);
-        assert_eq!(t.entry_count(&"C6"), 0);
     }
 
     #[test]
@@ -291,12 +250,6 @@ mod tests {
         m.advance(MilliWatts::from_watts(3.0), Nanos::from_secs(2.0));
         assert!((m.energy().as_joules() - 4.0).abs() < 1e-9);
         assert_eq!(m.now(), Nanos::from_secs(2.0));
-    }
-
-    #[test]
-    fn zero_window_average_power() {
-        let m = EnergyMeter::new(Nanos::ZERO);
-        assert_eq!(m.average_power(Nanos::ZERO), MilliWatts::ZERO);
     }
 
     #[test]

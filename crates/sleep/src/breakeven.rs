@@ -113,29 +113,16 @@ impl BreakEven {
         Self::new(&config.catalog, &config.cstates.enabled_states())
     }
 
-    /// Builds the model from a hardware model's full (AW-derived) catalog,
-    /// so audits can price intervals for any registered part without
-    /// constructing a server configuration first.
-    #[must_use]
-    pub fn for_hw(hw: &aw_server::HardwareModel, enabled: &[CState]) -> Self {
-        Self::new(&hw.catalog(), enabled)
-    }
-
     fn row(&self, state: CState) -> &Row {
         self.rows[state.depth() as usize]
             .as_ref()
             .unwrap_or_else(|| panic!("state {state} not in the catalog"))
     }
 
-    /// The enabled idle states, shallowest first.
-    pub fn enabled(&self) -> impl Iterator<Item = CState> + '_ {
-        self.candidates.iter().map(|row| row.state)
-    }
-
     /// The shallowest enabled idle state — the floor every interval can
     /// reach.
     #[must_use]
-    pub fn shallowest(&self) -> CState {
+    pub(crate) fn shallowest(&self) -> CState {
         self.candidates[0].state
     }
 
@@ -149,7 +136,7 @@ impl BreakEven {
     /// The smallest transition budget across enabled states: anything above
     /// it is sleepable time in the best case.
     #[must_use]
-    pub fn min_budget(&self) -> Nanos {
+    pub(crate) fn min_budget(&self) -> Nanos {
         self.candidates
             .iter()
             .map(|row| Nanos::new(row.budget))
@@ -159,19 +146,8 @@ impl BreakEven {
 
     /// Energy burned keeping the core active (C0 at P1) for `interval`.
     #[must_use]
-    pub fn active_energy(&self, interval: Nanos) -> Joules {
+    pub(crate) fn active_energy(&self, interval: Nanos) -> Joules {
         self.active * interval
-    }
-
-    /// Energy burned spending `interval` in `state`: the transition ramp
-    /// for up to the state's budget, resident power for the remainder.
-    /// Intervals shorter than the budget pay ramp power for their full
-    /// length (a truncated transition), so the result never exceeds
-    /// [`BreakEven::active_energy`]. The achieved energy of
-    /// [`BreakEven::score`] with `state` as the causal choice.
-    #[must_use]
-    pub fn energy(&self, state: CState, interval: Nanos) -> Joules {
-        self.score(interval, state).2
     }
 
     /// The energy-optimal state for an interval of known length `interval`,
@@ -249,7 +225,7 @@ mod tests {
             let t = Nanos::from_micros(us);
             for s in [CState::C1, CState::C1E, CState::C6] {
                 assert!(
-                    m.energy(s, t) <= m.active_energy(t) + Joules::new(1e-12),
+                    m.score(t, s).2 <= m.active_energy(t) + Joules::new(1e-12),
                     "E({s}, {us}us) above active"
                 );
             }
@@ -266,7 +242,7 @@ mod tests {
         let t = Nanos::from_micros(50.0);
         for chosen in [CState::C1, CState::C1E, CState::C6] {
             let opt = m.optimal(t, chosen);
-            assert!(m.energy(opt, t) <= m.energy(chosen, t));
+            assert!(m.score(t, opt).2 <= m.score(t, chosen).2);
         }
     }
 
@@ -279,13 +255,13 @@ mod tests {
         let t = Nanos::from_millis(1.0);
         let opt = m.optimal(t, CState::C6A);
         assert_eq!(opt, CState::C6A);
-        assert!(m.energy(opt, t) <= m.energy(CState::C1, t));
+        assert!(m.score(t, opt).2 <= m.score(t, CState::C1).2);
     }
 
     #[test]
     fn aw_states_dominate_their_legacy_twins() {
-        let m = BreakEven::for_hw(
-            HardwareModel::skylake_sp(),
+        let m = BreakEven::new(
+            &HardwareModel::skylake_sp().catalog(),
             &[CState::C6A, CState::C6AE, CState::C6],
         );
         // At 10 µs the 2 µs-budget C6A already beats everything.
@@ -297,6 +273,6 @@ mod tests {
         use aw_cstates::NamedConfig;
         let cfg = ServerConfig::new(4, NamedConfig::Aw);
         let m = BreakEven::from_server(&cfg);
-        assert!(m.enabled().any(|s| s == CState::C6A));
+        assert!(m.candidates.iter().any(|row| row.state == CState::C6A));
     }
 }

@@ -52,9 +52,6 @@
 //! println!("{report}");
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod breakeven;
 mod export;
 mod report;

@@ -156,7 +156,7 @@ impl GovernorAudit {
     /// Fraction of decisions that were break-even optimal (1.0 when there
     /// were no decisions).
     #[must_use]
-    pub fn accuracy(&self) -> f64 {
+    pub(crate) fn accuracy(&self) -> f64 {
         if self.decisions == 0 {
             1.0
         } else {
@@ -246,7 +246,7 @@ impl OpportunityLedger {
     /// Fraction of idle time inside intervals where some deeper state met
     /// its break-even (1.0 when there was no idle time).
     #[must_use]
-    pub fn sleepable_share(&self) -> f64 {
+    pub(crate) fn sleepable_share(&self) -> f64 {
         ratio((self.idle_time - self.unsleepable_time).as_nanos(), self.idle_time.as_nanos())
     }
 }
@@ -284,13 +284,13 @@ pub struct IdleWindow {
 impl IdleWindow {
     /// Opportunity recovery inside this window (1.0 when idle-free).
     #[must_use]
-    pub fn recovery(&self) -> f64 {
+    pub(crate) fn recovery(&self) -> f64 {
         ratio(self.achieved_savings.as_joules(), self.oracle_savings.as_joules())
     }
 
     /// Sleepable share of this window's idle time.
     #[must_use]
-    pub fn sleepable_share(&self) -> f64 {
+    pub(crate) fn sleepable_share(&self) -> f64 {
         ratio(self.sleepable_time.as_nanos(), self.idle_time.as_nanos())
     }
 }
@@ -638,12 +638,6 @@ impl OpportunitySummary {
     #[must_use]
     pub fn recovery(&self) -> f64 {
         ratio(self.achieved_savings.as_joules(), self.oracle_savings.as_joules())
-    }
-
-    /// Sleepable share of idle time (1.0 when idle-free).
-    #[must_use]
-    pub fn sleepable_share(&self) -> f64 {
-        ratio(self.sleepable_time.as_nanos(), self.idle_time.as_nanos())
     }
 }
 

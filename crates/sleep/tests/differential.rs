@@ -32,14 +32,14 @@ mod reference {
     }
 
     /// The break-even model with a branch on each candidate's budget.
-    pub struct Model {
+    pub(crate) struct Model {
         active: MilliWatts,
         costs: [Option<StateCost>; CState::ALL.len()],
         enabled: Vec<CState>,
     }
 
     impl Model {
-        pub fn new(catalog: &CStateCatalog, enabled: &[CState]) -> Self {
+        pub(crate) fn new(catalog: &CStateCatalog, enabled: &[CState]) -> Self {
             let active = catalog.power(CState::C0, FreqLevel::P1);
             let mut costs = [None; CState::ALL.len()];
             for s in catalog.states() {
@@ -70,7 +70,7 @@ mod reference {
             self.costs[state.depth() as usize].expect("state in the catalog")
         }
 
-        pub fn budget(&self, state: CState) -> Nanos {
+        pub(crate) fn budget(&self, state: CState) -> Nanos {
             self.cost(state).budget
         }
 
@@ -85,7 +85,7 @@ mod reference {
             c.ramp * ramp_time + c.resident * resident_time
         }
 
-        pub fn score(&self, interval: Nanos, chosen: CState) -> (CState, Joules, Joules) {
+        pub(crate) fn score(&self, interval: Nanos, chosen: CState) -> (CState, Joules, Joules) {
             let mut best = self.enabled[0];
             let mut best_energy = self.energy(best, interval);
             let mut chosen_energy = (chosen == best).then_some(best_energy);
@@ -136,7 +136,7 @@ mod reference {
         }
     }
 
-    pub fn analyze(
+    pub(crate) fn analyze(
         intervals: &[IdleInterval],
         model: &Model,
         cores: usize,

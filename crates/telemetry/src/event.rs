@@ -106,7 +106,7 @@ impl EventKind {
     /// A short human-readable label for this kind of event (used for
     /// instant-event names in the Chrome trace).
     #[must_use]
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EventKind::CStateEnter { .. } => "cstate-enter",
             EventKind::CStateExit { .. } => "cstate-exit",

@@ -3,8 +3,8 @@
 //! The workspace links no serializer crate, so the exporters build
 //! their documents from this tiny value enum and render them with a
 //! hand-rolled writer. Streaming writers that skip the tree (the Chrome
-//! trace exporter) call [`write_escaped`], [`write_num`] and
-//! [`write_uint`] directly, so every document shares one escaping and
+//! trace exporter) call `write_escaped`, `write_num` and
+//! `write_uint` directly, so every document shares one escaping and
 //! one number rule. Output is strict JSON: strings are escaped per
 //! RFC 8259, non-finite numbers render as `null`, and object keys keep
 //! insertion order so exports are byte-stable across runs.
@@ -85,7 +85,7 @@ impl JsonValue {
 }
 
 /// Appends `v` as a JSON number, or `null` if it is not finite.
-pub fn write_num(out: &mut String, v: f64) {
+pub(crate) fn write_num(out: &mut String, v: f64) {
     if v.is_finite() {
         // Rust's `Display` for f64 is shortest-round-trip decimal
         // notation, which is always valid JSON.
@@ -96,7 +96,7 @@ pub fn write_num(out: &mut String, v: f64) {
 }
 
 /// Appends `v` in decimal, without going through `fmt`.
-pub fn write_uint(out: &mut String, mut v: u64) {
+pub(crate) fn write_uint(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -111,7 +111,7 @@ pub fn write_uint(out: &mut String, mut v: u64) {
 }
 
 /// Appends `s` as a quoted JSON string, escaped per RFC 8259.
-pub fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     // Copy unescaped runs whole (most strings are one run). Every byte
     // that needs escaping is ASCII, so run bounds are char boundaries.

@@ -101,12 +101,6 @@ impl TelemetryRecorder {
         }
     }
 
-    /// Number of cores this recorder tracks.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.occupancy.len()
-    }
-
     fn emit(&mut self, time: Nanos, core: u32, kind: EventKind) {
         self.sink.record(TraceEvent { time, core, kind });
     }

@@ -11,23 +11,23 @@ use aw_types::Nanos;
 
 /// A gauge whose mean is weighted by how long each value was held.
 ///
-/// `set(now, v)` closes the interval since the previous set at the old
-/// value and starts a new one; [`TimeWeightedGauge::mean`] is then the
-/// integral of the value over time divided by the elapsed time. The
-/// high-water mark tracks the largest value ever set.
+/// Each set closes the interval since the previous set at the old value
+/// and starts a new one; the mean is then the integral of the value over
+/// time divided by the elapsed time. The high-water mark tracks the
+/// largest value ever set.
 ///
 /// # Examples
 ///
 /// ```
-/// use aw_telemetry::TimeWeightedGauge;
+/// use aw_telemetry::MetricsRegistry;
 /// use aw_types::Nanos;
 ///
-/// let mut g = TimeWeightedGauge::new();
-/// g.set(Nanos::new(0.0), 2.0);
-/// g.set(Nanos::new(10.0), 6.0);  // value 2 held for 10 ns
-/// g.finish(Nanos::new(20.0));    // value 6 held for 10 ns
-/// assert_eq!(g.mean(), 4.0);
-/// assert_eq!(g.high_water_mark(), 6.0);
+/// let mut r = MetricsRegistry::default();
+/// r.gauge_set("depth", Nanos::new(0.0), 2.0);
+/// r.gauge_set("depth", Nanos::new(10.0), 6.0); // value 2 held for 10 ns
+/// r.finish_gauges(Nanos::new(20.0));           // value 6 held for 10 ns
+/// let gauge = r.gauge("depth").expect("set above");
+/// assert_eq!(gauge.high_water_mark(), 6.0);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TimeWeightedGauge {
@@ -41,7 +41,7 @@ pub struct TimeWeightedGauge {
 impl TimeWeightedGauge {
     /// Creates an empty gauge.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimeWeightedGauge {
             last_value: 0.0,
             last_time: None,
@@ -54,7 +54,7 @@ impl TimeWeightedGauge {
     /// Sets the gauge to `value` at time `now`, closing the interval the
     /// previous value was held for. Out-of-order times are clamped: a
     /// `now` before the previous set contributes zero weight.
-    pub fn set(&mut self, now: Nanos, value: f64) {
+    pub(crate) fn set(&mut self, now: Nanos, value: f64) {
         if let Some(prev) = self.last_time {
             let dt = (now - prev).clamp_non_negative();
             self.weighted_sum += self.last_value * dt.as_nanos();
@@ -66,14 +66,14 @@ impl TimeWeightedGauge {
     }
 
     /// Closes the final interval at `now` without changing the value.
-    pub fn finish(&mut self, now: Nanos) {
+    pub(crate) fn finish(&mut self, now: Nanos) {
         let value = self.last_value;
         self.set(now, value);
     }
 
     /// The time-weighted mean, or 0 if no time has elapsed.
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.elapsed > Nanos::ZERO {
             self.weighted_sum / self.elapsed.as_nanos()
         } else {
@@ -93,7 +93,7 @@ impl TimeWeightedGauge {
 
     /// The most recently set value.
     #[must_use]
-    pub fn last(&self) -> f64 {
+    pub(crate) fn last(&self) -> f64 {
         self.last_value
     }
 }
@@ -298,7 +298,7 @@ impl Default for LogHistogram {
 /// use aw_telemetry::MetricsRegistry;
 /// use aw_types::Nanos;
 ///
-/// let mut r = MetricsRegistry::new();
+/// let mut r = MetricsRegistry::default();
 /// r.inc("requests", 3);
 /// r.gauge_set("queue.depth", Nanos::new(0.0), 2.0);
 /// r.histogram_record("latency_ns", 1500.0);
@@ -315,7 +315,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Creates an empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
@@ -376,17 +376,17 @@ impl MetricsRegistry {
     }
 
     /// All counters, name-ordered.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// All gauges, name-ordered.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, &TimeWeightedGauge)> {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&str, &TimeWeightedGauge)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// All histograms, name-ordered.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 }

@@ -12,24 +12,24 @@ use crate::event::TraceEvent;
 ///
 /// # Examples
 ///
+/// A [`TelemetryRecorder`](crate::TelemetryRecorder) keeps its trace
+/// window in one:
+///
 /// ```
-/// use aw_telemetry::{EventKind, RingBufferSink, TraceEvent};
+/// use aw_telemetry::{EventKind, TelemetryRecorder};
 /// use aw_types::Nanos;
 ///
-/// let mut sink = RingBufferSink::new(2);
+/// let mut recorder = TelemetryRecorder::new(1, 2);
 /// for i in 0..3 {
-///     sink.record(TraceEvent {
-///         time: Nanos::new(f64::from(i)),
-///         core: 0,
-///         kind: EventKind::TurboEngage,
-///     });
+///     recorder.record(0, Nanos::new(f64::from(i)), EventKind::TurboEngage);
 /// }
-/// assert_eq!(sink.len(), 2);
-/// assert_eq!(sink.dropped(), 1);
-/// assert_eq!(sink.events().next().unwrap().time, Nanos::new(1.0));
+/// let report = recorder.into_report(Nanos::new(3.0));
+/// assert_eq!(report.events.len(), 2);
+/// assert_eq!(report.summary.events_dropped, 1);
+/// assert_eq!(report.events[0].time, Nanos::new(1.0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct RingBufferSink {
+pub(crate) struct RingBufferSink {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
@@ -43,7 +43,7 @@ impl RingBufferSink {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer needs a positive capacity");
         RingBufferSink {
             events: VecDeque::with_capacity(capacity.min(64 * 1024)),
@@ -53,43 +53,26 @@ impl RingBufferSink {
         }
     }
 
-    /// Number of events currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if no events are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events evicted because the buffer was full.
     #[must_use]
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Total events ever recorded (held + dropped).
     #[must_use]
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.recorded
-    }
-
-    /// The held events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
     }
 
     /// Consumes the sink, returning the held events oldest-first.
     #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
+    pub(crate) fn into_events(self) -> Vec<TraceEvent> {
         self.events.into()
     }
 
     /// Records one event, evicting the oldest if the buffer is full.
-    pub fn record(&mut self, event: TraceEvent) {
+    pub(crate) fn record(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -119,10 +102,10 @@ mod tests {
         for i in 0..5 {
             s.record(ev(f64::from(i)));
         }
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.events.len(), 3);
         assert_eq!(s.dropped(), 2);
         assert_eq!(s.recorded(), 5);
-        let times: Vec<f64> = s.events().map(|e| e.time.as_nanos()).collect();
+        let times: Vec<f64> = s.events.iter().map(|e| e.time.as_nanos()).collect();
         assert_eq!(times, [2.0, 3.0, 4.0]);
     }
 
@@ -145,9 +128,9 @@ mod tests {
             s.record(ev(i as f64));
         }
         assert_eq!(s.events.capacity(), capacity);
-        assert_eq!(s.len(), capacity);
+        assert_eq!(s.events.len(), capacity);
         assert_eq!(s.dropped(), 10);
-        assert_eq!(s.events().next().unwrap().time, Nanos::new(10.0));
+        assert_eq!(s.events[0].time, Nanos::new(10.0));
     }
 
     #[test]

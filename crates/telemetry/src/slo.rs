@@ -12,7 +12,6 @@ use std::fmt;
 
 use aw_types::Nanos;
 
-use crate::json::JsonValue;
 use crate::timeline::Timeline;
 
 /// A p99 latency target evaluated per timeline window.
@@ -20,12 +19,12 @@ use crate::timeline::Timeline;
 /// # Examples
 ///
 /// ```
-/// use aw_telemetry::{RequestSpan, SloMonitor, Timeline};
+/// use aw_telemetry::{Attribution, RequestSpan, SloMonitor};
 /// use aw_types::Nanos;
 ///
-/// let mut tl = Timeline::new(Nanos::from_millis(1.0));
+/// let mut attrib = Attribution::new(Nanos::from_millis(1.0));
 /// for i in 0..100 {
-///     tl.record_span(&RequestSpan {
+///     attrib.record_span(RequestSpan {
 ///         arrival: Nanos::new(f64::from(i) * 10.0),
 ///         completion: Nanos::new(f64::from(i) * 10.0 + 2_000.0),
 ///         queue_wait: Nanos::ZERO,
@@ -36,6 +35,7 @@ use crate::timeline::Timeline;
 ///         network_rtt: Nanos::ZERO,
 ///     });
 /// }
+/// let tl = attrib.finish().timeline;
 /// let report = SloMonitor::new(Nanos::from_micros(5.0)).evaluate(&tl);
 /// assert_eq!(report.windows_violated, 0);
 /// assert!(report.is_met());
@@ -119,23 +119,6 @@ impl SloReport {
     pub fn is_met(&self) -> bool {
         self.windows_violated == 0
     }
-
-    /// Renders the report as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        JsonValue::obj(vec![
-            ("target_p99_ns", JsonValue::Num(self.target_p99.as_nanos())),
-            ("windows_total", JsonValue::UInt(self.windows_total)),
-            ("windows_violated", JsonValue::UInt(self.windows_violated)),
-            ("burn_rate", JsonValue::Num(self.burn_rate())),
-            (
-                "first_violation_ms",
-                self.first_violation.map_or(JsonValue::Null, |t| JsonValue::Num(t.as_millis())),
-            ),
-            ("worst_p99_ns", JsonValue::Num(self.worst_p99.as_nanos())),
-        ])
-        .render()
-    }
 }
 
 impl fmt::Display for SloReport {
@@ -203,15 +186,6 @@ mod tests {
         assert_eq!(report.burn_rate(), 0.0);
         assert_eq!(report.first_violation, None);
         assert!(report.to_string().contains("MET"));
-    }
-
-    #[test]
-    fn json_renders() {
-        let tl = Timeline::new(Nanos::new(1_000.0));
-        let report = SloMonitor::new(Nanos::new(100.0)).evaluate(&tl);
-        let json = report.to_json();
-        assert!(json.contains("\"burn_rate\":0"));
-        assert!(json.contains("\"first_violation_ms\":null"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use aw_types::Nanos;
 /// The taxonomy is exhaustive over a request's server-side sojourn plus
 /// the fixed network round trip: `QueueWait + ExitPenalty + SnoopStall +
 /// Service` equals the measured server latency (the sum-to-latency
-/// invariant, enforced by [`RequestSpan::residual`] in tests), and
+/// invariant, checked on every span in tests), and
 /// `NetworkRtt` extends it to end-to-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -41,7 +41,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in attribution order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::QueueWait,
         Phase::ExitPenalty,
         Phase::SnoopStall,
@@ -93,8 +93,9 @@ impl fmt::Display for Phase {
 ///     network_rtt: Nanos::from_micros(117.0),
 /// };
 /// assert_eq!(span.server_latency(), Nanos::new(4_100.0));
-/// assert_eq!(span.phase_total(), Nanos::new(4_100.0));
-/// assert_eq!(span.residual(), Nanos::ZERO); // phases sum to latency
+/// // The phases sum to the measured latency.
+/// let phases = span.queue_wait + span.exit_penalty + span.snoop_stall + span.service;
+/// assert_eq!(phases, span.server_latency());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSpan {
@@ -127,27 +128,21 @@ impl RequestSpan {
 
     /// The sum of the server-side phases (everything but the network).
     #[must_use]
-    pub fn phase_total(&self) -> Nanos {
+    pub(crate) fn phase_total(&self) -> Nanos {
         self.queue_wait + self.exit_penalty + self.snoop_stall + self.service
-    }
-
-    /// End-to-end latency: server-side sojourn plus the network RTT.
-    #[must_use]
-    pub fn end_to_end(&self) -> Nanos {
-        self.server_latency() + self.network_rtt
     }
 
     /// The attribution error: measured latency minus the phase sum.
     /// Zero (up to floating-point rounding) when the sum-to-latency
     /// invariant holds.
     #[must_use]
-    pub fn residual(&self) -> Nanos {
+    pub(crate) fn residual(&self) -> Nanos {
         self.server_latency() - self.phase_total()
     }
 
     /// The duration attributed to one phase.
     #[must_use]
-    pub fn phase(&self, phase: Phase) -> Nanos {
+    pub(crate) fn phase(&self, phase: Phase) -> Nanos {
         match phase {
             Phase::QueueWait => self.queue_wait,
             Phase::ExitPenalty => self.exit_penalty,
@@ -181,7 +176,6 @@ mod tests {
         assert_eq!(s.server_latency(), Nanos::new(5_000.0));
         assert_eq!(s.phase_total(), s.server_latency());
         assert_eq!(s.residual(), Nanos::ZERO);
-        assert_eq!(s.end_to_end(), Nanos::new(5_000.0) + Nanos::from_micros(117.0));
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl TimelineWindow {
 
     /// The window's start timestamp.
     #[must_use]
-    pub fn start(&self) -> Nanos {
+    pub(crate) fn start(&self) -> Nanos {
         self.start
     }
 
@@ -67,13 +67,13 @@ impl TimelineWindow {
     /// True when nothing was recorded into this window (skipped by the
     /// exporters).
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.completed == 0 && self.energy == Joules::ZERO && self.residency_ns.is_empty()
     }
 
     /// Mean per-request contribution of one phase in this window.
     #[must_use]
-    pub fn phase_mean(&self, phase: Phase) -> Nanos {
+    pub(crate) fn phase_mean(&self, phase: Phase) -> Nanos {
         if self.completed == 0 {
             return Nanos::ZERO;
         }
@@ -83,19 +83,19 @@ impl TimelineWindow {
 
     /// Windowed p50 server latency estimate.
     #[must_use]
-    pub fn p50(&self) -> Option<Nanos> {
+    pub(crate) fn p50(&self) -> Option<Nanos> {
         self.p50.estimate().map(Nanos::new)
     }
 
     /// Windowed p99 server latency estimate.
     #[must_use]
-    pub fn p99(&self) -> Option<Nanos> {
+    pub(crate) fn p99(&self) -> Option<Nanos> {
         self.p99.estimate().map(Nanos::new)
     }
 
     /// Windowed p99.9 server latency estimate.
     #[must_use]
-    pub fn p999(&self) -> Option<Nanos> {
+    pub(crate) fn p999(&self) -> Option<Nanos> {
         self.p999.estimate().map(Nanos::new)
     }
 
@@ -110,7 +110,7 @@ impl TimelineWindow {
     /// trailing windows stay comparable). The total is summed in label
     /// order, whatever order the states were first seen in.
     #[must_use]
-    pub fn residency_share(&self) -> BTreeMap<&'static str, f64> {
+    pub(crate) fn residency_share(&self) -> BTreeMap<&'static str, f64> {
         let ns: BTreeMap<&'static str, f64> = self.residency_ns.iter().copied().collect();
         let total: f64 = ns.values().sum();
         if total <= 0.0 {
@@ -126,11 +126,11 @@ impl TimelineWindow {
 /// # Examples
 ///
 /// ```
-/// use aw_telemetry::{RequestSpan, Timeline};
+/// use aw_telemetry::{Attribution, RequestSpan};
 /// use aw_types::{MilliWatts, Nanos};
 ///
-/// let mut tl = Timeline::new(Nanos::from_millis(1.0));
-/// tl.record_span(&RequestSpan {
+/// let mut attrib = Attribution::new(Nanos::from_millis(1.0));
+/// attrib.record_span(RequestSpan {
 ///     arrival: Nanos::new(500.0),
 ///     completion: Nanos::new(4_500.0),
 ///     queue_wait: Nanos::new(1_000.0),
@@ -140,7 +140,8 @@ impl TimelineWindow {
 ///     service: Nanos::new(3_000.0),
 ///     network_rtt: Nanos::ZERO,
 /// });
-/// tl.record_power(Nanos::ZERO, Nanos::from_millis(2.0), MilliWatts::from_watts(1.0));
+/// attrib.record_power(Nanos::ZERO, Nanos::from_millis(2.0), MilliWatts::from_watts(1.0));
+/// let tl = attrib.finish().timeline;
 /// assert_eq!(tl.windows().len(), 2);
 /// assert_eq!(tl.windows()[0].completed(), 1);
 /// ```
@@ -234,7 +235,7 @@ impl Timeline {
     ///
     /// Panics if `window` is not strictly positive.
     #[must_use]
-    pub fn new(window: Nanos) -> Self {
+    pub(crate) fn new(window: Nanos) -> Self {
         assert!(window.as_nanos() > 0.0, "timeline window must be positive");
         Timeline { window, windows: Vec::new(), cursor: WindowCursor::NONE }
     }
@@ -276,7 +277,7 @@ impl Timeline {
 
     /// Folds one completed request into the window of its completion
     /// time.
-    pub fn record_span(&mut self, span: &RequestSpan) {
+    pub(crate) fn record_span(&mut self, span: &RequestSpan) {
         let latency = span.server_latency().as_nanos();
         let w = self.window_mut(span.completion);
         w.completed += 1;
@@ -291,13 +292,13 @@ impl Timeline {
     /// Deposits `power` held over `[start, end)` into the overlapping
     /// windows, pro-rated by overlap. Call once per constant-power
     /// interval per core; energies accumulate across cores.
-    pub fn record_power(&mut self, start: Nanos, end: Nanos, power: MilliWatts) {
+    pub(crate) fn record_power(&mut self, start: Nanos, end: Nanos, power: MilliWatts) {
         self.for_each_overlap(start, end, |w, overlap| w.energy += power * overlap);
     }
 
     /// Records that a core sat in accounting C-state `state` over
     /// `[start, end)`, pro-rated across the overlapping windows.
-    pub fn record_residency(&mut self, state: &'static str, start: Nanos, end: Nanos) {
+    pub(crate) fn record_residency(&mut self, state: &'static str, start: Nanos, end: Nanos) {
         self.for_each_overlap(start, end, |w, overlap| {
             // Labels are interned statics, so the pointer nearly always
             // matches; the byte compare catches equal labels elsewhere.
@@ -347,13 +348,13 @@ impl Timeline {
     /// by the window duration. Under-reports a partial trailing window
     /// (its energy is spread over the full duration).
     #[must_use]
-    pub fn avg_power(&self, w: &TimelineWindow) -> MilliWatts {
+    pub(crate) fn avg_power(&self, w: &TimelineWindow) -> MilliWatts {
         w.energy() / self.window
     }
 
     /// Throughput over one window, in requests per second.
     #[must_use]
-    pub fn throughput_qps(&self, w: &TimelineWindow) -> f64 {
+    pub(crate) fn throughput_qps(&self, w: &TimelineWindow) -> f64 {
         w.completed() as f64 / self.window.as_secs()
     }
 

@@ -15,10 +15,9 @@ use crate::Nanos;
 /// # Examples
 ///
 /// ```
-/// use aw_types::{Cycles, MegaHertz, Nanos};
+/// use aw_types::MegaHertz;
 ///
 /// let base = MegaHertz::from_ghz(2.2);
-/// assert_eq!(base.as_ghz(), 2.2);
 /// // One base-frequency cycle is ~0.4545 ns.
 /// assert!((base.period().as_nanos() - 0.4545).abs() < 1e-3);
 /// ```
@@ -45,33 +44,14 @@ impl MegaHertz {
 
     /// The raw megahertz value.
     #[must_use]
-    pub const fn as_mhz(self) -> f64 {
+    pub(crate) const fn as_mhz(self) -> f64 {
         self.0
-    }
-
-    /// This frequency expressed in gigahertz.
-    #[must_use]
-    pub fn as_ghz(self) -> f64 {
-        self.0 / 1e3
     }
 
     /// The clock period of one cycle at this frequency.
     #[must_use]
     pub fn period(self) -> Nanos {
         Nanos::new(1e3 / self.0)
-    }
-
-    /// Number of whole cycles elapsed in `duration` at this frequency.
-    #[must_use]
-    pub fn cycles_in(self, duration: Nanos) -> Cycles {
-        Cycles::new((duration.as_nanos() * self.0 / 1e3).floor() as u64)
-    }
-
-    /// Scales this frequency by a dimensionless factor (e.g., 1% degradation
-    /// from power-gate IR drop is `f.scale(0.99)`).
-    #[must_use]
-    pub fn scale(self, factor: f64) -> MegaHertz {
-        MegaHertz(self.0 * factor)
     }
 }
 
@@ -132,31 +112,16 @@ impl fmt::Display for MegaHertz {
 pub struct Cycles(u64);
 
 impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-
     /// Creates a count of `n` cycles.
     #[must_use]
     pub const fn new(n: u64) -> Self {
         Cycles(n)
     }
 
-    /// The raw cycle count.
-    #[must_use]
-    pub const fn count(self) -> u64 {
-        self.0
-    }
-
     /// The wall-clock duration of this many cycles at frequency `clock`.
     #[must_use]
     pub fn at(self, clock: MegaHertz) -> Nanos {
         Nanos::new(self.0 as f64 * 1e3 / clock.as_mhz())
-    }
-
-    /// Saturating addition of two cycle counts.
-    #[must_use]
-    pub fn saturating_add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -194,28 +159,13 @@ mod tests {
     #[test]
     fn ghz_round_trip() {
         assert_eq!(MegaHertz::from_ghz(2.2).as_mhz(), 2200.0);
-        assert_eq!(MegaHertz::new(800.0).as_ghz(), 0.8);
     }
 
     #[test]
     fn period_and_cycles() {
         let f = MegaHertz::new(500.0);
         assert_eq!(f.period(), Nanos::new(2.0));
-        assert_eq!(f.cycles_in(Nanos::new(10.0)), Cycles::new(5));
         assert_eq!(Cycles::new(5).at(f), Nanos::new(10.0));
-    }
-
-    #[test]
-    fn cycles_in_floors() {
-        let f = MegaHertz::new(500.0);
-        assert_eq!(f.cycles_in(Nanos::new(3.9)), Cycles::new(1));
-    }
-
-    #[test]
-    fn scale_models_frequency_loss() {
-        let base = MegaHertz::from_ghz(2.2);
-        let degraded = base.scale(0.99);
-        assert!((degraded.as_ghz() - 2.178).abs() < 1e-12);
     }
 
     #[test]
@@ -228,7 +178,6 @@ mod tests {
         assert_eq!(Cycles::new(3) + Cycles::new(4), Cycles::new(7));
         assert_eq!(Cycles::new(4) - Cycles::new(3), Cycles::new(1));
         assert_eq!(Cycles::new(3) * 5, Cycles::new(15));
-        assert_eq!(Cycles::new(u64::MAX).saturating_add(Cycles::new(1)), Cycles::new(u64::MAX));
     }
 
     #[test]

@@ -29,9 +29,6 @@
 //! assert!((energy.as_microjoules() - 1.44).abs() < 1e-12);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod energy;
 mod freq;
 mod power;

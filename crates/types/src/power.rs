@@ -58,12 +58,6 @@ impl MilliWatts {
         self.0 / 1e3
     }
 
-    /// Returns the smaller of two powers.
-    #[must_use]
-    pub fn min(self, other: MilliWatts) -> MilliWatts {
-        MilliWatts(self.0.min(other.0))
-    }
-
     /// Returns the larger of two powers.
     #[must_use]
     pub fn max(self, other: MilliWatts) -> MilliWatts {
@@ -220,7 +214,6 @@ mod tests {
         assert_eq!(MilliWatts::new(-3.0).clamp_non_negative(), MilliWatts::ZERO);
         let a = MilliWatts::new(1.0);
         let b = MilliWatts::new(2.0);
-        assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
     }
 

@@ -28,8 +28,6 @@ pub struct Ratio(f64);
 impl Ratio {
     /// The zero fraction.
     pub const ZERO: Ratio = Ratio(0.0);
-    /// The unit fraction (100%).
-    pub const ONE: Ratio = Ratio(1.0);
 
     /// Creates a fraction with value `v`. NaN becomes zero.
     #[must_use]
@@ -59,30 +57,6 @@ impl Ratio {
     #[must_use]
     pub fn clamped(self) -> Ratio {
         Ratio(self.0.clamp(0.0, 1.0))
-    }
-
-    /// The complement `1 - self`.
-    #[must_use]
-    pub fn complement(self) -> Ratio {
-        Ratio(1.0 - self.0)
-    }
-
-    /// `true` if the value lies in `[0, 1]` (within `eps` tolerance).
-    #[must_use]
-    pub fn is_normalized(self, eps: f64) -> bool {
-        self.0 >= -eps && self.0 <= 1.0 + eps
-    }
-
-    /// Returns the smaller of two ratios.
-    #[must_use]
-    pub fn min(self, other: Ratio) -> Ratio {
-        Ratio(self.0.min(other.0))
-    }
-
-    /// Returns the larger of two ratios.
-    #[must_use]
-    pub fn max(self, other: Ratio) -> Ratio {
-        Ratio(self.0.max(other.0))
     }
 }
 
@@ -155,17 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn clamp_and_complement() {
-        assert_eq!(Ratio::new(1.5).clamped(), Ratio::ONE);
+    fn clamp() {
+        assert_eq!(Ratio::new(1.5).clamped(), Ratio::new(1.0));
         assert_eq!(Ratio::new(-0.5).clamped(), Ratio::ZERO);
-        assert_eq!(Ratio::new(0.3).complement(), Ratio::new(0.7));
-    }
-
-    #[test]
-    fn normalization_check() {
-        assert!(Ratio::new(0.5).is_normalized(0.0));
-        assert!(Ratio::new(1.0 + 1e-12).is_normalized(1e-9));
-        assert!(!Ratio::new(1.1).is_normalized(1e-9));
     }
 
     #[test]
@@ -175,7 +141,7 @@ mod tests {
         assert_eq!(a + b, Ratio::new(0.75));
         assert_eq!(a - b, Ratio::new(0.25));
         assert_eq!(a * b, Ratio::new(0.125));
-        assert_eq!(a * 2.0, Ratio::ONE);
+        assert_eq!(a * 2.0, Ratio::new(1.0));
         assert_eq!(a / b, 2.0);
     }
 

@@ -27,9 +27,6 @@
 //! assert!(w.mean_service().as_micros() > 2.0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod kafka;
 mod memcached;
 mod mysql;
@@ -41,5 +38,5 @@ pub use kafka::{kafka, KafkaRate};
 pub use memcached::memcached_etc;
 pub use mysql::{mysql_oltp, MysqlRate};
 pub use search::websearch;
-pub use trace::{diurnal_memcached, DiurnalArrivals, TraceError, TraceGaps};
-pub use validation::{validation_suite, ValidationLoad};
+pub use trace::{diurnal_memcached, TraceError, TraceGaps};
+pub use validation::validation_suite;

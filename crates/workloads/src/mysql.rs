@@ -28,7 +28,7 @@ impl MysqlRate {
     /// Offered transactions per second at this operating point (for a
     /// 10-core server).
     #[must_use]
-    pub fn qps(self) -> f64 {
+    pub(crate) fn qps(self) -> f64 {
         match self {
             MysqlRate::Low => 600.0,
             MysqlRate::Mid => 1_500.0,

@@ -134,14 +134,14 @@ impl std::error::Error for TraceError {}
 /// # Examples
 ///
 /// ```
-/// use aw_workloads::DiurnalArrivals;
-/// use aw_sim::Distribution;
+/// use aw_workloads::diurnal_memcached;
 ///
-/// let d = DiurnalArrivals::new(100_000.0, 0.8, 1e9).unwrap();
-/// assert!((d.mean() - 10_000.0).abs() < 1.0); // mean gap ≈ 1e9/base_qps
+/// // The sine integrates to zero, so the mean rate is the base rate.
+/// let w = diurnal_memcached(100_000.0, 0.8, 1e9);
+/// assert!((w.offered_qps() - 100_000.0).abs() < 1e-6);
 /// ```
 #[derive(Debug)]
-pub struct DiurnalArrivals {
+pub(crate) struct DiurnalArrivals {
     base_qps: f64,
     amplitude: f64,
     period_ns: f64,
@@ -156,7 +156,7 @@ impl DiurnalArrivals {
     ///
     /// Returns `Err` if `base_qps` or `period_ns` is not positive, or
     /// `amplitude` is outside `[0, 1)`.
-    pub fn new(base_qps: f64, amplitude: f64, period_ns: f64) -> Result<Self, TraceError> {
+    pub(crate) fn new(base_qps: f64, amplitude: f64, period_ns: f64) -> Result<Self, TraceError> {
         if !(base_qps > 0.0 && period_ns > 0.0) {
             return Err(TraceError::InvalidGap(-1.0));
         }
@@ -193,7 +193,7 @@ impl Distribution for DiurnalArrivals {
 /// # Panics
 ///
 /// Panics if the parameters are out of range (see
-/// [`DiurnalArrivals::new`]).
+/// `DiurnalArrivals::new`).
 #[must_use]
 pub fn diurnal_memcached(base_qps: f64, amplitude: f64, period_ns: f64) -> WorkloadSpec {
     let arrivals = DiurnalArrivals::new(base_qps, amplitude, period_ns)

@@ -15,7 +15,7 @@ use aw_sim::{Distribution, Empirical, Exponential, LogNormal};
 
 /// One of the four validation workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ValidationLoad {
+pub(crate) enum ValidationLoad {
     /// SPECpower-ssj-like transaction mix.
     SpecPower,
     /// Nginx-like HTTP serving.
@@ -28,7 +28,7 @@ pub enum ValidationLoad {
 
 impl ValidationLoad {
     /// All four loads.
-    pub const ALL: [ValidationLoad; 4] = [
+    pub(crate) const ALL: [ValidationLoad; 4] = [
         ValidationLoad::SpecPower,
         ValidationLoad::Nginx,
         ValidationLoad::Spark,
@@ -37,7 +37,7 @@ impl ValidationLoad {
 
     /// Workload name.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ValidationLoad::SpecPower => "specpower",
             ValidationLoad::Nginx => "nginx",
@@ -76,7 +76,7 @@ impl ValidationLoad {
     ///
     /// Panics if `utilization` is outside `(0, 1]` or `cores` is zero.
     #[must_use]
-    pub fn at_utilization(self, utilization: f64, cores: usize) -> WorkloadSpec {
+    pub(crate) fn at_utilization(self, utilization: f64, cores: usize) -> WorkloadSpec {
         assert!(utilization > 0.0 && utilization <= 1.0, "utilization must be in (0, 1]");
         assert!(cores > 0, "need at least one core");
         let mean = self.mean_service_ns();

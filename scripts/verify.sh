@@ -26,6 +26,22 @@ for manifest in crates/*/Cargo.toml; do
 done
 [ "$dead" -eq 0 ] || exit 1
 
+echo "==> one workspace lint table"
+# Every crate inherits [workspace.lints] from the root Cargo.toml; no
+# lib.rs sets its own crate-level warn/deny.
+drift=0
+for manifest in crates/*/Cargo.toml; do
+    if ! grep -A1 '^\[lints\]' "$manifest" | grep -q '^workspace = true'; then
+        echo "verify: $manifest lacks [lints] workspace = true" >&2
+        drift=1
+    fi
+done
+if grep -n '^#!\[\(warn\|deny\)' crates/*/src/lib.rs >&2; then
+    echo "verify: crate-level lint attributes belong in [workspace.lints]" >&2
+    drift=1
+fi
+[ "$drift" -eq 0 ] || exit 1
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 
