@@ -47,7 +47,7 @@ impl AnsiBackend {
         let saved_stty = stty(&["-g"]);
         if stty(&["raw", "-echo"]).is_none() {
             eprintln!(
-                "aw-tui: cannot enter raw mode (stdin is not a terminal, or `stty` is \
+                "watch: cannot enter raw mode (stdin is not a terminal, or `stty` is \
                  unavailable); keys will be line-buffered and echoed — press Enter after \
                  each key, or use --headless for scripted runs"
             );
@@ -112,7 +112,7 @@ impl KeyReader {
     pub(crate) fn spawn() -> Self {
         let (tx, rx) = mpsc::channel();
         thread::Builder::new()
-            .name("aw-tui-keys".into())
+            .name("watch-keys".into())
             .spawn(move || {
                 let mut stdin = io::stdin();
                 let mut byte = [0u8; 1];

@@ -24,11 +24,11 @@ pub struct WakeDisruption {
 ///
 /// Every fault category draws from its own dedicated xoshiro stream
 /// (seeded from `spec.seed` xor a per-category constant), so fault
-/// draws never touch the workload or snoop RNG streams: attaching a
-/// plan whose probabilities are all zero leaves the simulated sample
-/// path bit-identical to a run without the plan (common random
-/// numbers), and raising one category's rate does not perturb the
-/// draws of another.
+/// draws never touch the engine's workload or retry RNG streams:
+/// attaching a plan whose probabilities are all zero leaves the
+/// simulated sample path bit-identical to a run without the plan
+/// (common random numbers), and raising one category's rate does not
+/// perturb the draws of another.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     spec: FaultSpec,

@@ -1,8 +1,9 @@
 //! Simulation configuration: machine shape, C-state setup, governor,
-//! dispatch policy, snoop rate, run window, and overload protection.
-//! The per-core costs the paper fixes (AW's frequency loss, transition
-//! energy, snoop power, timer-tick work, client retry and circuit
-//! breaker) are engine constants, not settings.
+//! run window, OS tick, and overload protection. Requests are dispatched
+//! round-robin across cores, and coherence snoops come only from the
+//! `storm` fault. The per-core costs the paper fixes (AW's frequency
+//! loss, transition energy, snoop power, timer-tick work, client retry
+//! and circuit breaker) are engine constants, not settings.
 
 use aw_cstates::{
     CStateCatalog, CStateConfig, IdleGovernor, LadderGovernor, MenuGovernor, NamedConfig,
@@ -10,18 +11,6 @@ use aw_cstates::{
 };
 use aw_hw::HardwareModel;
 use aw_types::Nanos;
-
-/// How arriving requests are routed to cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dispatch {
-    /// Round-robin across cores (the default; models evenly pinned
-    /// connections).
-    RoundRobin,
-    /// Uniformly random core per request.
-    Random,
-    /// The core with the shortest queue (ties to the lowest index).
-    LeastLoaded,
-}
 
 /// Which idle-governor policy the OS runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,11 +55,6 @@ pub struct ServerConfig {
     pub catalog: CStateCatalog,
     /// Idle-governor policy.
     pub governor: GovernorKind,
-    /// Request dispatch policy.
-    pub dispatch: Dispatch,
-    /// Poisson coherence-snoop arrival rate per idle core, in snoops per
-    /// second (Sec. 7.5); zero (the default) disables snoop traffic.
-    pub snoop_rate: f64,
     /// Simulated duration (after warm-up).
     pub duration: Nanos,
     /// Warm-up period excluded from metrics.
@@ -92,8 +76,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A Xeon-4114-shaped configuration: `cores` cores on the
     /// `skylake-sp` hardware model (2.2 GHz base / 3.0 GHz Turbo), menu
-    /// governor, round-robin dispatch, 1 s simulated with 100 ms
-    /// warm-up, no snoop traffic.
+    /// governor, 1 s simulated with 100 ms warm-up.
     #[must_use]
     pub fn new(cores: usize, named: NamedConfig) -> Self {
         Self::for_hw(HardwareModel::skylake_sp(), cores, named)
@@ -116,8 +99,6 @@ impl ServerConfig {
             cstates: hw.restrict(&named.config()),
             catalog: hw.catalog(),
             governor: GovernorKind::Menu,
-            dispatch: Dispatch::RoundRobin,
-            snoop_rate: 0.0,
             duration: Nanos::from_secs(1.0),
             warmup: Nanos::from_millis(100.0),
             timer_tick: None,
@@ -129,7 +110,7 @@ impl ServerConfig {
     /// Moves this configuration onto another hardware model, replacing
     /// the model-derived pieces (catalog, enable mask; the clocks are
     /// read from `hw`) while keeping everything operational — duration,
-    /// governor, dispatch, snoop rate, overload protection. The enable mask
+    /// governor, timer tick, overload protection. The enable mask
     /// is re-derived from [`ServerConfig::named`], so a custom
     /// [`ServerConfig::with_cstates`] override does not survive the
     /// move (it may name states the new model lacks). Mixed fleets use
@@ -164,25 +145,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_governor(mut self, governor: GovernorKind) -> Self {
         self.governor = governor;
-        self
-    }
-
-    /// Sets the dispatch policy.
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Sets the per-core snoop rate, in snoops per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative.
-    #[must_use]
-    pub fn with_snoop_rate(mut self, rate: f64) -> Self {
-        assert!(rate >= 0.0, "snoop rate must be non-negative");
-        self.snoop_rate = rate;
         self
     }
 
@@ -275,13 +237,10 @@ mod tests {
     fn builders_chain() {
         let c = ServerConfig::new(2, NamedConfig::Aw)
             .with_duration(Nanos::from_millis(10.0))
-            .with_governor(GovernorKind::Oracle)
-            .with_dispatch(Dispatch::LeastLoaded)
-            .with_snoop_rate(1_000.0);
+            .with_governor(GovernorKind::Oracle);
         assert_eq!(c.duration, Nanos::from_millis(10.0));
         assert!(c.warmup <= c.duration * 0.2);
         assert_eq!(c.governor, GovernorKind::Oracle);
-        assert_eq!(c.snoop_rate, 1_000.0);
         assert!(c.is_aw());
     }
 

@@ -182,12 +182,6 @@ impl SimCore {
             None => self.entries.push((state, 1)),
         }
     }
-
-    /// Queue depth including the in-flight request.
-    #[must_use]
-    pub(crate) fn load(&self) -> usize {
-        self.queue.len() + usize::from(matches!(self.state, CoreState::Active))
-    }
 }
 
 impl fmt::Debug for SimCore {
@@ -254,22 +248,5 @@ mod tests {
         assert_eq!(c.meter.energy(), Joules::ZERO);
         assert_eq!(*c.tracker.current(), CState::C1);
         assert!(matches!(c.state, CoreState::Idle { state: CState::C1 }));
-    }
-
-    #[test]
-    fn quiescence_and_load() {
-        let mut c = core();
-        assert_eq!(c.load(), 1); // starts Active
-        c.set_state(Nanos::new(1.0), CoreState::Idle { state: CState::C1 });
-        assert_eq!(c.load(), 0);
-        c.queue.push_back(QueuedRequest {
-            arrival: Nanos::new(2.0),
-            service: Nanos::from_micros(1.0),
-            wake_penalty: Nanos::ZERO,
-            wake_state: None,
-            is_tick: false,
-            attempt: 1,
-        });
-        assert_eq!(c.load(), 1);
     }
 }

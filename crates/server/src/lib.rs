@@ -1,10 +1,11 @@
 //! # aw-server — a discrete-event multi-core server simulator
 //!
 //! The testbed substitute for the paper's 2× Xeon Silver 4114 cluster: an
-//! open-loop request stream is dispatched across a configurable number of
-//! cores, each of which runs the full C-state life cycle — idle-governor
-//! decisions, entry/exit transition latencies, wake-on-interrupt, snoop
-//! servicing, Turbo thermal capacitance, and per-state energy integration.
+//! open-loop request stream is dispatched round-robin across a
+//! configurable number of cores, each of which runs the full C-state life
+//! cycle — idle-governor decisions, entry/exit transition latencies,
+//! wake-on-interrupt, snoop servicing, Turbo thermal capacitance, and
+//! per-state energy integration.
 //!
 //! The simulator's outputs are exactly the observables the paper's
 //! evaluation consumes: per-C-state residencies, transition counts,
@@ -46,7 +47,7 @@ mod uncore;
 mod workload;
 
 pub use builder::{set_default_idle_skip, SimBuilder};
-pub use config::{Dispatch, GovernorKind, ServerConfig};
+pub use config::{GovernorKind, ServerConfig};
 
 pub use idle::IdleInterval;
 pub use metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};

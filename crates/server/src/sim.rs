@@ -9,7 +9,7 @@ use aw_sim::{EventQueue, SampleSet, SimRng};
 use aw_telemetry::{AttributionReport, EventKind, RequestSpan, SloReport, TelemetryReport};
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
 
-use crate::config::{Dispatch, GovernorKind, ServerConfig};
+use crate::config::{GovernorKind, ServerConfig};
 use crate::core::{CoreState, QueuedRequest, SimCore};
 use crate::idle::IdleInterval;
 use crate::metrics::{DegradationStats, LatencyBreakdown, LatencyStats, RunMetrics};
@@ -78,8 +78,6 @@ enum Event {
     EntryDone { core: usize, gen: u64 },
     /// A core completes its wake transition and resumes execution.
     WakeDone { core: usize, gen: u64 },
-    /// A coherence snoop targets a core.
-    Snoop { core: usize },
     /// The per-core OS timer tick fires.
     TimerTick { core: usize },
     /// End of the warm-up period: metrics reset.
@@ -104,11 +102,6 @@ pub(crate) struct ServerSim<P: Probe> {
     config: ServerConfig,
     workload: WorkloadSpec,
     rng: SimRng,
-    /// Dedicated stream for snoop inter-arrival gaps: keeping snoop draws
-    /// out of the workload stream means enabling snoops does not perturb
-    /// the arrival/service sample path, so configurations with and without
-    /// snoop traffic are directly comparable (common random numbers).
-    snoop_rng: SimRng,
     queue: EventQueue<Event>,
     cores: Vec<SimCore>,
     rr_next: usize,
@@ -272,7 +265,6 @@ impl<P: Probe> ServerSim<P> {
         let _ = rng.fork(0); // decorrelate from the seed's first draw
         let end = config.warmup + config.duration;
         let uncore = UncoreModel::for_hw(config.hw, config.cores, Nanos::ZERO);
-        let snoop_rng = SimRng::seed(seed ^ 0x534E_4F4F_505F_5247); // "SNOOP_RG"
         let retry_rng = SimRng::seed(seed ^ 0x5245_5452_595F_5247); // "RETRY_RG"
         let breakers = (0..config.cores)
             .map(|_| CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN))
@@ -281,12 +273,12 @@ impl<P: Probe> ServerSim<P> {
         // Pending-event envelope, sized like the latency reservoir from
         // the offered load rather than from the core count alone: one
         // service/entry/wake deadline per core, per-core timer ticks, a
-        // handful of global timers (arrival, snoop, warmup, fault
-        // clocks) — plus, when overload protection can shed or expire
-        // work, up to one in-flight retry event per request arriving
-        // inside the longest jittered backoff window (offered QPS ×
-        // horizon × one event each, capped so a pathological
-        // parameterization cannot demand an absurd allocation).
+        // handful of global timers (arrival, warmup, fault clocks) —
+        // plus, when overload protection can shed or expire work, up to
+        // one in-flight retry event per request arriving inside the
+        // longest jittered backoff window (offered QPS × horizon × one
+        // event each, capped so a pathological parameterization cannot
+        // demand an absurd allocation).
         let mut queue_cap = config.cores * 4 + 16;
         if config.queue_cap.is_some() || config.request_timeout.is_some() {
             let exp = f64::from(1u32 << (RETRY_ATTEMPTS - 1));
@@ -302,7 +294,6 @@ impl<P: Probe> ServerSim<P> {
             config,
             workload,
             rng,
-            snoop_rng,
             queue: EventQueue::with_capacity(queue_cap),
             cores,
             rr_next: 0,
@@ -458,11 +449,6 @@ impl<P: Probe> ServerSim<P> {
         self.next_arrival = gap;
         self.queue.schedule(gap, Event::Arrival);
         self.queue.schedule(self.config.warmup, Event::WarmupEnd);
-        if self.config.snoop_rate > 0.0 {
-            for id in 0..self.cores.len() {
-                self.schedule_snoop(id, Nanos::ZERO);
-            }
-        }
         if let Some(period) = self.config.timer_tick {
             // Stagger ticks across cores so they don't fire in lockstep.
             for id in 0..self.cores.len() {
@@ -489,7 +475,6 @@ impl<P: Probe> ServerSim<P> {
                 Event::ServiceDone { core, gen } => self.on_service_done(core, gen, now),
                 Event::EntryDone { core, gen } => self.on_entry_done(core, gen, now),
                 Event::WakeDone { core, gen } => self.on_wake_done(core, gen, now),
-                Event::Snoop { core } => self.on_snoop(core, now),
                 Event::TimerTick { core } => self.on_timer_tick(core, now),
                 Event::WarmupEnd => self.on_warmup_end(now),
                 Event::SpuriousWake { core } => self.on_spurious_wake(core, now),
@@ -531,22 +516,12 @@ impl<P: Probe> ServerSim<P> {
         out
     }
 
+    /// The core that takes the next request: round-robin, modelling
+    /// evenly pinned connections.
     fn dispatch(&mut self) -> usize {
-        match self.config.dispatch {
-            Dispatch::RoundRobin => {
-                let id = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.cores.len();
-                id
-            }
-            Dispatch::Random => self.rng.index(self.cores.len()),
-            Dispatch::LeastLoaded => self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.load())
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        }
+        let id = self.rr_next;
+        self.rr_next = (self.rr_next + 1) % self.cores.len();
+        id
     }
 
     fn on_arrival(&mut self, now: Nanos) {
@@ -555,9 +530,9 @@ impl<P: Probe> ServerSim<P> {
         // The next arrival is drawn and scheduled *before* the admit so
         // the queue's earliest pending time covers it — the idle-skip
         // eligibility test needs the full horizon in one peek. The RNG
-        // draw order (service, dispatch, gap) is unchanged, and no
-        // governor consults `next_arrival` inside `admit`, so the
-        // reordering is invisible to the sample path.
+        // draw order (service, gap) is unchanged, and no governor
+        // consults `next_arrival` inside `admit`, so the reordering is
+        // invisible to the sample path.
         let gap = self.workload.next_gap(&mut self.rng);
         self.next_arrival = now + gap;
         self.queue.schedule(self.next_arrival, Event::Arrival);
@@ -971,20 +946,6 @@ impl<P: Probe> ServerSim<P> {
         }
     }
 
-    fn schedule_snoop(&mut self, id: usize, now: Nanos) {
-        let rate = self.config.snoop_rate;
-        if rate <= 0.0 {
-            return;
-        }
-        let gap = Nanos::from_secs(-self.snoop_rng.uniform_open().ln() / rate);
-        self.queue.schedule(now + gap, Event::Snoop { core: id });
-    }
-
-    fn on_snoop(&mut self, id: usize, now: Nanos) {
-        self.schedule_snoop(id, now);
-        self.serve_snoops(id, now, 1);
-    }
-
     /// Charges `bursts` snoop bursts to core `id` if it idles in a state
     /// that keeps its caches coherent: the burst power for its state
     /// over `bursts` burst durations, counted as served snoops and traced
@@ -1325,24 +1286,31 @@ mod tests {
         assert!(m.residency_of(CState::C1).get() > 0.5, "{}", m.residencies);
     }
 
-    /// Pins every `RunMetrics` field, bit for bit, on the engine paths
-    /// no CLI command reaches: periodic snoop traffic plus an OS timer
-    /// tick, on AW and Baseline. The runs charge each model constant
-    /// (snoop power and burst, tick work, transition energy, the AW
-    /// frequency loss, the Turbo clocks read from `hw`), so a changed
-    /// constant changes a digest. The digest is FNV-1a over the `Debug`
-    /// rendering, which prints every `f64` in round-trip form.
+    /// Each core's Poisson stream of single snoops, `rate` per second:
+    /// the `storm` fault with one snoop per burst.
+    fn snoop_stream(rate: f64) -> FaultPlan {
+        FaultPlan::parse(&format!("storm={rate},storm-size=1")).expect("valid spec")
+    }
+
+    /// Pins every `RunMetrics` field, bit for bit, on runs with a
+    /// per-core snoop stream plus an OS timer tick, on AW and Baseline.
+    /// The runs charge each model constant (snoop power and burst, tick
+    /// work, transition energy, the AW frequency loss, the Turbo clocks
+    /// read from `hw`), so a changed constant changes a digest. The
+    /// digest is FNV-1a over the `Debug` rendering, which prints every
+    /// `f64` in round-trip form.
     #[test]
     fn snoop_and_tick_runs_match_pinned_bits() {
         let pinned = [
-            (NamedConfig::Aw, 0x1e99_ae07_2728_a646_u64, 5217, 0x408c_a145_d3aa_8abd_u64),
-            (NamedConfig::Baseline, 0x9fc6_c975_0783_88e0, 5218, 0x4097_0efb_5375_4fd6),
+            (NamedConfig::Aw, 0xb994_440e_7f56_393e_u64, 5063, 0x408c_a0cf_8e08_bffb_u64),
+            (NamedConfig::Baseline, 0x85da_943b_55d7_38c2, 5062, 0x4097_0ee2_5db2_c079),
         ];
         for (named, digest, snoops, power_bits) in pinned {
-            let cfg = short_config(named)
-                .with_snoop_rate(20_000.0)
-                .with_timer_tick(Nanos::from_millis(1.0));
-            let m = SimBuilder::new(cfg, light_workload(60_000.0), 23).run().into_metrics();
+            let cfg = short_config(named).with_timer_tick(Nanos::from_millis(1.0));
+            let m = SimBuilder::new(cfg, light_workload(60_000.0), 23)
+                .with_faults(snoop_stream(20_000.0))
+                .run()
+                .into_metrics();
             assert_eq!(m.snoops_served, snoops, "{named}");
             assert_eq!(m.avg_core_power.as_milliwatts().to_bits(), power_bits, "{named}");
             let fnv = format!("{m:?}").bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
@@ -1354,12 +1322,15 @@ mod tests {
 
     #[test]
     fn snoops_burn_energy_in_coherent_states() {
-        let cfg = short_config(NamedConfig::Baseline).with_snoop_rate(50_000.0);
-        let quiet =
+        let run = |plan| {
             SimBuilder::new(short_config(NamedConfig::Baseline), light_workload(30_000.0), 17)
+                .with_faults(plan)
                 .run()
-                .into_metrics();
-        let noisy = SimBuilder::new(cfg, light_workload(30_000.0), 17).run().into_metrics();
+                .into_metrics()
+        };
+        let quiet = run(FaultPlan::none());
+        let noisy = run(snoop_stream(50_000.0));
+        assert_eq!(quiet.snoops_served, 0);
         assert!(noisy.snoops_served > 0);
         assert!(noisy.avg_core_power > quiet.avg_core_power);
     }

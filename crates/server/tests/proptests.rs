@@ -2,7 +2,7 @@
 //! across random loads, configurations, and seeds.
 
 use aw_cstates::{CState, FreqLevel, NamedConfig};
-use aw_server::{Dispatch, GovernorKind, ServerConfig, SimBuilder, WorkloadSpec};
+use aw_server::{GovernorKind, ServerConfig, SimBuilder, WorkloadSpec};
 use aw_types::Nanos;
 use proptest::prelude::*;
 
@@ -13,12 +13,10 @@ fn run(
     service_us: f64,
     seed: u64,
     governor: GovernorKind,
-    dispatch: Dispatch,
 ) -> aw_server::RunMetrics {
     let cfg = ServerConfig::new(cores, named)
         .with_duration(Nanos::from_millis(30.0))
-        .with_governor(governor)
-        .with_dispatch(dispatch);
+        .with_governor(governor);
     let w = WorkloadSpec::poisson("prop", qps, Nanos::from_micros(service_us), 0.7);
     SimBuilder::new(cfg, w, seed).run().into_metrics()
 }
@@ -41,7 +39,7 @@ proptest! {
         service_us in 1.0f64..8.0,
         seed: u64,
     ) {
-        let m = run(named, cores, qps, service_us, seed, GovernorKind::Menu, Dispatch::RoundRobin);
+        let m = run(named, cores, qps, service_us, seed, GovernorKind::Menu);
         prop_assert!(m.residencies.is_complete(1e-6), "{}", m.residencies.total());
 
         let catalog = aw_server::HardwareModel::skylake_sp().catalog();
@@ -72,7 +70,7 @@ proptest! {
         seed: u64,
     ) {
         // 4 cores × 4 µs services at 150 K QPS → ~15% utilization.
-        let m = run(named, 4, 150_000.0, 4.0, seed, GovernorKind::Menu, Dispatch::RoundRobin);
+        let m = run(named, 4, 150_000.0, 4.0, seed, GovernorKind::Menu);
         let ratio = m.achieved_qps / m.offered_qps;
         prop_assert!((0.85..1.15).contains(&ratio), "{named}: {ratio}");
     }
@@ -80,7 +78,7 @@ proptest! {
     /// Latency decomposition components always reassemble the mean.
     #[test]
     fn breakdown_reassembles_mean(named in config_strategy(), seed: u64, qps in 20_000.0f64..120_000.0) {
-        let m = run(named, 4, qps, 4.0, seed, GovernorKind::Menu, Dispatch::RoundRobin);
+        let m = run(named, 4, qps, 4.0, seed, GovernorKind::Menu);
         if m.completed > 100 {
             let total = m.breakdown.total().as_nanos();
             let mean = m.server_latency.mean.as_nanos();
@@ -88,15 +86,14 @@ proptest! {
         }
     }
 
-    /// Determinism holds for every governor and dispatch policy.
+    /// Determinism holds for every governor.
     #[test]
     fn determinism_across_policies(
         seed: u64,
         gov in prop::sample::select(vec![GovernorKind::Menu, GovernorKind::Ladder, GovernorKind::Oracle]),
-        disp in prop::sample::select(vec![Dispatch::RoundRobin, Dispatch::Random, Dispatch::LeastLoaded]),
     ) {
-        let a = run(NamedConfig::Baseline, 3, 60_000.0, 4.0, seed, gov, disp);
-        let b = run(NamedConfig::Baseline, 3, 60_000.0, 4.0, seed, gov, disp);
+        let a = run(NamedConfig::Baseline, 3, 60_000.0, 4.0, seed, gov);
+        let b = run(NamedConfig::Baseline, 3, 60_000.0, 4.0, seed, gov);
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.avg_core_power, b.avg_core_power);
         prop_assert_eq!(a.server_latency.p99, b.server_latency.p99);
@@ -106,7 +103,7 @@ proptest! {
     /// when C6 is enabled.
     #[test]
     fn package_states_partition(named in config_strategy(), seed: u64) {
-        let m = run(named, 2, 10_000.0, 4.0, seed, GovernorKind::Menu, Dispatch::RoundRobin);
+        let m = run(named, 2, 10_000.0, 4.0, seed, GovernorKind::Menu);
         let sum: f64 = m.package_residency.iter().map(|r| r.get()).sum();
         prop_assert!((sum - 1.0).abs() < 1e-6, "{sum}");
         if !named.config().is_enabled(CState::C6) {
@@ -117,7 +114,7 @@ proptest! {
     /// Energy per request is positive and finite whenever work completed.
     #[test]
     fn energy_per_request_sane(named in config_strategy(), seed: u64) {
-        let m = run(named, 4, 80_000.0, 4.0, seed, GovernorKind::Menu, Dispatch::RoundRobin);
+        let m = run(named, 4, 80_000.0, 4.0, seed, GovernorKind::Menu);
         if m.completed > 0 {
             let e = m.energy_per_request().as_joules();
             prop_assert!(e > 0.0 && e.is_finite());

@@ -1,38 +1,34 @@
 //! Closed-form oracles for the engine: with every C-state transition
-//! free, random dispatch turns an `n`-core server into `n` independent
-//! M/G/1 queues, whose mean queueing delay and busy share are known
-//! exactly.
+//! free, a one-core server fed Poisson arrivals is an M/G/1 queue, whose
+//! mean queueing delay and busy share are known exactly.
 //!
-//! Poisson arrivals at rate λ split uniformly at random over 4 cores
-//! give each core a Poisson stream at λ/4. With service time S each core
-//! is an M/G/1 queue at utilization ρ = λ·E[S]/4, busy a share ρ of the
-//! time, and its mean wait in queue is the Pollaczek–Khinchine value
-//! (λ/4)·E[S²]/(2(1 − ρ)). Exponential service (M/M/1) makes that
-//! ρ·E[S]/(1 − ρ), deterministic service (M/D/1) ρ·E[S]/(2(1 − ρ)),
-//! and a log-normal service pins the general form with a second moment
-//! above either. The catalog holds only C0 and C1, with every latency
-//! and the target residency zero, so a wake adds no delay and an idle
-//! core is never counted as busy.
+//! With arrivals at rate λ and service time S the core runs at
+//! utilization ρ = λ·E[S], busy a share ρ of the time, and its mean wait
+//! in queue is the Pollaczek–Khinchine value λ·E[S²]/(2(1 − ρ)).
+//! Exponential service (M/M/1) makes that ρ·E[S]/(1 − ρ), deterministic
+//! service (M/D/1) ρ·E[S]/(2(1 − ρ)), and a log-normal service pins the
+//! general form with a second moment above either. The catalog holds
+//! only C0 and C1, with every latency and the target residency zero, so
+//! a wake adds no delay and an idle core is never counted as busy.
 
 use std::sync::Arc;
 
 use aw_cstates::{CState, CStateCatalog, CStateParams, NamedConfig};
-use aw_server::{Dispatch, ServerConfig, SimBuilder, WorkloadSpec};
+use aw_server::{ServerConfig, SimBuilder, WorkloadSpec};
 use aw_sim::{Distribution, Exponential, LogNormal, Point};
 use aw_types::Nanos;
 
-const CORES: usize = 4;
 /// E[S], in nanoseconds.
 const MEAN_SERVICE_NS: f64 = 10_000.0;
 /// Seeds per load: enough that a 2% stretch of every service time moves
 /// each model's mean wait by more than four standard errors.
 const SEEDS: u64 = 20;
 
-/// A 4-core server at per-core utilization `rho`, random dispatch,
-/// C1 as the only idle state and every transition free, fed Poisson
-/// arrivals with `service` times of mean [`MEAN_SERVICE_NS`].
+/// A one-core server at utilization `rho`, C1 as the only idle state
+/// and every transition free, fed Poisson arrivals with `service` times
+/// of mean [`MEAN_SERVICE_NS`].
 fn config(rho: f64, service: &Arc<dyn Distribution>) -> (ServerConfig, WorkloadSpec) {
-    let base = ServerConfig::new(CORES, NamedConfig::NtNoC6NoC1e);
+    let base = ServerConfig::new(1, NamedConfig::NtNoC6NoC1e);
     let mut catalog = CStateCatalog::empty();
     for state in [CState::C0, CState::C1] {
         catalog.set_params(CStateParams {
@@ -46,10 +42,9 @@ fn config(rho: f64, service: &Arc<dyn Distribution>) -> (ServerConfig, WorkloadS
     }
     let config = base
         .with_catalog(catalog)
-        .with_dispatch(Dispatch::Random)
         .with_warmup(Nanos::from_millis(10.0))
-        .with_duration(Nanos::from_millis(100.0));
-    let qps = rho * CORES as f64 / (MEAN_SERVICE_NS * 1e-9);
+        .with_duration(Nanos::from_millis(400.0));
+    let qps = rho / (MEAN_SERVICE_NS * 1e-9);
     let arrivals = Arc::new(Exponential::with_mean(1e9 / qps));
     (config, WorkloadSpec::new("mg1", arrivals, Arc::clone(service), 1.0))
 }
@@ -91,21 +86,21 @@ fn assert_matches_oracle(
 }
 
 #[test]
-fn random_dispatch_matches_mm1_queue_wait_and_busy_share() {
+fn one_core_matches_mm1_queue_wait_and_busy_share() {
     assert_matches_oracle("M/M/1", Arc::new(Exponential::with_mean(MEAN_SERVICE_NS)), |rho| {
         rho * MEAN_SERVICE_NS / (1.0 - rho)
     });
 }
 
 #[test]
-fn random_dispatch_matches_md1_pollaczek_khinchine_wait() {
+fn one_core_matches_md1_pollaczek_khinchine_wait() {
     assert_matches_oracle("M/D/1", Arc::new(Point::new(MEAN_SERVICE_NS)), |rho| {
         rho * MEAN_SERVICE_NS / (2.0 * (1.0 - rho))
     });
 }
 
 #[test]
-fn random_dispatch_matches_lognormal_mg1_pollaczek_khinchine_wait() {
+fn one_core_matches_lognormal_mg1_pollaczek_khinchine_wait() {
     // σ = 1: E[S²] = E[S]²·e^{σ²}, about 2.7 E[S]² against 2 for the
     // exponential.
     let sigma: f64 = 1.0;
@@ -115,8 +110,8 @@ fn random_dispatch_matches_lognormal_mg1_pollaczek_khinchine_wait() {
         "log-normal M/G/1",
         Arc::new(LogNormal::from_median(median, sigma)),
         |rho| {
-            let per_core_rate = rho / MEAN_SERVICE_NS;
-            per_core_rate * second_moment / (2.0 * (1.0 - rho))
+            let rate = rho / MEAN_SERVICE_NS;
+            rate * second_moment / (2.0 * (1.0 - rho))
         },
     );
 }

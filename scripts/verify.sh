@@ -42,6 +42,22 @@ if grep -n '^#!\[\(warn\|deny\)' crates/*/src/lib.rs >&2; then
 fi
 [ "$drift" -eq 0 ] || exit 1
 
+echo "==> doc module paths exist"
+# A backticked `aw-<crate>::<module>` in README.md, DESIGN.md or
+# EXPERIMENTS.md must name a module file: crates/<crate>/src/<module>.rs
+# or <module>/mod.rs.
+stale=0
+while IFS=: read -r doc line ref; do
+    path=${ref#\`aw-}
+    crate=${path%%::*}
+    module=${path#*::}
+    if [ ! -f "crates/$crate/src/$module.rs" ] && [ ! -f "crates/$crate/src/$module/mod.rs" ]; then
+        echo "verify: $doc:$line cites aw-$crate::$module, but crates/$crate/src has neither $module.rs nor $module/mod.rs" >&2
+        stale=1
+    fi
+done < <(grep -on '`aw-[a-z0-9]*::[a-z_][a-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md)
+[ "$stale" -eq 0 ] || exit 1
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -2,8 +2,9 @@
 //! server DES → metrics → analytical models) end to end.
 
 use agilewatts::aw_cstates::{CState, FreqLevel, NamedConfig};
+use agilewatts::aw_faults::FaultPlan;
 use agilewatts::aw_power::{average_power, AwTransform, PpaModel};
-use agilewatts::aw_server::{Dispatch, GovernorKind, HardwareModel, ServerConfig, SimBuilder};
+use agilewatts::aw_server::{GovernorKind, HardwareModel, ServerConfig, SimBuilder};
 use agilewatts::aw_types::Nanos;
 use agilewatts::aw_workloads::{kafka, memcached_etc, mysql_oltp, KafkaRate, MysqlRate};
 
@@ -109,15 +110,6 @@ fn oracle_governor_saves_at_least_as_much_as_menu() {
 }
 
 #[test]
-fn dispatch_policies_all_complete_work() {
-    for dispatch in [Dispatch::RoundRobin, Dispatch::Random, Dispatch::LeastLoaded] {
-        let cfg = quick(NamedConfig::Baseline).with_dispatch(dispatch);
-        let m = SimBuilder::new(cfg, memcached_etc(120_000.0), 5).run().into_metrics();
-        assert!((m.achieved_qps / m.offered_qps - 1.0).abs() < 0.15, "{dispatch:?}");
-    }
-}
-
-#[test]
 fn mysql_reaches_deep_idle_memcached_does_not() {
     // The core claim behind the workload split (Figs. 8a vs 12a): with
     // millisecond transactions MySQL's idle gaps fit C6, while Memcached
@@ -150,23 +142,31 @@ fn kafka_batching_creates_c6_opportunity() {
 
 #[test]
 fn snoop_traffic_reduces_aw_advantage() {
-    // Sec. 7.5 in the DES: heavy snoop traffic narrows (but does not
-    // erase) AW's savings, because sleep-mode exits cost more than C1's
-    // clock ungating.
+    // Sec. 7.5 in the DES: snoop traffic narrows (but does not erase)
+    // AW's savings, more with every step in rate, because serving a
+    // snoop from C6A/C6AE costs more than C1's clock ungating. Each
+    // core sees a Poisson stream of single snoops: the `storm` fault
+    // with one snoop per burst.
     let qps = 60_000.0;
-    let run = |named, snoops: f64, seed| {
-        let cfg = quick(named).with_snoop_rate(snoops);
-        SimBuilder::new(cfg, memcached_etc(qps), seed).run().into_metrics()
+    let run = |named, rate: f64| {
+        let plan = FaultPlan::parse(&format!("storm={rate},storm-size=1")).unwrap();
+        SimBuilder::new(quick(named), memcached_etc(qps), 8).with_faults(plan).run().into_metrics()
     };
-    let base_quiet = run(NamedConfig::Baseline, 0.0, 8);
-    let aw_quiet = run(NamedConfig::Aw, 0.0, 8);
-    let base_noisy = run(NamedConfig::Baseline, 200_000.0, 8);
-    let aw_noisy = run(NamedConfig::Aw, 200_000.0, 8);
-
-    let quiet_savings = aw_quiet.power_savings_vs(&base_quiet).get();
-    let noisy_savings = aw_noisy.power_savings_vs(&base_noisy).get();
-    assert!(noisy_savings > 0.0);
-    assert!(noisy_savings < quiet_savings, "{noisy_savings} !< {quiet_savings}");
+    // (savings, Baseline − AW power in mW) at each per-core snoop rate.
+    let points: Vec<(f64, f64)> = [0.0, 50_000.0, 200_000.0]
+        .into_iter()
+        .map(|rate| {
+            let base = run(NamedConfig::Baseline, rate);
+            let aw = run(NamedConfig::Aw, rate);
+            let gap = base.avg_core_power.as_milliwatts() - aw.avg_core_power.as_milliwatts();
+            (aw.power_savings_vs(&base).get(), gap)
+        })
+        .collect();
+    assert!(points.iter().all(|&(savings, _)| savings > 0.0), "{points:?}");
+    assert!(points.windows(2).all(|w| w[1].0 < w[0].0), "{points:?}");
+    // The gap in watts narrows too, so the fall is more than the same
+    // gap divided by a Baseline power that snoops raised.
+    assert!(points.windows(2).all(|w| w[1].1 < w[0].1), "{points:?}");
 }
 
 #[test]
