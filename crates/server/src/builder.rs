@@ -173,12 +173,13 @@ impl SimBuilder {
         self
     }
 
-    /// Captures every completed idle round trip (core, start, duration,
-    /// chosen state, governor prediction) in the output's
-    /// `idle_intervals`, in wake order. Pure observation: the run is
-    /// bit-identical with or without it. Feed the records to `aw-sleep`
-    /// for idle-period distributions, the governor audit, and the
-    /// achieved-vs-achievable opportunity ledger.
+    /// Captures every completed idle round trip that begins at or after
+    /// warm-up end (core, start, duration, chosen state, governor
+    /// prediction) in the output's `idle_intervals`, in wake order, as
+    /// 32-byte [`crate::IdleInterval`] records. Pure observation: the run
+    /// is bit-identical with or without it. Feed the records to
+    /// `aw-sleep` for idle-period distributions, the governor audit, and
+    /// the achieved-vs-achievable opportunity ledger.
     #[must_use]
     pub fn with_idle_analysis(mut self) -> Self {
         self.idle_analysis = true;
@@ -271,19 +272,15 @@ mod tests {
         );
         let intervals = observed.idle_intervals.expect("intervals captured");
         assert!(!intervals.is_empty());
-        // Every interval covers at least its state's transition budget,
-        // and measured intervals start inside the measured window.
+        // Every interval has a non-negative length on a real core.
         for iv in &intervals {
             assert!(iv.duration >= Nanos::ZERO, "{iv:?}");
             assert!(iv.core < 4, "{iv:?}");
-            if iv.measured {
-                assert!(iv.start >= Nanos::ZERO);
-            }
         }
         // The governor-observed idle stream and the captured one are the
         // same: a menu governor run records a prediction from the second
         // interval of each core onwards.
-        assert!(intervals.iter().any(|iv| iv.predicted.is_some()));
+        assert!(intervals.iter().any(|iv| iv.predicted().is_some()));
         assert!(plain.idle_intervals.is_none());
     }
 

@@ -236,7 +236,8 @@ impl Probe for AttributionProbe {
     }
 }
 
-/// Every completed idle round trip, in wake order, for `aw-sleep`.
+/// Every completed idle round trip that began in the measured window, in
+/// wake order, for `aw-sleep`.
 #[derive(Debug)]
 pub(crate) struct IdleLog {
     intervals: Vec<IdleInterval>,
@@ -270,14 +271,11 @@ impl Probe for IdleLog {
         chosen: CState,
         _target_residency: Nanos,
     ) {
-        self.intervals.push(IdleInterval {
-            core,
-            start,
-            duration: now - start,
-            chosen,
-            predicted: self.predictions[core],
-            measured: start >= self.measure_start,
-        });
+        if start >= self.measure_start {
+            let predicted = self.predictions[core];
+            let interval = IdleInterval::new(core as u32, start, now - start, chosen, predicted);
+            self.intervals.push(interval);
+        }
     }
 
     fn finish(self, _end: Nanos, out: &mut RunOutput) {
@@ -423,6 +421,42 @@ mod tests {
             let share = out_on.metrics.residency_of(state).get();
             assert!((ns / total - share).abs() < 1e-9, "{state}: tiles {} vs {share}", ns / total);
         }
+    }
+
+    /// The idle log keeps exactly the round trips that begin at or after
+    /// warm-up end: it equals the `idle_done` hook stream, stamped with
+    /// each core's last `park` prediction, filtered by `start >= WARMUP`.
+    #[test]
+    fn idle_log_is_the_hook_stream_from_warmup_end() {
+        let config = ServerConfig::new(CORES, NamedConfig::Aw)
+            .with_duration(Nanos::from_millis(40.0))
+            .with_warmup(WARMUP);
+        let workload = WorkloadSpec::poisson("probe", 20_000.0, Nanos::from_micros(3.0), 0.8);
+        let mut hooks = Vec::new();
+        let probe = (Recorder(&mut hooks), Some(IdleLog::new(CORES, WARMUP, 0)));
+        let out = ServerSim::new(config, workload, 7, probe).run_to_output(false);
+        let logged = out.idle_intervals.expect("idle log attached");
+
+        let mut predictions = [None; CORES];
+        let mut every = Vec::new();
+        for hook in &hooks {
+            match *hook {
+                Hook::Park(core, _, _, predicted) => predictions[core] = predicted,
+                Hook::Idle(core, start, now, chosen, _) => every.push(IdleInterval::new(
+                    core as u32,
+                    start,
+                    now - start,
+                    chosen,
+                    predictions[core],
+                )),
+                _ => {}
+            }
+        }
+        assert!(every.iter().any(|iv| iv.start < WARMUP), "no round trip began in warm-up");
+        assert!(logged.iter().all(|iv| iv.start >= WARMUP), "the log kept a warm-up round trip");
+        every.retain(|iv| iv.start >= WARMUP);
+        assert!(every.len() > 100, "expected a light-load run, got {} round trips", every.len());
+        assert_eq!(logged, every);
     }
 
     /// Common random numbers: Baseline and AW at one seed see the same

@@ -205,10 +205,10 @@ pub struct RunOutput {
     /// ([`crate::SimBuilder::with_latency_samples`] runs only). Lets an
     /// aggregator merge samples across runs for exact fleet quantiles.
     pub latency_samples: Option<Vec<f64>>,
-    /// Every completed idle round trip, in wake order
-    /// ([`crate::SimBuilder::with_idle_analysis`] runs only). Feed to
-    /// `aw-sleep` for idle-period distributions, the governor audit,
-    /// and the opportunity ledger.
+    /// Every completed idle round trip that began at or after warm-up
+    /// end, in wake order ([`crate::SimBuilder::with_idle_analysis`] runs
+    /// only). Feed to `aw-sleep` for idle-period distributions, the
+    /// governor audit, and the opportunity ledger.
     pub idle_intervals: Option<Vec<IdleInterval>>,
     /// `Some` when a runtime invariant was violated: the structured
     /// artifact carries the seed and fault plan needed to replay the
@@ -1284,6 +1284,37 @@ mod tests {
         assert_eq!(m.residency_of(CState::C6), Ratio::ZERO);
         assert_eq!(m.residency_of(CState::C1E), Ratio::ZERO);
         assert!(m.residency_of(CState::C1).get() > 0.5, "{}", m.residencies);
+    }
+
+    /// A state the governor never enters changes nothing: the same run
+    /// with it struck from the menu reports every `RunMetrics` number
+    /// (residencies, transitions, power, latency) bit for bit as before.
+    /// A listed state may steer the governor's choice, but only entering
+    /// it may reach the accounting. Compared through the `Debug`
+    /// rendering, which prints every `f64` in round-trip form.
+    #[test]
+    fn a_state_never_entered_changes_nothing() {
+        for (named, qps) in [(NamedConfig::Aw, 400_000.0), (NamedConfig::Baseline, 200_000.0)] {
+            let config = short_config(named);
+            let run =
+                |config| SimBuilder::new(config, light_workload(qps), 17).run().into_metrics();
+            let full = run(config.clone());
+            let menu = config.cstates.enabled_states();
+            let (entered, unused): (Vec<CState>, Vec<CState>) =
+                menu.iter().partition(|s| full.transitions.contains_key(s));
+            assert!(unused.contains(&CState::C6), "{named}: {}", full.residencies);
+            for &state in &unused {
+                assert_eq!(full.residency_of(state), Ratio::ZERO, "{named}: {state}");
+            }
+            let trimmed = CStateConfig::new(entered, config.cstates.turbo());
+            let without = run(config.with_cstates(trimmed));
+            assert_eq!(
+                full.avg_core_power.as_milliwatts().to_bits(),
+                without.avg_core_power.as_milliwatts().to_bits(),
+                "{named}: power"
+            );
+            assert_eq!(format!("{full:?}"), format!("{without:?}"), "{named}");
+        }
     }
 
     /// Each core's Poisson stream of single snoops, `rate` per second:

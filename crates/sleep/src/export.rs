@@ -163,13 +163,14 @@ mod tests {
             &[CState::C1, CState::C1E, CState::C6],
         );
         let intervals: Vec<_> = (0..20)
-            .map(|i| IdleInterval {
-                core: i % 2,
-                start: Nanos::from_micros(i as f64 * 100.0),
-                duration: Nanos::from_micros(5.0 + i as f64 * 60.0),
-                chosen: if i % 2 == 0 { CState::C1 } else { CState::C6 },
-                predicted: Some(Nanos::from_micros(4.0 + i as f64 * 55.0)),
-                measured: true,
+            .map(|i| {
+                IdleInterval::new(
+                    i % 2,
+                    Nanos::from_micros(f64::from(i) * 100.0),
+                    Nanos::from_micros(5.0 + f64::from(i) * 60.0),
+                    if i % 2 == 0 { CState::C1 } else { CState::C6 },
+                    Some(Nanos::from_micros(4.0 + f64::from(i) * 55.0)),
+                )
             })
             .collect();
         IdleReport::analyze(&intervals, &model, 2, Nanos::from_millis(1.0))

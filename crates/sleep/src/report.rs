@@ -321,11 +321,11 @@ pub struct IdleReport {
 impl IdleReport {
     /// Analyzes captured idle intervals against a break-even model.
     ///
-    /// Only intervals flagged `measured` (begun after warm-up) are scored,
-    /// matching the simulator's metric reset. `cores` sizes the per-core
-    /// distribution table (cores that never idled get empty rows);
-    /// `window` buckets the recovery timeline (pass `Nanos::ZERO` to skip
-    /// windowing).
+    /// Every interval is scored: the capture keeps only those begun at or
+    /// after warm-up end, matching the simulator's metric reset. `cores`
+    /// sizes the per-core distribution table (cores that never idled get
+    /// empty rows); `window` buckets the recovery timeline (pass
+    /// `Nanos::ZERO` to skip windowing).
     ///
     /// # Panics
     ///
@@ -340,13 +340,12 @@ impl IdleReport {
         cores: usize,
         window: Nanos,
     ) -> Self {
-        let measured = || intervals.iter().filter(|iv| iv.measured);
         // One group per core, then one for cores ≥ `cores`, which count
         // only in the pooled view. A counting pass sizes each group's
         // run of one shared duration buffer.
-        let group = |core: usize| core.min(cores);
+        let group = |core: u32| (core as usize).min(cores);
         let mut next = vec![0usize; cores + 1];
-        for iv in measured() {
+        for iv in intervals {
             next[group(iv.core)] += 1;
         }
         let mut at = 0;
@@ -383,7 +382,7 @@ impl IdleReport {
         // classes, after the loop.
         let mut confusion = [[0u64; CState::ALL.len()]; CState::ALL.len()];
 
-        for iv in measured() {
+        for iv in intervals {
             let t = iv.duration;
             let d = t.as_nanos();
             let g = group(iv.core);
@@ -410,7 +409,7 @@ impl IdleReport {
             let budget = model.budget(iv.chosen);
             let exposure = (budget - model.budget(optimal)).max(Nanos::ZERO);
             ledger.too_deep_latency += if deep { exposure } else { Nanos::ZERO };
-            if let Some(p) = iv.predicted {
+            if let Some(p) = iv.predicted() {
                 audit.prediction.predicted += 1;
                 let err = (p - t).as_nanos();
                 err_sum += err;
@@ -619,7 +618,7 @@ impl OpportunitySummary {
     pub fn compute(intervals: &[IdleInterval], model: &BreakEven) -> Self {
         let shallowest = model.shallowest();
         let mut s = Self::default();
-        for iv in intervals.iter().filter(|iv| iv.measured) {
+        for iv in intervals {
             let t = iv.duration;
             let (optimal, oracle, achieved) = model.score(t, iv.chosen);
             let c0 = model.active_energy(t);
@@ -653,15 +652,9 @@ mod tests {
         )
     }
 
-    fn iv(core: usize, start_us: f64, dur_us: f64, chosen: CState) -> IdleInterval {
-        IdleInterval {
-            core,
-            start: Nanos::from_micros(start_us),
-            duration: Nanos::from_micros(dur_us),
-            chosen,
-            predicted: Some(Nanos::from_micros(dur_us * 0.8)),
-            measured: true,
-        }
+    fn iv(core: u32, start_us: f64, dur_us: f64, chosen: CState) -> IdleInterval {
+        let (start, duration) = (Nanos::from_micros(start_us), Nanos::from_micros(dur_us));
+        IdleInterval::new(core, start, duration, chosen, Some(Nanos::from_micros(dur_us * 0.8)))
     }
 
     #[test]
@@ -701,7 +694,7 @@ mod tests {
                 1 => CState::C1E,
                 _ => CState::C6,
             };
-            intervals.push(iv((i % 4) as usize, i as f64 * 50.0, dur, chosen));
+            intervals.push(iv(i % 4, i as f64 * 50.0, dur, chosen));
         }
         // analyze() asserts the invariants internally.
         let r = IdleReport::analyze(&intervals, &m, 4, Nanos::from_millis(1.0));
@@ -734,16 +727,6 @@ mod tests {
         let banked = (t - m.budget(CState::C1)) * 10.0;
         assert!((r.ledger.achieved_residency - banked).as_nanos().abs() < 1e-6);
         assert!(r.ledger.achievable_residency >= r.ledger.achieved_residency);
-    }
-
-    #[test]
-    fn unmeasured_intervals_are_ignored() {
-        let m = model();
-        let mut warm = iv(0, 0.0, 100.0, CState::C1);
-        warm.measured = false;
-        let r = IdleReport::analyze(&[warm, iv(0, 10.0, 100.0, CState::C1)], &m, 1, Nanos::ZERO);
-        assert_eq!(r.ledger.intervals, 1);
-        assert_eq!(r.pooled.count, 1);
     }
 
     #[test]
@@ -794,10 +777,13 @@ mod tests {
     #[test]
     fn prediction_stats_fold_signed_errors() {
         let m = model();
-        let mut a = iv(0, 0.0, 10.0, CState::C1); // predicted 8 → err −2
-        a.predicted = Some(Nanos::from_micros(8.0));
-        let mut b = iv(0, 20.0, 10.0, CState::C1); // predicted 14 → err +4
-        b.predicted = Some(Nanos::from_micros(14.0));
+        let at = |start_us, predicted_us| {
+            let (start, predicted) =
+                (Nanos::from_micros(start_us), Nanos::from_micros(predicted_us));
+            IdleInterval::new(0, start, Nanos::from_micros(10.0), CState::C1, Some(predicted))
+        };
+        let a = at(0.0, 8.0); // err −2
+        let b = at(20.0, 14.0); // err +4
         let r = IdleReport::analyze(&[a, b], &m, 1, Nanos::ZERO);
         let p = r.audit.prediction;
         assert_eq!(p.predicted, 2);
@@ -835,9 +821,7 @@ mod tests {
         for i in 0..n {
             // Deterministic mix of short/medium/long naps across 10 cores.
             let us = 1.0 + (i % 97) as f64 * 7.3;
-            let mut v = iv(i % 10, (i as f64) * 20.0, us, CState::C1);
-            v.predicted = Some(Nanos::from_micros(us * 0.8));
-            intervals.push(v);
+            intervals.push(iv((i % 10) as u32, (i as f64) * 20.0, us, CState::C1));
         }
         let t0 = std::time::Instant::now();
         let r = IdleReport::analyze(&intervals, &m, 10, Nanos::from_millis(20.0));

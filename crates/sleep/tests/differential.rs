@@ -151,11 +151,12 @@ mod reference {
         let shallowest = model.enabled[0];
         let (mut abs_err_sum, mut err_sum, mut abs_pct_sum, mut pct_count) = (0.0, 0.0, 0.0, 0);
         let mut confusion = BTreeMap::new();
-        for iv in intervals.iter().filter(|iv| iv.measured) {
+        for iv in intervals {
             let t = iv.duration;
             pooled_durations.push(t.as_nanos());
-            if iv.core < cores {
-                per_core_durations[iv.core].push(t.as_nanos());
+            let core = iv.core as usize;
+            if core < cores {
+                per_core_durations[core].push(t.as_nanos());
             }
             let (optimal, oracle, achieved) = model.score(t, iv.chosen);
             let c0 = model.active * t;
@@ -175,7 +176,7 @@ mod reference {
                         (model.budget(iv.chosen) - model.budget(optimal)).max(Nanos::ZERO);
                 }
             }
-            if let Some(p) = iv.predicted {
+            if let Some(p) = iv.predicted() {
                 audit.prediction.predicted += 1;
                 let err = (p - t).as_nanos();
                 err_sum += err;
@@ -324,15 +325,13 @@ fn case(rng: &mut TestRng) -> Case {
         .map(|_| {
             let d = duration(rng, &budgets, last);
             last = d;
-            IdleInterval {
-                core: rng.below(cores as u64 + 3) as usize,
-                start: Nanos::new(start(rng, window, &mut walk)),
-                duration: Nanos::new(d),
-                chosen: pick(rng, &states),
-                predicted: (rng.below(4) > 0)
-                    .then(|| Nanos::new(d * (0.25 + 1.5 * rng.uniform()) - 50.0)),
-                measured: rng.below(8) > 0,
-            }
+            IdleInterval::new(
+                rng.below(cores as u64 + 3) as u32,
+                Nanos::new(start(rng, window, &mut walk)),
+                Nanos::new(d),
+                pick(rng, &states),
+                (rng.below(4) > 0).then(|| Nanos::new(d * (0.25 + 1.5 * rng.uniform()) - 50.0)),
+            )
         })
         .collect();
     Case { catalog, menu, cores, window, intervals }

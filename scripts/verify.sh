@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification gate: formatting, release build, full test suite
 # (unit + doc), warning-free clippy and rustdoc passes, the aw-benchmark
-# smoke test, and end-to-end smokes of the CLI and examples. The CLI's
+# smoke test, and end-to-end smokes of the CLI and examples; it ends by
+# printing the net non-test line count (scripts/loc.sh). The CLI's
 # goldens run inside `cargo test` (crates/cli/tests/golden_cli.rs), so
 # this script repeats none of them. CI and pre-commit both run exactly
 # this.
@@ -290,5 +291,8 @@ for suffix in json csv folded; do
         exit 1
     fi
 done
+
+echo "==> net non-test LOC (printed, not a gate)"
+scripts/loc.sh
 
 echo "verify: OK"

@@ -194,14 +194,13 @@ proptest! {
                 ),
                 other => prop_assert!(false, "prediction presence diverged: {other:?}"),
             }
-            intervals.push(IdleInterval {
-                core: 0,
-                start: Nanos::new(start),
-                duration: Nanos::new(d),
-                chosen: CState::C1,
+            intervals.push(IdleInterval::new(
+                0,
+                Nanos::new(start),
+                Nanos::new(d),
+                CState::C1,
                 predicted,
-                measured: true,
-            });
+            ));
             start += d + 1_000.0;
             gov.observe_idle(Nanos::new(d));
             ewma = Some(match ewma {
@@ -217,7 +216,7 @@ proptest! {
         let mut err_sum = 0.0;
         let mut abs_sum = 0.0;
         for iv in &intervals {
-            if let Some(p) = iv.predicted {
+            if let Some(p) = iv.predicted() {
                 n += 1;
                 let err = (p - iv.duration).as_nanos();
                 err_sum += err;
